@@ -257,24 +257,11 @@ class ConnectionField:
 
     chart: Chart
     comps: np.ndarray = field(repr=False)
-    from_metric: bool = False
 
     def __post_init__(self):
         n = self.chart.dim
         object.__setattr__(
             self, "comps", _as_expr_matrix(self.chart, self.comps, (n, n, n))
-        )
-
-    @property
-    def symmetric(self) -> bool:
-        if self.from_metric:
-            return True
-        n = self.chart.dim
-        return all(
-            self.comps[k, i, j] is self.comps[k, j, i]
-            for k in range(n)
-            for i in range(n)
-            for j in range(i + 1, n)
         )
 
     def eval(self, points, memo=None) -> np.ndarray:
@@ -376,7 +363,7 @@ def christoffel(g: MetricField, probe_points=None) -> ConnectionField:
                 ]
                 gamma[k, i, j] = half * ex.balanced_sum(terms)
                 gamma[k, j, i] = gamma[k, i, j]
-    return ConnectionField(chart, gamma, from_metric=True)
+    return ConnectionField(chart, gamma)
 
 
 def riemann(conn: ConnectionField) -> np.ndarray:

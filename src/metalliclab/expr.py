@@ -3,15 +3,28 @@
 Expressions are immutable ASTs over a fixed set of chart coordinates.
 Differentiation is symbolic; the only rewriting ever applied is constant
 folding of literal-only subtrees, so results evaluate exactly as built.
-Evaluation is vectorised over batches of points and memoised per call on
-node identity, which makes shared subtrees (ubiquitous after repeated
-differentiation) cheap.
+
+Every node is hash-consed: the smart constructors look a node up in the
+current table before building it, so structurally equal nodes are one
+object.  A compound node is keyed on its op (or function name) and the
+``id`` of each child; the table holds the node, and the node its children,
+so no ``id`` in a live key can be reused.  ``Const`` is keyed on its value
+and sign bit (``-0.0`` stays distinct) and NaN is never interned; ``Coord``
+is keyed on index and name.  The same table caches ``differentiate`` per
+node and coordinate.
+
+The table lasts as long as the innermost :func:`fresh_table` block (a run
+of the suites enters one), so a long process does not accumulate nodes;
+outside every block a module-level table is used.  Evaluation is
+vectorised over batches of points and memoised per call on node identity,
+which after interning means each distinct subexpression is evaluated once.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +53,7 @@ __all__ = [
     "eval_batch",
     "to_string",
     "FUNCTION_NAMES",
+    "fresh_table",
 ]
 
 _UNARY_FUNCS = {
@@ -70,7 +84,13 @@ FUNCTION_NAMES = tuple(sorted(_UNARY_FUNCS))
 
 
 class Expr:
-    """Base class for AST nodes. Instances are immutable and hash by identity."""
+    """Base class for AST nodes.
+
+    Instances are immutable and hash by identity.  Build them with the smart
+    constructors, never the classes: those intern every node in the current
+    table (see :func:`fresh_table`), so within one table structural
+    equality is identity.
+    """
 
     __slots__ = ()
 
@@ -179,7 +199,30 @@ class Func(Expr):
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
-    return Const(value)
+    return const(value)
+
+
+# The interning table: node key -> node, and ("d", id(node), i) ->
+# (node, derivative).  Rebound, never mutated in place, by fresh_table.
+_table: dict = {}
+
+
+@contextmanager
+def fresh_table():
+    """Intern into an empty table for the block; restore the previous one on exit."""
+    global _table
+    previous, _table = _table, {}
+    try:
+        yield
+    finally:
+        _table = previous
+
+
+def _interned(key, cls, *fields) -> Expr:
+    node = _table.get(key)
+    if node is None:
+        node = _table[key] = cls(*fields)
+    return node
 
 
 # Smart constructors.  The only rewriting is folding of literal-only nodes;
@@ -188,17 +231,26 @@ def _coerce(value) -> Expr:
 
 
 def const(value) -> Expr:
-    return Const(value)
+    value = float(value)
+    if value != value:  # NaN equals nothing, so it is never interned
+        return Const(value)
+    return _interned(("const", value, math.copysign(1.0, value)), Const, value)
 
 
 def coord(index: int, name: str | None = None) -> Expr:
-    return Coord(index, name if name is not None else f"x{index + 1}")
+    index = int(index)
+    name = name if name is not None else f"x{index + 1}"
+    return _interned(("coord", index, name), Coord, index, name)
 
 
 def _fold(value: float) -> Expr | None:
     if math.isfinite(value):
-        return Const(value)
+        return const(value)
     return None
+
+
+def _bin(op: str, a: Expr, b: Expr) -> Expr:
+    return _interned((op, id(a), id(b)), Bin, op, a, b)
 
 
 def add(a, b) -> Expr:
@@ -207,7 +259,7 @@ def add(a, b) -> Expr:
         folded = _fold(a.value + b.value)
         if folded is not None:
             return folded
-    return Bin("+", a, b)
+    return _bin("+", a, b)
 
 
 def sub(a, b) -> Expr:
@@ -216,7 +268,7 @@ def sub(a, b) -> Expr:
         folded = _fold(a.value - b.value)
         if folded is not None:
             return folded
-    return Bin("-", a, b)
+    return _bin("-", a, b)
 
 
 def mul(a, b) -> Expr:
@@ -225,7 +277,7 @@ def mul(a, b) -> Expr:
         folded = _fold(a.value * b.value)
         if folded is not None:
             return folded
-    return Bin("*", a, b)
+    return _bin("*", a, b)
 
 
 def div(a, b) -> Expr:
@@ -234,7 +286,7 @@ def div(a, b) -> Expr:
         folded = _fold(a.value / b.value)
         if folded is not None:
             return folded
-    return Bin("/", a, b)
+    return _bin("/", a, b)
 
 
 def pow_(a, b) -> Expr:
@@ -248,14 +300,14 @@ def pow_(a, b) -> Expr:
             folded = _fold(value)
             if folded is not None:
                 return folded
-    return Bin("^", a, b)
+    return _bin("^", a, b)
 
 
 def neg(a) -> Expr:
     a = _coerce(a)
     if isinstance(a, Const):
-        return Const(-a.value)
-    return Neg(a)
+        return const(-a.value)
+    return _interned(("neg", id(a)), Neg, a)
 
 
 def func(name: str, arg) -> Expr:
@@ -270,14 +322,14 @@ def func(name: str, arg) -> Expr:
         folded = _fold(value)
         if folded is not None:
             return folded
-    return Func(name, arg)
+    return _interned((name, id(arg)), Func, name, arg)
 
 
 def balanced_sum(terms) -> Expr:
     """Sum a sequence of expressions with a balanced tree (keeps depth low)."""
     terms = [_coerce(t) for t in terms]
     if not terms:
-        return Const(0.0)
+        return const(0.0)
     while len(terms) > 1:
         paired = [add(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
         if len(terms) % 2:
@@ -411,7 +463,7 @@ class _Parser:
         kind, value, pos = self.toks.peek()
         if kind == "num":
             self.toks.advance()
-            return Const(value)
+            return const(value)
         if kind == "(":
             self.toks.advance()
             node = self.expr()
@@ -420,7 +472,7 @@ class _Parser:
         if kind == "ident":
             self.toks.advance()
             if value in self.coords:
-                return Coord(self.coords[value], value)
+                return coord(self.coords[value], value)
             if value in _UNARY_FUNCS:
                 self.toks.expect("(", f"'(' after function {value!r}")
                 node = self.expr()
@@ -452,19 +504,21 @@ def differentiate(e: Expr, i: int) -> Expr:
     """Symbolic partial derivative of ``e`` with respect to coordinate ``i``.
 
     The result is unsimplified apart from constant folding, but shares
-    subtrees with ``e`` wherever possible.
+    subtrees with ``e`` wherever possible.  Derivatives are cached in the
+    interning table, keyed on node and coordinate; each entry holds its
+    node, so the ``id`` in the key stays valid.
     """
-    memo: dict[int, Expr] = {}
+    table = _table
 
     def d(node: Expr) -> Expr:
-        key = id(node)
-        cached = memo.get(key)
+        key = ("d", id(node), i)
+        cached = table.get(key)
         if cached is not None:
-            return cached
+            return cached[1]
         if isinstance(node, Const):
-            out = Const(0.0)
+            out = const(0.0)
         elif isinstance(node, Coord):
-            out = Const(1.0 if node.index == i else 0.0)
+            out = const(1.0 if node.index == i else 0.0)
         elif isinstance(node, Neg):
             out = neg(d(node.child))
         elif isinstance(node, Bin):
@@ -479,7 +533,7 @@ def differentiate(e: Expr, i: int) -> Expr:
                 out = div(sub(mul(dl, r), mul(l, dr)), mul(r, r))
             else:  # '^'
                 if isinstance(r, Const):
-                    out = mul(mul(r, pow_(l, Const(r.value - 1.0))), dl)
+                    out = mul(mul(r, pow_(l, const(r.value - 1.0))), dl)
                 else:
                     # b^e * (e' ln b + e b'/b); only valid for positive base,
                     # like the evaluation of b^e itself.
@@ -507,10 +561,10 @@ def differentiate(e: Expr, i: int) -> Expr:
             elif name == "ln":
                 out = div(du, u)
             else:  # sqrt
-                out = div(du, mul(Const(2.0), func("sqrt", u)))
+                out = div(du, mul(const(2.0), func("sqrt", u)))
         else:  # pragma: no cover - closed node set
             raise TypeError(f"cannot differentiate {type(node).__name__}")
-        memo[key] = out
+        table[key] = (node, out)
         return out
 
     return d(e)

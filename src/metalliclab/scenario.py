@@ -12,9 +12,11 @@ from . import chart as ch
 from . import expr as ex
 from .errors import (
     ComplexDiscriminant,
+    DomainError,
     NotAProjection,
     ParseError,
     SchemaError,
+    SingularMetric,
     ValidationError,
 )
 from .metallic import MetallicParams, from_projection
@@ -224,7 +226,7 @@ def load_scenario(path) -> ChartScenario:
                 chart, ch.EndoField(chart, proj_comps), params, metric, probe
             )
             J = structure.J
-        except (NotAProjection, ComplexDiscriminant) as err:
+        except (NotAProjection, ComplexDiscriminant, DomainError, SingularMetric) as err:
             validation_problems.append(f"J.projection: {err}")
             J = ch.EndoField(chart, ch.identity_endo(n))
     else:

@@ -1161,37 +1161,51 @@ def run_suites(
     seed: int | None = None,
     tolerance: float | None = None,
 ) -> ScenarioReport:
-    """Run the scenario's suites in declared order; deterministic in the seed."""
+    """Run the scenario's suites in declared order; deterministic in the seed.
+
+    Expression nodes are interned in a table that lasts for this call only.
+    """
     ctx = ScenarioContext(scenario, samples=samples, seed=seed, tolerance=tolerance)
     selected = suites if suites else scenario.suites
     checks: list = []
-    for suite in selected:
-        if suite not in _SUITE_FUNCS:
-            raise ValueError(f"unknown suite {suite!r}")
-        try:
-            checks.extend(_SUITE_FUNCS[suite](ctx))
-        except DomainError as err:
-            # a singular evaluation poisons the whole suite: record it as a
-            # failed check with the witness point and move on
-            checks.append(
-                CheckResult(
-                    f"{suite}/evaluation",
-                    "suite inputs evaluate to finite values at every sample",
-                    float("inf"),
-                    ctx.tol,
-                    witness=err.point,
+    with ex.fresh_table():
+        for suite in selected:
+            if suite not in _SUITE_FUNCS:
+                raise ValueError(f"unknown suite {suite!r}")
+            try:
+                checks.extend(_SUITE_FUNCS[suite](ctx))
+            except DomainError as err:
+                # a singular evaluation poisons the whole suite: record it as a
+                # failed check with the witness point and move on
+                checks.append(
+                    CheckResult(
+                        f"{suite}/evaluation",
+                        "suite inputs evaluate to finite values at every sample",
+                        float("inf"),
+                        ctx.tol,
+                        witness=err.point,
+                    )
                 )
-            )
-        except MetallicLabError as err:
-            checks.append(
-                CheckResult(
-                    f"{suite}/evaluation",
-                    "suite inputs satisfy their preconditions",
-                    float("inf"),
-                    ctx.tol,
-                    details={"error": str(err)},
+            except MetallicLabError as err:
+                checks.append(
+                    CheckResult(
+                        f"{suite}/evaluation",
+                        "suite inputs satisfy their preconditions",
+                        float("inf"),
+                        ctx.tol,
+                        details={"error": str(err)},
+                    )
                 )
-            )
+            except MemoryError:
+                checks.append(
+                    CheckResult(
+                        f"{suite}/evaluation",
+                        "suite runs within the available memory",
+                        float("inf"),
+                        ctx.tol,
+                        details={"error": "out of memory"},
+                    )
+                )
     expected = set(scenario.expected_failures)
     for check in checks:
         if check.check_id in expected:

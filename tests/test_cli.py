@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from metalliclab import report as rp
+from metalliclab import suites as suites_module
 from metalliclab.cli import main
 from metalliclab.errors import ParseError, SchemaError, ValidationError
 from metalliclab.scenario import load_scenario
@@ -328,3 +329,27 @@ def test_corpus_overall_verdicts(corpus_reports):
     assert diag.find("core/locally-metallic").satisfied
     assert not diag.find("genconn/dhat-jm").passed
     assert diag.find("genconn/dhat-ghat").passed
+
+
+def test_non_finite_metric_entry_is_an_input_error(tmp_path, capsys):
+    payload = json.loads(scenario_path("flat-silver").read_text())
+    payload["metric"][0][0] = "1/(x1-x1)"
+    path = write_scenario(tmp_path, payload)
+    with pytest.raises(ValidationError) as err:
+        load_scenario(path)
+    assert "J.projection" in str(err.value)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_out_of_memory_in_a_suite_becomes_a_failed_check(monkeypatch):
+    def exhausted(ctx):
+        raise MemoryError
+
+    monkeypatch.setitem(suites_module._SUITE_FUNCS, "core", exhausted)
+    scenario = load_scenario(scenario_path("flat-golden"))
+    report = run_suites(scenario, suites=["core", "genbundle"])
+    failed = report.find("core/evaluation")
+    assert not failed.passed and failed.details == {"error": "out of memory"}
+    later = [c for c in report.checks if c.check_id.startswith("genbundle/")]
+    assert later and all(c.passed for c in later)

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab.errors import DomainError, ParseError
+from metalliclab.scenario import load_scenario
+from metalliclab.suites import run_suites
 
+from conftest import scenario_path
 from helpers import fd_gradient, random_expr
 
 COORDS = ["x1", "x2"]
@@ -213,3 +217,112 @@ def test_balanced_sum_matches_sequential():
     total = ex.balanced_sum(terms)
     assert isinstance(total, ex.Const)
     assert np.isclose(total.value, sum(t.value for t in terms), atol=1e-12)
+
+
+def test_equal_constructor_calls_return_one_node():
+    with ex.fresh_table():
+        x1, x2 = ex.coord(0), ex.coord(1)
+        assert ex.coord(0) is x1 and ex.const(2) is ex.const(2.0)
+        assert ex.add(x1, x2) is ex.add(x1, x2)
+        assert ex.mul(x1, 3) is ex.mul(ex.coord(0), ex.const(3.0))
+        assert ex.func("sin", x1) is ex.func("sin", x1)
+        assert ex.neg(x1) is -x1
+        assert ex.balanced_sum([]) is ex.const(0.0)
+        assert ex.parse("sin(x1)^2 - x2/3", COORDS) is ex.parse("sin(x1)^2 - x2/3", COORDS)
+        # equal structure, not equal value: the operands' order is kept
+        assert ex.add(x1, x2) is not ex.add(x2, x1)
+
+
+def test_derivatives_are_cached_per_node_and_coordinate():
+    with ex.fresh_table():
+        e = ex.parse("x1^x2 * exp(x1*x2)", COORDS)
+        d1 = ex.differentiate(e, 0)
+        assert ex.differentiate(e, 0) is d1
+        assert ex.differentiate(e, 1) is not d1
+        # a structurally equal node built separately shares the derivative
+        assert ex.differentiate(ex.parse("x1^x2 * exp(x1*x2)", COORDS), 0) is d1
+
+
+def test_signed_zero_is_its_own_node():
+    with ex.fresh_table():
+        assert ex.const(0.0) is not ex.const(-0.0)
+        assert ex.const(-0.0) is ex.neg(ex.const(0.0))
+        assert ex.to_string(ex.const(-0.0)) == "-0.0"
+        assert ex.to_string(ex.const(0.0)) == "0.0"
+
+
+def test_nan_constants_are_never_interned():
+    with ex.fresh_table():
+        a, b = ex.const(math.nan), ex.const(math.nan)
+        assert a is not b
+        pts = sample_points(4)
+        for e in (a, b, ex.add(ex.coord(0), a)):
+            assert not np.isfinite(ex.eval_batch(e, pts)).any()
+
+
+def test_fresh_table_restores_the_previous_table():
+    outer = ex._table
+    size = len(outer)
+    with ex.fresh_table():
+        assert ex._table is not outer
+        ex.parse("x1*x2 + cos(x1)", COORDS)
+    assert ex._table is outer and len(outer) == size
+    with pytest.raises(RuntimeError):
+        with ex.fresh_table():
+            ex.parse("x1 - 7", COORDS)
+            raise RuntimeError("inside the block")
+    assert ex._table is outer and len(outer) == size
+
+
+def _structure(node, numbers, shapes):
+    """Number ``node`` by its structure, read from its public fields only.
+
+    ``numbers`` maps node ids to numbers and ``shapes`` structural keys to
+    numbers; a key holds its children's numbers, so it stays flat.
+    """
+    hit = numbers.get(id(node))
+    if hit is None:
+        if isinstance(node, ex.Const):
+            data = repr(node.value)  # tells -0.0 from 0.0
+        elif isinstance(node, ex.Coord):
+            data = (node.index, node.name)
+        elif isinstance(node, ex.Bin):
+            data = node.op
+        elif isinstance(node, ex.Func):
+            data = node.name
+        else:
+            data = None
+        kids = tuple(_structure(k, numbers, shapes) for k in node.children())
+        key = (type(node).__name__, data, kids)
+        hit = numbers[id(node)] = shapes.setdefault(key, len(shapes))
+    return hit
+
+
+def test_tensors_of_a_scenario_hold_no_duplicate_structure():
+    with ex.fresh_table():
+        scenario = load_scenario(scenario_path("warped-mixing"))
+        gamma = ch.christoffel(scenario.metric)
+        roots = list(gamma.comps.flat) + list(ch.riemann(gamma).flat)
+        roots += list(ch.nijenhuis(scenario.J).flat)
+        nodes, stack = {}, roots
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.children())
+        numbers: dict = {}
+        shapes: dict = {}
+        for node in nodes.values():
+            _structure(node, numbers, shapes)
+    assert len(nodes) > 100
+    assert len(shapes) == len(nodes)
+
+
+def test_runs_are_identical_and_leave_the_table_as_they_found_it():
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    size = len(ex._table)
+    texts = []
+    for _ in range(2):
+        texts.append(run_suites(scenario).to_json())
+        assert len(ex._table) == size
+    assert texts[0] == texts[1]
