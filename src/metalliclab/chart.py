@@ -32,7 +32,6 @@ __all__ = [
     "EndoField",
     "ConnectionField",
     "OneFormField",
-    "VectorField",
     "eval_exprs",
     "constant_matrix",
     "identity_endo",
@@ -227,19 +226,6 @@ class EndoField:
 
 @dataclass(frozen=True)
 class OneFormField:
-    chart: Chart
-    comps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.chart.dim
-        object.__setattr__(self, "comps", _as_expr_matrix(self.chart, self.comps, (n,)))
-
-    def eval(self, points, memo=None) -> np.ndarray:
-        return eval_exprs(self.comps, points, memo)
-
-
-@dataclass(frozen=True)
-class VectorField:
     chart: Chart
     comps: np.ndarray = field(repr=False)
 

@@ -508,66 +508,68 @@ def differentiate(e: Expr, i: int) -> Expr:
     interning table, keyed on node and coordinate; each entry holds its
     node, so the ``id`` in the key stays valid.
     """
-    table = _table
+    return _derivative(e, i, _table)
 
-    def d(node: Expr) -> Expr:
-        key = ("d", id(node), i)
-        cached = table.get(key)
-        if cached is not None:
-            return cached[1]
-        if isinstance(node, Const):
-            out = const(0.0)
-        elif isinstance(node, Coord):
-            out = const(1.0 if node.index == i else 0.0)
-        elif isinstance(node, Neg):
-            out = neg(d(node.child))
-        elif isinstance(node, Bin):
-            l, r, dl, dr = node.left, node.right, d(node.left), d(node.right)
-            if node.op == "+":
-                out = add(dl, dr)
-            elif node.op == "-":
-                out = sub(dl, dr)
-            elif node.op == "*":
-                out = add(mul(dl, r), mul(l, dr))
-            elif node.op == "/":
-                out = div(sub(mul(dl, r), mul(l, dr)), mul(r, r))
-            else:  # '^'
-                if isinstance(r, Const):
-                    out = mul(mul(r, pow_(l, const(r.value - 1.0))), dl)
-                else:
-                    # b^e * (e' ln b + e b'/b); only valid for positive base,
-                    # like the evaluation of b^e itself.
-                    out = mul(
-                        pow_(l, r),
-                        add(mul(dr, func("ln", l)), mul(r, div(dl, l))),
-                    )
-        elif isinstance(node, Func):
-            u, du = node.arg, d(node.arg)
-            name = node.name
-            if name == "sin":
-                out = mul(func("cos", u), du)
-            elif name == "cos":
-                out = neg(mul(func("sin", u), du))
-            elif name == "tan":
-                out = div(du, mul(func("cos", u), func("cos", u)))
-            elif name == "sinh":
-                out = mul(func("cosh", u), du)
-            elif name == "cosh":
-                out = mul(func("sinh", u), du)
-            elif name == "tanh":
-                out = div(du, mul(func("cosh", u), func("cosh", u)))
-            elif name == "exp":
-                out = mul(func("exp", u), du)
-            elif name == "ln":
-                out = div(du, u)
-            else:  # sqrt
-                out = div(du, mul(const(2.0), func("sqrt", u)))
-        else:  # pragma: no cover - closed node set
-            raise TypeError(f"cannot differentiate {type(node).__name__}")
-        table[key] = (node, out)
-        return out
 
-    return d(e)
+def _derivative(node: Expr, i: int, table: dict) -> Expr:
+    # a module-level function, not a closure: a recursive closure refers to
+    # itself through its cell, and that cycle would keep ``table`` alive
+    key = ("d", id(node), i)
+    cached = table.get(key)
+    if cached is not None:
+        return cached[1]
+    if isinstance(node, Const):
+        out = const(0.0)
+    elif isinstance(node, Coord):
+        out = const(1.0 if node.index == i else 0.0)
+    elif isinstance(node, Neg):
+        out = neg(_derivative(node.child, i, table))
+    elif isinstance(node, Bin):
+        l, r = node.left, node.right
+        dl, dr = _derivative(l, i, table), _derivative(r, i, table)
+        if node.op == "+":
+            out = add(dl, dr)
+        elif node.op == "-":
+            out = sub(dl, dr)
+        elif node.op == "*":
+            out = add(mul(dl, r), mul(l, dr))
+        elif node.op == "/":
+            out = div(sub(mul(dl, r), mul(l, dr)), mul(r, r))
+        else:  # '^'
+            if isinstance(r, Const):
+                out = mul(mul(r, pow_(l, const(r.value - 1.0))), dl)
+            else:
+                # b^e * (e' ln b + e b'/b); only valid for positive base,
+                # like the evaluation of b^e itself.
+                out = mul(
+                    pow_(l, r),
+                    add(mul(dr, func("ln", l)), mul(r, div(dl, l))),
+                )
+    elif isinstance(node, Func):
+        u, du = node.arg, _derivative(node.arg, i, table)
+        name = node.name
+        if name == "sin":
+            out = mul(func("cos", u), du)
+        elif name == "cos":
+            out = neg(mul(func("sin", u), du))
+        elif name == "tan":
+            out = div(du, mul(func("cos", u), func("cos", u)))
+        elif name == "sinh":
+            out = mul(func("cosh", u), du)
+        elif name == "cosh":
+            out = mul(func("sinh", u), du)
+        elif name == "tanh":
+            out = div(du, mul(func("cosh", u), func("cosh", u)))
+        elif name == "exp":
+            out = mul(func("exp", u), du)
+        elif name == "ln":
+            out = div(du, u)
+        else:  # sqrt
+            out = div(du, mul(const(2.0), func("sqrt", u)))
+    else:  # pragma: no cover - closed node set
+        raise TypeError(f"cannot differentiate {type(node).__name__}")
+    table[key] = (node, out)
+    return out
 
 
 # ------------------------------------------------------------------

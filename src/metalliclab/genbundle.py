@@ -1,8 +1,12 @@
-"""Pointwise algebra on TM + T*M: musical maps, block structures, pairings.
+"""Algebra on TM + T*M at the samples: block structures, pairings, checks.
 
-Everything here works on plain numpy matrices at a single point (or batches
-with a leading sample axis); field-level statements are obtained by sampling.
-Blocks of a 2n x 2n operator are laid out as
+Every function here except the musical maps, ``GenVector``,
+``natural_pairing`` and ``signature_by_congruence`` takes arrays with a
+leading sample axis, shape (..., n, n) or (..., 2n, 2n), and treats each
+sample on its own; a single matrix is a batch of shape ().  A check's residual
+is the worst sample's value, and an error is the one the first failing sample
+in sample order would raise on its own.  Field-level statements are obtained
+by sampling.  Blocks of a 2n x 2n operator are laid out as
 
     [ A  B ]   A: TM -> TM,    B: T*M -> TM,
     [ C  D ]   C: TM -> T*M,   D: T*M -> T*M,
@@ -65,10 +69,12 @@ class EndoBlocks:
 
 def endo_blocks(mat: np.ndarray) -> EndoBlocks:
     mat = np.asarray(mat)
-    if mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1] or mat.shape[-1] % 2:
         raise DimensionMismatch("generalized operators are 2n x 2n")
-    n = mat.shape[0] // 2
-    return EndoBlocks(mat[:n, :n], mat[:n, n:], mat[n:, :n], mat[n:, n:])
+    n = mat.shape[-1] // 2
+    return EndoBlocks(
+        mat[..., :n, :n], mat[..., :n, n:], mat[..., n:, :n], mat[..., n:, n:]
+    )
 
 
 @dataclass(frozen=True)
@@ -93,11 +99,45 @@ class GenVector:
         return np.concatenate([self.X, self.alpha])
 
 
+def _singular(g: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.det(g)) < 1e-12
+
+
 def _check_metric(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) < 1e-12:
+    if _singular(g).any():
         raise SingularMetric("metric is singular at this point")
     return g
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each matrix of a batch."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def _blockdiag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    n = upper.shape[-1]
+    out = np.zeros(upper.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = upper
+    out[..., n:, n:] = lower
+    return out
+
+
+def _worst(check_id, anchor, per_sample, tolerance, points, details=None) -> CheckResult:
+    """Result of a batch: the worst sample's value, with its point as witness.
+
+    NaN counts as the worst value; an empty batch has residual 0.0.
+    """
+    flat = np.ravel(per_sample)
+    if flat.size == 0:
+        return CheckResult(check_id, anchor, 0.0, tolerance, details=details or {})
+    worst = int(np.argmax(flat))
+    witness = None
+    if points is not None:
+        witness = tuple(float(v) for v in np.reshape(points, (flat.size, -1))[worst])
+    return CheckResult(
+        check_id, anchor, float(flat[worst]), tolerance, witness, details=details or {}
+    )
 
 
 def musical_flat(g: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -113,11 +153,7 @@ def musical_sharp(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 def ghat_matrix(g: np.ndarray) -> np.ndarray:
     """Block-diagonal (g, g^{-1}) metric on TM + T*M."""
     g = _check_metric(g)
-    n = g.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = g
-    out[n:, n:] = np.linalg.inv(g)
-    return out
+    return _blockdiag(g, np.linalg.inv(g))
 
 
 def pairing_matrix(n: int) -> np.ndarray:
@@ -133,68 +169,107 @@ def natural_pairing(sigma: GenVector, tau: GenVector) -> float:
 
 
 def _require_compatible(g: np.ndarray, J: np.ndarray, tolerance: float):
+    """Float copies of (g, J), or the error of the first sample that fails.
+
+    At one sample a singular metric is reported before an asymmetric gJ.
+    """
+    g = np.asarray(g, dtype=float)
+    J = np.asarray(J, dtype=float)
+    singular = np.ravel(_singular(g))
     gj = g @ J
-    gap = np.abs(gj - gj.T).max()
-    if gap > tolerance:
-        raise IncompatiblePair(f"gJ asymmetry {gap:.3e} exceeds {tolerance:g}")
+    gap = np.ravel(_max_abs(gj - np.swapaxes(gj, -1, -2)))
+    failing = singular | (gap > tolerance)
+    if failing.any():
+        k = int(np.argmax(failing))
+        if singular[k]:
+            raise SingularMetric("metric is singular at this point")
+        raise IncompatiblePair(f"gJ asymmetry {gap[k]:.3e} exceeds {tolerance:g}")
+    return g, J
 
 
 def build_jm(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized metallic structure blockdiag(J, J*)."""
-    J = np.asarray(J, dtype=float)
-    g = _check_metric(g)
-    _require_compatible(g, J, tolerance)
-    n = J.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = J
-    out[n:, n:] = J.T
+    g, J = _require_compatible(g, J, tolerance)
+    return _blockdiag(J, np.swapaxes(J, -1, -2))
+
+
+def _with_musical_blocks(J: np.ndarray, g: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """[[J, upper sharp], [flat, -J*]]."""
+    n = J.shape[-1]
+    out = np.zeros(J.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = J
+    out[..., :n, n:] = upper @ np.linalg.inv(g)
+    out[..., n:, :n] = g
+    out[..., n:, n:] = -np.swapaxes(J, -1, -2)
     return out
 
 
 def build_jp(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized product structure [[J, (I - J^2) sharp], [flat, -J*]]."""
-    J = np.asarray(J, dtype=float)
-    g = _check_metric(g)
-    _require_compatible(g, J, tolerance)
-    n = J.shape[0]
-    ginv = np.linalg.inv(g)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = J
-    out[:n, n:] = (np.eye(n) - J @ J) @ ginv
-    out[n:, :n] = g
-    out[n:, n:] = -J.T
-    return out
+    g, J = _require_compatible(g, J, tolerance)
+    return _with_musical_blocks(J, g, np.eye(J.shape[-1]) - J @ J)
 
 
 def build_jc(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized complex structure [[J, -(I + J^2) sharp], [flat, -J*]]."""
-    J = np.asarray(J, dtype=float)
-    g = _check_metric(g)
-    _require_compatible(g, J, tolerance)
-    n = J.shape[0]
-    ginv = np.linalg.inv(g)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = J
-    out[:n, n:] = -(np.eye(n) + J @ J) @ ginv
-    out[n:, :n] = g
-    out[n:, n:] = -J.T
-    return out
+    g, J = _require_compatible(g, J, tolerance)
+    return _with_musical_blocks(J, g, -(np.eye(J.shape[-1]) + J @ J))
 
 
 @dataclass(frozen=True)
 class DerivedFamily:
-    """Structures generated from one metallic pair via product conversions."""
+    """Structures generated from one metallic pair via product conversions.
 
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    fhat_plus: np.ndarray
-    fhat_minus: np.ndarray
-    j_plus_of_fplus: np.ndarray   # +(2s-p)/2 Fhat^+ + p/2 I
-    j_minus_of_fplus: np.ndarray  # -(2s-p)/2 Fhat^+ + p/2 I
-    j_plus_of_fminus: np.ndarray
-    j_minus_of_fminus: np.ndarray
-    jm_plus: np.ndarray           # +(2s-p)/2 Jp + p/2 I
-    jm_minus: np.ndarray
+    Only F^+ and Jp are stored.  Every other member is built each time it is
+    read, so a caller that reduces one member at a time holds one at a time.
+    """
+
+    f_plus: np.ndarray  # (2J - pI) / (2s - p)
+    jp: np.ndarray
+    params: MetallicParams
+
+    @property
+    def f_minus(self) -> np.ndarray:
+        return -self.f_plus
+
+    @property
+    def fhat_plus(self) -> np.ndarray:
+        return _blockdiag(self.f_plus, np.swapaxes(self.f_plus, -1, -2))
+
+    @property
+    def fhat_minus(self) -> np.ndarray:
+        f_minus = self.f_minus
+        return _blockdiag(f_minus, np.swapaxes(f_minus, -1, -2))
+
+    def _converted(self, sign: float, product: np.ndarray) -> np.ndarray:
+        """sign (2s-p)/2 product + p/2 I."""
+        gap = 2.0 * self.params.sigma - self.params.p
+        shift = self.params.p / 2.0 * np.eye(product.shape[-1])
+        return sign * (gap / 2.0) * product + shift
+
+    @property
+    def j_plus_of_fplus(self) -> np.ndarray:
+        return self._converted(1.0, self.fhat_plus)
+
+    @property
+    def j_minus_of_fplus(self) -> np.ndarray:
+        return self._converted(-1.0, self.fhat_plus)
+
+    @property
+    def j_plus_of_fminus(self) -> np.ndarray:
+        return self._converted(1.0, self.fhat_minus)
+
+    @property
+    def j_minus_of_fminus(self) -> np.ndarray:
+        return self._converted(-1.0, self.fhat_minus)
+
+    @property
+    def jm_plus(self) -> np.ndarray:
+        return self._converted(1.0, self.jp)
+
+    @property
+    def jm_minus(self) -> np.ndarray:
+        return self._converted(-1.0, self.jp)
 
 
 def derived_family(
@@ -205,50 +280,29 @@ def derived_family(
             f"family needs p^2 + 4q > 0, got {params.discriminant}"
         )
     J = np.asarray(J, dtype=float)
-    n = J.shape[0]
     gap = 2.0 * params.sigma - params.p
-    f_plus = (2.0 * J - params.p * np.eye(n)) / gap
-    f_minus = -f_plus
-    eye2n = np.eye(2 * n)
-
-    def blockdiag(F):
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = F
-        out[n:, n:] = F.T
-        return out
-
-    fhat_plus = blockdiag(f_plus)
-    fhat_minus = blockdiag(f_minus)
-    half_gap = gap / 2.0
-    shift = params.p / 2.0 * eye2n
-    jp = build_jp(J, g, tolerance)
-    return DerivedFamily(
-        f_plus=f_plus,
-        f_minus=f_minus,
-        fhat_plus=fhat_plus,
-        fhat_minus=fhat_minus,
-        j_plus_of_fplus=half_gap * fhat_plus + shift,
-        j_minus_of_fplus=-half_gap * fhat_plus + shift,
-        j_plus_of_fminus=half_gap * fhat_minus + shift,
-        j_minus_of_fminus=-half_gap * fhat_minus + shift,
-        jm_plus=half_gap * jp + shift,
-        jm_minus=-half_gap * jp + shift,
-    )
+    f_plus = (2.0 * J - params.p * np.eye(J.shape[-1])) / gap
+    return DerivedFamily(f_plus, build_jp(J, g, tolerance), params)
 
 
 def neutral_metric_G(jp: np.ndarray, threshold: float = 1e-10):
-    """Symmetric form G(s, t) = (s, Jp t) and its signature (n_plus, n_minus)."""
+    """Symmetric form G(s, t) = (s, Jp t) and its signature (n_plus, n_minus).
+
+    The two counts have the batch shape.  A sample with an eigenvalue below
+    ``threshold`` raises DegenerateForm; the first such sample is reported.
+    """
     jp = np.asarray(jp, dtype=float)
-    n2 = jp.shape[0]
-    G = pairing_matrix(n2 // 2) @ jp
-    G = 0.5 * (G + G.T)
+    G = pairing_matrix(jp.shape[-1] // 2) @ jp
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
     eigenvalues = np.linalg.eigvalsh(G)
-    if np.abs(eigenvalues).min() < threshold:
+    smallest = np.ravel(np.abs(eigenvalues).min(axis=-1))
+    degenerate = smallest < threshold
+    if degenerate.any():
         raise DegenerateForm(
-            f"eigenvalue {np.abs(eigenvalues).min():.3e} below threshold {threshold:g}"
+            f"eigenvalue {smallest[np.argmax(degenerate)]:.3e} below threshold {threshold:g}"
         )
-    n_plus = int((eigenvalues > threshold).sum())
-    n_minus = int((eigenvalues < -threshold).sum())
+    n_plus = (eigenvalues > threshold).sum(axis=-1)
+    n_minus = (eigenvalues < -threshold).sum(axis=-1)
     return G, (n_plus, n_minus)
 
 
@@ -292,67 +346,76 @@ def signature_by_congruence(G: np.ndarray, threshold: float = 1e-10):
     return n_plus, n_minus
 
 
-def check_anti_pseudo_calibrated(jp: np.ndarray, tolerance: float = 1e-10) -> CheckResult:
-    """(Jp s, Jp t) = -(s, t) and non-degeneracy of (., Jp .)."""
+def check_anti_pseudo_calibrated(
+    jp: np.ndarray, tolerance: float = 1e-10, points: np.ndarray | None = None
+) -> CheckResult:
+    """(Jp s, Jp t) = -(s, t) and non-degeneracy of (., Jp .).
+
+    ``points`` are the sample points of the batch, for the witness.
+    """
     jp = np.asarray(jp, dtype=float)
-    n = jp.shape[0] // 2
-    M = pairing_matrix(n)
-    anti = np.abs(jp.T @ M @ jp + M).max()
+    M = pairing_matrix(jp.shape[-1] // 2)
+    anti = _max_abs(np.swapaxes(jp, -1, -2) @ M @ jp + M)
     form = M @ jp
-    form = 0.5 * (form + form.T)
-    min_eig = np.abs(np.linalg.eigvalsh(form)).min()
-    degenerate = 0.0 if min_eig > tolerance else tolerance * 2.0
-    return CheckResult(
+    form = 0.5 * (form + np.swapaxes(form, -1, -2))
+    min_eig = np.abs(np.linalg.eigvalsh(form)).min(axis=-1)
+    degenerate = np.where(min_eig > tolerance, 0.0, tolerance * 2.0)
+    return _worst(
         "anti-pseudo-calibrated",
         "(Jp s, Jp t) = -(s, t); (., Jp .) non-degenerate",
-        float(max(anti, degenerate)),
+        np.maximum(anti, degenerate),
         tolerance,
-        details={"anti_invariance": float(anti), "min_abs_eigenvalue": float(min_eig)},
+        points,
+        details={"anti_invariance": float(anti.max()), "min_abs_eigenvalue": float(min_eig.min())},
     )
 
 
-def check_calibrated(jc: np.ndarray, tolerance: float = 1e-10) -> CheckResult:
-    """(Jc s, Jc t) = (s, t) and positive-definiteness of (., Jc .)."""
+def check_calibrated(
+    jc: np.ndarray, tolerance: float = 1e-10, points: np.ndarray | None = None
+) -> CheckResult:
+    """(Jc s, Jc t) = (s, t) and positive-definiteness of (., Jc .).
+
+    ``points`` are the sample points of the batch, for the witness.
+    """
     jc = np.asarray(jc, dtype=float)
-    n = jc.shape[0] // 2
-    M = pairing_matrix(n)
-    invariance = np.abs(jc.T @ M @ jc - M).max()
+    M = pairing_matrix(jc.shape[-1] // 2)
+    invariance = _max_abs(np.swapaxes(jc, -1, -2) @ M @ jc - M)
     form = M @ jc
-    form = 0.5 * (form + form.T)
-    min_eig = np.linalg.eigvalsh(form).min()
-    not_pd = 0.0 if min_eig > tolerance else tolerance * 2.0
-    return CheckResult(
+    form = 0.5 * (form + np.swapaxes(form, -1, -2))
+    min_eig = np.linalg.eigvalsh(form).min(axis=-1)
+    not_pd = np.where(min_eig > tolerance, 0.0, tolerance * 2.0)
+    return _worst(
         "calibrated",
         "(Jc s, Jc t) = (s, t); (., Jc .) positive definite",
-        float(max(invariance, not_pd)),
+        np.maximum(invariance, not_pd),
         tolerance,
-        details={"invariance": float(invariance), "min_eigenvalue": float(min_eig)},
+        points,
+        details={"invariance": float(invariance.max()), "min_eigenvalue": float(min_eig.min())},
     )
 
 
 def fhat_matrix(df: np.ndarray) -> np.ndarray:
     """blockdiag(Df, (Df^T)^{-1}), the generalized push-forward of a map."""
     df = np.asarray(df, dtype=float)
-    if df.ndim != 2 or df.shape[0] != df.shape[1]:
+    if df.ndim < 2 or df.shape[-2] != df.shape[-1]:
         raise DimensionMismatch("Df must be square for the generalized push-forward")
-    if abs(np.linalg.det(df)) < 1e-12:
+    if (np.abs(np.linalg.det(df)) < 1e-12).any():
         raise SingularJacobian("Df is not invertible")
-    n = df.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = df
-    out[n:, n:] = np.linalg.inv(df.T)
-    return out
+    return _blockdiag(df, np.linalg.inv(np.swapaxes(df, -1, -2)))
 
 
 def fhat_conjugation(
-    df: np.ndarray, jm1: np.ndarray, jm2: np.ndarray, tolerance: float = 1e-10
+    df: np.ndarray,
+    jm1: np.ndarray,
+    jm2: np.ndarray,
+    tolerance: float = 1e-10,
+    points: np.ndarray | None = None,
 ) -> CheckResult:
-    """Residual of fhat Jm1 = Jm2 fhat for fhat = blockdiag(Df, (Df^T)^{-1})."""
+    """Residual of fhat Jm1 = Jm2 fhat for fhat = blockdiag(Df, (Df^T)^{-1}).
+
+    ``points`` are the sample points of the batch, for the witness; an
+    empty batch has residual 0.0.
+    """
     fh = fhat_matrix(df)
-    res = float(np.abs(fh @ np.asarray(jm1) - np.asarray(jm2) @ fh).max())
-    return CheckResult(
-        "fhat-conjugation",
-        "fhat Jm1 = Jm2 fhat",
-        res,
-        tolerance,
-    )
+    res = _max_abs(fh @ np.asarray(jm1) - np.asarray(jm2) @ fh)
+    return _worst("fhat-conjugation", "fhat Jm1 = Jm2 fhat", res, tolerance, points)

@@ -25,7 +25,6 @@ __all__ = [
     "COTANGENT",
     "LiftedChart",
     "horizontal_frame",
-    "vertical_frame",
     "psi_matrix",
     "psi_inverse",
     "phi_matrix",
@@ -113,15 +112,6 @@ def horizontal_frame(lifted: LiftedChart, conn: ch.ConnectionField) -> np.ndarra
                 out[n + l, i] = ex.balanced_sum(
                     lifted.fibre_coord(k) * gamma[k, i, l] for k in range(n)
                 )
-    return out
-
-
-def vertical_frame(lifted: LiftedChart) -> np.ndarray:
-    n = lifted.base.dim
-    out = np.empty((2 * n, n), dtype=object)
-    for j in range(n):
-        for a in range(2 * n):
-            out[a, j] = ex.const(1.0 if a == n + j else 0.0)
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +29,9 @@ class ConnBundle:
     """Derived tensors of one connection, symbolic plus values at the samples."""
 
     def __init__(self, ctx: "ScenarioContext", conn: ch.ConnectionField):
-        self.ctx = ctx
+        # the context owns its bundles; a strong reference back would make a
+        # cycle that keeps the run's arrays alive until the cyclic GC runs
+        self.ctx = weakref.proxy(ctx)
         self.conn = conn
 
     @cached_property
@@ -198,6 +201,11 @@ class ScenarioContext:
         return self._lifts[flavor]
 
 
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each matrix of a stack."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
 def _check(cid, anchor, residuals, points, tol, **kw) -> CheckResult:
     if isinstance(residuals, (list, tuple)):
         m = np.asarray(residuals[0]).shape[0]
@@ -327,7 +335,7 @@ def suite_core(ctx: ScenarioContext) -> list:
 
 
 # ------------------------------------------------------------------
-# genbundle suite (pointwise matrix algebra at the samples)
+# genbundle suite (matrix algebra on the stacks of samples)
 # ------------------------------------------------------------------
 
 
@@ -397,32 +405,31 @@ def suite_genbundle(ctx: ScenarioContext) -> list:
     )
 
     def signature():
-        mismatches = 0
-        sample_sig = None
-        for k in range(m):
-            _, sig = gb.neutral_metric_G(jp[k])
-            sample_sig = sig
-            if sig != (n, n):
-                mismatches += 1
+        _, (n_plus, n_minus) = gb.neutral_metric_G(jp)
+        mismatched = np.flatnonzero((n_plus != n) | (n_minus != n))
+        witness = tuple(float(v) for v in pts[mismatched[0]]) if mismatched.size else None
         return CheckResult(
             "genbundle/neutral-signature",
             "G(s,t) = (s, Jp t) has signature (n, n)",
-            float(mismatches),
+            float(mismatched.size),
             0.5,
-            details={"signature": list(sample_sig)},
+            witness,
+            details={"signature": [int(n_plus[-1]), int(n_minus[-1])]},
         )
 
     _guard(checks, "genbundle/neutral-signature", "signature (n,n)", 0.5, signature)
 
     def calibrations():
-        anti = max(gb.check_anti_pseudo_calibrated(jp[k]).residual for k in range(m))
-        cal = max(gb.check_calibrated(jc[k]).residual for k in range(m))
+        anti = gb.check_anti_pseudo_calibrated(jp, points=pts)
+        cal = gb.check_calibrated(jc, points=pts)
+        worst = max(anti, cal, key=lambda result: result.residual)
         return CheckResult(
             "genbundle/calibration",
             "Jp anti-pseudo-calibrated; Jc calibrated for the natural pairing",
-            float(max(anti, cal)),
+            worst.residual,
             TOL_ALGEBRAIC,
-            details={"jp_anti_invariance": anti, "jc_invariance": cal},
+            worst.witness,
+            details={"jp_anti_invariance": anti.residual, "jc_invariance": cal.residual},
         )
 
     _guard(checks, "genbundle/calibration", "calibration", TOL_ALGEBRAIC, calibrations)
@@ -431,45 +438,44 @@ def suite_genbundle(ctx: ScenarioContext) -> list:
 
         def family():
             gap = 2.0 * params.sigma - params.p
-            residuals = []
-            block_res = []
-            for k in range(m):
-                fam = gb.derived_family(ctx.J_at[k], ctx.g_at[k], params)
-                for cand in (fam.jm_plus, fam.jm_minus, fam.j_plus_of_fplus,
-                             fam.j_minus_of_fminus):
-                    residuals.append(
-                        np.abs(
-                            cand @ cand - params.p * cand - params.q * eye2
-                        ).max()
-                    )
-                block_res.append(np.abs(fam.j_plus_of_fplus - jm[k]).max())
-                block_res.append(np.abs(fam.j_minus_of_fminus - jm[k]).max())
-                pjqi = params.p * ctx.J_at[k] + (params.q - 1.0) * eye
-                mirror = params.p * eye - ctx.J_at[k]
-                expected_mp = np.zeros((2 * n, 2 * n))
-                expected_mp[:n, :n] = mirror
-                expected_mp[n:, n:] = mirror.T
-                block_res.append(np.abs(fam.j_minus_of_fplus - expected_mp).max())
-                block_res.append(np.abs(fam.j_plus_of_fminus - expected_mp).max())
-                # corrected reading: the off-diagonal blocks carry (2s-p)/2
-                block_res.append(
-                    np.abs(
-                        fam.jm_plus[:n, n:]
-                        + gap / 2.0 * pjqi @ ctx.ginv_at[k]
-                    ).max()
-                )
-                block_res.append(
-                    np.abs(fam.fhat_plus @ fam.fhat_plus - eye2).max()
-                )
-            return CheckResult(
+            fam = gb.derived_family(ctx.J_at, ctx.g_at, params)
+
+            def metallic_gap(cand):
+                return _max_abs(cand @ cand - params.p * cand - params.q * eye2)
+
+            # each member is built on reading and reduced to one value per
+            # sample at once, so no two member stacks are held together
+            members = ("jm_plus", "jm_minus", "j_plus_of_fplus", "j_minus_of_fminus")
+            metallic = np.max([metallic_gap(getattr(fam, name)) for name in members], axis=0)
+            pjqi = params.p * ctx.J_at + (params.q - 1.0) * eye
+            mirror = params.p * eye - ctx.J_at
+            expected_mp = np.zeros((m, 2 * n, 2 * n))
+            expected_mp[:, :n, :n] = mirror
+            expected_mp[:, n:, n:] = np.swapaxes(mirror, -1, -2)
+            block = np.max(
+                [
+                    _max_abs(fam.j_plus_of_fplus - jm),
+                    _max_abs(fam.j_minus_of_fminus - jm),
+                    _max_abs(fam.j_minus_of_fplus - expected_mp),
+                    _max_abs(fam.j_plus_of_fminus - expected_mp),
+                    # corrected reading: the off-diagonal blocks carry (2s-p)/2
+                    _max_abs(
+                        fam.jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ctx.ginv_at
+                    ),
+                    _max_abs(fam.fhat_plus @ fam.fhat_plus - eye2),
+                ],
+                axis=0,
+            )
+            return _check(
                 "genbundle/derived-family",
                 "structures derived through the product conversions satisfy "
                 "their block and metallic identities",
-                float(max(max(residuals), max(block_res))),
+                np.maximum(metallic, block),
+                pts,
                 TOL_ALGEBRAIC,
                 details={
-                    "metallic_residual": float(max(residuals)),
-                    "block_residual": float(max(block_res)),
+                    "metallic_residual": float(metallic.max()),
+                    "block_residual": float(block.max()),
                 },
             )
 
@@ -478,17 +484,16 @@ def suite_genbundle(ctx: ScenarioContext) -> list:
     if params.q != 0:
 
         def fhat():
-            worst = 0.0
-            for k in range(m):
-                if abs(np.linalg.det(ctx.J_at[k])) < 1e-12:
-                    continue
-                res = gb.fhat_conjugation(ctx.J_at[k], jm[k], jm[k])
-                worst = max(worst, res.residual)
+            # samples where Df = J is singular have no push-forward
+            keep = np.abs(np.linalg.det(ctx.J_at)) >= 1e-12
+            jm_kept = jm[keep]
+            res = gb.fhat_conjugation(ctx.J_at[keep], jm_kept, jm_kept, points=pts[keep])
             return CheckResult(
                 "genbundle/fhat-with-df-equal-j",
                 "blockdiag(Df, (Df^T)^-1) intertwines Jm with itself for Df = J",
-                float(worst),
+                res.residual,
                 TOL_ALGEBRAIC,
+                res.witness,
             )
 
         _guard(checks, "genbundle/fhat-with-df-equal-j", "fhat", TOL_ALGEBRAIC, fhat)

@@ -1,4 +1,6 @@
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab.errors import DomainError, ParseError
 from metalliclab.scenario import load_scenario
-from metalliclab.suites import run_suites
+from metalliclab.suites import ConnBundle, ScenarioContext, run_suites
 
 from conftest import scenario_path
 from helpers import fd_gradient, random_expr
@@ -326,3 +328,24 @@ def test_runs_are_identical_and_leave_the_table_as_they_found_it():
         texts.append(run_suites(scenario).to_json())
         assert len(ex._table) == size
     assert texts[0] == texts[1]
+
+
+def test_a_run_leaves_no_reference_cycles_behind():
+    # objects of a run that only the cyclic collector could free would keep
+    # its sample arrays, eval memo and interning table alive until it runs
+    scenario = load_scenario(scenario_path("flat-golden"))
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_suites(scenario)
+        gc.collect()
+        kinds = {type(obj) for obj in gc.garbage}
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
+    assert not [k for k in kinds if issubclass(k, (ScenarioContext, ConnBundle, ex.Expr))]
+    assert types.FunctionType not in kinds

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from metalliclab import genbundle as gb
+from metalliclab import suites
 from metalliclab.errors import (
     DegenerateDiscriminant,
+    DegenerateForm,
     DimensionMismatch,
     IncompatiblePair,
+    MetallicLabError,
     SingularJacobian,
     SingularMetric,
 )
 from metalliclab.metallic import MetallicParams, random_compatible_pair
+from metalliclab.scenario import load_scenario
+
+from conftest import scenario_path
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PARAMS = MetallicParams(1.0, 1.0)
@@ -246,3 +252,208 @@ def test_gen_vector_validation():
         gb.GenVector([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         gb.GenVector([np.inf, 0.0], [0.0, 0.0])
+
+
+# ------------------------------------------------------------------
+# batches: a leading sample axis, each sample on its own
+# ------------------------------------------------------------------
+
+FAMILY_MEMBERS = (
+    "f_plus",
+    "f_minus",
+    "fhat_plus",
+    "fhat_minus",
+    "j_plus_of_fplus",
+    "j_minus_of_fplus",
+    "j_plus_of_fminus",
+    "j_minus_of_fminus",
+    "jm_plus",
+    "jm_minus",
+)
+
+
+def _compatible_stack(rng, n, m):
+    pairs = [random_compatible_pair(rng, n, PARAMS) for _ in range(m)]
+    return np.array([g for g, _ in pairs]), np.array([J for _, J in pairs])
+
+
+def _equal_slices(stack, singles):
+    return len(stack) == len(singles) and all(
+        (stack[k] == single).all() for k, single in enumerate(singles)
+    )
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_batched_functions_equal_a_loop_over_their_slices(n):
+    rng = np.random.default_rng(21)
+    m = 12
+    g, J = _compatible_stack(rng, n, m)
+    points = rng.uniform(-1.0, 1.0, size=(m, n))
+    loop = range(m)
+
+    for build in (gb.build_jm, gb.build_jp, gb.build_jc):
+        assert _equal_slices(build(J, g), [build(J[k], g[k]) for k in loop])
+    assert _equal_slices(gb.ghat_matrix(g), [gb.ghat_matrix(g[k]) for k in loop])
+    jm, jp, jc = gb.build_jm(J, g), gb.build_jp(J, g), gb.build_jc(J, g)
+    blocks = gb.endo_blocks(jp)
+    for name in ("A", "B", "C", "D"):
+        expected = [getattr(gb.endo_blocks(jp[k]), name) for k in loop]
+        assert _equal_slices(getattr(blocks, name), expected)
+
+    family = gb.derived_family(J, g, PARAMS)
+    singles = [gb.derived_family(J[k], g[k], PARAMS) for k in loop]
+    for name in FAMILY_MEMBERS:
+        assert _equal_slices(getattr(family, name), [getattr(f, name) for f in singles])
+
+    G, (n_plus, n_minus) = gb.neutral_metric_G(jp)
+    single_G = [gb.neutral_metric_G(jp[k]) for k in loop]
+    assert _equal_slices(G, [Gk for Gk, _ in single_G])
+    assert [(n_plus[k], n_minus[k]) for k in loop] == [sig for _, sig in single_G]
+
+    # Jm is not pairing-invariant: its calibration residuals differ per sample
+    for check, stack in (
+        (gb.check_anti_pseudo_calibrated, jp),
+        (gb.check_calibrated, jc),
+        (gb.check_calibrated, jm),
+    ):
+        batched = check(stack, points=points)
+        single = [check(stack[k]) for k in loop]
+        worst = max(loop, key=lambda k: single[k].residual)
+        assert batched.residual == single[worst].residual
+        assert batched.witness == tuple(points[worst])
+        for key, value in batched.details.items():
+            reduce = min if key.startswith("min_") else max
+            assert value == reduce(s.details[key] for s in single)
+
+    df = rng.normal(size=(m, n, n))
+    assert _equal_slices(gb.fhat_matrix(df), [gb.fhat_matrix(df[k]) for k in loop])
+    batched = gb.fhat_conjugation(df, jm, jp, points=points)
+    single = [gb.fhat_conjugation(df[k], jm[k], jp[k]) for k in loop]
+    worst = max(loop, key=lambda k: single[k].residual)
+    assert batched.residual == single[worst].residual > 0.0
+    assert batched.witness == tuple(points[worst])
+    assert gb.fhat_conjugation(df[:0], jm[:0], jm[:0]).residual == 0.0
+
+
+def _loop_error(fn, J, g):
+    for k in range(len(J)):
+        try:
+            fn(J[k], g[k])
+        except MetallicLabError as err:
+            return err
+    return None
+
+
+@pytest.mark.parametrize(
+    "fn",
+    (gb.build_jm, gb.build_jp, gb.build_jc, lambda J, g: gb.derived_family(J, g, PARAMS)),
+    ids=("build_jm", "build_jp", "build_jc", "derived_family"),
+)
+def test_batched_errors_are_those_of_the_first_failing_sample(fn):
+    rng = np.random.default_rng(23)
+    g, J = _compatible_stack(rng, 3, 8)
+    good_g3 = g[3].copy()
+    g[3] = 0.0
+    J[5] = J[5] + np.triu(np.ones((3, 3)), 1)
+
+    expected = _loop_error(fn, J, g)
+    assert isinstance(expected, SingularMetric)
+    with pytest.raises(SingularMetric) as got:
+        fn(J, g)
+    assert str(got.value) == str(expected)
+
+    g[3] = good_g3
+    g[6] = 0.0  # a later singular metric does not take precedence
+    expected = _loop_error(fn, J, g)
+    assert isinstance(expected, IncompatiblePair)
+    assert str(expected) == str(_loop_error(fn, J[5:6], g[5:6]))
+    with pytest.raises(IncompatiblePair) as got:
+        fn(J, g)
+    assert str(got.value) == str(expected)
+
+
+def test_degenerate_form_names_the_first_degenerate_sample():
+    jp = np.stack([gb.build_jp(J2, G2)] * 6)
+    jp[2] *= 1e-12
+    jp[4] *= 1e-11
+    messages = []
+    for batch in (jp, jp[2], jp[4]):
+        with pytest.raises(DegenerateForm) as got:
+            gb.neutral_metric_G(batch)
+        messages.append(str(got.value))
+    assert messages[0] == messages[1] != messages[2]
+
+
+GENBUNDLE_IDS = (
+    "genbundle/jm-ghat-symmetric",
+    "genbundle/jm-metallic",
+    "genbundle/jp-squares-to-identity",
+    "genbundle/jc-squares-to-minus-identity",
+    "genbundle/jc-jp-anticommute",
+    "genbundle/neutral-signature",
+    "genbundle/calibration",
+    "genbundle/derived-family",
+    "genbundle/fhat-with-df-equal-j",
+)
+BROKEN = 5
+ROTATION = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+
+
+def _break_sample(monkeypatch, field, breaker):
+    """Replace one sample of a ScenarioContext field by ``breaker`` of it."""
+    original = getattr(suites.ScenarioContext, field).func
+
+    def broken(ctx):
+        values = original(ctx).copy()
+        values[BROKEN] = breaker(values[BROKEN])
+        return values
+
+    monkeypatch.setattr(suites.ScenarioContext, field, property(broken))
+
+
+def _genbundle_run(samples=8, seed=3):
+    scenario = load_scenario(scenario_path("flat-golden"))
+    report = suites.run_suites(scenario, suites=["genbundle"], samples=samples, seed=seed)
+    points = suites.ScenarioContext(scenario, samples=samples, seed=seed).points
+    return report, points
+
+
+def test_one_degenerate_sample_keeps_every_genbundle_check(monkeypatch):
+    _break_sample(monkeypatch, "J_at", np.zeros_like)
+    _break_sample(monkeypatch, "g_at", np.zeros_like)
+    report, _ = _genbundle_run()
+    assert sorted(c.check_id for c in report.checks) == sorted(GENBUNDLE_IDS)
+    signature = report.find("genbundle/neutral-signature")
+    assert not signature.passed
+    assert "below threshold" in signature.details["error"]
+
+
+@pytest.mark.parametrize(
+    "breaker, failing",
+    (
+        # gJ no longer symmetric: G changes signature, Jp and Jc lose their pairing
+        (
+            lambda J: J + np.array([[0.0, 3.0], [0.0, 0.0]]),
+            ("genbundle/neutral-signature", "genbundle/calibration"),
+        ),
+        # compatible but not metallic, and so ill-conditioned that
+        # Df = J intertwines Jm only up to a rounding error above 1e-10
+        (
+            lambda J: ROTATION @ np.diag([1e5, 1e-5]) @ ROTATION.T,
+            (
+                "genbundle/calibration",
+                "genbundle/derived-family",
+                "genbundle/fhat-with-df-equal-j",
+            ),
+        ),
+    ),
+    ids=("incompatible", "ill-conditioned"),
+)
+def test_batched_checks_name_the_broken_sample(monkeypatch, breaker, failing):
+    _break_sample(monkeypatch, "J_at", breaker)
+    report, points = _genbundle_run()
+    for cid in failing:
+        check = report.find(cid)
+        assert not check.passed, cid
+        assert check.witness == tuple(points[BROKEN]), cid
+        assert check.to_dict()["witness"] == list(points[BROKEN]), cid
