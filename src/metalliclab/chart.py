@@ -45,7 +45,6 @@ __all__ = [
     "torsion",
     "nijenhuis",
     "mat_mul",
-    "mat_vec",
 ]
 
 _DET_GUARD = 1e-12
@@ -154,17 +153,6 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(a.shape[0]):
         for j in range(b.shape[1]):
             out[i, j] = ex.balanced_sum(a[i, s] * b[s, j] for s in range(a.shape[1]))
-    return out
-
-
-def mat_vec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=object)
-    v = np.asarray(v, dtype=object)
-    if a.shape[1] != v.shape[0]:
-        raise DimensionMismatch(f"cannot apply {a.shape} to {v.shape}")
-    out = np.empty(a.shape[0], dtype=object)
-    for i in range(a.shape[0]):
-        out[i] = ex.balanced_sum(a[i, s] * v[s] for s in range(a.shape[1]))
     return out
 
 

@@ -7,9 +7,7 @@ import sys
 
 import numpy as np
 
-from . import chart as ch
 from . import expr as ex
-from . import genconn as gc
 from .errors import MetallicLabError, ParseError, SchemaError, ValidationError
 from .report import ScenarioReport
 from .scenario import KNOWN_SUITES, load_scenario
@@ -96,35 +94,24 @@ def _cmd_derive(args) -> int:
         raise ValidationError(
             [f"--at must supply {scenario.chart.dim} coordinates, got {point.shape[0]}"]
         )
-    pts = point.reshape(1, -1)
 
     def printer(arr):
         return np.array2string(
             np.asarray(arr), precision=12, suppress_small=False, separator=", "
         )
-    with ex.fresh_table():
-        ctx = ScenarioContext(scenario)
+    with ex.fresh_table(scenario.table):
+        ctx = ScenarioContext(scenario, points=point.reshape(1, -1))
         if args.what == "christoffel":
-            values = ch.eval_exprs(ctx.levi_civita.comps, pts)[0]
+            values = ctx.lc_gamma_at[0]
             sys.stdout.write("Gamma^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
         elif args.what == "curvature":
-            values = ch.eval_exprs(ctx.bundle(ctx.levi_civita).riemann, pts)[0]
+            values = ctx.at(ctx.riemann(ctx.levi_civita))[0]
             sys.stdout.write("R^l_(i j k) [l, i, j, k]:\n" + printer(values) + "\n")
         elif args.what == "nijenhuis":
-            values = ch.eval_exprs(ctx.NJ_exprs, pts)[0]
+            values = ctx.NJ_at[0]
             sys.stdout.write("N^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
         else:  # gen-nijenhuis
-            sections = gc.basis_sections(scenario.chart)
-            jhat = ctx.jm_field
-            jhat2 = ch.mat_mul(jhat, jhat)
-            n2 = 2 * scenario.chart.dim
-            values = np.zeros((n2, n2, n2))
-            for a in range(n2):
-                for b in range(a + 1, n2):
-                    nij = gc.gen_nijenhuis(ctx.conn, jhat, sections[a], sections[b], jhat2)
-                    column = nij.eval(pts)[0]
-                    values[:, a, b] = column
-                    values[:, b, a] = -column
+            values = ctx.bundle(ctx.gamma_at).gen_nijenhuis("jm")[0]
             sys.stdout.write(
                 "N^A_(B C) of the generalized metallic structure [A, B, C]:\n"
                 + printer(values)

@@ -13,9 +13,11 @@ and sign bit (``-0.0`` stays distinct) and NaN is never interned; ``Coord``
 is keyed on index and name.  The same table caches ``differentiate`` per
 node and coordinate.
 
-The table lasts as long as the innermost :func:`fresh_table` block (a run
-of the suites enters one), so a long process does not accumulate nodes;
-outside every block a module-level table is used.  Evaluation is
+The table lasts as long as the innermost :func:`fresh_table` block, so a
+long process does not accumulate nodes; outside every block a module-level
+table is used.  A scenario is parsed in a block of its own and keeps that
+table, and a run of the suites interns into a copy of it, so the nodes a run
+builds from the scenario's fields are the fields' own nodes.  Evaluation is
 vectorised over batches of points and memoised per call on node identity,
 which after interning means each distinct subexpression is evaluated once.
 """
@@ -208,12 +210,17 @@ _table: dict = {}
 
 
 @contextmanager
-def fresh_table():
-    """Intern into an empty table for the block; restore the previous one on exit."""
+def fresh_table(base: dict | None = None):
+    """Intern into a new table for the block; restore the previous one on exit.
+
+    The new table starts empty, or as a copy of ``base`` (a table yielded by
+    an earlier block), so nodes built in the block reuse the nodes of
+    ``base`` without adding to it.  Yields the new table.
+    """
     global _table
-    previous, _table = _table, {}
+    previous, _table = _table, dict(base) if base else {}
     try:
-        yield
+        yield _table
     finally:
         _table = previous
 

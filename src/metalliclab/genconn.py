@@ -6,39 +6,39 @@ Phi(T), the semi-symmetric metric connection D = nabla^g + F built from a
 1-form, the induced derivative Dhat on TM + T*M, and numeric evaluators
 for the integrability-condition lists of the product/complex structures.
 
-Pointwise contractions (conditions, Phi, closed torsion forms) work on
-evaluated arrays with a leading sample axis; anything that differentiates
-(brackets, Dhat) stays symbolic.
+Everything but the Expr builders of Jm, Jp, Jc and ghat works on values at
+the samples, arrays with a leading sample axis m.  A connection is given by
+``gamma[m, k, i, j]`` = Gamma^k_{ij}, a field by its values and its first
+partials ``d[m, k, ...]`` = d_k of the field.  None of these tensors needs
+a derivative of the connection, so no function here differentiates: the
+caller evaluates the partials of the leaf fields once per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import chart as ch
-from . import expr as ex
 from .errors import ZeroQ
 from .metallic import MetallicParams
 
 __all__ = [
-    "GenSectionField",
-    "basis_sections",
     "gen_metallic_field",
     "gen_product_field",
     "gen_complex_field",
     "ghat_field",
-    "apply_gen_endo",
+    "torsion",
+    "nabla_endo",
+    "nabla_metric",
     "nabla_bracket",
     "gen_nijenhuis",
-    "KaramanData",
     "karaman_connection",
     "torsion_formula_D",
     "torsion_closed_form_values",
     "phi_of_torsion",
     "covariant_nijenhuis_rhs",
-    "gen_connection_matrix",
     "dhat_endo",
     "dhat_metric",
     "ConditionInputs",
@@ -47,46 +47,6 @@ __all__ = [
     "jp_reduced_residuals",
     "jc_reduced_residuals",
 ]
-
-
-@dataclass(frozen=True)
-class GenSectionField:
-    """Section X + alpha of TM + T*M with Expr components, stacked (2n,)."""
-
-    chart: ch.Chart
-    comps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.chart.dim
-        comps = np.asarray(self.comps, dtype=object)
-        if comps.shape != (2 * n,):
-            raise ValueError(f"expected {2 * n} components, got {comps.shape}")
-        fixed = np.empty(2 * n, dtype=object)
-        for i, entry in enumerate(comps):
-            fixed[i] = entry if isinstance(entry, ex.Expr) else ex.const(entry)
-        object.__setattr__(self, "comps", fixed)
-
-    @property
-    def vec(self) -> np.ndarray:
-        return self.comps[: self.chart.dim]
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.comps[self.chart.dim :]
-
-    def eval(self, points, memo=None) -> np.ndarray:
-        return ch.eval_exprs(self.comps, points, memo)
-
-
-def basis_sections(chart: ch.Chart) -> list:
-    """The 2n constant sections: d_1..d_n then dx^1..dx^n."""
-    n = chart.dim
-    out = []
-    for a in range(2 * n):
-        comps = np.zeros(2 * n)
-        comps[a] = 1.0
-        out.append(GenSectionField(chart, comps))
-    return out
 
 
 def _block(chart: ch.Chart, A, B, C, D) -> np.ndarray:
@@ -146,62 +106,102 @@ def ghat_field(g: ch.MetricField, ginv: np.ndarray | None = None) -> np.ndarray:
     return _block(g.chart, g.comps, zero, zero, ginv)
 
 
-def apply_gen_endo(jhat: np.ndarray, s: GenSectionField) -> GenSectionField:
-    return GenSectionField(s.chart, ch.mat_vec(jhat, s.comps))
+# ------------------------------------------------------------------
+# Covariant derivatives, torsion and the bracket at the samples
+# ------------------------------------------------------------------
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _directional(gamma: np.ndarray) -> np.ndarray:
+    """A[m, k, a, b] = Gamma^a_{kb}: the matrix of nabla_{d_k} on vectors."""
+    return gamma.transpose(0, 2, 1, 3)
+
+
+def _endo_derivative(A: np.ndarray, T: np.ndarray, dT: np.ndarray) -> np.ndarray:
+    """d_k T + A_k T - T A_k for every direction k, [m, k, i, j]."""
+    T = T[:, None]
+    return dT + A @ T - T @ A
+
+
+def _metric_derivative(A: np.ndarray, g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """d_k g - A_k^T g - g A_k for every direction k, [m, k, i, j]."""
+    g = g[:, None]
+    return dg - _swap(A) @ g - g @ A
+
+
+def torsion(gamma: np.ndarray) -> np.ndarray:
+    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}, [m, k, i, j]."""
+    return gamma - _swap(gamma)
+
+
+def nabla_endo(gamma: np.ndarray, T: np.ndarray, dT: np.ndarray) -> np.ndarray:
+    """(nabla_k T)^i_j of an endomorphism field, [m, k, i, j]."""
+    return _endo_derivative(_directional(gamma), T, dT)
+
+
+def nabla_metric(gamma: np.ndarray, g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """(nabla_k g)_{ij} of a (0,2) field, [m, k, i, j]."""
+    return _metric_derivative(_directional(gamma), g, dg)
+
+
+def _section_derivative(gamma: np.ndarray, V: np.ndarray, dV: np.ndarray) -> np.ndarray:
+    """d_k of the vector part and nabla_k of the covector part of sections.
+
+    ``V`` is (m, *family, 2n) and ``dV`` (m, *family, n, 2n) with d_k on the
+    second-last axis; the result has the shape of ``dV``.
+    """
+    m, n = gamma.shape[:2]
+    family = (1,) * (V.ndim - 2)
+    # Gamma^s_{ki} beta_s for every (k, i), as beta @ Gamma[s, (k i)]
+    correction = V[..., None, n:] @ gamma.reshape((m,) + family + (n, n * n))
+    correction = correction.reshape(V.shape[:-1] + (n, n))
+    return np.concatenate([dV[..., :n], dV[..., n:] - correction], axis=-1)
 
 
 def nabla_bracket(
-    conn: ch.ConnectionField, s1: GenSectionField, s2: GenSectionField
-) -> GenSectionField:
-    """[X+a, Y+b] = [X, Y] + nabla_X b - nabla_Y a."""
-    chart = conn.chart
-    n = chart.dim
-    gamma = conn.comps
-    X, alpha = s1.vec, s1.cov
-    Y, beta = s2.vec, s2.cov
-    vec = ch.lie_bracket(chart, X, Y)
-    cov = np.empty(n, dtype=object)
-    for i in range(n):
-        terms = []
-        for k in range(n):
-            db = ex.differentiate(beta[i], k) - ex.balanced_sum(
-                gamma[s, k, i] * beta[s] for s in range(n)
-            )
-            da = ex.differentiate(alpha[i], k) - ex.balanced_sum(
-                gamma[s, k, i] * alpha[s] for s in range(n)
-            )
-            terms.append(X[k] * db)
-            terms.append(-(Y[k] * da))
-        cov[i] = ex.balanced_sum(terms)
-    comps = np.empty(2 * n, dtype=object)
-    comps[:n] = vec
-    comps[n:] = cov
-    return GenSectionField(chart, comps)
+    gamma: np.ndarray, S: np.ndarray, dS: np.ndarray, T: np.ndarray, dT: np.ndarray
+) -> np.ndarray:
+    """[X+a, Y+b] = [X, Y] + nabla_X b - nabla_Y a for families of sections.
+
+    Sections are given by values (m, *family, 2n) and partials
+    (m, *family, n, 2n); the families of the two arguments broadcast.
+    """
+    n = gamma.shape[1]
+    DS = _section_derivative(gamma, S, dS)
+    DT = _section_derivative(gamma, T, dT)
+    return (S[..., None, :n] @ DT - T[..., None, :n] @ DS)[..., 0, :]
 
 
-def gen_nijenhuis(
-    conn: ch.ConnectionField,
-    jhat: np.ndarray,
-    s1: GenSectionField,
-    s2: GenSectionField,
-    jhat_squared: np.ndarray | None = None,
-) -> GenSectionField:
-    """N(s, t) = [Js, Jt] - J[Js, t] - J[s, Jt] + J^2 [s, t], all nabla-brackets."""
-    if jhat_squared is None:
-        jhat_squared = ch.mat_mul(jhat, jhat)
-    js1 = apply_gen_endo(jhat, s1)
-    js2 = apply_gen_endo(jhat, s2)
-    b1 = nabla_bracket(conn, js1, js2)
-    b2 = nabla_bracket(conn, js1, s2)
-    b3 = nabla_bracket(conn, s1, js2)
-    b4 = nabla_bracket(conn, s1, s2)
-    comps = (
-        b1.comps
-        - ch.mat_vec(jhat, b2.comps)
-        - ch.mat_vec(jhat, b3.comps)
-        + ch.mat_vec(jhat_squared, b4.comps)
+def gen_nijenhuis(gamma: np.ndarray, J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
+    """N(e_a, e_b) = [Je_a, Je_b] - J[Je_a, e_b] - J[e_a, Je_b] + J^2 [e_a, e_b]
+    for every pair of the 2n constant sections (d_1..d_n, dx^1..dx^n), all
+    nabla-brackets; ``J`` is (m, 2n, 2n), ``dJ`` (m, n, 2n, 2n).  Returns
+    N^A(e_a, e_b) indexed [m, A, a, b].
+    """
+    m, N = J.shape[:2]
+    n = gamma.shape[1]
+    basis = np.broadcast_to(np.eye(N), (m, N, N))
+    flat = np.zeros((m, N, n, N))
+    columns = _swap(J)  # J e_a is column a of J
+    d_columns = dJ.transpose(0, 3, 1, 2)  # [m, a, k, A] = d_k J^A_a
+    s, ds = basis[:, :, None], flat[:, :, None]
+    t, dt = basis[:, None], flat[:, None]
+    js, djs = columns[:, :, None], d_columns[:, :, None]
+    jt, djt = columns[:, None], d_columns[:, None]
+
+    def apply(M, sections):
+        return (M[:, None, None] @ sections[..., None])[..., 0]
+
+    out = (
+        nabla_bracket(gamma, js, djs, jt, djt)
+        - apply(J, nabla_bracket(gamma, js, djs, t, dt))
+        - apply(J, nabla_bracket(gamma, s, ds, jt, djt))
+        + apply(J @ J, nabla_bracket(gamma, s, ds, t, dt))
     )
-    return GenSectionField(s1.chart, comps)
+    return out.transpose(0, 3, 1, 2)
 
 
 # ------------------------------------------------------------------
@@ -209,60 +209,32 @@ def gen_nijenhuis(
 # ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KaramanData:
-    """Connection D = Levi-Civita + F built from a 1-form omega."""
-
-    omega: ch.OneFormField
-    base: ch.ConnectionField  # Levi-Civita of g
-    F: np.ndarray             # (1,2) tensor, [k, i, j]
-    D: ch.ConnectionField
-
-
 def karaman_connection(
-    g: ch.MetricField,
-    J: ch.EndoField,
+    g: np.ndarray,
+    ginv: np.ndarray,
+    J: np.ndarray,
     params: MetallicParams,
-    omega: ch.OneFormField,
-    base: ch.ConnectionField | None = None,
-    ginv: np.ndarray | None = None,
-) -> KaramanData:
-    """Assemble F and D; F is the display
+    omega: np.ndarray,
+) -> np.ndarray:
+    """F[m, k, i, j] of D = nabla^g + F at the samples; F is the display
 
     F(X_i, X_j) = w(X_j) X_i - w(X_l) g^{lk} g_{ij} X_k
                   + (1/q) w(JX_j) JX_i - (1/q) w(JX_l) g^{lk} J^s_j g_{is} X_k.
     """
     if params.q == 0:
         raise ZeroQ("the semi-symmetric connection needs q != 0")
-    chart = g.chart
-    n = chart.dim
-    if base is None:
-        base = ch.christoffel(g)
-    if ginv is None:
-        ginv = ch.inverse_metric(g)
-    w = omega.comps
-    inv_q = ex.const(1.0 / params.q)
-    sharp_w = ch.mat_vec(ginv, w)
-    wj = np.empty(n, dtype=object)  # (w J)_j = w_s J^s_j
-    for j in range(n):
-        wj[j] = ex.balanced_sum(w[s] * J.comps[s, j] for s in range(n))
-    sharp_wj = ch.mat_vec(ginv, wj)
-    gj = ch.mat_mul(g.comps, J.comps)
-    F = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                terms = []
-                if k == i:
-                    terms.append(w[j])
-                terms.append(-(sharp_w[k] * g.comps[i, j]))
-                terms.append(inv_q * (wj[j] * J.comps[k, i]))
-                terms.append(-(inv_q * (sharp_wj[k] * gj[i, j])))
-                F[k, i, j] = ex.balanced_sum(terms)
-    D = np.empty((n, n, n), dtype=object)
-    for idx in np.ndindex(n, n, n):
-        D[idx] = base.comps[idx] + F[idx]
-    return KaramanData(omega, base, F, ch.ConnectionField(chart, D))
+    n = J.shape[-1]
+    inv_q = 1.0 / params.q
+    wj = (omega[:, None, :] @ J)[:, 0]  # (w J)_j = w_s J^s_j
+    # the raised forms, shaped to broadcast as [m, k, i, j] with k free
+    sharp_w = (ginv @ omega[..., None])[..., None]
+    sharp_wj = (ginv @ wj[..., None])[..., None]
+    return (
+        np.eye(n)[:, :, None] * omega[:, None, None, :]
+        - sharp_w * g[:, None]
+        + inv_q * (wj[:, None, None, :] * J[..., None])
+        - inv_q * (sharp_wj * (g @ J)[:, None])
+    )
 
 
 def torsion_formula_D(
@@ -336,45 +308,24 @@ def covariant_nijenhuis_rhs(
 # ------------------------------------------------------------------
 
 
-def gen_connection_matrix(conn: ch.ConnectionField, direction: int) -> np.ndarray:
-    """Omega_i = blockdiag(D_i, -D_i^T) with (D_i)^s_a = Gamma^s_{ia}."""
-    n = conn.chart.dim
-    gamma = conn.comps
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    zero = ex.const(0.0)
-    out[:, :] = zero
-    for s in range(n):
-        for a in range(n):
-            out[s, a] = gamma[s, direction, a]
-            out[n + s, n + a] = -gamma[a, direction, s]
+def _gen_directional(gamma: np.ndarray) -> np.ndarray:
+    """Omega[m, k] = blockdiag(A_k, -A_k^T) with (A_k)^s_a = Gamma^s_{ka}."""
+    A = _directional(gamma)
+    m, n = A.shape[:2]
+    out = np.zeros((m, n, 2 * n, 2 * n))
+    out[..., :n, :n] = A
+    out[..., n:, n:] = -_swap(A)
     return out
 
 
-def _partial_matrix(mat: np.ndarray, direction: int) -> np.ndarray:
-    out = np.empty(mat.shape, dtype=object)
-    for idx in np.ndindex(mat.shape):
-        out[idx] = ex.differentiate(mat[idx], direction)
-    return out
+def dhat_endo(gamma: np.ndarray, J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
+    """(Dhat_k J) = d_k J + Omega_k J - J Omega_k for every direction, [m, k, A, B]."""
+    return _endo_derivative(_gen_directional(gamma), J, dJ)
 
 
-def dhat_endo(conn: ch.ConnectionField, jhat: np.ndarray, direction: int) -> np.ndarray:
-    """(Dhat_i Jhat) = d_i Jhat + Omega_i Jhat - Jhat Omega_i, an Expr matrix."""
-    omega = gen_connection_matrix(conn, direction)
-    return (
-        _partial_matrix(jhat, direction)
-        + ch.mat_mul(omega, jhat)
-        - ch.mat_mul(jhat, omega)
-    )
-
-
-def dhat_metric(conn: ch.ConnectionField, ghat: np.ndarray, direction: int) -> np.ndarray:
-    """(Dhat_i ghat) = d_i ghat - Omega_i^T ghat - ghat Omega_i."""
-    omega = gen_connection_matrix(conn, direction)
-    return (
-        _partial_matrix(ghat, direction)
-        - ch.mat_mul(omega.T, ghat)
-        - ch.mat_mul(ghat, omega)
-    )
+def dhat_metric(gamma: np.ndarray, ghat: np.ndarray, dghat: np.ndarray) -> np.ndarray:
+    """(Dhat_k ghat) = d_k ghat - Omega_k^T ghat - ghat Omega_k, [m, k, A, B]."""
+    return _metric_derivative(_gen_directional(gamma), ghat, dghat)
 
 
 # ------------------------------------------------------------------

@@ -72,6 +72,8 @@ class ChartScenario:
     tolerance: float
     expected_failures: list = field(default_factory=list)
     description: str = ""
+    # the interning table the fields were parsed into (see expr.fresh_table)
+    table: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _parse_matrix(raw, shape, coords, where, parse_problems):
@@ -92,8 +94,18 @@ def _parse_matrix(raw, shape, coords, where, parse_problems):
 
 
 def load_scenario(path) -> ChartScenario:
-    """Load and validate a scenario file, reporting every problem found."""
-    path = Path(path)
+    """Load and validate a scenario file, reporting every problem found.
+
+    The fields are interned into a table of the scenario's own, which runs
+    on the scenario start from; the module-level table is left as it was.
+    """
+    with ex.fresh_table() as table:
+        scenario = _load(Path(path))
+    scenario.table = table
+    return scenario
+
+
+def _load(path: Path) -> ChartScenario:
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as err:

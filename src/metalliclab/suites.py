@@ -26,49 +26,38 @@ FIBRE_PER_BASE = 4
 
 
 class ConnBundle:
-    """Derived tensors of one connection, symbolic plus values at the samples."""
+    """Tensors of one connection at the samples, from its values Gamma_at."""
 
-    def __init__(self, ctx: "ScenarioContext", conn: ch.ConnectionField):
+    def __init__(self, ctx: "ScenarioContext", gamma: np.ndarray):
         # the context owns its bundles; a strong reference back would make a
         # cycle that keeps the run's arrays alive until the cyclic GC runs
         self.ctx = weakref.proxy(ctx)
-        self.conn = conn
-
-    @cached_property
-    def nabla_J(self):
-        return ch.covariant_derivative_endo(self.conn, self.ctx.scenario.J)
-
-    @cached_property
-    def nabla_g(self):
-        return ch.covariant_derivative_metric(self.conn, self.ctx.scenario.metric)
-
-    @cached_property
-    def nabla_K(self):
-        return ch.covariant_derivative_endo(self.conn, self.ctx.J_squared)
-
-    @cached_property
-    def torsion(self):
-        return ch.torsion(self.conn)
-
-    @cached_property
-    def riemann(self):
-        return ch.riemann(self.conn)
+        self.gamma = gamma
+        self._gen_nijenhuis: dict = {}
 
     @cached_property
     def nabla_J_at(self):
-        return ch.eval_exprs(self.nabla_J, self.ctx.points, self.ctx.memo)
+        return gc.nabla_endo(self.gamma, self.ctx.J_at, self.ctx.dJ_at)
 
     @cached_property
     def nabla_g_at(self):
-        return ch.eval_exprs(self.nabla_g, self.ctx.points, self.ctx.memo)
+        return gc.nabla_metric(self.gamma, self.ctx.g_at, self.ctx.dg_at)
 
     @cached_property
     def nabla_K_at(self):
-        return ch.eval_exprs(self.nabla_K, self.ctx.points, self.ctx.memo)
+        return gc.nabla_endo(self.gamma, self.ctx.K_at, self.ctx.dK_at)
 
     @cached_property
     def torsion_at(self):
-        return ch.eval_exprs(self.torsion, self.ctx.points, self.ctx.memo)
+        return gc.torsion(self.gamma)
+
+    def gen_nijenhuis(self, label: str) -> np.ndarray:
+        """N(e_a, e_b) of the generalized structure ``label``, [m, A, a, b]."""
+        if label not in self._gen_nijenhuis:
+            self._gen_nijenhuis[label] = gc.gen_nijenhuis(
+                self.gamma, *self.ctx.gen_jets[label]
+            )
+        return self._gen_nijenhuis[label]
 
     @cached_property
     def condition_inputs(self) -> gc.ConditionInputs:
@@ -86,8 +75,22 @@ class ConnBundle:
         )
 
 
+def _partials(comps: np.ndarray, n: int) -> np.ndarray:
+    """Expr array of d_k comps, indexed [k, *comps.shape]."""
+    out = np.empty((n,) + comps.shape, dtype=object)
+    for k in range(n):
+        for idx in np.ndindex(comps.shape):
+            out[(k,) + idx] = ex.differentiate(comps[idx], k)
+    return out
+
+
 class ScenarioContext:
-    """Caches everything the suites share for one scenario run."""
+    """Caches everything the suites share for one scenario run.
+
+    The leaf fields (g, J, omega and the connection coefficients) are
+    evaluated at the samples together with the first partials of g and J;
+    every connection-level tensor is computed from those arrays.
+    """
 
     def __init__(
         self,
@@ -95,6 +98,7 @@ class ScenarioContext:
         samples: int | None = None,
         seed: int | None = None,
         tolerance: float | None = None,
+        points: np.ndarray | None = None,
     ):
         self.scenario = scenario
         self.samples = samples if samples is not None else scenario.samples
@@ -102,12 +106,15 @@ class ScenarioContext:
         self.tol = tolerance if tolerance is not None else scenario.tolerance
         self.chart = scenario.chart
         self.params = scenario.params
+        if points is None:
+            points = self.chart.sample_points(self.samples, seed=self.seed)
+        self.points = points
         self._bundles: dict = {}
+        self._riemann: dict = {}
         self._lifts: dict = {}
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        return self.chart.sample_points(self.samples, seed=self.seed)
+    def at(self, comps: np.ndarray) -> np.ndarray:
+        return ch.eval_exprs(comps, self.points, self.memo)
 
     @cached_property
     def memo(self) -> dict:
@@ -115,15 +122,32 @@ class ScenarioContext:
 
     @cached_property
     def g_at(self):
-        return self.scenario.metric.eval(self.points, self.memo)
+        return self.at(self.scenario.metric.comps)
 
     @cached_property
     def J_at(self):
-        return self.scenario.J.eval(self.points, self.memo)
+        return self.at(self.scenario.J.comps)
 
     @cached_property
     def K_at(self):
         return np.einsum("mks,msj->mkj", self.J_at, self.J_at)
+
+    @cached_property
+    def dJ_exprs(self):
+        return _partials(self.scenario.J.comps, self.chart.dim)
+
+    @cached_property
+    def dJ_at(self):
+        return self.at(self.dJ_exprs)
+
+    @cached_property
+    def dg_at(self):
+        return self.at(_partials(self.scenario.metric.comps, self.chart.dim))
+
+    @cached_property
+    def dK_at(self):
+        J = self.J_at[:, None]
+        return self.dJ_at @ J + J @ self.dJ_at
 
     @cached_property
     def ginv_exprs(self):
@@ -131,13 +155,7 @@ class ScenarioContext:
 
     @cached_property
     def ginv_at(self):
-        return ch.eval_exprs(self.ginv_exprs, self.points, self.memo)
-
-    @cached_property
-    def J_squared(self) -> ch.EndoField:
-        return ch.EndoField(
-            self.chart, ch.mat_mul(self.scenario.J.comps, self.scenario.J.comps)
-        )
+        return self.at(self.ginv_exprs)
 
     @cached_property
     def levi_civita(self) -> ch.ConnectionField:
@@ -148,11 +166,29 @@ class ScenarioContext:
     def conn(self) -> ch.ConnectionField:
         return self.scenario.connection or self.levi_civita
 
-    def bundle(self, conn: ch.ConnectionField) -> ConnBundle:
-        key = id(conn)
+    @cached_property
+    def lc_gamma_at(self) -> np.ndarray:
+        return self.at(self.levi_civita.comps)
+
+    @cached_property
+    def gamma_at(self) -> np.ndarray:
+        """Values of the scenario connection; the Levi-Civita array when it is one."""
+        if self.scenario.connection is None:
+            return self.lc_gamma_at
+        return self.at(self.conn.comps)
+
+    def bundle(self, gamma: np.ndarray) -> ConnBundle:
+        key = id(gamma)
         if key not in self._bundles:
-            self._bundles[key] = ConnBundle(self, conn)
+            self._bundles[key] = ConnBundle(self, gamma)
         return self._bundles[key]
+
+    def riemann(self, conn: ch.ConnectionField) -> np.ndarray:
+        """Curvature Exprs of ``conn``; the one tensor here that needs d Gamma."""
+        key = id(conn)
+        if key not in self._riemann:
+            self._riemann[key] = ch.riemann(conn)
+        return self._riemann[key]
 
     @cached_property
     def NJ_exprs(self):
@@ -160,36 +196,39 @@ class ScenarioContext:
 
     @cached_property
     def NJ_at(self):
-        return ch.eval_exprs(self.NJ_exprs, self.points, self.memo)
+        return self.at(self.NJ_exprs)
 
     @cached_property
-    def jm_field(self):
-        return gc.gen_metallic_field(self.scenario.J)
+    def gen_jets(self) -> dict:
+        """Values and first partials of Jm, Jp, Jc and ghat at the samples."""
+        g, J = self.scenario.metric, self.scenario.J
+        fields = {
+            "jm": gc.gen_metallic_field(J),
+            "jp": gc.gen_product_field(g, J, self.ginv_exprs),
+            "jc": gc.gen_complex_field(g, J, self.ginv_exprs),
+            "ghat": gc.ghat_field(g, self.ginv_exprs),
+        }
+        n = self.chart.dim
+        return {
+            label: (self.at(comps), self.at(_partials(comps, n)))
+            for label, comps in fields.items()
+        }
+
+    @property
+    def has_karaman(self) -> bool:
+        return self.scenario.omega is not None and self.params.q != 0
 
     @cached_property
-    def jp_field(self):
-        return gc.gen_product_field(self.scenario.metric, self.scenario.J, self.ginv_exprs)
+    def omega_at(self) -> np.ndarray:
+        return self.at(self.scenario.omega.comps)
 
     @cached_property
-    def jc_field(self):
-        return gc.gen_complex_field(self.scenario.metric, self.scenario.J, self.ginv_exprs)
-
-    @cached_property
-    def ghat_field(self):
-        return gc.ghat_field(self.scenario.metric, self.ginv_exprs)
-
-    @cached_property
-    def karaman(self) -> gc.KaramanData | None:
-        if self.scenario.omega is None or self.params.q == 0:
-            return None
-        return gc.karaman_connection(
-            self.scenario.metric,
-            self.scenario.J,
-            self.params,
-            self.scenario.omega,
-            base=self.levi_civita,
-            ginv=self.ginv_exprs,
+    def karaman_gamma_at(self) -> np.ndarray:
+        """D = Levi-Civita + F for the scenario's 1-form, at the samples."""
+        F = gc.karaman_connection(
+            self.g_at, self.ginv_at, self.J_at, self.params, self.omega_at
         )
+        return self.lc_gamma_at + F
 
     def lift(self, flavor: str):
         if flavor not in self._lifts:
@@ -204,6 +243,12 @@ class ScenarioContext:
 def _max_abs(a: np.ndarray) -> np.ndarray:
     """Largest absolute entry of each matrix of a stack."""
     return np.abs(a).max(axis=(-2, -1))
+
+
+def _per_sample_max(a: np.ndarray) -> np.ndarray:
+    """Largest absolute entry at each sample, NaN read as infinite."""
+    flat = np.abs(a).reshape(a.shape[0], -1)
+    return np.where(np.isnan(flat), np.inf, flat).max(axis=1)
 
 
 def _check(cid, anchor, residuals, points, tol, **kw) -> CheckResult:
@@ -276,7 +321,7 @@ def suite_core(ctx: ScenarioContext) -> list:
     _guard(checks, "core/compatibility", "gJ symmetric", TOL_ALGEBRAIC, compat)
 
     def koszul():
-        lc = ctx.bundle(ctx.levi_civita)
+        lc = ctx.bundle(ctx.lc_gamma_at)
         return _check(
             "core/levi-civita-metric-parallel",
             "nabla g = 0 for the Levi-Civita connection (Koszul)",
@@ -288,7 +333,7 @@ def suite_core(ctx: ScenarioContext) -> list:
     _guard(checks, "core/levi-civita-metric-parallel", "nabla g = 0", tol, koszul)
 
     def bianchi():
-        R = ch.eval_exprs(ctx.bundle(ctx.levi_civita).riemann, pts, ctx.memo)
+        R = ctx.at(ctx.riemann(ctx.levi_civita))
         cyc = R + np.einsum("mljki->mlijk", R) + np.einsum("mlkij->mlijk", R)
         return _check(
             "core/bianchi-first",
@@ -301,7 +346,7 @@ def suite_core(ctx: ScenarioContext) -> list:
     _guard(checks, "core/bianchi-first", "first Bianchi identity", tol, bianchi)
 
     def locally_metallic():
-        lc = ctx.bundle(ctx.levi_civita)
+        lc = ctx.bundle(ctx.lc_gamma_at)
         return _check(
             "core/locally-metallic",
             "nabla J = 0 for the Levi-Civita connection",
@@ -313,7 +358,7 @@ def suite_core(ctx: ScenarioContext) -> list:
     _guard(checks, "core/locally-metallic", "nabla J = 0", tol, locally_metallic)
 
     def nij_identity():
-        b = ctx.bundle(ctx.conn)
+        b = ctx.bundle(ctx.gamma_at)
         rhs = gc.covariant_nijenhuis_rhs(b.nabla_J_at, b.torsion_at, ctx.J_at)
         return _check(
             "core/nijenhuis-covariant-identity",
@@ -506,52 +551,37 @@ def suite_genbundle(ctx: ScenarioContext) -> list:
 # ------------------------------------------------------------------
 
 
-def _gen_nijenhuis_residuals(ctx, conn, jhat):
-    sections = gc.basis_sections(ctx.chart)
-    jhat2 = ch.mat_mul(jhat, jhat)
-    rows = []
-    for a in range(len(sections)):
-        for b in range(a + 1, len(sections)):
-            nij = gc.gen_nijenhuis(conn, jhat, sections[a], sections[b], jhat2)
-            rows.append(nij.eval(ctx.points, ctx.memo))
-    return rows
-
-
 def _random_sections(ctx, count, seed_shift):
+    """Values (m, count, 2n) and partials (m, count, n, 2n) of sections whose
+    components are c0 + c1 . x with coefficients drawn uniformly in [-1, 1]."""
     rng = np.random.default_rng(ctx.seed + seed_shift)
     n = ctx.chart.dim
-    out = []
-    for _ in range(count):
-        comps = np.empty(2 * n, dtype=object)
+    c0 = np.empty((count, 2 * n))
+    c1 = np.empty((count, 2 * n, n))
+    for s in range(count):
         for a in range(2 * n):
-            c0 = rng.uniform(-1, 1)
-            c1 = rng.uniform(-1, 1, size=n)
-            comps[a] = ex.balanced_sum(
-                [ex.const(c0)] + [ex.const(c1[j]) * ctx.chart.coord(j) for j in range(n)]
-            )
-        out.append(gc.GenSectionField(ctx.chart, comps))
-    return out
+            c0[s, a] = rng.uniform(-1, 1)
+            c1[s, a] = rng.uniform(-1, 1, size=n)
+    values = c0 + np.einsum("saj,mj->msa", c1, ctx.points)
+    partials = np.broadcast_to(c1.transpose(0, 2, 1), (len(ctx.points), count, n, 2 * n))
+    return values, partials
 
 
 def suite_genconn(ctx: ScenarioContext) -> list:
     checks: list = []
     pts = ctx.points
     tol = ctx.tol
-    conn = ctx.conn
-    bundle = ctx.bundle(conn)
+    gamma = ctx.gamma_at
+    bundle = ctx.bundle(gamma)
 
     def bracket_antisymmetry():
-        sections = _random_sections(ctx, 4, seed_shift=101)
-        arrays = []
-        for a in range(len(sections)):
-            for b in range(a + 1, len(sections)):
-                fwd = gc.nabla_bracket(conn, sections[a], sections[b])
-                bwd = gc.nabla_bracket(conn, sections[b], sections[a])
-                arrays.append(ch.eval_exprs(fwd.comps + bwd.comps, pts, ctx.memo))
+        values, partials = _random_sections(ctx, 4, seed_shift=101)
+        a, b = np.triu_indices(4, 1)
+        s, ds, t, dt = values[:, a], partials[:, a], values[:, b], partials[:, b]
         return _check(
             "genconn/nabla-bracket-antisymmetry",
             "[s, t] = -[t, s] for the connection bracket",
-            arrays,
+            gc.nabla_bracket(gamma, s, ds, t, dt) + gc.nabla_bracket(gamma, t, dt, s, ds),
             pts,
             tol,
         )
@@ -566,28 +596,17 @@ def suite_genconn(ctx: ScenarioContext) -> list:
 
     def jm_mixed():
         n = ctx.chart.dim
-        sections = gc.basis_sections(ctx.chart)
-        jhat2 = ch.mat_mul(ctx.jm_field, ctx.jm_field)
         DJ = bundle.nabla_J_at
-        arrays = []
-        for i in range(n):
-            for j in range(n):
-                nij = gc.gen_nijenhuis(
-                    conn, ctx.jm_field, sections[i], sections[n + j], jhat2
-                )
-                values = nij.eval(pts, ctx.memo)
-                # beta((nabla_{J d_i} J) - (nabla_i J) J) with beta = dx^j:
-                # expected covector_c = J^a_i DJ[a, j, c] - DJ[i, j, s] J^s_c
-                expected = np.einsum(
-                    "ma,mac->mc", ctx.J_at[:, :, i], DJ[:, :, j, :]
-                ) - np.einsum("ms,msc->mc", DJ[:, i, j, :], ctx.J_at)
-                gap = values.copy()
-                gap[:, n:] -= expected
-                arrays.append(gap)
+        gap = bundle.gen_nijenhuis("jm")[:, :, :n, n:].copy()
+        # N(d_i, dx^j) against beta((nabla_{J d_i} J) - (nabla_i J) J) with
+        # beta = dx^j: covector_c = J^a_i DJ[a, j, c] - DJ[i, j, s] J^s_c
+        gap[:, n:] -= np.einsum("mai,majc->mcij", ctx.J_at, DJ) - np.einsum(
+            "mijs,msc->mcij", DJ, ctx.J_at
+        )
         return _check(
             "genconn/jm-gen-nijenhuis-mixed-identity",
             "N(X, beta) equals beta((nabla_{JX}J) - (nabla_X J)J)",
-            arrays,
+            gap,
             pts,
             TOL_NIJ_IDENTITY,
         )
@@ -600,19 +619,14 @@ def suite_genconn(ctx: ScenarioContext) -> list:
         jm_mixed,
     )
 
-    for label, jhat in (
-        ("jm", ctx.jm_field),
-        ("jp", ctx.jp_field),
-        ("jc", ctx.jc_field),
-    ):
+    for label in ("jm", "jp", "jc"):
         cid = f"genconn/{label}-gen-nijenhuis"
 
-        def gen_nij(jhat=jhat, cid=cid, label=label):
-            rows = _gen_nijenhuis_residuals(ctx, conn, jhat)
+        def gen_nij(cid=cid, label=label):
             return _check(
                 cid,
                 f"generalized Nijenhuis tensor of {label} vanishes on basis sections",
-                rows,
+                bundle.gen_nijenhuis(label),
                 pts,
                 tol,
             )
@@ -658,7 +672,7 @@ def suite_genconn(ctx: ScenarioContext) -> list:
         _guard(checks, cid, "reduced conditions", tol, reduced)
 
     def identity_lc():
-        b = ctx.bundle(ctx.levi_civita)
+        b = ctx.bundle(ctx.lc_gamma_at)
         rhs = gc.covariant_nijenhuis_rhs(b.nabla_J_at, b.torsion_at, ctx.J_at)
         return _check(
             "genconn/covariant-nijenhuis-identity-levi-civita",
@@ -676,10 +690,10 @@ def suite_genconn(ctx: ScenarioContext) -> list:
         identity_lc,
     )
 
-    if ctx.karaman is not None:
+    if ctx.has_karaman:
 
         def identity_karaman():
-            b = ctx.bundle(ctx.karaman.D)
+            b = ctx.bundle(ctx.karaman_gamma_at)
             rhs = gc.covariant_nijenhuis_rhs(b.nabla_J_at, b.torsion_at, ctx.J_at)
             return _check(
                 "genconn/covariant-nijenhuis-identity-karaman",
@@ -698,16 +712,10 @@ def suite_genconn(ctx: ScenarioContext) -> list:
         )
 
     def dhat_jm():
-        rows = []
-        n = ctx.chart.dim
-        for k in range(n):
-            rows.append(
-                ch.eval_exprs(gc.dhat_endo(conn, ctx.jm_field, k), pts, ctx.memo)
-            )
         return _check(
             "genconn/dhat-jm",
             "Dhat Jm = 0 (tracks nabla J = 0)",
-            rows,
+            gc.dhat_endo(gamma, *ctx.gen_jets["jm"]),
             pts,
             tol,
         )
@@ -715,16 +723,10 @@ def suite_genconn(ctx: ScenarioContext) -> list:
     _guard(checks, "genconn/dhat-jm", "Dhat Jm", tol, dhat_jm)
 
     def dhat_ghat():
-        rows = []
-        n = ctx.chart.dim
-        for k in range(n):
-            rows.append(
-                ch.eval_exprs(gc.dhat_metric(conn, ctx.ghat_field, k), pts, ctx.memo)
-            )
         return _check(
             "genconn/dhat-ghat",
             "Dhat ghat = 0 (tracks nabla g = 0)",
-            rows,
+            gc.dhat_metric(gamma, *ctx.gen_jets["ghat"]),
             pts,
             tol,
         )
@@ -739,11 +741,9 @@ def suite_genconn(ctx: ScenarioContext) -> list:
 # ------------------------------------------------------------------
 
 
-def _karaman_checks(ctx, data: gc.KaramanData):
+def _karaman_checks(ctx, b: ConnBundle, omega_at: np.ndarray):
     """Residual arrays for one choice of omega (shared by suite and sweep)."""
     pts = ctx.points
-    b = ctx.bundle(data.D)
-    omega_at = data.omega.eval(pts, ctx.memo)
     closed = gc.torsion_closed_form_values(ctx.J_at, ctx.params, omega_at)
     T_at = b.torsion_at
     lemma1 = np.einsum("mkaj,mai->mkij", T_at, ctx.J_at) - np.einsum(
@@ -768,8 +768,7 @@ def suite_karaman(ctx: ScenarioContext) -> list:
     checks: list = []
     pts = ctx.points
     tol = ctx.tol
-    data = ctx.karaman
-    if data is None:
+    if not ctx.has_karaman:
         checks.append(
             CheckResult(
                 "karaman/missing-omega",
@@ -780,7 +779,9 @@ def suite_karaman(ctx: ScenarioContext) -> list:
         )
         return checks
 
-    parts = _karaman_checks(ctx, data)
+    D = ctx.karaman_gamma_at
+    bundle = ctx.bundle(D)
+    parts = _karaman_checks(ctx, bundle, ctx.omega_at)
     checks.append(
         _check("karaman/metric-parallel", "D g = 0 for every 1-form", parts["dg"], pts, tol)
     )
@@ -816,11 +817,10 @@ def suite_karaman(ctx: ScenarioContext) -> list:
     )
 
     def jm_d_integrable():
-        rows = _gen_nijenhuis_residuals(ctx, data.D, ctx.jm_field)
         return _check(
             "karaman/jm-d-integrable",
             "the generalized Nijenhuis tensor of Jm vanishes for D",
-            rows,
+            bundle.gen_nijenhuis("jm"),
             pts,
             tol,
         )
@@ -828,69 +828,50 @@ def suite_karaman(ctx: ScenarioContext) -> list:
     _guard(checks, "karaman/jm-d-integrable", "Jm D-integrable", tol, jm_d_integrable)
 
     n = ctx.chart.dim
-    for label, fld, kind in (
-        ("jm", ctx.jm_field, "endo"),
-        ("jp", ctx.jp_field, "endo"),
-        ("jc", ctx.jc_field, "endo"),
-        ("ghat", ctx.ghat_field, "metric"),
+    for label, dhat in (
+        ("jm", gc.dhat_endo),
+        ("jp", gc.dhat_endo),
+        ("jc", gc.dhat_endo),
+        ("ghat", gc.dhat_metric),
     ):
         cid = f"karaman/dhat-{label}-parallel"
 
-        def dhat_parallel(fld=fld, kind=kind, cid=cid, label=label):
-            rows = []
-            for k in range(n):
-                mat = (
-                    gc.dhat_endo(data.D, fld, k)
-                    if kind == "endo"
-                    else gc.dhat_metric(data.D, fld, k)
-                )
-                rows.append(ch.eval_exprs(mat, pts, ctx.memo))
+        def dhat_parallel(dhat=dhat, cid=cid, label=label):
             return _check(
-                cid, f"Dhat {label} = 0 for the semi-symmetric connection", rows, pts, tol
+                cid,
+                f"Dhat {label} = 0 for the semi-symmetric connection",
+                dhat(D, *ctx.gen_jets[label]),
+                pts,
+                tol,
             )
 
         _guard(checks, cid, f"Dhat {label}", tol, dhat_parallel)
 
     def omega_sweep():
         rng = np.random.default_rng(ctx.seed + 2024)
-        worst = 0.0
         per_trial = []
-        for _ in range(20):
+        worst_trial, worst_per_sample = 0, None
+        for trial in range(20):
             c0 = rng.uniform(-1.0, 1.0, size=n)
             c1 = rng.uniform(-1.0, 1.0, size=(n, n))
-            comps = np.empty(n, dtype=object)
-            for i in range(n):
-                comps[i] = ex.balanced_sum(
-                    [ex.const(c0[i])]
-                    + [ex.const(c1[i, j]) * ctx.chart.coord(j) for j in range(n)]
-                )
-            omega = ch.OneFormField(ctx.chart, comps)
-            trial = gc.karaman_connection(
-                ctx.scenario.metric,
-                ctx.scenario.J,
-                ctx.params,
-                omega,
-                base=ctx.levi_civita,
-                ginv=ctx.ginv_exprs,
-            )
-            parts = _karaman_checks(ctx, trial)
-            rows = _gen_nijenhuis_residuals(ctx, trial.D, ctx.jm_field)
-            trial_worst = max(
-                float(np.abs(parts["dg"]).max()),
-                float(np.abs(parts["torsion_gap"]).max()),
-                float(np.abs(parts["lemma"]).max()),
-                float(np.abs(parts["phi"]).max()),
-                max(float(np.abs(r).max()) for r in rows),
-            )
-            per_trial.append(trial_worst)
-            worst = max(worst, trial_worst)
+            omega_at = c0 + pts @ c1.T
+            F = gc.karaman_connection(ctx.g_at, ctx.ginv_at, ctx.J_at, ctx.params, omega_at)
+            b = ConnBundle(ctx, ctx.lc_gamma_at + F)
+            parts = _karaman_checks(ctx, b, omega_at)
+            arrays = [parts[k] for k in ("dg", "torsion_gap", "lemma", "phi")]
+            arrays.append(b.gen_nijenhuis("jm"))
+            per_sample = np.max([_per_sample_max(a) for a in arrays], axis=0)
+            per_trial.append(float(per_sample.max()))
+            if worst_per_sample is None or per_trial[-1] > per_trial[worst_trial]:
+                worst_trial, worst_per_sample = trial, per_sample
         return CheckResult(
             "karaman/random-omega-sweep",
             "for 20 random 1-forms: Dg = 0, T^D closed form, the torsion "
             "commutation, Phi(T^D) = 0 and D-integrability of Jm",
-            worst,
+            max(per_trial),
             tol,
-            details={"per_trial_max": per_trial},
+            tuple(float(v) for v in pts[int(np.argmax(worst_per_sample))]),
+            details={"per_trial_max": per_trial, "worst_trial": worst_trial},
         )
 
     _guard(checks, "karaman/random-omega-sweep", "omega sweep", tol, omega_sweep)
@@ -984,10 +965,9 @@ def suite_lifts(ctx: ScenarioContext, flavor: str) -> list:
 
     def nijenhuis_checks():
         N_at = lf.nijenhuis_values(jbar, pts2)
-        bundle = ctx.bundle(conn)
-        DJ_at = ch.eval_exprs(bundle.nabla_J, pts2, memo2)
+        DJ_at = gc.nabla_endo(gamma_at, J_at, ch.eval_exprs(ctx.dJ_exprs, pts2, memo2))
         NJ_at = ch.eval_exprs(ctx.NJ_exprs, pts2, memo2)
-        R_at = ch.eval_exprs(bundle.riemann, pts2, memo2)
+        R_at = ch.eval_exprs(ctx.riemann(conn), pts2, memo2)
         out = []
         out.append(
             _check(
@@ -1168,12 +1148,13 @@ def run_suites(
 ) -> ScenarioReport:
     """Run the scenario's suites in declared order; deterministic in the seed.
 
-    Expression nodes are interned in a table that lasts for this call only.
+    Expression nodes are interned in a copy of the scenario's table that
+    lasts for this call only.
     """
     ctx = ScenarioContext(scenario, samples=samples, seed=seed, tolerance=tolerance)
     selected = suites if suites else scenario.suites
     checks: list = []
-    with ex.fresh_table():
+    with ex.fresh_table(scenario.table):
         for suite in selected:
             if suite not in _SUITE_FUNCS:
                 raise ValueError(f"unknown suite {suite!r}")

@@ -127,3 +127,99 @@ def random_expr(rng, names, depth=3):
             return f"exp(-(({a}))^2)"
         return f"{fn}({a})"
     return f"(3.1 + ({a})^2)^0.5"
+
+
+def _oracle_bracket(gamma, s, ds, t, dt):
+    """[X+a, Y+b] = [X,Y] + nabla_X b - nabla_Y a at one point, term by term.
+
+    ``gamma[k, i, j]`` = Gamma^k_{ij}; ``s``, ``t`` are sections (2n,) and
+    ``ds[k]``, ``dt[k]`` their partials d_k.
+    """
+    n = gamma.shape[0]
+    X, alpha, Y, beta = s[:n], s[n:], t[:n], t[n:]
+    out = np.zeros(2 * n)
+    for i in range(n):
+        for k in range(n):
+            out[i] += X[k] * dt[k][i] - Y[k] * ds[k][i]
+            nabla_beta = dt[k][n + i] - sum(gamma[r, k, i] * beta[r] for r in range(n))
+            nabla_alpha = ds[k][n + i] - sum(gamma[r, k, i] * alpha[r] for r in range(n))
+            out[n + i] += X[k] * nabla_beta - Y[k] * nabla_alpha
+    return out
+
+
+def fd_bracket(s_at, t_at, gamma, x, h=1e-5):
+    """nabla-bracket of two sections given as functions of the point, at x;
+    their partials come from central differences."""
+    x = np.asarray(x, dtype=float)
+    ds = [fd_partial(s_at, x, k, h) for k in range(len(x))]
+    dt = [fd_partial(t_at, x, k, h) for k in range(len(x))]
+    return _oracle_bracket(gamma, s_at(x), ds, t_at(x), dt)
+
+
+def fd_gen_nijenhuis(jhat_at, gamma, x, h=1e-5):
+    """N(e_a, e_b)^A of a generalized endomorphism at x, [A, a, b].
+
+    ``jhat_at`` maps a point to the (2n, 2n) matrix; the partials of its
+    columns come from central differences, the brackets from
+    :func:`_oracle_bracket` with the connection values ``gamma`` at x.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    J = jhat_at(x)
+    size = J.shape[0]
+    dcols = [fd_partial(jhat_at, x, k, h) for k in range(n)]  # dcols[k][:, a]
+    eye = np.eye(size)
+    flat = [np.zeros(size)] * n
+    out = np.zeros((size, size, size))
+    for a in range(size):
+        ja, dja = J[:, a], [d[:, a] for d in dcols]
+        for b in range(size):
+            jb, djb = J[:, b], [d[:, b] for d in dcols]
+            out[:, a, b] = (
+                _oracle_bracket(gamma, ja, dja, jb, djb)
+                - J @ _oracle_bracket(gamma, ja, dja, eye[b], flat)
+                - J @ _oracle_bracket(gamma, eye[a], flat, jb, djb)
+                + J @ J @ _oracle_bracket(gamma, eye[a], flat, eye[b], flat)
+            )
+    return out
+
+
+def fd_dhat(mat_at, gamma, x, metric=False, h=1e-5):
+    """Dhat_k of a generalized endomorphism (or, with ``metric``, of a
+    generalized (0,2) form) at x, [k, A, B], with the partials of the matrix
+    from central differences and Omega_k written out entry by entry."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    M = mat_at(x)
+    out = np.zeros((n,) + M.shape)
+    for k in range(n):
+        omega = np.zeros(M.shape)
+        for s in range(n):
+            for a in range(n):
+                omega[s, a] = gamma[s, k, a]
+                omega[n + s, n + a] = -gamma[a, k, s]
+        dM = fd_partial(mat_at, x, k, h)
+        if metric:
+            out[k] = dM - omega.T @ M - M @ omega
+        else:
+            out[k] = dM + omega @ M - M @ omega
+    return out
+
+
+def karaman_F(g, J, w, q):
+    """F^k_{ij} of the semi-symmetric connection at one point, entry by entry."""
+    n = len(w)
+    ginv = np.linalg.inv(g)
+    wj = [sum(w[s] * J[s, j] for s in range(n)) for j in range(n)]
+    gj = g @ J
+    F = np.zeros((n, n, n))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                F[k, i, j] = (
+                    (w[j] if k == i else 0.0)
+                    - sum(w[l] * ginv[l, k] for l in range(n)) * g[i, j]
+                    + wj[j] * J[k, i] / q
+                    - sum(wj[l] * ginv[l, k] for l in range(n)) * gj[i, j] / q
+                )
+    return F

@@ -301,11 +301,15 @@ def _structure(node, numbers, shapes):
 
 
 def test_tensors_of_a_scenario_hold_no_duplicate_structure():
-    with ex.fresh_table():
-        scenario = load_scenario(scenario_path("warped-mixing"))
+    # built the way a run builds them: the scenario is loaded on its own and
+    # the tensors are interned into a copy of the scenario's table, so the
+    # nodes reachable from its leaf fields count too
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    with ex.fresh_table(scenario.table):
         gamma = ch.christoffel(scenario.metric)
         roots = list(gamma.comps.flat) + list(ch.riemann(gamma).flat)
         roots += list(ch.nijenhuis(scenario.J).flat)
+        roots += list(scenario.metric.comps.flat) + list(scenario.J.comps.flat)
         nodes, stack = {}, roots
         while stack:
             node = stack.pop()
@@ -318,6 +322,21 @@ def test_tensors_of_a_scenario_hold_no_duplicate_structure():
             _structure(node, numbers, shapes)
     assert len(nodes) > 100
     assert len(shapes) == len(nodes)
+
+
+def test_loading_a_scenario_leaves_the_module_table_alone():
+    size = len(ex._table)
+    scenario = load_scenario(scenario_path("product-decomposable"))
+    assert len(ex._table) == size
+    assert scenario.table and ex._table is not scenario.table
+    # a block started from the scenario's table reuses its nodes and leaves
+    # it unchanged
+    entries = len(scenario.table)
+    leaf = scenario.metric.comps[1, 1]
+    with ex.fresh_table(scenario.table):
+        assert ex.parse(ex.to_string(leaf), scenario.chart.names) is leaf
+        ch.christoffel(scenario.metric)
+    assert len(scenario.table) == entries
 
 
 def test_runs_are_identical_and_leave_the_table_as_they_found_it():

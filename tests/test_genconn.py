@@ -8,6 +8,11 @@ from metalliclab import expr as ex
 from metalliclab import genconn as gc
 from metalliclab.errors import ZeroQ
 from metalliclab.metallic import MetallicParams, from_projection
+from metalliclab.scenario import load_scenario
+from metalliclab.suites import ScenarioContext, run_suites
+
+from conftest import CORPUS, scenario_path
+from helpers import fd_bracket, fd_christoffel, fd_dhat, fd_gen_nijenhuis, karaman_F
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PARAMS = MetallicParams(1.0, 1.0)
@@ -32,68 +37,90 @@ def product_setup():
     return c, g, J, conn
 
 
-def zero_section(c):
-    return gc.GenSectionField(c, np.zeros(2 * c.dim))
+def jet(comps, pts):
+    """Values and first partials d_k of an Expr array at the points, [m, k, ...]."""
+    comps = np.asarray(comps, dtype=object)
+    n = pts.shape[1]
+    partials = np.empty((n,) + comps.shape, dtype=object)
+    for k in range(n):
+        for idx in np.ndindex(comps.shape):
+            partials[(k,) + idx] = ex.differentiate(comps[idx], k)
+    return ch.eval_exprs(comps, pts), ch.eval_exprs(partials, pts)
+
+
+def basis_section(c, a, m):
+    """Values and (zero) partials of the constant section e_a at m points."""
+    size = 2 * c.dim
+    return (
+        np.broadcast_to(np.eye(size)[a], (m, size)),
+        np.zeros((m, c.dim, size)),
+    )
+
+
+def karaman_gamma(g, J, conn, omega, pts, params=PARAMS):
+    """D = Levi-Civita + F at the points, from the array karaman_connection."""
+    F = gc.karaman_connection(
+        g.eval(pts),
+        ch.eval_exprs(ch.inverse_metric(g), pts),
+        J.eval(pts),
+        params,
+        omega.eval(pts),
+    )
+    return conn.eval(pts) + F
 
 
 def test_nabla_bracket_trivial_cases():
     c, g, J, conn = flat_setup()
-    secs = gc.basis_sections(c)
     pts = c.sample_points(8)
-    out = gc.nabla_bracket(conn, secs[0], secs[1])
-    assert np.abs(out.eval(pts)).max() == 0.0
+    gamma = conn.eval(pts)
+    out = gc.nabla_bracket(gamma, *basis_section(c, 0, 8), *basis_section(c, 1, 8))
+    assert np.abs(out).max() == 0.0
     # sigma = dx^1, tau = d_2, flat connection: covector part vanishes
-    out2 = gc.nabla_bracket(conn, secs[2], secs[1])
-    assert np.abs(out2.eval(pts)).max() == 0.0
+    out2 = gc.nabla_bracket(gamma, *basis_section(c, 2, 8), *basis_section(c, 1, 8))
+    assert np.abs(out2).max() == 0.0
 
 
 def test_nabla_bracket_antisymmetry_random_fields(product_setup):
     c, g, J, conn = product_setup
     rng = np.random.default_rng(6)
     pts = c.sample_points(10)
+    gamma = conn.eval(pts)
     n = c.dim
     for _ in range(4):
-        comps = []
+        sections = []
         for _ in range(2):
-            arr = np.empty(2 * n, dtype=object)
+            c0 = np.empty(2 * n)
+            c1 = np.empty((2 * n, n))
             for a in range(2 * n):
-                c0 = rng.uniform(-1, 1)
-                c1 = rng.uniform(-1, 1, size=n)
-                arr[a] = ex.balanced_sum(
-                    [ex.const(c0)] + [ex.const(c1[j]) * c.coord(j) for j in range(n)]
-                )
-            comps.append(gc.GenSectionField(c, arr))
-        fwd = gc.nabla_bracket(conn, comps[0], comps[1])
-        bwd = gc.nabla_bracket(conn, comps[1], comps[0])
-        assert np.abs(ch.eval_exprs(fwd.comps + bwd.comps, pts)).max() < 1e-9
+                c0[a] = rng.uniform(-1, 1)
+                c1[a] = rng.uniform(-1, 1, size=n)
+            partials = np.broadcast_to(c1.T, (len(pts), n, 2 * n))
+            sections.append((c0 + pts @ c1.T, partials))
+        (s, ds), (t, dt) = sections
+        fwd = gc.nabla_bracket(gamma, s, ds, t, dt)
+        bwd = gc.nabla_bracket(gamma, t, dt, s, ds)
+        assert np.abs(fwd + bwd).max() < 1e-9
 
 
 def test_gen_nijenhuis_flat_constant_vanishes():
     c, g, J, conn = flat_setup()
-    jm = gc.gen_metallic_field(J)
-    secs = gc.basis_sections(c)
     pts = c.sample_points(8)
-    jm2 = ch.mat_mul(jm, jm)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            nij = gc.gen_nijenhuis(conn, jm, secs[a], secs[b], jm2)
-            assert np.abs(nij.eval(pts)).max() == 0.0
+    nij = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(J), pts))
+    assert nij.shape == (8, 4, 4, 4)
+    assert np.abs(nij).max() == 0.0
 
 
 def test_gen_nijenhuis_mixed_slot_identity(sphere_chart, sphere_metric, sphere_diag_J):
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     conn = ch.christoffel(g)
-    jm = gc.gen_metallic_field(J)
-    jm2 = ch.mat_mul(jm, jm)
-    secs = gc.basis_sections(c)
     pts = c.sample_points(12)
+    nij = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(J), pts))
     DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts)
     Jv = ch.eval_exprs(J.comps, pts)
     n = 2
     for i in range(n):
         for j in range(n):
-            nij = gc.gen_nijenhuis(conn, jm, secs[i], secs[n + j], jm2)
-            values = nij.eval(pts)
+            values = nij[:, :, i, n + j]
             assert np.abs(values[:, :n]).max() < 1e-12
             expected = np.einsum("ma,mac->mc", Jv[:, :, i], DJ[:, :, j, :]) - np.einsum(
                 "ms,msc->mc", DJ[:, i, j, :], Jv
@@ -104,12 +131,9 @@ def test_gen_nijenhuis_mixed_slot_identity(sphere_chart, sphere_metric, sphere_d
 def test_gen_nijenhuis_covector_pairs_vanish(sphere_chart, sphere_metric, sphere_diag_J):
     # N(alpha, beta) = 0 for the generalized metallic structure
     conn = ch.christoffel(sphere_metric)
-    jm = gc.gen_metallic_field(sphere_diag_J)
-    jm2 = ch.mat_mul(jm, jm)
-    secs = gc.basis_sections(sphere_chart)
     pts = sphere_chart.sample_points(8)
-    nij = gc.gen_nijenhuis(conn, jm, secs[2], secs[3], jm2)
-    assert np.abs(nij.eval(pts)).max() < 1e-12
+    nij = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(sphere_diag_J), pts))
+    assert np.abs(nij[:, :, 2, 3]).max() < 1e-12
 
 
 def test_phi_of_torsion_cases(product_setup):
@@ -130,27 +154,24 @@ def test_phi_of_torsion_cases(product_setup):
 def test_karaman_connection_flat_case():
     c, g, J, conn = flat_setup()
     pts = c.sample_points(16)
+    gv, Jv = g.eval(pts), J.eval(pts)
+    ginv = np.linalg.inv(gv)
     # omega = 0 gives F = 0, D = Levi-Civita
-    zero_omega = ch.OneFormField(c, ch.constant_matrix(np.zeros(2)))
-    data = gc.karaman_connection(g, J, PARAMS, zero_omega, base=conn)
-    assert np.abs(ch.eval_exprs(data.F, pts)).max() == 0.0
+    F0 = gc.karaman_connection(gv, ginv, Jv, PARAMS, np.zeros((16, 2)))
+    assert np.abs(F0).max() == 0.0
 
     omega = ch.OneFormField(c, np.array([c.parse("1"), c.parse("0")], dtype=object))
-    data = gc.karaman_connection(g, J, PARAMS, omega, base=conn)
-    F = ch.eval_exprs(data.F, pts)
-    gv = g.eval(pts)
+    F = gc.karaman_connection(gv, ginv, Jv, PARAMS, omega.eval(pts))
     # g(F(X_i, X_j), X_r) + g(X_j, F(X_i, X_r)) = 0
     skew = np.einsum("mkij,mkr->mijr", F, gv) + np.einsum("mkir,mjk->mijr", F, gv)
     assert np.abs(skew).max() < 1e-12
     # torsion of D matches the closed form at 20 points
-    Td = ch.eval_exprs(ch.torsion(data.D), pts)
-    closed = gc.torsion_closed_form_values(
-        ch.eval_exprs(J.comps, pts), PARAMS, ch.eval_exprs(omega.comps, pts)
-    )
+    Td = gc.torsion(conn.eval(pts) + F)
+    closed = gc.torsion_closed_form_values(Jv, PARAMS, omega.eval(pts))
     assert np.abs(Td - closed).max() < 1e-12
 
     with pytest.raises(ZeroQ):
-        gc.karaman_connection(g, J, MetallicParams(1, 0), omega, base=conn)
+        gc.karaman_connection(gv, ginv, Jv, MetallicParams(1, 0), omega.eval(pts))
 
 
 def test_torsion_formula_frozen_values():
@@ -181,8 +202,7 @@ def test_torsion_lemma_three_way(product_setup):
             dtype=object,
         ),
     )
-    data = gc.karaman_connection(g, J, PARAMS, omega, base=conn)
-    Td = ch.eval_exprs(ch.torsion(data.D), pts)
+    Td = gc.torsion(karaman_gamma(g, J, conn, omega, pts))
     Jv = ch.eval_exprs(J.comps, pts)
     for _ in range(10):
         X = rng.normal(size=3)
@@ -201,10 +221,9 @@ def test_karaman_full_suite_on_product_scenario(product_setup):
     c, g, J, conn = product_setup
     pts = c.sample_points(16)
     rng = np.random.default_rng(20)
-    jm = gc.gen_metallic_field(J)
-    jm2 = ch.mat_mul(jm, jm)
-    secs = gc.basis_sections(c)
-    Jv = ch.eval_exprs(J.comps, pts)
+    jm = jet(gc.gen_metallic_field(J), pts)
+    Jv, dJ = jet(J.comps, pts)
+    gv, dg = jet(g.comps, pts)
     for trial in range(3):
         comps = np.array(
             [
@@ -215,18 +234,14 @@ def test_karaman_full_suite_on_product_scenario(product_setup):
             dtype=object,
         )
         omega = ch.OneFormField(c, comps)
-        data = gc.karaman_connection(g, J, PARAMS, omega, base=conn)
-        Dg = ch.eval_exprs(ch.covariant_derivative_metric(data.D, g), pts)
+        D = karaman_gamma(g, J, conn, omega, pts)
+        Dg = gc.nabla_metric(D, gv, dg)
         assert np.abs(Dg).max() < 1e-9
-        DJ = ch.eval_exprs(ch.covariant_derivative_endo(data.D, J), pts)
+        DJ = gc.nabla_endo(D, Jv, dJ)
         assert np.abs(DJ).max() < 1e-9
-        Td = ch.eval_exprs(ch.torsion(data.D), pts)
+        Td = gc.torsion(D)
         assert np.abs(gc.phi_of_torsion(Td, Jv)).max() < 1e-9
-        worst = 0.0
-        for a in range(6):
-            for b in range(a + 1, 6):
-                nij = gc.gen_nijenhuis(data.D, jm, secs[a], secs[b], jm2)
-                worst = max(worst, np.abs(nij.eval(pts)).max())
+        worst = np.abs(gc.gen_nijenhuis(D, *jm)).max()
         assert worst < 1e-9
 
 
@@ -247,8 +262,8 @@ def test_semi_symmetric_part_drops_out_of_dj(sphere_chart, sphere_metric, sphere
             ],
             dtype=object,
         )
-        data = gc.karaman_connection(g, J, PARAMS, ch.OneFormField(c, comps), base=lc)
-        dj = ch.eval_exprs(ch.covariant_derivative_endo(data.D, J), pts)
+        D = karaman_gamma(g, J, lc, ch.OneFormField(c, comps), pts)
+        dj = gc.nabla_endo(D, *jet(J.comps, pts))
         assert np.abs(dj - base_dj).max() < 1e-12
 
 
@@ -257,7 +272,7 @@ def test_dhat_tracks_base_derivatives(product_setup, sphere_chart, sphere_metric
     c, g, J, conn = product_setup
     pts = c.sample_points(12)
     omega = ch.OneFormField(c, np.array([c.parse("x3"), c.parse("x1"), c.parse("x2")], dtype=object))
-    data = gc.karaman_connection(g, J, PARAMS, omega, base=conn)
+    D = karaman_gamma(g, J, conn, omega, pts)
     ginv = ch.inverse_metric(g)
     fields = {
         "jm": gc.gen_metallic_field(J),
@@ -265,27 +280,21 @@ def test_dhat_tracks_base_derivatives(product_setup, sphere_chart, sphere_metric
         "jc": gc.gen_complex_field(g, J, ginv),
     }
     for fld in fields.values():
-        for k in range(3):
-            res = ch.eval_exprs(gc.dhat_endo(data.D, fld, k), pts)
-            assert np.abs(res).max() < 1e-9
-    ghat = gc.ghat_field(g, ginv)
-    for k in range(3):
-        res = ch.eval_exprs(gc.dhat_metric(data.D, ghat, k), pts)
+        res = gc.dhat_endo(D, *jet(fld, pts))
+        assert res.shape == (12, 3, 6, 6)
         assert np.abs(res).max() < 1e-9
+    res = gc.dhat_metric(D, *jet(gc.ghat_field(g, ginv), pts))
+    assert np.abs(res).max() < 1e-9
 
     # negative control: Levi-Civita on the sphere with the diagonal structure
     conn2 = ch.christoffel(sphere_metric)
     pts2 = sphere_chart.sample_points(12)
-    jm2 = gc.gen_metallic_field(sphere_diag_J)
-    worst = max(
-        np.abs(ch.eval_exprs(gc.dhat_endo(conn2, jm2, k), pts2)).max() for k in range(2)
-    )
+    gamma2 = conn2.eval(pts2)
+    jm2 = jet(gc.gen_metallic_field(sphere_diag_J), pts2)
+    worst = np.abs(gc.dhat_endo(gamma2, *jm2)).max()
     assert worst > 1e-3
-    ghat2 = gc.ghat_field(sphere_metric)
-    dg_res = max(
-        np.abs(ch.eval_exprs(gc.dhat_metric(conn2, ghat2, k), pts2)).max()
-        for k in range(2)
-    )
+    ghat2 = jet(gc.ghat_field(sphere_metric), pts2)
+    dg_res = np.abs(gc.dhat_metric(gamma2, *ghat2)).max()
     assert dg_res < 1e-9
 
 
@@ -301,14 +310,10 @@ def test_gen_nijenhuis_vector_pairs_reduce_to_base_nijenhuis(sphere_chart, spher
         ),
     )
     conn = ch.christoffel(sphere_metric)
-    jm = gc.gen_metallic_field(J)
-    jm2 = ch.mat_mul(jm, jm)
-    secs = gc.basis_sections(c)
     pts = c.sample_points(10)
     NJ = ch.eval_exprs(ch.nijenhuis(J), pts)
     assert np.abs(NJ).max() > 1e-2
-    nij = gc.gen_nijenhuis(conn, jm, secs[0], secs[1], jm2)
-    values = nij.eval(pts)
+    values = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(J), pts))[:, :, 0, 1]
     assert np.abs(values[:, :2] - NJ[:, :, 0, 1]).max() < 1e-10
     assert np.abs(values[:, 2:]).max() < 1e-12
 
@@ -320,18 +325,19 @@ def test_dhat_block_structure(sphere_chart, sphere_metric, sphere_diag_J):
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     conn = ch.christoffel(g)
     pts = c.sample_points(10)
+    gamma = conn.eval(pts)
     DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts)
     Dg = ch.eval_exprs(ch.covariant_derivative_metric(conn, g), pts)
     assert np.abs(DJ).max() > 1e-2  # non-trivial comparison
-    jm = gc.gen_metallic_field(J)
-    jp = gc.gen_product_field(g, J)
+    dm_all = gc.dhat_endo(gamma, *jet(gc.gen_metallic_field(J), pts))
+    dp_all = gc.dhat_endo(gamma, *jet(gc.gen_product_field(g, J), pts))
     n = 2
     for k in range(n):
-        dm = ch.eval_exprs(gc.dhat_endo(conn, jm, k), pts)
+        dm = dm_all[:, k]
         assert np.abs(dm[:, :n, :n] - DJ[:, k]).max() < 1e-12
         assert np.abs(dm[:, n:, n:] - np.swapaxes(DJ[:, k], -1, -2)).max() < 1e-12
         assert np.abs(dm[:, :n, n:]).max() == 0.0
-        dp = ch.eval_exprs(gc.dhat_endo(conn, jp, k), pts)
+        dp = dp_all[:, k]
         assert np.abs(dp[:, :n, :n] - DJ[:, k]).max() < 1e-12
         assert np.abs(dp[:, n:, :n] - Dg[:, k]).max() < 1e-12
 
@@ -393,14 +399,8 @@ def test_implication_conditions_bound_gen_nijenhuis(product_setup):
     )
     assert worst_condition <= tol
     ginv = ch.inverse_metric(g)
-    secs = gc.basis_sections(c)
     for fld in (gc.gen_product_field(g, J, ginv), gc.gen_complex_field(g, J, ginv)):
-        fld2 = ch.mat_mul(fld, fld)
-        worst = 0.0
-        for a in range(6):
-            for b in range(a + 1, 6):
-                nij = gc.gen_nijenhuis(conn, fld, secs[a], secs[b], fld2)
-                worst = max(worst, np.abs(nij.eval(pts)).max())
+        worst = np.abs(gc.gen_nijenhuis(conn.eval(pts), *jet(fld, pts))).max()
         assert worst <= 10 * tol
 
 
@@ -413,9 +413,109 @@ def test_covariant_identity_with_both_connections(
     Jv = ch.eval_exprs(J.comps, pts)
     lc = ch.christoffel(g)
     omega = ch.OneFormField(c, np.array([c.parse("x2"), c.parse("x1")], dtype=object))
-    karaman = gc.karaman_connection(g, J, PARAMS, omega, base=lc)
-    for conn in (lc, karaman.D):
-        DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts)
-        T = ch.eval_exprs(ch.torsion(conn), pts)
+    dJ = jet(J.comps, pts)[1]
+    for gamma in (lc.eval(pts), karaman_gamma(g, J, lc, omega, pts)):
+        DJ = gc.nabla_endo(gamma, Jv, dJ)
+        T = gc.torsion(gamma)
         rhs = gc.covariant_nijenhuis_rhs(DJ, T, Jv)
         assert np.abs(NJ - rhs).max() < 1e-8
+
+
+def _pointwise(comps):
+    """The function point -> values of an Expr array, for the oracles."""
+    return lambda p: ch.eval_exprs(comps, np.asarray(p).reshape(1, -1))[0]
+
+
+@pytest.mark.parametrize("name", ["sphere-diagJ", "warped-mixing", "product-decomposable"])
+def test_array_layer_matches_finite_difference_oracles(name):
+    # N, the bracket and Dhat from the array functions against brackets and
+    # Dhat written out entry by entry, with central differences of the
+    # structure matrices and Gamma values that do not come from
+    # differentiate: the Christoffel symbols by finite differences, plus F
+    # of the scenario's 1-form on product-decomposable
+    scenario = load_scenario(scenario_path(name))
+    with ex.fresh_table(scenario.table):
+        ctx = ScenarioContext(scenario, samples=3)
+        karaman = scenario.omega is not None and name == "product-decomposable"
+        gamma = ctx.karaman_gamma_at if karaman else ctx.gamma_at
+        fields = {
+            "jm": gc.gen_metallic_field(scenario.J),
+            "jp": gc.gen_product_field(scenario.metric, scenario.J),
+            "jc": gc.gen_complex_field(scenario.metric, scenario.J),
+            "ghat": gc.ghat_field(scenario.metric),
+        }
+        oracle_gamma = []
+        for m, x in enumerate(ctx.points):
+            G = fd_christoffel(scenario.metric, x)
+            if karaman:
+                assert np.abs(ctx.omega_at[m]).max() > 0.1
+                G = G + karaman_F(ctx.g_at[m], ctx.J_at[m], ctx.omega_at[m], ctx.params.q)
+            oracle_gamma.append(G)
+        jp_value, jp_partials = ctx.gen_jets["jp"]
+        n = ctx.chart.dim
+        a, b = np.triu_indices(2 * n, 1)
+        columns, d_columns = np.swapaxes(jp_value, -1, -2), jp_partials.transpose(0, 3, 1, 2)
+        brackets = gc.nabla_bracket(
+            gamma, columns[:, a], d_columns[:, a], columns[:, b], d_columns[:, b]
+        )
+        jp_at = _pointwise(fields["jp"])
+        for m, x in enumerate(ctx.points):
+            G = oracle_gamma[m]
+            for label in ("jm", "jp", "jc"):
+                got = gc.gen_nijenhuis(gamma, *ctx.gen_jets[label])[m]
+                assert np.abs(got - fd_gen_nijenhuis(_pointwise(fields[label]), G, x)).max() < 1e-7
+                got = gc.dhat_endo(gamma, *ctx.gen_jets[label])[m]
+                assert np.abs(got - fd_dhat(_pointwise(fields[label]), G, x)).max() < 1e-7
+            got = gc.dhat_metric(gamma, *ctx.gen_jets["ghat"])[m]
+            oracle = fd_dhat(_pointwise(fields["ghat"]), G, x, metric=True)
+            assert np.abs(got - oracle).max() < 1e-7
+            for pair, (i, j) in enumerate(zip(a, b)):
+                oracle = fd_bracket(
+                    lambda p, i=i: jp_at(p)[:, i], lambda p, j=j: jp_at(p)[:, j], G, x
+                )
+                assert np.abs(brackets[m, pair] - oracle).max() < 1e-7
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_array_covariant_derivatives_match_the_symbolic_ones(name):
+    scenario = load_scenario(scenario_path(name))
+    with ex.fresh_table(scenario.table):
+        ctx = ScenarioContext(scenario, samples=8)
+        connections = [(ctx.levi_civita, ctx.lc_gamma_at), (ctx.conn, ctx.gamma_at)]
+        for conn, gamma in connections:
+            b = ctx.bundle(gamma)
+            expected = {
+                "nabla J": ctx.at(ch.covariant_derivative_endo(conn, scenario.J)),
+                "nabla g": ctx.at(ch.covariant_derivative_metric(conn, scenario.metric)),
+                "torsion": ctx.at(ch.torsion(conn)),
+            }
+            got = {"nabla J": b.nabla_J_at, "nabla g": b.nabla_g_at, "torsion": b.torsion_at}
+            for key, value in expected.items():
+                scale = max(1.0, np.abs(value).max())
+                assert np.abs(got[key] - value).max() <= 1e-12 * scale, (name, key)
+
+
+def test_omega_sweep_names_its_worst_trial_and_sample(monkeypatch):
+    # the closed torsion form is computed once for the suite's own 1-form,
+    # then once per trial: call c moves sample c % m by 0.01 * (c % 7), so
+    # trial 5 (call 6) is the first worst one and sample 6 its worst sample
+    closed_form = gc.torsion_closed_form_values
+    calls = []
+
+    def bumped(J_at, params, omega_at):
+        out = closed_form(J_at, params, omega_at)
+        c = len(calls)
+        calls.append(c)
+        out[c % len(out)] += 0.01 * (c % 7)
+        return out
+
+    monkeypatch.setattr(gc, "torsion_closed_form_values", bumped)
+    scenario = load_scenario(scenario_path("product-decomposable"))
+    report = run_suites(scenario, suites=["karaman"])
+    sweep = report.find("karaman/random-omega-sweep")
+    assert len(calls) == 21 and report.find("karaman/torsion-closed-form").passed
+    assert sweep.details["worst_trial"] == 5
+    assert sweep.residual == pytest.approx(0.06, abs=1e-9)
+    points = ScenarioContext(scenario).points
+    assert sweep.witness == tuple(points[6])
+    assert sweep.to_dict()["witness"] == list(points[6])
