@@ -11,17 +11,21 @@ Conventions used throughout the package:
 * endomorphisms ``J[i, j]`` mean J^i_j (output index first), metrics ``g[i, j]``
   mean g_{ij}.
 
-All field values are ``numpy`` object arrays of :class:`~metalliclab.expr.Expr`;
-evaluation happens in batches over sample points.
+The leaf fields (metric, endomorphism, 1-form, connection) hold ``numpy``
+object arrays of :class:`~metalliclab.expr.Expr`, as do their symbolic
+partials, the adjugate inverse of g and the Levi-Civita coefficients; those
+are evaluated in batches over sample points.  :func:`riemann` and
+:func:`nijenhuis` work on the evaluated values and first partials, arrays
+with a leading sample axis m.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import expr as ex
 from .errors import DimensionMismatch, DomainError, SingularMetric
@@ -33,6 +37,7 @@ __all__ = [
     "ConnectionField",
     "OneFormField",
     "eval_exprs",
+    "partials",
     "constant_matrix",
     "identity_endo",
     "inverse_metric",
@@ -48,6 +53,9 @@ __all__ = [
 ]
 
 _DET_GUARD = 1e-12
+
+# Halton bases: the first prime per coordinate, up to the 12 a chart may have
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _IDENT_RE_MSG = "coordinate names must be identifiers (ASCII letter then letters/digits/_)"
 
@@ -102,11 +110,36 @@ class Chart:
         """Low-discrepancy (Halton) samples over the box, deterministic in seed."""
         if seed is None:
             seed = self.seed
-        sampler = qmc.Halton(d=self.dim, scramble=True, seed=seed)
-        unit = sampler.random(count)
+        unit = _scrambled_halton(self.dim, count, seed)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
-        return qmc.scale(unit, lo, hi)
+        return unit * (hi - lo) + lo
+
+
+def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of a d-dimensional Owen-scrambled Halton set.
+
+    Algorithm 1 of A. B. Owen, "A randomized Halton algorithm in R"
+    (arXiv:1706.02808): in base b the k-th digit of the index goes through
+    its own random permutation of range(b), for every k with b^-k > 2^-54.
+    The permutations are drawn base after base from one generator, so the
+    points equal those of ``scipy.stats.qmc.Halton(d, scramble=True,
+    seed=seed)`` bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)
+    unit = np.empty((count, d))
+    for axis, base in enumerate(_PRIMES[:d]):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        digits, weight, value = index.copy(), 1.0 / base, np.zeros(count)
+        for perm in perms:
+            digits, digit = np.divmod(digits, base)
+            value += perm[digit] * weight
+            weight /= base
+        unit[:, axis] = value
+    return unit
 
 
 def eval_exprs(comps: np.ndarray, points: np.ndarray, memo: dict | None = None) -> np.ndarray:
@@ -128,6 +161,15 @@ def eval_exprs(comps: np.ndarray, points: np.ndarray, memo: dict | None = None) 
     if bad.any():
         witness = points[int(np.argmax(bad))]
         raise DomainError("field evaluation is not finite", witness)
+    return out
+
+
+def partials(comps: np.ndarray, n: int) -> np.ndarray:
+    """Expr array of d_k comps for k < n, indexed [k, *comps.shape]."""
+    out = np.empty((n,) + comps.shape, dtype=object)
+    for k in range(n):
+        for idx in np.ndindex(comps.shape):
+            out[(k,) + idx] = ex.differentiate(comps[idx], k)
     return out
 
 
@@ -340,32 +382,6 @@ def christoffel(g: MetricField, probe_points=None) -> ConnectionField:
     return ConnectionField(chart, gamma)
 
 
-def riemann(conn: ConnectionField) -> np.ndarray:
-    """Curvature R^l_{ijk}, indexed [l, i, j, k]; antisymmetric in (i, j)."""
-    n = conn.chart.dim
-    gamma = conn.comps
-    dgamma = np.empty((n, n, n, n), dtype=object)  # dgamma[a, l, j, k] = d_a Gamma^l_{jk}
-    for a in range(n):
-        for l in range(n):
-            for j in range(n):
-                for k in range(n):
-                    dgamma[a, l, j, k] = ex.differentiate(gamma[l, j, k], a)
-    out = np.empty((n, n, n, n), dtype=object)
-    zero = ex.const(0.0)
-    for l in range(n):
-        for i in range(n):
-            out[l, i, i, :] = zero
-            for j in range(i + 1, n):
-                for k in range(n):
-                    quad = ex.balanced_sum(
-                        [gamma[l, i, s] * gamma[s, j, k] for s in range(n)]
-                        + [-(gamma[l, j, s] * gamma[s, i, k]) for s in range(n)]
-                    )
-                    out[l, i, j, k] = dgamma[i, l, j, k] - dgamma[j, l, i, k] + quad
-                    out[l, j, i, k] = -out[l, i, j, k]
-    return out
-
-
 def covariant_derivative_endo(conn: ConnectionField, J: EndoField) -> np.ndarray:
     """(nabla_k J)^i_j, indexed [k, i, j]."""
     n = conn.chart.dim
@@ -438,36 +454,35 @@ def torsion(conn: ConnectionField) -> np.ndarray:
     return out
 
 
-def nijenhuis(J: EndoField) -> np.ndarray:
-    """Nijenhuis tensor N^k_{ij} of J, built literally from Lie brackets.
+# ------------------------------------------------------------------
+# Curvature and the Nijenhuis tensor on values at the samples
+# ------------------------------------------------------------------
 
-    Evaluates N(d_i, d_j) = [Jd_i, Jd_j] - J[Jd_i, d_j] - J[d_i, Jd_j]
-    + J^2 [d_i, d_j] with the columns of J treated as vector fields; the
-    partials of the columns are computed once and shared across the pairs
-    ([d_i, d_j] contributes nothing on coordinate fields).
+
+def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R^l_{ijk} from Gamma[m, l, j, k] and dgamma[m, a, l, j, k] = d_a Gamma^l_{jk}.
+
+    Returns [m, l, i, j, k], exactly antisymmetric in (i, j): the half
+    B^l_{ijk} = d_i Gamma^l_{jk} + Gamma^l_{is} Gamma^s_{jk} is built once and
+    R = B - B with i and j swapped.
     """
-    n = J.chart.dim
-    comps = J.comps
-    # dJ[s][k][i] = d_s J^k_i, shared by every bracket below
-    dJ = [
-        [[ex.differentiate(comps[k, i], s) for i in range(n)] for k in range(n)]
-        for s in range(n)
-    ]
-    out = np.empty((n, n, n), dtype=object)
-    zero = ex.const(0.0)
-    for i in range(n):
-        out[:, i, i] = zero
-        for j in range(i + 1, n):
-            for k in range(n):
-                # [Jd_i, Jd_j]^k
-                b1 = ex.balanced_sum(
-                    [comps[s, i] * dJ[s][k][j] for s in range(n)]
-                    + [-(comps[s, j] * dJ[s][k][i]) for s in range(n)]
-                )
-                # J([Jd_i, d_j] + [d_i, Jd_j])^k with [Jd_i, d_j]^s = -d_j J^s_i
-                jb = ex.balanced_sum(
-                    [comps[k, s] * (dJ[i][s][j] - dJ[j][s][i]) for s in range(n)]
-                )
-                out[k, i, j] = b1 - jb
-                out[k, j, i] = -(b1 - jb)
-    return out
+    m, n = gamma.shape[:2]
+    # Gamma^l_{is} Gamma^s_{jk} as one matrix product per sample: rows (l, i), columns (j, k)
+    quad = gamma.reshape(m, n * n, n) @ gamma.reshape(m, n, n * n)
+    half = dgamma.transpose(0, 2, 1, 3, 4) + quad.reshape(m, n, n, n, n)
+    return half - half.transpose(0, 1, 3, 2, 4)
+
+
+def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
+    """N^k_{ij} of an endomorphism field from J[m, k, i] and dJ[m, s, k, i] = d_s J^k_i.
+
+    N^k_{ij} = J^s_i d_s J^k_j - J^s_j d_s J^k_i - J^k_s (d_i J^s_j - d_j J^s_i),
+    the bracket N(d_i, d_j) = [Jd_i, Jd_j] - J[Jd_i, d_j] - J[d_i, Jd_j] on the
+    coordinate fields.  Returns [m, k, i, j], exactly antisymmetric in (i, j).
+    """
+    m, n = J.shape[:2]
+    # both terms indexed [m, i, k, j]: J^s_i d_s J^k_j is J^T times d J with
+    # columns (k, j), and J^k_s d_i J^s_j is J times d_i J for each i
+    first = (np.swapaxes(J, -1, -2) @ dJ.reshape(m, n, n * n)).reshape(m, n, n, n)
+    half = (first - J[:, None] @ dJ).transpose(0, 2, 1, 3)
+    return half - np.swapaxes(half, -1, -2)

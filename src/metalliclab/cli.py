@@ -105,7 +105,7 @@ def _cmd_derive(args) -> int:
             values = ctx.lc_gamma_at[0]
             sys.stdout.write("Gamma^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
         elif args.what == "curvature":
-            values = ctx.at(ctx.riemann(ctx.levi_civita))[0]
+            values = ctx.lc_riemann_at[0]
             sys.stdout.write("R^l_(i j k) [l, i, j, k]:\n" + printer(values) + "\n")
         elif args.what == "nijenhuis":
             values = ctx.NJ_at[0]

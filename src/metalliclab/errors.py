@@ -91,11 +91,3 @@ class ValidationError(MetallicLabError):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-class EvaluationError(MetallicLabError):
-    """A check could not be evaluated; carries the witness point."""
-
-    def __init__(self, message: str, point=None):
-        self.point = None if point is None else tuple(float(v) for v in point)
-        super().__init__(message)

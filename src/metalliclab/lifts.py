@@ -1,22 +1,27 @@
 """Lifted metallic structures on tangent and cotangent bundle charts.
 
 The bundle chart doubles the base chart with fibre coordinates y^1..y^n
-(tangent) or y_1..y_n (cotangent); base-field expressions stay valid there
-since they only reference the first n coordinates.  The lifted structures
-are built by conjugating blockdiag(J, J*) with the horizontal-lift
-morphism and pulling the block metric back, then cross-checked against
-their displayed frame formulas and Nijenhuis expansion.
+(tangent) or y_1..y_n (cotangent).  The lifted structure conjugates
+Jm = blockdiag(J, J^T) with the horizontal-lift morphism, Psi (tangent) or
+Phi (cotangent), and the lifted metric pulls blockdiag(g, g^-1) back by its
+inverse.  Both morphisms are affine in the fibre coordinates, so the lift,
+its metric and the partials of the lift in all 2n coordinates have closed
+forms in the values of g, g^-1, J, Gamma and their first partials at the
+base points (Yano & Ishihara, *Tangent and Cotangent Bundles*, 1973).
+Everything here works on arrays with a leading sample axis m; the lifted
+Nijenhuis tensor and the displayed frame formulas it is checked against
+are array algebra on them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import chart as ch
-from . import expr as ex
 from .errors import DimensionMismatch
 from .metallic import MetallicParams
 
@@ -24,12 +29,8 @@ __all__ = [
     "TANGENT",
     "COTANGENT",
     "LiftedChart",
-    "horizontal_frame",
-    "psi_matrix",
-    "psi_inverse",
-    "phi_matrix",
-    "phi_inverse",
-    "lift_structure",
+    "Lift",
+    "lift",
     "frame_endo_residuals",
     "coordinate_endo_residuals",
     "frame_metric_residuals",
@@ -60,21 +61,6 @@ class LiftedChart:
             raise DimensionMismatch("fibre box must have one interval per coordinate")
         object.__setattr__(self, "fibre_box", fibre_box)
 
-    @property
-    def total(self) -> ch.Chart:
-        n = self.base.dim
-        fibre_names = tuple(f"y{i + 1}" for i in range(n))
-        if set(fibre_names) & set(self.base.names):
-            fibre_names = tuple(f"yy{i + 1}" for i in range(n))
-        return ch.Chart(
-            self.base.names + fibre_names,
-            self.base.box + self.fibre_box,
-            seed=self.base.seed,
-        )
-
-    def fibre_coord(self, k: int) -> ex.Expr:
-        return self.total.coord(self.base.dim + k)
-
     def sample_points(
         self, base_count: int = 32, fibre_per_base: int = 4, seed: int | None = None
     ) -> np.ndarray:
@@ -82,153 +68,97 @@ class LiftedChart:
         if seed is None:
             seed = self.base.seed
         base_points = self.base.sample_points(base_count, seed=seed)
-        rng = np.random.default_rng(seed + 1)
-        n = self.base.dim
-        lo = np.array([b[0] for b in self.fibre_box])
-        hi = np.array([b[1] for b in self.fibre_box])
-        fibre = rng.uniform(lo, hi, size=(base_count * fibre_per_base, n))
+        fibre = self.fibre_points(base_count * fibre_per_base, seed)
         repeated = np.repeat(base_points, fibre_per_base, axis=0)
         return np.hstack([repeated, fibre])
 
+    def fibre_points(self, count: int, seed: int) -> np.ndarray:
+        """The fibre coordinates of :meth:`sample_points`: uniform over the fibre box."""
+        rng = np.random.default_rng(seed + 1)
+        lo = np.array([b[0] for b in self.fibre_box])
+        hi = np.array([b[1] for b in self.fibre_box])
+        return rng.uniform(lo, hi, size=(count, self.base.dim))
 
-def horizontal_frame(lifted: LiftedChart, conn: ch.ConnectionField) -> np.ndarray:
-    """Columns are the horizontal lifts X_i^H in the 2n coordinate frame.
 
-    Tangent:   X_i^H = d_i - y^k Gamma^l_{ik} d/dy^l.
-    Cotangent: X_i^H = d_i + y_k Gamma^k_{il} d/dy_l.
+def _lower_blocks(upper: np.ndarray, lower_left, lower_right) -> np.ndarray:
+    """[[upper, 0], [lower_left, lower_right]] from stacks of n x n blocks."""
+    n = upper.shape[-1]
+    out = np.zeros(upper.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = upper
+    out[..., n:, :n] = lower_left
+    out[..., n:, n:] = lower_right
+    return out
+
+
+class Lift:
+    """The lift of (J, g) at the bundle points (x, y), from values at x.
+
+    ``y`` holds the fibre coordinates [m, k]; the other arrays are the base
+    values at x: g, g^-1 and J [m, i, j], Gamma [m, k, i, j], and the partials
+    dg[m, a, i, j], dJ[m, a, i, j], dgamma[m, a, l, i, j] = d_a Gamma^l_{ij}.
+
+    The morphism is forward = [[I, 0], [L, V]] with the frame
+    X_i^H = d_i + L^l_i d/dy^l:
+    tangent    L^l_i = -y^k Gamma^l_{ik},  V = g^-1  (dx^j -> g^{jk} d/dy^k);
+    cotangent  L^l_i = y_k Gamma^k_{il},   V = I.
+    With W = V^-1 its inverse is backward = [[I, 0], [-W L, W]], and
+    conjugating blockdiag(J, J^T) gives jbar = [[J, 0], [L J - D L, D]] with
+    D = V J^T W; gbar = backward^T blockdiag(g, g^-1) backward.
+
+    ``djbar[m, c, A, B]`` = d_c jbar^A_B over all 2n coordinates is computed
+    on first use: the commutation check needs the values only.
     """
-    n = lifted.base.dim
-    gamma = conn.comps
-    out = np.empty((2 * n, n), dtype=object)
-    for i in range(n):
-        for a in range(n):
-            out[a, i] = ex.const(1.0 if a == i else 0.0)
-        for l in range(n):
-            if lifted.flavor == TANGENT:
-                out[n + l, i] = -ex.balanced_sum(
-                    lifted.fibre_coord(k) * gamma[l, i, k] for k in range(n)
-                )
-            else:
-                out[n + l, i] = ex.balanced_sum(
-                    lifted.fibre_coord(k) * gamma[k, i, l] for k in range(n)
-                )
-    return out
+
+    def __init__(self, flavor, y, g, ginv, J, gamma, dg, dJ, dgamma):
+        n = J.shape[-1]
+        eye = np.broadcast_to(np.eye(n), J.shape)
+        Jt = np.swapaxes(J, -1, -2)
+        # C[m, k, l, i] = d L^l_i / d y_k
+        if flavor == TANGENT:
+            C = -gamma.transpose(0, 3, 1, 2)
+            V, W = ginv, g
+            D = ginv @ Jt @ g
+        else:
+            C = gamma.transpose(0, 1, 3, 2)
+            V = W = eye
+            D = Jt
+        L = np.einsum("mk,mkli->mli", y, C)
+        self.forward = _lower_blocks(eye, L, V)
+        self.backward = _lower_blocks(eye, -(W @ L), W)
+        self.jbar = _lower_blocks(J, L @ J - D @ L, D)
+        ghat = _lower_blocks(g, 0.0, ginv)
+        self.gbar = np.swapaxes(self.backward, -1, -2) @ ghat @ self.backward
+        self._flavor, self._y, self._C, self._L, self._D = flavor, y, C, L, D
+        self._base = (g, ginv, J, dg, dJ, dgamma)
+
+    @cached_property
+    def djbar(self) -> np.ndarray:
+        """L is linear in y and D does not depend on it, so d/dy_k jbar has the
+        one block (d L/dy_k) J - D (d L/dy_k); the base partials follow from
+        those of J, L, V = g^-1 (d g^-1 = -g^-1 dg g^-1) and W."""
+        g, ginv, J, dg, dJ, dgamma = self._base
+        C, L, D = self._C, self._L[:, None], self._D[:, None]
+        m, n = J.shape[0], J.shape[-1]
+        dJt = np.swapaxes(dJ, -1, -2)
+        if self._flavor == TANGENT:
+            dC = -dgamma.transpose(0, 1, 4, 2, 3)
+            dV = -(ginv[:, None] @ dg @ ginv[:, None])
+            Jt = np.swapaxes(J, -1, -2)
+            dD = dV @ (Jt @ g)[:, None] + ginv[:, None] @ dJt @ g[:, None]
+            dD += (ginv @ Jt)[:, None] @ dg
+        else:
+            dC = dgamma.transpose(0, 1, 2, 4, 3)
+            dD = dJt
+        dL = np.einsum("mk,makli->mali", self._y, dC)
+        out = np.zeros((m, 2 * n, 2 * n, 2 * n))
+        out[:, :n] = _lower_blocks(dJ, dL @ J[:, None] + L @ dJ - dD @ L - D @ dL, dD)
+        out[:, n:, n:, :n] = C @ J[:, None] - D @ C
+        return out
 
 
-def psi_matrix(
-    lifted: LiftedChart,
-    conn: ch.ConnectionField,
-    ginv: np.ndarray,
-) -> np.ndarray:
-    """Tangent-flavour morphism: d_i -> X_i^H, dx^j -> g^{jk} d/dy^k."""
-    n = lifted.base.dim
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    out[:, :n] = horizontal_frame(lifted, conn)
-    zero = ex.const(0.0)
-    for j in range(n):
-        for a in range(n):
-            out[a, n + j] = zero
-        for k in range(n):
-            out[n + k, n + j] = ginv[j, k]
-    return out
-
-
-def psi_inverse(
-    lifted: LiftedChart,
-    conn: ch.ConnectionField,
-    g: ch.MetricField,
-) -> np.ndarray:
-    """Closed-form inverse [[I, 0], [-g L, g]] of the block-triangular psi."""
-    n = lifted.base.dim
-    frame = horizontal_frame(lifted, conn)
-    L = frame[n:, :]  # fibre block, L[l, i]
-    gl = ch.mat_mul(g.comps, L)
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    zero = ex.const(0.0)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = ex.const(1.0 if i == j else 0.0)
-            out[i, n + j] = zero
-            out[n + i, j] = -gl[i, j]
-            out[n + i, n + j] = g.comps[i, j]
-    return out
-
-
-def phi_matrix(lifted: LiftedChart, conn: ch.ConnectionField) -> np.ndarray:
-    """Cotangent-flavour morphism: d_i -> X_i^H, dx^j -> d/dy_j."""
-    n = lifted.base.dim
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    out[:, :n] = horizontal_frame(lifted, conn)
-    for j in range(n):
-        for a in range(n):
-            out[a, n + j] = ex.const(0.0)
-        for k in range(n):
-            out[n + k, n + j] = ex.const(1.0 if k == j else 0.0)
-    return out
-
-
-def phi_inverse(lifted: LiftedChart, conn: ch.ConnectionField) -> np.ndarray:
-    n = lifted.base.dim
-    frame = horizontal_frame(lifted, conn)
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    zero = ex.const(0.0)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = ex.const(1.0 if i == j else 0.0)
-            out[i, n + j] = zero
-            out[n + i, j] = -frame[n + i, j]
-            out[n + i, n + j] = ex.const(1.0 if i == j else 0.0)
-    return out
-
-
-def _gen_metallic(J: ch.EndoField) -> np.ndarray:
-    n = J.chart.dim
-    zero = ch.constant_matrix(np.zeros((n, n)))
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    out[:n, :n] = J.comps
-    out[:n, n:] = zero
-    out[n:, :n] = zero
-    out[n:, n:] = J.comps.T
-    return out
-
-
-def lift_structure(
-    lifted: LiftedChart,
-    g: ch.MetricField,
-    J: ch.EndoField,
-    conn: ch.ConnectionField,
-    ginv: np.ndarray | None = None,
-):
-    """Lifted endomorphism and metric on the bundle chart.
-
-    Tangent:   Jbar = Psi Jm Psi^{-1},  gbar = (Psi^{-1})^T ghat Psi^{-1}.
-    Cotangent: same with Phi.
-    """
-    if ginv is None:
-        ginv = ch.inverse_metric(g)
-    n = lifted.base.dim
-    if lifted.flavor == TANGENT:
-        forward = psi_matrix(lifted, conn, ginv)
-        backward = psi_inverse(lifted, conn, g)
-    else:
-        forward = phi_matrix(lifted, conn)
-        backward = phi_inverse(lifted, conn)
-    jm = _gen_metallic(J)
-    jbar = ch.mat_mul(ch.mat_mul(forward, jm), backward)
-    ghat = np.empty((2 * n, 2 * n), dtype=object)
-    zero = ch.constant_matrix(np.zeros((n, n)))
-    ghat[:n, :n] = g.comps
-    ghat[:n, n:] = zero
-    ghat[n:, :n] = zero
-    ghat[n:, n:] = ginv
-    gbar = ch.mat_mul(ch.mat_mul(backward.T, ghat), backward)
-    total = lifted.total
-    return (
-        ch.EndoField(total, jbar),
-        ch.MetricField(total, gbar),
-        forward,
-        backward,
-    )
+def lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma) -> Lift:
+    """The :class:`Lift` of the flavour at the fibre points y over the base values."""
+    return Lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma)
 
 
 # ------------------------------------------------------------------
@@ -321,10 +251,9 @@ def coordinate_metric_residuals(
     return np.concatenate([xx.reshape(m, -1), xv.reshape(m, -1)], axis=1)
 
 
-def nijenhuis_values(jbar: ch.EndoField, points2n: np.ndarray) -> np.ndarray:
-    """Bracket-built Nijenhuis of the lifted endomorphism, [m, A, B, C]."""
-    field = ch.nijenhuis(jbar)
-    return ch.eval_exprs(field, points2n)
+def nijenhuis_values(lifted: Lift) -> np.ndarray:
+    """Nijenhuis tensor of the lifted endomorphism, [m, A, B, C]."""
+    return ch.nijenhuis(lifted.jbar, lifted.djbar)
 
 
 def mixed_display_residual(
@@ -371,14 +300,39 @@ CONVENTION_CANDIDATES = tuple(
 )
 
 
-def _candidate_curvature(R_v: np.ndarray, perm, sign: float) -> np.ndarray:
-    """Candidate reading: displayed R^l_{abc} = sign * house R^l_{perm(abc)}."""
-    return sign * np.einsum(f"ml{''.join(perm)}->mlabc", R_v)
+def _candidate_curvature(R_v: np.ndarray, perm) -> np.ndarray:
+    """Candidate reading: displayed R^l_{abc} = house R^l_{perm(abc)}."""
+    return np.einsum(f"ml{''.join(perm)}->mlabc", R_v)
 
 
 def candidate_label(perm, sign: float) -> str:
     s = "+" if sign > 0 else "-"
     return f"R^l_(a b c) = {s}R_house^l_({' '.join(perm)})"
+
+
+def _displayed_curvature_term(
+    Rc: np.ndarray, J_v: np.ndarray, y: np.ndarray, params: MetallicParams, flavor: str
+) -> np.ndarray:
+    """Vertical part of the displayed N(X_i^H, X_j^H) for the curvature Rc, [m, r, i, j].
+
+    The fibre coordinate is contracted first, into X[m, r, a, b]: y^s Rc^r_{abs}
+    (tangent) or y_l Rc^l_{abr} (cotangent).  With JX the contraction of J^r_l
+    (tangent) or J^l_r (cotangent) into the first index of X, the display is
+    -/+ (J^T X J - J^T JX - JX J + p JX + q X) per first index, J^T and J acting
+    on a and b; each product contracts J with one operand at a time.
+    """
+    if flavor == TANGENT:
+        X = np.einsum("mrabs,ms->mrab", Rc, y)
+        JX = np.einsum("mrl,mlab->mrab", J_v, X)
+        sign = -1.0
+    else:
+        X = np.einsum("ml,mlabr->mrab", y, Rc)
+        JX = np.einsum("mlr,mlab->mrab", J_v, X)
+        sign = 1.0
+    Jt = np.swapaxes(J_v, -1, -2)[:, None]
+    Jb = J_v[:, None]
+    inner = Jt @ (X @ Jb) - Jt @ JX - JX @ Jb + params.p * JX + params.q * X
+    return sign * inner
 
 
 def horizontal_display_match(
@@ -394,36 +348,24 @@ def horizontal_display_match(
     """Match N(X_i^H, X_j^H) against the displayed formula for every candidate
     index/sign placement of the curvature tensor.
 
-    Returns the per-candidate residuals, the matching equivalence classes and
-    the horizontal-part residual (shared by all candidates).
+    The display is linear in the curvature, so each index permutation is
+    evaluated once and its opposite sign is the exact negation.  Returns the
+    per-candidate residuals, the matching equivalence classes and the
+    horizontal-part residual (shared by all candidates).
     """
     n = J_v.shape[-1]
-    actual = np.einsum("mabc,mbi,mcj->maij", N_v, frame_v, frame_v)
+    actual = np.einsum("mabj,mbi->maij", N_v @ frame_v[:, None], frame_v)
     base_expected = np.einsum("mkij,mak->maij", NJ_v, frame_v)
     horiz_gap = actual[:, :n] - base_expected[:, :n]
     vert_gap_common = actual[:, n:] - base_expected[:, n:]
-    p, q = params.p, params.q
+    by_perm = {}
+    for perm in itertools.permutations("abc"):
+        by_perm[perm] = _displayed_curvature_term(
+            _candidate_curvature(R_v, perm), J_v, y, params, flavor
+        )
     results = []
     for perm, sign in CONVENTION_CANDIDATES:
-        Rc = _candidate_curvature(R_v, perm, sign)
-        if flavor == TANGENT:
-            V = (
-                np.einsum("mki,mhj,mrkhs->mrijs", J_v, J_v, Rc)
-                - np.einsum("mrl,mki,mlkjs->mrijs", J_v, J_v, Rc)
-                - np.einsum("mhj,mrl,mlihs->mrijs", J_v, J_v, Rc)
-                + p * np.einsum("mrl,mlijs->mrijs", J_v, Rc)
-                + q * Rc
-            )
-            vert_expected = -np.einsum("ms,mrijs->mrij", y, V)
-        else:
-            W = (
-                np.einsum("mki,mhj,mlkhs->mlijs", J_v, J_v, Rc)
-                - np.einsum("mrs,mki,mlkjr->mlijs", J_v, J_v, Rc)
-                - np.einsum("mrs,mkj,mlikr->mlijs", J_v, J_v, Rc)
-                + p * np.einsum("mks,mlijk->mlijs", J_v, Rc)
-                + q * Rc
-            )
-            vert_expected = np.einsum("ml,mlijs->msij", y, W)
+        vert_expected = by_perm[perm] if sign > 0 else -by_perm[perm]
         gap = vert_gap_common - vert_expected
         results.append(
             {

@@ -13,7 +13,6 @@ from .errors import (
     ComplexDiscriminant,
     DegenerateDiscriminant,
     DimensionMismatch,
-    IncompatiblePair,
     NotAProductStructure,
     NotAProjection,
     ZeroQ,
@@ -233,13 +232,6 @@ def check_metallic_map(
         residual,
         tolerance,
     )
-
-
-def require_compatible(g_at: np.ndarray, J_at: np.ndarray, tolerance: float = 1e-8):
-    gj = g_at @ J_at
-    gap = np.abs(gj - np.swapaxes(gj, -1, -2)).max()
-    if gap > tolerance:
-        raise IncompatiblePair(f"gJ asymmetry {gap:.3e} exceeds {tolerance:g}")
 
 
 def random_compatible_pair(rng: np.random.Generator, n: int, params: MetallicParams):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import weakref
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -75,21 +75,13 @@ class ConnBundle:
         )
 
 
-def _partials(comps: np.ndarray, n: int) -> np.ndarray:
-    """Expr array of d_k comps, indexed [k, *comps.shape]."""
-    out = np.empty((n,) + comps.shape, dtype=object)
-    for k in range(n):
-        for idx in np.ndindex(comps.shape):
-            out[(k,) + idx] = ex.differentiate(comps[idx], k)
-    return out
-
-
 class ScenarioContext:
     """Caches everything the suites share for one scenario run.
 
     The leaf fields (g, J, omega and the connection coefficients) are
-    evaluated at the samples together with the first partials of g and J;
-    every connection-level tensor is computed from those arrays.
+    evaluated at the samples together with their first partials; every
+    connection-level tensor, the curvature, N_J and the lifts are computed
+    from those arrays.
     """
 
     def __init__(
@@ -110,8 +102,6 @@ class ScenarioContext:
             points = self.chart.sample_points(self.samples, seed=self.seed)
         self.points = points
         self._bundles: dict = {}
-        self._riemann: dict = {}
-        self._lifts: dict = {}
 
     def at(self, comps: np.ndarray) -> np.ndarray:
         return ch.eval_exprs(comps, self.points, self.memo)
@@ -133,16 +123,12 @@ class ScenarioContext:
         return np.einsum("mks,msj->mkj", self.J_at, self.J_at)
 
     @cached_property
-    def dJ_exprs(self):
-        return _partials(self.scenario.J.comps, self.chart.dim)
-
-    @cached_property
     def dJ_at(self):
-        return self.at(self.dJ_exprs)
+        return self.at(ch.partials(self.scenario.J.comps, self.chart.dim))
 
     @cached_property
     def dg_at(self):
-        return self.at(_partials(self.scenario.metric.comps, self.chart.dim))
+        return self.at(ch.partials(self.scenario.metric.comps, self.chart.dim))
 
     @cached_property
     def dK_at(self):
@@ -183,20 +169,32 @@ class ScenarioContext:
             self._bundles[key] = ConnBundle(self, gamma)
         return self._bundles[key]
 
-    def riemann(self, conn: ch.ConnectionField) -> np.ndarray:
-        """Curvature Exprs of ``conn``; the one tensor here that needs d Gamma."""
-        key = id(conn)
-        if key not in self._riemann:
-            self._riemann[key] = ch.riemann(conn)
-        return self._riemann[key]
+    @cached_property
+    def lc_dgamma_at(self) -> np.ndarray:
+        """d_a Gamma^l_{jk} of the Levi-Civita connection, [m, a, l, j, k]."""
+        return self.at(ch.partials(self.levi_civita.comps, self.chart.dim))
 
     @cached_property
-    def NJ_exprs(self):
-        return ch.nijenhuis(self.scenario.J)
+    def dgamma_at(self) -> np.ndarray:
+        """Partials of the scenario connection; the Levi-Civita array when it is one."""
+        if self.scenario.connection is None:
+            return self.lc_dgamma_at
+        return self.at(ch.partials(self.conn.comps, self.chart.dim))
+
+    @cached_property
+    def lc_riemann_at(self) -> np.ndarray:
+        return ch.riemann(self.lc_gamma_at, self.lc_dgamma_at)
+
+    @cached_property
+    def riemann_at(self) -> np.ndarray:
+        """Curvature of the scenario connection; the Levi-Civita array when it is one."""
+        if self.scenario.connection is None:
+            return self.lc_riemann_at
+        return ch.riemann(self.gamma_at, self.dgamma_at)
 
     @cached_property
     def NJ_at(self):
-        return self.at(self.NJ_exprs)
+        return ch.nijenhuis(self.J_at, self.dJ_at)
 
     @cached_property
     def gen_jets(self) -> dict:
@@ -210,7 +208,7 @@ class ScenarioContext:
         }
         n = self.chart.dim
         return {
-            label: (self.at(comps), self.at(_partials(comps, n)))
+            label: (self.at(comps), self.at(ch.partials(comps, n)))
             for label, comps in fields.items()
         }
 
@@ -229,15 +227,6 @@ class ScenarioContext:
             self.g_at, self.ginv_at, self.J_at, self.params, self.omega_at
         )
         return self.lc_gamma_at + F
-
-    def lift(self, flavor: str):
-        if flavor not in self._lifts:
-            lifted = lf.LiftedChart(self.chart, flavor)
-            jbar, gbar, forward, backward = lf.lift_structure(
-                lifted, self.scenario.metric, self.scenario.J, self.conn, self.ginv_exprs
-            )
-            self._lifts[flavor] = (lifted, jbar, gbar, forward, backward)
-        return self._lifts[flavor]
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
@@ -333,7 +322,7 @@ def suite_core(ctx: ScenarioContext) -> list:
     _guard(checks, "core/levi-civita-metric-parallel", "nabla g = 0", tol, koszul)
 
     def bianchi():
-        R = ctx.at(ctx.riemann(ctx.levi_civita))
+        R = ctx.lc_riemann_at
         cyc = R + np.einsum("mljki->mlijk", R) + np.einsum("mlkij->mlijk", R)
         return _check(
             "core/bianchi-first",
@@ -884,198 +873,226 @@ def suite_karaman(ctx: ScenarioContext) -> list:
 # ------------------------------------------------------------------
 
 
+def _lift_inputs(ctx: ScenarioContext) -> dict:
+    """The values at the base samples that lf.lift takes, by its parameter names."""
+    names = ("g", "ginv", "J", "gamma", "dg", "dJ", "dgamma")
+    return {name: getattr(ctx, f"{name}_at") for name in names}
+
+
+def _horizontal_display(cid: str, match: dict, R_at: np.ndarray) -> CheckResult:
+    """Resolve the curvature index convention from the candidate residuals."""
+    flat = float(np.abs(R_at).max()) < 1e-10
+    matching = [c for c in match["candidates"] if c["residual"] <= TOL_CONVENTION]
+    classes: list = []
+    for cand in matching:
+        for cls in classes:
+            if np.allclose(cand["expected"], cls["expected"], rtol=0.0, atol=1e-13):
+                cls["labels"].append(cand["label"])
+                break
+        else:
+            classes.append(
+                {
+                    "labels": [cand["label"]],
+                    "expected": cand["expected"],
+                    "residual": cand["residual"],
+                }
+            )
+    best = min(match["candidates"], key=lambda c: c["residual"])
+    slots = sorted({c["argument_slot"] for c in matching})
+    # a full resolution is a single matching class holding just the
+    # antisymmetry-equivalent pair; when the displayed curvature
+    # combination vanishes on the scenario the sign is undecidable and
+    # only the argument-slot placement can be pinned down
+    if flat:
+        convention = "indeterminate (flat connection)"
+    elif not classes:
+        convention = "none matched"
+    elif len(classes) == 1 and len(classes[0]["labels"]) <= 2:
+        convention = next(
+            (l for l in sorted(classes[0]["labels"]) if "= +" in l),
+            sorted(classes[0]["labels"])[0],
+        )
+    elif slots == [3]:
+        convention = (
+            "argument slot 3 (pair first); sign undetermined here "
+            "(curvature combination vanishes)"
+        )
+    else:
+        convention = "indeterminate (curvature term vanishes)"
+    residual = float(max(match["horizontal_residual"], best["residual"]))
+    return CheckResult(
+        cid,
+        "N on horizontal pairs matches the displayed curvature formula "
+        "for a resolved index convention",
+        residual,
+        TOL_CONVENTION,
+        details={
+            "resolved_convention": convention,
+            "matching_classes": [sorted(c["labels"]) for c in classes],
+            "matching_argument_slots": slots,
+            "candidate_residuals": {
+                c["label"]: c["residual"] for c in match["candidates"]
+            },
+        },
+    )
+
+
 def suite_lifts(ctx: ScenarioContext, flavor: str) -> list:
+    """The lifted structure at FIBRE_PER_BASE fibre points over each base sample.
+
+    Every check is guarded on its own, and the lift and its Nijenhuis tensor
+    are computed on first use, so an error in either fails each check that
+    needs it and no declared id goes missing.
+    """
     checks: list = []
     tol = ctx.tol
     prefix = f"lifts-{flavor}"
-    lifted, jbar, gbar, forward, backward = ctx.lift(flavor)
     n = ctx.chart.dim
-    pts2 = lifted.sample_points(ctx.samples, FIBRE_PER_BASE, seed=ctx.seed)
-    memo2: dict = {}
-    y = pts2[:, n:]
     params = ctx.params
-
-    jbar_at = jbar.eval(pts2, memo2)
-    gbar_at = gbar.eval(pts2, memo2)
-    conn = ctx.conn
-    frame = lf.horizontal_frame(lifted, conn)
-    frame_at = ch.eval_exprs(frame, pts2, memo2)
-    g_at = ch.eval_exprs(ctx.scenario.metric.comps, pts2, memo2)
-    ginv_at = ch.eval_exprs(ctx.ginv_exprs, pts2, memo2)
-    J_at = ch.eval_exprs(ctx.scenario.J.comps, pts2, memo2)
-    gamma_at = ch.eval_exprs(conn.comps, pts2, memo2)
-
+    y = lf.LiftedChart(ctx.chart, flavor).fibre_points(
+        ctx.points.shape[0] * FIBRE_PER_BASE, ctx.seed
+    )
+    pts2 = np.hstack([np.repeat(ctx.points, FIBRE_PER_BASE, axis=0), y])
     eye2 = np.eye(2 * n)
-    checks.append(
-        _check(
+
+    def repeated(values: np.ndarray) -> np.ndarray:
+        return np.repeat(values, FIBRE_PER_BASE, axis=0)
+
+    @cache
+    def base() -> dict:
+        return {name: repeated(values) for name, values in _lift_inputs(ctx).items()}
+
+    @cache
+    def lifted() -> lf.Lift:
+        return lf.lift(flavor, y, **base())
+
+    @cache
+    def N_at() -> np.ndarray:
+        return lf.nijenhuis_values(lifted())
+
+    def frame() -> np.ndarray:
+        return lifted().forward[:, :, :n]
+
+    def metallic():
+        jbar = lifted().jbar
+        return _check(
             f"{prefix}/metallic-equation",
             "lifted structure satisfies J^2 = p J + q I",
-            jbar_at @ jbar_at - params.p * jbar_at - params.q * eye2,
+            jbar @ jbar - params.p * jbar - params.q * eye2,
             pts2,
             tol,
         )
-    )
-    gj = gbar_at @ jbar_at
-    checks.append(
-        _check(
+
+    def compatibility():
+        gj = lifted().gbar @ lifted().jbar
+        return _check(
             f"{prefix}/compatibility",
             "lifted metric is compatible with the lifted structure",
             gj - np.swapaxes(gj, -1, -2),
             pts2,
             tol,
         )
-    )
-    checks.append(
-        _check(
+
+    def frame_endo():
+        return _check(
             f"{prefix}/frame-endo-display",
             "lifted structure acts on the horizontal/vertical frame as displayed",
-            lf.frame_endo_residuals(jbar_at, frame_at, J_at, flavor),
+            lf.frame_endo_residuals(lifted().jbar, frame(), base()["J"], flavor),
             pts2,
             tol,
         )
-    )
-    checks.append(
-        _check(
+
+    def coordinate_endo():
+        b = base()
+        return _check(
             f"{prefix}/coordinate-endo-display",
             "lifted structure acts on the coordinate fields as displayed",
-            lf.coordinate_endo_residuals(jbar_at, J_at, gamma_at, y, flavor),
+            lf.coordinate_endo_residuals(lifted().jbar, b["J"], b["gamma"], y, flavor),
             pts2,
             tol,
         )
-    )
-    checks.append(
-        _check(
+
+    def metric_frame():
+        b = base()
+        return _check(
             f"{prefix}/metric-frame-components",
             "lifted metric has the displayed frame components",
-            lf.frame_metric_residuals(gbar_at, frame_at, g_at, ginv_at, flavor),
+            lf.frame_metric_residuals(lifted().gbar, frame(), b["g"], b["ginv"], flavor),
             pts2,
             tol,
         )
-    )
-    checks.append(
-        _check(
+
+    def metric_coordinate():
+        b = base()
+        return _check(
             f"{prefix}/metric-coordinate-displays",
             "corrected reading of the coordinate metric displays (informative)",
-            lf.coordinate_metric_residuals(gbar_at, g_at, ginv_at, gamma_at, y, flavor),
+            lf.coordinate_metric_residuals(
+                lifted().gbar, b["g"], b["ginv"], b["gamma"], y, flavor
+            ),
             pts2,
             tol,
             gating=False,
         )
-    )
 
-    def nijenhuis_checks():
-        N_at = lf.nijenhuis_values(jbar, pts2)
-        DJ_at = gc.nabla_endo(gamma_at, J_at, ch.eval_exprs(ctx.dJ_exprs, pts2, memo2))
-        NJ_at = ch.eval_exprs(ctx.NJ_exprs, pts2, memo2)
-        R_at = ch.eval_exprs(ctx.riemann(conn), pts2, memo2)
-        out = []
-        out.append(
-            _check(
-                f"{prefix}/nijenhuis-vertical-vertical",
-                "N vanishes on pairs of vertical fields",
-                N_at[:, :, n:, n:],
-                pts2,
-                tol,
-            )
+    def vertical_vertical():
+        return _check(
+            f"{prefix}/nijenhuis-vertical-vertical",
+            "N vanishes on pairs of vertical fields",
+            N_at()[:, :, n:, n:],
+            pts2,
+            tol,
         )
+
+    def mixed_display():
+        DJ_at = repeated(ctx.bundle(ctx.gamma_at).nabla_J_at)
+        args = (N_at(), frame(), base()["J"], DJ_at, flavor)
         mixed = _check(
             f"{prefix}/nijenhuis-mixed-display",
             "N on horizontal/vertical pairs matches the displayed formula",
-            lf.mixed_display_residual(N_at, frame_at, J_at, DJ_at, flavor),
+            lf.mixed_display_residual(*args),
             pts2,
             tol,
         )
         if flavor == lf.COTANGENT:
-            literal = lf.mixed_display_residual(
-                N_at, frame_at, J_at, DJ_at, flavor, literal=True
-            )
+            literal = lf.mixed_display_residual(*args, literal=True)
             mixed.details["literal_display_residual"] = float(np.abs(literal).max())
-        out.append(mixed)
-        match = lf.horizontal_display_match(
-            N_at, frame_at, J_at, NJ_at, R_at, y, params, flavor
-        )
-        flat = float(np.abs(R_at).max()) < 1e-10
-        matching = [c for c in match["candidates"] if c["residual"] <= TOL_CONVENTION]
-        classes: list = []
-        for cand in matching:
-            for cls in classes:
-                if np.allclose(
-                    cand["expected"], cls["expected"], rtol=0.0, atol=1e-13
-                ):
-                    cls["labels"].append(cand["label"])
-                    break
-            else:
-                classes.append(
-                    {
-                        "labels": [cand["label"]],
-                        "expected": cand["expected"],
-                        "residual": cand["residual"],
-                    }
-                )
-        best = min(match["candidates"], key=lambda c: c["residual"])
-        slots = sorted({c["argument_slot"] for c in matching})
-        # a full resolution is a single matching class holding just the
-        # antisymmetry-equivalent pair; when the displayed curvature
-        # combination vanishes on the scenario the sign is undecidable and
-        # only the argument-slot placement can be pinned down
-        if flat:
-            convention = "indeterminate (flat connection)"
-        elif not classes:
-            convention = "none matched"
-        elif len(classes) == 1 and len(classes[0]["labels"]) <= 2:
-            convention = next(
-                (l for l in sorted(classes[0]["labels"]) if "= +" in l),
-                sorted(classes[0]["labels"])[0],
-            )
-        elif slots == [3]:
-            convention = (
-                "argument slot 3 (pair first); sign undetermined here "
-                "(curvature combination vanishes)"
-            )
-        else:
-            convention = "indeterminate (curvature term vanishes)"
-        residual = float(
-            max(match["horizontal_residual"], best["residual"])
-        )
-        result = CheckResult(
-            f"{prefix}/nijenhuis-horizontal-display",
-            "N on horizontal pairs matches the displayed curvature formula "
-            "for a resolved index convention",
-            residual,
-            TOL_CONVENTION,
-            details={
-                "resolved_convention": convention,
-                "matching_classes": [sorted(c["labels"]) for c in classes],
-                "matching_argument_slots": slots,
-                "candidate_residuals": {
-                    c["label"]: c["residual"] for c in match["candidates"]
-                },
-            },
-        )
-        out.append(result)
-        out.append(
-            _check(
-                f"{prefix}/nijenhuis-vanishes",
-                "the lifted structure is integrable (N = 0)",
-                N_at,
-                pts2,
-                tol,
-            )
-        )
-        return out
+        return mixed
 
-    try:
-        checks.extend(nijenhuis_checks())
-    except DomainError as err:
-        checks.append(
-            CheckResult(
-                f"{prefix}/nijenhuis-vertical-vertical",
-                "N of the lifted structure",
-                float("inf"),
-                tol,
-                witness=err.point,
-            )
+    def horizontal_display():
+        R_at = repeated(ctx.riemann_at)
+        match = lf.horizontal_display_match(
+            N_at(), frame(), base()["J"], repeated(ctx.NJ_at), R_at, y, params, flavor
         )
+        return _horizontal_display(f"{prefix}/nijenhuis-horizontal-display", match, R_at)
+
+    def vanishes():
+        return _check(
+            f"{prefix}/nijenhuis-vanishes",
+            "the lifted structure is integrable (N = 0)",
+            N_at(),
+            pts2,
+            tol,
+        )
+
+    for name, anchor, check_tol, fn in (
+        ("metallic-equation", "lifted J^2 = pJ + qI", tol, metallic),
+        ("compatibility", "lifted compatibility", tol, compatibility),
+        ("frame-endo-display", "frame action", tol, frame_endo),
+        ("coordinate-endo-display", "coordinate action", tol, coordinate_endo),
+        ("metric-frame-components", "metric frame components", tol, metric_frame),
+        ("metric-coordinate-displays", "metric coordinate displays", tol, metric_coordinate),
+        ("nijenhuis-vertical-vertical", "N on vertical pairs", tol, vertical_vertical),
+        ("nijenhuis-mixed-display", "N on mixed pairs", tol, mixed_display),
+        (
+            "nijenhuis-horizontal-display",
+            "N on horizontal pairs",
+            TOL_CONVENTION,
+            horizontal_display,
+        ),
+        ("nijenhuis-vanishes", "N of the lifted structure", tol, vanishes),
+    ):
+        _guard(checks, f"{prefix}/{name}", anchor, check_tol, fn)
 
     return checks
 
@@ -1090,27 +1107,21 @@ def suite_commutation(ctx: ScenarioContext) -> list:
     tol = ctx.tol
 
     def commutation():
-        lifted_t, jbar, _, _, _ = ctx.lift(lf.TANGENT)
-        lifted_c, jtilde, _, _, _ = ctx.lift(lf.COTANGENT)
-        conn = ctx.conn
-        psi = lf.psi_matrix(lifted_t, conn, ctx.ginv_exprs)
-        phi = lf.phi_matrix(lifted_c, conn)
         base = ctx.points
         rng = np.random.default_rng(ctx.seed + 404)
         yv = rng.uniform(-1.0, 1.0, size=base.shape)
         eta = np.einsum("mij,mj->mi", ctx.g_at, yv)
-        pts_t = np.hstack([base, yv])
-        pts_c = np.hstack([base, eta])
-        psi_at = ch.eval_exprs(psi, pts_t)
-        jbar_at = jbar.eval(pts_t)
-        phi_at = ch.eval_exprs(phi, pts_c)
-        jtilde_at = jtilde.eval(pts_c)
-        res = lf.commutation_residual(psi_at, phi_at, jbar_at, jtilde_at)
+        inputs = _lift_inputs(ctx)
+        tangent = lf.lift(lf.TANGENT, yv, **inputs)
+        cotangent = lf.lift(lf.COTANGENT, eta, **inputs)
+        res = lf.commutation_residual(
+            tangent.forward, cotangent.forward, tangent.jbar, cotangent.jbar
+        )
         return _check(
             "commutation/jm-lift-intertwine",
             "the tangent and cotangent lifts are intertwined by Psi Phi^{-1}",
             res,
-            pts_t,
+            np.hstack([base, yv]),
             tol,
         )
 

@@ -25,6 +25,12 @@ def scenario_path(name: str) -> pathlib.Path:
     return SCENARIO_DIR / f"{name}.json"
 
 
+def jet(comps, pts):
+    """Values and first partials d_k of an Expr array at the points, [m, k, ...]."""
+    comps = np.asarray(comps, dtype=object)
+    return ch.eval_exprs(comps, pts), ch.eval_exprs(ch.partials(comps, pts.shape[1]), pts)
+
+
 @pytest.fixture(scope="session")
 def corpus_reports():
     """Every corpus scenario run once, shared across the whole session."""

@@ -104,6 +104,61 @@ def fd_nijenhuis(J: ch.EndoField, x, h=1e-5):
     return N
 
 
+def lifted_jbar(g: ch.MetricField, J: ch.EndoField, flavor, z, connection=None, h=1e-3):
+    """The lifted endomorphism at the bundle point z = (x, y), with numpy only.
+
+    Forms the morphism column by column from the evaluated leaf values: the
+    horizontal lifts X_i^H and the vertical images g^{jk} d/dy^k (tangent) or
+    d/dy_j (cotangent).  Gamma is ``fd_christoffel`` at step ``h`` or, for an
+    explicit ``connection``, its entries; the inverse is ``np.linalg.inv``.
+    """
+    z = np.asarray(z, dtype=float)
+    n = len(z) // 2
+    x, y = z[:n], z[n:]
+    gv = ch.eval_exprs(g.comps, x.reshape(1, -1))[0]
+    Jv = ch.eval_exprs(J.comps, x.reshape(1, -1))[0]
+    if connection is None:
+        gamma = fd_christoffel(g, x, h)
+    else:
+        gamma = ch.eval_exprs(connection.comps, x.reshape(1, -1))[0]
+    P = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        P[i, i] = 1.0
+        for l in range(n):
+            if flavor == "tangent":
+                P[n + l, i] = -sum(y[k] * gamma[l, i, k] for k in range(n))
+            else:
+                P[n + l, i] = sum(y[k] * gamma[k, i, l] for k in range(n))
+    P[n:, n:] = np.linalg.inv(gv) if flavor == "tangent" else np.eye(n)
+    jm = np.zeros((2 * n, 2 * n))
+    jm[:n, :n] = Jv
+    jm[n:, n:] = Jv.T
+    return P @ jm @ np.linalg.inv(P)
+
+
+def fd_lifted_nijenhuis(g, J, flavor, z, connection=None, h=1e-5):
+    """N^C_{AB} of the lifted endomorphism at z, [C, A, B], from the bracket
+    N(e_A, e_B) = [J e_A, J e_B] - J[J e_A, e_B] - J[e_A, J e_B] on the
+    coordinate fields, with central differences in all 2n coordinates."""
+    z = np.asarray(z, dtype=float)
+    size = len(z)
+
+    def jbar_at(p):
+        return lifted_jbar(g, J, flavor, p, connection)
+
+    Jv = jbar_at(z)
+    dcols = [fd_partial(jbar_at, z, k, h) for k in range(size)]  # dcols[k][:, a]
+    N = np.zeros((size, size, size))
+    for a in range(size):
+        for b in range(size):
+            bracket = sum(
+                Jv[s, a] * dcols[s][:, b] - Jv[s, b] * dcols[s][:, a] for s in range(size)
+            )
+            # [J e_a, e_b] = -d_b (J e_a) and [e_a, J e_b] = d_a (J e_b)
+            N[:, a, b] = bracket + Jv @ dcols[b][:, a] - Jv @ dcols[a][:, b]
+    return N
+
+
 def random_expr(rng, names, depth=3):
     """A random expression over the coordinates, safe on positive domains."""
     if depth == 0 or rng.random() < 0.25:

@@ -6,6 +6,7 @@ from metalliclab import expr as ex
 from metalliclab import genconn as gc
 from metalliclab.errors import DimensionMismatch, SingularMetric
 
+from conftest import jet
 from helpers import fd_christoffel, fd_nijenhuis, fd_riemann
 
 
@@ -44,6 +45,51 @@ def test_sample_points_deterministic_and_in_box():
     assert (a[:, 1] >= 0.1).all() and (a[:, 1] <= 1.0).all()
     other = c.sample_points(32, seed=99)
     assert not (a == other).all()
+
+
+# scrambled Halton points on the unit box, as scipy.stats.qmc.Halton(d,
+# scramble=True, seed=seed).random(m) gives them
+HALTON_TABLE = {
+    (2, 4, 7): [
+        [0.10224233015287731, 0.9346983862017634],
+        [0.6022423301528773, 0.2680317195350967],
+        [0.3522423301528773, 0.6013650528684301],
+        [0.8522423301528773, 0.7124761639795413],
+    ],
+    (3, 3, 0): [
+        [0.0991217798843752, 0.05391376185363979, 0.30077622909743845],
+        [0.5991217798843752, 0.7205804285203065, 0.7007762290974384],
+        [0.3491217798843752, 0.38724709518697303, 0.1007762290974384],
+    ],
+    (5, 2, 11): [
+        [0.8638207929137475, 0.29917133044508865, 0.35947120653882325,
+         0.3166475620669352, 0.13639123474530673],
+        [0.36382079291374747, 0.6325046637784222, 0.9594712065388233,
+         0.6023618477812208, 0.31820941656348856],
+    ],
+}
+
+
+def _names(d):
+    return tuple(f"x{i + 1}" for i in range(d))
+
+
+@pytest.mark.parametrize("d, m, seed", sorted(HALTON_TABLE))
+def test_sample_points_match_a_frozen_halton_table(d, m, seed):
+    c = ch.Chart(_names(d), ((0.0, 1.0),) * d)
+    assert c.sample_points(m, seed=seed).tolist() == HALTON_TABLE[d, m, seed]
+
+
+def test_sample_points_equal_scipy_halton_bit_for_bit():
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    for d in (2, 3, 6, 12):
+        box = tuple((-0.5 - k, 1.25 + 0.5 * k) for k in range(d))
+        c = ch.Chart(_names(d), box)
+        lo, hi = [b[0] for b in box], [b[1] for b in box]
+        for seed in (0, 7, 1234):
+            for m in (1, 5, 32, 300):
+                expected = qmc.scale(qmc.Halton(d=d, scramble=True, seed=seed).random(m), lo, hi)
+                assert np.array_equal(c.sample_points(m, seed=seed), expected), (d, seed, m)
 
 
 def test_identity_metric_has_zero_christoffel():
@@ -101,29 +147,27 @@ def test_flat_metrics_have_zero_curvature():
     c = make_chart()
     for rows in ([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "x1^2"]]):
         g = metric_from_strings(c, rows)
-        R = ch.riemann(ch.christoffel(g))
-        values = ch.eval_exprs(R, c.sample_points(16))
+        values = ch.riemann(*jet(ch.christoffel(g).comps, c.sample_points(16)))
         assert np.abs(values).max() < 1e-9
 
 
 def test_sphere_curvature_value_and_fd_oracle(sphere_chart, sphere_metric):
     conn = ch.christoffel(sphere_metric)
-    R = ch.riemann(conn)
     pts = sphere_chart.sample_points(12)
-    values = ch.eval_exprs(R, pts)
+    values = ch.riemann(*jet(conn.comps, pts))
     # R(d_1, d_2)d_2 = sin^2(x1) d_1 in the house convention
     assert np.abs(values[:, 0, 0, 1, 1] - np.sin(pts[:, 0]) ** 2).max() < 1e-12
     # antisymmetry in the first two lower slots
     assert np.abs(values + values.transpose(0, 1, 3, 2, 4)).max() == 0.0
     for p in pts[:6]:
         oracle = fd_riemann(conn, p)
-        got = ch.eval_exprs(R, p.reshape(1, -1))[0]
+        got = ch.riemann(*jet(conn.comps, p.reshape(1, -1)))[0]
         assert np.abs(got - oracle).max() < 1e-6
 
 
 def test_first_bianchi_identity(sphere_chart, sphere_metric):
-    R = ch.riemann(ch.christoffel(sphere_metric))
-    values = ch.eval_exprs(R, sphere_chart.sample_points(16))
+    conn = ch.christoffel(sphere_metric)
+    values = ch.riemann(*jet(conn.comps, sphere_chart.sample_points(16)))
     cyc = (
         values
         + np.einsum("mljki->mlijk", values)
@@ -234,7 +278,7 @@ def test_torsion():
 def test_nijenhuis_constant_endo_vanishes():
     c = make_chart()
     J = endo_from_strings(c, [["2", "1"], ["0.5", "3"]])
-    values = ch.eval_exprs(ch.nijenhuis(J), c.sample_points(8))
+    values = ch.nijenhuis(*jet(J.comps, c.sample_points(8)))
     assert np.abs(values).max() == 0.0
 
 
@@ -248,17 +292,16 @@ def test_nijenhuis_against_finite_difference_oracle():
     pts = c.sample_points(20)
     for rows in fields:
         J = endo_from_strings(c, rows)
-        N = ch.nijenhuis(J)
         for p in pts:
             oracle = fd_nijenhuis(J, p)
-            got = ch.eval_exprs(N, p.reshape(1, -1))[0]
+            got = ch.nijenhuis(*jet(J.comps, p.reshape(1, -1)))[0]
             assert np.abs(got - oracle).max() < 1e-8
 
 
 def test_nijenhuis_antisymmetry():
     c = make_chart()
     J = endo_from_strings(c, [["x1*x2", "x2^2"], ["1", "x1 + x2"]])
-    values = ch.eval_exprs(ch.nijenhuis(J), c.sample_points(12))
+    values = ch.nijenhuis(*jet(J.comps, c.sample_points(12)))
     assert np.abs(values + values.transpose(0, 1, 3, 2)).max() == 0.0
 
 
@@ -274,7 +317,7 @@ def test_nijenhuis_covariant_identity_any_connection():
         gamma[idx] = ex.const(c0) + ex.const(c1) * c.coord(idx[1])
     conn = ch.ConnectionField(c, gamma)
     pts = c.sample_points(16)
-    NJ = ch.eval_exprs(ch.nijenhuis(J), pts)
+    NJ = ch.nijenhuis(*jet(J.comps, pts))
     DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts)
     T = ch.eval_exprs(ch.torsion(conn), pts)
     Jv = ch.eval_exprs(J.comps, pts)

@@ -1,5 +1,5 @@
-"""Every suite that works on arrays at the samples runs at every dimension the
-schema accepts, on seeded synthetic charts with a diagonal metric."""
+"""Every suite runs at every dimension the schema accepts, on seeded
+synthetic charts with a diagonal metric."""
 
 import json
 import time
@@ -10,7 +10,15 @@ import pytest
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import run_suites
 
-SUITES = ("core", "genbundle", "genconn", "karaman", "commutation")
+SUITES = (
+    "core",
+    "genbundle",
+    "genconn",
+    "karaman",
+    "lifts-tangent",
+    "lifts-cotangent",
+    "commutation",
+)
 SAMPLES = 16
 BUDGET_S = 30.0
 
@@ -63,8 +71,21 @@ DECLARED = {
         "dhat-ghat-parallel",
         "random-omega-sweep",
     ),
+    "lifts-tangent": (
+        "metallic-equation",
+        "compatibility",
+        "frame-endo-display",
+        "coordinate-endo-display",
+        "metric-frame-components",
+        "metric-coordinate-displays",
+        "nijenhuis-vertical-vertical",
+        "nijenhuis-mixed-display",
+        "nijenhuis-horizontal-display",
+        "nijenhuis-vanishes",
+    ),
     "commutation": ("jm-lift-intertwine",),
 }
+DECLARED["lifts-cotangent"] = DECLARED["lifts-tangent"]
 
 # checks that hold for every metallic Riemannian pair and every 1-form; the
 # others depend on nabla J = 0 or on integrability
@@ -86,6 +107,12 @@ IDENTITIES = (
     "karaman/torsion-j-commutation",
     "karaman/phi-torsion-vanishes",
     "karaman/dhat-ghat-parallel",
+    *(
+        f"{suite}/{name}"
+        for suite in ("lifts-tangent", "lifts-cotangent")
+        for name in DECLARED[suite]
+        if name not in ("metric-coordinate-displays", "nijenhuis-vanishes")
+    ),
     "commutation/jm-lift-intertwine",
 )
 

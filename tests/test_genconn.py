@@ -311,7 +311,7 @@ def test_gen_nijenhuis_vector_pairs_reduce_to_base_nijenhuis(sphere_chart, spher
     )
     conn = ch.christoffel(sphere_metric)
     pts = c.sample_points(10)
-    NJ = ch.eval_exprs(ch.nijenhuis(J), pts)
+    NJ = ch.nijenhuis(*jet(J.comps, pts))
     assert np.abs(NJ).max() > 1e-2
     values = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(J), pts))[:, :, 0, 1]
     assert np.abs(values[:, :2] - NJ[:, :, 0, 1]).max() < 1e-10
@@ -354,7 +354,7 @@ def _condition_inputs(c, g, J, conn, pts):
         DJ=ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts, memo),
         DK=ch.eval_exprs(ch.covariant_derivative_endo(conn, K), pts, memo),
         T=ch.eval_exprs(ch.torsion(conn), pts, memo),
-        NJ=ch.eval_exprs(ch.nijenhuis(J), pts, memo),
+        NJ=ch.nijenhuis(*jet(J.comps, pts)),
     )
 
 
@@ -409,7 +409,7 @@ def test_covariant_identity_with_both_connections(
 ):
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     pts = c.sample_points(16)
-    NJ = ch.eval_exprs(ch.nijenhuis(J), pts)
+    NJ = ch.nijenhuis(*jet(J.comps, pts))
     Jv = ch.eval_exprs(J.comps, pts)
     lc = ch.christoffel(g)
     omega = ch.OneFormField(c, np.array([c.parse("x2"), c.parse("x1")], dtype=object))

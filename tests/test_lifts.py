@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from metalliclab import chart as ch
+from metalliclab import expr as ex
 from metalliclab import lifts as lf
+from metalliclab.errors import DomainError
 from metalliclab.metallic import MetallicParams, from_projection
+from metalliclab.scenario import load_scenario
+from metalliclab.suites import ScenarioContext, run_suites
+
+from conftest import CORPUS, jet, scenario_path
+from helpers import fd_lifted_nijenhuis, fd_partial, lifted_jbar
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PARAMS = MetallicParams(1.0, 1.0)
@@ -33,6 +40,17 @@ def warped_setup():
     return c, g, J, ch.christoffel(g)
 
 
+def lift_at(c, g, J, conn, flavor, pts):
+    """The array lift at the 2n points ``pts`` from the leaf jets at their base points."""
+    n = c.dim
+    base = pts[:, :n]
+    g_at, dg = jet(g.comps, base)
+    J_at, dJ = jet(J.comps, base)
+    gamma, dgamma = jet(conn.comps, base)
+    ginv = ch.eval_exprs(ch.inverse_metric(g), base)
+    return lf.lift(flavor, pts[:, n:], g_at, ginv, J_at, gamma, dg, dJ, dgamma)
+
+
 def test_lifted_chart_samples():
     c, g, J, conn = flat_setup()
     lifted = lf.LiftedChart(c, lf.TANGENT)
@@ -46,12 +64,18 @@ def test_lifted_chart_samples():
         lf.LiftedChart(c, "sideways")
 
 
+def test_fibre_points_are_the_fibre_part_of_the_samples():
+    c, *_ = flat_setup()
+    lifted = lf.LiftedChart(c, lf.COTANGENT)
+    pts = lifted.sample_points(8, 4, seed=3)
+    assert (lifted.fibre_points(32, 3) == pts[:, 2:]).all()
+
+
 def test_horizontal_frame_zero_connection_is_coordinate_frame():
     c, g, J, conn = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        frame = lf.horizontal_frame(lifted, conn)
-        values = ch.eval_exprs(frame, lifted.sample_points(4, 2))
+        values = lift_at(c, g, J, conn, flavor, lifted.sample_points(4, 2)).forward[:, :, :2]
         expected = np.zeros_like(values)
         expected[:, 0, 0] = 1.0
         expected[:, 1, 1] = 1.0
@@ -64,45 +88,36 @@ def test_horizontal_frame_formulas_on_sphere(sphere_setup):
     gamma = ch.eval_exprs(conn.comps, pts_t)
     y = pts_t[:, 2:]
 
-    tangent = ch.eval_exprs(
-        lf.horizontal_frame(lf.LiftedChart(c, lf.TANGENT), conn), pts_t
-    )
+    tangent = lift_at(c, g, J, conn, lf.TANGENT, pts_t).forward[:, :, :2]
     # fibre component l of X_i^H is -y^k Gamma^l_{ik}
     expected = -np.einsum("mk,mlik->mli", y, gamma)
     assert np.abs(tangent[:, 2:, :] - expected).max() < 1e-14
 
-    cotangent = ch.eval_exprs(
-        lf.horizontal_frame(lf.LiftedChart(c, lf.COTANGENT), conn), pts_t
-    )
+    cotangent = lift_at(c, g, J, conn, lf.COTANGENT, pts_t).forward[:, :, :2]
     expected_c = np.einsum("mk,mkil->mli", y, gamma)
     assert np.abs(cotangent[:, 2:, :] - expected_c).max() < 1e-14
 
 
 def test_morphism_matrices_invertible(sphere_setup):
     c, g, J, conn = sphere_setup
-    ginv = ch.inverse_metric(g)
     lifted_t = lf.LiftedChart(c, lf.TANGENT)
-    lifted_c = lf.LiftedChart(c, lf.COTANGENT)
     pts = lifted_t.sample_points(8, 2, seed=4)
-    psi = ch.eval_exprs(lf.psi_matrix(lifted_t, conn, ginv), pts)
-    phi = ch.eval_exprs(lf.phi_matrix(lifted_c, conn), pts)
+    tangent = lift_at(c, g, J, conn, lf.TANGENT, pts)
+    cotangent = lift_at(c, g, J, conn, lf.COTANGENT, pts)
+    psi, phi = tangent.forward, cotangent.forward
     g_at = ch.eval_exprs(g.comps, pts)
     # block-triangular determinant: det psi = det g^{-1} != 0; det phi = 1
     assert np.abs(np.linalg.det(psi) - 1.0 / np.linalg.det(g_at)).max() < 1e-12
     assert np.abs(np.linalg.det(phi) - 1.0).max() < 1e-12
     # closed-form inverses really invert
-    psi_inv = ch.eval_exprs(lf.psi_inverse(lifted_t, conn, g), pts)
-    phi_inv = ch.eval_exprs(lf.phi_inverse(lifted_c, conn), pts)
+    psi_inv, phi_inv = tangent.backward, cotangent.backward
     eye = np.eye(4)
     assert np.abs(psi @ psi_inv - eye).max() < 1e-12
     assert np.abs(phi @ phi_inv - eye).max() < 1e-12
     # flat morphisms are the identity
     cf, gf, Jf, connf = flat_setup()
     lifted_f = lf.LiftedChart(cf, lf.TANGENT)
-    psi_f = ch.eval_exprs(
-        lf.psi_matrix(lifted_f, connf, ch.inverse_metric(gf)),
-        lifted_f.sample_points(4, 1),
-    )
+    psi_f = lift_at(cf, gf, Jf, connf, lf.TANGENT, lifted_f.sample_points(4, 1)).forward
     assert np.abs(psi_f - eye).max() == 0.0
 
 
@@ -110,33 +125,32 @@ def test_flat_lift_is_block_diagonal():
     c, g, J, conn = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        jbar, gbar, _, _ = lf.lift_structure(lifted, g, J, conn)
         pts = lifted.sample_points(8, 2)
-        jv = jbar.eval(pts)
+        lift = lift_at(c, g, J, conn, flavor, pts)
+        jv = lift.jbar
         expected = np.zeros((4, 4))
         expected[:2, :2] = np.diag([GOLDEN, 1 - GOLDEN])
         expected[2:, 2:] = np.diag([GOLDEN, 1 - GOLDEN])
         assert np.abs(jv - expected).max() < 1e-15
-        assert np.abs(gbar.eval(pts) - np.eye(4)).max() < 1e-15
+        assert np.abs(lift.gbar - np.eye(4)).max() < 1e-15
 
 
 def test_scalar_structure_lifts_to_scalar(sphere_setup):
     c, g, _, conn = sphere_setup
     scalar = ch.EndoField(c, ch.constant_matrix(GOLDEN * np.eye(2)))
     lifted = lf.LiftedChart(c, lf.TANGENT)
-    jbar, gbar, _, _ = lf.lift_structure(lifted, g, scalar, conn)
     pts = lifted.sample_points(8, 2)
-    assert np.abs(jbar.eval(pts) - GOLDEN * np.eye(4)).max() < 1e-11
+    jbar = lift_at(c, g, scalar, conn, lf.TANGENT, pts).jbar
+    assert np.abs(jbar - GOLDEN * np.eye(4)).max() < 1e-11
 
 
 def test_lifted_structure_is_metallic_riemannian(sphere_setup):
     c, g, J, conn = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        jbar, gbar, _, _ = lf.lift_structure(lifted, g, J, conn)
         pts = lifted.sample_points(16, 4, seed=9)
-        jv = jbar.eval(pts)
-        gv = gbar.eval(pts)
+        lift = lift_at(c, g, J, conn, flavor, pts)
+        jv, gv = lift.jbar, lift.gbar
         assert np.abs(jv @ jv - PARAMS.p * jv - PARAMS.q * np.eye(4)).max() < 1e-9
         gj = gv @ jv
         assert np.abs(gj - np.swapaxes(gj, -1, -2)).max() < 1e-9
@@ -148,12 +162,10 @@ def test_frame_and_coordinate_displays(sphere_setup):
     ginv = ch.inverse_metric(g)
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        jbar, gbar, _, _ = lf.lift_structure(lifted, g, J, conn, ginv)
         pts = lifted.sample_points(12, 4, seed=6)
+        lift = lift_at(c, g, J, conn, flavor, pts)
+        jv, gv, frame = lift.jbar, lift.gbar, lift.forward[:, :, :2]
         memo = {}
-        jv = jbar.eval(pts, memo)
-        gv = gbar.eval(pts, memo)
-        frame = ch.eval_exprs(lf.horizontal_frame(lifted, conn), pts, memo)
         g_at = ch.eval_exprs(g.comps, pts, memo)
         ginv_at = ch.eval_exprs(ginv, pts, memo)
         J_at = ch.eval_exprs(J.comps, pts, memo)
@@ -177,17 +189,17 @@ def test_frame_and_coordinate_displays(sphere_setup):
 
 
 def _nijenhuis_data(c, g, J, conn, flavor, base=10, fibre=4, seed=8):
-    ginv = ch.inverse_metric(g)
     lifted = lf.LiftedChart(c, flavor)
-    jbar, _, _, _ = lf.lift_structure(lifted, g, J, conn, ginv)
     pts = lifted.sample_points(base, fibre, seed=seed)
+    lift = lift_at(c, g, J, conn, flavor, pts)
+    N = lf.nijenhuis_values(lift)
+    frame = lift.forward[:, :, : c.dim]
     memo = {}
-    N = lf.nijenhuis_values(jbar, pts)
-    frame = ch.eval_exprs(lf.horizontal_frame(lifted, conn), pts, memo)
     J_at = ch.eval_exprs(J.comps, pts, memo)
     DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts, memo)
-    NJ = ch.eval_exprs(ch.nijenhuis(J), pts, memo)
-    R = ch.eval_exprs(ch.riemann(conn), pts, memo)
+    base_pts = pts[:, : c.dim]
+    NJ = ch.nijenhuis(*jet(J.comps, base_pts))
+    R = ch.riemann(*jet(conn.comps, base_pts))
     return lifted, pts, N, frame, J_at, DJ, NJ, R
 
 
@@ -263,12 +275,6 @@ def test_warped_scenario_resolves_full_convention(warped_setup):
 
 def test_commutation_identity(sphere_setup, warped_setup):
     for c, g, J, conn in (flat_setup(), sphere_setup, warped_setup):
-        n = c.dim
-        ginv = ch.inverse_metric(g)
-        lifted_t = lf.LiftedChart(c, lf.TANGENT)
-        lifted_c = lf.LiftedChart(c, lf.COTANGENT)
-        jbar, _, _, _ = lf.lift_structure(lifted_t, g, J, conn, ginv)
-        jtilde, _, _, _ = lf.lift_structure(lifted_c, g, J, conn, ginv)
         base = c.sample_points(10)
         rng = np.random.default_rng(14)
         y = rng.uniform(-1.0, 1.0, size=base.shape)
@@ -276,9 +282,104 @@ def test_commutation_identity(sphere_setup, warped_setup):
         eta = np.einsum("mij,mj->mi", g_at, y)
         pts_t = np.hstack([base, y])
         pts_c = np.hstack([base, eta])
-        psi = ch.eval_exprs(lf.psi_matrix(lifted_t, conn, ginv), pts_t)
-        phi = ch.eval_exprs(lf.phi_matrix(lifted_c, conn), pts_c)
+        tangent = lift_at(c, g, J, conn, lf.TANGENT, pts_t)
+        cotangent = lift_at(c, g, J, conn, lf.COTANGENT, pts_c)
         res = lf.commutation_residual(
-            psi, phi, jbar.eval(pts_t), jtilde.eval(pts_c)
+            tangent.forward, cotangent.forward, tangent.jbar, cotangent.jbar
         )
         assert np.abs(res).max() < 1e-9
+
+
+@pytest.mark.parametrize("flavor", [lf.TANGENT, lf.COTANGENT])
+@pytest.mark.parametrize("name", ["sphere-diagJ", "warped-mixing", "polar-plane"])
+def test_array_lift_matches_numpy_oracle(name, flavor):
+    # Jbar, its partials in all 2n coordinates and its Nijenhuis tensor against
+    # a lift built column by column with numpy, differentiated by central
+    # differences, with the Christoffel symbols by finite differences too
+    scenario = load_scenario(scenario_path(name))
+    with ex.fresh_table(scenario.table):
+        ctx = ScenarioContext(scenario, samples=3)
+        n = ctx.chart.dim
+        y = np.random.default_rng(5).uniform(-1.0, 1.0, size=ctx.points.shape)
+        inputs = {key: getattr(ctx, f"{key}_at") for key in ("g", "ginv", "J", "gamma")}
+        inputs.update({key: getattr(ctx, f"{key}_at") for key in ("dg", "dJ", "dgamma")})
+        lift = lf.lift(flavor, y, **inputs)
+        N = lf.nijenhuis_values(lift)
+    args = (scenario.metric, scenario.J, flavor)
+
+    def jbar_at(p):
+        return lifted_jbar(*args, p, scenario.connection)
+
+    assert np.abs(N).max() > 1e-3 or name == "polar-plane"  # a non-trivial comparison
+    for m, z in enumerate(np.hstack([ctx.points, y])):
+        assert np.abs(lift.jbar[m] - jbar_at(z)).max() < 1e-9
+        for c in range(2 * n):
+            assert np.abs(lift.djbar[m, c] - fd_partial(jbar_at, z, c)).max() < 1e-6
+        oracle = fd_lifted_nijenhuis(*args, z, scenario.connection)
+        assert np.abs(N[m] - oracle).max() < 1e-6
+
+
+def test_a_corpus_run_builds_no_bundle_coordinates(monkeypatch):
+    # the lifts are array algebra on base values: no run builds an
+    # expression in a fibre coordinate
+    built = []
+    init = ex.Coord.__init__
+
+    def recording(node, index, name):
+        built.append(index)
+        init(node, index, name)
+
+    monkeypatch.setattr(ex.Coord, "__init__", recording)
+    for name in CORPUS:
+        scenario = load_scenario(scenario_path(name))
+        built.clear()
+        run_suites(scenario)
+        assert all(index < scenario.chart.dim for index in built), name
+    with ex.fresh_table():
+        ex.coord(7)
+    assert built == [7]  # the hook sees every coordinate node built
+
+
+LIFT_IDS = (
+    "metallic-equation",
+    "compatibility",
+    "frame-endo-display",
+    "coordinate-endo-display",
+    "metric-frame-components",
+    "metric-coordinate-displays",
+    "nijenhuis-vertical-vertical",
+    "nijenhuis-mixed-display",
+    "nijenhuis-horizontal-display",
+    "nijenhuis-vanishes",
+)
+WITNESS = (0.25, 0.5)
+
+
+def _raise_domain_error(*args, **kwargs):
+    raise DomainError("injected", WITNESS)
+
+
+def test_an_error_in_the_lift_fails_every_lifts_check_once(monkeypatch):
+    monkeypatch.setattr(lf, "lift", _raise_domain_error)
+    scenario = load_scenario(scenario_path("sphere-diagJ"))
+    report = run_suites(scenario, suites=["lifts-tangent", "lifts-cotangent"])
+    ids = [check.check_id for check in report.checks]
+    flavors = ("lifts-tangent", "lifts-cotangent")
+    assert ids == [f"{flavor}/{name}" for flavor in flavors for name in LIFT_IDS]
+    for check in report.checks:
+        assert not check.passed and check.witness == WITNESS, check.check_id
+
+
+def test_an_error_in_the_lifted_nijenhuis_fails_only_its_checks(monkeypatch):
+    monkeypatch.setattr(lf, "nijenhuis_values", _raise_domain_error)
+    scenario = load_scenario(scenario_path("sphere-diagJ"))
+    report = run_suites(scenario, suites=["lifts-tangent", "lifts-cotangent"])
+    flavors = ("lifts-tangent", "lifts-cotangent")
+    assert [check.check_id for check in report.checks] == [
+        f"{flavor}/{name}" for flavor in flavors for name in LIFT_IDS
+    ]
+    for check in report.checks:
+        if "/nijenhuis-" in check.check_id:
+            assert not check.passed and check.witness == WITNESS, check.check_id
+        else:
+            assert check.passed, check.check_id
