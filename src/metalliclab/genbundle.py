@@ -44,6 +44,8 @@ __all__ = [
     "build_jc",
     "DerivedFamily",
     "derived_family",
+    "pairing_eigenvalues",
+    "neutral_signature",
     "neutral_metric_G",
     "signature_by_congruence",
     "check_anti_pseudo_calibrated",
@@ -285,16 +287,34 @@ def derived_family(
     return DerivedFamily(f_plus, build_jp(J, g, tolerance), params)
 
 
-def neutral_metric_G(jp: np.ndarray, threshold: float = 1e-10):
-    """Symmetric form G(s, t) = (s, Jp t) and its signature (n_plus, n_minus).
+def _pairing_form(op: np.ndarray) -> np.ndarray:
+    """The symmetric form (s, op t) of the natural pairing."""
+    form = pairing_matrix(op.shape[-1] // 2) @ np.asarray(op, dtype=float)
+    return 0.5 * (form + np.swapaxes(form, -1, -2))
+
+
+def pairing_eigenvalues(op: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the form (s, op t), shape (..., 2n); NaN at a
+    sample where op is not finite, which LAPACK would refuse for the batch.
+
+    For op = Jp this is the one eigensolve that both the signature of G and
+    the non-degeneracy in :func:`check_anti_pseudo_calibrated` read.
+    """
+    form = _pairing_form(op)
+    finite = np.isfinite(form).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(form)
+    out = np.full(form.shape[:-1], np.nan)
+    out[finite] = np.linalg.eigvalsh(form[finite])
+    return out
+
+
+def neutral_signature(eigenvalues: np.ndarray, threshold: float = 1e-10):
+    """Signature (n_plus, n_minus) of forms given by their eigenvalues.
 
     The two counts have the batch shape.  A sample with an eigenvalue below
     ``threshold`` raises DegenerateForm; the first such sample is reported.
     """
-    jp = np.asarray(jp, dtype=float)
-    G = pairing_matrix(jp.shape[-1] // 2) @ jp
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    eigenvalues = np.linalg.eigvalsh(G)
     smallest = np.ravel(np.abs(eigenvalues).min(axis=-1))
     degenerate = smallest < threshold
     if degenerate.any():
@@ -303,7 +323,12 @@ def neutral_metric_G(jp: np.ndarray, threshold: float = 1e-10):
         )
     n_plus = (eigenvalues > threshold).sum(axis=-1)
     n_minus = (eigenvalues < -threshold).sum(axis=-1)
-    return G, (n_plus, n_minus)
+    return n_plus, n_minus
+
+
+def neutral_metric_G(jp: np.ndarray, threshold: float = 1e-10):
+    """Symmetric form G(s, t) = (s, Jp t) and its :func:`neutral_signature`."""
+    return _pairing_form(jp), neutral_signature(pairing_eigenvalues(jp), threshold)
 
 
 def signature_by_congruence(G: np.ndarray, threshold: float = 1e-10):
@@ -347,18 +372,20 @@ def signature_by_congruence(G: np.ndarray, threshold: float = 1e-10):
 
 
 def check_anti_pseudo_calibrated(
-    jp: np.ndarray, tolerance: float = 1e-10, points: np.ndarray | None = None
+    jp: np.ndarray,
+    eigenvalues: np.ndarray,
+    tolerance: float = 1e-10,
+    points: np.ndarray | None = None,
 ) -> CheckResult:
     """(Jp s, Jp t) = -(s, t) and non-degeneracy of (., Jp .).
 
+    ``eigenvalues`` are those of (., Jp .), from :func:`pairing_eigenvalues`;
     ``points`` are the sample points of the batch, for the witness.
     """
     jp = np.asarray(jp, dtype=float)
     M = pairing_matrix(jp.shape[-1] // 2)
     anti = _max_abs(np.swapaxes(jp, -1, -2) @ M @ jp + M)
-    form = M @ jp
-    form = 0.5 * (form + np.swapaxes(form, -1, -2))
-    min_eig = np.abs(np.linalg.eigvalsh(form)).min(axis=-1)
+    min_eig = np.abs(eigenvalues).min(axis=-1)
     degenerate = np.where(min_eig > tolerance, 0.0, tolerance * 2.0)
     return _worst(
         "anti-pseudo-calibrated",
@@ -380,9 +407,7 @@ def check_calibrated(
     jc = np.asarray(jc, dtype=float)
     M = pairing_matrix(jc.shape[-1] // 2)
     invariance = _max_abs(np.swapaxes(jc, -1, -2) @ M @ jc - M)
-    form = M @ jc
-    form = 0.5 * (form + np.swapaxes(form, -1, -2))
-    min_eig = np.linalg.eigvalsh(form).min(axis=-1)
+    min_eig = pairing_eigenvalues(jc).min(axis=-1)
     not_pd = np.where(min_eig > tolerance, 0.0, tolerance * 2.0)
     return _worst(
         "calibrated",

@@ -276,29 +276,39 @@ def torsion_closed_form_values(
     return out
 
 
+def _upper(M: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """M^k_s A[s, ...] for every sample: the contraction over the first index
+    of A, as one (m, n, n) @ (m, n, rest) product."""
+    m, n = A.shape[:2]
+    return (M @ A.reshape(m, n, -1)).reshape(A.shape)
+
+
 def phi_of_torsion(T_at: np.ndarray, J_at: np.ndarray) -> np.ndarray:
     """Phi(T)(d_i, d_j) = -T(Jd_i,Jd_j) + JT(Jd_i,d_j) + JT(d_i,Jd_j) - J^2 T(d_i,d_j).
 
-    Arrays carry a leading sample axis; output indexed [m, k, i, j].
+    Arrays carry a leading sample axis; output indexed [m, k, i, j].  With
+    T_s the matrix [i, j] of T^s_{ij}, this is
+    Phi_k = sum_s J^k_s (J^T T_s + T_s J - sum_r J^s_r T_r) - J^T T_k J.
     """
-    K = np.einsum("mks,msj->mkj", J_at, J_at)
-    return (
-        -np.einsum("mkab,mai,mbj->mkij", T_at, J_at, J_at)
-        + np.einsum("mks,msaj,mai->mkij", J_at, T_at, J_at)
-        + np.einsum("mks,msib,mbj->mkij", J_at, T_at, J_at)
-        - np.einsum("mks,msij->mkij", K, T_at)
-    )
+    J = J_at[:, None]
+    JtT = _swap(J_at)[:, None] @ T_at
+    inner = JtT + T_at @ J - _upper(J_at, T_at)
+    return _upper(J_at, inner) - JtT @ J
 
 
 def covariant_nijenhuis_rhs(
     DJ_at: np.ndarray, T_at: np.ndarray, J_at: np.ndarray
 ) -> np.ndarray:
-    """(nabla_{JX}J)Y - (nabla_{JY}J)X + J(nabla_Y J)X - J(nabla_X J)Y + Phi(T)."""
+    """(nabla_{JX}J)Y - (nabla_{JY}J)X + J(nabla_Y J)X - J(nabla_X J)Y + Phi(T).
+
+    ``DJ_at`` is [m, a, k, b] = (nabla_a J)^k_b.  With
+    R[m, a, k, b] = J^c_a (nabla_c J)^k_b - J^k_c (nabla_a J)^c_b, the four
+    covariant terms at (k, i, j) are R[i, k, j] - R[j, k, i].
+    """
+    R = _upper(_swap(J_at), DJ_at) - J_at[:, None] @ DJ_at
     return (
-        np.einsum("mai,makj->mkij", J_at, DJ_at)
-        - np.einsum("maj,maki->mkij", J_at, DJ_at)
-        + np.einsum("mks,mjsi->mkij", J_at, DJ_at)
-        - np.einsum("mks,misj->mkij", J_at, DJ_at)
+        R.transpose(0, 2, 1, 3)
+        - R.transpose(0, 2, 3, 1)
         + phi_of_torsion(T_at, J_at)
     )
 

@@ -105,8 +105,10 @@ class Lift:
     conjugating blockdiag(J, J^T) gives jbar = [[J, 0], [L J - D L, D]] with
     D = V J^T W; gbar = backward^T blockdiag(g, g^-1) backward.
 
-    ``djbar[m, c, A, B]`` = d_c jbar^A_B over all 2n coordinates is computed
-    on first use: the commutation check needs the values only.
+    Everything but ``jbar`` is computed on first use: the commutation check
+    reads ``forward`` of the tangent lift and ``backward`` of the cotangent
+    one, and neither ``gbar`` nor ``djbar[m, c, A, B]`` = d_c jbar^A_B over
+    all 2n coordinates.
     """
 
     def __init__(self, flavor, y, g, ginv, J, gamma, dg, dJ, dgamma):
@@ -123,13 +125,25 @@ class Lift:
             V = W = eye
             D = Jt
         L = np.einsum("mk,mkli->mli", y, C)
-        self.forward = _lower_blocks(eye, L, V)
-        self.backward = _lower_blocks(eye, -(W @ L), W)
         self.jbar = _lower_blocks(J, L @ J - D @ L, D)
-        ghat = _lower_blocks(g, 0.0, ginv)
-        self.gbar = np.swapaxes(self.backward, -1, -2) @ ghat @ self.backward
         self._flavor, self._y, self._C, self._L, self._D = flavor, y, C, L, D
+        self._eye, self._V, self._W = eye, V, W
         self._base = (g, ginv, J, dg, dJ, dgamma)
+
+    @cached_property
+    def forward(self) -> np.ndarray:
+        return _lower_blocks(self._eye, self._L, self._V)
+
+    @cached_property
+    def backward(self) -> np.ndarray:
+        return _lower_blocks(self._eye, -(self._W @ self._L), self._W)
+
+    @cached_property
+    def gbar(self) -> np.ndarray:
+        """backward^T blockdiag(g, g^-1) backward."""
+        g, ginv = self._base[:2]
+        ghat = _lower_blocks(g, 0.0, ginv)
+        return np.swapaxes(self.backward, -1, -2) @ ghat @ self.backward
 
     @cached_property
     def djbar(self) -> np.ndarray:
@@ -385,10 +399,13 @@ def horizontal_display_match(
 
 def commutation_residual(
     psi_v: np.ndarray,
-    phi_v: np.ndarray,
+    phi_inverse_v: np.ndarray,
     jbar_v: np.ndarray,
     jtilde_v: np.ndarray,
 ) -> np.ndarray:
-    """Residual of Jbar (Psi Phi^{-1}) = (Psi Phi^{-1}) Jtilde at matched samples."""
-    K = psi_v @ np.linalg.inv(phi_v)
+    """Residual of Jbar (Psi Phi^{-1}) = (Psi Phi^{-1}) Jtilde at matched samples.
+
+    ``phi_inverse_v`` is Phi^{-1}, the cotangent lift's closed-form ``backward``.
+    """
+    K = psi_v @ phi_inverse_v
     return jbar_v @ K - K @ jtilde_v

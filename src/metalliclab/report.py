@@ -52,6 +52,14 @@ class CheckResult:
         return out
 
 
+def _per_sample_max(a: np.ndarray) -> np.ndarray:
+    """Largest absolute entry at each sample, NaN read as infinite."""
+    # max propagates NaN, so only the per-sample maxima need the mapping
+    out = np.abs(a).reshape(a.shape[0], -1).max(axis=1)
+    out[np.isnan(out)] = np.inf
+    return out
+
+
 def from_residuals(
     check_id: str,
     anchor: str,
@@ -63,10 +71,9 @@ def from_residuals(
     """Build a CheckResult from per-sample residuals (any trailing shape)."""
     residuals = np.asarray(residuals, dtype=float)
     points = np.asarray(points, dtype=float)
-    flat = np.abs(residuals).reshape(residuals.shape[0], -1)
-    if flat.size == 0:
+    if residuals.size == 0:
         return CheckResult(check_id, anchor, 0.0, tolerance, None, **kwargs)
-    per_point = np.where(np.isnan(flat), np.inf, flat).max(axis=1)
+    per_point = _per_sample_max(residuals)
     worst = int(np.argmax(per_point))
     return CheckResult(
         check_id,

@@ -13,7 +13,7 @@ from . import genbundle as gb
 from . import genconn as gc
 from . import lifts as lf
 from .errors import DomainError, MetallicLabError
-from .report import CheckResult, ScenarioReport, from_residuals
+from .report import CheckResult, ScenarioReport, _per_sample_max, from_residuals
 from .scenario import ChartScenario
 
 # Tolerances pinned per check family; the scenario tolerance is the default
@@ -120,7 +120,7 @@ class ScenarioContext:
 
     @cached_property
     def K_at(self):
-        return np.einsum("mks,msj->mkj", self.J_at, self.J_at)
+        return self.J_at @ self.J_at
 
     @cached_property
     def dJ_at(self):
@@ -232,12 +232,6 @@ class ScenarioContext:
 def _max_abs(a: np.ndarray) -> np.ndarray:
     """Largest absolute entry of each matrix of a stack."""
     return np.abs(a).max(axis=(-2, -1))
-
-
-def _per_sample_max(a: np.ndarray) -> np.ndarray:
-    """Largest absolute entry at each sample, NaN read as infinite."""
-    flat = np.abs(a).reshape(a.shape[0], -1)
-    return np.where(np.isnan(flat), np.inf, flat).max(axis=1)
 
 
 def _check(cid, anchor, residuals, points, tol, **kw) -> CheckResult:
@@ -438,8 +432,14 @@ def suite_genbundle(ctx: ScenarioContext) -> list:
         )
     )
 
+    # one eigensolve of (., Jp .) for both checks below, made inside their
+    # guards so that an error in it fails each of them
+    @cache
+    def jp_eigenvalues() -> np.ndarray:
+        return gb.pairing_eigenvalues(jp)
+
     def signature():
-        _, (n_plus, n_minus) = gb.neutral_metric_G(jp)
+        n_plus, n_minus = gb.neutral_signature(jp_eigenvalues())
         mismatched = np.flatnonzero((n_plus != n) | (n_minus != n))
         witness = tuple(float(v) for v in pts[mismatched[0]]) if mismatched.size else None
         return CheckResult(
@@ -454,7 +454,7 @@ def suite_genbundle(ctx: ScenarioContext) -> list:
     _guard(checks, "genbundle/neutral-signature", "signature (n,n)", 0.5, signature)
 
     def calibrations():
-        anti = gb.check_anti_pseudo_calibrated(jp, points=pts)
+        anti = gb.check_anti_pseudo_calibrated(jp, jp_eigenvalues(), points=pts)
         cal = gb.check_calibrated(jc, points=pts)
         worst = max(anti, cal, key=lambda result: result.residual)
         return CheckResult(
@@ -564,15 +564,32 @@ def suite_genconn(ctx: ScenarioContext) -> list:
     bundle = ctx.bundle(gamma)
 
     def bracket_antisymmetry():
+        n = ctx.chart.dim
         values, partials = _random_sections(ctx, 4, seed_shift=101)
         a, b = np.triu_indices(4, 1)
         s, ds, t, dt = values[:, a], partials[:, a], values[:, b], partials[:, b]
+        st = gc.nabla_bracket(gamma, s, ds, t, dt)
+        antisymmetry = st + gc.nabla_bracket(gamma, t, dt, s, ds)
+        # [s, t] + [t, s] cancels by construction; the Leibniz rule
+        # [s, f t] = f [s, t] + X(f) t, X the vector part of s and
+        # f = c0 + c1 . x, is the side that can fail
+        rng = np.random.default_rng(ctx.seed + 102)
+        c0, c1 = rng.uniform(-1, 1), rng.uniform(-1, 1, size=n)
+        f = (c0 + pts @ c1)[:, None, None]
+        ft = f * t
+        dft = c1[:, None] * t[:, :, None] + f[..., None] * dt
+        xf = (s[..., :n] @ c1)[..., None]
+        leibniz = gc.nabla_bracket(gamma, s, ds, ft, dft) - f * st - xf * t
         return _check(
             "genconn/nabla-bracket-antisymmetry",
-            "[s, t] = -[t, s] for the connection bracket",
-            gc.nabla_bracket(gamma, s, ds, t, dt) + gc.nabla_bracket(gamma, t, dt, s, ds),
+            "[s, t] = -[t, s] and [s, f t] = f [s, t] + X(f) t for the connection bracket",
+            [antisymmetry, leibniz],
             pts,
             tol,
+            details={
+                "antisymmetry": float(np.abs(antisymmetry).max()),
+                "leibniz": float(np.abs(leibniz).max()),
+            },
         )
 
     _guard(
@@ -1102,26 +1119,32 @@ def suite_lifts(ctx: ScenarioContext, flavor: str) -> list:
 # ------------------------------------------------------------------
 
 
+def _commutation_lifts(ctx: ScenarioContext):
+    """The tangent lift at random fibre points y over the samples, the
+    cotangent lift at the matching eta = g y, and the points (x, y)."""
+    rng = np.random.default_rng(ctx.seed + 404)
+    yv = rng.uniform(-1.0, 1.0, size=ctx.points.shape)
+    eta = np.einsum("mij,mj->mi", ctx.g_at, yv)
+    inputs = _lift_inputs(ctx)
+    tangent = lf.lift(lf.TANGENT, yv, **inputs)
+    cotangent = lf.lift(lf.COTANGENT, eta, **inputs)
+    return tangent, cotangent, np.hstack([ctx.points, yv])
+
+
 def suite_commutation(ctx: ScenarioContext) -> list:
     checks: list = []
     tol = ctx.tol
 
     def commutation():
-        base = ctx.points
-        rng = np.random.default_rng(ctx.seed + 404)
-        yv = rng.uniform(-1.0, 1.0, size=base.shape)
-        eta = np.einsum("mij,mj->mi", ctx.g_at, yv)
-        inputs = _lift_inputs(ctx)
-        tangent = lf.lift(lf.TANGENT, yv, **inputs)
-        cotangent = lf.lift(lf.COTANGENT, eta, **inputs)
+        tangent, cotangent, points = _commutation_lifts(ctx)
         res = lf.commutation_residual(
-            tangent.forward, cotangent.forward, tangent.jbar, cotangent.jbar
+            tangent.forward, cotangent.backward, tangent.jbar, cotangent.jbar
         )
         return _check(
             "commutation/jm-lift-intertwine",
             "the tangent and cotangent lifts are intertwined by Psi Phi^{-1}",
             res,
-            np.hstack([base, yv]),
+            points,
             tol,
         )
 

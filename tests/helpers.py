@@ -278,3 +278,68 @@ def karaman_F(g, J, w, q):
                     - sum(wj[l] * ginv[l, k] for l in range(n)) * gj[i, j] / q
                 )
     return F
+
+
+def phi_of_torsion_loop(T, J):
+    """Phi(T)(d_i, d_j) = -T(Jd_i,Jd_j) + JT(Jd_i,d_j) + JT(d_i,Jd_j) - J^2 T(d_i,d_j),
+    sample by sample and entry by entry; ``T[m, k, a, b]`` = T^k_{ab},
+    ``J[m, k, a]`` = J^k_a, output [m, k, i, j]."""
+    m, n = J.shape[:2]
+    out = np.zeros((m, n, n, n))
+    for p in range(m):
+
+        def apply_J(v):
+            return [sum(J[p, k, a] * v[a] for a in range(n)) for k in range(n)]
+
+        def apply_T(u, v):
+            return [
+                sum(T[p, k, a, b] * u[a] * v[b] for a in range(n) for b in range(n))
+                for k in range(n)
+            ]
+
+        basis = [[1.0 if a == i else 0.0 for a in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                di, dj = basis[i], basis[j]
+                terms = (
+                    apply_T(apply_J(di), apply_J(dj)),
+                    apply_J(apply_T(apply_J(di), dj)),
+                    apply_J(apply_T(di, apply_J(dj))),
+                    apply_J(apply_J(apply_T(di, dj))),
+                )
+                for k in range(n):
+                    out[p, k, i, j] = -terms[0][k] + terms[1][k] + terms[2][k] - terms[3][k]
+    return out
+
+
+def covariant_nijenhuis_rhs_loop(DJ, T, J):
+    """(nabla_{JX}J)Y - (nabla_{JY}J)X + J(nabla_Y J)X - J(nabla_X J)Y + Phi(T)
+    at X = d_i, Y = d_j, sample by sample and entry by entry;
+    ``DJ[m, a, k, b]`` = (nabla_a J)^k_b, output [m, k, i, j]."""
+    m, n = J.shape[:2]
+    out = phi_of_torsion_loop(T, J)
+    for p in range(m):
+
+        def nabla_J(direction, v):
+            """(nabla_direction J) v."""
+            return [
+                sum(direction[a] * DJ[p, a, k, b] * v[b] for a in range(n) for b in range(n))
+                for k in range(n)
+            ]
+
+        def apply_J(v):
+            return [sum(J[p, k, a] * v[a] for a in range(n)) for k in range(n)]
+
+        basis = [[1.0 if a == i else 0.0 for a in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                X, Y = basis[i], basis[j]
+                terms = (
+                    nabla_J(apply_J(X), Y),
+                    nabla_J(apply_J(Y), X),
+                    apply_J(nabla_J(Y, X)),
+                    apply_J(nabla_J(X, Y)),
+                )
+                for k in range(n):
+                    out[p, k, i, j] += terms[0][k] - terms[1][k] + terms[2][k] - terms[3][k]
+    return out

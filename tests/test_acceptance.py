@@ -98,7 +98,9 @@ def test_criterion_04_calibration(random_pair_sweep):
     for n, g, J in pairs:
         jp = gb.build_jp(J, g)
         jc = gb.build_jc(J, g)
-        anti = gb.check_anti_pseudo_calibrated(jp, tolerance=TOL_ALGEBRAIC)
+        anti = gb.check_anti_pseudo_calibrated(
+            jp, gb.pairing_eigenvalues(jp), tolerance=TOL_ALGEBRAIC
+        )
         cal = gb.check_calibrated(jc, tolerance=TOL_ALGEBRAIC)
         worst = max(worst, anti.residual, cal.residual)
         positive = positive and cal.details["min_eigenvalue"] > 0.0

@@ -9,6 +9,7 @@ from metalliclab.errors import (
     DegenerateDiscriminant,
     DegenerateForm,
     DimensionMismatch,
+    DomainError,
     IncompatiblePair,
     MetallicLabError,
     SingularJacobian,
@@ -200,7 +201,7 @@ def test_neutral_metric_signature():
 def test_calibration_checks():
     jp = gb.build_jp(J2, G2)
     jc = gb.build_jc(J2, G2)
-    assert gb.check_anti_pseudo_calibrated(jp).residual < 1e-12
+    assert gb.check_anti_pseudo_calibrated(jp, gb.pairing_eigenvalues(jp)).residual < 1e-12
     calibrated = gb.check_calibrated(jc)
     assert calibrated.residual < 1e-12
     assert calibrated.details["min_eigenvalue"] > 0.0
@@ -310,9 +311,14 @@ def test_batched_functions_equal_a_loop_over_their_slices(n):
     assert _equal_slices(G, [Gk for Gk, _ in single_G])
     assert [(n_plus[k], n_minus[k]) for k in loop] == [sig for _, sig in single_G]
 
+    assert _equal_slices(gb.pairing_eigenvalues(jp), [gb.pairing_eigenvalues(jp[k]) for k in loop])
+
+    def anti_pseudo_calibrated(op, **kwargs):
+        return gb.check_anti_pseudo_calibrated(op, gb.pairing_eigenvalues(op), **kwargs)
+
     # Jm is not pairing-invariant: its calibration residuals differ per sample
     for check, stack in (
-        (gb.check_anti_pseudo_calibrated, jp),
+        (anti_pseudo_calibrated, jp),
         (gb.check_calibrated, jc),
         (gb.check_calibrated, jm),
     ):
@@ -426,6 +432,36 @@ def test_one_degenerate_sample_keeps_every_genbundle_check(monkeypatch):
     signature = report.find("genbundle/neutral-signature")
     assert not signature.passed
     assert "below threshold" in signature.details["error"]
+
+
+EIGENSOLVE_IDS = ("genbundle/neutral-signature", "genbundle/calibration")
+
+
+def test_a_non_finite_sample_fails_both_eigenvalue_checks_at_that_sample(monkeypatch):
+    _break_sample(monkeypatch, "J_at", lambda J: np.full_like(J, np.nan))
+    with np.errstate(invalid="ignore"):
+        report, points = _genbundle_run()
+    assert sorted(c.check_id for c in report.checks) == sorted(GENBUNDLE_IDS)
+    for cid in EIGENSOLVE_IDS:
+        check = report.find(cid)
+        assert not check.passed, cid
+        assert check.witness == tuple(points[BROKEN]), cid
+
+
+def test_an_error_in_the_shared_eigensolve_fails_both_its_checks(monkeypatch):
+    witness = (0.25, 0.5)
+
+    def broken(op):
+        raise DomainError("injected", witness)
+
+    monkeypatch.setattr(gb, "pairing_eigenvalues", broken)
+    report, _ = _genbundle_run()
+    assert sorted(c.check_id for c in report.checks) == sorted(GENBUNDLE_IDS)
+    for check in report.checks:
+        failed = check.check_id in EIGENSOLVE_IDS
+        assert check.passed != failed, check.check_id
+        if failed:
+            assert check.witness == witness, check.check_id
 
 
 @pytest.mark.parametrize(

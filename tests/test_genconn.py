@@ -12,7 +12,15 @@ from metalliclab.scenario import load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
 from conftest import CORPUS, scenario_path
-from helpers import fd_bracket, fd_christoffel, fd_dhat, fd_gen_nijenhuis, karaman_F
+from helpers import (
+    covariant_nijenhuis_rhs_loop,
+    fd_bracket,
+    fd_christoffel,
+    fd_dhat,
+    fd_gen_nijenhuis,
+    karaman_F,
+    phi_of_torsion_loop,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PARAMS = MetallicParams(1.0, 1.0)
@@ -149,6 +157,45 @@ def test_phi_of_torsion_cases(product_setup):
     T_random = T_random - T_random.transpose(0, 1, 3, 2)
     eye = np.broadcast_to(np.eye(3), Jv.shape)
     assert np.abs(gc.phi_of_torsion(T_random, eye)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_torsion_kernels_match_loop_oracles(n):
+    # random non-symmetric J, antisymmetric T and arbitrary nabla J
+    rng = np.random.default_rng(70 + n)
+    m = 3
+    J = rng.normal(size=(m, n, n))
+    T = rng.normal(size=(m, n, n, n))
+    T = T - T.transpose(0, 1, 3, 2)
+    DJ = rng.normal(size=(m, n, n, n))
+    for got, expected in (
+        (gc.phi_of_torsion(T, J), phi_of_torsion_loop(T, J)),
+        (gc.covariant_nijenhuis_rhs(DJ, T, J), covariant_nijenhuis_rhs_loop(DJ, T, J)),
+    ):
+        # Phi(T) vanishes identically at n = 2, hence the absolute floor
+        assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
+def test_bracket_check_fails_without_vector_partials(monkeypatch):
+    # a bracket that drops the partials of the vector parts is still exactly
+    # antisymmetric; the Leibniz side of the check must catch it
+    original = gc.nabla_bracket
+
+    def mutant(gamma, S, dS, T, dT):
+        n = gamma.shape[1]
+        dS, dT = dS.copy(), dT.copy()
+        dS[..., :n] = 0.0
+        dT[..., :n] = 0.0
+        return original(gamma, S, dS, T, dT)
+
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    cid = "genconn/nabla-bracket-antisymmetry"
+    assert run_suites(scenario, suites=["genconn"]).find(cid).passed
+    monkeypatch.setattr(gc, "nabla_bracket", mutant)
+    check = run_suites(scenario, suites=["genconn"]).find(cid)
+    assert not check.passed
+    assert check.details["antisymmetry"] == 0.0
+    assert check.details["leibniz"] > 1.0
 
 
 def test_karaman_connection_flat_case():

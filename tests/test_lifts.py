@@ -9,6 +9,7 @@ from metalliclab import lifts as lf
 from metalliclab.errors import DomainError
 from metalliclab.metallic import MetallicParams, from_projection
 from metalliclab.scenario import load_scenario
+from metalliclab import suites
 from metalliclab.suites import ScenarioContext, run_suites
 
 from conftest import CORPUS, jet, scenario_path
@@ -285,9 +286,30 @@ def test_commutation_identity(sphere_setup, warped_setup):
         tangent = lift_at(c, g, J, conn, lf.TANGENT, pts_t)
         cotangent = lift_at(c, g, J, conn, lf.COTANGENT, pts_c)
         res = lf.commutation_residual(
-            tangent.forward, cotangent.forward, tangent.jbar, cotangent.jbar
+            tangent.forward, cotangent.backward, tangent.jbar, cotangent.jbar
         )
         assert np.abs(res).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_closed_form_inverses_at_the_commutation_points(name):
+    # the commutation check multiplies by the cotangent lift's backward in
+    # place of a numeric inverse of Phi: it must invert Phi where the check runs
+    ctx = ScenarioContext(load_scenario(scenario_path(name)))
+    tangent, cotangent, points = suites._commutation_lifts(ctx)
+    eye = np.eye(2 * ctx.chart.dim)
+    assert points.shape == (ctx.samples, 2 * ctx.chart.dim)
+    for lifted in (tangent, cotangent):
+        assert np.abs(lifted.forward @ lifted.backward - eye).max() <= 1e-12
+
+
+def test_the_commutation_check_inverts_nothing_numerically(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numeric inverse")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    assert run_suites(scenario, suites=["commutation"]).checks[0].passed
 
 
 @pytest.mark.parametrize("flavor", [lf.TANGENT, lf.COTANGENT])
