@@ -12,11 +12,11 @@ Conventions used throughout the package:
   mean g_{ij}.
 
 The leaf fields (metric, endomorphism, 1-form, connection) hold ``numpy``
-object arrays of :class:`~metalliclab.expr.Expr`, as do their symbolic
-partials, the adjugate inverse of g and the Levi-Civita coefficients; those
-are evaluated in batches over sample points.  :func:`riemann` and
-:func:`nijenhuis` work on the evaluated values and first partials, arrays
-with a leading sample axis m.
+object arrays of :class:`~metalliclab.expr.Expr`; their entries and the
+entries' partials are the only expressions that are differentiated, and
+they are evaluated in batches over sample points.  :func:`christoffel`,
+:func:`riemann` and :func:`nijenhuis` work on the evaluated values and
+partials, arrays with a leading sample axis m.
 """
 
 from __future__ import annotations
@@ -39,20 +39,10 @@ __all__ = [
     "eval_exprs",
     "partials",
     "constant_matrix",
-    "identity_endo",
-    "inverse_metric",
     "christoffel",
     "riemann",
-    "covariant_derivative_endo",
-    "covariant_derivative_metric",
-    "covariant_derivative_oneform",
-    "lie_bracket",
-    "torsion",
     "nijenhuis",
-    "mat_mul",
 ]
-
-_DET_GUARD = 1e-12
 
 # Halton bases: the first prime per coordinate, up to the 12 a chart may have
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -181,23 +171,6 @@ def constant_matrix(values) -> np.ndarray:
     return out
 
 
-def identity_endo(n: int) -> np.ndarray:
-    return constant_matrix(np.eye(n))
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of object arrays of Exprs."""
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    out = np.empty((a.shape[0], b.shape[1]), dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            out[i, j] = ex.balanced_sum(a[i, s] * b[s, j] for s in range(a.shape[1]))
-    return out
-
-
 def _as_expr_matrix(chart: Chart, rows, shape) -> np.ndarray:
     comps = np.empty(shape, dtype=object)
     arr = np.asarray(rows, dtype=object)
@@ -285,178 +258,24 @@ class ConnectionField:
 
 
 # ------------------------------------------------------------------
-# Symbolic determinant / inverse (adjugate with memoised minors)
+# Connection, curvature and the Nijenhuis tensor on values at the samples
 # ------------------------------------------------------------------
 
 
-def _minor_det(comps, rows, cols, memo):
-    key = (rows, cols)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if len(rows) == 1:
-        out = comps[rows[0], cols[0]]
-    else:
-        r0 = rows[0]
-        rest = rows[1:]
-        terms = []
-        for pos, c in enumerate(cols):
-            sub_cols = cols[:pos] + cols[pos + 1 :]
-            term = comps[r0, c] * _minor_det(comps, rest, sub_cols, memo)
-            terms.append(term if pos % 2 == 0 else -term)
-        out = ex.balanced_sum(terms)
-    memo[key] = out
-    return out
+def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Levi-Civita Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}).
 
-
-def determinant(comps: np.ndarray) -> ex.Expr:
-    n = comps.shape[0]
-    idx = tuple(range(n))
-    return _minor_det(comps, idx, idx, {})
-
-
-def inverse_metric(g: MetricField) -> np.ndarray:
-    """Symbolic inverse g^{ij} via adjugate over determinant.
-
-    Minors are memoised so the resulting expressions form a compact DAG;
-    entries are mirrored so the inverse is exactly symmetric.
+    ``ginv`` is g^-1 [..., k, l] and ``dg`` [..., a, i, j] = d_a g_{ij};
+    returns [..., k, i, j].  The formula is bilinear in (g^-1, dg), so the
+    partials follow by the product rule from two calls: d_b Gamma is
+    christoffel(ginv, d_b dg) + christoffel(d_b ginv, dg).
     """
-    n = g.chart.dim
-    comps = g.comps
-    memo: dict = {}
-    idx = tuple(range(n))
-    det = _minor_det(comps, idx, idx, memo)
-    inv = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            # inverse[i, j] = cofactor[j, i] / det; cofactor matrix of a
-            # symmetric g is symmetric so we fill the upper triangle only.
-            rows = tuple(r for r in idx if r != j)
-            cols = tuple(c for c in idx if c != i)
-            minor = _minor_det(comps, rows, cols, memo)
-            inv[i, j] = minor if (i + j) % 2 == 0 else -minor
-            inv[i, j] = inv[i, j] / det
-            inv[j, i] = inv[i, j]
-    return inv
-
-
-def check_metric_invertible(g: MetricField, points) -> None:
-    det_value = ex.eval_batch(determinant(g.comps), np.asarray(points, dtype=float))
-    small = np.abs(det_value) < _DET_GUARD
-    if small.any():
-        witness = np.asarray(points)[int(np.argmax(small))]
-        raise SingularMetric(
-            f"|det g| < {_DET_GUARD:g} at {tuple(float(v) for v in witness)}"
-        )
-
-
-# ------------------------------------------------------------------
-# Connection, curvature, derivatives
-# ------------------------------------------------------------------
-
-
-def christoffel(g: MetricField, probe_points=None) -> ConnectionField:
-    """Levi-Civita coefficients from the Koszul formula, fully symbolic."""
-    chart = g.chart
-    n = chart.dim
-    if probe_points is not None:
-        check_metric_invertible(g, probe_points)
-    ginv = inverse_metric(g)
-    dg = np.empty((n, n, n), dtype=object)  # dg[k, i, j] = d_k g_ij
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                dg[k, i, j] = ex.differentiate(g.comps[i, j], k)
-                dg[k, j, i] = dg[k, i, j]
-    gamma = np.empty((n, n, n), dtype=object)
-    half = ex.const(0.5)
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                terms = [
-                    ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                    for l in range(n)
-                ]
-                gamma[k, i, j] = half * ex.balanced_sum(terms)
-                gamma[k, j, i] = gamma[k, i, j]
-    return ConnectionField(chart, gamma)
-
-
-def covariant_derivative_endo(conn: ConnectionField, J: EndoField) -> np.ndarray:
-    """(nabla_k J)^i_j, indexed [k, i, j]."""
-    n = conn.chart.dim
-    gamma = conn.comps
-    out = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                terms = [ex.differentiate(J.comps[i, j], k)]
-                terms += [gamma[i, k, s] * J.comps[s, j] for s in range(n)]
-                terms += [-(gamma[s, k, j] * J.comps[i, s]) for s in range(n)]
-                out[k, i, j] = ex.balanced_sum(terms)
-    return out
-
-
-def covariant_derivative_metric(conn: ConnectionField, g: MetricField) -> np.ndarray:
-    """(nabla_k g)_{ij}, indexed [k, i, j]."""
-    n = conn.chart.dim
-    gamma = conn.comps
-    out = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                terms = [ex.differentiate(g.comps[i, j], k)]
-                terms += [-(gamma[s, k, i] * g.comps[s, j]) for s in range(n)]
-                terms += [-(gamma[s, k, j] * g.comps[i, s]) for s in range(n)]
-                out[k, i, j] = ex.balanced_sum(terms)
-                out[k, j, i] = out[k, i, j]
-    return out
-
-
-def covariant_derivative_oneform(conn: ConnectionField, a: OneFormField) -> np.ndarray:
-    """(nabla_k alpha)_i, indexed [k, i]."""
-    n = conn.chart.dim
-    gamma = conn.comps
-    out = np.empty((n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            terms = [ex.differentiate(a.comps[i], k)]
-            terms += [-(gamma[s, k, i] * a.comps[s]) for s in range(n)]
-            out[k, i] = ex.balanced_sum(terms)
-    return out
-
-
-def lie_bracket(chart: Chart, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[X, Y]^i = X^k d_k Y^i - Y^k d_k X^i on object arrays of Exprs."""
-    n = chart.dim
-    X = np.asarray(X, dtype=object)
-    Y = np.asarray(Y, dtype=object)
-    out = np.empty(n, dtype=object)
-    for i in range(n):
-        terms = [X[k] * ex.differentiate(Y[i], k) for k in range(n)]
-        terms += [-(Y[k] * ex.differentiate(X[i], k)) for k in range(n)]
-        out[i] = ex.balanced_sum(terms)
-    return out
-
-
-def torsion(conn: ConnectionField) -> np.ndarray:
-    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}, indexed [k, i, j]."""
-    n = conn.chart.dim
-    gamma = conn.comps
-    out = np.empty((n, n, n), dtype=object)
-    zero = ex.const(0.0)
-    for k in range(n):
-        for i in range(n):
-            out[k, i, i] = zero
-            for j in range(i + 1, n):
-                out[k, i, j] = gamma[k, i, j] - gamma[k, j, i]
-                out[k, j, i] = -(gamma[k, i, j] - gamma[k, j, i])
-    return out
-
-
-# ------------------------------------------------------------------
-# Curvature and the Nijenhuis tensor on values at the samples
-# ------------------------------------------------------------------
+    n = dg.shape[-1]
+    # first[..., l, i, j] = d_i g_{jl}; the second term is its (i, j) transpose
+    first = np.moveaxis(dg, -1, -3)
+    lowered = 0.5 * (first + np.swapaxes(first, -1, -2) - dg)
+    raised = ginv @ lowered.reshape(lowered.shape[:-2] + (n * n,))
+    return raised.reshape(raised.shape[:-1] + (n, n))
 
 
 def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

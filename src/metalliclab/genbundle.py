@@ -18,6 +18,7 @@ dual basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,9 @@ __all__ = [
     "musical_flat",
     "musical_sharp",
     "ghat_matrix",
+    "metric_inverse",
+    "generalized",
+    "sharp_term",
     "pairing_matrix",
     "natural_pairing",
     "build_jm",
@@ -57,6 +61,7 @@ __all__ = [
 ]
 
 _COMPAT_TOL = 1e-8
+_DET_GUARD = 1e-12  # |det g| below this is a singular metric
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class GenVector:
 
 
 def _singular(g: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.det(g)) < 1e-12
+    return np.abs(np.linalg.det(g)) < _DET_GUARD
 
 
 def _check_metric(g: np.ndarray) -> np.ndarray:
@@ -117,11 +122,15 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1))
 
 
-def _blockdiag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    n = upper.shape[-1]
-    out = np.zeros(upper.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = upper
-    out[..., n:, n:] = lower
+def _blocks(A, B, C, D) -> np.ndarray:
+    """[[A, B], [C, D]] from stacks of n x n blocks; a block may be 0.0."""
+    shape = np.broadcast_shapes(*(np.shape(block) for block in (A, B, C, D)))
+    n = shape[-1]
+    out = np.zeros(shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = A
+    out[..., :n, n:] = B
+    out[..., n:, :n] = C
+    out[..., n:, n:] = D
     return out
 
 
@@ -154,8 +163,51 @@ def musical_sharp(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 def ghat_matrix(g: np.ndarray) -> np.ndarray:
     """Block-diagonal (g, g^{-1}) metric on TM + T*M."""
-    g = _check_metric(g)
-    return _blockdiag(g, np.linalg.inv(g))
+    g = np.asarray(g, dtype=float)
+    return generalized("ghat", None, g, metric_inverse(g))
+
+
+def metric_inverse(g: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
+    """g^-1 of a batch of metrics.
+
+    Raises SingularMetric if |det g| < 1e-12 at a sample, naming the first
+    such sample's point when the batch's ``points`` are given.
+    """
+    g = np.asarray(g, dtype=float)
+    singular = np.ravel(_singular(g))
+    if singular.any():
+        where = "at this point"
+        if points is not None:
+            point = np.reshape(points, (singular.size, -1))[int(np.argmax(singular))]
+            where = f"at {tuple(float(v) for v in point)}"
+        raise SingularMetric(f"|det g| < {_DET_GUARD:g} {where}")
+    return np.linalg.inv(g)
+
+
+def sharp_term(label: str, K: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """The upper-right block of Jp, (I - K) g^-1, or of Jc, -(I + K) g^-1, for K = J^2."""
+    sign = {"jp": 1.0, "jc": -1.0}[label]
+    return (sign * np.eye(K.shape[-1]) - K) @ ginv
+
+
+def generalized(label: str, J, g, ginv, upper=None) -> np.ndarray:
+    """The block assembler of the generalized structures:
+
+    jm    [[J, 0], [0, J*]]        (reads J only)
+    jp    [[J, upper], [g, -J*]]   with upper = sharp_term("jp", J^2, g^-1)
+    jc    [[J, upper], [g, -J*]]   with upper = sharp_term("jc", J^2, g^-1)
+    ghat  [[g, 0], [0, g^-1]]      (reads g and g^-1 only)
+
+    Every block enters linearly, so the partials d_k of J, g, g^-1 and of
+    the upper block, with a direction axis before the matrix axes, give the
+    partials of the structure.
+    """
+    if label == "ghat":
+        return _blocks(g, 0.0, 0.0, ginv)
+    Jt = np.swapaxes(J, -1, -2)
+    if label == "jm":
+        return _blocks(J, 0.0, 0.0, Jt)
+    return _blocks(J, upper, g, -Jt)
 
 
 def pairing_matrix(n: int) -> np.ndarray:
@@ -192,38 +244,34 @@ def _require_compatible(g: np.ndarray, J: np.ndarray, tolerance: float):
 def build_jm(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized metallic structure blockdiag(J, J*)."""
     g, J = _require_compatible(g, J, tolerance)
-    return _blockdiag(J, np.swapaxes(J, -1, -2))
+    return generalized("jm", J, g, None)
 
 
-def _with_musical_blocks(J: np.ndarray, g: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """[[J, upper sharp], [flat, -J*]]."""
-    n = J.shape[-1]
-    out = np.zeros(J.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = J
-    out[..., :n, n:] = upper @ np.linalg.inv(g)
-    out[..., n:, :n] = g
-    out[..., n:, n:] = -np.swapaxes(J, -1, -2)
-    return out
+def _build_musical(label: str, J, g, tolerance: float) -> np.ndarray:
+    g, J = _require_compatible(g, J, tolerance)
+    ginv = metric_inverse(g)
+    return generalized(label, J, g, ginv, sharp_term(label, J @ J, ginv))
 
 
 def build_jp(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized product structure [[J, (I - J^2) sharp], [flat, -J*]]."""
-    g, J = _require_compatible(g, J, tolerance)
-    return _with_musical_blocks(J, g, np.eye(J.shape[-1]) - J @ J)
+    return _build_musical("jp", J, g, tolerance)
 
 
 def build_jc(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized complex structure [[J, -(I + J^2) sharp], [flat, -J*]]."""
-    g, J = _require_compatible(g, J, tolerance)
-    return _with_musical_blocks(J, g, -(np.eye(J.shape[-1]) + J @ J))
+    return _build_musical("jc", J, g, tolerance)
 
 
 @dataclass(frozen=True)
 class DerivedFamily:
     """Structures generated from one metallic pair via product conversions.
 
-    Only F^+ and Jp are stored.  Every other member is built each time it is
-    read, so a caller that reduces one member at a time holds one at a time.
+    F^+, Jp and, once read, Fhat^+ are stored.  Every other member is built
+    each time it is read, so a caller that reduces one member at a time holds
+    one at a time.  F^- = -F^+ and negation is exact, so J^+(Fhat^-) and
+    J^-(Fhat^-) are J^-(Fhat^+) and J^+(Fhat^+) bit for bit and are read as
+    those.
     """
 
     f_plus: np.ndarray  # (2J - pI) / (2s - p)
@@ -234,14 +282,13 @@ class DerivedFamily:
     def f_minus(self) -> np.ndarray:
         return -self.f_plus
 
-    @property
+    @cached_property
     def fhat_plus(self) -> np.ndarray:
-        return _blockdiag(self.f_plus, np.swapaxes(self.f_plus, -1, -2))
+        return generalized("jm", self.f_plus, None, None)
 
     @property
     def fhat_minus(self) -> np.ndarray:
-        f_minus = self.f_minus
-        return _blockdiag(f_minus, np.swapaxes(f_minus, -1, -2))
+        return -self.fhat_plus
 
     def _converted(self, sign: float, product: np.ndarray) -> np.ndarray:
         """sign (2s-p)/2 product + p/2 I."""
@@ -259,11 +306,11 @@ class DerivedFamily:
 
     @property
     def j_plus_of_fminus(self) -> np.ndarray:
-        return self._converted(1.0, self.fhat_minus)
+        return self.j_minus_of_fplus
 
     @property
     def j_minus_of_fminus(self) -> np.ndarray:
-        return self._converted(-1.0, self.fhat_minus)
+        return self.j_plus_of_fplus
 
     @property
     def jm_plus(self) -> np.ndarray:
@@ -275,16 +322,21 @@ class DerivedFamily:
 
 
 def derived_family(
-    J: np.ndarray, g: np.ndarray, params: MetallicParams, tolerance: float = _COMPAT_TOL
+    J: np.ndarray,
+    g: np.ndarray,
+    jp: np.ndarray,
+    params: MetallicParams,
+    tolerance: float = _COMPAT_TOL,
 ) -> DerivedFamily:
+    """The family of the pair (J, g) whose product structure ``jp`` the caller built."""
     if params.discriminant <= 0:
         raise DegenerateDiscriminant(
             f"family needs p^2 + 4q > 0, got {params.discriminant}"
         )
-    J = np.asarray(J, dtype=float)
+    g, J = _require_compatible(g, J, tolerance)
     gap = 2.0 * params.sigma - params.p
     f_plus = (2.0 * J - params.p * np.eye(J.shape[-1])) / gap
-    return DerivedFamily(f_plus, build_jp(J, g, tolerance), params)
+    return DerivedFamily(f_plus, np.asarray(jp, dtype=float), params)
 
 
 def _pairing_form(op: np.ndarray) -> np.ndarray:
@@ -426,7 +478,7 @@ def fhat_matrix(df: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("Df must be square for the generalized push-forward")
     if (np.abs(np.linalg.det(df)) < 1e-12).any():
         raise SingularJacobian("Df is not invertible")
-    return _blockdiag(df, np.linalg.inv(np.swapaxes(df, -1, -2)))
+    return _blocks(df, 0.0, 0.0, np.linalg.inv(np.swapaxes(df, -1, -2)))
 
 
 def fhat_conjugation(

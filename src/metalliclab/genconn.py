@@ -6,12 +6,13 @@ Phi(T), the semi-symmetric metric connection D = nabla^g + F built from a
 1-form, the induced derivative Dhat on TM + T*M, and numeric evaluators
 for the integrability-condition lists of the product/complex structures.
 
-Everything but the Expr builders of Jm, Jp, Jc and ghat works on values at
-the samples, arrays with a leading sample axis m.  A connection is given by
-``gamma[m, k, i, j]`` = Gamma^k_{ij}, a field by its values and its first
-partials ``d[m, k, ...]`` = d_k of the field.  None of these tensors needs
-a derivative of the connection, so no function here differentiates: the
-caller evaluates the partials of the leaf fields once per run.
+Everything here works on values at the samples, arrays with a leading
+sample axis m.  A connection is given by ``gamma[m, k, i, j]`` =
+Gamma^k_{ij}, a field by its values and its first partials
+``d[m, k, ...]`` = d_k of the field; the generalized structures come with
+theirs from :func:`metalliclab.genbundle.generalized`.  None of these
+tensors needs a derivative of the connection, so no function here
+differentiates.
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chart as ch
 from .errors import ZeroQ
 from .metallic import MetallicParams
 
 __all__ = [
-    "gen_metallic_field",
-    "gen_product_field",
-    "gen_complex_field",
-    "ghat_field",
     "torsion",
     "nabla_endo",
     "nabla_metric",
@@ -47,63 +43,6 @@ __all__ = [
     "jp_reduced_residuals",
     "jc_reduced_residuals",
 ]
-
-
-def _block(chart: ch.Chart, A, B, C, D) -> np.ndarray:
-    n = chart.dim
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    out[:n, :n] = A
-    out[:n, n:] = B
-    out[n:, :n] = C
-    out[n:, n:] = D
-    return out
-
-
-def gen_metallic_field(J: ch.EndoField) -> np.ndarray:
-    """blockdiag(J, J*) as an Expr matrix over the base chart."""
-    n = J.chart.dim
-    zero = ch.constant_matrix(np.zeros((n, n)))
-    return _block(J.chart, J.comps, zero, zero, J.comps.T)
-
-
-def gen_product_field(
-    g: ch.MetricField, J: ch.EndoField, ginv: np.ndarray | None = None
-) -> np.ndarray:
-    n = J.chart.dim
-    if ginv is None:
-        ginv = ch.inverse_metric(g)
-    J2 = ch.mat_mul(J.comps, J.comps)
-    upper = ch.mat_mul(ch.identity_endo(n) - J2, ginv)
-    minus_jstar = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            minus_jstar[i, j] = -J.comps[j, i]
-    return _block(J.chart, J.comps, upper, g.comps, minus_jstar)
-
-
-def gen_complex_field(
-    g: ch.MetricField, J: ch.EndoField, ginv: np.ndarray | None = None
-) -> np.ndarray:
-    n = J.chart.dim
-    if ginv is None:
-        ginv = ch.inverse_metric(g)
-    J2 = ch.mat_mul(J.comps, J.comps)
-    upper_neg = ch.mat_mul(ch.identity_endo(n) + J2, ginv)
-    upper = np.empty((n, n), dtype=object)
-    minus_jstar = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            upper[i, j] = -upper_neg[i, j]
-            minus_jstar[i, j] = -J.comps[j, i]
-    return _block(J.chart, J.comps, upper, g.comps, minus_jstar)
-
-
-def ghat_field(g: ch.MetricField, ginv: np.ndarray | None = None) -> np.ndarray:
-    n = g.chart.dim
-    if ginv is None:
-        ginv = ch.inverse_metric(g)
-    zero = ch.constant_matrix(np.zeros((n, n)))
-    return _block(g.chart, g.comps, zero, zero, ginv)
 
 
 # ------------------------------------------------------------------

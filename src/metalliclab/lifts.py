@@ -95,7 +95,7 @@ class Lift:
 
     ``y`` holds the fibre coordinates [m, k]; the other arrays are the base
     values at x: g, g^-1 and J [m, i, j], Gamma [m, k, i, j], and the partials
-    dg[m, a, i, j], dJ[m, a, i, j], dgamma[m, a, l, i, j] = d_a Gamma^l_{ij}.
+    dg, dJ, dginv [m, a, i, j] and dgamma[m, a, l, i, j] = d_a Gamma^l_{ij}.
 
     The morphism is forward = [[I, 0], [L, V]] with the frame
     X_i^H = d_i + L^l_i d/dy^l:
@@ -111,7 +111,7 @@ class Lift:
     all 2n coordinates.
     """
 
-    def __init__(self, flavor, y, g, ginv, J, gamma, dg, dJ, dgamma):
+    def __init__(self, flavor, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv):
         n = J.shape[-1]
         eye = np.broadcast_to(np.eye(n), J.shape)
         Jt = np.swapaxes(J, -1, -2)
@@ -128,7 +128,7 @@ class Lift:
         self.jbar = _lower_blocks(J, L @ J - D @ L, D)
         self._flavor, self._y, self._C, self._L, self._D = flavor, y, C, L, D
         self._eye, self._V, self._W = eye, V, W
-        self._base = (g, ginv, J, dg, dJ, dgamma)
+        self._base = (g, ginv, J, dg, dJ, dgamma, dginv)
 
     @cached_property
     def forward(self) -> np.ndarray:
@@ -149,16 +149,15 @@ class Lift:
     def djbar(self) -> np.ndarray:
         """L is linear in y and D does not depend on it, so d/dy_k jbar has the
         one block (d L/dy_k) J - D (d L/dy_k); the base partials follow from
-        those of J, L, V = g^-1 (d g^-1 = -g^-1 dg g^-1) and W."""
-        g, ginv, J, dg, dJ, dgamma = self._base
+        those of J, L, V = g^-1 and W."""
+        g, ginv, J, dg, dJ, dgamma, dginv = self._base
         C, L, D = self._C, self._L[:, None], self._D[:, None]
         m, n = J.shape[0], J.shape[-1]
         dJt = np.swapaxes(dJ, -1, -2)
         if self._flavor == TANGENT:
             dC = -dgamma.transpose(0, 1, 4, 2, 3)
-            dV = -(ginv[:, None] @ dg @ ginv[:, None])
             Jt = np.swapaxes(J, -1, -2)
-            dD = dV @ (Jt @ g)[:, None] + ginv[:, None] @ dJt @ g[:, None]
+            dD = dginv @ (Jt @ g)[:, None] + ginv[:, None] @ dJt @ g[:, None]
             dD += (ginv @ Jt)[:, None] @ dg
         else:
             dC = dgamma.transpose(0, 1, 2, 4, 3)
@@ -170,9 +169,9 @@ class Lift:
         return out
 
 
-def lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma) -> Lift:
+def lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv) -> Lift:
     """The :class:`Lift` of the flavour at the fibre points y over the base values."""
-    return Lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma)
+    return Lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv)
 
 
 # ------------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "from_projection",
     "product_from_metallic",
     "metallic_from_product",
-    "is_locally_metallic",
     "inverse_metallic",
     "check_metallic_map",
     "random_compatible_pair",
@@ -179,22 +178,6 @@ def metallic_from_product(
             plus[i, j] = ex.const(half_gap) * F.comps[i, j] + shift
             minus[i, j] = ex.const(-half_gap) * F.comps[i, j] + shift
     return ch.EndoField(F.chart, plus), ch.EndoField(F.chart, minus)
-
-
-def is_locally_metallic(
-    J: ch.EndoField, g: ch.MetricField, points, tolerance: float = 1e-9
-) -> CheckResult:
-    """Residual of nabla J for the Levi-Civita connection of g."""
-    conn = ch.christoffel(g, probe_points=points)
-    nabla_j = ch.covariant_derivative_endo(conn, J)
-    values = ch.eval_exprs(nabla_j, points)
-    return from_residuals(
-        "locally-metallic",
-        "nabla J = 0 for the Levi-Civita connection",
-        values,
-        points,
-        tolerance,
-    )
 
 
 def inverse_metallic(J: ch.EndoField, params: MetallicParams) -> ch.EndoField:

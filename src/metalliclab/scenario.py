@@ -240,7 +240,7 @@ def _load(path: Path) -> ChartScenario:
             J = structure.J
         except (NotAProjection, ComplexDiscriminant, DomainError, SingularMetric) as err:
             validation_problems.append(f"J.projection: {err}")
-            J = ch.EndoField(chart, ch.identity_endo(n))
+            J = ch.EndoField(chart, ch.constant_matrix(np.eye(n)))
     else:
         J = ch.EndoField(chart, j_comps)
 

@@ -5,8 +5,8 @@ import pytest
 
 from metalliclab import chart as ch
 from metalliclab.metallic import MetallicParams, from_projection
-from metalliclab.scenario import load_scenario
-from metalliclab.suites import run_suites
+from metalliclab.scenario import ChartScenario, load_scenario
+from metalliclab.suites import ScenarioContext, run_suites
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -29,6 +29,32 @@ def jet(comps, pts):
     """Values and first partials d_k of an Expr array at the points, [m, k, ...]."""
     comps = np.asarray(comps, dtype=object)
     return ch.eval_exprs(comps, pts), ch.eval_exprs(ch.partials(comps, pts.shape[1]), pts)
+
+
+def field_context(g, J, pts, params=MetallicParams(1.0, 1.0), omega=None, connection=None):
+    """The run context of bare fields at the points: g^-1, Levi-Civita, the
+    generalized structures and the rest as a run over a scenario builds them."""
+    scenario = ChartScenario(
+        "fields", g.chart, params, g, J, False, omega, connection, [], len(pts), 0, 1e-9
+    )
+    return ScenarioContext(scenario, points=pts)
+
+
+def dense_metric(n, seed=0):
+    """g_ij = 3 delta_ij + 0.4 sin(x_i x_j + (x_1 + ... + x_n) / 3 + (i + j) / 3):
+    every entry depends on every coordinate, and g is diagonally dominant,
+    hence positive definite."""
+    c = ch.Chart(tuple(f"x{i + 1}" for i in range(n)), ((0.2, 1.3),) * n, seed=seed)
+    total = " + ".join(c.names)
+    rows = [
+        [
+            f"{3 if i == j else 0} + 0.4*sin(x{i + 1}*x{j + 1} + ({total})/3 + {(i + j) / 3})"
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    comps = np.array([[c.parse(s) for s in row] for row in rows], dtype=object)
+    return c, ch.MetricField(c, comps)
 
 
 @pytest.fixture(scope="session")

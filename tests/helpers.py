@@ -59,14 +59,11 @@ def fd_christoffel(g: ch.MetricField, x, h=1e-5):
     return gamma
 
 
-def fd_riemann(conn: ch.ConnectionField, x, h=1e-5):
-    """House curvature formula with finite-difference Gamma derivatives."""
+def fd_riemann(gamma_at, x, h=1e-5):
+    """House curvature formula with finite-difference Gamma derivatives;
+    ``gamma_at`` maps a point to Gamma[k, i, j] there."""
     x = np.asarray(x, dtype=float)
-    n = conn.chart.dim
-
-    def gamma_at(p):
-        return ch.eval_exprs(conn.comps, p.reshape(1, -1))[0]
-
+    n = len(x)
     gv = gamma_at(x)
     dgamma = np.array([fd_partial(gamma_at, x, a, h) for a in range(n)])
     R = np.zeros((n, n, n, n))
@@ -236,6 +233,22 @@ def fd_gen_nijenhuis(jhat_at, gamma, x, h=1e-5):
                 - J @ _oracle_bracket(gamma, eye[a], flat, jb, djb)
                 + J @ J @ _oracle_bracket(gamma, eye[a], flat, eye[b], flat)
             )
+    return out
+
+
+def nabla_loop(gamma, T, dT, metric=False):
+    """nabla_k of an endomorphism (or, with ``metric``, of a (0,2) form) at one
+    point, [k, i, j], entry by entry from gamma[k, i, j] = Gamma^k_{ij}, the
+    values T and the partials dT[k, i, j] = d_k T[i, j]."""
+    n = len(T)
+    out = np.zeros((n, n, n))
+    for k, i, j in np.ndindex(n, n, n):
+        if metric:
+            terms = (gamma[s, k, i] * T[s, j] + gamma[s, k, j] * T[i, s] for s in range(n))
+            out[k, i, j] = dT[k, i, j] - sum(terms)
+        else:
+            terms = (gamma[i, k, s] * T[s, j] - gamma[s, k, j] * T[i, s] for s in range(n))
+            out[k, i, j] = dT[k, i, j] + sum(terms)
     return out
 
 

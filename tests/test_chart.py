@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from metalliclab import expr as ex
 from metalliclab import genconn as gc
 from metalliclab.errors import DimensionMismatch, SingularMetric
 
-from conftest import jet
-from helpers import fd_christoffel, fd_nijenhuis, fd_riemann
+from conftest import dense_metric, field_context, jet
+from helpers import fd_christoffel, fd_nijenhuis, fd_partial, fd_riemann
 
 
 def make_chart(seed=3):
@@ -22,6 +24,17 @@ def metric_from_strings(c, rows):
 def endo_from_strings(c, rows):
     comps = np.array([[c.parse(s) for s in row] for row in rows], dtype=object)
     return ch.EndoField(c, comps)
+
+
+def levi_civita(g, pts):
+    """Gamma and its partials [m, a, k, i, j] of the metric field at the points."""
+    ctx = field_context(g, None, pts)
+    return ctx.lc_gamma_at, ctx.lc_dgamma_at
+
+
+def gamma_function(g):
+    """The function point -> Levi-Civita Gamma of the metric field there."""
+    return lambda p: levi_civita(g, np.reshape(p, (1, -1)))[0][0]
 
 
 def test_chart_validation():
@@ -95,45 +108,43 @@ def test_sample_points_equal_scipy_halton_bit_for_bit():
 def test_identity_metric_has_zero_christoffel():
     c = make_chart()
     g = metric_from_strings(c, [["1", "0"], ["0", "1"]])
-    conn = ch.christoffel(g)
-    values = conn.eval(c.sample_points(8))
+    values, derivatives = levi_civita(g, c.sample_points(8))
     assert np.abs(values).max() == 0.0
+    assert np.abs(derivatives).max() == 0.0
 
 
 def test_polar_plane_christoffel_closed_form_and_fd_oracle():
     c = make_chart()
     g = metric_from_strings(c, [["1", "0"], ["0", "x1^2"]])
-    conn = ch.christoffel(g, probe_points=c.sample_points(8))
     pts = c.sample_points(20)
-    values = conn.eval(pts)
+    values, derivatives = levi_civita(g, pts)
     x1 = pts[:, 0]
     assert np.abs(values[:, 0, 1, 1] + x1).max() < 1e-12
     assert np.abs(values[:, 1, 0, 1] - 1.0 / x1).max() < 1e-12
     assert np.abs(values[:, 1, 1, 0] - 1.0 / x1).max() < 1e-12
-    for p in pts:
-        oracle = fd_christoffel(g, p)
-        got = conn.eval(p.reshape(1, -1))[0]
-        assert np.abs(got - oracle).max() < 1e-8
+    # d_1 Gamma^2_{12} = -1 / x1^2
+    assert np.abs(derivatives[:, 0, 1, 0, 1] + 1.0 / x1**2).max() < 1e-12
+    for got, p in zip(values, pts):
+        assert np.abs(got - fd_christoffel(g, p)).max() < 1e-8
 
 
 def test_sphere_christoffel_closed_form_and_fd_oracle(sphere_chart, sphere_metric):
-    conn = ch.christoffel(sphere_metric)
     pts = sphere_chart.sample_points(20)
-    values = conn.eval(pts)
+    values = levi_civita(sphere_metric, pts)[0]
     x1 = pts[:, 0]
     assert np.abs(values[:, 0, 1, 1] + np.sin(x1) * np.cos(x1)).max() < 1e-12
     assert np.abs(values[:, 1, 0, 1] - np.cos(x1) / np.sin(x1)).max() < 1e-12
-    for p in pts[:8]:
-        oracle = fd_christoffel(sphere_metric, p)
-        got = values[np.where((pts == p).all(axis=1))[0][0]]
-        assert np.abs(got - oracle).max() < 1e-7
+    for got, p in zip(values[:8], pts[:8]):
+        assert np.abs(got - fd_christoffel(sphere_metric, p)).max() < 1e-7
 
 
 def test_singular_metric_detected():
     c = make_chart()
     g = metric_from_strings(c, [["x1 - x1", "0"], ["0", "1"]])
-    with pytest.raises(SingularMetric):
-        ch.christoffel(g, probe_points=c.sample_points(4))
+    pts = c.sample_points(4)
+    first = str(tuple(float(v) for v in pts[0]))
+    with pytest.raises(SingularMetric, match=re.escape(first)):
+        levi_civita(g, pts)
 
 
 def test_metric_positive_definite_guard():
@@ -147,27 +158,24 @@ def test_flat_metrics_have_zero_curvature():
     c = make_chart()
     for rows in ([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "x1^2"]]):
         g = metric_from_strings(c, rows)
-        values = ch.riemann(*jet(ch.christoffel(g).comps, c.sample_points(16)))
+        values = ch.riemann(*levi_civita(g, c.sample_points(16)))
         assert np.abs(values).max() < 1e-9
 
 
 def test_sphere_curvature_value_and_fd_oracle(sphere_chart, sphere_metric):
-    conn = ch.christoffel(sphere_metric)
     pts = sphere_chart.sample_points(12)
-    values = ch.riemann(*jet(conn.comps, pts))
+    values = ch.riemann(*levi_civita(sphere_metric, pts))
     # R(d_1, d_2)d_2 = sin^2(x1) d_1 in the house convention
     assert np.abs(values[:, 0, 0, 1, 1] - np.sin(pts[:, 0]) ** 2).max() < 1e-12
     # antisymmetry in the first two lower slots
     assert np.abs(values + values.transpose(0, 1, 3, 2, 4)).max() == 0.0
-    for p in pts[:6]:
-        oracle = fd_riemann(conn, p)
-        got = ch.riemann(*jet(conn.comps, p.reshape(1, -1)))[0]
+    for got, p in zip(values[:6], pts[:6]):
+        oracle = fd_riemann(gamma_function(sphere_metric), p)
         assert np.abs(got - oracle).max() < 1e-6
 
 
 def test_first_bianchi_identity(sphere_chart, sphere_metric):
-    conn = ch.christoffel(sphere_metric)
-    values = ch.riemann(*jet(conn.comps, sphere_chart.sample_points(16)))
+    values = ch.riemann(*levi_civita(sphere_metric, sphere_chart.sample_points(16)))
     cyc = (
         values
         + np.einsum("mljki->mlijk", values)
@@ -177,100 +185,44 @@ def test_first_bianchi_identity(sphere_chart, sphere_metric):
 
 
 def test_levi_civita_is_metric_parallel(sphere_chart, sphere_metric):
-    conn = ch.christoffel(sphere_metric)
-    nabla_g = ch.covariant_derivative_metric(conn, sphere_metric)
-    values = ch.eval_exprs(nabla_g, sphere_chart.sample_points(16))
+    ctx = field_context(sphere_metric, None, sphere_chart.sample_points(16))
+    values = gc.nabla_metric(ctx.lc_gamma_at, ctx.g_at, ctx.dg_at)
     assert np.abs(values).max() < 1e-9
 
 
 def test_covariant_derivative_with_zero_connection_reduces_to_partials():
     c = make_chart()
-    zero_conn = ch.ConnectionField(c, ch.constant_matrix(np.zeros((2, 2, 2))))
-    g = metric_from_strings(c, [["1", "0"], ["0", "x1^2"]])
-    values = ch.eval_exprs(
-        ch.covariant_derivative_metric(zero_conn, g), c.sample_points(8)
-    )
     pts = c.sample_points(8)
+    zero = np.zeros((8, 2, 2, 2))
+    g = metric_from_strings(c, [["1", "0"], ["0", "x1^2"]])
+    values = gc.nabla_metric(zero, *jet(g.comps, pts))
     assert np.abs(values[:, 0, 1, 1] - 2.0 * pts[:, 0]).max() < 1e-12
-
-    alpha = ch.OneFormField(c, np.array([c.parse("1"), c.parse("0")], dtype=object))
-    v2 = ch.eval_exprs(
-        ch.covariant_derivative_oneform(zero_conn, alpha), c.sample_points(8)
-    )
-    assert np.abs(v2).max() == 0.0
+    J = endo_from_strings(c, [["x1*x2", "x2^2"], ["1", "x1 + x2"]])
+    assert (gc.nabla_endo(zero, *jet(J.comps, pts)) == jet(J.comps, pts)[1]).all()
 
 
 def test_covariant_derivative_endo_cases(sphere_chart, sphere_metric):
     c = sphere_chart
-    conn = ch.christoffel(sphere_metric)
+    pts = c.sample_points(8)
+    gamma = levi_civita(sphere_metric, pts)[0]
     sigma = (1 + np.sqrt(5)) / 2
     scalar = ch.EndoField(c, ch.constant_matrix(sigma * np.eye(2)))
-    values = ch.eval_exprs(
-        ch.covariant_derivative_endo(conn, scalar), c.sample_points(8)
-    )
+    values = gc.nabla_endo(gamma, *jet(scalar.comps, pts))
     assert np.abs(values).max() < 1e-12
 
-    zero_conn = ch.ConnectionField(c, ch.constant_matrix(np.zeros((2, 2, 2))))
     J = endo_from_strings(c, [["x1", "0"], ["0", "1"]])
-    v2 = ch.eval_exprs(ch.covariant_derivative_endo(zero_conn, J), c.sample_points(8))
+    v2 = gc.nabla_endo(np.zeros_like(gamma), *jet(J.comps, pts))
     assert np.abs(v2[:, 0, 0, 0] - 1.0).max() == 0.0
-
-
-def test_lie_bracket_examples():
-    c = make_chart()
-    zero = c.parse("0")
-    one = c.parse("1")
-    d1 = np.array([one, zero], dtype=object)
-    d2 = np.array([zero, one], dtype=object)
-    pts = c.sample_points(8)
-    assert np.abs(ch.eval_exprs(ch.lie_bracket(c, d1, d2), pts)).max() == 0.0
-
-    # [x1 d_2, d_1] = -d_2
-    x1d2 = np.array([zero, c.parse("x1")], dtype=object)
-    values = ch.eval_exprs(ch.lie_bracket(c, x1d2, d1), pts)
-    assert np.abs(values[:, 0]).max() == 0.0
-    assert np.abs(values[:, 1] + 1.0).max() == 0.0
-
-
-def test_lie_bracket_antisymmetry_and_jacobi():
-    c = make_chart()
-    rng = np.random.default_rng(4)
-
-    def poly_field():
-        out = np.empty(2, dtype=object)
-        for i in range(2):
-            c0, c1, c2, c3 = rng.uniform(-1, 1, size=4)
-            out[i] = (
-                ex.const(c0)
-                + ex.const(c1) * c.coord(0)
-                + ex.const(c2) * c.coord(1)
-                + ex.const(c3) * c.coord(0) * c.coord(1)
-            )
-        return out
-
-    pts = c.sample_points(10)
-    for _ in range(5):
-        X, Y, Z = poly_field(), poly_field(), poly_field()
-        anti = ch.lie_bracket(c, X, Y) + ch.lie_bracket(c, Y, X)
-        assert np.abs(ch.eval_exprs(anti, pts)).max() < 1e-9
-        jac = (
-            ch.lie_bracket(c, X, ch.lie_bracket(c, Y, Z))
-            + ch.lie_bracket(c, Y, ch.lie_bracket(c, Z, X))
-            + ch.lie_bracket(c, Z, ch.lie_bracket(c, X, Y))
-        )
-        assert np.abs(ch.eval_exprs(jac, pts)).max() < 1e-9
 
 
 def test_torsion():
     c = make_chart()
     g = metric_from_strings(c, [["1", "0"], ["0", "x1^2"]])
-    lc = ch.christoffel(g)
-    assert np.abs(ch.eval_exprs(ch.torsion(lc), c.sample_points(8))).max() == 0.0
+    assert np.abs(gc.torsion(levi_civita(g, c.sample_points(8))[0])).max() == 0.0
 
-    gamma = np.zeros((2, 2, 2))
-    gamma[0, 0, 1] = 1.0  # Gamma^1_{12} = 1, Gamma^1_{21} = 0
-    conn = ch.ConnectionField(c, ch.constant_matrix(gamma))
-    values = ch.eval_exprs(ch.torsion(conn), c.sample_points(4))
+    gamma = np.zeros((4, 2, 2, 2))
+    gamma[:, 0, 0, 1] = 1.0  # Gamma^1_{12} = 1, Gamma^1_{21} = 0
+    values = gc.torsion(gamma)
     assert np.abs(values[:, 0, 0, 1] - 1.0).max() == 0.0
     assert np.abs(values[:, 0, 1, 0] + 1.0).max() == 0.0
 
@@ -318,32 +270,26 @@ def test_nijenhuis_covariant_identity_any_connection():
     conn = ch.ConnectionField(c, gamma)
     pts = c.sample_points(16)
     NJ = ch.nijenhuis(*jet(J.comps, pts))
-    DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts)
-    T = ch.eval_exprs(ch.torsion(conn), pts)
-    Jv = ch.eval_exprs(J.comps, pts)
-    rhs = gc.covariant_nijenhuis_rhs(DJ, T, Jv)
+    gamma = conn.eval(pts)
+    Jv, dJ = jet(J.comps, pts)
+    rhs = gc.covariant_nijenhuis_rhs(gc.nabla_endo(gamma, Jv, dJ), gc.torsion(gamma), Jv)
     assert np.abs(NJ - rhs).max() < 1e-8
 
 
-def test_inverse_metric_symbolic_adjugate():
-    # n = 3 with off-diagonal entries exercises the memoised minors
+def test_inverse_metric_of_a_dense_metric():
+    # n = 3 with off-diagonal entries
     c = ch.Chart(("x1", "x2", "x3"), ((0.2, 1.0),) * 3, seed=2)
-    comps = np.array(
+    g = metric_from_strings(
+        c,
         [
-            [c.parse("2 + x1^2"), c.parse("x1*x2/4"), c.parse("0")],
-            [c.parse("x1*x2/4"), c.parse("2 + x2^2"), c.parse("x3/5")],
-            [c.parse("0"), c.parse("x3/5"), c.parse("2 + x3^2")],
+            ["2 + x1^2", "x1*x2/4", "0"],
+            ["x1*x2/4", "2 + x2^2", "x3/5"],
+            ["0", "x3/5", "2 + x3^2"],
         ],
-        dtype=object,
     )
-    g = ch.MetricField(c, comps)
-    inv = ch.inverse_metric(g)
-    pts = c.sample_points(12)
-    gv = g.eval(pts)
-    iv = ch.eval_exprs(inv, pts)
-    eye = np.eye(3)
-    assert np.abs(gv @ iv - eye).max() < 1e-12
-    assert np.abs(iv - np.swapaxes(iv, -1, -2)).max() == 0.0
+    ctx = field_context(g, None, c.sample_points(12))
+    assert np.abs(ctx.g_at @ ctx.ginv_at - np.eye(3)).max() < 1e-12
+    assert np.abs(ctx.ginv_at - np.swapaxes(ctx.ginv_at, -1, -2)).max() < 1e-15
 
 
 def test_christoffel_fd_oracle_in_dimension_four():
@@ -355,15 +301,13 @@ def test_christoffel_fd_oracle_in_dimension_four():
         ["0", "0", "2 + x4^2", "x2/4"],
         ["0", "0", "x2/4", "2 + x1^2"],
     ]
-    g = ch.MetricField(c, np.array([[c.parse(s) for s in r] for r in rows], dtype=object))
-    conn = ch.christoffel(g)
-    for p in c.sample_points(5):
-        oracle = fd_christoffel(g, p)
-        got = conn.eval(p.reshape(1, -1))[0]
-        assert np.abs(got - oracle).max() < 1e-7
-    # Levi-Civita stays metric-parallel through the adjugate inverse
-    nabla_g = ch.eval_exprs(ch.covariant_derivative_metric(conn, g), c.sample_points(8))
-    assert np.abs(nabla_g).max() < 1e-12
+    g = metric_from_strings(c, rows)
+    pts = c.sample_points(5)
+    for got, p in zip(levi_civita(g, pts)[0], pts):
+        assert np.abs(got - fd_christoffel(g, p)).max() < 1e-7
+    # Levi-Civita stays metric-parallel through the numeric inverse
+    ctx = field_context(g, None, c.sample_points(8))
+    assert np.abs(gc.nabla_metric(ctx.lc_gamma_at, ctx.g_at, ctx.dg_at)).max() < 1e-12
 
 
 def test_inverse_metric_dimension_six():
@@ -373,9 +317,31 @@ def test_inverse_metric_dimension_six():
     entries[0][1] = entries[1][0] = "x3/4"
     entries[2][3] = entries[3][2] = "x5/5"
     entries[4][5] = entries[5][4] = "x1*x2/6"
-    g = ch.MetricField(
-        c, np.array([[c.parse(s) for s in r] for r in entries], dtype=object)
-    )
-    inv = ch.inverse_metric(g)
-    pts = c.sample_points(6)
-    assert np.abs(g.eval(pts) @ ch.eval_exprs(inv, pts) - np.eye(6)).max() < 1e-12
+    ctx = field_context(metric_from_strings(c, entries), None, c.sample_points(6))
+    assert np.abs(ctx.g_at @ ctx.ginv_at - np.eye(6)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_christoffel_of_a_dense_metric_matches_the_fd_oracle(n):
+    # every entry of g varies, so every term of the Koszul formula and every
+    # entry of g^-1 enters
+    c, g = dense_metric(n, seed=n)
+    pts = c.sample_points(4)
+    values = levi_civita(g, pts)[0]
+    assert np.abs(values - np.swapaxes(values, -1, -2)).max() == 0.0
+    for got, p in zip(values, pts):
+        oracle = fd_christoffel(g, p)
+        assert np.abs(oracle).min() > 1e-6  # no entry of the comparison is trivial
+        assert np.abs(got - oracle).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_christoffel_partials_of_a_dense_metric_match_central_differences(n):
+    c, g = dense_metric(n, seed=10 + n)
+    pts = c.sample_points(3)
+    derivatives = levi_civita(g, pts)[1]
+    gamma_at = gamma_function(g)
+    for got, p in zip(derivatives, pts):
+        oracle = np.array([fd_partial(gamma_at, p, a) for a in range(n)])
+        assert np.abs(oracle).max() > 0.1
+        assert np.abs(got - oracle).max() < 1e-8

@@ -11,7 +11,7 @@ from metalliclab.errors import DomainError, ParseError
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import ConnBundle, ScenarioContext, run_suites
 
-from conftest import scenario_path
+from conftest import CORPUS, scenario_path
 from helpers import fd_gradient, random_expr
 
 COORDS = ["x1", "x2"]
@@ -302,27 +302,30 @@ def _structure(node, numbers, shapes):
 
 def test_tensors_of_a_scenario_hold_no_duplicate_structure():
     # built the way a run builds them: the scenario is loaded on its own and
-    # the tensors are interned into a copy of the scenario's table, so the
-    # nodes reachable from its leaf fields count too
-    scenario = load_scenario(scenario_path("warped-mixing"))
-    with ex.fresh_table(scenario.table):
-        gamma = ch.christoffel(scenario.metric)
-        n = scenario.chart.dim
-        roots = list(gamma.comps.flat) + list(ch.partials(gamma.comps, n).flat)
-        roots += list(ch.partials(scenario.J.comps, n).flat)
-        roots += list(scenario.metric.comps.flat) + list(scenario.J.comps.flat)
-        nodes, stack = {}, roots
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node.children())
-        numbers: dict = {}
-        shapes: dict = {}
-        for node in nodes.values():
-            _structure(node, numbers, shapes)
-    assert len(nodes) > 100
-    assert len(shapes) == len(nodes)
+    # the partials of its leaves (g to second order) are interned into a copy
+    # of the scenario's table, so the nodes reachable from the leaves count too
+    total = 0
+    for name in CORPUS:
+        scenario = load_scenario(scenario_path(name))
+        with ex.fresh_table(scenario.table):
+            n = scenario.chart.dim
+            dg = ch.partials(scenario.metric.comps, n)
+            roots = list(dg.flat) + list(ch.partials(dg, n).flat)
+            roots += list(ch.partials(scenario.J.comps, n).flat)
+            roots += list(scenario.metric.comps.flat) + list(scenario.J.comps.flat)
+            nodes, stack = {}, roots
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack.extend(node.children())
+            numbers: dict = {}
+            shapes: dict = {}
+            for node in nodes.values():
+                _structure(node, numbers, shapes)
+        assert len(shapes) == len(nodes), name
+        total += len(nodes)
+    assert total > 100
 
 
 def test_loading_a_scenario_leaves_the_module_table_alone():
@@ -336,7 +339,8 @@ def test_loading_a_scenario_leaves_the_module_table_alone():
     leaf = scenario.metric.comps[1, 1]
     with ex.fresh_table(scenario.table):
         assert ex.parse(ex.to_string(leaf), scenario.chart.names) is leaf
-        ch.christoffel(scenario.metric)
+        n = scenario.chart.dim
+        ch.partials(ch.partials(scenario.metric.comps, n), n)
     assert len(scenario.table) == entries
 
 

@@ -1,8 +1,11 @@
+import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from metalliclab import chart as ch
 from metalliclab import genbundle as gb
 from metalliclab import suites
 from metalliclab.errors import (
@@ -18,7 +21,8 @@ from metalliclab.errors import (
 from metalliclab.metallic import MetallicParams, random_compatible_pair
 from metalliclab.scenario import load_scenario
 
-from conftest import scenario_path
+from conftest import dense_metric, field_context, scenario_path
+from helpers import fd_partial
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PARAMS = MetallicParams(1.0, 1.0)
@@ -136,7 +140,7 @@ def test_derived_family_identities():
     for n in (2, 3):
         for _ in range(25):
             g, J = random_compatible_pair(rng, n, PARAMS)
-            fam = gb.derived_family(J, g, PARAMS)
+            fam = gb.derived_family(J, g, gb.build_jp(J, g), PARAMS)
             eye2n = np.eye(2 * n)
             jm = gb.build_jm(J, g)
             assert np.abs(fam.fhat_plus @ fam.fhat_plus - eye2n).max() < 1e-10
@@ -165,7 +169,7 @@ def test_derived_family_identities():
                 assert np.allclose(finite, gap / 2.0, atol=1e-8)
 
     with pytest.raises(DegenerateDiscriminant):
-        gb.derived_family(J2, G2, MetallicParams(2, -1))
+        gb.derived_family(J2, G2, gb.build_jp(J2, G2), MetallicParams(2, -1))
 
 
 def test_neutral_metric_block_form():
@@ -301,8 +305,8 @@ def test_batched_functions_equal_a_loop_over_their_slices(n):
         expected = [getattr(gb.endo_blocks(jp[k]), name) for k in loop]
         assert _equal_slices(getattr(blocks, name), expected)
 
-    family = gb.derived_family(J, g, PARAMS)
-    singles = [gb.derived_family(J[k], g[k], PARAMS) for k in loop]
+    family = gb.derived_family(J, g, jp, PARAMS)
+    singles = [gb.derived_family(J[k], g[k], jp[k], PARAMS) for k in loop]
     for name in FAMILY_MEMBERS:
         assert _equal_slices(getattr(family, name), [getattr(f, name) for f in singles])
 
@@ -352,7 +356,13 @@ def _loop_error(fn, J, g):
 
 @pytest.mark.parametrize(
     "fn",
-    (gb.build_jm, gb.build_jp, gb.build_jc, lambda J, g: gb.derived_family(J, g, PARAMS)),
+    (
+        gb.build_jm,
+        gb.build_jp,
+        gb.build_jc,
+        # the preconditions are checked before the product structure is read
+        lambda J, g: gb.derived_family(J, g, None, PARAMS),
+    ),
     ids=("build_jm", "build_jp", "build_jc", "derived_family"),
 )
 def test_batched_errors_are_those_of_the_first_failing_sample(fn):
@@ -427,11 +437,13 @@ def _genbundle_run(samples=8, seed=3):
 def test_one_degenerate_sample_keeps_every_genbundle_check(monkeypatch):
     _break_sample(monkeypatch, "J_at", np.zeros_like)
     _break_sample(monkeypatch, "g_at", np.zeros_like)
-    report, _ = _genbundle_run()
+    report, points = _genbundle_run()
     assert sorted(c.check_id for c in report.checks) == sorted(GENBUNDLE_IDS)
+    # g^-1 refuses the singular sample, so every check that reads it fails
+    # and names that sample
     signature = report.find("genbundle/neutral-signature")
     assert not signature.passed
-    assert "below threshold" in signature.details["error"]
+    assert str(tuple(float(v) for v in points[BROKEN])) in signature.details["error"]
 
 
 EIGENSOLVE_IDS = ("genbundle/neutral-signature", "genbundle/calibration")
@@ -493,3 +505,130 @@ def test_batched_checks_name_the_broken_sample(monkeypatch, breaker, failing):
         assert not check.passed, cid
         assert check.witness == tuple(points[BROKEN]), cid
         assert check.to_dict()["witness"] == list(points[BROKEN]), cid
+
+
+def test_the_minus_members_of_the_family_are_the_plus_members_bit_for_bit():
+    # F^- = -F^+ exactly, so the family reads J^+(Fhat^-) as J^-(Fhat^+) and
+    # J^-(Fhat^-) as J^+(Fhat^+): built from Fhat^- itself they are the same bits
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4):
+        g, J = _compatible_stack(rng, n, 16)
+        fam = gb.derived_family(J, g, gb.build_jp(J, g), PARAMS)
+        fhat_minus = np.zeros((16, 2 * n, 2 * n))
+        fhat_minus[:, :n, :n] = fam.f_minus
+        fhat_minus[:, n:, n:] = np.swapaxes(fam.f_minus, -1, -2)
+        assert np.array_equal(fam.fhat_minus, fhat_minus)
+        for sign, member in ((1.0, fam.j_plus_of_fminus), (-1.0, fam.j_minus_of_fminus)):
+            direct = fam._converted(sign, fhat_minus)
+            assert np.array_equal(member, direct)
+            assert np.array_equal(member.view(np.int64), direct.view(np.int64))
+
+
+def test_the_derived_family_check_builds_each_member_once(monkeypatch):
+    calls = {"converted": 0, "fhat_plus": 0}
+    converted = gb.DerivedFamily._converted
+    fhat_plus = gb.DerivedFamily.fhat_plus.func
+
+    def counting_converted(self, sign, product):
+        calls["converted"] += 1
+        return converted(self, sign, product)
+
+    def counting_fhat_plus(self):
+        calls["fhat_plus"] += 1
+        return fhat_plus(self)
+
+    prop = cached_property(counting_fhat_plus)
+    prop.__set_name__(gb.DerivedFamily, "fhat_plus")
+    monkeypatch.setattr(gb.DerivedFamily, "_converted", counting_converted)
+    monkeypatch.setattr(gb.DerivedFamily, "fhat_plus", prop)
+    report = suites.run_suites(load_scenario(scenario_path("sphere-diagJ")), suites=["genbundle"])
+    assert report.find("genbundle/derived-family").passed
+    # Jm^+, Jm^-, J^+(Fhat^+) and J^-(Fhat^+), each once; Fhat^+ once
+    assert calls == {"converted": 4, "fhat_plus": 1}
+
+
+def _dense_endo(c):
+    """A position-dependent endomorphism with every entry non-constant."""
+    n = c.dim
+    total = " + ".join(c.names)
+    rows = [
+        [f"{1 if i == j else 0} + 0.3*cos(x{i + 1} + 2*x{j + 1} + ({total})/5)" for j in range(n)]
+        for i in range(n)
+    ]
+    return ch.EndoField(c, np.array([[c.parse(s) for s in row] for row in rows], dtype=object))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_generalized_partials_match_central_differences_of_the_structures(n):
+    # the partials of Jm, Jp, Jc and ghat against central differences of the
+    # assembled values, on a dense metric and an endomorphism that both vary
+    c, g = dense_metric(n, seed=20 + n)
+    J = _dense_endo(c)
+    pts = c.sample_points(3)
+    ctx = field_context(g, J, pts)
+    for label in ("jm", "jp", "jc", "ghat"):
+        values, partials = ctx.gen_jet(label)
+
+        def at(p, label=label):
+            return field_context(g, J, p.reshape(1, -1)).gen_at(label)[0]
+
+        for m, p in enumerate(pts):
+            assert np.array_equal(values[m], at(p))
+            oracle = np.array([fd_partial(at, p, k) for k in range(n)])
+            assert np.abs(oracle).max() > 0.1
+            assert np.abs(partials[m] - oracle).max() < 1e-8, label
+
+
+SINGULAR = 20
+
+
+def _twin_scenarios(tmp_path):
+    """flat-golden (all seven suites) with g = diag(1, |x - x_s|^2 + shift) for
+    the run's sample x_s: regular for shift 1, singular at x_s only for shift 0."""
+    payload = json.loads(scenario_path("flat-golden").read_text())
+    chart = ch.Chart(tuple(payload["coordinates"]), tuple(map(tuple, payload["domain"])))
+    point = chart.sample_points(payload["samples"], seed=payload["seed"])[SINGULAR]
+    a, b = (repr(float(v)) for v in point)
+    paths = []
+    for shift in (1, 0):
+        payload["metric"] = [["1", "0"], ["0", f"(x1 - ({a}))^2 + (x2 - ({b}))^2 + {shift}"]]
+        paths.append(tmp_path / f"shift{shift}.json")
+        paths[-1].write_text(json.dumps(payload))
+    return [load_scenario(path) for path in paths], point
+
+
+def test_a_metric_singular_at_one_sample_fails_the_checks_that_invert_it(tmp_path):
+    (regular, singular), point = _twin_scenarios(tmp_path)
+    expected = suites.run_suites(regular)
+    report = suites.run_suites(singular)
+    ids = [check.check_id for check in report.checks]
+    assert ids == [check.check_id for check in expected.checks]
+    assert len(set(ids)) == len(ids) and not any(cid.endswith("/evaluation") for cid in ids)
+    named = str(tuple(float(v) for v in point))
+    failed = 0
+    for check, before in zip(report.checks, expected.checks):
+        if check.passed == before.passed:
+            continue
+        failed += 1
+        if check.check_id != "core/metric-spd":
+            assert named in check.details["error"], check.check_id
+    assert failed > 30
+    for cid in ("core/metallic-equation", "core/compatibility", "genbundle/jm-metallic"):
+        assert report.find(cid).passed, cid
+
+
+def test_a_run_of_all_seven_suites_inverts_the_metric_once(tmp_path, monkeypatch):
+    (scenario, _), _ = _twin_scenarios(tmp_path)
+    g_at = suites.ScenarioContext(scenario).g_at
+    inverted = []
+    inv = np.linalg.inv
+
+    def recording(a, *args, **kwargs):
+        inverted.append(np.array(a, copy=True))
+        return inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    report = suites.run_suites(scenario)
+    assert report.suites == list(suites.KNOWN_SUITES)
+    assert not any(check.check_id.endswith("/evaluation") for check in report.checks)
+    assert sum(a.shape == g_at.shape and np.array_equal(a, g_at) for a in inverted) == 1

@@ -11,7 +11,7 @@ from metalliclab.metallic import MetallicParams, from_projection
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, scenario_path
+from conftest import CORPUS, field_context, scenario_path
 from helpers import (
     covariant_nijenhuis_rhs_loop,
     fd_bracket,
@@ -19,6 +19,7 @@ from helpers import (
     fd_dhat,
     fd_gen_nijenhuis,
     karaman_F,
+    nabla_loop,
     phi_of_torsion_loop,
 )
 
@@ -30,8 +31,7 @@ def flat_setup(seed=1):
     c = ch.Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)), seed=seed)
     g = ch.MetricField(c, ch.constant_matrix(np.eye(2)))
     J = ch.EndoField(c, ch.constant_matrix(np.diag([GOLDEN, 1 - GOLDEN])))
-    conn = ch.christoffel(g)
-    return c, g, J, conn
+    return c, g, J
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +41,7 @@ def product_setup():
     g = ch.MetricField(c, np.array([[c.parse(s) for s in r] for r in rows], dtype=object))
     P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 1.0, 0.0])))
     J = from_projection(c, P, PARAMS, g, c.sample_points(8)).J
-    conn = ch.christoffel(g)
-    return c, g, J, conn
+    return c, g, J
 
 
 def jet(comps, pts):
@@ -65,22 +64,25 @@ def basis_section(c, a, m):
     )
 
 
-def karaman_gamma(g, J, conn, omega, pts, params=PARAMS):
+def lc_gamma(g, pts):
+    """Levi-Civita Gamma of the metric field at the points."""
+    return field_context(g, None, pts).lc_gamma_at
+
+
+def karaman_gamma(g, J, omega, pts):
     """D = Levi-Civita + F at the points, from the array karaman_connection."""
-    F = gc.karaman_connection(
-        g.eval(pts),
-        ch.eval_exprs(ch.inverse_metric(g), pts),
-        J.eval(pts),
-        params,
-        omega.eval(pts),
-    )
-    return conn.eval(pts) + F
+    return field_context(g, J, pts, omega=omega).karaman_gamma_at
+
+
+def jm_jet(g, J, pts):
+    """Values and partials of Jm = blockdiag(J, J*) at the points."""
+    return field_context(g, J, pts).gen_jet("jm")
 
 
 def test_nabla_bracket_trivial_cases():
-    c, g, J, conn = flat_setup()
+    c, g, J = flat_setup()
     pts = c.sample_points(8)
-    gamma = conn.eval(pts)
+    gamma = lc_gamma(g, pts)
     out = gc.nabla_bracket(gamma, *basis_section(c, 0, 8), *basis_section(c, 1, 8))
     assert np.abs(out).max() == 0.0
     # sigma = dx^1, tau = d_2, flat connection: covector part vanishes
@@ -89,10 +91,10 @@ def test_nabla_bracket_trivial_cases():
 
 
 def test_nabla_bracket_antisymmetry_random_fields(product_setup):
-    c, g, J, conn = product_setup
+    c, g, J = product_setup
     rng = np.random.default_rng(6)
     pts = c.sample_points(10)
-    gamma = conn.eval(pts)
+    gamma = lc_gamma(g, pts)
     n = c.dim
     for _ in range(4):
         sections = []
@@ -111,20 +113,20 @@ def test_nabla_bracket_antisymmetry_random_fields(product_setup):
 
 
 def test_gen_nijenhuis_flat_constant_vanishes():
-    c, g, J, conn = flat_setup()
+    c, g, J = flat_setup()
     pts = c.sample_points(8)
-    nij = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(J), pts))
+    nij = gc.gen_nijenhuis(lc_gamma(g, pts), *jm_jet(g, J, pts))
     assert nij.shape == (8, 4, 4, 4)
     assert np.abs(nij).max() == 0.0
 
 
 def test_gen_nijenhuis_mixed_slot_identity(sphere_chart, sphere_metric, sphere_diag_J):
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
-    conn = ch.christoffel(g)
     pts = c.sample_points(12)
-    nij = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(J), pts))
-    DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts)
-    Jv = ch.eval_exprs(J.comps, pts)
+    ctx = field_context(g, J, pts)
+    nij = gc.gen_nijenhuis(ctx.lc_gamma_at, *ctx.gen_jet("jm"))
+    DJ = ctx.bundle(ctx.lc_gamma_at).nabla_J_at
+    Jv = ctx.J_at
     n = 2
     for i in range(n):
         for j in range(n):
@@ -138,18 +140,17 @@ def test_gen_nijenhuis_mixed_slot_identity(sphere_chart, sphere_metric, sphere_d
 
 def test_gen_nijenhuis_covector_pairs_vanish(sphere_chart, sphere_metric, sphere_diag_J):
     # N(alpha, beta) = 0 for the generalized metallic structure
-    conn = ch.christoffel(sphere_metric)
     pts = sphere_chart.sample_points(8)
-    nij = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(sphere_diag_J), pts))
+    nij = gc.gen_nijenhuis(lc_gamma(sphere_metric, pts), *jm_jet(sphere_metric, sphere_diag_J, pts))
     assert np.abs(nij[:, :, 2, 3]).max() < 1e-12
 
 
 def test_phi_of_torsion_cases(product_setup):
-    c, g, J, conn = product_setup
+    c, g, J = product_setup
     pts = c.sample_points(10)
     Jv = ch.eval_exprs(J.comps, pts)
     # torsion-free connection
-    T0 = ch.eval_exprs(ch.torsion(conn), pts)
+    T0 = gc.torsion(lc_gamma(g, pts))
     assert np.abs(gc.phi_of_torsion(T0, Jv)).max() == 0.0
     # J = I with (p, q) = (0, 1): Phi(T) = -T + T + T - T = 0 for any torsion
     rng = np.random.default_rng(3)
@@ -199,7 +200,7 @@ def test_bracket_check_fails_without_vector_partials(monkeypatch):
 
 
 def test_karaman_connection_flat_case():
-    c, g, J, conn = flat_setup()
+    c, g, J = flat_setup()
     pts = c.sample_points(16)
     gv, Jv = g.eval(pts), J.eval(pts)
     ginv = np.linalg.inv(gv)
@@ -213,7 +214,7 @@ def test_karaman_connection_flat_case():
     skew = np.einsum("mkij,mkr->mijr", F, gv) + np.einsum("mkir,mjk->mijr", F, gv)
     assert np.abs(skew).max() < 1e-12
     # torsion of D matches the closed form at 20 points
-    Td = gc.torsion(conn.eval(pts) + F)
+    Td = gc.torsion(lc_gamma(g, pts) + F)
     closed = gc.torsion_closed_form_values(Jv, PARAMS, omega.eval(pts))
     assert np.abs(Td - closed).max() < 1e-12
 
@@ -239,7 +240,7 @@ def test_torsion_formula_frozen_values():
 
 
 def test_torsion_lemma_three_way(product_setup):
-    c, g, J, conn = product_setup
+    c, g, J = product_setup
     pts = c.sample_points(12)
     rng = np.random.default_rng(12)
     omega = ch.OneFormField(
@@ -249,7 +250,7 @@ def test_torsion_lemma_three_way(product_setup):
             dtype=object,
         ),
     )
-    Td = gc.torsion(karaman_gamma(g, J, conn, omega, pts))
+    Td = gc.torsion(karaman_gamma(g, J, omega, pts))
     Jv = ch.eval_exprs(J.comps, pts)
     for _ in range(10):
         X = rng.normal(size=3)
@@ -265,10 +266,10 @@ def test_torsion_lemma_three_way(product_setup):
 
 
 def test_karaman_full_suite_on_product_scenario(product_setup):
-    c, g, J, conn = product_setup
+    c, g, J = product_setup
     pts = c.sample_points(16)
     rng = np.random.default_rng(20)
-    jm = jet(gc.gen_metallic_field(J), pts)
+    jm = jm_jet(g, J, pts)
     Jv, dJ = jet(J.comps, pts)
     gv, dg = jet(g.comps, pts)
     for trial in range(3):
@@ -281,7 +282,7 @@ def test_karaman_full_suite_on_product_scenario(product_setup):
             dtype=object,
         )
         omega = ch.OneFormField(c, comps)
-        D = karaman_gamma(g, J, conn, omega, pts)
+        D = karaman_gamma(g, J, omega, pts)
         Dg = gc.nabla_metric(D, gv, dg)
         assert np.abs(Dg).max() < 1e-9
         DJ = gc.nabla_endo(D, Jv, dJ)
@@ -296,9 +297,8 @@ def test_semi_symmetric_part_drops_out_of_dj(sphere_chart, sphere_metric, sphere
     # F(X, JY) = J F(X, Y) holds for every compatible pair, so D J = nabla J
     # exactly, whatever the 1-form; checked where nabla J != 0
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
-    lc = ch.christoffel(g)
     pts = c.sample_points(10)
-    base_dj = ch.eval_exprs(ch.covariant_derivative_endo(lc, J), pts)
+    base_dj = gc.nabla_endo(lc_gamma(g, pts), *jet(J.comps, pts))
     assert np.abs(base_dj).max() > 1e-2
     rng = np.random.default_rng(31)
     for _ in range(3):
@@ -309,39 +309,31 @@ def test_semi_symmetric_part_drops_out_of_dj(sphere_chart, sphere_metric, sphere
             ],
             dtype=object,
         )
-        D = karaman_gamma(g, J, lc, ch.OneFormField(c, comps), pts)
+        D = karaman_gamma(g, J, ch.OneFormField(c, comps), pts)
         dj = gc.nabla_endo(D, *jet(J.comps, pts))
         assert np.abs(dj - base_dj).max() < 1e-12
 
 
 def test_dhat_tracks_base_derivatives(product_setup, sphere_chart, sphere_metric, sphere_diag_J):
     # positive control: semi-symmetric D on the decomposable scenario
-    c, g, J, conn = product_setup
+    c, g, J = product_setup
     pts = c.sample_points(12)
     omega = ch.OneFormField(c, np.array([c.parse("x3"), c.parse("x1"), c.parse("x2")], dtype=object))
-    D = karaman_gamma(g, J, conn, omega, pts)
-    ginv = ch.inverse_metric(g)
-    fields = {
-        "jm": gc.gen_metallic_field(J),
-        "jp": gc.gen_product_field(g, J, ginv),
-        "jc": gc.gen_complex_field(g, J, ginv),
-    }
-    for fld in fields.values():
-        res = gc.dhat_endo(D, *jet(fld, pts))
+    ctx = field_context(g, J, pts, omega=omega)
+    D = ctx.karaman_gamma_at
+    for label in ("jm", "jp", "jc"):
+        res = gc.dhat_endo(D, *ctx.gen_jet(label))
         assert res.shape == (12, 3, 6, 6)
         assert np.abs(res).max() < 1e-9
-    res = gc.dhat_metric(D, *jet(gc.ghat_field(g, ginv), pts))
+    res = gc.dhat_metric(D, *ctx.gen_jet("ghat"))
     assert np.abs(res).max() < 1e-9
 
     # negative control: Levi-Civita on the sphere with the diagonal structure
-    conn2 = ch.christoffel(sphere_metric)
-    pts2 = sphere_chart.sample_points(12)
-    gamma2 = conn2.eval(pts2)
-    jm2 = jet(gc.gen_metallic_field(sphere_diag_J), pts2)
-    worst = np.abs(gc.dhat_endo(gamma2, *jm2)).max()
+    ctx2 = field_context(sphere_metric, sphere_diag_J, sphere_chart.sample_points(12))
+    gamma2 = ctx2.lc_gamma_at
+    worst = np.abs(gc.dhat_endo(gamma2, *ctx2.gen_jet("jm"))).max()
     assert worst > 1e-3
-    ghat2 = jet(gc.ghat_field(sphere_metric), pts2)
-    dg_res = np.abs(gc.dhat_metric(gamma2, *ghat2)).max()
+    dg_res = np.abs(gc.dhat_metric(gamma2, *ctx2.gen_jet("ghat"))).max()
     assert dg_res < 1e-9
 
 
@@ -356,11 +348,11 @@ def test_gen_nijenhuis_vector_pairs_reduce_to_base_nijenhuis(sphere_chart, spher
             dtype=object,
         ),
     )
-    conn = ch.christoffel(sphere_metric)
     pts = c.sample_points(10)
     NJ = ch.nijenhuis(*jet(J.comps, pts))
     assert np.abs(NJ).max() > 1e-2
-    values = gc.gen_nijenhuis(conn.eval(pts), *jet(gc.gen_metallic_field(J), pts))[:, :, 0, 1]
+    values = gc.gen_nijenhuis(lc_gamma(sphere_metric, pts), *jm_jet(sphere_metric, J, pts))
+    values = values[:, :, 0, 1]
     assert np.abs(values[:, :2] - NJ[:, :, 0, 1]).max() < 1e-10
     assert np.abs(values[:, 2:]).max() < 1e-12
 
@@ -370,14 +362,14 @@ def test_dhat_block_structure(sphere_chart, sphere_metric, sphere_diag_J):
     # blocks, and (Dhat_k Jp) carries (D_k J) / (D_k g) in its first column
     # of blocks; checked where the residuals are genuinely non-zero
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
-    conn = ch.christoffel(g)
     pts = c.sample_points(10)
-    gamma = conn.eval(pts)
-    DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts)
-    Dg = ch.eval_exprs(ch.covariant_derivative_metric(conn, g), pts)
+    ctx = field_context(g, J, pts)
+    gamma = ctx.lc_gamma_at
+    DJ = gc.nabla_endo(gamma, ctx.J_at, ctx.dJ_at)
+    Dg = gc.nabla_metric(gamma, ctx.g_at, ctx.dg_at)
     assert np.abs(DJ).max() > 1e-2  # non-trivial comparison
-    dm_all = gc.dhat_endo(gamma, *jet(gc.gen_metallic_field(J), pts))
-    dp_all = gc.dhat_endo(gamma, *jet(gc.gen_product_field(g, J), pts))
+    dm_all = gc.dhat_endo(gamma, *ctx.gen_jet("jm"))
+    dp_all = gc.dhat_endo(gamma, *ctx.gen_jet("jp"))
     n = 2
     for k in range(n):
         dm = dm_all[:, k]
@@ -389,26 +381,15 @@ def test_dhat_block_structure(sphere_chart, sphere_metric, sphere_diag_J):
         assert np.abs(dp[:, n:, :n] - Dg[:, k]).max() < 1e-12
 
 
-def _condition_inputs(c, g, J, conn, pts):
-    memo = {}
-    K = ch.EndoField(c, ch.mat_mul(J.comps, J.comps))
-    return gc.ConditionInputs(
-        g=g.eval(pts, memo),
-        ginv=ch.eval_exprs(ch.inverse_metric(g), pts, memo),
-        J=J.eval(pts, memo),
-        K=K.eval(pts, memo),
-        Dg=ch.eval_exprs(ch.covariant_derivative_metric(conn, g), pts, memo),
-        DJ=ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts, memo),
-        DK=ch.eval_exprs(ch.covariant_derivative_endo(conn, K), pts, memo),
-        T=ch.eval_exprs(ch.torsion(conn), pts, memo),
-        NJ=ch.nijenhuis(*jet(J.comps, pts)),
-    )
+def _condition_inputs(g, J, pts):
+    ctx = field_context(g, J, pts)
+    return ctx.bundle(ctx.lc_gamma_at).condition_inputs
 
 
 def test_integrability_conditions_vanish_when_locally_metallic(product_setup):
-    c, g, J, conn = product_setup
+    c, g, J = product_setup
     pts = c.sample_points(12)
-    ci = _condition_inputs(c, g, J, conn, pts)
+    ci = _condition_inputs(g, J, pts)
     for cond in gc.jp_condition_residuals(ci) + gc.jc_condition_residuals(ci):
         assert np.abs(cond).max() < 1e-10
     reduced = gc.jp_reduced_residuals(ci)
@@ -424,9 +405,8 @@ def test_integrability_conditions_vanish_when_locally_metallic(product_setup):
 def test_integrability_conditions_fail_on_sphere_diag(
     sphere_chart, sphere_metric, sphere_diag_J
 ):
-    conn = ch.christoffel(sphere_metric)
     pts = sphere_chart.sample_points(12)
-    ci = _condition_inputs(sphere_chart, sphere_metric, sphere_diag_J, conn, pts)
+    ci = _condition_inputs(sphere_metric, sphere_diag_J, pts)
     jp = gc.jp_condition_residuals(ci)
     # the first condition only involves N_J and d-nabla-g, both zero here
     assert np.abs(jp[0]).max() < 1e-10
@@ -436,18 +416,18 @@ def test_integrability_conditions_fail_on_sphere_diag(
 def test_implication_conditions_bound_gen_nijenhuis(product_setup):
     # when all six conditions vanish at every sample, the direct generalized
     # Nijenhuis tensor vanishes too (within 10x the tolerance)
-    c, g, J, conn = product_setup
+    c, g, J = product_setup
     pts = c.sample_points(10)
     tol = 1e-9
-    ci = _condition_inputs(c, g, J, conn, pts)
+    ctx = field_context(g, J, pts)
+    ci = ctx.bundle(ctx.lc_gamma_at).condition_inputs
     worst_condition = max(
         np.abs(cond).max()
         for cond in gc.jp_condition_residuals(ci) + gc.jc_condition_residuals(ci)
     )
     assert worst_condition <= tol
-    ginv = ch.inverse_metric(g)
-    for fld in (gc.gen_product_field(g, J, ginv), gc.gen_complex_field(g, J, ginv)):
-        worst = np.abs(gc.gen_nijenhuis(conn.eval(pts), *jet(fld, pts))).max()
+    for label in ("jp", "jc"):
+        worst = np.abs(gc.gen_nijenhuis(ctx.lc_gamma_at, *ctx.gen_jet(label))).max()
         assert worst <= 10 * tol
 
 
@@ -458,10 +438,9 @@ def test_covariant_identity_with_both_connections(
     pts = c.sample_points(16)
     NJ = ch.nijenhuis(*jet(J.comps, pts))
     Jv = ch.eval_exprs(J.comps, pts)
-    lc = ch.christoffel(g)
     omega = ch.OneFormField(c, np.array([c.parse("x2"), c.parse("x1")], dtype=object))
     dJ = jet(J.comps, pts)[1]
-    for gamma in (lc.eval(pts), karaman_gamma(g, J, lc, omega, pts)):
+    for gamma in (lc_gamma(g, pts), karaman_gamma(g, J, omega, pts)):
         DJ = gc.nabla_endo(gamma, Jv, dJ)
         T = gc.torsion(gamma)
         rhs = gc.covariant_nijenhuis_rhs(DJ, T, Jv)
@@ -471,6 +450,24 @@ def test_covariant_identity_with_both_connections(
 def _pointwise(comps):
     """The function point -> values of an Expr array, for the oracles."""
     return lambda p: ch.eval_exprs(comps, np.asarray(p).reshape(1, -1))[0]
+
+
+def _structure_at(scenario, label):
+    """The function point -> Jm, Jp, Jc or ghat there, assembled with np.block."""
+    g_at, J_at = _pointwise(scenario.metric.comps), _pointwise(scenario.J.comps)
+
+    def at(p):
+        g, J = g_at(p), J_at(p)
+        ginv, zero, eye = np.linalg.inv(g), np.zeros_like(g), np.eye(len(g))
+        blocks = {
+            "jm": [[J, zero], [zero, J.T]],
+            "jp": [[J, (eye - J @ J) @ ginv], [g, -J.T]],
+            "jc": [[J, -(eye + J @ J) @ ginv], [g, -J.T]],
+            "ghat": [[g, zero], [zero, ginv]],
+        }
+        return np.block(blocks[label])
+
+    return at
 
 
 @pytest.mark.parametrize("name", ["sphere-diagJ", "warped-mixing", "product-decomposable"])
@@ -485,12 +482,7 @@ def test_array_layer_matches_finite_difference_oracles(name):
         ctx = ScenarioContext(scenario, samples=3)
         karaman = scenario.omega is not None and name == "product-decomposable"
         gamma = ctx.karaman_gamma_at if karaman else ctx.gamma_at
-        fields = {
-            "jm": gc.gen_metallic_field(scenario.J),
-            "jp": gc.gen_product_field(scenario.metric, scenario.J),
-            "jc": gc.gen_complex_field(scenario.metric, scenario.J),
-            "ghat": gc.ghat_field(scenario.metric),
-        }
+        fields = {label: _structure_at(scenario, label) for label in ("jm", "jp", "jc", "ghat")}
         oracle_gamma = []
         for m, x in enumerate(ctx.points):
             G = fd_christoffel(scenario.metric, x)
@@ -498,23 +490,23 @@ def test_array_layer_matches_finite_difference_oracles(name):
                 assert np.abs(ctx.omega_at[m]).max() > 0.1
                 G = G + karaman_F(ctx.g_at[m], ctx.J_at[m], ctx.omega_at[m], ctx.params.q)
             oracle_gamma.append(G)
-        jp_value, jp_partials = ctx.gen_jets["jp"]
+        jp_value, jp_partials = ctx.gen_jet("jp")
         n = ctx.chart.dim
         a, b = np.triu_indices(2 * n, 1)
         columns, d_columns = np.swapaxes(jp_value, -1, -2), jp_partials.transpose(0, 3, 1, 2)
         brackets = gc.nabla_bracket(
             gamma, columns[:, a], d_columns[:, a], columns[:, b], d_columns[:, b]
         )
-        jp_at = _pointwise(fields["jp"])
+        jp_at = fields["jp"]
         for m, x in enumerate(ctx.points):
             G = oracle_gamma[m]
             for label in ("jm", "jp", "jc"):
-                got = gc.gen_nijenhuis(gamma, *ctx.gen_jets[label])[m]
-                assert np.abs(got - fd_gen_nijenhuis(_pointwise(fields[label]), G, x)).max() < 1e-7
-                got = gc.dhat_endo(gamma, *ctx.gen_jets[label])[m]
-                assert np.abs(got - fd_dhat(_pointwise(fields[label]), G, x)).max() < 1e-7
-            got = gc.dhat_metric(gamma, *ctx.gen_jets["ghat"])[m]
-            oracle = fd_dhat(_pointwise(fields["ghat"]), G, x, metric=True)
+                got = gc.gen_nijenhuis(gamma, *ctx.gen_jet(label))[m]
+                assert np.abs(got - fd_gen_nijenhuis(fields[label], G, x)).max() < 1e-7
+                got = gc.dhat_endo(gamma, *ctx.gen_jet(label))[m]
+                assert np.abs(got - fd_dhat(fields[label], G, x)).max() < 1e-7
+            got = gc.dhat_metric(gamma, *ctx.gen_jet("ghat"))[m]
+            oracle = fd_dhat(fields["ghat"], G, x, metric=True)
             assert np.abs(got - oracle).max() < 1e-7
             for pair, (i, j) in enumerate(zip(a, b)):
                 oracle = fd_bracket(
@@ -525,21 +517,28 @@ def test_array_layer_matches_finite_difference_oracles(name):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_array_covariant_derivatives_match_the_symbolic_ones(name):
+    # nabla J, nabla g and the torsion of both connections against the
+    # formulas written out entry by entry, from the symbolic partials of the
+    # leaf entries and Christoffel symbols by finite differences
     scenario = load_scenario(scenario_path(name))
     with ex.fresh_table(scenario.table):
         ctx = ScenarioContext(scenario, samples=8)
-        connections = [(ctx.levi_civita, ctx.lc_gamma_at), (ctx.conn, ctx.gamma_at)]
-        for conn, gamma in connections:
+        for conn, gamma in ((None, ctx.lc_gamma_at), (scenario.connection, ctx.gamma_at)):
             b = ctx.bundle(gamma)
-            expected = {
-                "nabla J": ctx.at(ch.covariant_derivative_endo(conn, scenario.J)),
-                "nabla g": ctx.at(ch.covariant_derivative_metric(conn, scenario.metric)),
-                "torsion": ctx.at(ch.torsion(conn)),
-            }
             got = {"nabla J": b.nabla_J_at, "nabla g": b.nabla_g_at, "torsion": b.torsion_at}
-            for key, value in expected.items():
-                scale = max(1.0, np.abs(value).max())
-                assert np.abs(got[key] - value).max() <= 1e-12 * scale, (name, key)
+            for m, x in enumerate(ctx.points):
+                if conn is None:
+                    G = fd_christoffel(scenario.metric, x)
+                else:
+                    G = _pointwise(conn.comps)(x)
+                expected = {
+                    "nabla J": nabla_loop(G, ctx.J_at[m], ctx.dJ_at[m]),
+                    "nabla g": nabla_loop(G, ctx.g_at[m], ctx.dg_at[m], metric=True),
+                    "torsion": G - np.swapaxes(G, -1, -2),
+                }
+                for key, value in expected.items():
+                    scale = max(1.0, np.abs(value).max())
+                    assert np.abs(got[key][m] - value).max() <= 1e-8 * scale, (name, key)
 
 
 def test_omega_sweep_names_its_worst_trial_and_sample(monkeypatch):

@@ -12,7 +12,7 @@ from metalliclab.scenario import load_scenario
 from metalliclab import suites
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, jet, scenario_path
+from conftest import CORPUS, field_context, scenario_path
 from helpers import fd_lifted_nijenhuis, fd_partial, lifted_jbar
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -23,12 +23,12 @@ def flat_setup():
     c = ch.Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)), seed=1)
     g = ch.MetricField(c, ch.constant_matrix(np.eye(2)))
     J = ch.EndoField(c, ch.constant_matrix(np.diag([GOLDEN, 1 - GOLDEN])))
-    return c, g, J, ch.christoffel(g)
+    return c, g, J
 
 
 @pytest.fixture(scope="module")
 def sphere_setup(sphere_chart, sphere_metric, sphere_diag_J):
-    return sphere_chart, sphere_metric, sphere_diag_J, ch.christoffel(sphere_metric)
+    return sphere_chart, sphere_metric, sphere_diag_J
 
 
 @pytest.fixture(scope="module")
@@ -38,22 +38,17 @@ def warped_setup():
     g = ch.MetricField(c, np.array([[c.parse(s) for s in r] for r in rows], dtype=object))
     P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 1.0, 0.0])))
     J = from_projection(c, P, PARAMS, g, c.sample_points(8)).J
-    return c, g, J, ch.christoffel(g)
+    return c, g, J
 
 
-def lift_at(c, g, J, conn, flavor, pts):
-    """The array lift at the 2n points ``pts`` from the leaf jets at their base points."""
-    n = c.dim
-    base = pts[:, :n]
-    g_at, dg = jet(g.comps, base)
-    J_at, dJ = jet(J.comps, base)
-    gamma, dgamma = jet(conn.comps, base)
-    ginv = ch.eval_exprs(ch.inverse_metric(g), base)
-    return lf.lift(flavor, pts[:, n:], g_at, ginv, J_at, gamma, dg, dJ, dgamma)
+def lift_at(g, J, flavor, pts):
+    """The array lift at the 2n points ``pts`` over the Levi-Civita values at their base points."""
+    n = g.chart.dim
+    return lf.lift(flavor, pts[:, n:], **suites._lift_inputs(field_context(g, J, pts[:, :n])))
 
 
 def test_lifted_chart_samples():
-    c, g, J, conn = flat_setup()
+    c, g, J = flat_setup()
     lifted = lf.LiftedChart(c, lf.TANGENT)
     pts = lifted.sample_points(8, 4, seed=3)
     assert pts.shape == (32, 4)
@@ -73,10 +68,10 @@ def test_fibre_points_are_the_fibre_part_of_the_samples():
 
 
 def test_horizontal_frame_zero_connection_is_coordinate_frame():
-    c, g, J, conn = flat_setup()
+    c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        values = lift_at(c, g, J, conn, flavor, lifted.sample_points(4, 2)).forward[:, :, :2]
+        values = lift_at(g, J, flavor, lifted.sample_points(4, 2)).forward[:, :, :2]
         expected = np.zeros_like(values)
         expected[:, 0, 0] = 1.0
         expected[:, 1, 1] = 1.0
@@ -84,27 +79,27 @@ def test_horizontal_frame_zero_connection_is_coordinate_frame():
 
 
 def test_horizontal_frame_formulas_on_sphere(sphere_setup):
-    c, g, J, conn = sphere_setup
+    c, g, J = sphere_setup
     pts_t = lf.LiftedChart(c, lf.TANGENT).sample_points(6, 2, seed=2)
-    gamma = ch.eval_exprs(conn.comps, pts_t)
+    gamma = field_context(g, J, pts_t[:, :2]).lc_gamma_at
     y = pts_t[:, 2:]
 
-    tangent = lift_at(c, g, J, conn, lf.TANGENT, pts_t).forward[:, :, :2]
+    tangent = lift_at(g, J, lf.TANGENT, pts_t).forward[:, :, :2]
     # fibre component l of X_i^H is -y^k Gamma^l_{ik}
     expected = -np.einsum("mk,mlik->mli", y, gamma)
     assert np.abs(tangent[:, 2:, :] - expected).max() < 1e-14
 
-    cotangent = lift_at(c, g, J, conn, lf.COTANGENT, pts_t).forward[:, :, :2]
+    cotangent = lift_at(g, J, lf.COTANGENT, pts_t).forward[:, :, :2]
     expected_c = np.einsum("mk,mkil->mli", y, gamma)
     assert np.abs(cotangent[:, 2:, :] - expected_c).max() < 1e-14
 
 
 def test_morphism_matrices_invertible(sphere_setup):
-    c, g, J, conn = sphere_setup
+    c, g, J = sphere_setup
     lifted_t = lf.LiftedChart(c, lf.TANGENT)
     pts = lifted_t.sample_points(8, 2, seed=4)
-    tangent = lift_at(c, g, J, conn, lf.TANGENT, pts)
-    cotangent = lift_at(c, g, J, conn, lf.COTANGENT, pts)
+    tangent = lift_at(g, J, lf.TANGENT, pts)
+    cotangent = lift_at(g, J, lf.COTANGENT, pts)
     psi, phi = tangent.forward, cotangent.forward
     g_at = ch.eval_exprs(g.comps, pts)
     # block-triangular determinant: det psi = det g^{-1} != 0; det phi = 1
@@ -116,18 +111,18 @@ def test_morphism_matrices_invertible(sphere_setup):
     assert np.abs(psi @ psi_inv - eye).max() < 1e-12
     assert np.abs(phi @ phi_inv - eye).max() < 1e-12
     # flat morphisms are the identity
-    cf, gf, Jf, connf = flat_setup()
+    cf, gf, Jf = flat_setup()
     lifted_f = lf.LiftedChart(cf, lf.TANGENT)
-    psi_f = lift_at(cf, gf, Jf, connf, lf.TANGENT, lifted_f.sample_points(4, 1)).forward
+    psi_f = lift_at(gf, Jf, lf.TANGENT, lifted_f.sample_points(4, 1)).forward
     assert np.abs(psi_f - eye).max() == 0.0
 
 
 def test_flat_lift_is_block_diagonal():
-    c, g, J, conn = flat_setup()
+    c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
         pts = lifted.sample_points(8, 2)
-        lift = lift_at(c, g, J, conn, flavor, pts)
+        lift = lift_at(g, J, flavor, pts)
         jv = lift.jbar
         expected = np.zeros((4, 4))
         expected[:2, :2] = np.diag([GOLDEN, 1 - GOLDEN])
@@ -137,20 +132,20 @@ def test_flat_lift_is_block_diagonal():
 
 
 def test_scalar_structure_lifts_to_scalar(sphere_setup):
-    c, g, _, conn = sphere_setup
+    c, g, _ = sphere_setup
     scalar = ch.EndoField(c, ch.constant_matrix(GOLDEN * np.eye(2)))
     lifted = lf.LiftedChart(c, lf.TANGENT)
     pts = lifted.sample_points(8, 2)
-    jbar = lift_at(c, g, scalar, conn, lf.TANGENT, pts).jbar
+    jbar = lift_at(g, scalar, lf.TANGENT, pts).jbar
     assert np.abs(jbar - GOLDEN * np.eye(4)).max() < 1e-11
 
 
 def test_lifted_structure_is_metallic_riemannian(sphere_setup):
-    c, g, J, conn = sphere_setup
+    c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
         pts = lifted.sample_points(16, 4, seed=9)
-        lift = lift_at(c, g, J, conn, flavor, pts)
+        lift = lift_at(g, J, flavor, pts)
         jv, gv = lift.jbar, lift.gbar
         assert np.abs(jv @ jv - PARAMS.p * jv - PARAMS.q * np.eye(4)).max() < 1e-9
         gj = gv @ jv
@@ -159,18 +154,14 @@ def test_lifted_structure_is_metallic_riemannian(sphere_setup):
 
 
 def test_frame_and_coordinate_displays(sphere_setup):
-    c, g, J, conn = sphere_setup
-    ginv = ch.inverse_metric(g)
+    c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
         pts = lifted.sample_points(12, 4, seed=6)
-        lift = lift_at(c, g, J, conn, flavor, pts)
+        lift = lift_at(g, J, flavor, pts)
         jv, gv, frame = lift.jbar, lift.gbar, lift.forward[:, :, :2]
-        memo = {}
-        g_at = ch.eval_exprs(g.comps, pts, memo)
-        ginv_at = ch.eval_exprs(ginv, pts, memo)
-        J_at = ch.eval_exprs(J.comps, pts, memo)
-        gamma_at = ch.eval_exprs(conn.comps, pts, memo)
+        ctx = field_context(g, J, pts[:, :2])
+        g_at, ginv_at, J_at, gamma_at = ctx.g_at, ctx.ginv_at, ctx.J_at, ctx.lc_gamma_at
         y = pts[:, 2:]
         assert np.abs(lf.frame_endo_residuals(jv, frame, J_at, flavor)).max() < 1e-9
         assert (
@@ -189,53 +180,49 @@ def test_frame_and_coordinate_displays(sphere_setup):
         )
 
 
-def _nijenhuis_data(c, g, J, conn, flavor, base=10, fibre=4, seed=8):
+def _nijenhuis_data(c, g, J, flavor, base=10, fibre=4, seed=8):
     lifted = lf.LiftedChart(c, flavor)
     pts = lifted.sample_points(base, fibre, seed=seed)
-    lift = lift_at(c, g, J, conn, flavor, pts)
+    lift = lift_at(g, J, flavor, pts)
     N = lf.nijenhuis_values(lift)
     frame = lift.forward[:, :, : c.dim]
-    memo = {}
-    J_at = ch.eval_exprs(J.comps, pts, memo)
-    DJ = ch.eval_exprs(ch.covariant_derivative_endo(conn, J), pts, memo)
-    base_pts = pts[:, : c.dim]
-    NJ = ch.nijenhuis(*jet(J.comps, base_pts))
-    R = ch.riemann(*jet(conn.comps, base_pts))
-    return lifted, pts, N, frame, J_at, DJ, NJ, R
+    ctx = field_context(g, J, pts[:, : c.dim])
+    DJ = ctx.bundle(ctx.lc_gamma_at).nabla_J_at
+    return lifted, pts, N, frame, ctx.J_at, DJ, ctx.NJ_at, ctx.lc_riemann_at
 
 
 def test_lifted_nijenhuis_vanishes_flat_locally_metallic():
-    c, g, J, conn = flat_setup()
+    c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, *_ = _nijenhuis_data(c, g, J, conn, flavor)
+        _, pts, N, *_ = _nijenhuis_data(c, g, J, flavor)
         assert np.abs(N).max() < 1e-9
 
 
 def test_lifted_nijenhuis_vanishes_for_scalar_on_sphere(sphere_setup):
     # curvature is non-zero but the scalar factor sigma^2 - p sigma - q kills
     # the curvature bracket
-    c, g, _, conn = sphere_setup
+    c, g, _ = sphere_setup
     scalar = ch.EndoField(c, ch.constant_matrix(GOLDEN * np.eye(2)))
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, *_ = _nijenhuis_data(c, g, scalar, conn, flavor)
+        _, pts, N, *_ = _nijenhuis_data(c, g, scalar, flavor)
         assert np.abs(N).max() < 1e-9
 
 
 def test_vertical_vertical_always_vanishes(sphere_setup):
-    c, g, J, conn = sphere_setup
+    c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, *_ = _nijenhuis_data(c, g, J, conn, flavor)
+        _, pts, N, *_ = _nijenhuis_data(c, g, J, flavor)
         assert np.abs(N[:, :, 2:, 2:]).max() < 1e-12
 
 
 def test_mixed_display(sphere_setup):
-    c, g, J, conn = sphere_setup
+    c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, conn, flavor)
+        _, pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, flavor)
         res = lf.mixed_display_residual(N, frame, J_at, DJ, flavor)
         assert np.abs(res).max() < 1e-9
     # the literal cotangent display composes J on the wrong side and fails
-    _, pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, conn, lf.COTANGENT)
+    _, pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, lf.COTANGENT)
     literal = lf.mixed_display_residual(N, frame, J_at, DJ, lf.COTANGENT, literal=True)
     assert np.abs(literal).max() > 1e-3
 
@@ -244,9 +231,9 @@ def test_sphere_diag_cannot_distinguish_sign(sphere_setup):
     # in two dimensions the displayed curvature combination vanishes for any
     # metallic J (Cayley-Hamilton), so both signs of the argument-last
     # placement match while every misplaced-argument candidate fails
-    c, g, J, conn = sphere_setup
+    c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, conn, flavor)
+        _, pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor)
         match = lf.horizontal_display_match(
             N, frame, J_at, NJ, R, pts[:, 2:], PARAMS, flavor
         )
@@ -258,10 +245,9 @@ def test_sphere_diag_cannot_distinguish_sign(sphere_setup):
 
 
 def test_warped_scenario_resolves_full_convention(warped_setup):
-    c, g, J, conn = warped_setup
+    c, g, J = warped_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(
-            c, g, J, conn, flavor, base=8, fibre=4
+        _, pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor, base=8, fibre=4
         )
         assert np.abs(R).max() > 1.0  # the coupling curvature is substantial
         match = lf.horizontal_display_match(
@@ -275,7 +261,7 @@ def test_warped_scenario_resolves_full_convention(warped_setup):
 
 
 def test_commutation_identity(sphere_setup, warped_setup):
-    for c, g, J, conn in (flat_setup(), sphere_setup, warped_setup):
+    for c, g, J in (flat_setup(), sphere_setup, warped_setup):
         base = c.sample_points(10)
         rng = np.random.default_rng(14)
         y = rng.uniform(-1.0, 1.0, size=base.shape)
@@ -283,8 +269,8 @@ def test_commutation_identity(sphere_setup, warped_setup):
         eta = np.einsum("mij,mj->mi", g_at, y)
         pts_t = np.hstack([base, y])
         pts_c = np.hstack([base, eta])
-        tangent = lift_at(c, g, J, conn, lf.TANGENT, pts_t)
-        cotangent = lift_at(c, g, J, conn, lf.COTANGENT, pts_c)
+        tangent = lift_at(g, J, lf.TANGENT, pts_t)
+        cotangent = lift_at(g, J, lf.COTANGENT, pts_c)
         res = lf.commutation_residual(
             tangent.forward, cotangent.backward, tangent.jbar, cotangent.jbar
         )
@@ -304,11 +290,17 @@ def test_closed_form_inverses_at_the_commutation_points(name):
 
 
 def test_the_commutation_check_inverts_nothing_numerically(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("numeric inverse")
+    # g^-1 is the run's one numeric inverse; the check inverts nothing else
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    g_at = ScenarioContext(scenario).g_at
+    inv = np.linalg.inv
+
+    def refuse(a, *args, **kwargs):
+        if not np.array_equal(a, g_at):
+            raise AssertionError("numeric inverse")
+        return inv(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
-    scenario = load_scenario(scenario_path("warped-mixing"))
     assert run_suites(scenario, suites=["commutation"]).checks[0].passed
 
 
@@ -324,7 +316,7 @@ def test_array_lift_matches_numpy_oracle(name, flavor):
         n = ctx.chart.dim
         y = np.random.default_rng(5).uniform(-1.0, 1.0, size=ctx.points.shape)
         inputs = {key: getattr(ctx, f"{key}_at") for key in ("g", "ginv", "J", "gamma")}
-        inputs.update({key: getattr(ctx, f"{key}_at") for key in ("dg", "dJ", "dgamma")})
+        inputs.update({key: getattr(ctx, f"{key}_at") for key in ("dg", "dJ", "dgamma", "dginv")})
         lift = lf.lift(flavor, y, **inputs)
         N = lf.nijenhuis_values(lift)
     args = (scenario.metric, scenario.J, flavor)
