@@ -39,8 +39,8 @@ __all__ = [
     "musical_sharp",
     "ghat_matrix",
     "metric_inverse",
-    "generalized",
-    "sharp_term",
+    "blocks",
+    "sharp_block",
     "pairing_matrix",
     "natural_pairing",
     "build_jm",
@@ -122,8 +122,19 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1))
 
 
-def _blocks(A, B, C, D) -> np.ndarray:
-    """[[A, B], [C, D]] from stacks of n x n blocks; a block may be 0.0."""
+def blocks(A, B, C, D) -> np.ndarray:
+    """[[A, B], [C, D]] from stacks of n x n blocks; a block may be 0.0.
+
+    The one assembler of the generalized structures:
+
+    Jm    [[J, 0], [0, J*]]
+    Jp    [[J, sharp_block(1, J^2, g^-1)], [g, -J*]]
+    Jc    [[J, sharp_block(-1, J^2, g^-1)], [g, -J*]]
+    ghat  [[g, 0], [0, g^-1]]
+
+    Every block enters linearly, so the partials d_k of the blocks, with a
+    direction axis before the matrix axes, give the partials of the structure.
+    """
     shape = np.broadcast_shapes(*(np.shape(block) for block in (A, B, C, D)))
     n = shape[-1]
     out = np.zeros(shape[:-2] + (2 * n, 2 * n))
@@ -164,7 +175,7 @@ def musical_sharp(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 def ghat_matrix(g: np.ndarray) -> np.ndarray:
     """Block-diagonal (g, g^{-1}) metric on TM + T*M."""
     g = np.asarray(g, dtype=float)
-    return generalized("ghat", None, g, metric_inverse(g))
+    return blocks(g, 0.0, 0.0, metric_inverse(g))
 
 
 def metric_inverse(g: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
@@ -184,30 +195,9 @@ def metric_inverse(g: np.ndarray, points: np.ndarray | None = None) -> np.ndarra
     return np.linalg.inv(g)
 
 
-def sharp_term(label: str, K: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """The upper-right block of Jp, (I - K) g^-1, or of Jc, -(I + K) g^-1, for K = J^2."""
-    sign = {"jp": 1.0, "jc": -1.0}[label]
+def sharp_block(sign: float, K: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """(sign I - K) g^-1 for K = J^2: the upper-right block of Jp (sign 1) or Jc (sign -1)."""
     return (sign * np.eye(K.shape[-1]) - K) @ ginv
-
-
-def generalized(label: str, J, g, ginv, upper=None) -> np.ndarray:
-    """The block assembler of the generalized structures:
-
-    jm    [[J, 0], [0, J*]]        (reads J only)
-    jp    [[J, upper], [g, -J*]]   with upper = sharp_term("jp", J^2, g^-1)
-    jc    [[J, upper], [g, -J*]]   with upper = sharp_term("jc", J^2, g^-1)
-    ghat  [[g, 0], [0, g^-1]]      (reads g and g^-1 only)
-
-    Every block enters linearly, so the partials d_k of J, g, g^-1 and of
-    the upper block, with a direction axis before the matrix axes, give the
-    partials of the structure.
-    """
-    if label == "ghat":
-        return _blocks(g, 0.0, 0.0, ginv)
-    Jt = np.swapaxes(J, -1, -2)
-    if label == "jm":
-        return _blocks(J, 0.0, 0.0, Jt)
-    return _blocks(J, upper, g, -Jt)
 
 
 def pairing_matrix(n: int) -> np.ndarray:
@@ -244,23 +234,22 @@ def _require_compatible(g: np.ndarray, J: np.ndarray, tolerance: float):
 def build_jm(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized metallic structure blockdiag(J, J*)."""
     g, J = _require_compatible(g, J, tolerance)
-    return generalized("jm", J, g, None)
+    return blocks(J, 0.0, 0.0, np.swapaxes(J, -1, -2))
 
 
-def _build_musical(label: str, J, g, tolerance: float) -> np.ndarray:
+def _build_musical(sign: float, J, g, tolerance: float) -> np.ndarray:
     g, J = _require_compatible(g, J, tolerance)
-    ginv = metric_inverse(g)
-    return generalized(label, J, g, ginv, sharp_term(label, J @ J, ginv))
+    return blocks(J, sharp_block(sign, J @ J, metric_inverse(g)), g, -np.swapaxes(J, -1, -2))
 
 
 def build_jp(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized product structure [[J, (I - J^2) sharp], [flat, -J*]]."""
-    return _build_musical("jp", J, g, tolerance)
+    return _build_musical(1.0, J, g, tolerance)
 
 
 def build_jc(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
     """Generalized complex structure [[J, -(I + J^2) sharp], [flat, -J*]]."""
-    return _build_musical("jc", J, g, tolerance)
+    return _build_musical(-1.0, J, g, tolerance)
 
 
 @dataclass(frozen=True)
@@ -284,7 +273,7 @@ class DerivedFamily:
 
     @cached_property
     def fhat_plus(self) -> np.ndarray:
-        return generalized("jm", self.f_plus, None, None)
+        return blocks(self.f_plus, 0.0, 0.0, np.swapaxes(self.f_plus, -1, -2))
 
     @property
     def fhat_minus(self) -> np.ndarray:
@@ -478,7 +467,7 @@ def fhat_matrix(df: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("Df must be square for the generalized push-forward")
     if (np.abs(np.linalg.det(df)) < 1e-12).any():
         raise SingularJacobian("Df is not invertible")
-    return _blocks(df, 0.0, 0.0, np.linalg.inv(np.swapaxes(df, -1, -2)))
+    return blocks(df, 0.0, 0.0, np.linalg.inv(np.swapaxes(df, -1, -2)))
 
 
 def fhat_conjugation(

@@ -10,7 +10,7 @@ Everything here works on values at the samples, arrays with a leading
 sample axis m.  A connection is given by ``gamma[m, k, i, j]`` =
 Gamma^k_{ij}, a field by its values and its first partials
 ``d[m, k, ...]`` = d_k of the field; the generalized structures come with
-theirs from :func:`metalliclab.genbundle.generalized`.  None of these
+theirs from :func:`metalliclab.genbundle.blocks`.  None of these
 tensors needs a derivative of the connection, so no function here
 differentiates.
 """

@@ -23,6 +23,7 @@ TOL_NIJ_IDENTITY = 1e-8
 TOL_CONVENTION = 1e-7
 
 FIBRE_PER_BASE = 4
+_SHARP_SIGN = {"jp": 1.0, "jc": -1.0}  # upper block (sign I - J^2) g^-1
 
 
 class ConnBundle:
@@ -206,24 +207,35 @@ class ScenarioContext:
         return ch.nijenhuis(self.J_at, self.dJ_at)
 
     def gen_at(self, label: str) -> np.ndarray:
-        """Jm, Jp, Jc or ghat (``label`` as in gb.generalized) at the samples."""
+        """Jm, Jp, Jc or ghat (``label`` "jm", "jp", "jc" or "ghat") at the samples."""
         if label not in self._gen_at:
-            ginv = None if label == "jm" else self.ginv_at
-            upper = gb.sharp_term(label, self.K_at, ginv) if label in ("jp", "jc") else None
-            self._gen_at[label] = gb.generalized(label, self.J_at, self.g_at, ginv, upper)
+            J, g = self.J_at, self.g_at
+            Jt = np.swapaxes(J, -1, -2)
+            if label == "jm":
+                parts = (J, 0.0, 0.0, Jt)
+            elif label == "ghat":
+                parts = (g, 0.0, 0.0, self.ginv_at)
+            else:
+                upper = gb.sharp_block(_SHARP_SIGN[label], self.K_at, self.ginv_at)
+                parts = (J, upper, g, -Jt)
+            self._gen_at[label] = gb.blocks(*parts)
         return self._gen_at[label]
 
     def gen_jet(self, label: str) -> tuple:
         """The values and first partials [m, k, 2n, 2n] of a generalized structure."""
         if label not in self._gen_jets:
-            dginv = None if label == "jm" else self.dginv_at
-            upper = None
-            if label in ("jp", "jc"):
+            dJ, dg = self.dJ_at, self.dg_at
+            dJt = np.swapaxes(dJ, -1, -2)
+            if label == "jm":
+                parts = (dJ, 0.0, 0.0, dJt)
+            elif label == "ghat":
+                parts = (dg, 0.0, 0.0, self.dginv_at)
+            else:
                 # d_k (s I - K) g^-1 = (s I - K) d_k g^-1 - (d_k K) g^-1
-                upper = gb.sharp_term(label, self.K_at[:, None], dginv)
+                upper = gb.sharp_block(_SHARP_SIGN[label], self.K_at[:, None], self.dginv_at)
                 upper -= self.dK_at @ self.ginv_at[:, None]
-            partials = gb.generalized(label, self.dJ_at, self.dg_at, dginv, upper)
-            self._gen_jets[label] = (self.gen_at(label), partials)
+                parts = (dJ, upper, dg, -dJt)
+            self._gen_jets[label] = (self.gen_at(label), gb.blocks(*parts))
         return self._gen_jets[label]
 
     @property

@@ -518,19 +518,19 @@ def test_array_layer_matches_finite_difference_oracles(name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_array_covariant_derivatives_match_the_symbolic_ones(name):
     # nabla J, nabla g and the torsion of both connections against the
-    # formulas written out entry by entry, from the symbolic partials of the
-    # leaf entries and Christoffel symbols by finite differences
+    # formulas written out entry by entry, from the same Christoffel symbols
+    # and leaf partials; the Levi-Civita symbols themselves against the Koszul
+    # formula with finite-difference metric partials
     scenario = load_scenario(scenario_path(name))
     with ex.fresh_table(scenario.table):
         ctx = ScenarioContext(scenario, samples=8)
-        for conn, gamma in ((None, ctx.lc_gamma_at), (scenario.connection, ctx.gamma_at)):
+        for m, x in enumerate(ctx.points):
+            G = fd_christoffel(scenario.metric, x)
+            assert np.abs(ctx.lc_gamma_at[m] - G).max() <= 1e-8 * max(1.0, np.abs(G).max())
+        for gamma in (ctx.lc_gamma_at, ctx.gamma_at):
             b = ctx.bundle(gamma)
             got = {"nabla J": b.nabla_J_at, "nabla g": b.nabla_g_at, "torsion": b.torsion_at}
-            for m, x in enumerate(ctx.points):
-                if conn is None:
-                    G = fd_christoffel(scenario.metric, x)
-                else:
-                    G = _pointwise(conn.comps)(x)
+            for m, G in enumerate(gamma):
                 expected = {
                     "nabla J": nabla_loop(G, ctx.J_at[m], ctx.dJ_at[m]),
                     "nabla g": nabla_loop(G, ctx.g_at[m], ctx.dg_at[m], metric=True),
@@ -538,7 +538,7 @@ def test_array_covariant_derivatives_match_the_symbolic_ones(name):
                 }
                 for key, value in expected.items():
                     scale = max(1.0, np.abs(value).max())
-                    assert np.abs(got[key][m] - value).max() <= 1e-8 * scale, (name, key)
+                    assert np.abs(got[key][m] - value).max() <= 1e-12 * scale, (name, key)
 
 
 def test_omega_sweep_names_its_worst_trial_and_sample(monkeypatch):
