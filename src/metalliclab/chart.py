@@ -124,9 +124,14 @@ def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
         for perm in perms:
             rng.shuffle(perm)
         digits, weight, value = index.copy(), 1.0 / base, np.zeros(count)
+        top = count - 1  # the largest index, whose digits run out last
         for perm in perms:
-            digits, digit = np.divmod(digits, base)
-            value += perm[digit] * weight
+            if top > 0:
+                digits, digit = np.divmod(digits, base)
+                value += perm[digit] * weight
+                top //= base
+            else:  # every remaining digit is 0 at every point
+                value += perm[0] * weight
             weight /= base
         unit[:, axis] = value
     return unit

@@ -10,9 +10,9 @@ Everything here works on values at the samples, arrays with a leading
 sample axis m.  A connection is given by ``gamma[m, k, i, j]`` =
 Gamma^k_{ij}, a field by its values and its first partials
 ``d[m, k, ...]`` = d_k of the field; the generalized structures come with
-theirs from :func:`metalliclab.genbundle.blocks`.  None of these
-tensors needs a derivative of the connection, so no function here
-differentiates.
+theirs from :func:`metalliclab.genbundle.blocks`.  No tensor here needs a
+derivative of the connection.  Every contraction is a matrix product per
+sample over reshaped axes, two operands at a time.
 """
 
 from __future__ import annotations
@@ -114,33 +114,45 @@ def nabla_bracket(
     return (S[..., None, :n] @ DT - T[..., None, :n] @ DS)[..., 0, :]
 
 
+def _bracket_term(P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """sum_k P[a, k] D[b, k, A] for every pair of two families, indexed
+    [m, A, b, a]: one (m, 2n*N, n) @ (m, n, N) product per sample, with P
+    the vector parts (m, N, n) and D the derivatives (m, N, n, 2n)."""
+    m, N, n, size = D.shape
+    rows = D.transpose(0, 3, 1, 2).reshape(m, size * N, n)
+    return (rows @ _swap(P)).reshape(m, size, N, P.shape[1])
+
+
 def gen_nijenhuis(gamma: np.ndarray, J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     """N(e_a, e_b) = [Je_a, Je_b] - J[Je_a, e_b] - J[e_a, Je_b] + J^2 [e_a, e_b]
     for every pair of the 2n constant sections (d_1..d_n, dx^1..dx^n), all
     nabla-brackets; ``J`` is (m, 2n, 2n), ``dJ`` (m, n, 2n, 2n).  Returns
     N^A(e_a, e_b) indexed [m, A, a, b].
+
+    Only the basis and the columns J e_a have section derivatives D.  Each
+    bracket is [s_a, t_b] = S[a, b] - S[b, a] with S[a, b] = s_a^k (D t_b)_k,
+    and J acts on A only, so N = S[A, b, a] - S[A, a, b] for the one sum
+    S = [Je, Je] - J ([Je, e] + [e, Je]) + J^2 [e, e] of such half-brackets:
+    four (m, 4n^2, n) @ (m, n, 2n) and two (m, 2n, 2n) @ (m, 2n, 4n^2) products.
     """
     m, N = J.shape[:2]
     n = gamma.shape[1]
     basis = np.broadcast_to(np.eye(N), (m, N, N))
-    flat = np.zeros((m, N, n, N))
     columns = _swap(J)  # J e_a is column a of J
-    d_columns = dJ.transpose(0, 3, 1, 2)  # [m, a, k, A] = d_k J^A_a
-    s, ds = basis[:, :, None], flat[:, :, None]
-    t, dt = basis[:, None], flat[:, None]
-    js, djs = columns[:, :, None], d_columns[:, :, None]
-    jt, djt = columns[:, None], d_columns[:, None]
+    d_basis = _section_derivative(gamma, basis, np.zeros((m, N, n, N)))
+    d_columns = _section_derivative(gamma, columns, dJ.transpose(0, 3, 1, 2))
+    e, c = basis[..., :n], columns[..., :n]
 
-    def apply(M, sections):
-        return (M[:, None, None] @ sections[..., None])[..., 0]
+    def apply(M, half):
+        return (M @ half.reshape(m, N, N * N)).reshape(half.shape)
 
-    out = (
-        nabla_bracket(gamma, js, djs, jt, djt)
-        - apply(J, nabla_bracket(gamma, js, djs, t, dt))
-        - apply(J, nabla_bracket(gamma, s, ds, jt, djt))
-        + apply(J @ J, nabla_bracket(gamma, s, ds, t, dt))
+    mixed = _bracket_term(c, d_basis) + _bracket_term(e, d_columns)
+    half = (
+        _bracket_term(c, d_columns)
+        - apply(J, mixed)
+        + apply(J @ J, _bracket_term(e, d_basis))
     )
-    return out.transpose(0, 3, 1, 2)
+    return _swap(half) - half
 
 
 # ------------------------------------------------------------------
@@ -200,19 +212,12 @@ def torsion_closed_form_values(
     """Closed-form torsion on coordinate fields, [m, k, i, j]."""
     if params.q == 0:
         raise ZeroQ("the closed torsion form needs q != 0")
-    m, n, _ = J_at.shape
-    eye = np.eye(n)
-    wj = np.einsum("ms,msj->mj", omega_at, J_at)
-    out = (
-        np.einsum("mj,ki->mkij", omega_at, eye)
-        - np.einsum("mi,kj->mkij", omega_at, eye)
-        + (
-            np.einsum("mj,mki->mkij", wj, J_at)
-            - np.einsum("mi,mkj->mkij", wj, J_at)
-        )
-        / params.q
-    )
-    return out
+    n = J_at.shape[-1]
+    wj = (omega_at[:, None, :] @ J_at)[:, :, None, :]  # [m, 1, 1, j]: w_s J^s_j
+    # w(d_j) d_i and w(J d_j) J d_i at [k, i, j]; the display antisymmetrizes them
+    plain = np.eye(n)[:, :, None] * omega_at[:, None, None, :]
+    with_j = wj * J_at[..., None]
+    return plain - _swap(plain) + (with_j - _swap(with_j)) / params.q
 
 
 def _upper(M: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -302,69 +307,72 @@ class ConditionInputs:
         return np.broadcast_to(np.eye(n), self.J.shape)
 
 
+def _along(M: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """sum_a M^a_i D[a, ...]: a derivative D[m, a, ...] taken in the direction
+    M d_i, indexed [m, i, ...]."""
+    return _upper(_swap(M), D)
+
+
 def _ddg(ci: ConditionInputs) -> np.ndarray:
-    """(d^nabla g)(d_i, d_j)_c = (nabla_i g)_{jc} - (nabla_j g)_{ic} + g_{cs} T^s_{ij}."""
-    return (
-        ci.Dg
-        - ci.Dg.transpose(0, 2, 1, 3)
-        + np.einsum("mcs,msij->mijc", ci.g, ci.T)
-    )
+    """(d^nabla g)(d_i, d_j)_c = (nabla_i g)_{jc} - (nabla_j g)_{ic} + g_{cs} T^s_{ij},
+    indexed [m, c, i, j]."""
+    Dg = ci.Dg.transpose(0, 3, 1, 2)
+    return Dg - _swap(Dg) + _upper(ci.g, ci.T)
 
 
 def _conditions(ci: ConditionInputs, sign: float) -> list:
     """The six displayed conditions; sign=-1 uses A = I - J^2 (product case),
-    sign=+1 uses A = I + J^2 (complex case), with the matching term signs."""
-    A = ci.eye + sign * ci.K
-    ddg = _ddg(ci)
-    dgasym = ci.Dg - ci.Dg.transpose(0, 2, 1, 3)
+    sign=+1 uses A = I + J^2 (complex case), with the matching term signs.
 
-    c1 = ci.NJ - (-sign) * np.einsum("mka,mac,mijc->mkij", A, ci.ginv, ddg)
+    Each term is a per-sample matrix product; the comments give the
+    (output-first) layout before the final transpose.
+    """
+    A = ci.eye + sign * ci.K
+    J, g, T = ci.J[:, None], ci.g[:, None], ci.T
+    Jt, At, Ax = _swap(ci.J)[:, None], _swap(A)[:, None], A[:, None]
+    A_sharp = A @ ci.ginv
+    # (nabla_{J d_i} g)_{jc} and (nabla_{A d_i} g)_{jc}, [c, i, j]
+    g_along_J = _along(ci.J, ci.Dg).transpose(0, 3, 1, 2)
+    g_along_A = _along(A, ci.Dg).transpose(0, 3, 1, 2)
+    # (nabla_i g)_{jc} - (nabla_j g)_{ic}, [i, j, c]
+    dgasym = ci.Dg - ci.Dg.transpose(0, 2, 1, 3)
+    # g_{cs} (nabla_a J)^s_b, [a, c, b], and (nabla_a J)^s_c g_{sb}, [a, c, b]
+    g_DJ = g @ ci.DJ
+    DJ_g = _swap(ci.DJ) @ g
+
+    c1 = ci.NJ + sign * _upper(A_sharp, _ddg(ci))
 
     c2 = (
-        np.einsum("mai,majc->mcij", ci.J, ci.Dg)
-        - np.einsum("maj,maic->mcij", ci.J, ci.Dg)
-        + np.einsum("mijs,msc->mcij", dgasym, ci.J)
-        + np.einsum("mcs,mjsi->mcij", ci.g, ci.DJ)
-        - np.einsum("mcs,misj->mcij", ci.g, ci.DJ)
-        + np.einsum("mcs,msib,mbj->mcij", ci.g, ci.T, ci.J)
-        + np.einsum("mcs,msaj,mai->mcij", ci.g, ci.T, ci.J)
+        g_along_J
+        - _swap(g_along_J)
+        + (dgasym @ J).transpose(0, 3, 1, 2)
+        + g_DJ.transpose(0, 2, 3, 1)
+        - g_DJ.transpose(0, 2, 1, 3)
+        + _upper(ci.g, T @ J)
+        + _upper(ci.g, Jt @ T)
     )
 
     ddg_u = (
-        np.einsum("mbj,mbic->mcij", A, ci.Dg)
-        - np.einsum("mibc,mbj->mcij", ci.Dg, A)
-        + np.einsum("mcs,msbi,mbj->mcij", ci.g, ci.T, A)
+        _swap(g_along_A)
+        - (_swap(ci.Dg) @ Ax).transpose(0, 2, 1, 3)
+        + _upper(ci.g, _swap(T) @ Ax)
     )
-    t_jy = np.einsum("mst,mtj,misc->mcij", ci.g, ci.J, ci.DJ)
-    t_jx = np.einsum("mai,msj,masc->mcij", ci.J, ci.g, ci.DJ)
+    # (nabla_i J)^s_c (g J)_{sj} and J^a_i (nabla_a J)^s_c g_{sj}, [i, c, j]
+    t_jy = (_swap(ci.DJ) @ (ci.g @ ci.J)[:, None]).transpose(0, 2, 1, 3)
+    t_jx = _along(ci.J, DJ_g).transpose(0, 2, 1, 3)
     c3 = ddg_u + sign * t_jy - sign * t_jx
 
-    c4 = np.einsum("mai,msj,masc->mcij", A, ci.g, ci.DJ) - np.einsum(
-        "maj,msi,masc->mcij", A, ci.g, ci.DJ
-    )
+    c4, r5 = _reduced_tail(ci, A)
 
-    inner5 = np.einsum("mai,majc->mcij", A, ci.Dg) - np.einsum(
-        "maj,maic->mcij", A, ci.Dg
-    )
-    c5 = (
-        np.einsum("mai,makj->mkij", A, ci.DK)
-        - np.einsum("maj,maki->mkij", A, ci.DK)
-        - sign * np.einsum("mkab,mai,mbj->mkij", ci.T, A, A)
-        - np.einsum("mkb,mbc,mcij->mkij", A, ci.ginv, inner5)
-    )
+    inner5 = g_along_A - _swap(g_along_A)
+    c5 = r5 - sign * (At @ T @ Ax) - _upper(A_sharp, inner5)
 
-    inner6 = np.einsum("mai,majc->mcij", ci.J, ci.Dg) - np.einsum(
-        "miac,maj->mcij", ci.Dg, ci.J
-    )
+    inner6 = g_along_J - (_swap(ci.Dg) @ J).transpose(0, 2, 1, 3)
     c6 = (
-        -np.einsum("mai,makj->mkij", ci.J, ci.DK)
-        + sign * np.einsum("maj,maki->mkij", A, ci.DJ)
-        - sign * np.einsum("mikj->mkij", ci.DJ)
-        + np.einsum("mks,misj->mkij", ci.J, ci.DK)
-        - np.einsum("mks,misj->mkij", ci.K, ci.DJ)
-        + sign * np.einsum("mkb,mbc,mcij->mkij", A, ci.ginv, inner6)
-        + sign * np.einsum("mkab,mai,mbj->mkij", ci.T, ci.J, A)
-        - sign * np.einsum("mks,msib,mbj->mkij", ci.J, ci.T, A)
+        _reduced_final(ci, A, sign)
+        + sign * _upper(A_sharp, inner6)
+        + sign * (Jt @ T @ Ax)
+        - sign * _upper(ci.J, T @ Ax)
     )
     return [c1, c2, c3, c4, c5, c6]
 
@@ -381,33 +389,32 @@ def jc_condition_residuals(ci: ConditionInputs) -> list:
 
 def _reduced_common(ci: ConditionInputs) -> list:
     r1 = ci.NJ
-    r2 = np.einsum("mjki->mkij", ci.DJ) - np.einsum("mikj->mkij", ci.DJ)
+    DJ = ci.DJ.transpose(0, 2, 1, 3)  # [k, i, j] = (nabla_i J)^k_j
+    r2 = _swap(DJ) - DJ
     # (nabla_X J*) J* - (nabla_{JX} J*), as a map on one-forms, [m, i, t, c]
-    r3 = np.einsum("mts,misc->mitc", ci.J, ci.DJ) - np.einsum(
-        "mai,matc->mitc", ci.J, ci.DJ
-    )
+    r3 = ci.J[:, None] @ ci.DJ - _along(ci.J, ci.DJ)
     return [r1, r2, r3]
 
 
 def _reduced_tail(ci: ConditionInputs, A: np.ndarray) -> list:
-    r4 = np.einsum("mai,msj,masc->mcij", A, ci.g, ci.DJ) - np.einsum(
-        "maj,msi,masc->mcij", A, ci.g, ci.DJ
-    )
-    r5 = np.einsum("mai,makj->mkij", A, ci.DK) - np.einsum(
-        "maj,maki->mkij", A, ci.DK
-    )
-    return [r4, r5]
+    """A^a_i (nabla_a J)^s_c g_{sj} and (nabla_{A d_i} J^2)^k_j, each minus
+    its (i, j) transpose."""
+    r4 = _along(A, _swap(ci.DJ) @ ci.g[:, None]).transpose(0, 2, 1, 3)
+    r5 = _along(A, ci.DK).transpose(0, 2, 1, 3)
+    return [r4 - _swap(r4), r5 - _swap(r5)]
 
 
 def _reduced_final(ci: ConditionInputs, A: np.ndarray, flip: float) -> np.ndarray:
-    """-(nabla_{JX}J^2)Y ± (nabla_{A Y}J)X ∓ (nabla_X J)Y + J(nabla_X J^2)Y - J^2(nabla_X J)Y."""
+    """-(nabla_{JX}J^2)Y ± (nabla_{A Y}J)X ∓ (nabla_X J)Y + J(nabla_X J^2)Y - J^2(nabla_X J)Y.
+
+    The terms are summed in the layout [i, k, j] and transposed once."""
     return (
-        -np.einsum("mai,makj->mkij", ci.J, ci.DK)
-        + flip * np.einsum("maj,maki->mkij", A, ci.DJ)
-        - flip * np.einsum("mikj->mkij", ci.DJ)
-        + np.einsum("mks,misj->mkij", ci.J, ci.DK)
-        - np.einsum("mks,misj->mkij", ci.K, ci.DJ)
-    )
+        -_along(ci.J, ci.DK)
+        + flip * _along(A, ci.DJ).transpose(0, 3, 2, 1)
+        - flip * ci.DJ
+        + ci.J[:, None] @ ci.DK
+        - ci.K[:, None] @ ci.DJ
+    ).transpose(0, 2, 1, 3)
 
 
 def jp_reduced_residuals(ci: ConditionInputs) -> list:

@@ -9,8 +9,8 @@ its metric and the partials of the lift in all 2n coordinates have closed
 forms in the values of g, g^-1, J, Gamma and their first partials at the
 base points (Yano & Ishihara, *Tangent and Cotangent Bundles*, 1973).
 Everything here works on arrays with a leading sample axis m; the lifted
-Nijenhuis tensor and the displayed frame formulas it is checked against
-are array algebra on them.
+Nijenhuis tensor and the displayed frame formulas are matrix products per
+sample, with the fibre coordinates contracted first.
 """
 
 from __future__ import annotations
@@ -80,6 +80,23 @@ class LiftedChart:
         return rng.uniform(lo, hi, size=(count, self.base.dim))
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _along_fibre(y: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_k y_k C[..., k, l, i], the fibre coordinates ``y`` (broadcasting
+    like C's leading axes) contracted as one (1, n) @ (n, n*n) product."""
+    lead, n = C.shape[:-3], C.shape[-1]
+    return (y[..., None, :] @ C.reshape(lead + (n, n * n))).reshape(lead + (n, n))
+
+
+def _first(M: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_s M[m, r, s] A[m, s, ...], indexed [m, r, ...]."""
+    m, s = A.shape[:2]
+    return (M @ A.reshape(m, s, -1)).reshape(M.shape[:2] + A.shape[2:])
+
+
 def _lower_blocks(upper: np.ndarray, lower_left, lower_right) -> np.ndarray:
     """[[upper, 0], [lower_left, lower_right]] from stacks of n x n blocks."""
     n = upper.shape[-1]
@@ -108,10 +125,11 @@ class Lift:
     Everything but ``jbar`` is computed on first use: the commutation check
     reads ``forward`` of the tangent lift and ``backward`` of the cotangent
     one, and neither ``gbar`` nor ``djbar[m, c, A, B]`` = d_c jbar^A_B over
-    all 2n coordinates.
+    all 2n coordinates.  Only ``djbar`` reads the partials dg, dJ, dgamma
+    and dginv, so the commutation check builds its two lifts without them.
     """
 
-    def __init__(self, flavor, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv):
+    def __init__(self, flavor, y, g, ginv, J, gamma, dg=None, dJ=None, dgamma=None, dginv=None):
         n = J.shape[-1]
         eye = np.broadcast_to(np.eye(n), J.shape)
         Jt = np.swapaxes(J, -1, -2)
@@ -124,7 +142,7 @@ class Lift:
             C = gamma.transpose(0, 1, 3, 2)
             V = W = eye
             D = Jt
-        L = np.einsum("mk,mkli->mli", y, C)
+        L = _along_fibre(y, C)
         self.jbar = _lower_blocks(J, L @ J - D @ L, D)
         self._flavor, self._y, self._C, self._L, self._D = flavor, y, C, L, D
         self._eye, self._V, self._W = eye, V, W
@@ -162,14 +180,14 @@ class Lift:
         else:
             dC = dgamma.transpose(0, 1, 2, 4, 3)
             dD = dJt
-        dL = np.einsum("mk,makli->mali", self._y, dC)
+        dL = _along_fibre(self._y[:, None], dC)
         out = np.zeros((m, 2 * n, 2 * n, 2 * n))
         out[:, :n] = _lower_blocks(dJ, dL @ J[:, None] + L @ dJ - dD @ L - D @ dL, dD)
         out[:, n:, n:, :n] = C @ J[:, None] - D @ C
         return out
 
 
-def lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv) -> Lift:
+def lift(flavor, y, g, ginv, J, gamma, dg=None, dJ=None, dgamma=None, dginv=None) -> Lift:
     """The :class:`Lift` of the flavour at the fibre points y over the base values."""
     return Lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv)
 
@@ -184,9 +202,7 @@ def frame_endo_residuals(
 ) -> np.ndarray:
     """Jbar(X_i^H) = J^k_i X_k^H and the vertical-frame displays."""
     n = J_v.shape[-1]
-    horiz = np.einsum("mab,mbi->mai", jbar_v, frame_v) - np.einsum(
-        "mki,mak->mai", J_v, frame_v
-    )
+    horiz = jbar_v @ frame_v - frame_v @ J_v
     vert_actual = jbar_v[:, :, n:]
     expected = np.zeros_like(vert_actual)
     if flavor == TANGENT:
@@ -212,15 +228,13 @@ def coordinate_endo_residuals(
     expected = np.zeros_like(actual)
     expected[:, :n, :] = J_v
     if flavor == TANGENT:
-        # -y^l (J^k_i G^s_{kl} - J^s_r G^r_{il})
-        expected[:, n:, :] = -np.einsum(
-            "ml,mki,mskl->msi", y, J_v, gamma_v
-        ) + np.einsum("ml,msr,mril->msi", y, J_v, gamma_v)
+        # -y^l (J^k_i G^s_{kl} - J^s_r G^r_{il}) with Gy[s, k] = G^s_{kl} y^l
+        Gy = (gamma_v @ y[:, None, :, None])[..., 0]
+        expected[:, n:, :] = -(Gy @ J_v) + J_v @ Gy
     else:
-        # +y_l (J^k_i G^l_{kr} - J^s_r G^l_{is})
-        expected[:, n:, :] = np.einsum(
-            "ml,mki,mlkr->mri", y, J_v, gamma_v
-        ) - np.einsum("ml,msr,mlis->mri", y, J_v, gamma_v)
+        # +y_l (J^k_i G^l_{kr} - J^s_r G^l_{is}) with yG[k, r] = y_l G^l_{kr}
+        yG = _along_fibre(y, gamma_v)
+        expected[:, n:, :] = _swap(yG) @ J_v - _swap(yG @ J_v)
     return actual - expected
 
 
@@ -229,8 +243,9 @@ def frame_metric_residuals(
 ) -> np.ndarray:
     """gbar on the horizontal/vertical frame against the displayed components."""
     n = g_v.shape[-1]
-    hh = np.einsum("mai,mab,mbj->mij", frame_v, gbar_v, frame_v) - g_v
-    hv = np.einsum("mai,mab->mib", frame_v, gbar_v)[:, :, n:]
+    frame_gbar = _swap(frame_v) @ gbar_v
+    hh = frame_gbar @ frame_v - g_v
+    hv = frame_gbar[:, :, n:]
     vv = gbar_v[:, n:, n:] - (g_v if flavor == TANGENT else ginv_v)
     m = gbar_v.shape[0]
     return np.concatenate(
@@ -246,21 +261,21 @@ def coordinate_metric_residuals(
     y: np.ndarray,
     flavor: str,
 ) -> np.ndarray:
-    """Corrected readings of the displayed gbar(X_i, X_j) and mixed components."""
+    """Corrected readings of the displayed gbar(X_i, X_j) and mixed components.
+
+    With A[i, l] = y^k G^l_{ik} and V = g (tangent), or A[i, l] = y_k G^k_{il}
+    and V = g^-1 (cotangent), the displays read gbar(X_i, X_j) = g + A V A^T
+    and gbar(X_i, d/dy^j) = A V (tangent) or -A V (cotangent).
+    """
     n = g_v.shape[-1]
     m = gbar_v.shape[0]
     if flavor == TANGENT:
-        xx = gbar_v[:, :n, :n] - (
-            g_v
-            + np.einsum("mk,mh,mlik,msjh,mls->mij", y, y, gamma_v, gamma_v, g_v)
-        )
-        xv = gbar_v[:, :n, n:] - np.einsum("mk,mlik,mlj->mij", y, gamma_v, g_v)
+        A, V, mixed_sign = _swap((gamma_v @ y[:, None, :, None])[..., 0]), g_v, 1.0
     else:
-        xx = gbar_v[:, :n, :n] - (
-            g_v
-            + np.einsum("mk,mh,mkil,mhjr,mlr->mij", y, y, gamma_v, gamma_v, ginv_v)
-        )
-        xv = gbar_v[:, :n, n:] + np.einsum("mk,mkil,mlj->mij", y, gamma_v, ginv_v)
+        A, V, mixed_sign = _along_fibre(y, gamma_v), ginv_v, -1.0
+    AV = A @ V
+    xx = gbar_v[:, :n, :n] - (g_v + AV @ _swap(A))
+    xv = gbar_v[:, :n, n:] - mixed_sign * AV
     return np.concatenate([xx.reshape(m, -1), xv.reshape(m, -1)], axis=1)
 
 
@@ -285,24 +300,21 @@ def mixed_display_residual(
     tangent-case order) and is only evaluated when ``literal`` is set.
     """
     n = J_v.shape[-1]
-    actual = np.einsum("mabc,mbi->maic", N_v, frame_v)[:, :, :, n:]
+    actual = _swap(frame_v)[:, None] @ N_v[..., n:]
     expected = np.zeros_like(actual)
+    along_J = _first(_swap(J_v), DJ_v)  # [m, i, r, k] = (nabla_{J d_i} J)^r_k
     if flavor == TANGENT or literal:
-        # M[m, r, i, k] = (nabla_{J d_i} J)^r_k - (J (nabla_i J))^r_k
-        M = np.einsum("mai,mark->mrik", J_v, DJ_v) - np.einsum(
-            "mrs,misk->mrik", J_v, DJ_v
-        )
+        # M[m, i, r, k] = (nabla_{J d_i} J)^r_k - (J (nabla_i J))^r_k
+        M = along_J - J_v[:, None] @ DJ_v
     else:
-        # M[m, r, i, k] = (nabla_{J d_i} J)^r_k - ((nabla_i J) J)^r_k
-        M = np.einsum("mai,mark->mrik", J_v, DJ_v) - np.einsum(
-            "mirs,msk->mrik", DJ_v, J_v
-        )
+        # M[m, i, r, k] = (nabla_{J d_i} J)^r_k - ((nabla_i J) J)^r_k
+        M = along_J - DJ_v @ J_v[:, None]
     if flavor == TANGENT:
-        # N(H_i, d/dy^j)^{vert k} = M[m, k, i, j]
-        expected[:, n:, :, :] = M
+        # N(H_i, d/dy^j)^{vert k} = M[m, i, k, j]
+        expected[:, n:, :, :] = M.transpose(0, 2, 1, 3)
     else:
-        # N(H_i, d/dy_j)^{vert k} = M[m, j, i, k]
-        expected[:, n:, :, :] = np.einsum("mjik->mkij", M)
+        # N(H_i, d/dy_j)^{vert k} = M[m, i, j, k]
+        expected[:, n:, :, :] = M.transpose(0, 3, 1, 2)
     return actual - expected
 
 
@@ -315,7 +327,7 @@ CONVENTION_CANDIDATES = tuple(
 
 def _candidate_curvature(R_v: np.ndarray, perm) -> np.ndarray:
     """Candidate reading: displayed R^l_{abc} = house R^l_{perm(abc)}."""
-    return np.einsum(f"ml{''.join(perm)}->mlabc", R_v)
+    return R_v.transpose((0, 1) + tuple(2 + perm.index(slot) for slot in "abc"))
 
 
 def candidate_label(perm, sign: float) -> str:
@@ -335,14 +347,15 @@ def _displayed_curvature_term(
     on a and b; each product contracts J with one operand at a time.
     """
     if flavor == TANGENT:
-        X = np.einsum("mrabs,ms->mrab", Rc, y)
-        JX = np.einsum("mrl,mlab->mrab", J_v, X)
+        X = (Rc @ y[:, None, None, :, None])[..., 0]
+        JX = _first(J_v, X)
         sign = -1.0
     else:
-        X = np.einsum("ml,mlabr->mrab", y, Rc)
-        JX = np.einsum("mlr,mlab->mrab", J_v, X)
+        m, n = y.shape
+        X = (y[:, None] @ Rc.reshape(m, n, -1)).reshape(m, n, n, n).transpose(0, 3, 1, 2)
+        JX = _first(_swap(J_v), X)
         sign = 1.0
-    Jt = np.swapaxes(J_v, -1, -2)[:, None]
+    Jt = _swap(J_v)[:, None]
     Jb = J_v[:, None]
     inner = Jt @ (X @ Jb) - Jt @ JX - JX @ Jb + params.p * JX + params.q * X
     return sign * inner
@@ -367,8 +380,8 @@ def horizontal_display_match(
     horizontal-part residual (shared by all candidates).
     """
     n = J_v.shape[-1]
-    actual = np.einsum("mabj,mbi->maij", N_v @ frame_v[:, None], frame_v)
-    base_expected = np.einsum("mkij,mak->maij", NJ_v, frame_v)
+    actual = _swap(frame_v)[:, None] @ N_v @ frame_v[:, None]
+    base_expected = _first(frame_v, NJ_v)
     horiz_gap = actual[:, :n] - base_expected[:, :n]
     vert_gap_common = actual[:, n:] - base_expected[:, n:]
     by_perm = {}

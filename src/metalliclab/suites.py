@@ -23,6 +23,10 @@ TOL_NIJ_IDENTITY = 1e-8
 TOL_CONVENTION = 1e-7
 
 FIBRE_PER_BASE = 4
+_FHAT_INFORMATIVE = (
+    "blockdiag(J, (J^T)^-1) commutes with Jm = blockdiag(J, J^T) for every invertible "
+    "J, so the residual is rounding only and no scenario input can make it fail"
+)
 _SHARP_SIGN = {"jp": 1.0, "jc": -1.0}  # upper block (sign I - J^2) g^-1
 
 
@@ -521,6 +525,8 @@ def suite_genbundle(ctx: ScenarioContext) -> list:
                 res.residual,
                 TOL_ALGEBRAIC,
                 res.witness,
+                gating=False,
+                details={"informative": _FHAT_INFORMATIVE},
             )
 
         _guard(checks, "genbundle/fhat-with-df-equal-j", "fhat", TOL_ALGEBRAIC, fhat)
@@ -601,9 +607,9 @@ def suite_genconn(ctx: ScenarioContext) -> list:
         gap = bundle().gen_nijenhuis("jm")[:, :, :n, n:].copy()
         # N(d_i, dx^j) against beta((nabla_{J d_i} J) - (nabla_i J) J) with
         # beta = dx^j: covector_c = J^a_i DJ[a, j, c] - DJ[i, j, s] J^s_c
-        gap[:, n:] -= np.einsum("mai,majc->mcij", ctx.J_at, DJ) - np.einsum(
-            "mijs,msc->mcij", DJ, ctx.J_at
-        )
+        J = ctx.J_at
+        along_J = (np.swapaxes(J, -1, -2) @ DJ.reshape(len(J), n, -1)).reshape(DJ.shape)
+        gap[:, n:] -= (along_J - DJ @ J[:, None]).transpose(0, 3, 1, 2)
         return _check(
             "genconn/jm-gen-nijenhuis-mixed-identity",
             "N(X, beta) equals beta((nabla_{JX}J) - (nabla_X J)J)",
@@ -746,12 +752,11 @@ def _karaman_checks(ctx, b: ConnBundle, omega_at: np.ndarray):
     pts = ctx.points
     closed = gc.torsion_closed_form_values(ctx.J_at, ctx.params, omega_at)
     T_at = b.torsion_at
-    lemma1 = np.einsum("mkaj,mai->mkij", T_at, ctx.J_at) - np.einsum(
-        "mks,msij->mkij", ctx.J_at, T_at
-    )
-    lemma2 = np.einsum("mkib,mbj->mkij", T_at, ctx.J_at) - np.einsum(
-        "mks,msij->mkij", ctx.J_at, T_at
-    )
+    J = ctx.J_at[:, None]
+    # T(J d_i, d_j) and T(d_i, J d_j) against J T(d_i, d_j), [m, k, i, j]
+    JT = (ctx.J_at @ T_at.reshape(T_at.shape[:2] + (-1,))).reshape(T_at.shape)
+    lemma1 = np.swapaxes(J, -1, -2) @ T_at - JT
+    lemma2 = T_at @ J - JT
     phi = gc.phi_of_torsion(T_at, ctx.J_at)
     return {
         "dg": b.nabla_g_at,
@@ -871,9 +876,13 @@ def suite_karaman(ctx: ScenarioContext) -> list:
 # ------------------------------------------------------------------
 
 
-def _lift_inputs(ctx: ScenarioContext) -> dict:
-    """The values at the base samples that lf.lift takes, by its parameter names."""
-    names = ("g", "ginv", "J", "gamma", "dg", "dJ", "dgamma", "dginv")
+_LIFT_VALUES = ("g", "ginv", "J", "gamma")
+
+
+def _lift_inputs(
+    ctx: ScenarioContext, names: tuple = _LIFT_VALUES + ("dg", "dJ", "dgamma", "dginv")
+) -> dict:
+    """The arrays at the base samples that lf.lift takes, by its parameter names."""
     return {name: getattr(ctx, f"{name}_at") for name in names}
 
 
@@ -1106,7 +1115,8 @@ def _commutation_lifts(ctx: ScenarioContext):
     rng = np.random.default_rng(ctx.seed + 404)
     yv = rng.uniform(-1.0, 1.0, size=ctx.points.shape)
     eta = np.einsum("mij,mj->mi", ctx.g_at, yv)
-    inputs = _lift_inputs(ctx)
+    # the intertwining reads no partials of the lifts: dJ, d2g and dGamma stay unevaluated
+    inputs = _lift_inputs(ctx, _LIFT_VALUES)
     tangent = lf.lift(lf.TANGENT, yv, **inputs)
     cotangent = lf.lift(lf.COTANGENT, eta, **inputs)
     return tangent, cotangent, np.hstack([ctx.points, yv])

@@ -6,10 +6,14 @@ step where accuracy matters), so agreement with the symbolic engine is
 meaningful evidence.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 from metalliclab import chart as ch
 from metalliclab import expr as ex
+from metalliclab import genconn as gc
 
 
 def fd_partial(f, x, k, h=1e-5, richardson=True):
@@ -356,3 +360,258 @@ def covariant_nijenhuis_rhs_loop(DJ, T, J):
                 for k in range(n):
                     out[p, k, i, j] += terms[0][k] - terms[1][k] + terms[2][k] - terms[3][k]
     return out
+
+
+def scrambled_halton_loop(d, count, seed):
+    """Owen-scrambled Halton points with every digit of every index run
+    through divmod and its permutation, exhausted digits included."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)
+    unit = np.empty((count, d))
+    for axis, base in enumerate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:d]):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        digits, weight, value = index.copy(), 1.0 / base, np.zeros(count)
+        for perm in perms:
+            digits, digit = np.divmod(digits, base)
+            value += perm[digit] * weight
+            weight /= base
+        unit[:, axis] = value
+    return unit
+
+
+# ------------------------------------------------------------------
+# Contractions as einsum specifications, index by index: the oracles of
+# the per-sample matrix products in genconn and lifts
+# ------------------------------------------------------------------
+
+
+def gen_nijenhuis_loop(gamma, J, dJ):
+    """N^A(e_a, e_b) [m, A, a, b] of a generalized endomorphism, one pair of
+    basis sections at a time, each bracket from ``genconn.nabla_bracket``."""
+    m, size = J.shape[:2]
+    n = gamma.shape[1]
+    flat = np.zeros((m, n, size))
+
+    def apply(M, v):
+        return (M @ v[..., None])[..., 0]
+
+    def bracket(s, ds, t, dt):
+        return gc.nabla_bracket(gamma, s, ds, t, dt)
+
+    out = np.zeros((m, size, size, size))
+    for a in range(size):
+        ea, ca, dca = np.broadcast_to(np.eye(size)[a], (m, size)), J[:, :, a], dJ[:, :, :, a]
+        for b in range(size):
+            eb, cb, dcb = np.broadcast_to(np.eye(size)[b], (m, size)), J[:, :, b], dJ[:, :, :, b]
+            out[:, :, a, b] = (
+                bracket(ca, dca, cb, dcb)
+                - apply(J, bracket(ca, dca, eb, flat))
+                - apply(J, bracket(ea, flat, cb, dcb))
+                + apply(J @ J, bracket(ea, flat, eb, flat))
+            )
+    return out
+
+
+def torsion_closed_form_spec(J, q, omega):
+    n = J.shape[-1]
+    eye = np.eye(n)
+    wj = np.einsum("ms,msj->mj", omega, J)
+    return (
+        np.einsum("mj,ki->mkij", omega, eye)
+        - np.einsum("mi,kj->mkij", omega, eye)
+        + (np.einsum("mj,mki->mkij", wj, J) - np.einsum("mi,mkj->mkij", wj, J)) / q
+    )
+
+
+def conditions_spec(ci, sign):
+    """The six integrability conditions of ``genconn`` (sign -1: Jp, +1: Jc)."""
+    A = ci.eye + sign * ci.K
+    ddg = (
+        ci.Dg
+        - ci.Dg.transpose(0, 2, 1, 3)
+        + np.einsum("mcs,msij->mijc", ci.g, ci.T)
+    )
+    dgasym = ci.Dg - ci.Dg.transpose(0, 2, 1, 3)
+    c1 = ci.NJ + sign * np.einsum("mka,mac,mijc->mkij", A, ci.ginv, ddg)
+    c2 = (
+        np.einsum("mai,majc->mcij", ci.J, ci.Dg)
+        - np.einsum("maj,maic->mcij", ci.J, ci.Dg)
+        + np.einsum("mijs,msc->mcij", dgasym, ci.J)
+        + np.einsum("mcs,mjsi->mcij", ci.g, ci.DJ)
+        - np.einsum("mcs,misj->mcij", ci.g, ci.DJ)
+        + np.einsum("mcs,msib,mbj->mcij", ci.g, ci.T, ci.J)
+        + np.einsum("mcs,msaj,mai->mcij", ci.g, ci.T, ci.J)
+    )
+    ddg_u = (
+        np.einsum("mbj,mbic->mcij", A, ci.Dg)
+        - np.einsum("mibc,mbj->mcij", ci.Dg, A)
+        + np.einsum("mcs,msbi,mbj->mcij", ci.g, ci.T, A)
+    )
+    t_jy = np.einsum("mst,mtj,misc->mcij", ci.g, ci.J, ci.DJ)
+    t_jx = np.einsum("mai,msj,masc->mcij", ci.J, ci.g, ci.DJ)
+    c3 = ddg_u + sign * t_jy - sign * t_jx
+    c4, r5 = reduced_tail_spec(ci, A)
+    inner5 = np.einsum("mai,majc->mcij", A, ci.Dg) - np.einsum("maj,maic->mcij", A, ci.Dg)
+    c5 = (
+        r5
+        - sign * np.einsum("mkab,mai,mbj->mkij", ci.T, A, A)
+        - np.einsum("mkb,mbc,mcij->mkij", A, ci.ginv, inner5)
+    )
+    inner6 = np.einsum("mai,majc->mcij", ci.J, ci.Dg) - np.einsum("miac,maj->mcij", ci.Dg, ci.J)
+    c6 = (
+        reduced_final_spec(ci, A, sign)
+        + sign * np.einsum("mkb,mbc,mcij->mkij", A, ci.ginv, inner6)
+        + sign * np.einsum("mkab,mai,mbj->mkij", ci.T, ci.J, A)
+        - sign * np.einsum("mks,msib,mbj->mkij", ci.J, ci.T, A)
+    )
+    return [c1, c2, c3, c4, c5, c6]
+
+
+def reduced_tail_spec(ci, A):
+    r4 = np.einsum("mai,msj,masc->mcij", A, ci.g, ci.DJ) - np.einsum(
+        "maj,msi,masc->mcij", A, ci.g, ci.DJ
+    )
+    r5 = np.einsum("mai,makj->mkij", A, ci.DK) - np.einsum("maj,maki->mkij", A, ci.DK)
+    return [r4, r5]
+
+
+def reduced_final_spec(ci, A, flip):
+    return (
+        -np.einsum("mai,makj->mkij", ci.J, ci.DK)
+        + flip * np.einsum("maj,maki->mkij", A, ci.DJ)
+        - flip * np.einsum("mikj->mkij", ci.DJ)
+        + np.einsum("mks,misj->mkij", ci.J, ci.DK)
+        - np.einsum("mks,misj->mkij", ci.K, ci.DJ)
+    )
+
+
+def reduced_spec(ci, sign):
+    """The torsion-free reductions of ``genconn`` (sign -1: Jp, 7 entries; +1: Jc, 6)."""
+    a_plus = ci.eye + ci.K
+    common = [
+        ci.NJ,
+        np.einsum("mjki->mkij", ci.DJ) - np.einsum("mikj->mkij", ci.DJ),
+        np.einsum("mts,misc->mitc", ci.J, ci.DJ) - np.einsum("mai,matc->mitc", ci.J, ci.DJ),
+    ]
+    if sign > 0:
+        return common + reduced_tail_spec(ci, a_plus) + [reduced_final_spec(ci, a_plus, 1.0)]
+    a_minus = ci.eye - ci.K
+    return (
+        common
+        + reduced_tail_spec(ci, a_minus)
+        + [reduced_final_spec(ci, a_minus, -1.0), reduced_final_spec(ci, a_plus, 1.0)]
+    )
+
+
+def lift_spec(tangent, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv):
+    """(jbar, djbar) of ``lifts.Lift``, with L = y_k dL/dy_k and its base partials
+    contracted as einsums."""
+    m, n = J.shape[:2]
+    Jt, dJt = np.swapaxes(J, -1, -2), np.swapaxes(dJ, -1, -2)
+    if tangent:
+        C, D = -gamma.transpose(0, 3, 1, 2), ginv @ Jt @ g
+        dC = -dgamma.transpose(0, 1, 4, 2, 3)
+        dD = (
+            dginv @ (Jt @ g)[:, None]
+            + ginv[:, None] @ dJt @ g[:, None]
+            + (ginv @ Jt)[:, None] @ dg
+        )
+    else:
+        C, D = gamma.transpose(0, 1, 3, 2), Jt
+        dC, dD = dgamma.transpose(0, 1, 2, 4, 3), dJt
+    L = np.einsum("mk,mkli->mli", y, C)
+    dL = np.einsum("mk,makli->mali", y, dC)
+    jbar = np.zeros((m, 2 * n, 2 * n))
+    jbar[:, :n, :n], jbar[:, n:, :n], jbar[:, n:, n:] = J, L @ J - D @ L, D
+    djbar = np.zeros((m, 2 * n, 2 * n, 2 * n))
+    djbar[:, :n, :n, :n] = dJ
+    djbar[:, :n, n:, :n] = (
+        dL @ J[:, None] + L[:, None] @ dJ - dD @ L[:, None] - D[:, None] @ dL
+    )
+    djbar[:, :n, n:, n:] = dD
+    djbar[:, n:, n:, :n] = C @ J[:, None] - D[:, None] @ C
+    return jbar, djbar
+
+
+def frame_endo_spec(jbar, frame, J, tangent):
+    n = J.shape[-1]
+    horiz = np.einsum("mab,mbi->mai", jbar, frame) - np.einsum("mki,mak->mai", J, frame)
+    vert = jbar[:, :, n:].copy()
+    vert[:, n:, :] -= J if tangent else np.swapaxes(J, -1, -2)
+    m = J.shape[0]
+    return np.concatenate([horiz.reshape(m, -1), vert.reshape(m, -1)], axis=1)
+
+
+def coordinate_endo_spec(jbar, J, gamma, y, tangent):
+    n = J.shape[-1]
+    out = jbar[:, :, :n].copy()
+    out[:, :n, :] -= J
+    if tangent:
+        out[:, n:, :] -= -np.einsum("ml,mki,mskl->msi", y, J, gamma) + np.einsum(
+            "ml,msr,mril->msi", y, J, gamma
+        )
+    else:
+        out[:, n:, :] -= np.einsum("ml,mki,mlkr->mri", y, J, gamma) - np.einsum(
+            "ml,msr,mlis->mri", y, J, gamma
+        )
+    return out
+
+
+def frame_metric_spec(gbar, frame, g, ginv, tangent):
+    n, m = g.shape[-1], g.shape[0]
+    hh = np.einsum("mai,mab,mbj->mij", frame, gbar, frame) - g
+    hv = np.einsum("mai,mab->mib", frame, gbar)[:, :, n:]
+    vv = gbar[:, n:, n:] - (g if tangent else ginv)
+    return np.concatenate([hh.reshape(m, -1), hv.reshape(m, -1), vv.reshape(m, -1)], axis=1)
+
+
+def coordinate_metric_spec(gbar, g, ginv, gamma, y, tangent):
+    n, m = g.shape[-1], g.shape[0]
+    if tangent:
+        xx = gbar[:, :n, :n] - g - np.einsum("mk,mh,mlik,msjh,mls->mij", y, y, gamma, gamma, g)
+        xv = gbar[:, :n, n:] - np.einsum("mk,mlik,mlj->mij", y, gamma, g)
+    else:
+        xx = gbar[:, :n, :n] - g - np.einsum(
+            "mk,mh,mkil,mhjr,mlr->mij", y, y, gamma, gamma, ginv
+        )
+        xv = gbar[:, :n, n:] + np.einsum("mk,mkil,mlj->mij", y, gamma, ginv)
+    return np.concatenate([xx.reshape(m, -1), xv.reshape(m, -1)], axis=1)
+
+
+def mixed_display_spec(N, frame, J, DJ, tangent, literal=False):
+    n = J.shape[-1]
+    out = np.einsum("mabc,mbi->maic", N, frame)[:, :, :, n:]
+    if tangent or literal:
+        M = np.einsum("mai,mark->mrik", J, DJ) - np.einsum("mrs,misk->mrik", J, DJ)
+    else:
+        M = np.einsum("mai,mark->mrik", J, DJ) - np.einsum("mirs,msk->mrik", DJ, J)
+    out[:, n:] -= M if tangent else np.einsum("mjik->mkij", M)
+    return out
+
+
+def horizontal_display_spec(N, frame, J, NJ, R, y, p, q, tangent):
+    """The horizontal-part gap and, by index permutation of R, the displayed
+    vertical curvature term of ``lifts.horizontal_display_match``."""
+    n = J.shape[-1]
+    actual = np.einsum("mabj,mbi->maij", np.einsum("mabc,mcj->mabj", N, frame), frame)
+    gap = actual - np.einsum("mkij,mak->maij", NJ, frame)
+    terms = {}
+    for perm in itertools.permutations("abc"):
+        Rc = np.einsum(f"ml{''.join(perm)}->mlabc", R)
+        if tangent:
+            X = np.einsum("mrabs,ms->mrab", Rc, y)
+            JX = np.einsum("mrl,mlab->mrab", J, X)
+        else:
+            X = np.einsum("ml,mlabr->mrab", y, Rc)
+            JX = np.einsum("mlr,mlab->mrab", J, X)
+        inner = (
+            np.einsum("mxa,mrxy,myb->mrab", J, X, J)
+            - np.einsum("mxa,mrxb->mrab", J, JX)
+            - np.einsum("mrax,mxb->mrab", JX, J)
+            + p * JX
+            + q * X
+        )
+        terms[perm] = -inner if tangent else inner
+    return gap[:, :n], gap[:, n:], terms

@@ -9,7 +9,13 @@ from metalliclab import genconn as gc
 from metalliclab.errors import DimensionMismatch, SingularMetric
 
 from conftest import dense_metric, field_context, jet
-from helpers import fd_christoffel, fd_nijenhuis, fd_partial, fd_riemann
+from helpers import (
+    fd_christoffel,
+    fd_nijenhuis,
+    fd_partial,
+    fd_riemann,
+    scrambled_halton_loop,
+)
 
 
 def make_chart(seed=3):
@@ -345,3 +351,13 @@ def test_christoffel_partials_of_a_dense_metric_match_central_differences(n):
         oracle = np.array([fd_partial(gamma_at, p, a) for a in range(n)])
         assert np.abs(oracle).max() > 0.1
         assert np.abs(got - oracle).max() < 1e-8
+
+
+def test_exhausted_halton_digits_add_the_same_constant():
+    # past the last non-zero digit of the largest index every digit is 0, so
+    # its permuted value is one constant; the points stay bit for bit the same
+    for d in range(2, 13):
+        for count in (1, 7, 32, 4096, 5000):
+            for seed in (0, 1, 7):
+                expected = scrambled_halton_loop(d, count, seed)
+                assert np.array_equal(ch._scrambled_halton(d, count, seed), expected), (d, count, seed)

@@ -1,0 +1,200 @@
+"""The per-sample matrix products of genconn and lifts against their
+einsum specifications (tests/helpers.py), on random arrays at n = 2..6."""
+
+import numpy as np
+import pytest
+
+from metalliclab import genconn as gc
+from metalliclab import lifts as lf
+from metalliclab import suites
+from metalliclab.metallic import MetallicParams
+from metalliclab.scenario import load_scenario
+from metalliclab.suites import run_suites
+
+from conftest import CORPUS, scenario_path
+from helpers import (
+    conditions_spec,
+    coordinate_endo_spec,
+    coordinate_metric_spec,
+    frame_endo_spec,
+    frame_metric_spec,
+    gen_nijenhuis_loop,
+    horizontal_display_spec,
+    lift_spec,
+    mixed_display_spec,
+    reduced_spec,
+    torsion_closed_form_spec,
+)
+
+DIMS = (2, 3, 4, 5, 6)
+M = 3
+PARAMS = MetallicParams(3.0, 2.0)
+
+
+def close(got, expected):
+    """Agreement to 1e-12 of the scale of the expected values."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    return np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
+def spd(rng, n):
+    a = rng.normal(size=(M, n, n))
+    return a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_gen_nijenhuis_matches_the_pairwise_bracket_loop(n):
+    rng = np.random.default_rng(10 + n)
+    gamma = rng.normal(size=(M, n, n, n))  # not symmetric in (i, j): torsionful
+    J = rng.normal(size=(M, 2 * n, 2 * n))
+    dJ = rng.normal(size=(M, n, 2 * n, 2 * n))
+    assert close(gc.gen_nijenhuis(gamma, J, dJ), gen_nijenhuis_loop(gamma, J, dJ))
+
+
+def condition_inputs(rng, n):
+    g = spd(rng, n)
+    J = rng.normal(size=(M, n, n))
+    Dg = rng.normal(size=(M, n, n, n))
+    T = rng.normal(size=(M, n, n, n))
+    return gc.ConditionInputs(
+        g=g,
+        ginv=np.linalg.inv(g),
+        J=J,
+        K=J @ J,
+        Dg=Dg + np.swapaxes(Dg, -1, -2),
+        DJ=rng.normal(size=(M, n, n, n)),
+        DK=rng.normal(size=(M, n, n, n)),
+        T=T - np.swapaxes(T, -1, -2),
+        NJ=rng.normal(size=(M, n, n, n)),
+    )
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_condition_lists_match_their_einsum_specs(n):
+    ci = condition_inputs(np.random.default_rng(20 + n), n)
+    for sign, conditions, reduced in (
+        (-1.0, gc.jp_condition_residuals, gc.jp_reduced_residuals),
+        (1.0, gc.jc_condition_residuals, gc.jc_reduced_residuals),
+    ):
+        for got, expected in (
+            (conditions(ci), conditions_spec(ci, sign)),
+            (reduced(ci), reduced_spec(ci, sign)),
+        ):
+            assert len(got) == len(expected)
+            for k, (a, b) in enumerate(zip(got, expected)):
+                assert close(a, b), (sign, k)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_torsion_closed_form_matches_its_einsum_spec(n):
+    rng = np.random.default_rng(30 + n)
+    J, omega = rng.normal(size=(M, n, n)), rng.normal(size=(M, n))
+    got = gc.torsion_closed_form_values(J, PARAMS, omega)
+    assert close(got, torsion_closed_form_spec(J, PARAMS.q, omega))
+
+
+def lift_arrays(rng, n):
+    g = spd(rng, n)
+    ginv = np.linalg.inv(g)
+    dg = rng.normal(size=(M, n, n, n))
+    dg = dg + np.swapaxes(dg, -1, -2)
+    return {
+        "y": rng.normal(size=(M, n)),
+        "g": g,
+        "ginv": ginv,
+        "J": rng.normal(size=(M, n, n)),
+        "gamma": rng.normal(size=(M, n, n, n)),
+        "dg": dg,
+        "dJ": rng.normal(size=(M, n, n, n)),
+        "dgamma": rng.normal(size=(M, n, n, n, n)),
+        "dginv": -(ginv[:, None] @ dg @ ginv[:, None]),
+    }
+
+
+@pytest.mark.parametrize("flavor", (lf.TANGENT, lf.COTANGENT))
+@pytest.mark.parametrize("n", DIMS)
+def test_lift_and_displays_match_their_einsum_specs(n, flavor):
+    rng = np.random.default_rng(40 + n)
+    tangent = flavor == lf.TANGENT
+    a = lift_arrays(rng, n)
+    lift = lf.lift(flavor, **a)
+    jbar, djbar = lift_spec(tangent, **a)
+    assert close(lift.jbar, jbar)
+    assert close(lift.djbar, djbar)
+
+    y, g, ginv, J, gamma = a["y"], a["g"], a["ginv"], a["J"], a["gamma"]
+    jbar = rng.normal(size=(M, 2 * n, 2 * n))
+    gbar = rng.normal(size=(M, 2 * n, 2 * n))
+    frame = rng.normal(size=(M, 2 * n, n))
+    N = rng.normal(size=(M, 2 * n, 2 * n, 2 * n))
+    DJ, NJ = rng.normal(size=(M, n, n, n)), rng.normal(size=(M, n, n, n))
+    R = rng.normal(size=(M, n, n, n, n))
+    assert close(
+        lf.frame_endo_residuals(jbar, frame, J, flavor), frame_endo_spec(jbar, frame, J, tangent)
+    )
+    assert close(
+        lf.coordinate_endo_residuals(jbar, J, gamma, y, flavor),
+        coordinate_endo_spec(jbar, J, gamma, y, tangent),
+    )
+    assert close(
+        lf.frame_metric_residuals(gbar, frame, g, ginv, flavor),
+        frame_metric_spec(gbar, frame, g, ginv, tangent),
+    )
+    assert close(
+        lf.coordinate_metric_residuals(gbar, g, ginv, gamma, y, flavor),
+        coordinate_metric_spec(gbar, g, ginv, gamma, y, tangent),
+    )
+    for literal in (False, True):
+        assert close(
+            lf.mixed_display_residual(N, frame, J, DJ, flavor, literal=literal),
+            mixed_display_spec(N, frame, J, DJ, tangent, literal=literal),
+        )
+    match = lf.horizontal_display_match(N, frame, J, NJ, R, y, PARAMS, flavor)
+    horiz, vert, terms = horizontal_display_spec(N, frame, J, NJ, R, y, PARAMS.p, PARAMS.q, tangent)
+    assert np.isclose(match["horizontal_residual"], np.abs(horiz).max(), rtol=1e-12, atol=0.0)
+    for cand in match["candidates"]:
+        expected = cand["sign"] * terms[cand["perm"]]
+        assert close(cand["expected"], expected), cand["label"]
+        residual = np.abs(vert - expected).max()
+        assert np.isclose(cand["residual"], residual, rtol=1e-12, atol=1e-12), cand["label"]
+
+
+def test_a_corpus_pass_makes_no_einsum_of_three_or_more_operands(monkeypatch):
+    # chained einsums run without a contraction order; the program contracts
+    # such terms as per-sample matrix products, smallest pair first
+    einsum = np.einsum
+    wide = []
+
+    def guarded(subscripts, *operands, **kwargs):
+        if len(operands) >= 3:
+            wide.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", guarded)
+    for name in CORPUS:
+        run_suites(load_scenario(scenario_path(name)))
+    assert not wide
+
+
+def test_a_commutation_run_evaluates_no_second_partials(monkeypatch):
+    # the intertwining reads the lifts' values only, so d2g and the partials
+    # of Gamma stay unbuilt, and handing the lifts every partial changes nothing
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    built = []
+    for name in ("d2g_at", "lc_dgamma_at", "dgamma_at"):
+        prop = getattr(suites.ScenarioContext, name)
+
+        def recorded(ctx, name=name, prop=prop):
+            built.append(name)
+            return prop.func(ctx)
+
+        monkeypatch.setattr(suites.ScenarioContext, name, property(recorded))
+    report = run_suites(scenario, suites=["commutation"])
+    assert built == []
+    assert report.checks[0].passed
+    lift_inputs = suites._lift_inputs
+    monkeypatch.setattr(suites, "_lift_inputs", lambda ctx, names=None: lift_inputs(ctx))
+    forced = run_suites(scenario, suites=["commutation"])
+    assert "dgamma_at" in built
+    assert report.to_json() == forced.to_json()

@@ -632,3 +632,17 @@ def test_a_run_of_all_seven_suites_inverts_the_metric_once(tmp_path, monkeypatch
     assert report.suites == list(suites.KNOWN_SUITES)
     assert not any(check.check_id.endswith("/evaluation") for check in report.checks)
     assert sum(a.shape == g_at.shape and np.array_equal(a, g_at) for a in inverted) == 1
+
+
+def test_the_fhat_check_is_informative_and_reads_the_push_forward(monkeypatch):
+    # for Df = J the intertwining holds for every invertible J, so no scenario
+    # can fail the check and it does not gate; with a non-normal J it still
+    # tells Df^-1 from (Df^T)^-1 in the push-forward
+    cid = "genbundle/fhat-with-df-equal-j"
+    check = _genbundle_run()[0].find(cid)
+    assert check.passed and not check.gating
+    assert "rounding only" in check.details["informative"]
+    _break_sample(monkeypatch, "J_at", lambda J: J + np.array([[0.0, 0.5], [0.0, 0.0]]))
+    assert _genbundle_run()[0].find(cid).passed
+    monkeypatch.setattr(gb, "fhat_matrix", lambda df: gb.blocks(df, 0.0, 0.0, np.linalg.inv(df)))
+    assert not _genbundle_run()[0].find(cid).passed
