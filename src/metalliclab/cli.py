@@ -10,8 +10,8 @@ import numpy as np
 from . import expr as ex
 from .errors import MetallicLabError, ParseError, SchemaError, ValidationError
 from .report import ScenarioReport
-from .scenario import KNOWN_SUITES, load_scenario
-from .suites import ScenarioContext, run_suites
+from .scenario import load_scenario
+from .suites import KNOWN_SUITES, ScenarioContext, run_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

@@ -60,6 +60,17 @@ def _per_sample_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def worst_sample(residuals: np.ndarray, points: np.ndarray) -> tuple:
+    """The largest entry of per-sample residuals (any trailing shape) and the
+    point of its sample; (0.0, None) when there are no entries."""
+    residuals = np.asarray(residuals, dtype=float)
+    if residuals.size == 0:
+        return 0.0, None
+    per_point = _per_sample_max(residuals)
+    worst = int(np.argmax(per_point))
+    return float(per_point[worst]), tuple(float(v) for v in np.asarray(points, dtype=float)[worst])
+
+
 def from_residuals(
     check_id: str,
     anchor: str,
@@ -69,20 +80,8 @@ def from_residuals(
     **kwargs,
 ) -> CheckResult:
     """Build a CheckResult from per-sample residuals (any trailing shape)."""
-    residuals = np.asarray(residuals, dtype=float)
-    points = np.asarray(points, dtype=float)
-    if residuals.size == 0:
-        return CheckResult(check_id, anchor, 0.0, tolerance, None, **kwargs)
-    per_point = _per_sample_max(residuals)
-    worst = int(np.argmax(per_point))
-    return CheckResult(
-        check_id,
-        anchor,
-        float(per_point[worst]),
-        tolerance,
-        tuple(float(v) for v in points[worst]),
-        **kwargs,
-    )
+    residual, witness = worst_sample(residuals, points)
+    return CheckResult(check_id, anchor, residual, tolerance, witness, **kwargs)
 
 
 def _plain(value):
@@ -105,6 +104,8 @@ class ScenarioReport:
     suites: list
     checks: list  # list[CheckResult]
     resolved_curvature_convention: str | None = None
+    # expected failures of suites that were not selected: they do not gate
+    controls_not_run: list = field(default_factory=list)
 
     @property
     def overall_pass(self) -> bool:
@@ -144,6 +145,8 @@ class ScenarioReport:
         }
         if self.resolved_curvature_convention is not None:
             out["resolved_curvature_convention"] = self.resolved_curvature_convention
+        if self.controls_not_run:
+            out["controls_not_run"] = list(self.controls_not_run)
         return out
 
     def to_json(self) -> str:
@@ -181,6 +184,9 @@ class ScenarioReport:
             lines.append(
                 f"{suite}: {entry['satisfied']}/{entry['checks']} gates satisfied{extra}"
             )
+        if self.controls_not_run:
+            not_run = ", ".join(self.controls_not_run)
+            lines.append(f"controls not run (suite not selected): {not_run}")
         lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"
 

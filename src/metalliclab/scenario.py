@@ -20,18 +20,9 @@ from .errors import (
     ValidationError,
 )
 from .metallic import MetallicParams, from_projection
+from .suites import CHECKS, KNOWN_SUITES
 
 SCENARIO_SCHEMA_VERSION = 1
-
-KNOWN_SUITES = (
-    "core",
-    "genbundle",
-    "genconn",
-    "karaman",
-    "lifts-tangent",
-    "lifts-cotangent",
-    "commutation",
-)
 
 _REQUIRED = {
     "schema_version",
@@ -244,10 +235,7 @@ def _load(path: Path) -> ChartScenario:
     else:
         J = ch.EndoField(chart, j_comps)
 
-    if validation_problems:
-        raise ValidationError(validation_problems)
-
-    return ChartScenario(
+    scenario = ChartScenario(
         name=str(data["name"]),
         chart=chart,
         params=params,
@@ -263,3 +251,13 @@ def _load(path: Path) -> ChartScenario:
         expected_failures=list(expected_failures),
         description=str(data.get("description", "")),
     )
+    # a negative control must name a check that the declared suites run here
+    declared = {c.cid for c in CHECKS if c.suite in suites and c.applies(scenario)}
+    validation_problems += [
+        f"expected failure {cid!r} names no check that the scenario's suites run"
+        for cid in expected_failures
+        if cid not in declared
+    ]
+    if validation_problems:
+        raise ValidationError(validation_problems)
+    return scenario

@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
+from metalliclab import genconn as gc
 from metalliclab import report as rp
 from metalliclab import suites as suites_module
 from metalliclab.cli import main
-from metalliclab.errors import ParseError, SchemaError, ValidationError
+from metalliclab.errors import DomainError, ParseError, SchemaError, ValidationError
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import run_suites
 
@@ -343,16 +344,63 @@ def test_non_finite_metric_entry_is_an_input_error(tmp_path, capsys):
 
 
 def test_out_of_memory_in_a_suite_becomes_a_failed_check(monkeypatch):
+    # a MemoryError in one context input fails each check that reads it under
+    # the check's own id; the suite's other checks and later suites still run
     def exhausted(ctx):
         raise MemoryError
 
-    monkeypatch.setitem(suites_module._SUITE_FUNCS, "core", exhausted)
+    monkeypatch.setattr(suites_module.ScenarioContext, "lc_gamma_at", property(exhausted))
     scenario = load_scenario(scenario_path("flat-golden"))
     report = run_suites(scenario, suites=["core", "genbundle"])
-    failed = report.find("core/evaluation")
-    assert not failed.passed and failed.details == {"error": "out of memory"}
-    later = [c for c in report.checks if c.check_id.startswith("genbundle/")]
-    assert later and all(c.passed for c in later)
+    ids = [check.check_id for check in report.checks]
+    assert [cid for cid in ids if cid.startswith("core/")] == [
+        "core/metric-spd",
+        "core/metallic-equation",
+        "core/compatibility",
+        "core/levi-civita-metric-parallel",
+        "core/bianchi-first",
+        "core/locally-metallic",
+        "core/nijenhuis-covariant-identity",
+    ]
+    readers = {
+        "core/levi-civita-metric-parallel",
+        "core/bianchi-first",
+        "core/locally-metallic",
+        "core/nijenhuis-covariant-identity",
+    }
+    for check in report.checks:
+        if check.check_id in readers:
+            assert not check.passed and check.details == {"error": "out of memory"}
+        else:
+            assert check.passed, check.check_id
+    assert any(cid.startswith("genbundle/") for cid in ids)
+    assert not any(cid.endswith("/evaluation") for cid in ids)
+
+
+def test_the_report_lists_each_declared_check_once_in_table_order(corpus_reports):
+    for name, report in corpus_reports.items():
+        scenario = load_scenario(scenario_path(name))
+        declared = [
+            check.cid
+            for suite in report.suites
+            for check in suites_module.CHECKS
+            if check.suite == suite and check.applies(scenario)
+        ]
+        assert len(set(declared)) == len(declared)
+        assert [check.check_id for check in report.checks] == declared, name
+
+
+def test_an_error_in_an_informative_check_keeps_its_anchor_and_does_not_gate(monkeypatch):
+    def raising(inputs):
+        raise DomainError("injected", (0.25, 0.5))
+
+    monkeypatch.setattr(gc, "jp_reduced_residuals", raising)
+    report = run_suites(load_scenario(scenario_path("flat-golden")), suites=["genconn"])
+    check = report.find("genconn/jp-reduced-conditions")
+    assert not check.passed and check.witness == (0.25, 0.5)
+    assert not check.gating
+    assert check.anchor == "torsion-free reduction of the jp conditions (informative)"
+    assert report.overall_pass
 
 
 def test_a_typo_in_expected_failures_is_an_input_error(tmp_path, capsys):
@@ -377,3 +425,56 @@ def test_expected_failures_of_suites_that_did_not_run_are_exempt(corpus_reports)
     scenario = load_scenario(scenario_path("sphere-diagJ"))
     report = run_suites(scenario, suites=["genbundle"])
     assert {check.check_id.split("/")[0] for check in report.checks} == {"genbundle"}
+
+
+def test_a_control_of_a_check_the_scenario_cannot_run_is_an_input_error(tmp_path, capsys):
+    payload = golden_payload()
+    # a typo in the id of a declared suite's check, whatever --suite selects
+    payload["expected_failures"] = ["genconn/jm-gen-nijenhuiss"]
+    path = write_scenario(tmp_path, payload)
+    assert main(["check", str(path), "--suite", "core"]) == 2
+    assert "genconn/jm-gen-nijenhuiss" in capsys.readouterr().err
+    # a real check of a suite that the scenario does not declare
+    payload["suites"] = ["core"]
+    payload["expected_failures"] = ["karaman/metric-parallel"]
+    assert main(["check", str(write_scenario(tmp_path, payload))]) == 2
+    assert "karaman/metric-parallel" in capsys.readouterr().err
+    # a check whose suite is declared but which does not apply: no 1-form
+    payload["suites"] = ["core", "karaman"]
+    del payload["omega"]
+    with pytest.raises(ValidationError, match="karaman/metric-parallel"):
+        load_scenario(write_scenario(tmp_path, payload))
+    payload["expected_failures"] = ["karaman/missing-omega"]
+    report = run_suites(load_scenario(write_scenario(tmp_path, payload)))
+    assert [c.check_id for c in report.checks if c.check_id.startswith("karaman/")] == [
+        "karaman/missing-omega"
+    ]
+    assert report.find("karaman/missing-omega").satisfied
+
+
+def test_a_bad_control_is_listed_with_the_other_validation_problems(tmp_path):
+    payload = golden_payload()
+    payload["samples"] = -1
+    payload["expected_failures"] = ["core/no-such-check"]
+    with pytest.raises(ValidationError) as err:
+        load_scenario(write_scenario(tmp_path, payload))
+    problems = err.value.problems
+    assert any("samples" in p for p in problems)
+    assert any("core/no-such-check" in p for p in problems)
+
+
+def test_controls_whose_suite_did_not_run_are_listed(capsys):
+    path = str(scenario_path("sphere-diagJ"))
+    controls = json.loads(scenario_path("sphere-diagJ").read_text())["expected_failures"]
+    assert main(["check", path, "--suite", "genbundle", "--format", "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["overall_pass"]
+    assert payload["controls_not_run"] == controls and len(controls) == 9
+    assert main(["check", path, "--suite", "core", "--suite", "genbundle"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if "controls not run" in l]
+    assert len(lines) == 1
+    assert "core/locally-metallic" not in lines[0]
+    assert all(cid in lines[0] for cid in controls if not cid.startswith("core/"))
+    # a full run leaves the key out, so its machine report keeps its bytes
+    assert main(["check", path, "--format", "machine"]) == 0
+    assert "controls_not_run" not in json.loads(capsys.readouterr().out)
