@@ -267,19 +267,25 @@ class ConnectionField:
 # ------------------------------------------------------------------
 
 
-def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Levi-Civita Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}).
+def christoffel(ginv: np.ndarray, dg: np.ndarray, shift=0.0) -> np.ndarray:
+    """Levi-Civita Gamma^k_{ij} = g^{kl} L_{lij}, with the lowered Koszul form
+    L_{lij} = 1/2 (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) less ``shift`` [..., l, i*j].
 
     ``ginv`` is g^-1 [..., k, l] and ``dg`` [..., a, i, j] = d_a g_{ij};
-    returns [..., k, i, j].  The formula is bilinear in (g^-1, dg), so the
-    partials follow by the product rule from two calls: d_b Gamma is
-    christoffel(ginv, d_b dg) + christoffel(d_b ginv, dg).
+    returns [..., k, i, j].  Differentiating g Gamma = L(dg) gives the
+    partials with one raise and no d g^-1: d_b Gamma = g^-1 (L(d_b dg) -
+    d_b g Gamma), which is christoffel(ginv, d_b dg, shift=d_b g Gamma).
     """
     n = dg.shape[-1]
     # first[..., l, i, j] = d_i g_{jl}; the second term is its (i, j) transpose
     first = np.moveaxis(dg, -1, -3)
-    lowered = 0.5 * (first + np.swapaxes(first, -1, -2) - dg)
-    raised = ginv @ lowered.reshape(lowered.shape[:-2] + (n * n,))
+    # in place: for the partials each step is an n^4 array per sample
+    lowered = first + np.swapaxes(first, -1, -2)
+    lowered -= dg
+    lowered *= 0.5
+    lowered = lowered.reshape(lowered.shape[:-2] + (n * n,))
+    lowered -= shift
+    raised = ginv @ lowered
     return raised.reshape(raised.shape[:-1] + (n, n))
 
 

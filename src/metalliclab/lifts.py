@@ -375,9 +375,11 @@ def horizontal_display_match(
     index/sign placement of the curvature tensor.
 
     The display is linear in the curvature, so each index permutation is
-    evaluated once and its opposite sign is the exact negation.  Returns the
-    per-candidate residuals, the matching equivalence classes and the
-    horizontal-part residual (shared by all candidates).
+    evaluated once and its opposite sign is the exact negation; swapping a
+    and b in the permutation transposes the term in (i, j), so only the three
+    with a before b are evaluated.  Returns the per-candidate residuals, the
+    matching equivalence classes and the horizontal-part residual (shared by
+    all candidates).
     """
     n = J_v.shape[-1]
     actual = _swap(frame_v)[:, None] @ N_v @ frame_v[:, None]
@@ -386,9 +388,11 @@ def horizontal_display_match(
     vert_gap_common = actual[:, n:] - base_expected[:, n:]
     by_perm = {}
     for perm in itertools.permutations("abc"):
-        by_perm[perm] = _displayed_curvature_term(
-            _candidate_curvature(R_v, perm), J_v, y, params, flavor
-        )
+        if perm.index("a") < perm.index("b"):
+            Rc = _candidate_curvature(R_v, perm)
+            term = _displayed_curvature_term(Rc, J_v, y, params, flavor)
+            swapped = tuple({"a": "b", "b": "a"}.get(slot, slot) for slot in perm)
+            by_perm[perm], by_perm[swapped] = term, _swap(term)
     results = []
     for perm, sign in CONVENTION_CANDIDATES:
         vert_expected = by_perm[perm] if sign > 0 else -by_perm[perm]

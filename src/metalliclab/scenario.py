@@ -211,6 +211,8 @@ def _load(path: Path) -> ChartScenario:
             "the semi-symmetric connection inverts J via (1/q)J - (p/q)I and "
             "needs q != 0"
         )
+    if "karaman" in suites and omega is None:
+        validation_problems.append("the karaman suite needs a 1-form: declare 'omega'")
     if params.discriminant < 0:
         validation_problems.append(
             f"p^2 + 4q = {params.discriminant} < 0: metallic number is not real"

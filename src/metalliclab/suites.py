@@ -92,13 +92,27 @@ class ConnBundle:
         )
 
 
+# The arrays of ScenarioContext dropped after the last selected suite that
+# reads them; g, J, their partials, g^-1 and the connections stay.  karaman
+# reads dK only through the jets of Jp and Jc, built by genconn too and held.
+_LIFTS = ("lifts-tangent", "lifts-cotangent")
+_READERS = (
+    (("lc_dgamma_at", "dgamma_at", "lc_riemann_at", "riemann_at"), {"core", *_LIFTS}),
+    (("NJ_at",), {"core", "genconn", *_LIFTS}),
+    (("dK_at",), {"genconn"}),
+    (("dginv_at",), {"genconn", "karaman", *_LIFTS}),
+    (("_gen_at", "_gen_jets"), {"genbundle", "genconn", "karaman"}),
+    (("_bundles",), {"core", "genconn", "karaman", *_LIFTS}),
+)
+
+
 class ScenarioContext:
     """Caches everything the suites share for one scenario run.
 
     The leaf fields (g, J, omega and an explicit connection) are evaluated
     at the samples with their first partials, and g with its second
-    partials.  Everything else is built once, on first use, from those
-    arrays: g^-1 and its partials, the Levi-Civita connection and its
+    partials.  Everything else is built at most once, on first use, from
+    those arrays: g^-1 and its partials, the Levi-Civita connection and its
     partials, the generalized structures and their partials, and every
     tensor of the suites.
     """
@@ -120,17 +134,22 @@ class ScenarioContext:
         if points is None:
             points = self.chart.sample_points(self.samples, seed=self.seed)
         self.points = points
-        self._bundles: dict = {}
-        self._gen_at: dict = {}
-        self._gen_jets: dict = {}
         self.suite_inputs: dict = {}
 
     def at(self, comps: np.ndarray) -> np.ndarray:
-        return ch.eval_exprs(comps, self.points, self.memo)
+        return ch.eval_exprs(comps, self.points)
 
-    @cached_property
-    def memo(self) -> dict:
-        return {}
+    def release(self, later) -> None:
+        """Drop the cached arrays that none of the ``later`` suites reads."""
+        for names, readers in _READERS:
+            if readers.isdisjoint(later):
+                for name in names:
+                    vars(self).pop(name, None)
+
+    # keyed caches: ConnBundles by id of their Gamma, generalized structures and jets by label
+    _bundles = cached_property(lambda self: {})
+    _gen_at = cached_property(lambda self: {})
+    _gen_jets = cached_property(lambda self: {})
 
     @cached_property
     def g_at(self):
@@ -157,11 +176,6 @@ class ScenarioContext:
         return self.at(self.dg_exprs)
 
     @cached_property
-    def d2g_at(self) -> np.ndarray:
-        """d_b d_a g_{ij}, [m, b, a, i, j]."""
-        return self.at(ch.partials(self.dg_exprs, self.chart.dim))
-
-    @cached_property
     def dK_at(self):
         J = self.J_at[:, None]
         return self.dJ_at @ J + J @ self.dJ_at
@@ -183,10 +197,11 @@ class ScenarioContext:
 
     @cached_property
     def lc_dgamma_at(self) -> np.ndarray:
-        """d_a Gamma^l_{jk} of the Levi-Civita connection, [m, a, l, j, k]."""
-        return ch.christoffel(self.ginv_at[:, None], self.d2g_at) + ch.christoffel(
-            self.dginv_at, self.dg_at[:, None]
-        )
+        """d_a Gamma^l_{jk} of the Levi-Civita connection, [m, a, l, j, k]; d2g is not kept."""
+        m, n = self.points.shape
+        d2g = self.at(ch.partials(self.dg_exprs, n))
+        dg_gamma = self.dg_at @ self.lc_gamma_at.reshape(m, 1, n, n * n)
+        return ch.christoffel(self.ginv_at[:, None], d2g, dg_gamma)
 
     @cached_property
     def gamma_at(self) -> np.ndarray:
@@ -413,7 +428,9 @@ def _metric_spd(ctx: ScenarioContext) -> Measured:
 
 def _bianchi(ctx: ScenarioContext) -> np.ndarray:
     R = ctx.lc_riemann_at
-    return R + np.einsum("mljki->mlijk", R) + np.einsum("mlkij->mlijk", R)
+    out = R + np.einsum("mljki->mlijk", R)
+    out += np.einsum("mlkij->mlijk", R)
+    return out
 
 
 # ------------------------------------------------------------------
@@ -997,12 +1014,6 @@ CHECKS = (
         "Dhat ghat = 0 (tracks nabla g = 0)",
         lambda ctx: _dhat(ctx, ctx.gamma_at, "ghat"),
     ),
-    Check(
-        "karaman/missing-omega",
-        "the semi-symmetric suite needs a 1-form and q != 0",
-        lambda ctx: Measured(float("inf")),
-        applies=lambda scenario: not _has_karaman(scenario),
-    ),
     *(
         Check(f"karaman/{name}", anchor, partial(_karaman_part, key=key), applies=_has_karaman)
         for key, name, anchor in (
@@ -1065,16 +1076,18 @@ def run_suites(
     ``expected_failures`` ids were validated against the table at load;
     those of suites not selected are listed in ``controls_not_run`` and do
     not gate.  Expression nodes are interned in a copy of the scenario's
-    table that lasts for this call only.
+    table that lasts for this call only.  After each suite the context drops
+    the arrays that no later selected suite reads.
     """
     ctx = ScenarioContext(scenario, samples=samples, seed=seed, tolerance=tolerance)
     selected = suites if suites else scenario.suites
     checks: list = []
     with ex.fresh_table(scenario.table):
-        for suite in selected:
+        for position, suite in enumerate(selected):
             if suite not in _SUITE_FUNCS:
                 raise ValueError(f"unknown suite {suite!r}")
             checks.extend(_SUITE_FUNCS[suite](ctx))
+            ctx.release(selected[position + 1 :])
     expected = set(scenario.expected_failures)
     for check in checks:
         if check.check_id in expected:

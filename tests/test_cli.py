@@ -444,12 +444,11 @@ def test_a_control_of_a_check_the_scenario_cannot_run_is_an_input_error(tmp_path
     del payload["omega"]
     with pytest.raises(ValidationError, match="karaman/metric-parallel"):
         load_scenario(write_scenario(tmp_path, payload))
-    payload["expected_failures"] = ["karaman/missing-omega"]
-    report = run_suites(load_scenario(write_scenario(tmp_path, payload)))
-    assert [c.check_id for c in report.checks if c.check_id.startswith("karaman/")] == [
-        "karaman/missing-omega"
-    ]
-    assert report.find("karaman/missing-omega").satisfied
+    # and without a control: the declared karaman suite has no 1-form to run on
+    payload["expected_failures"] = []
+    assert main(["check", str(write_scenario(tmp_path, payload))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "'omega'" in err
 
 
 def test_a_bad_control_is_listed_with_the_other_validation_problems(tmp_path):
