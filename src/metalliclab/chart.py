@@ -151,7 +151,8 @@ def eval_exprs(comps: np.ndarray, points: np.ndarray, memo: dict | None = None) 
     out = np.empty((m,) + comps.shape, dtype=float)
     flat_out = out.reshape(m, -1)
     for idx, e in enumerate(comps.reshape(-1)):
-        flat_out[:, idx] = ex.eval_batch(e, points, memo)
+        # most partials are the interned constant 0: a constant needs no evaluation
+        flat_out[:, idx] = e.value if isinstance(e, ex.Const) else ex.eval_batch(e, points, memo)
     bad = ~np.isfinite(flat_out).all(axis=1)
     if bad.any():
         witness = points[int(np.argmax(bad))]

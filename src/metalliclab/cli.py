@@ -34,7 +34,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KNOWN_SUITES,
         help="run only this suite (repeatable; default: the scenario's list)",
     )
-    check.add_argument("--samples", type=int, default=None, help="sample-point count")
+    check.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help="sample-point count; peak memory is bounded by a chunk length set "
+        "from the dimension, whatever the count",
+    )
     check.add_argument("--seed", type=int, default=None, help="sampling seed")
     check.add_argument(
         "--tol", type=float, default=None, help="base tolerance for geometric checks"

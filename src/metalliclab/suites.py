@@ -3,11 +3,14 @@
 Every check is declared once, in the table ``CHECKS``: its id, anchor,
 tolerance, gating flag, the scenarios it applies to and its residual.  One
 guarded loop runs the checks of each selected suite in table order, so
-every declared id appears in the report exactly once.
+every declared id appears in the report exactly once.  A run goes over
+chunks of its samples and folds each check's results over them by the
+merge rules declared with the check.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -20,7 +23,7 @@ from . import expr as ex
 from . import genbundle as gb
 from . import genconn as gc
 from . import lifts as lf
-from .errors import DomainError, MetallicLabError
+from .errors import DomainError, MetallicLabError, ValidationError
 from .report import CheckResult, ScenarioReport, _per_sample_max, worst_sample
 
 if TYPE_CHECKING:
@@ -92,29 +95,19 @@ class ConnBundle:
         )
 
 
-# The arrays of ScenarioContext dropped after the last selected suite that
-# reads them; g, J, their partials, g^-1 and the connections stay.  karaman
-# reads dK only through the jets of Jp and Jc, built by genconn too and held.
-_LIFTS = ("lifts-tangent", "lifts-cotangent")
-_READERS = (
-    (("lc_dgamma_at", "dgamma_at", "lc_riemann_at", "riemann_at"), {"core", *_LIFTS}),
-    (("NJ_at",), {"core", "genconn", *_LIFTS}),
-    (("dK_at",), {"genconn"}),
-    (("dginv_at",), {"genconn", "karaman", *_LIFTS}),
-    (("_gen_at", "_gen_jets"), {"genbundle", "genconn", "karaman"}),
-    (("_bundles",), {"core", "genconn", "karaman", *_LIFTS}),
-)
-
-
 class ScenarioContext:
-    """Caches everything the suites share for one scenario run.
+    """Caches everything the suites share for the samples of one scenario
+    run, or of one chunk of them.
 
     The leaf fields (g, J, omega and an explicit connection) are evaluated
     at the samples with their first partials, and g with its second
     partials.  Everything else is built at most once, on first use, from
     those arrays: g^-1 and its partials, the Levi-Civita connection and its
     partials, the generalized structures and their partials, and every
-    tensor of the suites.
+    tensor of the suites.  A chunk's context (:meth:`chunk`) takes from the
+    context of its run what does not depend on which samples it holds: the
+    symbolic partials of the leaf fields and the random draws sized by the
+    run's sample count.
     """
 
     def __init__(
@@ -134,22 +127,51 @@ class ScenarioContext:
         if points is None:
             points = self.chart.sample_points(self.samples, seed=self.seed)
         self.points = points
+        self.rows = slice(0, len(points))  # this context's rows of the run's samples
+        self._run = None
         self.suite_inputs: dict = {}
+
+    @property
+    def run(self) -> "ScenarioContext":
+        """The context of the whole run: this one, or the one it is a chunk of."""
+        return self._run or self
+
+    def chunk(self, start: int, stop: int) -> "ScenarioContext":
+        """The context of the run's samples start:stop."""
+        points = self.points[start:stop]
+        part = ScenarioContext(self.scenario, self.samples, self.seed, self.tol, points)
+        part._run, part.rows = self, slice(start, stop)
+        return part
+
+    def per_run(self, make: Callable, *args) -> np.ndarray:
+        """This context's rows of ``make(run, *args)``, an array with the same
+        number of rows for each sample, made once for the whole run: a random
+        draw sized by the sample count reads the same chunked or not."""
+        run = self.run
+        key = (make, args)
+        if key not in run._per_run:
+            run._per_run[key] = make(run, *args)
+        made = run._per_run[key]
+        rows = len(made) // len(run.points)
+        return made[self.rows.start * rows : self.rows.stop * rows]
 
     def at(self, comps: np.ndarray) -> np.ndarray:
         return ch.eval_exprs(comps, self.points)
 
-    def release(self, later) -> None:
-        """Drop the cached arrays that none of the ``later`` suites reads."""
-        for names, readers in _READERS:
-            if readers.isdisjoint(later):
-                for name in names:
-                    vars(self).pop(name, None)
-
-    # keyed caches: ConnBundles by id of their Gamma, generalized structures and jets by label
+    # keyed caches: ConnBundles by id of their Gamma, generalized structures and
+    # jets by label, and on the run's context the arrays of per_run
     _bundles = cached_property(lambda self: {})
     _gen_at = cached_property(lambda self: {})
     _gen_jets = cached_property(lambda self: {})
+    _per_run = cached_property(lambda self: {})
+
+    # the symbolic partials of the leaf fields, built once on the run's context
+    dJ_exprs = cached_property(lambda self: ch.partials(self.scenario.J.comps, self.chart.dim))
+    dg_exprs = cached_property(lambda self: ch.partials(self.scenario.metric.comps, self.chart.dim))
+    d2g_exprs = cached_property(lambda self: ch.partials(self.dg_exprs, self.chart.dim))
+    dgamma_exprs = cached_property(
+        lambda self: ch.partials(self.scenario.connection.comps, self.chart.dim)
+    )
 
     @cached_property
     def g_at(self):
@@ -165,15 +187,11 @@ class ScenarioContext:
 
     @cached_property
     def dJ_at(self):
-        return self.at(ch.partials(self.scenario.J.comps, self.chart.dim))
-
-    @cached_property
-    def dg_exprs(self) -> np.ndarray:
-        return ch.partials(self.scenario.metric.comps, self.chart.dim)
+        return self.at(self.run.dJ_exprs)
 
     @cached_property
     def dg_at(self):
-        return self.at(self.dg_exprs)
+        return self.at(self.run.dg_exprs)
 
     @cached_property
     def dK_at(self):
@@ -199,7 +217,7 @@ class ScenarioContext:
     def lc_dgamma_at(self) -> np.ndarray:
         """d_a Gamma^l_{jk} of the Levi-Civita connection, [m, a, l, j, k]; d2g is not kept."""
         m, n = self.points.shape
-        d2g = self.at(ch.partials(self.dg_exprs, n))
+        d2g = self.at(self.run.d2g_exprs)
         dg_gamma = self.dg_at @ self.lc_gamma_at.reshape(m, 1, n, n * n)
         return ch.christoffel(self.ginv_at[:, None], d2g, dg_gamma)
 
@@ -234,7 +252,7 @@ class ScenarioContext:
         """Partials of the scenario connection; the Levi-Civita array when it is one."""
         if self.scenario.connection is None:
             return self.lc_dgamma_at
-        return self.at(ch.partials(self.scenario.connection.comps, self.chart.dim))
+        return self.at(self.run.dgamma_exprs)
 
     @cached_property
     def lc_riemann_at(self) -> np.ndarray:
@@ -308,6 +326,28 @@ class Measured:
     residual: float
     witness: tuple | None = None
     details: dict = field(default_factory=dict)
+    raised: bool = False  # the evaluation raised; see _fold
+
+
+# Merge rules of the Measured details over chunks of samples: each takes the
+# value over the earlier samples and the value over the later ones.  The
+# minimum and maximum are numpy's, so a NaN wins as it does in the reductions
+# that made the values, and lists merge entry by entry.
+def _last(before, after):
+    return after
+
+
+def _min(before, after):
+    return np.minimum(before, after).tolist()
+
+
+def _max(before, after):
+    return np.maximum(before, after).tolist()
+
+
+def _worst_each(before, after) -> list:
+    """Per entry of lists of (residual, witness) pairs: the first worst."""
+    return [new if new[0] > old[0] else old for old, new in zip(before, after)]
 
 
 @dataclass(frozen=True)
@@ -317,7 +357,10 @@ class Check:
     ``residual(ctx)`` gives per-sample residual arrays (one array, or a list
     of them) taken at ``points(ctx)``, or a ``Measured``.  ``applies(scenario)``
     reads the scenario's params and 1-form: a check it rejects is not
-    declared for that scenario.
+    declared for that scenario.  ``merge`` names the rule of each detail of
+    the ``Measured`` over chunks of samples, and under "residual" the rule
+    of a residual that counts failures rather than takes a maximum (see
+    _fold); ``finish`` turns the merged ``Measured`` into the reported one.
     """
 
     cid: str
@@ -327,6 +370,8 @@ class Check:
     gating: bool = True
     applies: Callable = lambda scenario: True
     points: Callable = lambda ctx: ctx.points
+    merge: dict = field(default_factory=dict)
+    finish: Callable | None = None
 
     @property
     def suite(self) -> str:
@@ -344,30 +389,58 @@ def _worst(residuals, points: np.ndarray, **details) -> Measured:
     return Measured(*worst_sample(residuals, points), details)
 
 
-def _evaluate(check: Check, ctx: ScenarioContext) -> CheckResult:
+def _evaluate(check: Check, ctx: ScenarioContext) -> Measured:
     """Run one check; an evaluation error becomes its failed result."""
     try:
         out = check.residual(ctx)
         if not isinstance(out, Measured):
             out = _worst(out, check.points(ctx))
     except DomainError as err:
-        out = Measured(float("inf"), err.point)
+        out = Measured(float("inf"), err.point, raised=True)
     except MetallicLabError as err:
-        out = Measured(float("inf"), details={"error": str(err)})
+        out = Measured(float("inf"), details={"error": str(err)}, raised=True)
     except MemoryError:
-        out = Measured(float("inf"), details={"error": "out of memory"})
-    tol = ctx.tol if check.tol is GEOMETRIC else check.tol
+        out = Measured(float("inf"), details={"error": "out of memory"}, raised=True)
+    return out
+
+
+def _fold(check: Check, before: Measured, after: Measured) -> Measured:
+    """The check's result over the samples of ``before`` and then of ``after``.
+
+    The first result that raised decides.  A residual takes the maximum
+    with its first worst sample as the witness, or a count its rule in
+    ``merge["residual"]`` with the first witness; each detail takes its
+    rule in ``merge``.
+    """
+    if before.raised or after.raised:
+        return before if before.raised else after
+    rules = check.merge
+    if "residual" in rules:
+        residual = rules["residual"](before.residual, after.residual)
+        witness = before.witness if before.witness is not None else after.witness
+    elif after.residual > before.residual:
+        residual, witness = after.residual, after.witness
+    else:
+        residual, witness = before.residual, before.witness
+    details = {key: rules[key](value, after.details[key]) for key, value in before.details.items()}
+    return Measured(residual, witness, details)
+
+
+def _result(check: Check, out: Measured, tol: float) -> CheckResult:
+    if check.finish is not None and not out.raised:
+        out = check.finish(out)
+    tol = tol if check.tol is GEOMETRIC else check.tol
     fields = (check.cid, check.anchor, out.residual, tol, out.witness)
     return CheckResult(*fields, gating=check.gating, details=out.details)
 
 
+def _declared(suite: str, scenario: ChartScenario) -> list:
+    return [check for check in CHECKS if check.suite == suite and check.applies(scenario)]
+
+
 def _run_suite(suite: str, ctx: ScenarioContext) -> list:
-    """The suite's checks declared for the scenario, in table order."""
-    results = [
-        _evaluate(check, ctx)
-        for check in CHECKS
-        if check.suite == suite and check.applies(ctx.scenario)
-    ]
+    """(check, Measured) for the suite's checks declared for the scenario, in table order."""
+    results = [(check, _evaluate(check, ctx)) for check in _declared(suite, ctx.scenario)]
     ctx.suite_inputs.clear()
     return results
 
@@ -614,10 +687,10 @@ def _karaman_part(ctx: ScenarioContext, key: str) -> np.ndarray:
 
 
 def _omega_sweep(ctx: ScenarioContext) -> Measured:
+    """The worst residual of each of 20 random 1-forms, with its sample."""
     n, pts = ctx.chart.dim, ctx.points
     rng = np.random.default_rng(ctx.seed + 2024)
-    per_trial = []
-    worst_trial, worst_per_sample = 0, None
+    trials = []
     for trial in range(20):
         c0 = rng.uniform(-1.0, 1.0, size=n)
         c1 = rng.uniform(-1.0, 1.0, size=(n, n))
@@ -627,14 +700,16 @@ def _omega_sweep(ctx: ScenarioContext) -> Measured:
         parts = _karaman_checks(ctx, b, omega_at)
         arrays = [parts[k] for k in ("dg", "torsion_gap", "lemma", "phi")]
         arrays.append(b.gen_nijenhuis("jm"))
-        per_sample = np.max([_per_sample_max(a) for a in arrays], axis=0)
-        per_trial.append(float(per_sample.max()))
-        if worst_per_sample is None or per_trial[-1] > per_trial[worst_trial]:
-            worst_trial, worst_per_sample = trial, per_sample
+        trials.append(worst_sample(np.max([_per_sample_max(a) for a in arrays], axis=0), pts))
+    return Measured(0.0, details={"trials": trials})
+
+
+def _worst_trial(out: Measured) -> Measured:
+    trials = out.details["trials"]
+    per_trial = [residual for residual, _ in trials]
+    worst = int(np.argmax(per_trial))
     return Measured(
-        max(per_trial),
-        tuple(float(v) for v in pts[int(np.argmax(worst_per_sample))]),
-        {"per_trial_max": per_trial, "worst_trial": worst_trial},
+        max(per_trial), trials[worst][1], {"per_trial_max": per_trial, "worst_trial": worst}
     )
 
 
@@ -658,10 +733,15 @@ def _repeated(values: np.ndarray) -> np.ndarray:
     return np.repeat(values, FIBRE_PER_BASE, axis=0)
 
 
+def _fibre_points(run: ScenarioContext, flavor: str) -> np.ndarray:
+    count = len(run.points) * FIBRE_PER_BASE
+    return lf.LiftedChart(run.chart, flavor).fibre_points(count, run.seed)
+
+
 def _lift(ctx: ScenarioContext, flavor: str) -> tuple:
     """Fibre points y, FIBRE_PER_BASE over each sample, the base values
     repeated to match, and the lift at the points (x, y)."""
-    y = lf.LiftedChart(ctx.chart, flavor).fibre_points(len(ctx.points) * FIBRE_PER_BASE, ctx.seed)
+    y = ctx.per_run(_fibre_points, flavor)
     base = {name: _repeated(values) for name, values in _lift_inputs(ctx).items()}
     return y, base, lf.lift(flavor, y, **base)
 
@@ -716,37 +796,62 @@ def _mixed_display(ctx, y, base, lifted, flavor) -> Measured:
 
 
 def _horizontal_display(ctx, y, base, lifted, flavor) -> Measured:
-    """Resolve the curvature index convention from the candidate residuals."""
+    """The residual of each candidate curvature index convention, and the
+    pairs of candidates matching here whose expected values are close."""
     R_at = _repeated(ctx.riemann_at)
     N_at = ctx.shared(_lifted_nijenhuis, flavor)
     match = lf.horizontal_display_match(
         N_at, _frame(ctx, lifted), base["J"], _repeated(ctx.NJ_at), R_at, y, ctx.params, flavor
     )
-    flat = float(np.abs(R_at).max()) < 1e-10
-    matching = [c for c in match["candidates"] if c["residual"] <= TOL_CONVENTION]
+    candidates = match["candidates"]
+    matching = [i for i, c in enumerate(candidates) if c["residual"] <= TOL_CONVENTION]
+    expected = np.stack([candidates[i]["expected"] for i in matching]) if matching else None
+    close = frozenset(
+        (matching[i], matching[later])
+        for later in range(1, len(matching))
+        for i in np.flatnonzero(
+            np.isclose(expected[:later], expected[later], rtol=0.0, atol=1e-13)
+            .reshape(later, -1)
+            .all(axis=1)
+        )
+    )
+    return Measured(
+        match["horizontal_residual"],
+        details={
+            "curvature": float(np.abs(ctx.riemann_at).max()),
+            "candidate_residuals": [c["residual"] for c in candidates],
+            "close": close,
+            "labels": [c["label"] for c in candidates],
+            "argument_slots": [c["argument_slot"] for c in candidates],
+        },
+    )
+
+
+def _resolved_convention(out: Measured) -> Measured:
+    """Resolve the curvature index convention from the candidate residuals."""
+    d = out.details
+    residuals, labels = d["candidate_residuals"], d["labels"]
+    matching = [i for i, r in enumerate(residuals) if r <= TOL_CONVENTION]
     classes: list = []
-    for cand in matching:
+    for i in matching:
         for cls in classes:
-            if np.allclose(cand["expected"], cls["expected"], rtol=0.0, atol=1e-13):
-                cls["labels"].append(cand["label"])
+            if (cls[0], i) in d["close"]:
+                cls.append(i)
                 break
         else:
-            classes.append({"labels": [cand["label"]], "expected": cand["expected"]})
-    best = min(match["candidates"], key=lambda c: c["residual"])
-    slots = sorted({c["argument_slot"] for c in matching})
+            classes.append([i])
+    classes = [sorted(labels[i] for i in cls) for cls in classes]
+    slots = sorted({d["argument_slots"][i] for i in matching})
     # a full resolution is a single matching class holding just the
     # antisymmetry-equivalent pair; when the displayed curvature
     # combination vanishes on the scenario the sign is undecidable and
     # only the argument-slot placement can be pinned down
-    if flat:
+    if d["curvature"] < 1e-10:
         convention = "indeterminate (flat connection)"
     elif not classes:
         convention = "none matched"
-    elif len(classes) == 1 and len(classes[0]["labels"]) <= 2:
-        convention = next(
-            (l for l in sorted(classes[0]["labels"]) if "= +" in l),
-            sorted(classes[0]["labels"])[0],
-        )
+    elif len(classes) == 1 and len(classes[0]) <= 2:
+        convention = next((l for l in classes[0] if "= +" in l), classes[0][0])
     elif slots == [3]:
         convention = (
             "argument slot 3 (pair first); sign undetermined here "
@@ -754,14 +859,13 @@ def _horizontal_display(ctx, y, base, lifted, flavor) -> Measured:
         )
     else:
         convention = "indeterminate (curvature term vanishes)"
-    residual = float(max(match["horizontal_residual"], best["residual"]))
     return Measured(
-        residual,
+        float(max(out.residual, min(residuals))),
         details={
             "resolved_convention": convention,
-            "matching_classes": [sorted(c["labels"]) for c in classes],
+            "matching_classes": classes,
             "matching_argument_slots": slots,
-            "candidate_residuals": {c["label"]: c["residual"] for c in match["candidates"]},
+            "candidate_residuals": dict(zip(labels, residuals)),
         },
     )
 
@@ -769,12 +873,13 @@ def _horizontal_display(ctx, y, base, lifted, flavor) -> Measured:
 def _lift_checks(flavor: str) -> list:
     """The lifts suite of one flavour, at FIBRE_PER_BASE fibre points per sample."""
 
-    def check(name, anchor, residual, tol=GEOMETRIC, gating=True):
+    def check(name, anchor, residual, tol=GEOMETRIC, gating=True, **merging):
         def on_lift(ctx):
             return residual(ctx, *ctx.shared(_lift, flavor), flavor)
 
         points = partial(_lift_points, flavor=flavor)
-        return Check(f"lifts-{flavor}/{name}", anchor, on_lift, tol, gating, points=points)
+        cid = f"lifts-{flavor}/{name}"
+        return Check(cid, anchor, on_lift, tol, gating, points=points, **merging)
 
     return [
         check(
@@ -817,6 +922,7 @@ def _lift_checks(flavor: str) -> list:
             "nijenhuis-mixed-display",
             "N on horizontal/vertical pairs matches the displayed formula",
             _mixed_display,
+            merge={"literal_display_residual": _max},
         ),
         check(
             "nijenhuis-horizontal-display",
@@ -824,6 +930,14 @@ def _lift_checks(flavor: str) -> list:
             "for a resolved index convention",
             _horizontal_display,
             TOL_CONVENTION,
+            merge={
+                "curvature": _max,
+                "candidate_residuals": _max,
+                "close": operator.and_,
+                "labels": _last,
+                "argument_slots": _last,
+            },
+            finish=_resolved_convention,
         ),
         check(
             "nijenhuis-vanishes",
@@ -838,11 +952,14 @@ def _lift_checks(flavor: str) -> list:
 # ------------------------------------------------------------------
 
 
+def _commutation_fibre(run: ScenarioContext) -> np.ndarray:
+    return np.random.default_rng(run.seed + 404).uniform(-1.0, 1.0, size=run.points.shape)
+
+
 def _commutation_lifts(ctx: ScenarioContext):
     """The tangent lift at random fibre points y over the samples, the
     cotangent lift at the matching eta = g y, and the points (x, y)."""
-    rng = np.random.default_rng(ctx.seed + 404)
-    yv = rng.uniform(-1.0, 1.0, size=ctx.points.shape)
+    yv = ctx.per_run(_commutation_fibre)
     eta = np.einsum("mij,mj->mi", ctx.g_at, yv)
     # the intertwining reads no partials of the lifts: dJ, d2g and dGamma stay unevaluated
     inputs = _lift_inputs(ctx, _LIFT_VALUES)
@@ -867,6 +984,7 @@ CHECKS = (
         "metric is symmetric positive definite at samples",
         _metric_spd,
         TOL_COUNT,
+        merge={"min_eigenvalue": _min},
     ),
     Check(
         "core/metallic-equation",
@@ -932,12 +1050,14 @@ CHECKS = (
         "G(s,t) = (s, Jp t) has signature (n, n)",
         _neutral_signature,
         TOL_COUNT,
+        merge={"residual": operator.add, "signature": _last},
     ),
     Check(
         "genbundle/calibration",
         "Jp anti-pseudo-calibrated; Jc calibrated for the natural pairing",
         _calibration,
         TOL_ALGEBRAIC,
+        merge={"jp_anti_invariance": _max, "jc_invariance": _max},
     ),
     Check(
         "genbundle/derived-family",
@@ -946,6 +1066,7 @@ CHECKS = (
         _derived_family,
         TOL_ALGEBRAIC,
         applies=_real_roots,
+        merge={"metallic_residual": _max, "block_residual": _max},
     ),
     Check(
         "genbundle/fhat-with-df-equal-j",
@@ -954,11 +1075,13 @@ CHECKS = (
         TOL_ALGEBRAIC,
         gating=False,
         applies=_invertible,
+        merge={"informative": _last},
     ),
     Check(
         "genconn/nabla-bracket-antisymmetry",
         "[s, t] = -[t, s] and [s, f t] = f [s, t] + X(f) t for the connection bracket",
         _bracket_antisymmetry,
+        merge={"antisymmetry": _max, "leibniz": _max},
     ),
     Check(
         "genconn/jm-gen-nijenhuis-mixed-identity",
@@ -979,6 +1102,7 @@ CHECKS = (
             f"genconn/{label}-integrability-conditions",
             f"the six displayed integrability conditions for {label}",
             lambda ctx, label=label: _conditions(ctx, label, "condition"),
+            merge={"per_condition": _max},
         )
         for label in ("jp", "jc")
     ),
@@ -988,6 +1112,7 @@ CHECKS = (
             f"torsion-free reduction of the {label} conditions (informative)",
             lambda ctx, label=label: _conditions(ctx, label, "reduced"),
             gating=False,
+            merge={"per_condition": _max},
         )
         for label in ("jp", "jc")
     ),
@@ -1045,6 +1170,8 @@ CHECKS = (
         "commutation, Phi(T^D) = 0 and D-integrability of Jm",
         _omega_sweep,
         applies=_has_karaman,
+        merge={"trials": _worst_each},
+        finish=_worst_trial,
     ),
     *_lift_checks(lf.TANGENT),
     *_lift_checks(lf.COTANGENT),
@@ -1057,8 +1184,21 @@ CHECKS = (
 
 KNOWN_SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
-# suite name -> callable(ctx) -> list[CheckResult]
+# suite name -> callable(ctx) -> [(Check, Measured)] over the context's samples
 _SUITE_FUNCS = {suite: partial(_run_suite, suite) for suite in KNOWN_SUITES}
+
+# A run evaluates its checks over chunks of at most _chunk_length(n) samples,
+# so its peak memory is bounded whatever the sample count.  The arrays of a
+# sample grow as n^4: one (2n)^4 float64 tensor sets the bytes per sample.
+_CHUNK_BYTES = 12 * 2**20
+
+
+def _sample_bytes(n: int) -> int:
+    return 8 * (2 * n) ** 4
+
+
+def _chunk_length(n: int) -> int:
+    return max(1, _CHUNK_BYTES // _sample_bytes(n))
 
 
 def run_suites(
@@ -1072,22 +1212,42 @@ def run_suites(
 
     Each suite runs the checks of ``CHECKS`` declared for the scenario, each
     under one guard, so every declared id is reported exactly once and an
-    evaluation error fails only the checks that read the failing input.
-    ``expected_failures`` ids were validated against the table at load;
-    those of suites not selected are listed in ``controls_not_run`` and do
-    not gate.  Expression nodes are interned in a copy of the scenario's
-    table that lasts for this call only.  After each suite the context drops
-    the arrays that no later selected suite reads.
+    evaluation error fails only the checks that read the failing input; a
+    selected suite that declares no check for the scenario is a
+    ValidationError.  ``expected_failures`` ids were validated against the
+    table at load; those of suites not selected are listed in
+    ``controls_not_run`` and do not gate.  Expression nodes are interned in
+    a copy of the scenario's table that lasts for this call only.
+
+    Every check is pointwise, so the suites run on each chunk of the samples
+    in turn (see _chunk_length), and each check's results are folded by its
+    merge rules (see _fold): the report is the one a single chunk gives.
     """
-    ctx = ScenarioContext(scenario, samples=samples, seed=seed, tolerance=tolerance)
+    if samples is not None and samples < 1:
+        raise ValidationError(f"samples must be a positive integer, got {samples!r}")
     selected = suites if suites else scenario.suites
-    checks: list = []
+    for suite in selected:
+        if suite not in _SUITE_FUNCS:
+            raise ValueError(f"unknown suite {suite!r}")
+        if not _declared(suite, scenario):
+            raise ValidationError(
+                f"suite {suite!r} declares no check for scenario {scenario.name!r}"
+            )
+    run = ScenarioContext(scenario, samples=samples, seed=seed, tolerance=tolerance)
+    m, length = len(run.points), _chunk_length(scenario.chart.dim)
+    folded = None
     with ex.fresh_table(scenario.table):
-        for position, suite in enumerate(selected):
-            if suite not in _SUITE_FUNCS:
-                raise ValueError(f"unknown suite {suite!r}")
-            checks.extend(_SUITE_FUNCS[suite](ctx))
-            ctx.release(selected[position + 1 :])
+        for start in range(0, m, length):
+            ctx = run.chunk(start, min(start + length, m))
+            measured = [pair for suite in selected for pair in _SUITE_FUNCS[suite](ctx)]
+            if folded is None:
+                folded = measured
+            else:
+                folded = [
+                    (check, _fold(check, before, after))
+                    for (check, before), (_, after) in zip(folded, measured)
+                ]
+    checks = [_result(check, out, run.tol) for check, out in folded]
     expected = set(scenario.expected_failures)
     for check in checks:
         if check.check_id in expected:
@@ -1102,8 +1262,8 @@ def run_suites(
             convention = resolved
     return ScenarioReport(
         scenario_name=scenario.name,
-        seed=ctx.seed,
-        samples=ctx.samples,
+        seed=run.seed,
+        samples=run.samples,
         suites=list(selected),
         checks=checks,
         resolved_curvature_convention=convention,

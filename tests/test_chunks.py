@@ -1,0 +1,128 @@
+"""Runs over chunks of samples: every check is pointwise, so a run folded
+over many chunks reports what one chunk over all samples reports, and its
+peak memory is that of one chunk."""
+
+import json
+import tracemalloc
+
+import pytest
+
+from metalliclab import suites
+from metalliclab.scenario import load_scenario
+from metalliclab.suites import run_suites
+
+from conftest import CORPUS, scenario_path
+
+WIDE_BATCH = ["core", "genbundle", "commutation"]
+
+
+def chunked(monkeypatch, n, length):
+    """Make runs at dimension n use chunks of ``length`` samples."""
+    monkeypatch.setattr(suites, "_CHUNK_BYTES", length * suites._sample_bytes(n))
+    assert suites._chunk_length(n) == length
+
+
+def one_chunk_and_chunked(monkeypatch, scenario, length, samples, selected=None) -> tuple:
+    n = scenario.chart.dim
+    reports = []
+    for size in (samples, length):
+        with monkeypatch.context() as patch:
+            chunked(patch, n, size)
+            reports.append(run_suites(scenario, suites=selected, samples=samples).to_json())
+    return tuple(reports)
+
+
+def test_the_corpus_and_wide_batch_at_n_2_run_as_one_chunk():
+    for name in CORPUS:
+        scenario = load_scenario(scenario_path(name))
+        assert scenario.samples <= suites._chunk_length(scenario.chart.dim), name
+    assert suites._chunk_length(2) >= 4096
+    assert 1000 <= suites._chunk_length(3) <= 1600
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_chunks_of_7_samples_give_the_one_chunk_report(monkeypatch, name):
+    # 64 samples: nine chunks of 7 and a last chunk of 1
+    scenario = load_scenario(scenario_path(name))
+    whole, parts = one_chunk_and_chunked(monkeypatch, scenario, 7, 64)
+    assert parts == whole
+
+
+@pytest.mark.parametrize("name", ["warped-mixing", "product-decomposable"])
+def test_the_shipped_chunks_at_4096_samples_give_the_one_chunk_report(monkeypatch, name):
+    scenario = load_scenario(scenario_path(name))
+    whole, parts = one_chunk_and_chunked(
+        monkeypatch, scenario, suites._chunk_length(3), 4096, WIDE_BATCH
+    )
+    assert parts == whole
+
+
+def test_an_error_in_a_later_chunk_decides_the_checks_that_read_it(monkeypatch, tmp_path):
+    # omega is infinite at sample 40 only, in the sixth chunk of 7: every
+    # check reading it fails there as it does in one chunk, the others pass
+    scenario = load_scenario(scenario_path("flat-golden"))
+    payload = json.loads(scenario_path("flat-golden").read_text())
+    point = scenario.chart.sample_points(64, seed=scenario.seed)[40]
+    payload["omega"][0] = f"1/(x1 - {float(point[0])!r})"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    scenario = load_scenario(path)
+    whole, parts = one_chunk_and_chunked(monkeypatch, scenario, 7, 64)
+    assert parts == whole
+    report = json.loads(parts)
+    assert [c["id"] for c in report["checks"]] == [
+        check.cid for suite in scenario.suites for check in suites._declared(suite, scenario)
+    ]
+    failed = {c["id"]: c for c in report["checks"] if not c["passed"]}
+    karaman = [cid for cid in failed if cid.startswith("karaman/")]
+    assert len(karaman) == 10 and "karaman/random-omega-sweep" not in failed
+    for cid in karaman + ["genconn/covariant-nijenhuis-identity-karaman"]:
+        assert failed[cid]["residual"] == float("inf"), cid
+        assert failed[cid]["witness"] == [float(v) for v in point], cid
+
+
+def traced_peak(scenario, samples) -> int:
+    tracemalloc.start()
+    try:
+        run_suites(scenario, suites=WIDE_BATCH, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_four_chunks_peak_near_one_chunk():
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    length = suites._chunk_length(3)
+    one, four = traced_peak(scenario, length), traced_peak(scenario, 4 * length)
+    assert four <= 1.25 * one, (one / 1e6, four / 1e6)
+
+
+def test_a_fold_keeps_the_first_worst_sample_and_the_first_error():
+    metallic = next(c for c in suites.CHECKS if c.cid == "core/metallic-equation")
+    first, tie = suites.Measured(1.0, (0.1,)), suites.Measured(1.0, (0.2,))
+    error = suites.Measured(float("inf"), (0.3,), raised=True)
+    assert suites._fold(metallic, first, tie).witness == (0.1,)
+    assert suites._fold(metallic, first, error) is error
+    assert suites._fold(metallic, error, suites.Measured(float("inf"), (0.4,), raised=True)) is error
+    assert suites._fold(metallic, error, suites.Measured(2.0, (0.5,))) is error
+
+
+def test_two_candidate_conventions_share_a_class_only_if_close_in_every_chunk():
+    cid = "lifts-tangent/nijenhuis-horizontal-display"
+    check = next(c for c in suites.CHECKS if c.cid == cid)
+    labels = [f"R^l_(a b c) = {sign}R_house^l_({i})" for i in range(6) for sign in "+-"]
+
+    def chunk(close):
+        # candidates 0 and 1 match, the other ten do not
+        details = {
+            "curvature": 1.0,
+            "candidate_residuals": [0.0, 0.0] + [1.0] * 10,
+            "close": frozenset(close),
+            "labels": labels,
+            "argument_slots": [3] * 12,
+        }
+        return suites.Measured(0.0, details=details)
+
+    assert check.finish(chunk({(0, 1)})).details["matching_classes"] == [labels[:2]]
+    folded = suites._fold(check, chunk({(0, 1)}), chunk(set()))
+    assert check.finish(folded).details["matching_classes"] == [labels[:1], labels[1:2]]

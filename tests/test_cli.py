@@ -202,6 +202,18 @@ def test_cli_suite_not_declared(capsys):
     assert "not declared" in capsys.readouterr().err
 
 
+def test_run_suites_refuses_a_suite_with_no_check_for_the_scenario():
+    # flat-silver has no 1-form, so the karaman suite declares no check for it
+    with pytest.raises(ValidationError, match="karaman"):
+        run_suites(load_scenario(scenario_path("flat-silver")), suites=["karaman"])
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_a_sample_count_below_1_is_an_input_error(capsys, samples):
+    assert main(["check", str(scenario_path("flat-golden")), "--samples", samples]) == 2
+    assert "samples must be a positive integer" in capsys.readouterr().err
+
+
 def test_cli_derive_christoffel(capsys):
     code = main(
         ["derive", str(scenario_path("polar-plane")), "--what", "christoffel", "--at", "1.0,0.5"]
