@@ -153,10 +153,9 @@ def eval_exprs(comps: np.ndarray, points: np.ndarray, memo: dict | None = None) 
     for idx, e in enumerate(comps.reshape(-1)):
         # most partials are the interned constant 0: a constant needs no evaluation
         flat_out[:, idx] = e.value if isinstance(e, ex.Const) else ex.eval_batch(e, points, memo)
-    bad = ~np.isfinite(flat_out).all(axis=1)
-    if bad.any():
-        witness = points[int(np.argmax(bad))]
-        raise DomainError("field evaluation is not finite", witness)
+    if not np.isfinite(flat_out).all():
+        bad = ~np.isfinite(flat_out).all(axis=1)
+        raise DomainError("field evaluation is not finite", points[int(np.argmax(bad))])
     return out
 
 

@@ -132,26 +132,25 @@ def gen_nijenhuis(gamma: np.ndarray, J: np.ndarray, dJ: np.ndarray) -> np.ndarra
     Only the basis and the columns J e_a have section derivatives D.  Each
     bracket is [s_a, t_b] = S[a, b] - S[b, a] with S[a, b] = s_a^k (D t_b)_k,
     and J acts on A only, so N = S[A, b, a] - S[A, a, b] for the one sum
-    S = [Je, Je] - J ([Je, e] + [e, Je]) + J^2 [e, e] of such half-brackets:
-    four (m, 4n^2, n) @ (m, n, 2n) and two (m, 2n, 2n) @ (m, 2n, 4n^2) products.
+    S = [Je, Je] - J ([Je, e] + [e, Je]) + J^2 [e, e] of such half-brackets.
+    The basis is constant: D e is -Gamma on the covector sections dx^s and 0
+    on the d_i, and the vector parts of the basis are [I 0], so [e, t] is a
+    transpose of D t and [e, e] is -Gamma^s_{ai} at [n + i, n + s, a].
     """
     m, N = J.shape[:2]
     n = gamma.shape[1]
-    basis = np.broadcast_to(np.eye(N), (m, N, N))
     columns = _swap(J)  # J e_a is column a of J
-    d_basis = _section_derivative(gamma, basis, np.zeros((m, N, n, N)))
     d_columns = _section_derivative(gamma, columns, dJ.transpose(0, 3, 1, 2))
-    e, c = basis[..., :n], columns[..., :n]
+    c = columns[..., :n]
+    minus_gamma = 0.0 - gamma  # D_k dx^s at [s, k, i]: 0 - Gamma, as for a general section
 
-    def apply(M, half):
-        return (M @ half.reshape(m, N, N * N)).reshape(half.shape)
-
-    mixed = _bracket_term(c, d_basis) + _bracket_term(e, d_columns)
-    half = (
-        _bracket_term(c, d_columns)
-        - apply(J, mixed)
-        + apply(J @ J, _bracket_term(e, d_basis))
-    )
+    mixed = np.zeros((m, N, N, N))
+    mixed[..., :n] = d_columns.transpose(0, 3, 1, 2)  # [e, Je]
+    mixed[:, n:, n:] += _bracket_term(c, minus_gamma)  # [Je, e]
+    half = _bracket_term(c, d_columns) - (J @ mixed.reshape(m, N, N * N)).reshape(mixed.shape)
+    # J^2 [e, e]: only the rows A >= n of [e, e] are non-zero
+    e_e = minus_gamma.transpose(0, 3, 1, 2).reshape(m, n, n * n)
+    half[:, :, n:, :n] += ((J @ J)[..., n:] @ e_e).reshape(m, N, n, n)
     return _swap(half) - half
 
 
@@ -233,7 +232,11 @@ def phi_of_torsion(T_at: np.ndarray, J_at: np.ndarray) -> np.ndarray:
     Arrays carry a leading sample axis; output indexed [m, k, i, j].  With
     T_s the matrix [i, j] of T^s_{ij}, this is
     Phi_k = sum_s J^k_s (J^T T_s + T_s J - sum_r J^s_r T_r) - J^T T_k J.
+    Phi is linear in T, so a torsion-free T (every Levi-Civita run) gives
+    exact zeros without the products.
     """
+    if not T_at.any():
+        return np.zeros(T_at.shape)
     J = J_at[:, None]
     JtT = _swap(J_at)[:, None] @ T_at
     inner = JtT + T_at @ J - _upper(J_at, T_at)

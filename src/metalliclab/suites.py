@@ -465,7 +465,11 @@ def _eye2(ctx: ScenarioContext) -> np.ndarray:
 
 def _metallic(ctx: ScenarioContext, X: np.ndarray) -> np.ndarray:
     """X^2 - p X - q I for a stack of 2n x 2n structures."""
-    return X @ X - ctx.params.p * X - ctx.params.q * _eye2(ctx)
+    out = X @ X
+    out -= ctx.params.p * X
+    diagonal = np.arange(X.shape[-1])
+    out[..., diagonal, diagonal] -= ctx.params.q
+    return out
 
 
 def _nijenhuis_identity(ctx: ScenarioContext, gamma: np.ndarray) -> np.ndarray:
@@ -494,9 +498,17 @@ def _has_karaman(scenario: ChartScenario) -> bool:
     return scenario.omega is not None and scenario.params.q != 0
 
 
+def _first_point(ctx: ScenarioContext, failing: np.ndarray) -> tuple | None:
+    """The point of the first sample flagged in ``failing``, or None."""
+    return tuple(float(v) for v in ctx.points[failing.argmax()]) if failing.any() else None
+
+
 def _metric_spd(ctx: ScenarioContext) -> Measured:
-    eigmin = float(np.linalg.eigvalsh(ctx.g_at).min())
-    return Measured(0.0 if eigmin > 1e-10 else 1.0, details={"min_eigenvalue": eigmin})
+    eigmin = np.linalg.eigvalsh(ctx.g_at).min(axis=-1)
+    failing = ~(eigmin > 1e-10)
+    return Measured(
+        float(failing.any()), _first_point(ctx, failing), {"min_eigenvalue": float(eigmin.min())}
+    )
 
 
 def _bianchi(ctx: ScenarioContext) -> np.ndarray:
@@ -519,10 +531,10 @@ def _jp_eigenvalues(ctx: ScenarioContext) -> np.ndarray:
 def _neutral_signature(ctx: ScenarioContext) -> Measured:
     n = ctx.chart.dim
     n_plus, n_minus = gb.neutral_signature(ctx.shared(_jp_eigenvalues))
-    mismatched = np.flatnonzero((n_plus != n) | (n_minus != n))
-    witness = tuple(float(v) for v in ctx.points[mismatched[0]]) if mismatched.size else None
+    mismatched = (n_plus != n) | (n_minus != n)
     signature = [int(n_plus[-1]), int(n_minus[-1])]
-    return Measured(float(mismatched.size), witness, {"signature": signature})
+    witness = _first_point(ctx, mismatched)
+    return Measured(float(mismatched.sum()), witness, {"signature": signature})
 
 
 def _calibration(ctx: ScenarioContext) -> Measured:
@@ -1190,7 +1202,11 @@ _SUITE_FUNCS = {suite: partial(_run_suite, suite) for suite in KNOWN_SUITES}
 # A run evaluates its checks over chunks of at most _chunk_length(n) samples,
 # so its peak memory is bounded whatever the sample count.  The arrays of a
 # sample grow as n^4: one (2n)^4 float64 tensor sets the bytes per sample.
+# _CHUNK_ROWS caps the small n, where the bytes of one tensor say least about
+# what all seven suites hold per sample; 512 samples spread the per-chunk
+# work well enough.
 _CHUNK_BYTES = 12 * 2**20
+_CHUNK_ROWS = 512
 
 
 def _sample_bytes(n: int) -> int:
@@ -1198,7 +1214,7 @@ def _sample_bytes(n: int) -> int:
 
 
 def _chunk_length(n: int) -> int:
-    return max(1, _CHUNK_BYTES // _sample_bytes(n))
+    return max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // _sample_bytes(n)))
 
 
 def run_suites(

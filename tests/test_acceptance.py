@@ -103,7 +103,7 @@ def test_criterion_04_calibration(random_pair_sweep):
         )
         cal = gb.check_calibrated(jc, tolerance=TOL_ALGEBRAIC)
         worst = max(worst, anti.residual, cal.residual)
-        positive = positive and cal.details["min_eigenvalue"] > 0.0
+        positive = positive and gb.pairing_eigenvalues(jc).min() > 0.0
     _line(
         4,
         worst <= TOL_ALGEBRAIC and positive,

@@ -18,6 +18,7 @@ WIDE_BATCH = ["core", "genbundle", "commutation"]
 
 def chunked(monkeypatch, n, length):
     """Make runs at dimension n use chunks of ``length`` samples."""
+    monkeypatch.setattr(suites, "_CHUNK_ROWS", length)
     monkeypatch.setattr(suites, "_CHUNK_BYTES", length * suites._sample_bytes(n))
     assert suites._chunk_length(n) == length
 
@@ -32,12 +33,12 @@ def one_chunk_and_chunked(monkeypatch, scenario, length, samples, selected=None)
     return tuple(reports)
 
 
-def test_the_corpus_and_wide_batch_at_n_2_run_as_one_chunk():
+def test_the_corpus_runs_as_one_chunk_and_n_2_and_3_in_chunks_of_512():
     for name in CORPUS:
         scenario = load_scenario(scenario_path(name))
         assert scenario.samples <= suites._chunk_length(scenario.chart.dim), name
-    assert suites._chunk_length(2) >= 4096
-    assert 1000 <= suites._chunk_length(3) <= 1600
+    # 512 rows cap n = 2 and 3; the byte budget sets n >= 4
+    assert [suites._chunk_length(n) for n in range(2, 7)] == [512, 512, 384, 157, 75]
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -48,11 +49,11 @@ def test_chunks_of_7_samples_give_the_one_chunk_report(monkeypatch, name):
     assert parts == whole
 
 
-@pytest.mark.parametrize("name", ["warped-mixing", "product-decomposable"])
+@pytest.mark.parametrize("name", ["warped-mixing", "product-decomposable", "sphere-diagJ"])
 def test_the_shipped_chunks_at_4096_samples_give_the_one_chunk_report(monkeypatch, name):
     scenario = load_scenario(scenario_path(name))
     whole, parts = one_chunk_and_chunked(
-        monkeypatch, scenario, suites._chunk_length(3), 4096, WIDE_BATCH
+        monkeypatch, scenario, suites._chunk_length(scenario.chart.dim), 4096, WIDE_BATCH
     )
     assert parts == whole
 
@@ -81,10 +82,10 @@ def test_an_error_in_a_later_chunk_decides_the_checks_that_read_it(monkeypatch, 
         assert failed[cid]["witness"] == [float(v) for v in point], cid
 
 
-def traced_peak(scenario, samples) -> int:
+def traced_peak(scenario, samples, selected=WIDE_BATCH) -> int:
     tracemalloc.start()
     try:
-        run_suites(scenario, suites=WIDE_BATCH, samples=samples)
+        run_suites(scenario, suites=selected, samples=samples)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -95,6 +96,14 @@ def test_four_chunks_peak_near_one_chunk():
     length = suites._chunk_length(3)
     one, four = traced_peak(scenario, length), traced_peak(scenario, 4 * length)
     assert four <= 1.25 * one, (one / 1e6, four / 1e6)
+
+
+def test_all_seven_suites_at_n_2_and_2048_samples_stay_below_16_mb_traced():
+    # flat-golden declares all seven suites; four chunks of 512 peak near
+    # 12 MB, where one chunk of all 2048 samples peaked near 45 MB
+    scenario = load_scenario(scenario_path("flat-golden"))
+    peak = traced_peak(scenario, 2048, scenario.suites)
+    assert peak < 16e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_a_fold_keeps_the_first_worst_sample_and_the_first_error():

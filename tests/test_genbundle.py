@@ -208,10 +208,111 @@ def test_calibration_checks():
     assert gb.check_anti_pseudo_calibrated(jp, gb.pairing_eigenvalues(jp)).residual < 1e-12
     calibrated = gb.check_calibrated(jc)
     assert calibrated.residual < 1e-12
-    assert calibrated.details["min_eigenvalue"] > 0.0
+    assert gb.pairing_eigenvalues(jc).min() > 0.0
     # the generalized metallic structure is NOT pairing-invariant
     jm = gb.build_jm(J2, G2)
     assert not gb.check_calibrated(jm).passed
+
+
+# smallest eigenvalues just above and just below the tolerance of the check
+ABOVE, BELOW = 1e-10 * (1 + 1e-3), 1e-10 * (1 - 1e-3)
+
+
+def _forms(rng, smallest, n=3):
+    """Symmetric 2n x 2n forms Q diag(l) Q^T, one per entry of ``smallest``,
+    with that smallest eigenvalue and the others in [0.5, 2]."""
+    out = []
+    for low in smallest:
+        q, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
+        spectrum = np.concatenate([[low], rng.uniform(0.5, 2.0, size=2 * n - 1)])
+        form = (q * spectrum) @ q.T
+        out.append(0.5 * (form + form.T))
+    return np.array(out)
+
+
+def _with_form(form):
+    """An operator whose pairing form (s, op t) is the symmetric ``form``:
+    the pairing matrix M has the inverse -4 M, and both products are exact."""
+    return -4.0 * gb.pairing_matrix(form.shape[-1] // 2) @ form
+
+
+def _eigen_verdict(form, tol):
+    return np.linalg.eigvalsh(form).min(axis=-1) > tol
+
+
+def _recorded(monkeypatch, name):
+    """Record each input of np.linalg.<name>."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a, copy=True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def test_positive_definite_forms_are_decided_by_one_cholesky(monkeypatch):
+    tol = 1e-10
+    forms = _forms(np.random.default_rng(11), [0.3] * 5 + [ABOVE] * 3)
+    cholesky, eigvalsh = _recorded(monkeypatch, "cholesky"), _recorded(monkeypatch, "eigvalsh")
+    got = gb.pairing_positive_definite(_with_form(forms), tol)
+    assert got.tolist() == [True] * 8
+    assert len(cholesky) == 1 and eigvalsh == []
+    monkeypatch.undo()
+    assert got.tolist() == _eigen_verdict(forms, tol).tolist()
+
+
+@pytest.mark.parametrize(
+    "smallest",
+    [
+        [0.3, 0.3, 0.3, BELOW, 0.3],
+        [BELOW] * 4,
+        [ABOVE, BELOW, 0.3, ABOVE],
+        [0.3, -0.2, 0.3, 0.0],
+    ],
+)
+def test_positive_definiteness_matches_the_eigenvalues_at_every_sample(smallest):
+    tol = 1e-10
+    forms = _forms(np.random.default_rng(12), smallest)
+    got = gb.pairing_positive_definite(_with_form(forms), tol)
+    assert got.tolist() == _eigen_verdict(forms, tol).tolist()
+
+
+def test_the_form_of_jm_at_one_sample_is_not_positive_definite():
+    rng = np.random.default_rng(13)
+    pairs = [random_compatible_pair(rng, 3, PARAMS) for _ in range(6)]
+    ops = np.array([gb.build_jc(J, g) for g, J in pairs])
+    ops[4] = gb.build_jm(pairs[4][1], pairs[4][0])
+    forms = gb.pairing_matrix(3) @ ops
+    forms = 0.5 * (forms + np.swapaxes(forms, -1, -2))
+    expected = _eigen_verdict(forms, 1e-10)
+    assert expected.tolist() == [True] * 4 + [False, True]
+    assert gb.pairing_positive_definite(ops, 1e-10).tolist() == expected.tolist()
+
+
+def test_a_non_finite_form_never_reaches_the_cholesky_factorisation(monkeypatch):
+    forms = _forms(np.random.default_rng(14), [0.3] * 5)
+    ops = _with_form(forms)
+    ops[2, 0, 1] = np.nan
+    cholesky = _recorded(monkeypatch, "cholesky")
+    got = gb.pairing_positive_definite(ops, 1e-10)
+    assert got.tolist() == [True, True, False, True, True]
+    assert all(np.isfinite(a).all() for a in cholesky)
+
+
+def test_calibration_names_the_sample_whose_form_is_not_positive_definite():
+    # -Jc keeps the pairing invariant, and its form is negative definite
+    rng = np.random.default_rng(15)
+    pairs = [random_compatible_pair(rng, 2, PARAMS) for _ in range(5)]
+    ops = np.array([gb.build_jc(J, g) for g, J in pairs])
+    points = np.arange(10.0).reshape(5, 2)
+    assert gb.check_calibrated(ops, points=points).passed
+    ops[3] = -ops[3]
+    result = gb.check_calibrated(ops, points=points)
+    assert not result.passed
+    assert result.residual == 2e-10 and result.witness == (6.0, 7.0)
 
 
 def test_fhat_conjugation():
@@ -613,6 +714,7 @@ def test_a_metric_singular_at_one_sample_fails_the_checks_that_invert_it(tmp_pat
         if check.check_id != "core/metric-spd":
             assert named in check.details["error"], check.check_id
     assert failed > 30
+    assert report.find("core/metric-spd").witness == tuple(float(v) for v in point)
     for cid in ("core/metallic-equation", "core/compatibility", "genbundle/jm-metallic"):
         assert report.find(cid).passed, cid
 

@@ -177,6 +177,25 @@ def test_torsion_kernels_match_loop_oracles(n):
         assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("where", ("nowhere", "at one sample"))
+def test_torsion_kernels_on_a_torsion_zero_at_all_samples_or_all_but_one(n, where):
+    rng = np.random.default_rng(80 + n)
+    m = 4
+    J = rng.normal(size=(m, n, n))
+    DJ = rng.normal(size=(m, n, n, n))
+    T = np.zeros((m, n, n, n))
+    if where == "at one sample":
+        T[2] = rng.normal(size=(n, n, n))
+        T[2] -= T[2].transpose(0, 2, 1)
+    phi = gc.phi_of_torsion(T, J)
+    expected = phi_of_torsion_loop(T, J)
+    assert np.abs(phi - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+    assert not phi[[0, 1, 3]].any()
+    rhs, expected = gc.covariant_nijenhuis_rhs(DJ, T, J), covariant_nijenhuis_rhs_loop(DJ, T, J)
+    assert np.abs(rhs - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
 def test_bracket_check_fails_without_vector_partials(monkeypatch):
     # a bracket that drops the partials of the vector parts is still exactly
     # antisymmetric; the Leibniz side of the check must catch it
