@@ -213,7 +213,7 @@ class MetricField:
             witness = np.asarray(points)[int(np.argmin(eigmin))]
             raise SingularMetric(
                 f"metric not positive definite (min eigenvalue {eigmin.min():.3e}) "
-                f"at {tuple(witness)}"
+                f"at {tuple(float(v) for v in witness)}"
             )
 
 

@@ -11,7 +11,7 @@ from . import expr as ex
 from .errors import MetallicLabError, ParseError, SchemaError, ValidationError
 from .report import ScenarioReport
 from .scenario import load_scenario
-from .suites import KNOWN_SUITES, ScenarioContext, run_suites
+from .suites import KNOWN_SUITES, MAX_TOLERANCE, ScenarioContext, run_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -41,9 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample-point count; peak memory is bounded by a chunk length set "
         "from the dimension, whatever the count",
     )
-    check.add_argument("--seed", type=int, default=None, help="sampling seed")
+    check.add_argument("--seed", type=int, default=None, help="sampling seed, at least 0")
     check.add_argument(
-        "--tol", type=float, default=None, help="base tolerance for geometric checks"
+        "--tol",
+        type=float,
+        default=None,
+        help=f"base tolerance for geometric checks, above 0 and at most {MAX_TOLERANCE:g}",
     )
     check.add_argument(
         "--format",

@@ -213,16 +213,17 @@ def natural_pairing(sigma: GenVector, tau: GenVector) -> float:
     return -0.5 * (float(sigma.alpha @ tau.X) - float(tau.alpha @ sigma.X))
 
 
-def _require_compatible(g: np.ndarray, J: np.ndarray, tolerance: float):
+def _require_compatible(g: np.ndarray, J: np.ndarray, tolerance: float, invertible=False):
     """Float copies of (g, J), or the error of the first sample that fails.
 
-    At one sample a singular metric is reported before an asymmetric gJ.
+    At one sample a singular metric is reported before an asymmetric gJ;
+    ``invertible`` says the caller has already found no g singular.
     """
     g = np.asarray(g, dtype=float)
     J = np.asarray(J, dtype=float)
-    singular = np.ravel(_singular(g))
     gj = g @ J
     gap = np.ravel(_max_abs(gj - np.swapaxes(gj, -1, -2)))
+    singular = np.zeros(gap.shape, bool) if invertible else np.ravel(_singular(g))
     failing = singular | (gap > tolerance)
     if failing.any():
         k = int(np.argmax(failing))
@@ -317,13 +318,15 @@ def derived_family(
     jp: np.ndarray,
     params: MetallicParams,
     tolerance: float = _COMPAT_TOL,
+    invertible: bool = False,
 ) -> DerivedFamily:
-    """The family of the pair (J, g) whose product structure ``jp`` the caller built."""
+    """The family of the pair (J, g) whose product structure ``jp`` the caller
+    built; ``invertible`` says the caller has already inverted every g."""
     if params.discriminant <= 0:
         raise DegenerateDiscriminant(
             f"family needs p^2 + 4q > 0, got {params.discriminant}"
         )
-    g, J = _require_compatible(g, J, tolerance)
+    g, J = _require_compatible(g, J, tolerance, invertible)
     gap = 2.0 * params.sigma - params.p
     f_plus = (2.0 * J - params.p * np.eye(J.shape[-1])) / gap
     return DerivedFamily(f_plus, np.asarray(jp, dtype=float), params)
@@ -482,12 +485,13 @@ def check_calibrated(
     )
 
 
-def fhat_matrix(df: np.ndarray) -> np.ndarray:
-    """blockdiag(Df, (Df^T)^{-1}), the generalized push-forward of a map."""
+def fhat_matrix(df: np.ndarray, invertible: bool = False) -> np.ndarray:
+    """blockdiag(Df, (Df^T)^{-1}), the generalized push-forward of a map;
+    ``invertible`` says the caller has already found |det Df| >= 1e-12."""
     df = np.asarray(df, dtype=float)
     if df.ndim < 2 or df.shape[-2] != df.shape[-1]:
         raise DimensionMismatch("Df must be square for the generalized push-forward")
-    if (np.abs(np.linalg.det(df)) < 1e-12).any():
+    if not invertible and (np.abs(np.linalg.det(df)) < 1e-12).any():
         raise SingularJacobian("Df is not invertible")
     return blocks(df, 0.0, 0.0, np.linalg.inv(np.swapaxes(df, -1, -2)))
 
@@ -498,12 +502,13 @@ def fhat_conjugation(
     jm2: np.ndarray,
     tolerance: float = 1e-10,
     points: np.ndarray | None = None,
+    invertible: bool = False,
 ) -> CheckResult:
     """Residual of fhat Jm1 = Jm2 fhat for fhat = blockdiag(Df, (Df^T)^{-1}).
 
     ``points`` are the sample points of the batch, for the witness; an
-    empty batch has residual 0.0.
+    empty batch has residual 0.0.  ``invertible`` is fhat_matrix's.
     """
-    fh = fhat_matrix(df)
+    fh = fhat_matrix(df, invertible)
     res = _max_abs(fh @ np.asarray(jm1) - np.asarray(jm2) @ fh)
     return _worst("fhat-conjugation", "fhat Jm1 = Jm2 fhat", res, tolerance, points)

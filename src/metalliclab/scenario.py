@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .metallic import MetallicParams, from_projection
-from .suites import CHECKS, KNOWN_SUITES
+from .suites import CHECKS, KNOWN_SUITES, finite_number, valid_tolerance, whole_number
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -67,6 +67,19 @@ class ChartScenario:
     table: dict = field(default_factory=dict, repr=False, compare=False)
 
 
+class _NonFinite(str):
+    """NaN or Infinity in a file: Python's json reads them, RFC 8259 does not."""
+
+
+def _finite_object(pairs: list) -> dict:
+    def holds(value):
+        return isinstance(value, _NonFinite) or isinstance(value, list) and any(map(holds, value))
+
+    if bad := [key for key, value in pairs if holds(value)]:
+        raise SchemaError([f"field {key!r} holds NaN or Infinity, not a JSON number" for key in bad])
+    return dict(pairs)
+
+
 def _parse_matrix(raw, shape, coords, where, parse_problems):
     arr = np.asarray(raw, dtype=object)
     if arr.shape != shape:
@@ -98,7 +111,9 @@ def load_scenario(path) -> ChartScenario:
 
 def _load(path: Path) -> ChartScenario:
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(
+            path.read_text(), parse_constant=_NonFinite, object_pairs_hook=_finite_object
+        )
     except json.JSONDecodeError as err:
         raise SchemaError([f"not valid JSON: {err}"]) from err
     if not isinstance(data, dict):
@@ -133,28 +148,24 @@ def _load(path: Path) -> ChartScenario:
     ):
         raise SchemaError(["domain must list n [lo, hi] pairs"])
 
-    seed = data.get("seed", 0)
-    samples = data.get("samples", 32)
-    tolerance = data.get("tolerance", 1e-9)
-    if not isinstance(samples, int) or samples <= 0:
-        validation_problems.append(f"samples must be a positive integer, got {samples!r}")
-        samples = 32
-    if not isinstance(seed, int):
-        validation_problems.append(f"seed must be an integer, got {seed!r}")
-        seed = 0
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        validation_problems.append(f"tolerance must be positive, got {tolerance!r}")
-        tolerance = 1e-9
+    def optional(key, default, validate, *args):
+        try:
+            return validate(data.get(key, default), key, *args)
+        except ValidationError as err:
+            validation_problems.extend(err.problems)
+            return default
+
+    seed = optional("seed", 0, whole_number)
+    samples = optional("samples", 32, whole_number, 1)
+    tolerance = optional("tolerance", 1e-9, valid_tolerance)
+    box = [[finite_number(v, f"domain[{i}]") for v in iv] for i, iv in enumerate(domain)]
 
     try:
-        chart = ch.Chart(tuple(coords), tuple(tuple(iv) for iv in domain), seed=seed)
+        chart = ch.Chart(tuple(coords), tuple(map(tuple, box)), seed=seed)
     except Exception as err:  # noqa: BLE001 - surfaced as a schema problem
         raise SchemaError([f"chart: {err}"]) from err
 
-    p, q = data["p"], data["q"]
-    if not isinstance(p, (int, float)) or not isinstance(q, (int, float)):
-        raise SchemaError(["p and q must be numbers"])
-    params = MetallicParams(float(p), float(q))
+    params = MetallicParams(finite_number(data["p"], "p"), finite_number(data["q"], "q"))
 
     metric_comps = _parse_matrix(data["metric"], (n, n), coords, "metric", parse_problems)
 
@@ -249,7 +260,7 @@ def _load(path: Path) -> ChartScenario:
         suites=list(suites),
         samples=samples,
         seed=seed,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         expected_failures=list(expected_failures),
         description=str(data.get("description", "")),
     )

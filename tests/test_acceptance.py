@@ -137,7 +137,12 @@ def test_criterion_06_karaman_suite(corpus_reports):
     residuals = {cid: report.find(cid).residual for cid in ids}
     ok = all(r <= TOL_GEOMETRIC for r in residuals.values())
     worst = max(residuals.values())
-    _line(6, ok, f"semi-symmetric suite incl. 20 random 1-forms (worst {worst:.2e})")
+    _line(
+        6,
+        ok,
+        "semi-symmetric suite incl. every 1-form, exactly at omega = 0 and the "
+        f"coordinate 1-forms by affinity (worst {worst:.2e})",
+    )
 
 
 def test_criterion_07_locally_metallic_integrability(corpus_reports):

@@ -11,7 +11,7 @@ from metalliclab import suites as suites_module
 from metalliclab.cli import main
 from metalliclab.errors import DomainError, ParseError, SchemaError, ValidationError
 from metalliclab.scenario import load_scenario
-from metalliclab.suites import run_suites
+from metalliclab.suites import MAX_TOLERANCE, run_suites
 
 from conftest import scenario_path
 
@@ -489,3 +489,71 @@ def test_controls_whose_suite_did_not_run_are_listed(capsys):
     # a full run leaves the key out, so its machine report keeps its bytes
     assert main(["check", path, "--format", "machine"]) == 0
     assert "controls_not_run" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--tol", "inf", "tolerance"),
+        ("--tol", "1e300", "tolerance"),
+        ("--tol", "nan", "tolerance"),
+        ("--tol", "0", "tolerance"),
+        ("--tol", "-1", "tolerance"),
+        ("--seed", "-1", "seed"),
+    ],
+)
+def test_cli_a_numeric_flag_out_of_range_is_an_input_error(capsys, flag, value, field):
+    # an infinite or huge --tol would pass every check, the negative controls too
+    assert main(["check", str(scenario_path("flat-golden")), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"{field} must be" in err
+
+
+def test_run_suites_refuses_a_bad_override():
+    scenario = load_scenario(scenario_path("flat-silver"))
+    for override in ({"samples": 0}, {"samples": True}, {"seed": -1}, {"tolerance": math.inf}):
+        with pytest.raises(ValidationError, match=next(iter(override))):
+            run_suites(scenario, **override)
+
+
+def test_the_largest_tolerance_fails_every_shipped_control():
+    # MAX_TOLERANCE sits below the smallest residual of a shipped control
+    for name in ("sphere-diagJ", "warped-mixing"):
+        report = run_suites(load_scenario(scenario_path(name)), tolerance=MAX_TOLERANCE)
+        controls = [check for check in report.checks if check.expected_fail]
+        assert controls and all(not check.passed for check in controls), name
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("samples", "true"),
+        ("samples", "2.5"),
+        ("seed", "-1"),
+        ("seed", "false"),
+        ("tolerance", "Infinity"),
+        ("tolerance", "1e300"),
+        ("p", "NaN"),
+        ("q", "-Infinity"),
+        ("q", "1e400"),
+        ("domain", "[[-1.0, 1e400], [-1.0, 1.0]]"),
+    ],
+)
+def test_a_numeric_field_out_of_range_is_an_input_error(tmp_path, capsys, field, text):
+    # the file is written as text: json.dumps cannot write NaN or 1e400 as such
+    payload = golden_payload()
+    payload[field] = "@"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload).replace('"@"', text))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and field in err
+
+
+def test_an_input_error_prints_its_point_as_plain_floats(tmp_path):
+    payload = golden_payload()
+    payload["metric"] = [["x1", "0"], ["0", "1"]]  # changes sign on the box
+    with pytest.raises(ValidationError) as err:
+        load_scenario(write_scenario(tmp_path, payload))
+    text = str(err.value)
+    assert "not positive definite" in text and "np." not in text

@@ -746,5 +746,7 @@ def test_the_fhat_check_is_informative_and_reads_the_push_forward(monkeypatch):
     assert "rounding only" in check.details["informative"]
     _break_sample(monkeypatch, "J_at", lambda J: J + np.array([[0.0, 0.5], [0.0, 0.0]]))
     assert _genbundle_run()[0].find(cid).passed
-    monkeypatch.setattr(gb, "fhat_matrix", lambda df: gb.blocks(df, 0.0, 0.0, np.linalg.inv(df)))
+    monkeypatch.setattr(
+        gb, "fhat_matrix", lambda df, invertible: gb.blocks(df, 0.0, 0.0, np.linalg.inv(df))
+    )
     assert not _genbundle_run()[0].find(cid).passed

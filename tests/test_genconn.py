@@ -6,9 +6,10 @@ import pytest
 from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab import genconn as gc
+from metalliclab import suites
 from metalliclab.errors import ZeroQ
 from metalliclab.metallic import MetallicParams, from_projection
-from metalliclab.scenario import load_scenario
+from metalliclab.scenario import ChartScenario, load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
 from conftest import CORPUS, field_context, scenario_path
@@ -562,8 +563,9 @@ def test_array_covariant_derivatives_match_the_symbolic_ones(name):
 
 def test_omega_sweep_names_its_worst_trial_and_sample(monkeypatch):
     # the closed torsion form is computed once for the suite's own 1-form,
-    # then once per trial: call c moves sample c % m by 0.01 * (c % 7), so
-    # trial 5 (call 6) is the first worst one and sample 6 its worst sample
+    # then once per trial, the forms 0, e_1, e_2, e_3 in turn: call c moves
+    # sample c % m by 0.01 * (3 c % 7), so form e_1 (call 2, 0.06) is the
+    # worst one and sample 2 its worst sample
     closed_form = gc.torsion_closed_form_values
     calls = []
 
@@ -571,16 +573,72 @@ def test_omega_sweep_names_its_worst_trial_and_sample(monkeypatch):
         out = closed_form(J_at, params, omega_at)
         c = len(calls)
         calls.append(c)
-        out[c % len(out)] += 0.01 * (c % 7)
+        out[c % len(out)] += 0.01 * (3 * c % 7)
         return out
 
     monkeypatch.setattr(gc, "torsion_closed_form_values", bumped)
     scenario = load_scenario(scenario_path("product-decomposable"))
     report = run_suites(scenario, suites=["karaman"])
     sweep = report.find("karaman/random-omega-sweep")
-    assert len(calls) == 21 and report.find("karaman/torsion-closed-form").passed
-    assert sweep.details["worst_trial"] == 5
+    assert len(calls) == 1 + (3 + 1) and report.find("karaman/torsion-closed-form").passed
+    per_form = sweep.details["per_form_max"]
+    assert len(per_form) == 4 and int(np.argmax(per_form)) == 1
     assert sweep.residual == pytest.approx(0.06, abs=1e-9)
     points = ScenarioContext(scenario).points
-    assert sweep.witness == tuple(points[6])
-    assert sweep.to_dict()["witness"] == list(points[6])
+    assert sweep.witness == tuple(points[2])
+    assert sweep.to_dict()["witness"] == list(points[2])
+
+
+def _rotating_projection():
+    """A conformally flat metric and J from the projection onto a unit field
+    u that turns with x: J is compatible with g but not parallel."""
+    c = ch.Chart(("x1", "x2", "x3"), ((0.2, 1.3),) * 3, seed=3)
+    factor = "2 + sin(x1*x2) + 0.3*x3^2"
+    g = ch.MetricField(c, np.array(
+        [[c.parse(factor if i == j else "0") for j in range(3)] for i in range(3)], dtype=object
+    ))
+    u = ("cos(x1*x2)", "sin(x1*x2)*cos(x3)", "sin(x1*x2)*sin(x3)")
+    P = ch.EndoField(c, np.array(
+        [[c.parse(f"{u[i]}*{u[j]}") for j in range(3)] for i in range(3)], dtype=object
+    ))
+    params = MetallicParams(2.0, 1.0)
+    J = from_projection(c, P, params, g).J
+    return ChartScenario("rotating-projection", c, params, g, J, False, None, None, [], 12, 0, 1e-9)
+
+
+def _swept_arrays(ctx, omega_at):
+    """The five arrays the omega sweep reads, for the 1-form values omega_at."""
+    F = gc.karaman_connection(ctx.g_at, ctx.ginv_at, ctx.J_at, ctx.params, omega_at)
+    b = suites.ConnBundle(ctx, ctx.lc_gamma_at + F)
+    arrays = suites._karaman_checks(ctx, b, omega_at)
+    arrays["jm"] = b.gen_nijenhuis("jm")
+    return arrays
+
+
+@pytest.mark.parametrize("name", ["flat-golden", "product-decomposable", "rotating-projection"])
+def test_the_swept_arrays_are_affine_in_omega(name):
+    # the sweep's premise: at each sample every array it reads equals
+    # A(0) + sum_k omega_k (A(e_k) - A(0)) for every value omega there
+    rng = np.random.default_rng(21)
+    if name == "rotating-projection":
+        scenario = _rotating_projection()
+    else:
+        scenario = load_scenario(scenario_path(name))
+    lo, hi = np.array(scenario.chart.box).T
+    m, n = 12, scenario.chart.dim
+    with ex.fresh_table(scenario.table):
+        ctx = ScenarioContext(scenario, points=rng.uniform(lo, hi, size=(m, n)))
+        if name == "rotating-projection":
+            assert np.abs(ctx.bundle(ctx.lc_gamma_at).nabla_J_at).max() > 0.1
+        basis = [_swept_arrays(ctx, np.zeros((m, n)))]
+        basis += [_swept_arrays(ctx, np.tile(np.eye(n)[k], (m, 1))) for k in range(n)]
+        for _ in range(3):
+            omega_at = rng.uniform(-2.0, 2.0, size=(m, n))
+            for key, got in _swept_arrays(ctx, omega_at).items():
+                zero = basis[0][key]
+                affine = zero.copy()
+                for k in range(n):
+                    weight = omega_at[:, k].reshape((m,) + (1,) * (zero.ndim - 1))
+                    affine += weight * (basis[k + 1][key] - zero)
+                scale = max(1.0, np.abs(got).max(), np.abs(affine).max())
+                assert np.abs(got - affine).max() <= 1e-12 * scale, (name, key)
