@@ -4,7 +4,7 @@ to tangent and cotangent bundle charts."""
 
 from . import chart, expr, genbundle, genconn, lifts, metallic, report
 from .chart import Chart, ConnectionField, EndoField, MetricField, OneFormField
-from .expr import differentiate, evaluate, parse, to_string
+from .expr import differentiate, parse
 from .metallic import MetallicParams, metallic_number
 from .report import CheckResult, ScenarioReport
 from .scenario import ChartScenario, load_scenario
@@ -26,9 +26,7 @@ __all__ = [
     "MetricField",
     "OneFormField",
     "differentiate",
-    "evaluate",
     "parse",
-    "to_string",
     "MetallicParams",
     "metallic_number",
     "CheckResult",

@@ -87,15 +87,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.names)
 
-    def coord(self, i: int) -> ex.Expr:
-        return ex.coord(i, self.names[i])
-
-    def coords(self):
-        return [self.coord(i) for i in range(self.dim)]
-
-    def parse(self, source: str) -> ex.Expr:
-        return ex.parse(source, self.names)
-
     def sample_points(self, count: int = 32, seed: int | None = None) -> np.ndarray:
         """Low-discrepancy (Halton) samples over the box, deterministic in seed."""
         if seed is None:
@@ -241,9 +232,6 @@ class OneFormField:
         n = self.chart.dim
         object.__setattr__(self, "comps", _as_expr_matrix(self.chart, self.comps, (n,)))
 
-    def eval(self, points, memo=None) -> np.ndarray:
-        return eval_exprs(self.comps, points, memo)
-
 
 @dataclass(frozen=True)
 class ConnectionField:
@@ -257,9 +245,6 @@ class ConnectionField:
         object.__setattr__(
             self, "comps", _as_expr_matrix(self.chart, self.comps, (n, n, n))
         )
-
-    def eval(self, points, memo=None) -> np.ndarray:
-        return eval_exprs(self.comps, points, memo)
 
 
 # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from . import expr as ex
 from .errors import MetallicLabError, ParseError, SchemaError, ValidationError
 from .report import ScenarioReport
 from .scenario import load_scenario
-from .suites import KNOWN_SUITES, MAX_TOLERANCE, ScenarioContext, run_suites
+from .suites import KNOWN_SUITES, MAX_TOLERANCE, ScenarioContext, finite_number, run_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,8 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=None,
-        help="sample-point count; peak memory is bounded by a chunk length set "
-        "from the dimension, whatever the count",
+        help="sample-point count; the checks run over chunks of samples, but the "
+        "points and random draws of the whole run are held at once, so peak "
+        "memory grows with the count",
     )
     check.add_argument("--seed", type=int, default=None, help="sampling seed, at least 0")
     check.add_argument(
@@ -96,7 +97,7 @@ def _cmd_check(args) -> int:
 def _cmd_derive(args) -> int:
     scenario = load_scenario(args.scenario)
     try:
-        point = np.array([float(v) for v in args.at.split(",")])
+        point = np.array([finite_number(float(v), "--at") for v in args.at.split(",")])
     except ValueError as err:
         raise ValidationError([f"--at must be comma-separated numbers: {err}"]) from err
     if point.shape != (scenario.chart.dim,):

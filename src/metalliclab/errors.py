@@ -53,10 +53,6 @@ class NotAProjection(MetallicLabError):
     """Supplied endomorphism fails P^2 = P or g-symmetry."""
 
 
-class NotAProductStructure(MetallicLabError):
-    """Supplied endomorphism fails F^2 = I."""
-
-
 class DimensionMismatch(MetallicLabError):
     """Array shapes are inconsistent with the chart dimension."""
 

@@ -48,12 +48,9 @@ __all__ = [
     "neg",
     "pow_",
     "func",
-    "balanced_sum",
     "parse",
     "differentiate",
-    "evaluate",
     "eval_batch",
-    "to_string",
     "FUNCTION_NAMES",
     "fresh_table",
 ]
@@ -102,35 +99,14 @@ class Expr:
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
     def __sub__(self, other):
         return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
 
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, other):
-        return pow_(self, _coerce(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __repr__(self):
-        return f"<Expr {to_string(self)!r}>"
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
 
 
 class Const(Expr):
@@ -138,9 +114,6 @@ class Const(Expr):
 
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
 
 class Coord(Expr):
@@ -150,18 +123,12 @@ class Coord(Expr):
         object.__setattr__(self, "index", int(index))
         object.__setattr__(self, "name", name)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
 
 class Neg(Expr):
     __slots__ = ("child",)
 
     def __init__(self, child: Expr):
         object.__setattr__(self, "child", child)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def children(self):
         return (self.child,)
@@ -177,9 +144,6 @@ class Bin(Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def children(self):
         return (self.left, self.right)
 
@@ -190,9 +154,6 @@ class Func(Expr):
     def __init__(self, name: str, arg: Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def children(self):
         return (self.arg,)
@@ -330,19 +291,6 @@ def func(name: str, arg) -> Expr:
         if folded is not None:
             return folded
     return _interned((name, id(arg)), Func, name, arg)
-
-
-def balanced_sum(terms) -> Expr:
-    """Sum a sequence of expressions with a balanced tree (keeps depth low)."""
-    terms = [_coerce(t) for t in terms]
-    if not terms:
-        return const(0.0)
-    while len(terms) > 1:
-        paired = [add(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
-        if len(terms) % 2:
-            paired.append(terms[-1])
-        terms = paired
-    return terms[0]
 
 
 # ------------------------------------------------------------------
@@ -642,66 +590,3 @@ def eval_batch(e: Expr, points: np.ndarray, memo: dict | None = None) -> np.ndar
     if np.ndim(out) == 0:
         return np.full(points.shape[0], float(out))
     return np.asarray(out, dtype=float)
-
-
-def evaluate(e: Expr, point) -> float:
-    """Evaluate at a single point; raises DomainError on a non-finite result."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    value = float(eval_batch(e, point.reshape(1, -1))[0])
-    if not math.isfinite(value):
-        raise DomainError(f"expression {to_string(e)!r} is not finite", point)
-    return value
-
-
-# ------------------------------------------------------------------
-# Printing
-# ------------------------------------------------------------------
-
-_PREC_ADD = 0
-_PREC_MUL = 10
-_PREC_NEG = 20
-_PREC_POW = 30
-_PREC_ATOM = 100
-
-
-def _render(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        if e.value < 0:
-            return f"-{-e.value!r}", _PREC_NEG
-        return repr(e.value), _PREC_ATOM
-    if isinstance(e, Coord):
-        return e.name, _PREC_ATOM
-    if isinstance(e, Neg):
-        body, prec = _render(e.child)
-        if prec < _PREC_NEG:
-            body = f"({body})"
-        return f"-{body}", _PREC_NEG
-    if isinstance(e, Func):
-        body, _ = _render(e.arg)
-        return f"{e.name}({body})", _PREC_ATOM
-    assert isinstance(e, Bin)
-    lhs, lp = _render(e.left)
-    rhs, rp = _render(e.right)
-    if e.op in "+-":
-        if lp < _PREC_ADD:
-            lhs = f"({lhs})"
-        if rp <= _PREC_ADD:
-            rhs = f"({rhs})"
-        return f"{lhs} {e.op} {rhs}", _PREC_ADD
-    if e.op in "*/":
-        if lp < _PREC_MUL:
-            lhs = f"({lhs})"
-        if rp <= _PREC_MUL:
-            rhs = f"({rhs})"
-        return f"{lhs}{e.op}{rhs}", _PREC_MUL
-    # '^': right-associative, base must be atomic
-    if lp < _PREC_ATOM:
-        lhs = f"({lhs})"
-    if rp < _PREC_POW:
-        rhs = f"({rhs})"
-    return f"{lhs}^{rhs}", _PREC_POW
-
-
-def to_string(e: Expr) -> str:
-    """Render an expression so that reparsing evaluates identically."""
-    return _render(e)[0]

@@ -1,9 +1,10 @@
 """Algebra on TM + T*M at the samples: block structures, pairings, checks.
 
-Every function here except the musical maps, ``GenVector``,
-``natural_pairing`` and ``signature_by_congruence`` takes arrays with a
-leading sample axis, shape (..., n, n) or (..., 2n, 2n), and treats each
-sample on its own; a single matrix is a batch of shape ().  A check's residual
+Every function here takes arrays with a leading sample axis, shape
+(..., n, n) or (..., 2n, 2n), and treats each sample on its own; a single
+matrix is a batch of shape ().  The generalized structures themselves are
+assembled by :func:`blocks` from the values at the samples, in
+``ScenarioContext.gen_at``.  A check's residual
 is the worst sample's value, and an error is the one the first failing sample
 in sample order would raise on its own.  Field-level statements are obtained
 by sampling.  Blocks of a 2n x 2n operator are laid out as
@@ -34,28 +35,16 @@ from .metallic import MetallicParams
 from .report import CheckResult
 
 __all__ = [
-    "GenVector",
-    "musical_flat",
-    "musical_sharp",
-    "ghat_matrix",
     "metric_inverse",
     "blocks",
     "sharp_block",
     "pairing_matrix",
-    "natural_pairing",
-    "build_jm",
-    "build_jp",
-    "build_jc",
     "DerivedFamily",
     "derived_family",
     "pairing_eigenvalues",
     "pairing_positive_definite",
     "neutral_signature",
-    "neutral_metric_G",
-    "signature_by_congruence",
     "check_anti_pseudo_calibrated",
-    "EndoBlocks",
-    "endo_blocks",
     "check_calibrated",
     "fhat_matrix",
     "fhat_conjugation",
@@ -65,57 +54,8 @@ _COMPAT_TOL = 1e-8
 _DET_GUARD = 1e-12  # |det g| below this is a singular metric
 
 
-@dataclass(frozen=True)
-class EndoBlocks:
-    """Named blocks of a 2n x 2n operator on TM + T*M."""
-
-    A: np.ndarray  # TM -> TM
-    B: np.ndarray  # T*M -> TM
-    C: np.ndarray  # TM -> T*M
-    D: np.ndarray  # T*M -> T*M
-
-
-def endo_blocks(mat: np.ndarray) -> EndoBlocks:
-    mat = np.asarray(mat)
-    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1] or mat.shape[-1] % 2:
-        raise DimensionMismatch("generalized operators are 2n x 2n")
-    n = mat.shape[-1] // 2
-    return EndoBlocks(
-        mat[..., :n, :n], mat[..., :n, n:], mat[..., n:, :n], mat[..., n:, n:]
-    )
-
-
-@dataclass(frozen=True)
-class GenVector:
-    """Element X + alpha of the generalized tangent space at a point."""
-
-    X: np.ndarray
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
-        if X.shape != alpha.shape or X.ndim != 1:
-            raise DimensionMismatch("vector and covector parts must be n-vectors")
-        if not (np.isfinite(X).all() and np.isfinite(alpha).all()):
-            raise ValueError("GenVector entries must be finite")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.X, self.alpha])
-
-
 def _singular(g: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(g)) < _DET_GUARD
-
-
-def _check_metric(g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if _singular(g).any():
-        raise SingularMetric("metric is singular at this point")
-    return g
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
@@ -163,22 +103,6 @@ def _worst(check_id, anchor, per_sample, tolerance, points, details=None) -> Che
     )
 
 
-def musical_flat(g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(flat X)_i = g_{ij} X^j."""
-    return _check_metric(g) @ np.asarray(X, dtype=float)
-
-
-def musical_sharp(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """(sharp alpha)^i = g^{ij} alpha_j."""
-    return np.linalg.solve(_check_metric(g), np.asarray(alpha, dtype=float))
-
-
-def ghat_matrix(g: np.ndarray) -> np.ndarray:
-    """Block-diagonal (g, g^{-1}) metric on TM + T*M."""
-    g = np.asarray(g, dtype=float)
-    return blocks(g, 0.0, 0.0, metric_inverse(g))
-
-
 def metric_inverse(g: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
     """g^-1 of a batch of metrics.
 
@@ -209,10 +133,6 @@ def pairing_matrix(n: int) -> np.ndarray:
     return out
 
 
-def natural_pairing(sigma: GenVector, tau: GenVector) -> float:
-    return -0.5 * (float(sigma.alpha @ tau.X) - float(tau.alpha @ sigma.X))
-
-
 def _require_compatible(g: np.ndarray, J: np.ndarray, tolerance: float, invertible=False):
     """Float copies of (g, J), or the error of the first sample that fails.
 
@@ -233,27 +153,6 @@ def _require_compatible(g: np.ndarray, J: np.ndarray, tolerance: float, invertib
     return g, J
 
 
-def build_jm(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
-    """Generalized metallic structure blockdiag(J, J*)."""
-    g, J = _require_compatible(g, J, tolerance)
-    return blocks(J, 0.0, 0.0, np.swapaxes(J, -1, -2))
-
-
-def _build_musical(sign: float, J, g, tolerance: float) -> np.ndarray:
-    g, J = _require_compatible(g, J, tolerance)
-    return blocks(J, sharp_block(sign, J @ J, metric_inverse(g)), g, -np.swapaxes(J, -1, -2))
-
-
-def build_jp(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
-    """Generalized product structure [[J, (I - J^2) sharp], [flat, -J*]]."""
-    return _build_musical(1.0, J, g, tolerance)
-
-
-def build_jc(J: np.ndarray, g: np.ndarray, tolerance: float = _COMPAT_TOL) -> np.ndarray:
-    """Generalized complex structure [[J, -(I + J^2) sharp], [flat, -J*]]."""
-    return _build_musical(-1.0, J, g, tolerance)
-
-
 @dataclass(frozen=True)
 class DerivedFamily:
     """Structures generated from one metallic pair via product conversions.
@@ -261,25 +160,17 @@ class DerivedFamily:
     F^+, Jp and, once read, Fhat^+ are stored.  Every other member is built
     each time it is read, so a caller that reduces one member at a time holds
     one at a time.  F^- = -F^+ and negation is exact, so J^+(Fhat^-) and
-    J^-(Fhat^-) are J^-(Fhat^+) and J^+(Fhat^+) bit for bit and are read as
-    those.
+    J^-(Fhat^-) are J^-(Fhat^+) and J^+(Fhat^+) bit for bit: the F^- members
+    are not built.
     """
 
     f_plus: np.ndarray  # (2J - pI) / (2s - p)
     jp: np.ndarray
     params: MetallicParams
 
-    @property
-    def f_minus(self) -> np.ndarray:
-        return -self.f_plus
-
     @cached_property
     def fhat_plus(self) -> np.ndarray:
         return blocks(self.f_plus, 0.0, 0.0, np.swapaxes(self.f_plus, -1, -2))
-
-    @property
-    def fhat_minus(self) -> np.ndarray:
-        return -self.fhat_plus
 
     def _converted(self, sign: float, product: np.ndarray) -> np.ndarray:
         """sign (2s-p)/2 product + p/2 I."""
@@ -294,14 +185,6 @@ class DerivedFamily:
     @property
     def j_minus_of_fplus(self) -> np.ndarray:
         return self._converted(-1.0, self.fhat_plus)
-
-    @property
-    def j_plus_of_fminus(self) -> np.ndarray:
-        return self.j_minus_of_fplus
-
-    @property
-    def j_minus_of_fminus(self) -> np.ndarray:
-        return self.j_plus_of_fplus
 
     @property
     def jm_plus(self) -> np.ndarray:
@@ -390,51 +273,6 @@ def neutral_signature(eigenvalues: np.ndarray, threshold: float = 1e-10):
         )
     n_plus = (eigenvalues > threshold).sum(axis=-1)
     n_minus = (eigenvalues < -threshold).sum(axis=-1)
-    return n_plus, n_minus
-
-
-def neutral_metric_G(jp: np.ndarray, threshold: float = 1e-10):
-    """Symmetric form G(s, t) = (s, Jp t) and its :func:`neutral_signature`."""
-    return _pairing_form(jp), neutral_signature(pairing_eigenvalues(jp), threshold)
-
-
-def signature_by_congruence(G: np.ndarray, threshold: float = 1e-10):
-    """Signature via symmetric Gaussian reduction (congruence diagonalisation).
-
-    Redundant cross-check for the eigensolve path; not used in production.
-    """
-    A = np.array(G, dtype=float)
-    m = A.shape[0]
-    order = []
-    active = list(range(m))
-    while active:
-        k = max(active, key=lambda i: abs(A[i, i]))
-        if abs(A[k, k]) < threshold:
-            # try to create a non-zero diagonal entry from an off-diagonal one
-            found = False
-            for i in active:
-                for j in active:
-                    if i < j and abs(A[i, j]) >= threshold:
-                        A[i, :] += A[j, :]
-                        A[:, i] += A[:, j]
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                raise DegenerateForm("form is degenerate under congruence reduction")
-            continue
-        order.append(A[k, k])
-        for i in active:
-            if i == k:
-                continue
-            factor = A[i, k] / A[k, k]
-            if factor != 0.0:
-                A[i, :] -= factor * A[k, :]
-                A[:, i] -= factor * A[:, k]
-        active.remove(k)
-    n_plus = sum(1 for d in order if d > 0)
-    n_minus = sum(1 for d in order if d < 0)
     return n_plus, n_minus
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "nabla_bracket",
     "gen_nijenhuis",
     "karaman_connection",
-    "torsion_formula_D",
     "torsion_closed_form_values",
     "phi_of_torsion",
     "covariant_nijenhuis_rhs",
@@ -184,24 +183,6 @@ def karaman_connection(
         - sharp_w * g[:, None]
         + inv_q * (wj[:, None, None, :] * J[..., None])
         - inv_q * (sharp_wj * (g @ J)[:, None])
-    )
-
-
-def torsion_formula_D(
-    J_at: np.ndarray, params: MetallicParams, omega_at: np.ndarray, X, Y
-) -> np.ndarray:
-    """Closed form T^D(X,Y) = w(Y)X - w(X)Y + (w(JY)JX - w(JX)JY)/q at a point."""
-    if params.q == 0:
-        raise ZeroQ("the closed torsion form needs q != 0")
-    J_at = np.asarray(J_at, dtype=float)
-    w = np.asarray(omega_at, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    jx, jy = J_at @ X, J_at @ Y
-    return (
-        (w @ Y) * X
-        - (w @ X) * Y
-        + ((w @ jy) * jx - (w @ jx) * jy) / params.q
     )
 
 

@@ -61,19 +61,8 @@ class LiftedChart:
             raise DimensionMismatch("fibre box must have one interval per coordinate")
         object.__setattr__(self, "fibre_box", fibre_box)
 
-    def sample_points(
-        self, base_count: int = 32, fibre_per_base: int = 4, seed: int | None = None
-    ) -> np.ndarray:
-        """Base Halton samples, each paired with several uniform fibre draws."""
-        if seed is None:
-            seed = self.base.seed
-        base_points = self.base.sample_points(base_count, seed=seed)
-        fibre = self.fibre_points(base_count * fibre_per_base, seed)
-        repeated = np.repeat(base_points, fibre_per_base, axis=0)
-        return np.hstack([repeated, fibre])
-
     def fibre_points(self, count: int, seed: int) -> np.ndarray:
-        """The fibre coordinates of :meth:`sample_points`: uniform over the fibre box."""
+        """Fibre coordinates of the lifted samples: uniform over the fibre box."""
         rng = np.random.default_rng(seed + 1)
         lo = np.array([b[0] for b in self.fibre_box])
         hi = np.array([b[1] for b in self.fibre_box])

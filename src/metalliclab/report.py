@@ -71,19 +71,6 @@ def worst_sample(residuals: np.ndarray, points: np.ndarray) -> tuple:
     return float(per_point[worst]), tuple(float(v) for v in np.asarray(points, dtype=float)[worst])
 
 
-def from_residuals(
-    check_id: str,
-    anchor: str,
-    residuals: np.ndarray,
-    points: np.ndarray,
-    tolerance: float,
-    **kwargs,
-) -> CheckResult:
-    """Build a CheckResult from per-sample residuals (any trailing shape)."""
-    residual, witness = worst_sample(residuals, points)
-    return CheckResult(check_id, anchor, residual, tolerance, witness, **kwargs)
-
-
 def _plain(value):
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
@@ -189,8 +176,3 @@ class ScenarioReport:
             lines.append(f"controls not run (suite not selected): {not_run}")
         lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-
-def verdicts(report_dict: dict) -> dict:
-    """Map check id -> satisfied flag, for round-trip comparisons."""
-    return {c["id"]: c["satisfied"] for c in report_dict["checks"]}

@@ -1230,8 +1230,10 @@ KNOWN_SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 _SUITE_FUNCS = {suite: partial(_run_suite, suite) for suite in KNOWN_SUITES}
 
 # A run evaluates its checks over chunks of at most _chunk_length(n) samples,
-# so its peak memory is bounded whatever the sample count.  The arrays of a
-# sample grow as n^4: one (2n)^4 float64 tensor sets the bytes per sample.
+# so the memory of its tensors is bounded whatever the sample count (the
+# points and random draws of the whole run, a few n-vectors per sample, are
+# held at once).  The arrays of a sample grow as n^4: one (2n)^4 float64
+# tensor sets the bytes per sample.
 # _CHUNK_ROWS caps the small n, where the bytes of one tensor say least about
 # what all seven suites hold per sample; 512 samples spread the per-chunk
 # work well enough.
@@ -1259,11 +1261,11 @@ def run_suites(
     Each suite runs the checks of ``CHECKS`` declared for the scenario, each
     under one guard, so every declared id is reported exactly once and an
     evaluation error fails only the checks that read the failing input; a
-    selected suite that declares no check for the scenario is a
-    ValidationError.  ``expected_failures`` ids were validated against the
-    table at load; those of suites not selected are listed in
-    ``controls_not_run`` and do not gate.  Expression nodes are interned in
-    a copy of the scenario's table that lasts for this call only.
+    selected suite that declares no check for the scenario, or that is
+    selected twice, is a ValidationError.  ``expected_failures`` ids were
+    validated against the table at load; those of suites not selected are
+    listed in ``controls_not_run`` and do not gate.  Expression nodes are
+    interned in a copy of the scenario's table that lasts for this call only.
 
     Every check is pointwise, so the suites run on each chunk of the samples
     in turn (see _chunk_length), and each check's results are folded by its
@@ -1275,9 +1277,11 @@ def run_suites(
     seed = None if seed is None else whole_number(seed, "seed")
     tolerance = None if tolerance is None else valid_tolerance(tolerance)
     selected = suites if suites else scenario.suites
-    for suite in selected:
+    for k, suite in enumerate(selected):
         if suite not in _SUITE_FUNCS:
             raise ValueError(f"unknown suite {suite!r}")
+        if suite in selected[:k]:
+            raise ValidationError(f"suite {suite!r} is selected more than once")
         if not _declared(suite, scenario):
             raise ValidationError(
                 f"suite {suite!r} declares no check for scenario {scenario.name!r}"

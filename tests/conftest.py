@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metalliclab import chart as ch
+from metalliclab import expr as ex
 from metalliclab.metallic import MetallicParams, from_projection
 from metalliclab.scenario import ChartScenario, load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
@@ -40,6 +41,20 @@ def field_context(g, J, pts, params=MetallicParams(1.0, 1.0), omega=None, connec
     return ScenarioContext(scenario, points=pts)
 
 
+def pair_context(g, J, params=MetallicParams(1.0, 1.0)):
+    """A run context whose g and J at its samples are the pointwise pairs
+    ``g`` and ``J``, one (n, n) matrix or a stack (m, n, n) each, so that the
+    generalized structures are the ones a run builds (``gen_at``)."""
+    n = np.shape(g)[-1]
+    g, J = np.reshape(g, (-1, n, n)).astype(float), np.reshape(J, (-1, n, n)).astype(float)
+    c = ch.Chart(tuple(f"x{i + 1}" for i in range(n)), ((0.0, 1.0),) * n)
+    eye = ch.constant_matrix(np.eye(n))
+    pts = c.sample_points(len(g))
+    ctx = field_context(ch.MetricField(c, eye), ch.EndoField(c, eye), pts, params)
+    ctx.g_at, ctx.J_at = g, J
+    return ctx
+
+
 def dense_metric(n, seed=0):
     """g_ij = 3 delta_ij + 0.4 sin(x_i x_j + (x_1 + ... + x_n) / 3 + (i + j) / 3):
     every entry depends on every coordinate, and g is diagonally dominant,
@@ -53,7 +68,7 @@ def dense_metric(n, seed=0):
         ]
         for i in range(n)
     ]
-    comps = np.array([[c.parse(s) for s in row] for row in rows], dtype=object)
+    comps = np.array([[ex.parse(s, c.names) for s in row] for row in rows], dtype=object)
     return c, ch.MetricField(c, comps)
 
 
@@ -75,10 +90,7 @@ def sphere_chart():
 @pytest.fixture(scope="session")
 def sphere_metric(sphere_chart):
     c = sphere_chart
-    comps = np.array(
-        [[c.parse("1"), c.parse("0")], [c.parse("0"), c.parse("sin(x1)^2")]],
-        dtype=object,
-    )
+    comps = np.array([[1.0, 0.0], [0.0, ex.parse("sin(x1)^2", c.names)]], dtype=object)
     return ch.MetricField(c, comps)
 
 
@@ -90,5 +102,5 @@ def golden_params():
 @pytest.fixture(scope="session")
 def sphere_diag_J(sphere_chart, sphere_metric, golden_params):
     c = sphere_chart
-    P = ch.EndoField(c, np.array([[c.parse("1"), c.parse("0")], [c.parse("0"), c.parse("0")]], dtype=object))
+    P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 0.0])))
     return from_projection(c, P, golden_params, sphere_metric, c.sample_points(8)).J

@@ -14,6 +14,7 @@ import numpy as np
 from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab import genconn as gc
+from metalliclab.metallic import MetallicParams
 
 
 def fd_partial(f, x, k, h=1e-5, richardson=True):
@@ -34,11 +35,15 @@ def fd_partial(f, x, k, h=1e-5, richardson=True):
     return (4.0 * d2 - d1) / 3.0
 
 
+def evaluate(e: ex.Expr, point) -> float:
+    """Value of ``e`` at one point; DomainError where it is not finite."""
+    point = np.asarray(point, dtype=float).reshape(1, -1)
+    return float(ch.eval_exprs(np.array([e], dtype=object), point)[0, 0])
+
+
 def fd_gradient(e: ex.Expr, x, h=1e-5):
     x = np.asarray(x, dtype=float)
-    return np.array(
-        [fd_partial(lambda p: ex.evaluate(e, p), x, k, h) for k in range(len(x))]
-    )
+    return np.array([fd_partial(lambda p: evaluate(e, p), x, k, h) for k in range(len(x))])
 
 
 def fd_christoffel(g: ch.MetricField, x, h=1e-5):
@@ -158,31 +163,6 @@ def fd_lifted_nijenhuis(g, J, flavor, z, connection=None, h=1e-5):
             # [J e_a, e_b] = -d_b (J e_a) and [e_a, J e_b] = d_a (J e_b)
             N[:, a, b] = bracket + Jv @ dcols[b][:, a] - Jv @ dcols[a][:, b]
     return N
-
-
-def random_expr(rng, names, depth=3):
-    """A random expression over the coordinates, safe on positive domains."""
-    if depth == 0 or rng.random() < 0.25:
-        if rng.random() < 0.5:
-            return repr(round(rng.uniform(0.2, 2.5), 3))
-        return names[rng.integers(0, len(names))]
-    kind = rng.integers(0, 6)
-    a = random_expr(rng, names, depth - 1)
-    b = random_expr(rng, names, depth - 1)
-    if kind == 0:
-        return f"({a} + {b})"
-    if kind == 1:
-        return f"({a} - {b})"
-    if kind == 2:
-        return f"({a})*({b})"
-    if kind == 3:
-        return f"({a})/(3.5 + ({b})^2)"
-    if kind == 4:
-        fn = ("sin", "cos", "tanh", "exp")[rng.integers(0, 4)]
-        if fn == "exp":
-            return f"exp(-(({a}))^2)"
-        return f"{fn}({a})"
-    return f"(3.1 + ({a})^2)^0.5"
 
 
 def _oracle_bracket(gamma, s, ds, t, dt):
@@ -615,3 +595,47 @@ def horizontal_display_spec(N, frame, J, NJ, R, y, p, q, tangent):
         )
         terms[perm] = -inner if tangent else inner
     return gap[:, :n], gap[:, n:], terms
+
+
+def random_compatible_pair(rng: np.random.Generator, n: int, params: MetallicParams):
+    """Random pointwise pair (g, J): g SPD, J metallic and g-symmetric.
+
+    g = A^T A + 0.1 I; P projects g-orthogonally onto a random subspace
+    (spanning columns g-orthonormalised first, which keeps P well
+    conditioned); J = sigma P + (p - sigma)(I - P). Both invariants hold
+    by construction.
+    """
+    a = rng.normal(size=(n, n))
+    g = a.T @ a + 0.1 * np.eye(n)
+    k = int(rng.integers(0, n + 1))
+    if k == 0:
+        proj = np.zeros((n, n))
+    else:
+        v = rng.normal(size=(n, k))
+        for col in range(k):  # Gram-Schmidt in the g inner product
+            for prev in range(col):
+                v[:, col] -= (v[:, prev] @ g @ v[:, col]) * v[:, prev]
+            v[:, col] /= math.sqrt(v[:, col] @ g @ v[:, col])
+        proj = v @ v.T @ g
+    J = params.sigma * proj + params.sigma_other * (np.eye(n) - proj)
+    return g, J
+
+
+def signature_by_congruence(G: np.ndarray, threshold: float = 1e-10):
+    """Signature (n_plus, n_minus) by symmetric Gaussian elimination, a congruence:
+    the oracle of ``genbundle.neutral_signature``, which reads eigenvalues."""
+    A = np.array(G, dtype=float)
+    pivots = []
+    while A.size:
+        k = int(np.argmax(np.abs(np.diag(A))))
+        if abs(A[k, k]) < threshold:
+            # make a diagonal entry non-zero from an off-diagonal one: e_i + e_j
+            i, j = np.unravel_index(np.argmax(np.abs(np.triu(A, 1))), A.shape)
+            if abs(A[i, j]) < threshold:
+                raise ValueError("form is degenerate under congruence reduction")
+            A[i, :] += A[j, :]
+            A[:, i] += A[:, j]
+            continue
+        pivots.append(A[k, k])
+        A = np.delete(np.delete(A - np.outer(A[:, k], A[k]) / A[k, k], k, 0), k, 1)
+    return sum(int(d > 0) for d in pivots), sum(int(d < 0) for d in pivots)

@@ -16,7 +16,8 @@ from metalliclab.metallic import MetallicParams
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import run_suites
 
-from conftest import scenario_path
+from conftest import pair_context, scenario_path
+from helpers import random_compatible_pair
 
 TOL_ALGEBRAIC = 1e-10
 TOL_GEOMETRIC = 1e-9
@@ -50,24 +51,23 @@ def test_criterion_01_metallic_numbers():
 
 @pytest.fixture(scope="module")
 def random_pair_sweep():
+    """The 300 seeded pairs, 100 for each n in 2, 3, 4, as the g and J at the
+    100 samples of one run context per n: the structures are the run's own."""
     rng = np.random.default_rng(2024)
     params = MetallicParams(1.0, 1.0)
     out = []
     for n in (2, 3, 4):
-        for _ in range(100):
-            g, J = mt.random_compatible_pair(rng, n, params)
-            out.append((n, g, J))
+        g, J = zip(*(random_compatible_pair(rng, n, params) for _ in range(100)))
+        out.append((n, pair_context(np.array(g), np.array(J), params)))
     return params, out
 
 
 def test_criterion_02_structure_identities(random_pair_sweep):
-    params, pairs = random_pair_sweep
+    params, contexts = random_pair_sweep
     worst = 0.0
-    for n, g, J in pairs:
+    for n, ctx in contexts:
         eye = np.eye(2 * n)
-        jm = gb.build_jm(J, g)
-        jp = gb.build_jp(J, g)
-        jc = gb.build_jc(J, g)
+        jm, jp, jc = (ctx.gen_at(label) for label in ("jm", "jp", "jc"))
         worst = max(
             worst,
             np.abs(jm @ jm - params.p * jm - params.q * eye).max(),
@@ -83,25 +83,24 @@ def test_criterion_02_structure_identities(random_pair_sweep):
 
 
 def test_criterion_03_neutral_signature(random_pair_sweep):
-    _, pairs = random_pair_sweep
+    _, contexts = random_pair_sweep
     ok = True
-    for n, g, J in pairs:
-        _, sig = gb.neutral_metric_G(gb.build_jp(J, g))
-        ok = ok and sig == (n, n)
+    for n, ctx in contexts:
+        n_plus, n_minus = gb.neutral_signature(gb.pairing_eigenvalues(ctx.gen_at("jp")))
+        ok = ok and bool(((n_plus == n) & (n_minus == n)).all())
     _line(3, ok, "signature of G is exactly (n, n) on every generated pair")
 
 
 def test_criterion_04_calibration(random_pair_sweep):
-    _, pairs = random_pair_sweep
+    _, contexts = random_pair_sweep
     worst = 0.0
     positive = True
-    for n, g, J in pairs:
-        jp = gb.build_jp(J, g)
-        jc = gb.build_jc(J, g)
+    for _, ctx in contexts:
+        jp, jc = ctx.gen_at("jp"), ctx.gen_at("jc")
         anti = gb.check_anti_pseudo_calibrated(
-            jp, gb.pairing_eigenvalues(jp), tolerance=TOL_ALGEBRAIC
+            jp, gb.pairing_eigenvalues(jp), tolerance=TOL_ALGEBRAIC, points=ctx.points
         )
-        cal = gb.check_calibrated(jc, tolerance=TOL_ALGEBRAIC)
+        cal = gb.check_calibrated(jc, tolerance=TOL_ALGEBRAIC, points=ctx.points)
         worst = max(worst, anti.residual, cal.residual)
         positive = positive and gb.pairing_eigenvalues(jc).min() > 0.0
     _line(

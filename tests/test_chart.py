@@ -23,12 +23,12 @@ def make_chart(seed=3):
 
 
 def metric_from_strings(c, rows):
-    comps = np.array([[c.parse(s) for s in row] for row in rows], dtype=object)
+    comps = np.array([[ex.parse(s, c.names) for s in row] for row in rows], dtype=object)
     return ch.MetricField(c, comps)
 
 
 def endo_from_strings(c, rows):
-    comps = np.array([[c.parse(s) for s in row] for row in rows], dtype=object)
+    comps = np.array([[ex.parse(s, c.names) for s in row] for row in rows], dtype=object)
     return ch.EndoField(c, comps)
 
 
@@ -272,11 +272,11 @@ def test_nijenhuis_covariant_identity_any_connection():
     gamma = np.empty((2, 2, 2), dtype=object)
     for idx in np.ndindex(2, 2, 2):
         c0, c1 = rng.uniform(-1, 1, size=2)
-        gamma[idx] = ex.const(c0) + ex.const(c1) * c.coord(idx[1])
+        gamma[idx] = ex.const(c0) + ex.const(c1) * ex.coord(idx[1])
     conn = ch.ConnectionField(c, gamma)
     pts = c.sample_points(16)
     NJ = ch.nijenhuis(*jet(J.comps, pts))
-    gamma = conn.eval(pts)
+    gamma = ch.eval_exprs(conn.comps, pts)
     Jv, dJ = jet(J.comps, pts)
     rhs = gc.covariant_nijenhuis_rhs(gc.nabla_endo(gamma, Jv, dJ), gc.torsion(gamma), Jv)
     assert np.abs(NJ - rhs).max() < 1e-8

@@ -16,6 +16,10 @@ from metalliclab.suites import MAX_TOLERANCE, run_suites
 from conftest import scenario_path
 
 
+def _verdicts(report_dict):
+    return {c["id"]: c["satisfied"] for c in report_dict["checks"]}
+
+
 def write_scenario(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -106,8 +110,8 @@ def test_run_suites_deterministic():
     # a different seed keeps the verdicts
     shifted = run_suites(scenario, seed=12345)
     baseline = run_suites(scenario)
-    va = rp.verdicts(json.loads(a))
-    vb = rp.verdicts(shifted.to_dict())
+    va = _verdicts(json.loads(a))
+    vb = _verdicts(shifted.to_dict())
     assert va == vb
     assert baseline.to_dict()["seed"] != shifted.to_dict()["seed"]
 
@@ -115,7 +119,7 @@ def test_run_suites_deterministic():
 def test_machine_report_round_trip(corpus_reports):
     report = corpus_reports["sphere-diagJ"]
     parsed = json.loads(report.to_json())
-    assert rp.verdicts(parsed) == {c.check_id: c.satisfied for c in report.checks}
+    assert _verdicts(parsed) == {c.check_id: c.satisfied for c in report.checks}
     assert parsed["overall_pass"] == report.overall_pass
     assert parsed["schema_version"] == rp.REPORT_SCHEMA_VERSION
     summary = parsed["suite_summary"]
@@ -208,6 +212,19 @@ def test_run_suites_refuses_a_suite_with_no_check_for_the_scenario():
         run_suites(load_scenario(scenario_path("flat-silver")), suites=["karaman"])
 
 
+def test_cli_a_repeated_suite_is_an_input_error(capsys):
+    # run twice, a suite would report each of its checks twice
+    argv = ["check", str(scenario_path("flat-silver")), "--suite", "core", "--suite", "core"]
+    assert main(argv) == 2
+    assert "suite 'core' is selected more than once" in capsys.readouterr().err
+
+
+def test_run_suites_refuses_a_repeated_suite():
+    scenario = load_scenario(scenario_path("flat-silver"))
+    with pytest.raises(ValidationError, match="'core'"):
+        run_suites(scenario, suites=["core", "genbundle", "core"])
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_cli_a_sample_count_below_1_is_an_input_error(capsys, samples):
     assert main(["check", str(scenario_path("flat-golden")), "--samples", samples]) == 2
@@ -247,6 +264,13 @@ def test_cli_derive_validates_point(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("at", ["nan,0.5", "inf,0.5"])
+def test_cli_derive_refuses_a_non_finite_point(capsys, at):
+    argv = ["derive", str(scenario_path("flat-golden")), "--what", "christoffel", "--at", at]
+    assert main(argv) == 2
+    assert "--at must be a finite number" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [
@@ -277,7 +301,7 @@ def test_explicit_connection_matches_levi_civita(tmp_path):
     explicit["connection"] = gamma
     baseline = run_suites(load_scenario(write_scenario(tmp_path, payload, "lc.json")))
     supplied = run_suites(load_scenario(write_scenario(tmp_path, explicit, "exp.json")))
-    assert rp.verdicts(baseline.to_dict()) == rp.verdicts(supplied.to_dict())
+    assert _verdicts(baseline.to_dict()) == _verdicts(supplied.to_dict())
     assert supplied.overall_pass
 
 

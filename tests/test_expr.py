@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import types
 
@@ -12,7 +13,7 @@ from metalliclab.scenario import load_scenario
 from metalliclab.suites import ConnBundle, ScenarioContext, run_suites
 
 from conftest import CORPUS, scenario_path
-from helpers import fd_gradient, random_expr
+from helpers import evaluate, fd_gradient
 
 COORDS = ["x1", "x2"]
 
@@ -53,9 +54,9 @@ def test_parse_power_of_sin():
 def test_parse_arithmetic_example():
     # 0.5 - 1 = -0.5
     e = ex.parse("1/x1 - exp(x2)", COORDS)
-    assert ex.evaluate(e, [2.0, 0.0]) == pytest.approx(-0.5, abs=1e-15)
+    assert evaluate(e, [2.0, 0.0]) == pytest.approx(-0.5, abs=1e-15)
     e2 = ex.parse("1/ (x1*x2) - exp(x2)", COORDS)
-    assert ex.evaluate(e2, [2.0, 0.25]) == pytest.approx(
+    assert evaluate(e2, [2.0, 0.25]) == pytest.approx(
         1.0 / 0.5 - math.exp(0.25), abs=1e-15
     )
 
@@ -76,22 +77,22 @@ def test_parse_errors_carry_offsets():
 
 
 def test_power_is_right_associative():
-    assert ex.evaluate(ex.parse("2^3^2", COORDS), [0, 0]) == 512.0
+    assert evaluate(ex.parse("2^3^2", COORDS), [0, 0]) == 512.0
 
 
 def test_unary_minus_binds_below_power():
-    assert ex.evaluate(ex.parse("-x1^2", COORDS), [3.0, 0.0]) == -9.0
-    assert ex.evaluate(ex.parse("(-x1)^2", COORDS), [3.0, 0.0]) == 9.0
-    assert ex.evaluate(ex.parse("2^-3", COORDS), [0, 0]) == 0.125
+    assert evaluate(ex.parse("-x1^2", COORDS), [3.0, 0.0]) == -9.0
+    assert evaluate(ex.parse("(-x1)^2", COORDS), [3.0, 0.0]) == 9.0
+    assert evaluate(ex.parse("2^-3", COORDS), [0, 0]) == 0.125
 
 
 def test_evaluate_examples():
-    assert ex.evaluate(ex.parse("sqrt(x1)", COORDS), [4.0, 0.0]) == 2.0
-    assert ex.evaluate(ex.parse("x1^3 - 2*x1", COORDS), [1.5, 0.0]) == 0.375
+    assert evaluate(ex.parse("sqrt(x1)", COORDS), [4.0, 0.0]) == 2.0
+    assert evaluate(ex.parse("x1^3 - 2*x1", COORDS), [1.5, 0.0]) == 0.375
     with pytest.raises(DomainError):
-        ex.evaluate(ex.parse("1/x1", COORDS), [0.0, 0.0])
+        evaluate(ex.parse("1/x1", COORDS), [0.0, 0.0])
     with pytest.raises(DomainError):
-        ex.evaluate(ex.parse("ln(x1)", COORDS), [-1.0, 0.0])
+        evaluate(ex.parse("ln(x1)", COORDS), [-1.0, 0.0])
 
 
 def test_evaluation_deterministic():
@@ -105,14 +106,14 @@ def test_evaluation_deterministic():
 def test_differentiate_examples():
     e = ex.parse("sin(x1)^2", COORDS)
     d = ex.differentiate(e, 0)
-    assert ex.evaluate(d, [math.pi / 4, 0.0]) == pytest.approx(1.0, abs=1e-15)
+    assert evaluate(d, [math.pi / 4, 0.0]) == pytest.approx(1.0, abs=1e-15)
 
     zero = ex.differentiate(ex.parse("x1", COORDS), 1)
-    assert ex.evaluate(zero, [2.0, 3.0]) == 0.0
+    assert evaluate(zero, [2.0, 3.0]) == 0.0
 
     e2 = ex.parse("ln(x1*x1)", COORDS)
     d2 = ex.differentiate(e2, 0)
-    value = ex.evaluate(d2, [3.0, 1.0])
+    value = evaluate(d2, [3.0, 1.0])
     assert value == pytest.approx(2.0 / 3.0, abs=1e-12)
     fd = fd_gradient(e2, [3.0, 1.0])[0]
     assert value == pytest.approx(fd, abs=1e-8)
@@ -126,7 +127,7 @@ def test_derivatives_match_finite_differences_on_corpus():
             d = ex.differentiate(e, k)
             for p in pts:
                 expected = fd_gradient(e, p)[k]
-                got = ex.evaluate(d, p)
+                got = evaluate(d, p)
                 scale = max(1.0, abs(expected))
                 assert abs(got - expected) / scale < 1e-6, (source, k, p)
 
@@ -143,42 +144,6 @@ def test_second_derivatives_commute():
         assert (np.abs(a - b) / scale < 1e-10).all(), source
 
 
-def test_print_parse_round_trip_on_corpus():
-    pts = sample_points(100, seed=3)
-    for source in GOLDEN_CORPUS:
-        e = ex.parse(source, COORDS)
-        back = ex.parse(ex.to_string(e), COORDS)
-        a = ex.eval_batch(e, pts)
-        b = ex.eval_batch(back, pts)
-        scale = np.maximum(1.0, np.abs(a))
-        assert (np.abs(a - b) / scale <= 1e-12).all(), source
-
-
-def test_print_parse_round_trip_on_random_expressions():
-    rng = np.random.default_rng(11)
-    pts = sample_points(40, seed=4)
-    for _ in range(60):
-        source = random_expr(rng, COORDS)
-        e = ex.parse(source, COORDS)
-        back = ex.parse(ex.to_string(e), COORDS)
-        a = ex.eval_batch(e, pts)
-        b = ex.eval_batch(back, pts)
-        ok = np.isfinite(a)
-        scale = np.maximum(1.0, np.abs(a[ok]))
-        assert (np.abs(a[ok] - b[ok]) / scale <= 1e-12).all(), source
-
-
-def test_round_trip_of_derivatives():
-    pts = sample_points(30, seed=6)
-    for source in GOLDEN_CORPUS:
-        d = ex.differentiate(ex.parse(source, COORDS), 0)
-        back = ex.parse(ex.to_string(d), COORDS)
-        a = ex.eval_batch(d, pts)
-        b = ex.eval_batch(back, pts)
-        scale = np.maximum(1.0, np.abs(a))
-        assert (np.abs(a - b) / scale <= 1e-12).all(), source
-
-
 def test_constant_folding_is_literal_only():
     e = ex.parse("2*3 + x1", COORDS)
     assert isinstance(e, ex.Bin) and e.op == "+"
@@ -192,7 +157,7 @@ def test_variable_exponent_derivative():
     e = ex.parse("x1^x2", COORDS)
     d = ex.differentiate(e, 1)  # d/dx2 = x1^x2 ln(x1)
     x = [1.7, 0.8]
-    assert ex.evaluate(d, x) == pytest.approx(1.7**0.8 * math.log(1.7), rel=1e-12)
+    assert evaluate(d, x) == pytest.approx(1.7**0.8 * math.log(1.7), rel=1e-12)
 
 
 def test_evaluation_against_python_eval_oracle():
@@ -209,16 +174,8 @@ def test_evaluation_against_python_eval_oracle():
         py = source.replace("^", "**")
         for p in pts:
             expected = eval(py, {"__builtins__": {}}, {**env, "x1": p[0], "x2": p[1]})
-            got = ex.evaluate(e, p)
+            got = evaluate(e, p)
             assert got == pytest.approx(expected, rel=1e-14), (source, p)
-
-
-def test_balanced_sum_matches_sequential():
-    rng = np.random.default_rng(9)
-    terms = [ex.const(v) for v in rng.normal(size=33)]
-    total = ex.balanced_sum(terms)
-    assert isinstance(total, ex.Const)
-    assert np.isclose(total.value, sum(t.value for t in terms), atol=1e-12)
 
 
 def test_equal_constructor_calls_return_one_node():
@@ -228,8 +185,7 @@ def test_equal_constructor_calls_return_one_node():
         assert ex.add(x1, x2) is ex.add(x1, x2)
         assert ex.mul(x1, 3) is ex.mul(ex.coord(0), ex.const(3.0))
         assert ex.func("sin", x1) is ex.func("sin", x1)
-        assert ex.neg(x1) is -x1
-        assert ex.balanced_sum([]) is ex.const(0.0)
+        assert ex.neg(x1) is ex.neg(ex.coord(0))
         assert ex.parse("sin(x1)^2 - x2/3", COORDS) is ex.parse("sin(x1)^2 - x2/3", COORDS)
         # equal structure, not equal value: the operands' order is kept
         assert ex.add(x1, x2) is not ex.add(x2, x1)
@@ -249,8 +205,8 @@ def test_signed_zero_is_its_own_node():
     with ex.fresh_table():
         assert ex.const(0.0) is not ex.const(-0.0)
         assert ex.const(-0.0) is ex.neg(ex.const(0.0))
-        assert ex.to_string(ex.const(-0.0)) == "-0.0"
-        assert ex.to_string(ex.const(0.0)) == "0.0"
+        assert math.copysign(1.0, ex.const(-0.0).value) == -1.0
+        assert math.copysign(1.0, ex.const(0.0).value) == 1.0
 
 
 def test_nan_constants_are_never_interned():
@@ -337,8 +293,9 @@ def test_loading_a_scenario_leaves_the_module_table_alone():
     # it unchanged
     entries = len(scenario.table)
     leaf = scenario.metric.comps[1, 1]
+    source = json.loads(scenario_path("product-decomposable").read_text())["metric"][1][1]
     with ex.fresh_table(scenario.table):
-        assert ex.parse(ex.to_string(leaf), scenario.chart.names) is leaf
+        assert ex.parse(source, scenario.chart.names) is leaf
         n = scenario.chart.dim
         ch.partials(ch.partials(scenario.metric.comps, n), n)
     assert len(scenario.table) == entries

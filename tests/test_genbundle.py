@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metalliclab import chart as ch
+from metalliclab import expr as ex
 from metalliclab import genbundle as gb
 from metalliclab import suites
 from metalliclab.errors import (
@@ -18,11 +19,11 @@ from metalliclab.errors import (
     SingularJacobian,
     SingularMetric,
 )
-from metalliclab.metallic import MetallicParams, random_compatible_pair
+from metalliclab.metallic import MetallicParams
 from metalliclab.scenario import load_scenario
 
-from conftest import dense_metric, field_context, scenario_path
-from helpers import fd_partial
+from conftest import dense_metric, field_context, pair_context, scenario_path
+from helpers import fd_partial, random_compatible_pair, signature_by_congruence
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PARAMS = MetallicParams(1.0, 1.0)
@@ -43,28 +44,19 @@ JP_GOLDEN = np.array(
 )
 
 
-def test_musical_isomorphisms():
-    g = np.diag([1.0, 4.0])
-    assert np.allclose(gb.musical_sharp(g, [0.0, 1.0]), [0.0, 0.25])
-    assert np.allclose(gb.musical_flat(g, [1.0, 1.0]), [1.0, 4.0])
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.normal(size=(2, 2))
-        gm = a.T @ a + 0.2 * np.eye(2)
-        alpha = rng.normal(size=2)
-        assert np.abs(gb.musical_flat(gm, gb.musical_sharp(gm, alpha)) - alpha).max() < 1e-12
-    with pytest.raises(SingularMetric):
-        gb.musical_sharp(np.zeros((2, 2)), [1.0, 0.0])
+def _gen(label, g, J):
+    """The structure ``label`` of one pointwise pair, as a run builds it."""
+    return pair_context(g, J).gen_at(label)[0]
 
 
 def test_ghat_matrix():
-    assert np.allclose(gb.ghat_matrix(np.eye(2)), np.eye(4))
-    got = gb.ghat_matrix(np.diag([1.0, 4.0]))
+    assert np.allclose(_gen("ghat", np.eye(2), np.eye(2)), np.eye(4))
+    got = _gen("ghat", np.diag([1.0, 4.0]), np.eye(2))
     assert np.allclose(np.diag(got), [1.0, 4.0, 1.0, 0.25])
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 3))
     gm = a.T @ a + 0.2 * np.eye(3)
-    ghat = gb.ghat_matrix(gm)
+    ghat = _gen("ghat", gm, np.eye(3))
     for _ in range(100):
         v = rng.normal(size=6)
         if np.abs(v).max() > 1e-9:
@@ -72,40 +64,24 @@ def test_ghat_matrix():
 
 
 def test_natural_pairing():
+    # (s, t) = -(alpha(Y) - beta(X)) / 2 for s = X + alpha, t = Y + beta
+    M = gb.pairing_matrix(2)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        sigma = gb.GenVector(rng.normal(size=2), rng.normal(size=2))
-        assert gb.natural_pairing(sigma, sigma) == pytest.approx(0.0, abs=1e-15)
-
-    x = gb.GenVector([1.0, 0.0], [0.0, 0.0])
-    beta = gb.GenVector([0.0, 0.0], [1.0, 0.0])
-    assert gb.natural_pairing(x, beta) == pytest.approx(0.5, abs=1e-15)
-
-    # bilinearity on random triples
-    for _ in range(20):
-        s1 = gb.GenVector(rng.normal(size=2), rng.normal(size=2))
-        s2 = gb.GenVector(rng.normal(size=2), rng.normal(size=2))
-        t = gb.GenVector(rng.normal(size=2), rng.normal(size=2))
-        a, b = rng.normal(size=2)
-        combo = gb.GenVector(a * s1.X + b * s2.X, a * s1.alpha + b * s2.alpha)
-        lhs = gb.natural_pairing(combo, t)
-        rhs = a * gb.natural_pairing(s1, t) + b * gb.natural_pairing(s2, t)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-    # matrix form agrees
-    M = gb.pairing_matrix(2)
-    s1 = gb.GenVector([1.0, 2.0], [3.0, 4.0])
-    s2 = gb.GenVector([-1.0, 0.5], [2.0, -3.0])
-    assert gb.natural_pairing(s1, s2) == pytest.approx(s1.stacked @ M @ s2.stacked)
+        s, t = rng.normal(size=(2, 4))
+        assert s @ M @ s == pytest.approx(0.0, abs=1e-15)
+        assert s @ M @ t == pytest.approx(-0.5 * (s[2:] @ t[:2] - t[2:] @ s[:2]), abs=1e-12)
+    assert np.array([1.0, 0.0, 0.0, 0.0]) @ M @ np.array([0.0, 0.0, 1.0, 0.0]) == 0.5
 
 
 def test_block_structures_golden_case():
-    jp = gb.build_jp(J2, G2)
+    jp = _gen("jp", G2, J2)
     assert np.abs(jp - JP_GOLDEN).max() < 1e-12
     assert np.abs(jp @ jp - np.eye(4)).max() < 1e-12
-    jc = gb.build_jc(J2, G2)
+    jc = _gen("jc", G2, J2)
     assert np.abs(jc @ jc + np.eye(4)).max() < 1e-12
     assert np.abs(jc @ jp + jp @ jc).max() < 1e-12
-    jm = gb.build_jm(J2, G2)
+    jm = _gen("jm", G2, J2)
     assert np.abs(jm @ jm - PARAMS.p * jm - PARAMS.q * np.eye(4)).max() < 1e-12
 
 
@@ -113,25 +89,21 @@ def test_incompatible_pair_rejected():
     bad_J = np.array([[GOLDEN, 1.0], [0.0, 1 - GOLDEN]])
     g = np.diag([1.0, 3.0])
     with pytest.raises(IncompatiblePair):
-        gb.build_jp(bad_J, g)
+        gb.derived_family(bad_J, g, None, PARAMS)
 
 
 def test_structure_identities_on_random_pairs():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):
-        for _ in range(100):
-            g, J = random_compatible_pair(rng, n, PARAMS)
-            eye = np.eye(2 * n)
-            jm = gb.build_jm(J, g)
-            jp = gb.build_jp(J, g)
-            jc = gb.build_jc(J, g)
-            ghat = gb.ghat_matrix(g)
-            assert np.abs(jm @ jm - PARAMS.p * jm - PARAMS.q * eye).max() < 1e-10
-            assert np.abs(jp @ jp - eye).max() < 1e-10
-            assert np.abs(jc @ jc + eye).max() < 1e-10
-            assert np.abs(jc @ jp + jp @ jc).max() < 1e-10
-            sym = ghat @ jm
-            assert np.abs(sym - sym.T).max() < 1e-10
+        ctx = pair_context(*_compatible_stack(rng, n, 100))
+        eye = np.eye(2 * n)
+        jm, jp, jc, ghat = (ctx.gen_at(label) for label in ("jm", "jp", "jc", "ghat"))
+        assert np.abs(jm @ jm - PARAMS.p * jm - PARAMS.q * eye).max() < 1e-10
+        assert np.abs(jp @ jp - eye).max() < 1e-10
+        assert np.abs(jc @ jc + eye).max() < 1e-10
+        assert np.abs(jc @ jp + jp @ jc).max() < 1e-10
+        sym = ghat @ jm
+        assert np.abs(sym - np.swapaxes(sym, -1, -2)).max() < 1e-10
 
 
 def test_derived_family_identities():
@@ -140,18 +112,15 @@ def test_derived_family_identities():
     for n in (2, 3):
         for _ in range(25):
             g, J = random_compatible_pair(rng, n, PARAMS)
-            fam = gb.derived_family(J, g, gb.build_jp(J, g), PARAMS)
+            fam = gb.derived_family(J, g, _gen("jp", g, J), PARAMS)
             eye2n = np.eye(2 * n)
-            jm = gb.build_jm(J, g)
+            jm = _gen("jm", g, J)
             assert np.abs(fam.fhat_plus @ fam.fhat_plus - eye2n).max() < 1e-10
-            assert np.abs(fam.fhat_minus @ fam.fhat_minus - eye2n).max() < 1e-10
             assert np.abs(fam.j_plus_of_fplus - jm).max() < 1e-10
-            assert np.abs(fam.j_minus_of_fminus - jm).max() < 1e-10
             mirror = np.zeros((2 * n, 2 * n))
             mirror[:n, :n] = PARAMS.p * np.eye(n) - J
             mirror[n:, n:] = (PARAMS.p * np.eye(n) - J).T
             assert np.abs(fam.j_minus_of_fplus - mirror).max() < 1e-10
-            assert np.abs(fam.j_plus_of_fminus - mirror).max() < 1e-10
             for cand in (fam.jm_plus, fam.jm_minus):
                 res = cand @ cand - PARAMS.p * cand - PARAMS.q * eye2n
                 assert np.abs(res).max() < 1e-11
@@ -169,7 +138,7 @@ def test_derived_family_identities():
                 assert np.allclose(finite, gap / 2.0, atol=1e-8)
 
     with pytest.raises(DegenerateDiscriminant):
-        gb.derived_family(J2, G2, gb.build_jp(J2, G2), MetallicParams(2, -1))
+        gb.derived_family(J2, G2, _gen("jp", G2, J2), MetallicParams(2, -1))
 
 
 def test_neutral_metric_block_form():
@@ -177,8 +146,7 @@ def test_neutral_metric_block_form():
     rng = np.random.default_rng(15)
     for n in (2, 3):
         g, J = random_compatible_pair(rng, n, PARAMS)
-        G, _ = gb.neutral_metric_G(gb.build_jp(J, g))
-        two_g = 2.0 * G
+        two_g = 2.0 * _form(_gen("jp", g, J))
         assert np.abs(two_g[:n, :n] - g).max() < 1e-12
         assert np.abs(two_g[:n, n:] + J.T).max() < 1e-12
         assert np.abs(two_g[n:, :n] + J).max() < 1e-12
@@ -186,32 +154,34 @@ def test_neutral_metric_block_form():
         assert np.abs(two_g[n:, n:] - expected).max() < 1e-10
 
 
+def _form(op):
+    """The symmetric form G(s, t) = (s, op t) of the natural pairing."""
+    form = gb.pairing_matrix(op.shape[-1] // 2) @ op
+    return 0.5 * (form + np.swapaxes(form, -1, -2))
+
+
 def test_neutral_metric_signature():
-    jp = gb.build_jp(J2, G2)
-    G, sig = gb.neutral_metric_G(jp)
-    assert sig == (2, 2)
-    assert np.abs(G - G.T).max() <= 1e-12
-    # the proof device: congruence reduction gives the same signature
-    assert gb.signature_by_congruence(G) == (2, 2)
+    # the proof device, congruence reduction, gives the signature of the eigenvalues
+    jp = _gen("jp", G2, J2)
+    assert gb.neutral_signature(gb.pairing_eigenvalues(jp)) == (2, 2)
+    assert signature_by_congruence(_form(jp)) == (2, 2)
 
     rng = np.random.default_rng(4)
     for n in (2, 3, 4):
-        g, J = random_compatible_pair(rng, n, PARAMS)
-        G, sig = gb.neutral_metric_G(gb.build_jp(J, g))
-        assert sig == (n, n)
-        assert gb.signature_by_congruence(G) == (n, n)
+        jp = _gen("jp", *random_compatible_pair(rng, n, PARAMS))
+        assert gb.neutral_signature(gb.pairing_eigenvalues(jp)) == (n, n)
+        assert signature_by_congruence(_form(jp)) == (n, n)
 
 
 def test_calibration_checks():
-    jp = gb.build_jp(J2, G2)
-    jc = gb.build_jc(J2, G2)
+    jp = _gen("jp", G2, J2)
+    jc = _gen("jc", G2, J2)
     assert gb.check_anti_pseudo_calibrated(jp, gb.pairing_eigenvalues(jp)).residual < 1e-12
     calibrated = gb.check_calibrated(jc)
     assert calibrated.residual < 1e-12
     assert gb.pairing_eigenvalues(jc).min() > 0.0
     # the generalized metallic structure is NOT pairing-invariant
-    jm = gb.build_jm(J2, G2)
-    assert not gb.check_calibrated(jm).passed
+    assert not gb.check_calibrated(_gen("jm", G2, J2)).passed
 
 
 # smallest eigenvalues just above and just below the tolerance of the check
@@ -282,9 +252,9 @@ def test_positive_definiteness_matches_the_eigenvalues_at_every_sample(smallest)
 
 def test_the_form_of_jm_at_one_sample_is_not_positive_definite():
     rng = np.random.default_rng(13)
-    pairs = [random_compatible_pair(rng, 3, PARAMS) for _ in range(6)]
-    ops = np.array([gb.build_jc(J, g) for g, J in pairs])
-    ops[4] = gb.build_jm(pairs[4][1], pairs[4][0])
+    ctx = pair_context(*_compatible_stack(rng, 3, 6))
+    ops = ctx.gen_at("jc").copy()
+    ops[4] = ctx.gen_at("jm")[4]
     forms = gb.pairing_matrix(3) @ ops
     forms = 0.5 * (forms + np.swapaxes(forms, -1, -2))
     expected = _eigen_verdict(forms, 1e-10)
@@ -305,8 +275,7 @@ def test_a_non_finite_form_never_reaches_the_cholesky_factorisation(monkeypatch)
 def test_calibration_names_the_sample_whose_form_is_not_positive_definite():
     # -Jc keeps the pairing invariant, and its form is negative definite
     rng = np.random.default_rng(15)
-    pairs = [random_compatible_pair(rng, 2, PARAMS) for _ in range(5)]
-    ops = np.array([gb.build_jc(J, g) for g, J in pairs])
+    ops = pair_context(*_compatible_stack(rng, 2, 5)).gen_at("jc").copy()
     points = np.arange(10.0).reshape(5, 2)
     assert gb.check_calibrated(ops, points=points).passed
     ops[3] = -ops[3]
@@ -316,7 +285,7 @@ def test_calibration_names_the_sample_whose_form_is_not_positive_definite():
 
 
 def test_fhat_conjugation():
-    jm = gb.build_jm(J2, G2)
+    jm = _gen("jm", G2, J2)
     assert gb.fhat_conjugation(np.eye(2), jm, jm).passed
     # Df = J itself (invertible since q != 0)
     assert gb.fhat_conjugation(J2, jm, jm).passed
@@ -340,42 +309,23 @@ def test_degenerate_form_rejected():
     from metalliclab.errors import DegenerateForm
 
     with pytest.raises(DegenerateForm):
-        gb.neutral_metric_G(np.zeros((4, 4)))
+        gb.neutral_signature(gb.pairing_eigenvalues(np.zeros((4, 4))))
 
 
 def test_endo_blocks():
-    jp = gb.build_jp(J2, G2)
-    blocks = gb.endo_blocks(jp)
-    assert np.allclose(blocks.A, J2)
-    assert np.allclose(blocks.C, G2)
-    assert np.allclose(blocks.D, -J2.T)
-    with pytest.raises(DimensionMismatch):
-        gb.endo_blocks(np.zeros((3, 3)))
-
-
-def test_gen_vector_validation():
-    with pytest.raises(DimensionMismatch):
-        gb.GenVector([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        gb.GenVector([np.inf, 0.0], [0.0, 0.0])
+    # blocks lays out [[A, B], [C, D]]: for Jp, A = J, C = flat = g and D = -J*
+    jp = _gen("jp", G2, J2)
+    assert np.allclose(jp[:2, :2], J2)
+    assert np.allclose(jp[2:, :2], G2)
+    assert np.allclose(jp[2:, 2:], -J2.T)
 
 
 # ------------------------------------------------------------------
 # batches: a leading sample axis, each sample on its own
 # ------------------------------------------------------------------
 
-FAMILY_MEMBERS = (
-    "f_plus",
-    "f_minus",
-    "fhat_plus",
-    "fhat_minus",
-    "j_plus_of_fplus",
-    "j_minus_of_fplus",
-    "j_plus_of_fminus",
-    "j_minus_of_fminus",
-    "jm_plus",
-    "jm_minus",
-)
+FAMILY_MEMBERS = ("f_plus", "fhat_plus", "j_plus_of_fplus", "j_minus_of_fplus", "jm_plus",
+                  "jm_minus")
 
 
 def _compatible_stack(rng, n, m):
@@ -397,26 +347,21 @@ def test_batched_functions_equal_a_loop_over_their_slices(n):
     points = rng.uniform(-1.0, 1.0, size=(m, n))
     loop = range(m)
 
-    for build in (gb.build_jm, gb.build_jp, gb.build_jc):
-        assert _equal_slices(build(J, g), [build(J[k], g[k]) for k in loop])
-    assert _equal_slices(gb.ghat_matrix(g), [gb.ghat_matrix(g[k]) for k in loop])
-    jm, jp, jc = gb.build_jm(J, g), gb.build_jp(J, g), gb.build_jc(J, g)
-    blocks = gb.endo_blocks(jp)
-    for name in ("A", "B", "C", "D"):
-        expected = [getattr(gb.endo_blocks(jp[k]), name) for k in loop]
-        assert _equal_slices(getattr(blocks, name), expected)
+    ctx = pair_context(g, J)
+    for label in ("jm", "jp", "jc", "ghat"):
+        assert _equal_slices(ctx.gen_at(label), [_gen(label, g[k], J[k]) for k in loop])
+    jm, jp, jc = ctx.gen_at("jm"), ctx.gen_at("jp"), ctx.gen_at("jc")
 
     family = gb.derived_family(J, g, jp, PARAMS)
     singles = [gb.derived_family(J[k], g[k], jp[k], PARAMS) for k in loop]
     for name in FAMILY_MEMBERS:
         assert _equal_slices(getattr(family, name), [getattr(f, name) for f in singles])
 
-    G, (n_plus, n_minus) = gb.neutral_metric_G(jp)
-    single_G = [gb.neutral_metric_G(jp[k]) for k in loop]
-    assert _equal_slices(G, [Gk for Gk, _ in single_G])
-    assert [(n_plus[k], n_minus[k]) for k in loop] == [sig for _, sig in single_G]
-
-    assert _equal_slices(gb.pairing_eigenvalues(jp), [gb.pairing_eigenvalues(jp[k]) for k in loop])
+    eigenvalues = gb.pairing_eigenvalues(jp)
+    assert _equal_slices(eigenvalues, [gb.pairing_eigenvalues(jp[k]) for k in loop])
+    n_plus, n_minus = gb.neutral_signature(eigenvalues)
+    single = [gb.neutral_signature(eigenvalues[k]) for k in loop]
+    assert [(n_plus[k], n_minus[k]) for k in loop] == single
 
     def anti_pseudo_calibrated(op, **kwargs):
         return gb.check_anti_pseudo_calibrated(op, gb.pairing_eigenvalues(op), **kwargs)
@@ -456,15 +401,8 @@ def _loop_error(fn, J, g):
 
 
 @pytest.mark.parametrize(
-    "fn",
-    (
-        gb.build_jm,
-        gb.build_jp,
-        gb.build_jc,
-        # the preconditions are checked before the product structure is read
-        lambda J, g: gb.derived_family(J, g, None, PARAMS),
-    ),
-    ids=("build_jm", "build_jp", "build_jc", "derived_family"),
+    # the preconditions are checked before the product structure is read
+    "fn", (lambda J, g: gb.derived_family(J, g, None, PARAMS),), ids=("derived_family",)
 )
 def test_batched_errors_are_those_of_the_first_failing_sample(fn):
     rng = np.random.default_rng(23)
@@ -490,13 +428,13 @@ def test_batched_errors_are_those_of_the_first_failing_sample(fn):
 
 
 def test_degenerate_form_names_the_first_degenerate_sample():
-    jp = np.stack([gb.build_jp(J2, G2)] * 6)
+    jp = np.stack([_gen("jp", G2, J2)] * 6)
     jp[2] *= 1e-12
     jp[4] *= 1e-11
     messages = []
     for batch in (jp, jp[2], jp[4]):
         with pytest.raises(DegenerateForm) as got:
-            gb.neutral_metric_G(batch)
+            gb.neutral_signature(gb.pairing_eigenvalues(batch))
         messages.append(str(got.value))
     assert messages[0] == messages[1] != messages[2]
 
@@ -609,19 +547,16 @@ def test_batched_checks_name_the_broken_sample(monkeypatch, breaker, failing):
 
 
 def test_the_minus_members_of_the_family_are_the_plus_members_bit_for_bit():
-    # F^- = -F^+ exactly, so the family reads J^+(Fhat^-) as J^-(Fhat^+) and
-    # J^-(Fhat^-) as J^+(Fhat^+): built from Fhat^- itself they are the same bits
+    # F^- = -F^+ exactly, so the family check reads J^+(Fhat^-) as J^-(Fhat^+)
+    # and J^-(Fhat^-) as J^+(Fhat^+): built from Fhat^- itself they are the same bits
     rng = np.random.default_rng(41)
     for n in (2, 3, 4):
         g, J = _compatible_stack(rng, n, 16)
-        fam = gb.derived_family(J, g, gb.build_jp(J, g), PARAMS)
-        fhat_minus = np.zeros((16, 2 * n, 2 * n))
-        fhat_minus[:, :n, :n] = fam.f_minus
-        fhat_minus[:, n:, n:] = np.swapaxes(fam.f_minus, -1, -2)
-        assert np.array_equal(fam.fhat_minus, fhat_minus)
-        for sign, member in ((1.0, fam.j_plus_of_fminus), (-1.0, fam.j_minus_of_fminus)):
+        fam = gb.derived_family(J, g, pair_context(g, J).gen_at("jp"), PARAMS)
+        f_minus = -fam.f_plus
+        fhat_minus = gb.blocks(f_minus, 0.0, 0.0, np.swapaxes(f_minus, -1, -2))
+        for sign, member in ((1.0, fam.j_minus_of_fplus), (-1.0, fam.j_plus_of_fplus)):
             direct = fam._converted(sign, fhat_minus)
-            assert np.array_equal(member, direct)
             assert np.array_equal(member.view(np.int64), direct.view(np.int64))
 
 
@@ -656,7 +591,8 @@ def _dense_endo(c):
         [f"{1 if i == j else 0} + 0.3*cos(x{i + 1} + 2*x{j + 1} + ({total})/5)" for j in range(n)]
         for i in range(n)
     ]
-    return ch.EndoField(c, np.array([[c.parse(s) for s in row] for row in rows], dtype=object))
+    comps = np.array([[ex.parse(s, c.names) for s in row] for row in rows], dtype=object)
+    return ch.EndoField(c, comps)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

@@ -39,7 +39,7 @@ def flat_setup(seed=1):
 def product_setup():
     c = ch.Chart(("x1", "x2", "x3"), ((0.4, 2.7), (0.0, 1.5), (0.0, 1.0)), seed=13)
     rows = [["1", "0", "0"], ["0", "sin(x1)^2", "0"], ["0", "0", "1"]]
-    g = ch.MetricField(c, np.array([[c.parse(s) for s in r] for r in rows], dtype=object))
+    g = ch.MetricField(c, np.array([[ex.parse(s, c.names) for s in r] for r in rows], dtype=object))
     P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 1.0, 0.0])))
     J = from_projection(c, P, PARAMS, g, c.sample_points(8)).J
     return c, g, J
@@ -228,35 +228,35 @@ def test_karaman_connection_flat_case():
     F0 = gc.karaman_connection(gv, ginv, Jv, PARAMS, np.zeros((16, 2)))
     assert np.abs(F0).max() == 0.0
 
-    omega = ch.OneFormField(c, np.array([c.parse("1"), c.parse("0")], dtype=object))
-    F = gc.karaman_connection(gv, ginv, Jv, PARAMS, omega.eval(pts))
+    omega = ch.OneFormField(c, [1.0, 0.0])
+    F = gc.karaman_connection(gv, ginv, Jv, PARAMS, ch.eval_exprs(omega.comps, pts))
     # g(F(X_i, X_j), X_r) + g(X_j, F(X_i, X_r)) = 0
     skew = np.einsum("mkij,mkr->mijr", F, gv) + np.einsum("mkir,mjk->mijr", F, gv)
     assert np.abs(skew).max() < 1e-12
     # torsion of D matches the closed form at 20 points
     Td = gc.torsion(lc_gamma(g, pts) + F)
-    closed = gc.torsion_closed_form_values(Jv, PARAMS, omega.eval(pts))
+    closed = gc.torsion_closed_form_values(Jv, PARAMS, ch.eval_exprs(omega.comps, pts))
     assert np.abs(Td - closed).max() < 1e-12
 
     with pytest.raises(ZeroQ):
-        gc.karaman_connection(gv, ginv, Jv, MetallicParams(1, 0), omega.eval(pts))
+        gc.karaman_connection(gv, ginv, Jv, MetallicParams(1, 0), ch.eval_exprs(omega.comps, pts))
 
 
 def test_torsion_formula_frozen_values():
     # golden diagonal J, omega = dx^1: T^D(d_1, d_2) = 0 because the two
     # eigen-directions cancel (sigma (1 - sigma) = -q)
-    J_at = np.diag([GOLDEN, 1 - GOLDEN])
-    w = np.array([1.0, 0.0])
-    out = gc.torsion_formula_D(J_at, PARAMS, w, [1.0, 0.0], [0.0, 1.0])
-    assert np.abs(out).max() < 1e-15
+    # T[k, i, j] = T^D(d_i, d_j)^k
+    J_at = np.diag([GOLDEN, 1 - GOLDEN])[None]
+    w = np.array([[1.0, 0.0]])
+    T = gc.torsion_closed_form_values(J_at, PARAMS, w)[0]
+    assert np.abs(T[:, 0, 1]).max() < 1e-15
     # antisymmetry: X = Y gives zero
-    out_xx = gc.torsion_formula_D(J_at, PARAMS, w, [1.0, 0.0], [1.0, 0.0])
-    assert np.abs(out_xx).max() == 0.0
+    assert np.abs(T[:, 0, 0]).max() == 0.0
     # scalar J = sigma I: T^D(d_1, d_2) = -(1 + sigma^2) d_2 = -(2 + sigma) d_2
-    out2 = gc.torsion_formula_D(GOLDEN * np.eye(2), PARAMS, w, [1.0, 0.0], [0.0, 1.0])
-    assert np.abs(out2 - np.array([0.0, -(2.0 + GOLDEN)])).max() < 1e-12
+    T2 = gc.torsion_closed_form_values(GOLDEN * np.eye(2)[None], PARAMS, w)[0]
+    assert np.abs(T2[:, 0, 1] - np.array([0.0, -(2.0 + GOLDEN)])).max() < 1e-12
     with pytest.raises(ZeroQ):
-        gc.torsion_formula_D(J_at, MetallicParams(1, 0), w, [1, 0], [0, 1])
+        gc.torsion_closed_form_values(J_at, MetallicParams(1, 0), w)
 
 
 def test_torsion_lemma_three_way(product_setup):
@@ -266,7 +266,8 @@ def test_torsion_lemma_three_way(product_setup):
     omega = ch.OneFormField(
         c,
         np.array(
-            [ex.const(rng.uniform(-1, 1)) + ex.const(rng.uniform(-1, 1)) * c.coord(i) for i in range(3)],
+            [ex.const(rng.uniform(-1, 1)) + ex.const(rng.uniform(-1, 1)) * ex.coord(i)
+             for i in range(3)],
             dtype=object,
         ),
     )
@@ -296,7 +297,7 @@ def test_karaman_full_suite_on_product_scenario(product_setup):
         comps = np.array(
             [
                 ex.const(rng.uniform(-1, 1))
-                + ex.const(rng.uniform(-1, 1)) * c.coord((trial + i) % 3)
+                + ex.const(rng.uniform(-1, 1)) * ex.coord((trial + i) % 3)
                 for i in range(3)
             ],
             dtype=object,
@@ -324,7 +325,7 @@ def test_semi_symmetric_part_drops_out_of_dj(sphere_chart, sphere_metric, sphere
     for _ in range(3):
         comps = np.array(
             [
-                ex.const(rng.uniform(-1, 1)) + ex.const(rng.uniform(-1, 1)) * c.coord(i)
+                ex.const(rng.uniform(-1, 1)) + ex.const(rng.uniform(-1, 1)) * ex.coord(i)
                 for i in range(2)
             ],
             dtype=object,
@@ -338,7 +339,7 @@ def test_dhat_tracks_base_derivatives(product_setup, sphere_chart, sphere_metric
     # positive control: semi-symmetric D on the decomposable scenario
     c, g, J = product_setup
     pts = c.sample_points(12)
-    omega = ch.OneFormField(c, np.array([c.parse("x3"), c.parse("x1"), c.parse("x2")], dtype=object))
+    omega = ch.OneFormField(c, np.array([ex.parse(s, c.names) for s in ("x3", "x1", "x2")], dtype=object))
     ctx = field_context(g, J, pts, omega=omega)
     D = ctx.karaman_gamma_at
     for label in ("jm", "jp", "jc"):
@@ -361,13 +362,8 @@ def test_gen_nijenhuis_vector_pairs_reduce_to_base_nijenhuis(sphere_chart, spher
     # N of blockdiag(J, J*) on two vector sections is (N_J, 0) for ANY
     # endomorphism and connection: checked where N_J is genuinely non-zero
     c = sphere_chart
-    J = ch.EndoField(
-        c,
-        np.array(
-            [[c.parse("x1*x2"), c.parse("x2^2")], [c.parse("1"), c.parse("x1 + x2")]],
-            dtype=object,
-        ),
-    )
+    rows = [["x1*x2", "x2^2"], ["1", "x1 + x2"]]
+    J = ch.EndoField(c, np.array([[ex.parse(s, c.names) for s in r] for r in rows], dtype=object))
     pts = c.sample_points(10)
     NJ = ch.nijenhuis(*jet(J.comps, pts))
     assert np.abs(NJ).max() > 1e-2
@@ -458,7 +454,7 @@ def test_covariant_identity_with_both_connections(
     pts = c.sample_points(16)
     NJ = ch.nijenhuis(*jet(J.comps, pts))
     Jv = ch.eval_exprs(J.comps, pts)
-    omega = ch.OneFormField(c, np.array([c.parse("x2"), c.parse("x1")], dtype=object))
+    omega = ch.OneFormField(c, np.array([ex.parse(s, c.names) for s in ("x2", "x1")], dtype=object))
     dJ = jet(J.comps, pts)[1]
     for gamma in (lc_gamma(g, pts), karaman_gamma(g, J, omega, pts)):
         DJ = gc.nabla_endo(gamma, Jv, dJ)
@@ -595,11 +591,12 @@ def _rotating_projection():
     c = ch.Chart(("x1", "x2", "x3"), ((0.2, 1.3),) * 3, seed=3)
     factor = "2 + sin(x1*x2) + 0.3*x3^2"
     g = ch.MetricField(c, np.array(
-        [[c.parse(factor if i == j else "0") for j in range(3)] for i in range(3)], dtype=object
+        [[ex.parse(factor if i == j else "0", c.names) for j in range(3)] for i in range(3)],
+        dtype=object,
     ))
     u = ("cos(x1*x2)", "sin(x1*x2)*cos(x3)", "sin(x1*x2)*sin(x3)")
     P = ch.EndoField(c, np.array(
-        [[c.parse(f"{u[i]}*{u[j]}") for j in range(3)] for i in range(3)], dtype=object
+        [[ex.parse(f"{u[i]}*{u[j]}", c.names) for j in range(3)] for i in range(3)], dtype=object
     ))
     params = MetallicParams(2.0, 1.0)
     J = from_projection(c, P, params, g).J

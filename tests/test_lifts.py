@@ -35,7 +35,7 @@ def sphere_setup(sphere_chart, sphere_metric, sphere_diag_J):
 def warped_setup():
     c = ch.Chart(("x1", "x2", "x3"), ((0.3, 1.2),) * 3, seed=17)
     rows = [["1", "0", "0"], ["0", "exp(2*x1*x3)", "0"], ["0", "0", "1"]]
-    g = ch.MetricField(c, np.array([[c.parse(s) for s in r] for r in rows], dtype=object))
+    g = ch.MetricField(c, np.array([[ex.parse(s, c.names) for s in r] for r in rows], dtype=object))
     P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 1.0, 0.0])))
     J = from_projection(c, P, PARAMS, g, c.sample_points(8)).J
     return c, g, J
@@ -47,31 +47,37 @@ def lift_at(g, J, flavor, pts):
     return lf.lift(flavor, pts[:, n:], **suites._lift_inputs(field_context(g, J, pts[:, :n])))
 
 
+def lifted_points(lifted, base_count, fibre_per_base, seed=None):
+    """Base samples of ``lifted``, each paired with ``fibre_per_base`` fibre draws."""
+    seed = lifted.base.seed if seed is None else seed
+    base = np.repeat(lifted.base.sample_points(base_count, seed=seed), fibre_per_base, axis=0)
+    return np.hstack([base, lifted.fibre_points(len(base), seed)])
+
+
 def test_lifted_chart_samples():
     c, g, J = flat_setup()
     lifted = lf.LiftedChart(c, lf.TANGENT)
-    pts = lifted.sample_points(8, 4, seed=3)
-    assert pts.shape == (32, 4)
-    assert (pts == lifted.sample_points(8, 4, seed=3)).all()
-    assert (np.abs(pts[:, 2:]) <= 1.0).all()
-    # four fibre draws share each base point
-    assert (pts[0, :2] == pts[3, :2]).all()
+    y = lifted.fibre_points(32, 3)
+    assert y.shape == (32, 2)
+    assert (y == lifted.fibre_points(32, 3)).all()
+    assert (np.abs(y) <= 1.0).all()
     with pytest.raises(ValueError):
         lf.LiftedChart(c, "sideways")
 
 
 def test_fibre_points_are_the_fibre_part_of_the_samples():
-    c, *_ = flat_setup()
-    lifted = lf.LiftedChart(c, lf.COTANGENT)
-    pts = lifted.sample_points(8, 4, seed=3)
-    assert (lifted.fibre_points(32, 3) == pts[:, 2:]).all()
+    # a run pairs each base sample with FIBRE_PER_BASE fibre draws of its seed
+    c, g, J = flat_setup()
+    ctx = field_context(g, J, c.sample_points(8, seed=0))
+    expected = lifted_points(lf.LiftedChart(c, lf.COTANGENT), 8, suites.FIBRE_PER_BASE, seed=0)
+    assert (suites._lift_points(ctx, lf.COTANGENT) == expected).all()
 
 
 def test_horizontal_frame_zero_connection_is_coordinate_frame():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        values = lift_at(g, J, flavor, lifted.sample_points(4, 2)).forward[:, :, :2]
+        values = lift_at(g, J, flavor, lifted_points(lifted, 4, 2)).forward[:, :, :2]
         expected = np.zeros_like(values)
         expected[:, 0, 0] = 1.0
         expected[:, 1, 1] = 1.0
@@ -80,7 +86,7 @@ def test_horizontal_frame_zero_connection_is_coordinate_frame():
 
 def test_horizontal_frame_formulas_on_sphere(sphere_setup):
     c, g, J = sphere_setup
-    pts_t = lf.LiftedChart(c, lf.TANGENT).sample_points(6, 2, seed=2)
+    pts_t = lifted_points(lf.LiftedChart(c, lf.TANGENT), 6, 2, seed=2)
     gamma = field_context(g, J, pts_t[:, :2]).lc_gamma_at
     y = pts_t[:, 2:]
 
@@ -97,7 +103,7 @@ def test_horizontal_frame_formulas_on_sphere(sphere_setup):
 def test_morphism_matrices_invertible(sphere_setup):
     c, g, J = sphere_setup
     lifted_t = lf.LiftedChart(c, lf.TANGENT)
-    pts = lifted_t.sample_points(8, 2, seed=4)
+    pts = lifted_points(lifted_t, 8, 2, seed=4)
     tangent = lift_at(g, J, lf.TANGENT, pts)
     cotangent = lift_at(g, J, lf.COTANGENT, pts)
     psi, phi = tangent.forward, cotangent.forward
@@ -113,7 +119,7 @@ def test_morphism_matrices_invertible(sphere_setup):
     # flat morphisms are the identity
     cf, gf, Jf = flat_setup()
     lifted_f = lf.LiftedChart(cf, lf.TANGENT)
-    psi_f = lift_at(gf, Jf, lf.TANGENT, lifted_f.sample_points(4, 1)).forward
+    psi_f = lift_at(gf, Jf, lf.TANGENT, lifted_points(lifted_f, 4, 1)).forward
     assert np.abs(psi_f - eye).max() == 0.0
 
 
@@ -121,7 +127,7 @@ def test_flat_lift_is_block_diagonal():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        pts = lifted.sample_points(8, 2)
+        pts = lifted_points(lifted, 8, 2)
         lift = lift_at(g, J, flavor, pts)
         jv = lift.jbar
         expected = np.zeros((4, 4))
@@ -135,7 +141,7 @@ def test_scalar_structure_lifts_to_scalar(sphere_setup):
     c, g, _ = sphere_setup
     scalar = ch.EndoField(c, ch.constant_matrix(GOLDEN * np.eye(2)))
     lifted = lf.LiftedChart(c, lf.TANGENT)
-    pts = lifted.sample_points(8, 2)
+    pts = lifted_points(lifted, 8, 2)
     jbar = lift_at(g, scalar, lf.TANGENT, pts).jbar
     assert np.abs(jbar - GOLDEN * np.eye(4)).max() < 1e-11
 
@@ -144,7 +150,7 @@ def test_lifted_structure_is_metallic_riemannian(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        pts = lifted.sample_points(16, 4, seed=9)
+        pts = lifted_points(lifted, 16, 4, seed=9)
         lift = lift_at(g, J, flavor, pts)
         jv, gv = lift.jbar, lift.gbar
         assert np.abs(jv @ jv - PARAMS.p * jv - PARAMS.q * np.eye(4)).max() < 1e-9
@@ -157,7 +163,7 @@ def test_frame_and_coordinate_displays(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         lifted = lf.LiftedChart(c, flavor)
-        pts = lifted.sample_points(12, 4, seed=6)
+        pts = lifted_points(lifted, 12, 4, seed=6)
         lift = lift_at(g, J, flavor, pts)
         jv, gv, frame = lift.jbar, lift.gbar, lift.forward[:, :, :2]
         ctx = field_context(g, J, pts[:, :2])
@@ -182,7 +188,7 @@ def test_frame_and_coordinate_displays(sphere_setup):
 
 def _nijenhuis_data(c, g, J, flavor, base=10, fibre=4, seed=8):
     lifted = lf.LiftedChart(c, flavor)
-    pts = lifted.sample_points(base, fibre, seed=seed)
+    pts = lifted_points(lifted, base, fibre, seed=seed)
     lift = lift_at(g, J, flavor, pts)
     N = lf.nijenhuis_values(lift)
     frame = lift.forward[:, :, : c.dim]

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from metalliclab import chart as ch
+from metalliclab import genbundle as gb
 from metalliclab import metallic as mt
-from metalliclab.errors import (
-    ComplexDiscriminant,
-    DegenerateDiscriminant,
-    DimensionMismatch,
-    NotAProductStructure,
-    NotAProjection,
-    ZeroQ,
-)
+from metalliclab.errors import ComplexDiscriminant, DegenerateDiscriminant, NotAProjection
+from metalliclab.suites import run_suites
 
 from conftest import field_context
+from helpers import random_compatible_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -50,15 +46,27 @@ def test_metallic_number_solves_quadratic():
         assert abs(s * s - p * s - q) < 1e-12 * max(1.0, s * s)
 
 
+def _metallic_residual(J_at, params):
+    """Largest entry of J^2 - p J - q I over the samples."""
+    eye = np.eye(J_at.shape[-1])
+    return np.abs(J_at @ J_at - params.p * J_at - params.q * eye).max()
+
+
 def test_check_metallic():
+    # core/metallic-equation of a run over fields on a flat chart
     c = flat_chart()
-    pts = c.sample_points(16)
-    J = const_endo(c, np.diag([GOLDEN, 1 - GOLDEN]))
-    assert mt.check_metallic(J, mt.MetallicParams(1, 1), pts).residual < 1e-12
+    g = identity_metric(c)
+
+    def residual(J, params):
+        scenario = field_context(g, J, c.sample_points(16), params).scenario
+        return run_suites(scenario, suites=["core"]).find("core/metallic-equation")
+
+    golden = residual(const_endo(c, np.diag([GOLDEN, 1 - GOLDEN])), mt.MetallicParams(1, 1))
+    assert golden.residual < 1e-12
 
     eye = const_endo(c, np.eye(2))
-    assert mt.check_metallic(eye, mt.MetallicParams(0, 1), pts).passed
-    failing = mt.check_metallic(eye, mt.MetallicParams(1, 1), pts)
+    assert residual(eye, mt.MetallicParams(0, 1)).passed
+    failing = residual(eye, mt.MetallicParams(1, 1))
     assert not failing.passed
     assert failing.residual == pytest.approx(1.0, abs=1e-15)
 
@@ -88,54 +96,28 @@ def test_from_projection_cases():
 
 
 def test_product_from_metallic_and_back():
-    c = flat_chart()
+    # F^+ = (2 J - p I) / (2 sigma - p) of the family, and J^+(Fhat^+) = Jm
     params = mt.MetallicParams(1, 1)
-    pts = c.sample_points(8)
-    J = const_endo(c, np.diag([GOLDEN, 1 - GOLDEN]))
-    f_plus, f_minus = mt.product_from_metallic(J, params)
-    fp = f_plus.eval(pts)
-    assert np.abs(fp - np.diag([1.0, -1.0])).max() < 1e-12
-    assert np.abs(f_minus.eval(pts) + fp).max() == 0.0
+    g = np.eye(2)
+    J = np.diag([GOLDEN, 1 - GOLDEN])
+    fam = gb.derived_family(J, g, None, params)
+    assert np.abs(fam.f_plus - np.diag([1.0, -1.0])).max() < 1e-12
+    assert np.abs(fam.j_plus_of_fplus - gb.blocks(J, 0.0, 0.0, J.T)).max() < 1e-12
 
-    scalar = const_endo(c, GOLDEN * np.eye(2))
-    assert np.abs(mt.product_from_metallic(scalar, params)[0].eval(pts) - np.eye(2)).max() < 1e-12
+    scalar = gb.derived_family(GOLDEN * np.eye(2), g, None, params)
+    assert np.abs(scalar.f_plus - np.eye(2)).max() < 1e-12
 
     with pytest.raises(DegenerateDiscriminant):
-        mt.product_from_metallic(J, mt.MetallicParams(2, -1))  # p^2 + 4q = 0
+        gb.derived_family(J, g, None, mt.MetallicParams(2, -1))  # p^2 + 4q = 0
 
 
 def test_metallic_from_product_values():
-    c = flat_chart()
-    pts = c.sample_points(8)
-    f = const_endo(c, np.diag([1.0, -1.0]))
-    j_plus, j_minus = mt.metallic_from_product(f, mt.MetallicParams(1, 1), pts)
-    assert np.abs(j_plus.eval(pts) - np.diag([GOLDEN, 1 - GOLDEN])).max() < 1e-12
-
+    # J^+ = (2 sigma - p)/2 F + p/2 I, here on Fhat^+ = blockdiag(F^+, F^+*)
     silver = mt.MetallicParams(2, 1)
-    eye = const_endo(c, np.eye(2))
-    j_plus, _ = mt.metallic_from_product(eye, silver, pts)
-    assert np.abs(j_plus.eval(pts) - (1 + math.sqrt(2)) * np.eye(2)).max() < 1e-12
-
-    with pytest.raises(NotAProductStructure):
-        mt.metallic_from_product(const_endo(c, [[1.0, 0.3], [0.0, 1.0]]),
-                                 mt.MetallicParams(1, 1), pts)
-
-
-def test_conversion_round_trip_on_random_structures():
-    c = flat_chart()
-    pts = c.sample_points(8)
-    rng = np.random.default_rng(5)
-    params = mt.MetallicParams(1.0, 1.0)
-    for _ in range(10):
-        _, J_mat = mt.random_compatible_pair(rng, 2, params)
-        J = const_endo(c, J_mat)
-        f_plus, _ = mt.product_from_metallic(J, params)
-        j_plus, j_minus = mt.metallic_from_product(f_plus, params, pts)
-        assert np.abs(j_plus.eval(pts) - J_mat).max() < 1e-10
-        # the second branch is p I - J
-        assert np.abs(j_minus.eval(pts) - (params.p * np.eye(2) - J_mat)).max() < 1e-10
-        back_plus, _ = mt.product_from_metallic(j_plus, params)
-        assert np.abs(back_plus.eval(pts) - f_plus.eval(pts)).max() < 1e-10
+    fam = gb.derived_family(np.diag([silver.sigma, 2 - silver.sigma]), np.eye(2), None, silver)
+    assert np.abs(fam.f_plus - np.diag([1.0, -1.0])).max() < 1e-12
+    expected = np.diag([silver.sigma, 2 - silver.sigma] * 2)
+    assert np.abs(fam.j_plus_of_fplus - expected).max() < 1e-12
 
 
 def _nabla_J(J, g, pts):
@@ -166,48 +148,12 @@ def test_is_locally_metallic(sphere_chart, sphere_metric, golden_params, sphere_
     assert residual == pytest.approx(expected, rel=1e-9)
 
 
-def test_inverse_metallic():
-    c = flat_chart()
-    pts = c.sample_points(8)
-    params = mt.MetallicParams(1, 1)
-    J = const_endo(c, np.diag([GOLDEN, 1 - GOLDEN]))
-    inv = mt.inverse_metallic(J, params)
-    assert np.abs(inv.eval(pts) - np.diag([GOLDEN - 1, -GOLDEN])).max() < 1e-12
-    assert np.abs(J.eval(pts) @ inv.eval(pts) - np.eye(2)).max() < 1e-12
-
-    copper = mt.MetallicParams(1, 2)  # sigma = 2
-    two_eye = const_endo(c, 2.0 * np.eye(2))
-    inv2 = mt.inverse_metallic(two_eye, copper)
-    assert np.abs(inv2.eval(pts) - 0.5 * np.eye(2)).max() < 1e-15
-
-    with pytest.raises(ZeroQ):
-        mt.inverse_metallic(J, mt.MetallicParams(1, 0))
-
-
-def test_check_metallic_map():
-    J = np.diag([GOLDEN, 1 - GOLDEN])
-    assert mt.check_metallic_map(J, J, np.eye(2)).passed
-
-    # Df = F chosen to commute with J by construction (diagonal)
-    F = np.diag([2.0, 3.0])
-    assert mt.check_metallic_map(J, J, F).passed
-
-    theta = math.pi / 4
-    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    report = mt.check_metallic_map(J, J, rot)
-    assert not report.passed
-    assert report.residual == pytest.approx(math.sin(theta) * math.sqrt(5), rel=1e-12)
-
-    with pytest.raises(DimensionMismatch):
-        mt.check_metallic_map(J, np.eye(3), np.eye(2))
-
-
 def test_compatibility_closure_for_powers():
     rng = np.random.default_rng(3)
     params = mt.MetallicParams(1.0, 1.0)
     for n in (2, 3, 4):
         for _ in range(10):
-            g, J = mt.random_compatible_pair(rng, n, params)
+            g, J = random_compatible_pair(rng, n, params)
             for k in (2, 3):
                 gjk = g @ np.linalg.matrix_power(J, k)
                 assert np.abs(gjk - gjk.T).max() < 1e-10
@@ -224,11 +170,11 @@ def test_special_parameter_families():
     F = s.J.eval(pts)
     assert np.abs(F @ F - np.eye(2)).max() < 1e-12
     # (0, -1): almost complex
-    rot90 = const_endo(c, [[0.0, -1.0], [1.0, 0.0]])
-    assert mt.check_metallic(rot90, mt.MetallicParams(0, -1), pts).passed
+    rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    assert _metallic_residual(rot90, mt.MetallicParams(0, -1)) == 0.0
     # (0, 0): almost tangent (nilpotent)
-    nil = const_endo(c, [[0.0, 1.0], [0.0, 0.0]])
-    assert mt.check_metallic(nil, mt.MetallicParams(0, 0), pts).passed
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert _metallic_residual(nil, mt.MetallicParams(0, 0)) == 0.0
 
 
 def test_from_projection_passes_check_for_random_projections():
@@ -246,9 +192,9 @@ def test_from_projection_passes_check_for_random_projections():
             else:
                 v = np.linalg.qr(rng.normal(size=(n, k)))[0]
                 proj = v @ v.T
-            s = mt.from_projection(c, const_endo(c, proj), params, g, pts)
-            assert mt.check_metallic(s.J, params, pts).passed
-            assert mt.check_compatible(s.J, g, pts).passed
+            J = mt.from_projection(c, const_endo(c, proj), params, g, pts).J.eval(pts)
+            assert _metallic_residual(J, params) <= 1e-10
+            assert np.abs(J - np.swapaxes(J, -1, -2)).max() <= 1e-10  # g = I
 
 
 def test_random_generator_satisfies_both_invariants():
@@ -256,7 +202,7 @@ def test_random_generator_satisfies_both_invariants():
     params = mt.MetallicParams(1.0, 1.0)
     for n in (2, 3, 4):
         for _ in range(100):
-            g, J = mt.random_compatible_pair(rng, n, params)
+            g, J = random_compatible_pair(rng, n, params)
             assert np.linalg.eigvalsh(g).min() > 1e-10
             assert np.abs(J @ J - params.p * J - params.q * np.eye(n)).max() < 1e-10
             gj = g @ J

@@ -1,0 +1,95 @@
+"""Reach guard: every function in src/ is called by some CLI path.
+
+The CLI paths below run under ``sys.setprofile``; a function of the package
+that none of them calls fails the test unless ``ALLOWED`` gives the reason.
+"""
+
+import ast
+import io
+import json
+import pathlib
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import metalliclab
+from metalliclab.cli import main
+
+from conftest import CORPUS, scenario_path
+
+SRC = pathlib.Path(metalliclab.__file__).resolve().parent
+IMPORT_TIME = "builds CHECKS while suites is imported, before any path runs"
+ALLOWED = {
+    "cli.console_main": "the installed entry point; it calls main, which the paths run",
+    "expr.Expr.__setattr__": "refuses a write to a node; no path writes to one",
+    "report.ScenarioReport.find": "the tests' lookup of a check in a report",
+    "suites._lift_checks": IMPORT_TIME,
+    "suites._lift_checks.check": IMPORT_TIME,
+}
+
+
+def _functions():
+    """(file, first line) -> module.qualname of every def in the package; a
+    decorated function's code starts at its first decorator."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(str(path), first)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return out
+
+
+def _cli_paths(tmp_path):
+    """Argument lists: every check format and derive tensor, a run over two
+    chunks, an explicit connection, then four input errors (exit 2)."""
+    polar = json.loads(scenario_path("polar-plane").read_text())
+    golden = json.loads(scenario_path("flat-golden").read_text())
+    gamma = [[["0", "0"], ["0", "-x1"]], [["0", "1/x1"], ["1/x1", "0"]]]
+    payloads = {
+        "explicit": {**polar, "suites": ["core", "genconn"], "connection": gamma},
+        "unknown-field": {**golden, "unexpected": 1},
+        "parse-error": {**golden, "metric": [["1", "0"], ["0", "x1 +"]]},
+        "not-a-projection": {**golden, "J": {"projection": [["2", "0"], ["0", "0"]]}},
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in payloads}
+    for name, payload in payloads.items():
+        paths[name].write_text(json.dumps(payload))
+    runs = [["check", str(scenario_path(name)), "--format", "machine"] for name in CORPUS]
+    runs.append(["check", str(scenario_path("flat-golden")), "--samples", "520"])
+    for what in ("christoffel", "curvature", "nijenhuis", "gen-nijenhuis"):
+        runs.append(["derive", str(scenario_path("polar-plane")), "--what", what, "--at", "1,0.5"])
+    runs.append(["check", str(paths["explicit"])])
+    # the explicit connection is not finite at x1 = 0: a domain error
+    runs.append(["derive", str(paths["explicit"]), "--what", "gen-nijenhuis", "--at", "0,0.5"])
+    return runs + [["check", str(paths[name])] for name in list(payloads)[1:]]
+
+
+def test_every_function_is_reached_by_a_cli_path(tmp_path):
+    called, codes = set(), []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in _cli_paths(tmp_path):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                codes.append(main(argv))
+    finally:
+        sys.setprofile(None)
+    assert codes[-4:] == [2] * 4 and set(codes[:-4]) <= {0, 1}, codes
+    functions = _functions()
+    assert set(ALLOWED) <= set(functions.values()), "the allow-list names a missing function"
+    reached = {(code.co_filename, code.co_firstlineno) for code in called}
+    missing = sorted(
+        name for key, name in functions.items() if key not in reached and name not in ALLOWED
+    )
+    assert not missing, "no CLI path calls " + ", ".join(missing)
