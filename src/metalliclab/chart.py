@@ -63,6 +63,8 @@ class Chart:
     names: tuple
     box: tuple
     seed: int = 0
+    # the Halton digit permutations by seed, drawn once for every range of points
+    _scrambles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -87,35 +89,47 @@ class Chart:
     def dim(self) -> int:
         return len(self.names)
 
-    def sample_points(self, count: int = 32, seed: int | None = None) -> np.ndarray:
-        """Low-discrepancy (Halton) samples over the box, deterministic in seed."""
+    def sample_points(self, count: int = 32, seed: int | None = None, first: int = 0) -> np.ndarray:
+        """The (Halton) points of indices first .. first + count - 1 over the
+        box, deterministic in seed: a range of the points of any longer run."""
         if seed is None:
             seed = self.seed
-        unit = _scrambled_halton(self.dim, count, seed)
+        if seed not in self._scrambles:
+            self._scrambles[seed] = _digit_permutations(self.dim, seed)
+        unit = _scrambled_halton(self._scrambles[seed], count, first)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         return unit * (hi - lo) + lo
 
 
-def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
-    """The first ``count`` points of a d-dimensional Owen-scrambled Halton set.
+def _digit_permutations(d: int, seed: int) -> list:
+    """For each of the d bases b, the random permutation of range(b) of each
+    digit position, drawn base after base from one generator."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for base in _PRIMES[:d]:
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        out.append(perms)
+    return out
+
+
+def _scrambled_halton(permutations: list, count: int, first: int = 0) -> np.ndarray:
+    """The points of indices first .. first + count - 1 of an Owen-scrambled
+    Halton set, one coordinate per base of ``_digit_permutations(d, seed)``.
 
     Algorithm 1 of A. B. Owen, "A randomized Halton algorithm in R"
     (arXiv:1706.02808): in base b the k-th digit of the index goes through
     its own random permutation of range(b), for every k with b^-k > 2^-54.
-    The permutations are drawn base after base from one generator, so the
-    points equal those of ``scipy.stats.qmc.Halton(d, scramble=True,
-    seed=seed)`` bit for bit.
+    A point is a function of its index, and the points equal those of
+    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)`` bit for bit.
     """
-    rng = np.random.default_rng(seed)
-    index = np.arange(count)
-    unit = np.empty((count, d))
-    for axis, base in enumerate(_PRIMES[:d]):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+    index = np.arange(first, first + count)
+    unit = np.empty((count, len(permutations)))
+    for axis, (base, perms) in enumerate(zip(_PRIMES, permutations)):
         digits, weight, value = index.copy(), 1.0 / base, np.zeros(count)
-        top = count - 1  # the largest index, whose digits run out last
+        top = first + count - 1  # the largest index, whose digits run out last
         for perm in perms:
             if top > 0:
                 digits, digit = np.divmod(digits, base)

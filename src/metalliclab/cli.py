@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 
-from . import expr as ex
 from .errors import MetallicLabError, ParseError, SchemaError, ValidationError
 from .report import ScenarioReport
 from .scenario import load_scenario
@@ -38,9 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=None,
-        help="sample-point count; the checks run over chunks of samples, but the "
-        "points and random draws of the whole run are held at once, so peak "
-        "memory grows with the count",
+        help="sample-point count; the checks run over chunks of samples, each "
+        "drawn from its index range alone, so peak memory is bounded by one "
+        "chunk whatever the count",
     )
     check.add_argument("--seed", type=int, default=None, help="sampling seed, at least 0")
     check.add_argument(
@@ -109,24 +108,23 @@ def _cmd_derive(args) -> int:
         return np.array2string(
             np.asarray(arr), precision=12, suppress_small=False, separator=", "
         )
-    with ex.fresh_table(scenario.table):
-        ctx = ScenarioContext(scenario, points=point.reshape(1, -1))
-        if args.what == "christoffel":
-            values = ctx.lc_gamma_at[0]
-            sys.stdout.write("Gamma^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
-        elif args.what == "curvature":
-            values = ctx.lc_riemann_at[0]
-            sys.stdout.write("R^l_(i j k) [l, i, j, k]:\n" + printer(values) + "\n")
-        elif args.what == "nijenhuis":
-            values = ctx.NJ_at[0]
-            sys.stdout.write("N^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
-        else:  # gen-nijenhuis
-            values = ctx.bundle(ctx.gamma_at).gen_nijenhuis("jm")[0]
-            sys.stdout.write(
-                "N^A_(B C) of the generalized metallic structure [A, B, C]:\n"
-                + printer(values)
-                + "\n"
-            )
+    ctx = ScenarioContext(scenario, points=point.reshape(1, -1))
+    if args.what == "christoffel":
+        values = ctx.lc_gamma_at[0]
+        sys.stdout.write("Gamma^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
+    elif args.what == "curvature":
+        values = ctx.lc_riemann_at[0]
+        sys.stdout.write("R^l_(i j k) [l, i, j, k]:\n" + printer(values) + "\n")
+    elif args.what == "nijenhuis":
+        values = ctx.NJ_at[0]
+        sys.stdout.write("N^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
+    else:  # gen-nijenhuis
+        values = ctx.bundle(ctx.gamma_at).gen_nijenhuis("jm")[0]
+        sys.stdout.write(
+            "N^A_(B C) of the generalized metallic structure [A, B, C]:\n"
+            + printer(values)
+            + "\n"
+        )
     return EXIT_PASS
 
 

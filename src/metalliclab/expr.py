@@ -15,11 +15,11 @@ node and coordinate.
 
 The table lasts as long as the innermost :func:`fresh_table` block, so a
 long process does not accumulate nodes; outside every block a module-level
-table is used.  A scenario is parsed in a block of its own and keeps that
-table, and a run of the suites interns into a copy of it, so the nodes a run
-builds from the scenario's fields are the fields' own nodes.  Evaluation is
-vectorised over batches of points and memoised per call on node identity,
-which after interning means each distinct subexpression is evaluated once.
+table is used.  A scenario is parsed, and the partials of its fields are
+built, in a block of its own, so a run of the suites builds no node.
+Evaluation is vectorised over batches of points and memoised per call on
+node identity, which after interning means each distinct subexpression is
+evaluated once.
 """
 
 from __future__ import annotations
@@ -96,15 +96,6 @@ class Expr:
     def children(self):
         return ()
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
@@ -171,17 +162,12 @@ _table: dict = {}
 
 
 @contextmanager
-def fresh_table(base: dict | None = None):
-    """Intern into a new table for the block; restore the previous one on exit.
-
-    The new table starts empty, or as a copy of ``base`` (a table yielded by
-    an earlier block), so nodes built in the block reuse the nodes of
-    ``base`` without adding to it.  Yields the new table.
-    """
+def fresh_table():
+    """Intern into a new, empty table for the block; restore the previous one on exit."""
     global _table
-    previous, _table = _table, dict(base) if base else {}
+    previous, _table = _table, {}
     try:
-        yield _table
+        yield
     finally:
         _table = previous
 

@@ -61,9 +61,12 @@ class LiftedChart:
             raise DimensionMismatch("fibre box must have one interval per coordinate")
         object.__setattr__(self, "fibre_box", fibre_box)
 
-    def fibre_points(self, count: int, seed: int) -> np.ndarray:
-        """Fibre coordinates of the lifted samples: uniform over the fibre box."""
+    def fibre_points(self, count: int, seed: int, first: int = 0) -> np.ndarray:
+        """Fibre coordinates of the lifted samples first .. first + count - 1:
+        uniform over the fibre box, one draw per coordinate, so the generator
+        skips the draws of the samples before ``first``."""
         rng = np.random.default_rng(seed + 1)
+        rng.bit_generator.advance(first * self.base.dim)
         lo = np.array([b[0] for b in self.fibre_box])
         hi = np.array([b[1] for b in self.fibre_box])
         return rng.uniform(lo, hi, size=(count, self.base.dim))

@@ -13,7 +13,6 @@ from .errors import ComplexDiscriminant, NotAProjection
 
 __all__ = [
     "MetallicParams",
-    "MetallicStructure",
     "metallic_number",
     "from_projection",
 ]
@@ -46,14 +45,6 @@ class MetallicParams:
         return self.p - self.sigma
 
 
-@dataclass(frozen=True)
-class MetallicStructure:
-    params: MetallicParams
-    J: ch.EndoField
-    g: ch.MetricField | None
-    chart: ch.Chart
-
-
 def from_projection(
     chart_: ch.Chart,
     P: ch.EndoField,
@@ -61,8 +52,8 @@ def from_projection(
     g: ch.MetricField | None = None,
     probe_points=None,
     tolerance: float = 1e-10,
-) -> MetallicStructure:
-    """Build J = sigma P + (p - sigma)(I - P) from a g-symmetric projection."""
+) -> ch.EndoField:
+    """J = sigma P + (p - sigma)(I - P) from a g-symmetric projection."""
     if params.discriminant < 0:
         raise ComplexDiscriminant(f"p^2 + 4q = {params.discriminant} < 0")
     if probe_points is None:
@@ -82,8 +73,7 @@ def from_projection(
     for i in range(n):
         for j in range(n):
             eye = 1.0 if i == j else 0.0
-            comps[i, j] = (
-                ex.const(sigma) * P.comps[i, j]
-                + ex.const(other) * (ex.const(eye) - P.comps[i, j])
+            comps[i, j] = ex.add(
+                ex.mul(sigma, P.comps[i, j]), ex.mul(other, ex.sub(eye, P.comps[i, j]))
             )
-    return MetallicStructure(params, ch.EndoField(chart_, comps), g, chart_)
+    return ch.EndoField(chart_, comps)

@@ -63,8 +63,20 @@ class ChartScenario:
     tolerance: float
     expected_failures: list = field(default_factory=list)
     description: str = ""
-    # the interning table the fields were parsed into (see expr.fresh_table)
-    table: dict = field(default_factory=dict, repr=False, compare=False)
+    # the symbolic partials of the leaf fields, [k, ...] = d_k of the entries
+    # (d2g = d_k d_l g, dgamma None with Levi-Civita), built once here, in
+    # the table the fields were parsed into: a run builds no node
+    dJ: np.ndarray = field(init=False, repr=False, compare=False)
+    dg: np.ndarray = field(init=False, repr=False, compare=False)
+    d2g: np.ndarray = field(init=False, repr=False, compare=False)
+    dgamma: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.chart.dim
+        self.dJ = ch.partials(self.J.comps, n)
+        self.dg = ch.partials(self.metric.comps, n)
+        self.d2g = ch.partials(self.dg, n)
+        self.dgamma = None if self.connection is None else ch.partials(self.connection.comps, n)
 
 
 class _NonFinite(str):
@@ -100,13 +112,11 @@ def _parse_matrix(raw, shape, coords, where, parse_problems):
 def load_scenario(path) -> ChartScenario:
     """Load and validate a scenario file, reporting every problem found.
 
-    The fields are interned into a table of the scenario's own, which runs
-    on the scenario start from; the module-level table is left as it was.
+    The fields and their partials are interned into a table of the
+    scenario's own; the module-level table is left as it was.
     """
-    with ex.fresh_table() as table:
-        scenario = _load(Path(path))
-    scenario.table = table
-    return scenario
+    with ex.fresh_table():
+        return _load(Path(path))
 
 
 def _load(path: Path) -> ChartScenario:
@@ -182,16 +192,7 @@ def _load(path: Path) -> ChartScenario:
 
     omega = None
     if "omega" in data:
-        omega_raw = np.asarray(data["omega"], dtype=object)
-        if omega_raw.shape != (n,):
-            raise SchemaError([f"omega: expected {n} expression strings"])
-        omega_comps = np.empty(n, dtype=object)
-        for i in range(n):
-            try:
-                omega_comps[i] = ex.parse(omega_raw[i], coords)
-            except ParseError as err:
-                parse_problems.append(f"omega[{i}]: {err}")
-                omega_comps[i] = ex.const(0.0)
+        omega_comps = _parse_matrix(data["omega"], (n,), coords, "omega", parse_problems)
         omega = ch.OneFormField(chart, omega_comps)
 
     connection = None
@@ -210,8 +211,10 @@ def _load(path: Path) -> ChartScenario:
         raise SchemaError([f"unknown suite {s!r}" for s in unknown])
 
     expected_failures = data.get("expected_failures", [])
-    if not isinstance(expected_failures, list):
-        raise SchemaError(["expected_failures must be a list of check ids"])
+    if not isinstance(expected_failures, list) or not all(
+        isinstance(cid, str) for cid in expected_failures
+    ):
+        raise SchemaError(["expected_failures must be a list of check ids (strings)"])
 
     if parse_problems:
         raise ParseError(0, "; ".join(parse_problems))
@@ -238,10 +241,7 @@ def _load(path: Path) -> ChartScenario:
 
     if j_from_projection:
         try:
-            structure = from_projection(
-                chart, ch.EndoField(chart, proj_comps), params, metric, probe
-            )
-            J = structure.J
+            J = from_projection(chart, ch.EndoField(chart, proj_comps), params, metric, probe)
         except (NotAProjection, ComplexDiscriminant, DomainError, SingularMetric) as err:
             validation_problems.append(f"J.projection: {err}")
             J = ch.EndoField(chart, ch.constant_matrix(np.eye(n)))

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import chart as ch
-from . import expr as ex
 from . import genbundle as gb
 from . import genconn as gc
 from . import lifts as lf
@@ -85,7 +84,7 @@ class ConnBundle:
 
     def __init__(self, ctx: "ScenarioContext", gamma: np.ndarray):
         # the context owns its bundles; a strong reference back would make a
-        # cycle that keeps the run's arrays alive until the cyclic GC runs
+        # cycle that keeps the context's arrays alive until the cyclic GC runs
         self.ctx = weakref.proxy(ctx)
         self.gamma = gamma
         self._gen_nijenhuis: dict = {}
@@ -131,18 +130,18 @@ class ConnBundle:
 
 
 class ScenarioContext:
-    """Caches everything the suites share for the samples of one scenario
-    run, or of one chunk of them.
+    """Caches everything the suites share for one index range of a
+    scenario's samples.
 
-    The leaf fields (g, J, omega and an explicit connection) are evaluated
-    at the samples with their first partials, and g with its second
-    partials.  Everything else is built at most once, on first use, from
-    those arrays: g^-1 and its partials, the Levi-Civita connection and its
-    partials, the generalized structures and their partials, and every
-    tensor of the suites.  A chunk's context (:meth:`chunk`) takes from the
-    context of its run what does not depend on which samples it holds: the
-    symbolic partials of the leaf fields and the random draws sized by the
-    run's sample count.
+    The samples are the sample points first .. first + samples - 1 of
+    ``seed``, or ``points`` given outright.  The leaf fields (g, J, omega
+    and an explicit connection) are evaluated at them with the partials the
+    scenario built, g to second order.  Everything else is built at most
+    once, on first use, from those arrays: g^-1 and its partials, the
+    Levi-Civita connection and its partials, the generalized structures and
+    their partials, and every tensor of the suites.  Every random draw is
+    addressed by sample index too, so a context holds the arrays of its own
+    samples only, whichever range of a run it is.
     """
 
     def __init__(
@@ -150,63 +149,28 @@ class ScenarioContext:
         scenario: ChartScenario,
         samples: int | None = None,
         seed: int | None = None,
-        tolerance: float | None = None,
+        first: int = 0,
         points: np.ndarray | None = None,
     ):
         self.scenario = scenario
-        self.samples = samples if samples is not None else scenario.samples
         self.seed = seed if seed is not None else scenario.seed
-        self.tol = tolerance if tolerance is not None else scenario.tolerance
+        self.first = first
         self.chart = scenario.chart
         self.params = scenario.params
         if points is None:
-            points = self.chart.sample_points(self.samples, seed=self.seed)
+            count = samples if samples is not None else scenario.samples
+            points = self.chart.sample_points(count, seed=self.seed, first=first)
         self.points = points
-        self.rows = slice(0, len(points))  # this context's rows of the run's samples
-        self._run = None
         self.suite_inputs: dict = {}
-
-    @property
-    def run(self) -> "ScenarioContext":
-        """The context of the whole run: this one, or the one it is a chunk of."""
-        return self._run or self
-
-    def chunk(self, start: int, stop: int) -> "ScenarioContext":
-        """The context of the run's samples start:stop."""
-        points = self.points[start:stop]
-        part = ScenarioContext(self.scenario, self.samples, self.seed, self.tol, points)
-        part._run, part.rows = self, slice(start, stop)
-        return part
-
-    def per_run(self, make: Callable, *args) -> np.ndarray:
-        """This context's rows of ``make(run, *args)``, an array with the same
-        number of rows for each sample, made once for the whole run: a random
-        draw sized by the sample count reads the same chunked or not."""
-        run = self.run
-        key = (make, args)
-        if key not in run._per_run:
-            run._per_run[key] = make(run, *args)
-        made = run._per_run[key]
-        rows = len(made) // len(run.points)
-        return made[self.rows.start * rows : self.rows.stop * rows]
 
     def at(self, comps: np.ndarray) -> np.ndarray:
         return ch.eval_exprs(comps, self.points)
 
     # keyed caches: ConnBundles by id of their Gamma, generalized structures and
-    # jets by label, and on the run's context the arrays of per_run
+    # jets by label
     _bundles = cached_property(lambda self: {})
     _gen_at = cached_property(lambda self: {})
     _gen_jets = cached_property(lambda self: {})
-    _per_run = cached_property(lambda self: {})
-
-    # the symbolic partials of the leaf fields, built once on the run's context
-    dJ_exprs = cached_property(lambda self: ch.partials(self.scenario.J.comps, self.chart.dim))
-    dg_exprs = cached_property(lambda self: ch.partials(self.scenario.metric.comps, self.chart.dim))
-    d2g_exprs = cached_property(lambda self: ch.partials(self.dg_exprs, self.chart.dim))
-    dgamma_exprs = cached_property(
-        lambda self: ch.partials(self.scenario.connection.comps, self.chart.dim)
-    )
 
     @cached_property
     def g_at(self):
@@ -222,11 +186,11 @@ class ScenarioContext:
 
     @cached_property
     def dJ_at(self):
-        return self.at(self.run.dJ_exprs)
+        return self.at(self.scenario.dJ)
 
     @cached_property
     def dg_at(self):
-        return self.at(self.run.dg_exprs)
+        return self.at(self.scenario.dg)
 
     @cached_property
     def dK_at(self):
@@ -252,7 +216,7 @@ class ScenarioContext:
     def lc_dgamma_at(self) -> np.ndarray:
         """d_a Gamma^l_{jk} of the Levi-Civita connection, [m, a, l, j, k]; d2g is not kept."""
         m, n = self.points.shape
-        d2g = self.at(self.run.d2g_exprs)
+        d2g = self.at(self.scenario.d2g)
         dg_gamma = self.dg_at @ self.lc_gamma_at.reshape(m, 1, n, n * n)
         return ch.christoffel(self.ginv_at[:, None], d2g, dg_gamma)
 
@@ -287,7 +251,7 @@ class ScenarioContext:
         """Partials of the scenario connection; the Levi-Civita array when it is one."""
         if self.scenario.connection is None:
             return self.lc_dgamma_at
-        return self.at(self.run.dgamma_exprs)
+        return self.at(self.scenario.dgamma)
 
     @cached_property
     def lc_riemann_at(self) -> np.ndarray:
@@ -776,15 +740,16 @@ def _repeated(values: np.ndarray) -> np.ndarray:
     return np.repeat(values, FIBRE_PER_BASE, axis=0)
 
 
-def _fibre_points(run: ScenarioContext, flavor: str) -> np.ndarray:
-    count = len(run.points) * FIBRE_PER_BASE
-    return lf.LiftedChart(run.chart, flavor).fibre_points(count, run.seed)
+def _fibre_points(ctx: ScenarioContext, flavor: str) -> np.ndarray:
+    """The fibre points y of the context's samples, FIBRE_PER_BASE over each."""
+    count, first = len(ctx.points) * FIBRE_PER_BASE, ctx.first * FIBRE_PER_BASE
+    return lf.LiftedChart(ctx.chart, flavor).fibre_points(count, ctx.seed, first)
 
 
 def _lift(ctx: ScenarioContext, flavor: str) -> tuple:
     """Fibre points y, FIBRE_PER_BASE over each sample, the base values
     repeated to match, and the lift at the points (x, y)."""
-    y = ctx.per_run(_fibre_points, flavor)
+    y = _fibre_points(ctx, flavor)
     base = {name: _repeated(values) for name, values in _lift_inputs(ctx).items()}
     return y, base, lf.lift(flavor, y, **base)
 
@@ -995,14 +960,18 @@ def _lift_checks(flavor: str) -> list:
 # ------------------------------------------------------------------
 
 
-def _commutation_fibre(run: ScenarioContext) -> np.ndarray:
-    return np.random.default_rng(run.seed + 404).uniform(-1.0, 1.0, size=run.points.shape)
+def _commutation_fibre(ctx: ScenarioContext) -> np.ndarray:
+    """Fibre points y uniform in [-1, 1]^n, one over each of the context's
+    samples; the generator skips the n draws of each earlier sample."""
+    rng = np.random.default_rng(ctx.seed + 404)
+    rng.bit_generator.advance(ctx.first * ctx.chart.dim)
+    return rng.uniform(-1.0, 1.0, size=ctx.points.shape)
 
 
 def _commutation_lifts(ctx: ScenarioContext):
     """The tangent lift at random fibre points y over the samples, the
     cotangent lift at the matching eta = g y, and the points (x, y)."""
-    yv = ctx.per_run(_commutation_fibre)
+    yv = _commutation_fibre(ctx)
     eta = np.einsum("mij,mj->mi", ctx.g_at, yv)
     # the intertwining reads no partials of the lifts: dJ, d2g and dGamma stay unevaluated
     inputs = _lift_inputs(ctx, _LIFT_VALUES)
@@ -1230,10 +1199,9 @@ KNOWN_SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 _SUITE_FUNCS = {suite: partial(_run_suite, suite) for suite in KNOWN_SUITES}
 
 # A run evaluates its checks over chunks of at most _chunk_length(n) samples,
-# so the memory of its tensors is bounded whatever the sample count (the
-# points and random draws of the whole run, a few n-vectors per sample, are
-# held at once).  The arrays of a sample grow as n^4: one (2n)^4 float64
-# tensor sets the bytes per sample.
+# each drawn from its index range alone, so its memory is that of one chunk
+# whatever the sample count.  The arrays of a sample grow as n^4: one (2n)^4
+# float64 tensor sets the bytes per sample.
 # _CHUNK_ROWS caps the small n, where the bytes of one tensor say least about
 # what all seven suites hold per sample; 512 samples spread the per-chunk
 # work well enough.
@@ -1264,18 +1232,18 @@ def run_suites(
     selected suite that declares no check for the scenario, or that is
     selected twice, is a ValidationError.  ``expected_failures`` ids were
     validated against the table at load; those of suites not selected are
-    listed in ``controls_not_run`` and do not gate.  Expression nodes are
-    interned in a copy of the scenario's table that lasts for this call only.
+    listed in ``controls_not_run`` and do not gate.
 
     Every check is pointwise, so the suites run on each chunk of the samples
-    in turn (see _chunk_length), and each check's results are folded by its
-    merge rules (see _fold): the report is the one a single chunk gives.
+    in turn (see _chunk_length), each in a context of its own index range,
+    and each check's results are folded by its merge rules (see _fold): the
+    report is the one a single chunk gives.
     The overrides obey the rules of the scenario file's fields, so the CLI
     flags that set them do too; a bad one is a ValidationError.
     """
-    samples = None if samples is None else whole_number(samples, "samples", 1)
-    seed = None if seed is None else whole_number(seed, "seed")
-    tolerance = None if tolerance is None else valid_tolerance(tolerance)
+    samples = scenario.samples if samples is None else whole_number(samples, "samples", 1)
+    seed = scenario.seed if seed is None else whole_number(seed, "seed")
+    tolerance = scenario.tolerance if tolerance is None else valid_tolerance(tolerance)
     selected = suites if suites else scenario.suites
     for k, suite in enumerate(selected):
         if suite not in _SUITE_FUNCS:
@@ -1286,21 +1254,19 @@ def run_suites(
             raise ValidationError(
                 f"suite {suite!r} declares no check for scenario {scenario.name!r}"
             )
-    run = ScenarioContext(scenario, samples=samples, seed=seed, tolerance=tolerance)
-    m, length = len(run.points), _chunk_length(scenario.chart.dim)
+    length = _chunk_length(scenario.chart.dim)
     folded = None
-    with ex.fresh_table(scenario.table):
-        for start in range(0, m, length):
-            ctx = run.chunk(start, min(start + length, m))
-            measured = [pair for suite in selected for pair in _SUITE_FUNCS[suite](ctx)]
-            if folded is None:
-                folded = measured
-            else:
-                folded = [
-                    (check, _fold(check, before, after))
-                    for (check, before), (_, after) in zip(folded, measured)
-                ]
-    checks = [_result(check, out, run.tol) for check, out in folded]
+    for start in range(0, samples, length):
+        ctx = ScenarioContext(scenario, min(length, samples - start), seed, first=start)
+        measured = [pair for suite in selected for pair in _SUITE_FUNCS[suite](ctx)]
+        if folded is None:
+            folded = measured
+        else:
+            folded = [
+                (check, _fold(check, before, after))
+                for (check, before), (_, after) in zip(folded, measured)
+            ]
+    checks = [_result(check, out, tolerance) for check, out in folded]
     expected = set(scenario.expected_failures)
     for check in checks:
         if check.check_id in expected:
@@ -1315,8 +1281,8 @@ def run_suites(
             convention = resolved
     return ScenarioReport(
         scenario_name=scenario.name,
-        seed=run.seed,
-        samples=run.samples,
+        seed=seed,
+        samples=samples,
         suites=list(selected),
         checks=checks,
         resolved_curvature_convention=convention,

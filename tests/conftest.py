@@ -34,7 +34,10 @@ def jet(comps, pts):
 
 def field_context(g, J, pts, params=MetallicParams(1.0, 1.0), omega=None, connection=None):
     """The run context of bare fields at the points: g^-1, Levi-Civita, the
-    generalized structures and the rest as a run over a scenario builds them."""
+    generalized structures and the rest as a run over a scenario builds them.
+    A J of None stands for the identity, for tests that read only g."""
+    if J is None:
+        J = ch.EndoField(g.chart, ch.constant_matrix(np.eye(g.chart.dim)))
     scenario = ChartScenario(
         "fields", g.chart, params, g, J, False, omega, connection, [], len(pts), 0, 1e-9
     )
@@ -103,4 +106,4 @@ def golden_params():
 def sphere_diag_J(sphere_chart, sphere_metric, golden_params):
     c = sphere_chart
     P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 0.0])))
-    return from_projection(c, P, golden_params, sphere_metric, c.sample_points(8)).J
+    return from_projection(c, P, golden_params, sphere_metric, c.sample_points(8))

@@ -581,3 +581,19 @@ def test_an_input_error_prints_its_point_as_plain_floats(tmp_path):
         load_scenario(write_scenario(tmp_path, payload))
     text = str(err.value)
     assert "not positive definite" in text and "np." not in text
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("omega", [5, "x1"], "omega[0]"),
+        ("expected_failures", [["x"]], "expected_failures"),
+        ("expected_failures", [3], "expected_failures"),
+    ],
+)
+def test_a_non_string_entry_is_an_input_error(tmp_path, capsys, field, value, named):
+    payload = golden_payload()
+    payload[field] = value
+    assert main(["check", str(write_scenario(tmp_path, payload))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and named in err

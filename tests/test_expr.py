@@ -1,12 +1,10 @@
 import gc
-import json
 import math
 import types
 
 import numpy as np
 import pytest
 
-from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab.errors import DomainError, ParseError
 from metalliclab.scenario import load_scenario
@@ -257,28 +255,23 @@ def _structure(node, numbers, shapes):
 
 
 def test_tensors_of_a_scenario_hold_no_duplicate_structure():
-    # built the way a run builds them: the scenario is loaded on its own and
-    # the partials of its leaves (g to second order) are interned into a copy
-    # of the scenario's table, so the nodes reachable from the leaves count too
+    # the scenario's fields and the partials it built of them (g to second
+    # order) share the scenario's table, so the nodes reachable from them count too
     total = 0
     for name in CORPUS:
         scenario = load_scenario(scenario_path(name))
-        with ex.fresh_table(scenario.table):
-            n = scenario.chart.dim
-            dg = ch.partials(scenario.metric.comps, n)
-            roots = list(dg.flat) + list(ch.partials(dg, n).flat)
-            roots += list(ch.partials(scenario.J.comps, n).flat)
-            roots += list(scenario.metric.comps.flat) + list(scenario.J.comps.flat)
-            nodes, stack = {}, roots
-            while stack:
-                node = stack.pop()
-                if id(node) not in nodes:
-                    nodes[id(node)] = node
-                    stack.extend(node.children())
-            numbers: dict = {}
-            shapes: dict = {}
-            for node in nodes.values():
-                _structure(node, numbers, shapes)
+        roots = list(scenario.dg.flat) + list(scenario.d2g.flat) + list(scenario.dJ.flat)
+        roots += list(scenario.metric.comps.flat) + list(scenario.J.comps.flat)
+        nodes, stack = {}, roots
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.children())
+        numbers: dict = {}
+        shapes: dict = {}
+        for node in nodes.values():
+            _structure(node, numbers, shapes)
         assert len(shapes) == len(nodes), name
         total += len(nodes)
     assert total > 100
@@ -286,19 +279,28 @@ def test_tensors_of_a_scenario_hold_no_duplicate_structure():
 
 def test_loading_a_scenario_leaves_the_module_table_alone():
     size = len(ex._table)
-    scenario = load_scenario(scenario_path("product-decomposable"))
+    load_scenario(scenario_path("product-decomposable"))
     assert len(ex._table) == size
-    assert scenario.table and ex._table is not scenario.table
-    # a block started from the scenario's table reuses its nodes and leaves
-    # it unchanged
-    entries = len(scenario.table)
-    leaf = scenario.metric.comps[1, 1]
-    source = json.loads(scenario_path("product-decomposable").read_text())["metric"][1][1]
-    with ex.fresh_table(scenario.table):
-        assert ex.parse(source, scenario.chart.names) is leaf
-        n = scenario.chart.dim
-        ch.partials(ch.partials(scenario.metric.comps, n), n)
-    assert len(scenario.table) == entries
+
+
+def test_a_run_builds_no_node(monkeypatch):
+    # the partials of the leaf fields are built at load, so a run only
+    # evaluates nodes, whatever its suites and chunks
+    built = []
+    for cls in (ex.Const, ex.Coord, ex.Neg, ex.Bin, ex.Func):
+        init = cls.__init__
+
+        def recording(node, *args, _init=init):
+            built.append(type(node).__name__)
+            _init(node, *args)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    scenarios = [load_scenario(scenario_path(name)) for name in CORPUS]
+    assert built  # the hook sees the nodes a load builds
+    built.clear()
+    for scenario in scenarios:
+        run_suites(scenario, samples=600)
+    assert built == []
 
 
 def test_runs_are_identical_and_leave_the_table_as_they_found_it():

@@ -41,7 +41,7 @@ def product_setup():
     rows = [["1", "0", "0"], ["0", "sin(x1)^2", "0"], ["0", "0", "1"]]
     g = ch.MetricField(c, np.array([[ex.parse(s, c.names) for s in r] for r in rows], dtype=object))
     P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 1.0, 0.0])))
-    J = from_projection(c, P, PARAMS, g, c.sample_points(8)).J
+    J = from_projection(c, P, PARAMS, g, c.sample_points(8))
     return c, g, J
 
 
@@ -63,6 +63,11 @@ def basis_section(c, a, m):
         np.broadcast_to(np.eye(size)[a], (m, size)),
         np.zeros((m, c.dim, size)),
     )
+
+
+def random_affine(rng, i):
+    """c0 + c1 x_i with c0 and c1 drawn uniformly in [-1, 1], in that order."""
+    return ex.add(ex.const(rng.uniform(-1, 1)), ex.mul(ex.const(rng.uniform(-1, 1)), ex.coord(i)))
 
 
 def lc_gamma(g, pts):
@@ -263,14 +268,7 @@ def test_torsion_lemma_three_way(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(12)
     rng = np.random.default_rng(12)
-    omega = ch.OneFormField(
-        c,
-        np.array(
-            [ex.const(rng.uniform(-1, 1)) + ex.const(rng.uniform(-1, 1)) * ex.coord(i)
-             for i in range(3)],
-            dtype=object,
-        ),
-    )
+    omega = ch.OneFormField(c, np.array([random_affine(rng, i) for i in range(3)], dtype=object))
     Td = gc.torsion(karaman_gamma(g, J, omega, pts))
     Jv = ch.eval_exprs(J.comps, pts)
     for _ in range(10):
@@ -294,14 +292,7 @@ def test_karaman_full_suite_on_product_scenario(product_setup):
     Jv, dJ = jet(J.comps, pts)
     gv, dg = jet(g.comps, pts)
     for trial in range(3):
-        comps = np.array(
-            [
-                ex.const(rng.uniform(-1, 1))
-                + ex.const(rng.uniform(-1, 1)) * ex.coord((trial + i) % 3)
-                for i in range(3)
-            ],
-            dtype=object,
-        )
+        comps = np.array([random_affine(rng, (trial + i) % 3) for i in range(3)], dtype=object)
         omega = ch.OneFormField(c, comps)
         D = karaman_gamma(g, J, omega, pts)
         Dg = gc.nabla_metric(D, gv, dg)
@@ -323,13 +314,7 @@ def test_semi_symmetric_part_drops_out_of_dj(sphere_chart, sphere_metric, sphere
     assert np.abs(base_dj).max() > 1e-2
     rng = np.random.default_rng(31)
     for _ in range(3):
-        comps = np.array(
-            [
-                ex.const(rng.uniform(-1, 1)) + ex.const(rng.uniform(-1, 1)) * ex.coord(i)
-                for i in range(2)
-            ],
-            dtype=object,
-        )
+        comps = np.array([random_affine(rng, i) for i in range(2)], dtype=object)
         D = karaman_gamma(g, J, ch.OneFormField(c, comps), pts)
         dj = gc.nabla_endo(D, *jet(J.comps, pts))
         assert np.abs(dj - base_dj).max() < 1e-12
@@ -494,41 +479,40 @@ def test_array_layer_matches_finite_difference_oracles(name):
     # differentiate: the Christoffel symbols by finite differences, plus F
     # of the scenario's 1-form on product-decomposable
     scenario = load_scenario(scenario_path(name))
-    with ex.fresh_table(scenario.table):
-        ctx = ScenarioContext(scenario, samples=3)
-        karaman = scenario.omega is not None and name == "product-decomposable"
-        gamma = ctx.karaman_gamma_at if karaman else ctx.gamma_at
-        fields = {label: _structure_at(scenario, label) for label in ("jm", "jp", "jc", "ghat")}
-        oracle_gamma = []
-        for m, x in enumerate(ctx.points):
-            G = fd_christoffel(scenario.metric, x)
-            if karaman:
-                assert np.abs(ctx.omega_at[m]).max() > 0.1
-                G = G + karaman_F(ctx.g_at[m], ctx.J_at[m], ctx.omega_at[m], ctx.params.q)
-            oracle_gamma.append(G)
-        jp_value, jp_partials = ctx.gen_jet("jp")
-        n = ctx.chart.dim
-        a, b = np.triu_indices(2 * n, 1)
-        columns, d_columns = np.swapaxes(jp_value, -1, -2), jp_partials.transpose(0, 3, 1, 2)
-        brackets = gc.nabla_bracket(
-            gamma, columns[:, a], d_columns[:, a], columns[:, b], d_columns[:, b]
-        )
-        jp_at = fields["jp"]
-        for m, x in enumerate(ctx.points):
-            G = oracle_gamma[m]
-            for label in ("jm", "jp", "jc"):
-                got = gc.gen_nijenhuis(gamma, *ctx.gen_jet(label))[m]
-                assert np.abs(got - fd_gen_nijenhuis(fields[label], G, x)).max() < 1e-7
-                got = gc.dhat_endo(gamma, *ctx.gen_jet(label))[m]
-                assert np.abs(got - fd_dhat(fields[label], G, x)).max() < 1e-7
-            got = gc.dhat_metric(gamma, *ctx.gen_jet("ghat"))[m]
-            oracle = fd_dhat(fields["ghat"], G, x, metric=True)
-            assert np.abs(got - oracle).max() < 1e-7
-            for pair, (i, j) in enumerate(zip(a, b)):
-                oracle = fd_bracket(
-                    lambda p, i=i: jp_at(p)[:, i], lambda p, j=j: jp_at(p)[:, j], G, x
-                )
-                assert np.abs(brackets[m, pair] - oracle).max() < 1e-7
+    ctx = ScenarioContext(scenario, samples=3)
+    karaman = scenario.omega is not None and name == "product-decomposable"
+    gamma = ctx.karaman_gamma_at if karaman else ctx.gamma_at
+    fields = {label: _structure_at(scenario, label) for label in ("jm", "jp", "jc", "ghat")}
+    oracle_gamma = []
+    for m, x in enumerate(ctx.points):
+        G = fd_christoffel(scenario.metric, x)
+        if karaman:
+            assert np.abs(ctx.omega_at[m]).max() > 0.1
+            G = G + karaman_F(ctx.g_at[m], ctx.J_at[m], ctx.omega_at[m], ctx.params.q)
+        oracle_gamma.append(G)
+    jp_value, jp_partials = ctx.gen_jet("jp")
+    n = ctx.chart.dim
+    a, b = np.triu_indices(2 * n, 1)
+    columns, d_columns = np.swapaxes(jp_value, -1, -2), jp_partials.transpose(0, 3, 1, 2)
+    brackets = gc.nabla_bracket(
+        gamma, columns[:, a], d_columns[:, a], columns[:, b], d_columns[:, b]
+    )
+    jp_at = fields["jp"]
+    for m, x in enumerate(ctx.points):
+        G = oracle_gamma[m]
+        for label in ("jm", "jp", "jc"):
+            got = gc.gen_nijenhuis(gamma, *ctx.gen_jet(label))[m]
+            assert np.abs(got - fd_gen_nijenhuis(fields[label], G, x)).max() < 1e-7
+            got = gc.dhat_endo(gamma, *ctx.gen_jet(label))[m]
+            assert np.abs(got - fd_dhat(fields[label], G, x)).max() < 1e-7
+        got = gc.dhat_metric(gamma, *ctx.gen_jet("ghat"))[m]
+        oracle = fd_dhat(fields["ghat"], G, x, metric=True)
+        assert np.abs(got - oracle).max() < 1e-7
+        for pair, (i, j) in enumerate(zip(a, b)):
+            oracle = fd_bracket(
+                lambda p, i=i: jp_at(p)[:, i], lambda p, j=j: jp_at(p)[:, j], G, x
+            )
+            assert np.abs(brackets[m, pair] - oracle).max() < 1e-7
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -538,23 +522,22 @@ def test_array_covariant_derivatives_match_the_symbolic_ones(name):
     # and leaf partials; the Levi-Civita symbols themselves against the Koszul
     # formula with finite-difference metric partials
     scenario = load_scenario(scenario_path(name))
-    with ex.fresh_table(scenario.table):
-        ctx = ScenarioContext(scenario, samples=8)
-        for m, x in enumerate(ctx.points):
-            G = fd_christoffel(scenario.metric, x)
-            assert np.abs(ctx.lc_gamma_at[m] - G).max() <= 1e-8 * max(1.0, np.abs(G).max())
-        for gamma in (ctx.lc_gamma_at, ctx.gamma_at):
-            b = ctx.bundle(gamma)
-            got = {"nabla J": b.nabla_J_at, "nabla g": b.nabla_g_at, "torsion": b.torsion_at}
-            for m, G in enumerate(gamma):
-                expected = {
-                    "nabla J": nabla_loop(G, ctx.J_at[m], ctx.dJ_at[m]),
-                    "nabla g": nabla_loop(G, ctx.g_at[m], ctx.dg_at[m], metric=True),
-                    "torsion": G - np.swapaxes(G, -1, -2),
-                }
-                for key, value in expected.items():
-                    scale = max(1.0, np.abs(value).max())
-                    assert np.abs(got[key][m] - value).max() <= 1e-12 * scale, (name, key)
+    ctx = ScenarioContext(scenario, samples=8)
+    for m, x in enumerate(ctx.points):
+        G = fd_christoffel(scenario.metric, x)
+        assert np.abs(ctx.lc_gamma_at[m] - G).max() <= 1e-8 * max(1.0, np.abs(G).max())
+    for gamma in (ctx.lc_gamma_at, ctx.gamma_at):
+        b = ctx.bundle(gamma)
+        got = {"nabla J": b.nabla_J_at, "nabla g": b.nabla_g_at, "torsion": b.torsion_at}
+        for m, G in enumerate(gamma):
+            expected = {
+                "nabla J": nabla_loop(G, ctx.J_at[m], ctx.dJ_at[m]),
+                "nabla g": nabla_loop(G, ctx.g_at[m], ctx.dg_at[m], metric=True),
+                "torsion": G - np.swapaxes(G, -1, -2),
+            }
+            for key, value in expected.items():
+                scale = max(1.0, np.abs(value).max())
+                assert np.abs(got[key][m] - value).max() <= 1e-12 * scale, (name, key)
 
 
 def test_omega_sweep_names_its_worst_trial_and_sample(monkeypatch):
@@ -599,7 +582,7 @@ def _rotating_projection():
         [[ex.parse(f"{u[i]}*{u[j]}", c.names) for j in range(3)] for i in range(3)], dtype=object
     ))
     params = MetallicParams(2.0, 1.0)
-    J = from_projection(c, P, params, g).J
+    J = from_projection(c, P, params, g)
     return ChartScenario("rotating-projection", c, params, g, J, False, None, None, [], 12, 0, 1e-9)
 
 
@@ -623,19 +606,18 @@ def test_the_swept_arrays_are_affine_in_omega(name):
         scenario = load_scenario(scenario_path(name))
     lo, hi = np.array(scenario.chart.box).T
     m, n = 12, scenario.chart.dim
-    with ex.fresh_table(scenario.table):
-        ctx = ScenarioContext(scenario, points=rng.uniform(lo, hi, size=(m, n)))
-        if name == "rotating-projection":
-            assert np.abs(ctx.bundle(ctx.lc_gamma_at).nabla_J_at).max() > 0.1
-        basis = [_swept_arrays(ctx, np.zeros((m, n)))]
-        basis += [_swept_arrays(ctx, np.tile(np.eye(n)[k], (m, 1))) for k in range(n)]
-        for _ in range(3):
-            omega_at = rng.uniform(-2.0, 2.0, size=(m, n))
-            for key, got in _swept_arrays(ctx, omega_at).items():
-                zero = basis[0][key]
-                affine = zero.copy()
-                for k in range(n):
-                    weight = omega_at[:, k].reshape((m,) + (1,) * (zero.ndim - 1))
-                    affine += weight * (basis[k + 1][key] - zero)
-                scale = max(1.0, np.abs(got).max(), np.abs(affine).max())
-                assert np.abs(got - affine).max() <= 1e-12 * scale, (name, key)
+    ctx = ScenarioContext(scenario, points=rng.uniform(lo, hi, size=(m, n)))
+    if name == "rotating-projection":
+        assert np.abs(ctx.bundle(ctx.lc_gamma_at).nabla_J_at).max() > 0.1
+    basis = [_swept_arrays(ctx, np.zeros((m, n)))]
+    basis += [_swept_arrays(ctx, np.tile(np.eye(n)[k], (m, 1))) for k in range(n)]
+    for _ in range(3):
+        omega_at = rng.uniform(-2.0, 2.0, size=(m, n))
+        for key, got in _swept_arrays(ctx, omega_at).items():
+            zero = basis[0][key]
+            affine = zero.copy()
+            for k in range(n):
+                weight = omega_at[:, k].reshape((m,) + (1,) * (zero.ndim - 1))
+                affine += weight * (basis[k + 1][key] - zero)
+            scale = max(1.0, np.abs(got).max(), np.abs(affine).max())
+            assert np.abs(got - affine).max() <= 1e-12 * scale, (name, key)

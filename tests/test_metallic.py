@@ -77,15 +77,15 @@ def test_from_projection_cases():
     params = mt.MetallicParams(1, 1)
     pts = c.sample_points(8)
 
-    s = mt.from_projection(c, const_endo(c, np.diag([1.0, 0.0])), params, g, pts)
-    J_at = s.J.eval(pts)
+    J = mt.from_projection(c, const_endo(c, np.diag([1.0, 0.0])), params, g, pts)
+    J_at = J.eval(pts)
     assert np.abs(J_at - np.diag([GOLDEN, 1 - GOLDEN])).max() < 1e-15
 
-    s0 = mt.from_projection(c, const_endo(c, np.zeros((2, 2))), params, g, pts)
-    assert np.abs(s0.J.eval(pts) - (1 - GOLDEN) * np.eye(2)).max() < 1e-15
+    J0 = mt.from_projection(c, const_endo(c, np.zeros((2, 2))), params, g, pts)
+    assert np.abs(J0.eval(pts) - (1 - GOLDEN) * np.eye(2)).max() < 1e-15
 
-    s1 = mt.from_projection(c, const_endo(c, np.eye(2)), params, g, pts)
-    assert np.abs(s1.J.eval(pts) - GOLDEN * np.eye(2)).max() < 1e-15
+    J1 = mt.from_projection(c, const_endo(c, np.eye(2)), params, g, pts)
+    assert np.abs(J1.eval(pts) - GOLDEN * np.eye(2)).max() < 1e-15
 
     with pytest.raises(NotAProjection):
         mt.from_projection(c, const_endo(c, [[1.0, 1.0], [0.0, 0.5]]), params, g, pts)
@@ -163,11 +163,11 @@ def test_special_parameter_families():
     c = flat_chart()
     pts = c.sample_points(8)
     # (0, 1): almost product
-    s = mt.from_projection(
+    J = mt.from_projection(
         c, const_endo(c, np.diag([1.0, 0.0])), mt.MetallicParams(0, 1),
         identity_metric(c), pts
     )
-    F = s.J.eval(pts)
+    F = J.eval(pts)
     assert np.abs(F @ F - np.eye(2)).max() < 1e-12
     # (0, -1): almost complex
     rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -192,7 +192,7 @@ def test_from_projection_passes_check_for_random_projections():
             else:
                 v = np.linalg.qr(rng.normal(size=(n, k)))[0]
                 proj = v @ v.T
-            J = mt.from_projection(c, const_endo(c, proj), params, g, pts).J.eval(pts)
+            J = mt.from_projection(c, const_endo(c, proj), params, g, pts).eval(pts)
             assert _metallic_residual(J, params) <= 1e-10
             assert np.abs(J - np.swapaxes(J, -1, -2)).max() <= 1e-10  # g = I
 
