@@ -32,7 +32,7 @@ from .errors import (
     SingularMetric,
 )
 from .metallic import MetallicParams
-from .report import CheckResult
+from .report import CheckResult, largest_entry, worst_of
 
 __all__ = [
     "metric_inverse",
@@ -63,6 +63,12 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1))
 
 
+def _batch(op) -> np.ndarray:
+    """A batch of matrices (shape (..., k, k)) as one stack (shape (-1, k, k))."""
+    op = np.asarray(op, dtype=float)
+    return op.reshape((-1,) + op.shape[-2:])
+
+
 def blocks(A, B, C, D) -> np.ndarray:
     """[[A, B], [C, D]] from stacks of n x n blocks; a block may be 0.0.
 
@@ -86,21 +92,15 @@ def blocks(A, B, C, D) -> np.ndarray:
     return out
 
 
-def _worst(check_id, anchor, per_sample, tolerance, points, details=None) -> CheckResult:
-    """Result of a batch: the worst sample's value, with its point as witness.
-
-    NaN counts as the worst value; an empty batch has residual 0.0.
+def _worst(check_id, anchor, entries, tolerance, points, details=None) -> CheckResult:
+    """Result of a batch from the largest entry of each of its residual
+    arrays (``report.largest_entry``): the largest, with the point of its
+    sample as witness.  NaN counts as infinite; an empty batch has residual 0.0.
     """
-    flat = np.ravel(per_sample)
-    if flat.size == 0:
-        return CheckResult(check_id, anchor, 0.0, tolerance, details=details or {})
-    worst = int(np.argmax(flat))
-    witness = None
     if points is not None:
-        witness = tuple(float(v) for v in np.reshape(points, (flat.size, -1))[worst])
-    return CheckResult(
-        check_id, anchor, float(flat[worst]), tolerance, witness, details=details or {}
-    )
+        points = np.reshape(points, (-1, np.shape(points)[-1]))
+    residual, witness = worst_of(entries, points)
+    return CheckResult(check_id, anchor, residual, tolerance, witness, details=details or {})
 
 
 def metric_inverse(g: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
@@ -287,18 +287,18 @@ def check_anti_pseudo_calibrated(
     ``eigenvalues`` are those of (., Jp .), from :func:`pairing_eigenvalues`;
     ``points`` are the sample points of the batch, for the witness.
     """
-    jp = np.asarray(jp, dtype=float)
+    jp = _batch(jp)
     M = pairing_matrix(jp.shape[-1] // 2)
-    anti = _max_abs(np.swapaxes(jp, -1, -2) @ M @ jp + M)
-    min_eig = np.abs(eigenvalues).min(axis=-1)
-    degenerate = np.where(min_eig > tolerance, 0.0, tolerance * 2.0)
+    anti = largest_entry(np.swapaxes(jp, -1, -2) @ M @ jp + M)
+    min_eig = np.abs(np.reshape(eigenvalues, (len(jp), -1))).min(axis=-1)
+    degenerate = largest_entry(np.where(min_eig > tolerance, 0.0, tolerance * 2.0))
     return _worst(
         "anti-pseudo-calibrated",
         "(Jp s, Jp t) = -(s, t); (., Jp .) non-degenerate",
-        np.maximum(anti, degenerate),
+        [anti, degenerate],
         tolerance,
         points,
-        details={"anti_invariance": float(anti.max()), "min_abs_eigenvalue": float(min_eig.min())},
+        details={"anti_invariance": anti[0], "min_abs_eigenvalue": float(min_eig.min())},
     )
 
 
@@ -309,17 +309,17 @@ def check_calibrated(
 
     ``points`` are the sample points of the batch, for the witness.
     """
-    jc = np.asarray(jc, dtype=float)
+    jc = _batch(jc)
     M = pairing_matrix(jc.shape[-1] // 2)
-    invariance = _max_abs(np.swapaxes(jc, -1, -2) @ M @ jc - M)
+    invariance = largest_entry(np.swapaxes(jc, -1, -2) @ M @ jc - M)
     not_pd = np.where(pairing_positive_definite(jc, tolerance), 0.0, tolerance * 2.0)
     return _worst(
         "calibrated",
         "(Jc s, Jc t) = (s, t); (., Jc .) positive definite",
-        np.maximum(invariance, not_pd),
+        [invariance, largest_entry(not_pd)],
         tolerance,
         points,
-        details={"invariance": float(invariance.max())},
+        details={"invariance": invariance[0]},
     )
 
 
@@ -348,5 +348,5 @@ def fhat_conjugation(
     empty batch has residual 0.0.  ``invertible`` is fhat_matrix's.
     """
     fh = fhat_matrix(df, invertible)
-    res = _max_abs(fh @ np.asarray(jm1) - np.asarray(jm2) @ fh)
-    return _worst("fhat-conjugation", "fhat Jm1 = Jm2 fhat", res, tolerance, points)
+    res = largest_entry(_batch(fh @ np.asarray(jm1) - np.asarray(jm2) @ fh))
+    return _worst("fhat-conjugation", "fhat Jm1 = Jm2 fhat", [res], tolerance, points)

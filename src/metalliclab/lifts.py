@@ -15,7 +15,6 @@ sample, with the fibre coordinates contracted first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,7 +37,6 @@ __all__ = [
     "nijenhuis_values",
     "mixed_display_residual",
     "horizontal_display_match",
-    "CONVENTION_CANDIDATES",
     "commutation_residual",
 ]
 
@@ -310,41 +308,25 @@ def mixed_display_residual(
     return actual - expected
 
 
-CONVENTION_CANDIDATES = tuple(
-    (perm, sign)
-    for perm in itertools.permutations("abc")
-    for sign in (1.0, -1.0)
-)
-
-
-def _candidate_curvature(R_v: np.ndarray, perm) -> np.ndarray:
-    """Candidate reading: displayed R^l_{abc} = house R^l_{perm(abc)}."""
-    return R_v.transpose((0, 1) + tuple(2 + perm.index(slot) for slot in "abc"))
-
-
-def candidate_label(perm, sign: float) -> str:
-    s = "+" if sign > 0 else "-"
-    return f"R^l_(a b c) = {s}R_house^l_({' '.join(perm)})"
-
-
 def _displayed_curvature_term(
-    Rc: np.ndarray, J_v: np.ndarray, y: np.ndarray, params: MetallicParams, flavor: str
+    R_v: np.ndarray, J_v: np.ndarray, y: np.ndarray, params: MetallicParams, flavor: str
 ) -> np.ndarray:
-    """Vertical part of the displayed N(X_i^H, X_j^H) for the curvature Rc, [m, r, i, j].
+    """Vertical part of the displayed N(X_i^H, X_j^H) for the curvature
+    R_v[m, l, a, b, c] = R^l_{abc}, [m, r, i, j].
 
-    The fibre coordinate is contracted first, into X[m, r, a, b]: y^s Rc^r_{abs}
-    (tangent) or y_l Rc^l_{abr} (cotangent).  With JX the contraction of J^r_l
+    The fibre coordinate is contracted first, into X[m, r, a, b]: y^s R^r_{abs}
+    (tangent) or y_l R^l_{abr} (cotangent).  With JX the contraction of J^r_l
     (tangent) or J^l_r (cotangent) into the first index of X, the display is
     -/+ (J^T X J - J^T JX - JX J + p JX + q X) per first index, J^T and J acting
     on a and b; each product contracts J with one operand at a time.
     """
     if flavor == TANGENT:
-        X = (Rc @ y[:, None, None, :, None])[..., 0]
+        X = (R_v @ y[:, None, None, :, None])[..., 0]
         JX = _first(J_v, X)
         sign = -1.0
     else:
         m, n = y.shape
-        X = (y[:, None] @ Rc.reshape(m, n, -1)).reshape(m, n, n, n).transpose(0, 3, 1, 2)
+        X = (y[:, None] @ R_v.reshape(m, n, -1)).reshape(m, n, n, n).transpose(0, 3, 1, 2)
         JX = _first(_swap(J_v), X)
         sign = 1.0
     Jt = _swap(J_v)[:, None]
@@ -362,47 +344,17 @@ def horizontal_display_match(
     y: np.ndarray,
     params: MetallicParams,
     flavor: str,
-) -> dict:
-    """Match N(X_i^H, X_j^H) against the displayed formula for every candidate
-    index/sign placement of the curvature tensor.
+) -> np.ndarray:
+    """N(X_i^H, X_j^H) minus the displayed formula, [m, A, i, j].
 
-    The display is linear in the curvature, so each index permutation is
-    evaluated once and its opposite sign is the exact negation; swapping a
-    and b in the permutation transposes the term in (i, j), so only the three
-    with a before b are evaluated.  Returns the per-candidate residuals, the
-    matching equivalence classes and the horizontal-part residual (shared by
-    all candidates).
+    The display is the frame image of N_J(d_i, d_j), and in the vertical
+    part the curvature term of :func:`_displayed_curvature_term`, whose
+    R^l_{abc} is read as the house R^l_{abc} of ``chart.riemann``.
     """
     n = J_v.shape[-1]
-    actual = _swap(frame_v)[:, None] @ N_v @ frame_v[:, None]
-    base_expected = _first(frame_v, NJ_v)
-    horiz_gap = actual[:, :n] - base_expected[:, :n]
-    vert_gap_common = actual[:, n:] - base_expected[:, n:]
-    by_perm = {}
-    for perm in itertools.permutations("abc"):
-        if perm.index("a") < perm.index("b"):
-            Rc = _candidate_curvature(R_v, perm)
-            term = _displayed_curvature_term(Rc, J_v, y, params, flavor)
-            swapped = tuple({"a": "b", "b": "a"}.get(slot, slot) for slot in perm)
-            by_perm[perm], by_perm[swapped] = term, _swap(term)
-    results = []
-    for perm, sign in CONVENTION_CANDIDATES:
-        vert_expected = by_perm[perm] if sign > 0 else -by_perm[perm]
-        gap = vert_gap_common - vert_expected
-        results.append(
-            {
-                "label": candidate_label(perm, sign),
-                "perm": perm,
-                "sign": sign,
-                "argument_slot": perm.index("c") + 1,
-                "residual": float(np.abs(gap).max()),
-                "expected": vert_expected,
-            }
-        )
-    return {
-        "horizontal_residual": float(np.abs(horiz_gap).max()),
-        "candidates": results,
-    }
+    gap = _swap(frame_v)[:, None] @ N_v @ frame_v[:, None] - _first(frame_v, NJ_v)
+    gap[:, n:] -= _displayed_curvature_term(R_v, J_v, y, params, flavor)
+    return gap
 
 
 def commutation_residual(

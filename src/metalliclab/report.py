@@ -52,23 +52,43 @@ class CheckResult:
         return out
 
 
-def _per_sample_max(a: np.ndarray) -> np.ndarray:
-    """Largest absolute entry at each sample, NaN read as infinite."""
-    # max propagates NaN, so only the per-sample maxima need the mapping
-    out = np.abs(a).reshape(a.shape[0], -1).max(axis=1)
-    out[np.isnan(out)] = np.inf
-    return out
+def largest_entry(a: np.ndarray) -> tuple:
+    """The largest absolute entry of a per-sample array (any trailing shape)
+    and the index of its sample, the first on a tie; NaN reads as infinite,
+    and an empty array gives (0.0, None).
 
-
-def worst_sample(residuals: np.ndarray, points: np.ndarray) -> tuple:
-    """The largest entry of per-sample residuals (any trailing shape) and the
-    point of its sample; (0.0, None) when there are no entries."""
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.size == 0:
+    One argmax over all the entries: in row-major order the first largest
+    entry lies in the first sample that holds it.
+    """
+    a = np.abs(np.asarray(a, dtype=float))
+    if a.size == 0:
         return 0.0, None
-    per_point = _per_sample_max(residuals)
-    worst = int(np.argmax(per_point))
-    return float(per_point[worst]), tuple(float(v) for v in np.asarray(points, dtype=float)[worst])
+    k = int(np.argmax(a))
+    if np.isnan(a.flat[k]):  # argmax stops at the first NaN
+        a[np.isnan(a)] = np.inf
+        k = int(np.argmax(a))
+    return float(a.flat[k]), k // (a.size // len(a))
+
+
+def worst_of(entries, points) -> tuple:
+    """The largest of (value, sample) entries of :func:`largest_entry`, the
+    first sample on a tie, and the point of its sample; (0.0, None) when
+    every entry is empty."""
+    filled = [entry for entry in entries if entry[1] is not None]
+    if not filled:
+        return 0.0, None
+    value, sample = min(filled, key=lambda entry: (-entry[0], entry[1]))
+    if points is None:
+        return value, None
+    return value, tuple(float(v) for v in np.asarray(points, dtype=float)[sample])
+
+
+def worst_sample(residuals, points) -> tuple:
+    """The largest absolute entry of per-sample residuals, one array or a list
+    of arrays of any trailing shapes, and the point of its sample (see
+    :func:`worst_of`)."""
+    arrays = residuals if isinstance(residuals, (list, tuple)) else [residuals]
+    return worst_of([largest_entry(a) for a in arrays], points)
 
 
 def _plain(value):
@@ -90,7 +110,6 @@ class ScenarioReport:
     samples: int
     suites: list
     checks: list  # list[CheckResult]
-    resolved_curvature_convention: str | None = None
     # expected failures of suites that were not selected: they do not gate
     controls_not_run: list = field(default_factory=list)
 
@@ -130,8 +149,6 @@ class ScenarioReport:
             "suite_summary": self.suite_summary(),
             "checks": [c.to_dict() for c in self.checks],
         }
-        if self.resolved_curvature_convention is not None:
-            out["resolved_curvature_convention"] = self.resolved_curvature_convention
         if self.controls_not_run:
             out["controls_not_run"] = list(self.controls_not_run)
         return out
@@ -144,8 +161,6 @@ class ScenarioReport:
         lines.append(f"scenario: {self.scenario_name}")
         lines.append(f"suites:   {', '.join(self.suites)}")
         lines.append(f"samples:  {self.samples}   seed: {self.seed}")
-        if self.resolved_curvature_convention is not None:
-            lines.append(f"curvature convention: {self.resolved_curvature_convention}")
         lines.append("")
         width = max((len(c.check_id) for c in self.checks), default=10)
         header = f"{'check':<{width}}  {'residual':>12}  {'tol':>8}  verdict"

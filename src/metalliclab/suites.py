@@ -24,7 +24,7 @@ from . import genbundle as gb
 from . import genconn as gc
 from . import lifts as lf
 from .errors import DomainError, MetallicLabError, ValidationError
-from .report import CheckResult, ScenarioReport, _per_sample_max, worst_sample
+from .report import CheckResult, ScenarioReport, largest_entry, worst_of, worst_sample
 
 if TYPE_CHECKING:
     from .scenario import ChartScenario
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 GEOMETRIC = None
 TOL_ALGEBRAIC = 1e-10
 TOL_NIJ_IDENTITY = 1e-8
-TOL_CONVENTION = 1e-7
+TOL_CURVATURE_DISPLAY = 1e-7
 TOL_COUNT = 0.5  # the residual counts failures, so a single one fails the check
 
 # The largest tolerance a scenario file or --tol may set.  The smallest
@@ -354,7 +354,7 @@ class Check:
     declared for that scenario.  ``merge`` names the rule of each detail of
     the ``Measured`` over chunks of samples, and under "residual" the rule
     of a residual that counts failures rather than takes a maximum (see
-    _fold); ``finish`` turns the merged ``Measured`` into the reported one.
+    _fold).
     """
 
     cid: str
@@ -365,21 +365,14 @@ class Check:
     applies: Callable = lambda scenario: True
     points: Callable = lambda ctx: ctx.points
     merge: dict = field(default_factory=dict)
-    finish: Callable | None = None
 
-    @property
+    @cached_property
     def suite(self) -> str:
         return self.cid.split("/", 1)[0]
 
 
 def _worst(residuals, points: np.ndarray, **details) -> Measured:
     """The largest entry over per-sample residual arrays, and its sample."""
-    if isinstance(residuals, (list, tuple)):
-        m = np.asarray(residuals[0]).shape[0]
-        residuals = np.concatenate(
-            [np.abs(np.asarray(r, dtype=float)).reshape(m, -1) for r in residuals],
-            axis=1,
-        )
     return Measured(*worst_sample(residuals, points), details)
 
 
@@ -421,8 +414,6 @@ def _fold(check: Check, before: Measured, after: Measured) -> Measured:
 
 
 def _result(check: Check, out: Measured, tol: float) -> CheckResult:
-    if check.finish is not None and not out.raised:
-        out = check.finish(out)
     tol = tol if check.tol is GEOMETRIC else check.tol
     fields = (check.cid, check.anchor, out.residual, tol, out.witness)
     return CheckResult(*fields, gating=check.gating, details=out.details)
@@ -432,9 +423,9 @@ def _declared(suite: str, scenario: ChartScenario) -> list:
     return [check for check in CHECKS if check.suite == suite and check.applies(scenario)]
 
 
-def _run_suite(suite: str, ctx: ScenarioContext) -> list:
-    """(check, Measured) for the suite's checks declared for the scenario, in table order."""
-    results = [(check, _evaluate(check, ctx)) for check in _declared(suite, ctx.scenario)]
+def _run_suite(ctx: ScenarioContext, checks: list) -> list:
+    """(check, Measured) for the checks of one suite, in table order."""
+    results = [(check, _evaluate(check, ctx)) for check in checks]
     ctx.suite_inputs.clear()
     return results
 
@@ -442,11 +433,6 @@ def _run_suite(suite: str, ctx: ScenarioContext) -> list:
 # ------------------------------------------------------------------
 # core, and residuals that several suites share
 # ------------------------------------------------------------------
-
-
-def _max_abs(a: np.ndarray) -> np.ndarray:
-    """Largest absolute entry of each matrix of a stack."""
-    return np.abs(a).max(axis=(-2, -1))
 
 
 def _skew(a: np.ndarray) -> np.ndarray:
@@ -553,29 +539,26 @@ def _derived_family(ctx: ScenarioContext) -> Measured:
     expected_mp = np.zeros((m, 2 * n, 2 * n))
     expected_mp[:, :n, :n] = mirror
     expected_mp[:, n:, n:] = np.swapaxes(mirror, -1, -2)
-    # each member is built once and reduced to one value per sample
-    # at once; besides Fhat^+, one member stack is held at a time.
+    # each member is built once and reduced to its largest entry at once;
+    # besides Fhat^+, one member stack is held at a time.
     # J^-(Fhat^-) is J^+(Fhat^+) and J^+(Fhat^-) is J^-(Fhat^+).
     jm_plus = fam.jm_plus
-    metallic = [_max_abs(_metallic(ctx, jm_plus))]
+    metallic = [largest_entry(_metallic(ctx, jm_plus))]
     # corrected reading: the off-diagonal blocks carry (2s-p)/2
-    block = [_max_abs(jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ctx.ginv_at)]
+    block = [largest_entry(jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ctx.ginv_at)]
     del jm_plus
-    metallic.append(_max_abs(_metallic(ctx, fam.jm_minus)))
-    block.append(_max_abs(fam.fhat_plus @ fam.fhat_plus - eye2))
+    metallic.append(largest_entry(_metallic(ctx, fam.jm_minus)))
+    block.append(largest_entry(fam.fhat_plus @ fam.fhat_plus - eye2))
     j_plus_of_fplus = fam.j_plus_of_fplus
-    metallic.append(_max_abs(_metallic(ctx, j_plus_of_fplus)))
-    block.append(_max_abs(j_plus_of_fplus - ctx.gen_at("jm")))
+    metallic.append(largest_entry(_metallic(ctx, j_plus_of_fplus)))
+    block.append(largest_entry(j_plus_of_fplus - ctx.gen_at("jm")))
     del j_plus_of_fplus
-    block.append(_max_abs(fam.j_minus_of_fplus - expected_mp))
-    metallic = np.max(metallic, axis=0)
-    block = np.max(block, axis=0)
-    return _worst(
-        np.maximum(metallic, block),
-        ctx.points,
-        metallic_residual=float(metallic.max()),
-        block_residual=float(block.max()),
-    )
+    block.append(largest_entry(fam.j_minus_of_fplus - expected_mp))
+    details = {
+        "metallic_residual": max(value for value, _ in metallic),
+        "block_residual": max(value for value, _ in block),
+    }
+    return Measured(*worst_of(metallic + block, ctx.points), details)
 
 
 def _fhat(ctx: ScenarioContext) -> Measured:
@@ -613,30 +596,26 @@ def _random_sections(ctx, count, seed_shift):
     return values, partials
 
 
-def _bracket_antisymmetry(ctx: ScenarioContext) -> Measured:
+def _bracket_leibniz(ctx: ScenarioContext) -> np.ndarray:
+    """[s, f t] - f [s, t] - X(f) t for pairs of random sections s, t, X the
+    vector part of s and f = c0 + c1 . x.
+
+    Antisymmetry is not checked: [s, t] is a - b and [t, s] is b - a with
+    the same a and b, so [s, t] + [t, s] is exactly 0.0 on any input.
+    """
     n, pts = ctx.chart.dim, ctx.points
     gamma = ctx.gamma_at
     values, partials = _random_sections(ctx, 4, seed_shift=101)
     a, b = np.triu_indices(4, 1)
     s, ds, t, dt = values[:, a], partials[:, a], values[:, b], partials[:, b]
     st = gc.nabla_bracket(gamma, s, ds, t, dt)
-    antisymmetry = st + gc.nabla_bracket(gamma, t, dt, s, ds)
-    # [s, t] + [t, s] cancels by construction; the Leibniz rule
-    # [s, f t] = f [s, t] + X(f) t, X the vector part of s and
-    # f = c0 + c1 . x, is the side that can fail
     rng = np.random.default_rng(ctx.seed + 102)
     c0, c1 = rng.uniform(-1, 1), rng.uniform(-1, 1, size=n)
     f = (c0 + pts @ c1)[:, None, None]
     ft = f * t
     dft = c1[:, None] * t[:, :, None] + f[..., None] * dt
     xf = (s[..., :n] @ c1)[..., None]
-    leibniz = gc.nabla_bracket(gamma, s, ds, ft, dft) - f * st - xf * t
-    return _worst(
-        [antisymmetry, leibniz],
-        pts,
-        antisymmetry=float(np.abs(antisymmetry).max()),
-        leibniz=float(np.abs(leibniz).max()),
-    )
+    return gc.nabla_bracket(gamma, s, ds, ft, dft) - f * st - xf * t
 
 
 def _jm_mixed(ctx: ScenarioContext) -> np.ndarray:
@@ -655,9 +634,9 @@ def _conditions(ctx: ScenarioContext, label: str, kind: str) -> Measured:
     """The jp or jc integrability ("condition") or torsion-free ("reduced")
     residual list, with the worst entry of each in the details."""
     residuals = getattr(gc, f"{label}_{kind}_residuals")
-    conds = residuals(_scenario_bundle(ctx).condition_inputs)
-    per = [float(np.abs(c).max()) for c in conds]
-    return _worst(conds, ctx.points, per_condition=per)
+    entries = [largest_entry(c) for c in residuals(_scenario_bundle(ctx).condition_inputs)]
+    per = [value for value, _ in entries]
+    return Measured(*worst_of(entries, ctx.points), {"per_condition": per})
 
 
 # ------------------------------------------------------------------
@@ -704,7 +683,7 @@ def _omega_sweep(ctx: ScenarioContext) -> Measured:
     the Levi-Civita connection, whose bundle genconn reads too.
     """
     pts = ctx.points
-    per_form = []
+    entries, per_form = [], []
     for k in range(-1, ctx.chart.dim):
         omega_at = np.zeros_like(pts)
         if k < 0:
@@ -713,11 +692,11 @@ def _omega_sweep(ctx: ScenarioContext) -> Measured:
             omega_at[:, k] = 1.0
             F = gc.karaman_connection(ctx.g_at, ctx.ginv_at, ctx.J_at, ctx.params, omega_at)
             b = ConnBundle(ctx, ctx.lc_gamma_at + F)
-        arrays = list(_karaman_checks(ctx, b, omega_at).values())
-        arrays.append(b.gen_nijenhuis("jm"))
-        per_form.append(np.max([_per_sample_max(a) for a in arrays], axis=0))
-    residual, witness = worst_sample(np.max(per_form, axis=0), pts)
-    return Measured(residual, witness, {"per_form_max": np.max(per_form, axis=1).tolist()})
+        arrays = [*_karaman_checks(ctx, b, omega_at).values(), b.gen_nijenhuis("jm")]
+        form = [largest_entry(a) for a in arrays]
+        per_form.append(max(value for value, _ in form))
+        entries += form
+    return Measured(*worst_of(entries, pts), {"per_form_max": per_form})
 
 
 # ------------------------------------------------------------------
@@ -804,78 +783,22 @@ def _mixed_display(ctx, y, base, lifted, flavor) -> Measured:
 
 
 def _horizontal_display(ctx, y, base, lifted, flavor) -> Measured:
-    """The residual of each candidate curvature index convention, and the
-    pairs of candidates matching here whose expected values are close."""
-    R_at = _repeated(ctx.riemann_at)
-    N_at = ctx.shared(_lifted_nijenhuis, flavor)
-    match = lf.horizontal_display_match(
-        N_at, _frame(ctx, lifted), base["J"], _repeated(ctx.NJ_at), R_at, y, ctx.params, flavor
+    """N on horizontal pairs against the displayed formula, the displayed
+    curvature read in the house convention.  The detail ``curvature``, the
+    largest curvature entry, tells a chart that exercises the curvature term
+    from a flat one."""
+    gap = lf.horizontal_display_match(
+        ctx.shared(_lifted_nijenhuis, flavor),
+        _frame(ctx, lifted),
+        base["J"],
+        _repeated(ctx.NJ_at),
+        _repeated(ctx.riemann_at),
+        y,
+        ctx.params,
+        flavor,
     )
-    candidates = match["candidates"]
-    matching = [i for i, c in enumerate(candidates) if c["residual"] <= TOL_CONVENTION]
-    expected = np.stack([candidates[i]["expected"] for i in matching]) if matching else None
-    close = frozenset(
-        (matching[i], matching[later])
-        for later in range(1, len(matching))
-        for i in np.flatnonzero(
-            np.isclose(expected[:later], expected[later], rtol=0.0, atol=1e-13)
-            .reshape(later, -1)
-            .all(axis=1)
-        )
-    )
-    return Measured(
-        match["horizontal_residual"],
-        details={
-            "curvature": float(np.abs(ctx.riemann_at).max()),
-            "candidate_residuals": [c["residual"] for c in candidates],
-            "close": close,
-            "labels": [c["label"] for c in candidates],
-            "argument_slots": [c["argument_slot"] for c in candidates],
-        },
-    )
-
-
-def _resolved_convention(out: Measured) -> Measured:
-    """Resolve the curvature index convention from the candidate residuals."""
-    d = out.details
-    residuals, labels = d["candidate_residuals"], d["labels"]
-    matching = [i for i, r in enumerate(residuals) if r <= TOL_CONVENTION]
-    classes: list = []
-    for i in matching:
-        for cls in classes:
-            if (cls[0], i) in d["close"]:
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    classes = [sorted(labels[i] for i in cls) for cls in classes]
-    slots = sorted({d["argument_slots"][i] for i in matching})
-    # a full resolution is a single matching class holding just the
-    # antisymmetry-equivalent pair; when the displayed curvature
-    # combination vanishes on the scenario the sign is undecidable and
-    # only the argument-slot placement can be pinned down
-    if d["curvature"] < 1e-10:
-        convention = "indeterminate (flat connection)"
-    elif not classes:
-        convention = "none matched"
-    elif len(classes) == 1 and len(classes[0]) <= 2:
-        convention = next((l for l in classes[0] if "= +" in l), classes[0][0])
-    elif slots == [3]:
-        convention = (
-            "argument slot 3 (pair first); sign undetermined here "
-            "(curvature combination vanishes)"
-        )
-    else:
-        convention = "indeterminate (curvature term vanishes)"
-    return Measured(
-        float(max(out.residual, min(residuals))),
-        details={
-            "resolved_convention": convention,
-            "matching_classes": classes,
-            "matching_argument_slots": slots,
-            "candidate_residuals": dict(zip(labels, residuals)),
-        },
-    )
+    curvature = float(np.abs(ctx.riemann_at).max())
+    return _worst(gap, _lift_points(ctx, flavor), curvature=curvature)
 
 
 def _lift_checks(flavor: str) -> list:
@@ -934,18 +857,11 @@ def _lift_checks(flavor: str) -> list:
         ),
         check(
             "nijenhuis-horizontal-display",
-            "N on horizontal pairs matches the displayed curvature formula "
-            "for a resolved index convention",
+            "N on horizontal pairs matches the displayed curvature formula, "
+            "its R^l_(a b c) read as the house R^l_(a b c)",
             _horizontal_display,
-            TOL_CONVENTION,
-            merge={
-                "curvature": _max,
-                "candidate_residuals": _max,
-                "close": operator.and_,
-                "labels": _last,
-                "argument_slots": _last,
-            },
-            finish=_resolved_convention,
+            TOL_CURVATURE_DISPLAY,
+            merge={"curvature": _max},
         ),
         check(
             "nijenhuis-vanishes",
@@ -1091,9 +1007,9 @@ CHECKS = (
     ),
     Check(
         "genconn/nabla-bracket-antisymmetry",
-        "[s, t] = -[t, s] and [s, f t] = f [s, t] + X(f) t for the connection bracket",
-        _bracket_antisymmetry,
-        merge={"antisymmetry": _max, "leibniz": _max},
+        "[s, f t] = f [s, t] + X(f) t for the connection bracket; "
+        "[s, t] = -[t, s] holds exactly by construction and is not checked",
+        _bracket_leibniz,
     ),
     Check(
         "genconn/jm-gen-nijenhuis-mixed-identity",
@@ -1195,8 +1111,9 @@ CHECKS = (
 
 KNOWN_SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
-# suite name -> callable(ctx) -> [(Check, Measured)] over the context's samples
-_SUITE_FUNCS = {suite: partial(_run_suite, suite) for suite in KNOWN_SUITES}
+# suite name -> callable(ctx, checks) -> [(Check, Measured)] over the context's
+# samples; one entry per suite, so each suite's time can be measured apart
+_SUITE_FUNCS = dict.fromkeys(KNOWN_SUITES, _run_suite)
 
 # A run evaluates its checks over chunks of at most _chunk_length(n) samples,
 # each drawn from its index range alone, so its memory is that of one chunk
@@ -1245,12 +1162,14 @@ def run_suites(
     seed = scenario.seed if seed is None else whole_number(seed, "seed")
     tolerance = scenario.tolerance if tolerance is None else valid_tolerance(tolerance)
     selected = suites if suites else scenario.suites
+    declared = {}
     for k, suite in enumerate(selected):
         if suite not in _SUITE_FUNCS:
             raise ValueError(f"unknown suite {suite!r}")
         if suite in selected[:k]:
             raise ValidationError(f"suite {suite!r} is selected more than once")
-        if not _declared(suite, scenario):
+        declared[suite] = _declared(suite, scenario)
+        if not declared[suite]:
             raise ValidationError(
                 f"suite {suite!r} declares no check for scenario {scenario.name!r}"
             )
@@ -1258,7 +1177,9 @@ def run_suites(
     folded = None
     for start in range(0, samples, length):
         ctx = ScenarioContext(scenario, min(length, samples - start), seed, first=start)
-        measured = [pair for suite in selected for pair in _SUITE_FUNCS[suite](ctx)]
+        measured = [
+            pair for suite in selected for pair in _SUITE_FUNCS[suite](ctx, declared[suite])
+        ]
         if folded is None:
             folded = measured
         else:
@@ -1271,21 +1192,12 @@ def run_suites(
     for check in checks:
         if check.check_id in expected:
             check.expected_fail = True
-    convention = None
-    for check in checks:
-        resolved = check.details.get("resolved_convention")
-        if resolved and "indeterminate" not in resolved and resolved != "none matched":
-            convention = resolved
-            break
-        if resolved and convention is None:
-            convention = resolved
     return ScenarioReport(
         scenario_name=scenario.name,
         seed=seed,
         samples=samples,
         suites=list(selected),
         checks=checks,
-        resolved_curvature_convention=convention,
         controls_not_run=[
             cid for cid in scenario.expected_failures if cid.split("/")[0] not in selected
         ],

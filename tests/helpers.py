@@ -572,8 +572,10 @@ def mixed_display_spec(N, frame, J, DJ, tangent, literal=False):
 
 
 def horizontal_display_spec(N, frame, J, NJ, R, y, p, q, tangent):
-    """The horizontal-part gap and, by index permutation of R, the displayed
-    vertical curvature term of ``lifts.horizontal_display_match``."""
+    """The horizontal-part gap, the vertical gap before the curvature term, and
+    the displayed vertical curvature term for each reading of R by index
+    permutation: terms[perm] reads the displayed R^l_(a b c) as the house
+    R^l_(perm(a b c)), and terms[("a", "b", "c")] is the one the program checks."""
     n = J.shape[-1]
     actual = np.einsum("mabj,mbi->maij", np.einsum("mabc,mcj->mabj", N, frame), frame)
     gap = actual - np.einsum("mkij,mak->maij", NJ, frame)
@@ -595,6 +597,40 @@ def horizontal_display_spec(N, frame, J, NJ, R, y, p, q, tangent):
         )
         terms[perm] = -inner if tangent else inner
     return gap[:, :n], gap[:, n:], terms
+
+
+def matching_readings(N, frame, J, NJ, R, y, p, q, tangent, tol=1e-7):
+    """The largest horizontal-part gap, and the readings of the displayed
+    curvature (6 index orders times 2 signs) whose vertical gap is at most
+    ``tol``: the search that tells which convention the data decides.  A
+    reading (sign, perm), such as ("-", ("b", "a", "c")), reads the displayed
+    R^l_(a b c) as -R_house^l_(b a c)."""
+    horiz, vert, terms = horizontal_display_spec(N, frame, J, NJ, R, y, p, q, tangent)
+    matching = {
+        (sign, perm)
+        for perm, term in terms.items()
+        for sign, factor in (("+", 1.0), ("-", -1.0))
+        if np.abs(vert - factor * term).max() <= tol
+    }
+    return np.abs(horiz).max(), matching
+
+
+def per_sample_worst(residuals, points):
+    """The largest absolute entry of per-sample residual arrays (one array or a
+    list) and the point of its sample, through one maximum per sample with NaN
+    read as infinite: the oracle of ``report.worst_sample``."""
+    if isinstance(residuals, (list, tuple)):
+        m = np.asarray(residuals[0]).shape[0]
+        residuals = np.concatenate(
+            [np.abs(np.asarray(r, dtype=float)).reshape(m, -1) for r in residuals], axis=1
+        )
+    residuals = np.asarray(residuals, dtype=float)
+    if residuals.size == 0:
+        return 0.0, None
+    per_point = np.abs(residuals).reshape(residuals.shape[0], -1).max(axis=1)
+    per_point[np.isnan(per_point)] = np.inf
+    worst = int(np.argmax(per_point))
+    return float(per_point[worst]), tuple(float(v) for v in np.asarray(points, dtype=float)[worst])
 
 
 def random_compatible_pair(rng: np.random.Generator, n: int, params: MetallicParams):

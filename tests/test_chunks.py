@@ -114,24 +114,3 @@ def test_a_fold_keeps_the_first_worst_sample_and_the_first_error():
     assert suites._fold(metallic, first, error) is error
     assert suites._fold(metallic, error, suites.Measured(float("inf"), (0.4,), raised=True)) is error
     assert suites._fold(metallic, error, suites.Measured(2.0, (0.5,))) is error
-
-
-def test_two_candidate_conventions_share_a_class_only_if_close_in_every_chunk():
-    cid = "lifts-tangent/nijenhuis-horizontal-display"
-    check = next(c for c in suites.CHECKS if c.cid == cid)
-    labels = [f"R^l_(a b c) = {sign}R_house^l_({i})" for i in range(6) for sign in "+-"]
-
-    def chunk(close):
-        # candidates 0 and 1 match, the other ten do not
-        details = {
-            "curvature": 1.0,
-            "candidate_residuals": [0.0, 0.0] + [1.0] * 10,
-            "close": frozenset(close),
-            "labels": labels,
-            "argument_slots": [3] * 12,
-        }
-        return suites.Measured(0.0, details=details)
-
-    assert check.finish(chunk({(0, 1)})).details["matching_classes"] == [labels[:2]]
-    folded = suites._fold(check, chunk({(0, 1)}), chunk(set()))
-    assert check.finish(folded).details["matching_classes"] == [labels[:1], labels[1:2]]

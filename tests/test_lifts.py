@@ -13,7 +13,7 @@ from metalliclab import suites
 from metalliclab.suites import ScenarioContext, run_suites
 
 from conftest import CORPUS, field_context, scenario_path
-from helpers import fd_lifted_nijenhuis, fd_partial, lifted_jbar
+from helpers import fd_lifted_nijenhuis, fd_partial, lifted_jbar, matching_readings
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PARAMS = MetallicParams(1.0, 1.0)
@@ -236,18 +236,17 @@ def test_mixed_display(sphere_setup):
 def test_sphere_diag_cannot_distinguish_sign(sphere_setup):
     # in two dimensions the displayed curvature combination vanishes for any
     # metallic J (Cayley-Hamilton), so both signs of the argument-last
-    # placement match while every misplaced-argument candidate fails
+    # placement match while every misplaced-argument reading fails; the house
+    # reading the program checks is one of those that match
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         _, pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor)
-        match = lf.horizontal_display_match(
-            N, frame, J_at, NJ, R, pts[:, 2:], PARAMS, flavor
-        )
-        assert match["horizontal_residual"] < 1e-9
-        good = [cand for cand in match["candidates"] if cand["residual"] <= 1e-7]
-        assert good and all(cand["argument_slot"] == 3 for cand in good)
-        bad = [cand for cand in match["candidates"] if cand["argument_slot"] != 3]
-        assert all(cand["residual"] > 1e-3 for cand in bad)
+        y = pts[:, 2:]
+        horizontal, good = matching_readings(N, frame, J_at, NJ, R, y, 1.0, 1.0, flavor == lf.TANGENT)
+        assert horizontal < 1e-9
+        assert good == {(sign, perm) for sign in "+-" for perm in (tuple("abc"), tuple("bac"))}
+        gap = lf.horizontal_display_match(N, frame, J_at, NJ, R, y, PARAMS, flavor)
+        assert np.abs(gap).max() <= 1e-7
 
 
 def test_warped_scenario_resolves_full_convention(warped_setup):
@@ -256,14 +255,26 @@ def test_warped_scenario_resolves_full_convention(warped_setup):
         _, pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor, base=8, fibre=4
         )
         assert np.abs(R).max() > 1.0  # the coupling curvature is substantial
-        match = lf.horizontal_display_match(
-            N, frame, J_at, NJ, R, pts[:, 3:], PARAMS, flavor
-        )
-        good = {cand["label"] for cand in match["candidates"] if cand["residual"] <= 1e-7}
-        assert good == {
-            "R^l_(a b c) = +R_house^l_(a b c)",
-            "R^l_(a b c) = -R_house^l_(b a c)",
-        }
+        y = pts[:, 3:]
+        _, good = matching_readings(N, frame, J_at, NJ, R, y, 1.0, 1.0, flavor == lf.TANGENT)
+        assert good == {("+", tuple("abc")), ("-", tuple("bac"))}
+        gap = lf.horizontal_display_match(N, frame, J_at, NJ, R, y, PARAMS, flavor)
+        assert np.abs(gap).max() <= 1e-7
+
+
+def test_a_sign_flipped_curvature_term_fails_the_horizontal_display(monkeypatch):
+    # warped-mixing is the corpus scenario whose data decides the sign
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    flavors = ("lifts-tangent", "lifts-cotangent")
+    cids = [f"{flavor}/nijenhuis-horizontal-display" for flavor in flavors]
+    report = run_suites(scenario, suites=list(flavors))
+    assert all(report.find(cid).passed for cid in cids)
+    term = lf._displayed_curvature_term
+    monkeypatch.setattr(lf, "_displayed_curvature_term", lambda *args: -term(*args))
+    report = run_suites(scenario, suites=list(flavors))
+    for cid in cids:
+        assert report.find(cid).residual > 1.0, cid
+        assert not report.find(cid).satisfied
 
 
 def test_commutation_identity(sphere_setup, warped_setup):
