@@ -41,10 +41,6 @@ class ComplexDiscriminant(MetallicLabError):
     """p^2 + 4q < 0: the metallic number is not real."""
 
 
-class DegenerateDiscriminant(MetallicLabError):
-    """p^2 + 4q = 0: the two roots coincide and conversions divide by zero."""
-
-
 class ZeroQ(MetallicLabError):
     """Operation requires q != 0 (the structure is not invertible otherwise)."""
 
@@ -63,10 +59,6 @@ class IncompatiblePair(MetallicLabError):
 
 class DegenerateForm(MetallicLabError):
     """A bilinear form has an eigenvalue too close to zero for a signature."""
-
-
-class SingularJacobian(MetallicLabError):
-    """Differential of a map is not invertible at the given point."""
 
 
 class SchemaError(MetallicLabError):

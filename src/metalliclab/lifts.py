@@ -15,19 +15,17 @@ sample, with the fibre coordinates contracted first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import chart as ch
-from .errors import DimensionMismatch
 from .metallic import MetallicParams
 
 __all__ = [
     "TANGENT",
     "COTANGENT",
-    "LiftedChart",
+    "fibre_points",
     "Lift",
     "lift",
     "frame_endo_residuals",
@@ -44,30 +42,13 @@ TANGENT = "tangent"
 COTANGENT = "cotangent"
 
 
-@dataclass(frozen=True)
-class LiftedChart:
-    base: ch.Chart
-    flavor: str
-    fibre_box: tuple = ()
-
-    def __post_init__(self):
-        if self.flavor not in (TANGENT, COTANGENT):
-            raise ValueError(f"flavor must be {TANGENT!r} or {COTANGENT!r}")
-        n = self.base.dim
-        fibre_box = tuple(self.fibre_box) or tuple((-1.0, 1.0) for _ in range(n))
-        if len(fibre_box) != n:
-            raise DimensionMismatch("fibre box must have one interval per coordinate")
-        object.__setattr__(self, "fibre_box", fibre_box)
-
-    def fibre_points(self, count: int, seed: int, first: int = 0) -> np.ndarray:
-        """Fibre coordinates of the lifted samples first .. first + count - 1:
-        uniform over the fibre box, one draw per coordinate, so the generator
-        skips the draws of the samples before ``first``."""
-        rng = np.random.default_rng(seed + 1)
-        rng.bit_generator.advance(first * self.base.dim)
-        lo = np.array([b[0] for b in self.fibre_box])
-        hi = np.array([b[1] for b in self.fibre_box])
-        return rng.uniform(lo, hi, size=(count, self.base.dim))
+def fibre_points(dim: int, count: int, seed: int, first: int = 0) -> np.ndarray:
+    """Fibre coordinates of the lifted samples first .. first + count - 1:
+    uniform in [-1, 1]^dim, one draw per coordinate, so the generator skips
+    the draws of the samples before ``first``."""
+    rng = np.random.default_rng(seed + 1)
+    rng.bit_generator.advance(first * dim)
+    return rng.uniform(-1.0, 1.0, size=(count, dim))
 
 
 def _swap(a: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ tolerance, gating flag, the scenarios it applies to and its residual.  One
 guarded loop runs the checks of each selected suite in table order, so
 every declared id appears in the report exactly once.  A run goes over
 chunks of its samples and folds each check's results over them by the
-merge rules declared with the check.
+merge rules declared with the check, the maximum where it declares none.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import chart as ch
 from . import genbundle as gb
 from . import genconn as gc
 from . import lifts as lf
-from .errors import DomainError, MetallicLabError, ValidationError
+from .errors import DomainError, IncompatiblePair, MetallicLabError, ValidationError
 from .report import CheckResult, ScenarioReport, largest_entry, worst_of, worst_sample
 
 if TYPE_CHECKING:
@@ -36,6 +36,7 @@ TOL_ALGEBRAIC = 1e-10
 TOL_NIJ_IDENTITY = 1e-8
 TOL_CURVATURE_DISPLAY = 1e-7
 TOL_COUNT = 0.5  # the residual counts failures, so a single one fails the check
+TOL_COMPATIBLE = 1e-8  # the largest gJ asymmetry the derived family accepts
 
 # The largest tolerance a scenario file or --tol may set.  The smallest
 # residual of a shipped negative control is 2.88 at the declared 32 samples
@@ -331,7 +332,8 @@ class Measured:
 # Merge rules of the Measured details over chunks of samples: each takes the
 # value over the earlier samples and the value over the later ones.  The
 # minimum and maximum are numpy's, so a NaN wins as it does in the reductions
-# that made the values, and lists merge entry by entry.
+# that made the values, and lists merge entry by entry.  A detail with no
+# declared rule takes the maximum.
 def _last(before, after):
     return after
 
@@ -351,10 +353,10 @@ class Check:
     ``residual(ctx)`` gives per-sample residual arrays (one array, or a list
     of them) taken at ``points(ctx)``, or a ``Measured``.  ``applies(scenario)``
     reads the scenario's params and 1-form: a check it rejects is not
-    declared for that scenario.  ``merge`` names the rule of each detail of
-    the ``Measured`` over chunks of samples, and under "residual" the rule
-    of a residual that counts failures rather than takes a maximum (see
-    _fold).
+    declared for that scenario.  ``merge`` names the rule of a detail of the
+    ``Measured`` over chunks of samples that does not take the maximum, and
+    under "residual" the rule of a residual that counts failures rather than
+    takes a maximum (see _fold).
     """
 
     cid: str
@@ -397,7 +399,7 @@ def _fold(check: Check, before: Measured, after: Measured) -> Measured:
     The first result that raised decides.  A residual takes the maximum
     with its first worst sample as the witness, or a count its rule in
     ``merge["residual"]`` with the first witness; each detail takes its
-    rule in ``merge``.
+    rule in ``merge``, the maximum by default.
     """
     if before.raised or after.raised:
         return before if before.raised else after
@@ -409,7 +411,10 @@ def _fold(check: Check, before: Measured, after: Measured) -> Measured:
         residual, witness = after.residual, after.witness
     else:
         residual, witness = before.residual, before.witness
-    details = {key: rules[key](value, after.details[key]) for key, value in before.details.items()}
+    details = {
+        key: rules.get(key, _max)(value, after.details[key])
+        for key, value in before.details.items()
+    }
     return Measured(residual, witness, details)
 
 
@@ -518,42 +523,72 @@ def _neutral_signature(ctx: ScenarioContext) -> Measured:
 
 
 def _calibration(ctx: ScenarioContext) -> Measured:
-    anti = gb.check_anti_pseudo_calibrated(
-        ctx.gen_at("jp"), ctx.shared(_jp_eigenvalues), points=ctx.points
-    )
-    cal = gb.check_calibrated(ctx.gen_at("jc"), points=ctx.points)
-    worst = max(anti, cal, key=lambda result: result.residual)
-    details = {"jp_anti_invariance": anti.residual, "jc_invariance": cal.residual}
-    return Measured(worst.residual, worst.witness, details)
+    """Jp anti-invariant and Jc invariant under the natural pairing, the form
+    (., Jp .) non-degenerate and (., Jc .) positive definite: a form that
+    fails reads 2 tol at its sample, NaN included."""
+    jp, jc = ctx.gen_at("jp"), ctx.gen_at("jc")
+    M = gb.pairing_matrix(ctx.chart.dim)
+    flag = TOL_ALGEBRAIC * 2.0
+    min_eig = np.abs(ctx.shared(_jp_eigenvalues)).min(axis=-1)
+    jp_half = [
+        largest_entry(np.swapaxes(jp, -1, -2) @ M @ jp + M),
+        largest_entry(np.where(min_eig > TOL_ALGEBRAIC, 0.0, flag)),
+    ]
+    positive = gb.pairing_positive_definite(jc, TOL_ALGEBRAIC)
+    jc_half = [
+        largest_entry(np.swapaxes(jc, -1, -2) @ M @ jc - M),
+        largest_entry(np.where(positive, 0.0, flag)),
+    ]
+    details = {
+        "jp_anti_invariance": max(value for value, _ in jp_half),
+        "jc_invariance": max(value for value, _ in jc_half),
+    }
+    return Measured(*worst_of(jp_half + jc_half, ctx.points), details)
+
+
+def _converted(ctx: ScenarioContext, sign: float, X: np.ndarray) -> np.ndarray:
+    """The product conversion sign (2 sigma - p)/2 X + p/2 I of a structure X."""
+    gap = 2.0 * ctx.params.sigma - ctx.params.p
+    return sign * (gap / 2.0) * X + ctx.params.p / 2.0 * np.eye(X.shape[-1])
 
 
 def _derived_family(ctx: ScenarioContext) -> Measured:
-    n, m = ctx.chart.dim, ctx.points.shape[0]
-    params = ctx.params
+    """The metallic and block identities of Jm^+- (the conversions of Jp) and
+    of J^+-(Fhat^+), Fhat^+ = blockdiag(F^+, F^+*) for F^+ = (2J - pI) / (2 sigma - p).
+
+    Each member is built once and reduced to its largest entry at once;
+    besides Fhat^+, one member stack is held at a time.  F^- = -F^+ and
+    negation is exact, so J^-(Fhat^-) is J^+(Fhat^+) and J^+(Fhat^-) is
+    J^-(Fhat^+) bit for bit: the F^- members are not built.
+    """
+    n = ctx.chart.dim
+    params, J = ctx.params, ctx.J_at
     eye, eye2 = np.eye(n), _eye2(ctx)
     gap = 2.0 * params.sigma - params.p
-    # Jp holds g^-1, so every g of the chunk has been inverted
-    fam = gb.derived_family(ctx.J_at, ctx.g_at, ctx.gen_at("jp"), params, invertible=True)
-    pjqi = params.p * ctx.J_at + (params.q - 1.0) * eye
-    mirror = params.p * eye - ctx.J_at
-    expected_mp = np.zeros((m, 2 * n, 2 * n))
-    expected_mp[:, :n, :n] = mirror
-    expected_mp[:, n:, n:] = np.swapaxes(mirror, -1, -2)
-    # each member is built once and reduced to its largest entry at once;
-    # besides Fhat^+, one member stack is held at a time.
-    # J^-(Fhat^-) is J^+(Fhat^+) and J^+(Fhat^-) is J^-(Fhat^+).
-    jm_plus = fam.jm_plus
+    # Jp holds g^-1, so a singular metric is named before an incompatible pair
+    jp = ctx.gen_at("jp")
+    asymmetry = np.abs(_skew(ctx.g_at @ J)).max(axis=(-2, -1))
+    incompatible = asymmetry > TOL_COMPATIBLE
+    if incompatible.any():
+        worst = asymmetry[incompatible.argmax()]
+        raise IncompatiblePair(f"gJ asymmetry {worst:.3e} exceeds {TOL_COMPATIBLE:g}")
+    f_plus = (2.0 * J - params.p * eye) / gap
+    pjqi = params.p * J + (params.q - 1.0) * eye
+    mirror = params.p * eye - J
+    jm_plus = _converted(ctx, 1.0, jp)
     metallic = [largest_entry(_metallic(ctx, jm_plus))]
     # corrected reading: the off-diagonal blocks carry (2s-p)/2
     block = [largest_entry(jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ctx.ginv_at)]
     del jm_plus
-    metallic.append(largest_entry(_metallic(ctx, fam.jm_minus)))
-    block.append(largest_entry(fam.fhat_plus @ fam.fhat_plus - eye2))
-    j_plus_of_fplus = fam.j_plus_of_fplus
+    metallic.append(largest_entry(_metallic(ctx, _converted(ctx, -1.0, jp))))
+    fhat_plus = gb.blocks(f_plus, 0.0, 0.0, np.swapaxes(f_plus, -1, -2))
+    block.append(largest_entry(fhat_plus @ fhat_plus - eye2))
+    j_plus_of_fplus = _converted(ctx, 1.0, fhat_plus)
     metallic.append(largest_entry(_metallic(ctx, j_plus_of_fplus)))
     block.append(largest_entry(j_plus_of_fplus - ctx.gen_at("jm")))
     del j_plus_of_fplus
-    block.append(largest_entry(fam.j_minus_of_fplus - expected_mp))
+    expected_mp = gb.blocks(mirror, 0.0, 0.0, np.swapaxes(mirror, -1, -2))
+    block.append(largest_entry(_converted(ctx, -1.0, fhat_plus) - expected_mp))
     details = {
         "metallic_residual": max(value for value, _ in metallic),
         "block_residual": max(value for value, _ in block),
@@ -564,11 +599,8 @@ def _derived_family(ctx: ScenarioContext) -> Measured:
 def _fhat(ctx: ScenarioContext) -> Measured:
     # samples where Df = J is singular have no push-forward
     keep = np.abs(np.linalg.det(ctx.J_at)) >= 1e-12
-    jm_kept = ctx.gen_at("jm")[keep]
-    res = gb.fhat_conjugation(
-        ctx.J_at[keep], jm_kept, jm_kept, points=ctx.points[keep], invertible=True
-    )
-    return Measured(res.residual, res.witness, {"informative": _FHAT_INFORMATIVE})
+    fhat, jm = gb.fhat_matrix(ctx.J_at[keep]), ctx.gen_at("jm")[keep]
+    return _worst(fhat @ jm - jm @ fhat, ctx.points[keep], informative=_FHAT_INFORMATIVE)
 
 
 # ------------------------------------------------------------------
@@ -719,16 +751,16 @@ def _repeated(values: np.ndarray) -> np.ndarray:
     return np.repeat(values, FIBRE_PER_BASE, axis=0)
 
 
-def _fibre_points(ctx: ScenarioContext, flavor: str) -> np.ndarray:
+def _fibre_points(ctx: ScenarioContext) -> np.ndarray:
     """The fibre points y of the context's samples, FIBRE_PER_BASE over each."""
     count, first = len(ctx.points) * FIBRE_PER_BASE, ctx.first * FIBRE_PER_BASE
-    return lf.LiftedChart(ctx.chart, flavor).fibre_points(count, ctx.seed, first)
+    return lf.fibre_points(ctx.chart.dim, count, ctx.seed, first)
 
 
 def _lift(ctx: ScenarioContext, flavor: str) -> tuple:
     """Fibre points y, FIBRE_PER_BASE over each sample, the base values
     repeated to match, and the lift at the points (x, y)."""
-    y = _fibre_points(ctx, flavor)
+    y = _fibre_points(ctx)
     base = {name: _repeated(values) for name, values in _lift_inputs(ctx).items()}
     return y, base, lf.lift(flavor, y, **base)
 
@@ -778,7 +810,7 @@ def _mixed_display(ctx, y, base, lifted, flavor) -> Measured:
     details = {}
     if flavor == lf.COTANGENT:
         literal = lf.mixed_display_residual(*args, literal=True)
-        details["literal_display_residual"] = float(np.abs(literal).max())
+        details["literal_display_residual"] = largest_entry(literal)[0]
     return _worst(lf.mixed_display_residual(*args), _lift_points(ctx, flavor), **details)
 
 
@@ -797,7 +829,7 @@ def _horizontal_display(ctx, y, base, lifted, flavor) -> Measured:
         ctx.params,
         flavor,
     )
-    curvature = float(np.abs(ctx.riemann_at).max())
+    curvature = largest_entry(ctx.riemann_at)[0]
     return _worst(gap, _lift_points(ctx, flavor), curvature=curvature)
 
 
@@ -853,7 +885,6 @@ def _lift_checks(flavor: str) -> list:
             "nijenhuis-mixed-display",
             "N on horizontal/vertical pairs matches the displayed formula",
             _mixed_display,
-            merge={"literal_display_residual": _max},
         ),
         check(
             "nijenhuis-horizontal-display",
@@ -861,7 +892,6 @@ def _lift_checks(flavor: str) -> list:
             "its R^l_(a b c) read as the house R^l_(a b c)",
             _horizontal_display,
             TOL_CURVATURE_DISPLAY,
-            merge={"curvature": _max},
         ),
         check(
             "nijenhuis-vanishes",
@@ -985,7 +1015,6 @@ CHECKS = (
         "Jp anti-pseudo-calibrated; Jc calibrated for the natural pairing",
         _calibration,
         TOL_ALGEBRAIC,
-        merge={"jp_anti_invariance": _max, "jc_invariance": _max},
     ),
     Check(
         "genbundle/derived-family",
@@ -994,7 +1023,6 @@ CHECKS = (
         _derived_family,
         TOL_ALGEBRAIC,
         applies=_real_roots,
-        merge={"metallic_residual": _max, "block_residual": _max},
     ),
     Check(
         "genbundle/fhat-with-df-equal-j",
@@ -1030,7 +1058,6 @@ CHECKS = (
             f"genconn/{label}-integrability-conditions",
             f"the six displayed integrability conditions for {label}",
             lambda ctx, label=label: _conditions(ctx, label, "condition"),
-            merge={"per_condition": _max},
         )
         for label in ("jp", "jc")
     ),
@@ -1040,7 +1067,6 @@ CHECKS = (
             f"torsion-free reduction of the {label} conditions (informative)",
             lambda ctx, label=label: _conditions(ctx, label, "reduced"),
             gating=False,
-            merge={"per_condition": _max},
         )
         for label in ("jp", "jc")
     ),
@@ -1098,7 +1124,6 @@ CHECKS = (
         "T^D closed form, the torsion commutation, Phi(T^D) = 0 and D-integrability of Jm",
         _omega_sweep,
         applies=_has_karaman,
-        merge={"per_form_max": _max},
     ),
     *_lift_checks(lf.TANGENT),
     *_lift_checks(lf.COTANGENT),

@@ -93,22 +93,31 @@ def test_criterion_03_neutral_signature(random_pair_sweep):
     _line(3, ok, "signature of G is exactly (n, n) on every generated pair")
 
 
+def _symmetric(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
 def test_criterion_04_calibration(random_pair_sweep):
     _, contexts = random_pair_sweep
+    check = next(c for c in suites.CHECKS if c.cid == "genbundle/calibration")
     worst = 0.0
-    positive = True
-    for _, ctx in contexts:
+    forms = True
+    for n, ctx in contexts:
+        # the natural pairing (X + a, Y + b) = -(a(Y) - b(X)) / 2
+        M = np.zeros((2 * n, 2 * n))
+        M[:n, n:], M[n:, :n] = 0.5 * np.eye(n), -0.5 * np.eye(n)
         jp, jc = ctx.gen_at("jp"), ctx.gen_at("jc")
-        anti = gb.check_anti_pseudo_calibrated(
-            jp, gb.pairing_eigenvalues(jp), tolerance=TOL_ALGEBRAIC, points=ctx.points
-        )
-        cal = gb.check_calibrated(jc, tolerance=TOL_ALGEBRAIC, points=ctx.points)
-        worst = max(worst, anti.residual, cal.residual)
-        positive = positive and gb.pairing_eigenvalues(jc).min() > 0.0
+        anti = np.abs(np.swapaxes(jp, -1, -2) @ M @ jp + M).max()
+        invariance = np.abs(np.swapaxes(jc, -1, -2) @ M @ jc - M).max()
+        measured = suites._evaluate(check, ctx)
+        worst = max(worst, anti, invariance, measured.residual)
+        non_degenerate = np.abs(np.linalg.eigvalsh(_symmetric(M @ jp))).min() > TOL_ALGEBRAIC
+        positive = np.linalg.eigvalsh(_symmetric(M @ jc)).min() > TOL_ALGEBRAIC
+        forms = forms and non_degenerate and positive
     _line(
         4,
-        worst <= TOL_ALGEBRAIC and positive,
-        f"anti-invariance / invariance / positive-definiteness (worst {worst:.2e})",
+        worst <= TOL_ALGEBRAIC and forms,
+        f"anti-invariance / invariance / non-degeneracy / positive-definiteness (worst {worst:.2e})",
     )
 
 

@@ -114,3 +114,12 @@ def test_a_fold_keeps_the_first_worst_sample_and_the_first_error():
     assert suites._fold(metallic, first, error) is error
     assert suites._fold(metallic, error, suites.Measured(float("inf"), (0.4,), raised=True)) is error
     assert suites._fold(metallic, error, suites.Measured(2.0, (0.5,))) is error
+
+
+def test_a_detail_with_no_declared_rule_folds_by_its_maximum():
+    calibration = next(c for c in suites.CHECKS if c.cid == "genbundle/calibration")
+    assert calibration.merge == {}
+    before = suites.Measured(1.0, (0.1,), {"jc_invariance": 1.0, "per": [1.0, 4.0]})
+    after = suites.Measured(0.5, (0.2,), {"jc_invariance": 3.0, "per": [2.0, 3.0]})
+    folded = suites._fold(calibration, before, after)
+    assert folded.details == {"jc_invariance": 3.0, "per": [2.0, 4.0]}

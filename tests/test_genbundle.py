@@ -1,6 +1,5 @@
 import json
 import math
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,16 +8,7 @@ from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab import genbundle as gb
 from metalliclab import suites
-from metalliclab.errors import (
-    DegenerateDiscriminant,
-    DegenerateForm,
-    DimensionMismatch,
-    DomainError,
-    IncompatiblePair,
-    MetallicLabError,
-    SingularJacobian,
-    SingularMetric,
-)
+from metalliclab.errors import DegenerateForm, DomainError
 from metalliclab.metallic import MetallicParams
 from metalliclab.scenario import load_scenario
 
@@ -47,6 +37,20 @@ JP_GOLDEN = np.array(
 def _gen(label, g, J):
     """The structure ``label`` of one pointwise pair, as a run builds it."""
     return pair_context(g, J).gen_at(label)[0]
+
+
+def _measured(cid, ctx):
+    """The Measured of the declared check ``cid`` on ``ctx``, under the run's guard."""
+    check = next(check for check in suites.CHECKS if check.cid == cid)
+    return suites._evaluate(check, ctx)
+
+
+def _blockdiag(A, D):
+    """[[A, 0], [0, D]] for stacks of n x n blocks."""
+    n = A.shape[-1]
+    out = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n], out[..., n:, n:] = A, D
+    return out
 
 
 def test_ghat_matrix():
@@ -86,10 +90,14 @@ def test_block_structures_golden_case():
 
 
 def test_incompatible_pair_rejected():
-    bad_J = np.array([[GOLDEN, 1.0], [0.0, 1 - GOLDEN]])
-    g = np.diag([1.0, 3.0])
-    with pytest.raises(IncompatiblePair):
-        gb.derived_family(bad_J, g, None, PARAMS)
+    # gJ = [[sigma, a], [0, 3 (1 - sigma)]] has asymmetry a: 1 at sample 1, 2 at
+    # sample 3; the error is the first failing sample's
+    g = np.stack([np.diag([1.0, 3.0])] * 4)
+    J = np.stack([J2] * 4)
+    J[1, 0, 1], J[3, 0, 1] = 1.0, 2.0
+    measured = _measured("genbundle/derived-family", pair_context(g, J))
+    assert measured.raised and measured.residual == math.inf
+    assert measured.details == {"error": "gJ asymmetry 1.000e+00 exceeds 1e-08"}
 
 
 def test_structure_identities_on_random_pairs():
@@ -106,39 +114,58 @@ def test_structure_identities_on_random_pairs():
         assert np.abs(sym - np.swapaxes(sym, -1, -2)).max() < 1e-10
 
 
+def _family(g, J, params=PARAMS):
+    """Jp, F^+ and the four members Jm^+, Jm^-, J^+(Fhat^+), J^-(Fhat^+) of
+    stacked pairs, from the paper's formulas."""
+    n = J.shape[-1]
+    gap = 2 * params.sigma - params.p
+    Jt = np.swapaxes(J, -1, -2)
+    jp = np.block([[J, (np.eye(n) - J @ J) @ np.linalg.inv(g)], [g, -Jt]])
+    f_plus = (2 * J - params.p * np.eye(n)) / gap
+    fhat_plus = _blockdiag(f_plus, np.swapaxes(f_plus, -1, -2))
+
+    def converted(sign, X):
+        return sign * gap / 2 * X + params.p / 2 * np.eye(2 * n)
+
+    members = [converted(sign, X) for X in (jp, fhat_plus) for sign in (1, -1)]
+    return jp, f_plus, members
+
+
 def test_derived_family_identities():
     rng = np.random.default_rng(9)
     gap = 2 * PARAMS.sigma - PARAMS.p
+    cid = "genbundle/derived-family"
     for n in (2, 3):
-        for _ in range(25):
-            g, J = random_compatible_pair(rng, n, PARAMS)
-            fam = gb.derived_family(J, g, _gen("jp", g, J), PARAMS)
-            eye2n = np.eye(2 * n)
-            jm = _gen("jm", g, J)
-            assert np.abs(fam.fhat_plus @ fam.fhat_plus - eye2n).max() < 1e-10
-            assert np.abs(fam.j_plus_of_fplus - jm).max() < 1e-10
-            mirror = np.zeros((2 * n, 2 * n))
-            mirror[:n, :n] = PARAMS.p * np.eye(n) - J
-            mirror[n:, n:] = (PARAMS.p * np.eye(n) - J).T
-            assert np.abs(fam.j_minus_of_fplus - mirror).max() < 1e-10
-            for cand in (fam.jm_plus, fam.jm_minus):
-                res = cand @ cand - PARAMS.p * cand - PARAMS.q * eye2n
-                assert np.abs(res).max() < 1e-11
-            # corrected reading of the upper-right block: the printed form
-            # -(pJ + (q-1)I) sharp misses the (2 sigma - p)/2 factor
-            pjqi = PARAMS.p * J + (PARAMS.q - 1) * np.eye(n)
-            ginv = np.linalg.inv(g)
-            scale = max(1.0, np.abs(ginv).max())
-            upper = fam.jm_plus[:n, n:]
-            assert np.abs(upper + gap / 2.0 * pjqi @ ginv).max() < 1e-10 * scale
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = upper / (-(pjqi @ ginv))
-            finite = ratio[np.isfinite(ratio)]
-            if finite.size:
-                assert np.allclose(finite, gap / 2.0, atol=1e-8)
+        g, J = _compatible_stack(rng, n, 25)
+        measured = _measured(cid, pair_context(g, J))
+        assert not measured.raised and measured.residual < 1e-10
+        assert max(measured.details.values()) == measured.residual
+        _, f_plus, (jm_plus, jm_minus, j_plus, j_minus) = _family(g, J)
+        eye2n = np.eye(2 * n)
+        fhat_plus = _blockdiag(f_plus, np.swapaxes(f_plus, -1, -2))
+        assert np.abs(fhat_plus @ fhat_plus - eye2n).max() < 1e-10
+        assert np.abs(j_plus - _blockdiag(J, np.swapaxes(J, -1, -2))).max() < 1e-10
+        mirror = PARAMS.p * np.eye(n) - J
+        assert np.abs(j_minus - _blockdiag(mirror, np.swapaxes(mirror, -1, -2))).max() < 1e-10
+        for cand in (jm_plus, jm_minus):
+            res = cand @ cand - PARAMS.p * cand - PARAMS.q * eye2n
+            assert np.abs(res).max() < 1e-10
+        # corrected reading of the upper-right block: the printed form
+        # -(pJ + (q-1)I) sharp misses the (2 sigma - p)/2 factor
+        pjqi = PARAMS.p * J + (PARAMS.q - 1) * np.eye(n)
+        ginv = np.linalg.inv(g)
+        scale = max(1.0, np.abs(ginv).max())
+        upper = jm_plus[:, :n, n:]
+        assert np.abs(upper + gap / 2.0 * pjqi @ ginv).max() < 1e-10 * scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = upper / (-(pjqi @ ginv))
+        finite = ratio[np.isfinite(ratio)]
+        if finite.size:
+            assert np.allclose(finite, gap / 2.0, atol=1e-8)
 
-    with pytest.raises(DegenerateDiscriminant):
-        gb.derived_family(J2, G2, _gen("jp", G2, J2), MetallicParams(2, -1))
+    # p^2 + 4q = 0: the conversions divide by 2 sigma - p = 0, and no run declares the check
+    degenerate = pair_context(G2, J2, MetallicParams(2, -1)).scenario
+    assert cid not in [check.cid for check in suites._declared("genbundle", degenerate)]
 
 
 def test_neutral_metric_block_form():
@@ -173,15 +200,23 @@ def test_neutral_metric_signature():
         assert signature_by_congruence(_form(jp)) == (n, n)
 
 
+def _with_structure(ctx, label, values):
+    """``ctx`` with ``values`` in place of its generalized structure ``label``."""
+    ctx.gen_at(label)
+    ctx._gen_at[label] = values
+    return ctx
+
+
 def test_calibration_checks():
-    jp = _gen("jp", G2, J2)
-    jc = _gen("jc", G2, J2)
-    assert gb.check_anti_pseudo_calibrated(jp, gb.pairing_eigenvalues(jp)).residual < 1e-12
-    calibrated = gb.check_calibrated(jc)
-    assert calibrated.residual < 1e-12
-    assert gb.pairing_eigenvalues(jc).min() > 0.0
+    cid = "genbundle/calibration"
+    ctx = pair_context(G2, J2)
+    assert _measured(cid, ctx).residual < 1e-12
+    assert gb.pairing_eigenvalues(ctx.gen_at("jc")).min() > 0.0
     # the generalized metallic structure is NOT pairing-invariant
-    assert not gb.check_calibrated(_gen("jm", G2, J2)).passed
+    measured = _measured(cid, _with_structure(ctx, "jc", ctx.gen_at("jm")))
+    assert measured.residual > suites.TOL_ALGEBRAIC
+    assert measured.details["jc_invariance"] == measured.residual
+    assert measured.details["jp_anti_invariance"] < 1e-12
 
 
 # smallest eigenvalues just above and just below the tolerance of the check
@@ -272,37 +307,40 @@ def test_a_non_finite_form_never_reaches_the_cholesky_factorisation(monkeypatch)
     assert all(np.isfinite(a).all() for a in cholesky)
 
 
-def test_calibration_names_the_sample_whose_form_is_not_positive_definite():
+def test_calibration_names_the_sample_whose_form_is_not_positive_definite(monkeypatch):
     # -Jc keeps the pairing invariant, and its form is negative definite
-    rng = np.random.default_rng(15)
-    ops = pair_context(*_compatible_stack(rng, 2, 5)).gen_at("jc").copy()
-    points = np.arange(10.0).reshape(5, 2)
-    assert gb.check_calibrated(ops, points=points).passed
+    cid = "genbundle/calibration"
+    pairs = _compatible_stack(np.random.default_rng(15), 2, 5)
+    ctx = pair_context(*pairs)
+    assert _measured(cid, ctx).residual <= suites.TOL_ALGEBRAIC
+    ops = ctx.gen_at("jc").copy()
     ops[3] = -ops[3]
-    result = gb.check_calibrated(ops, points=points)
-    assert not result.passed
-    assert result.residual == 2e-10 and result.witness == (6.0, 7.0)
+    measured = _measured(cid, _with_structure(ctx, "jc", ops))
+    assert measured.residual == 2e-10 and measured.witness == tuple(ctx.points[3])
+    assert measured.details["jc_invariance"] == 2e-10
+
+    # the same for a sample whose form (., Jp .) is degenerate
+    eigenvalues = gb.pairing_eigenvalues(ctx.gen_at("jp"))
+    eigenvalues[2, 0] = 0.0
+    monkeypatch.setattr(gb, "pairing_eigenvalues", lambda op: eigenvalues)
+    measured = _measured(cid, pair_context(*pairs))
+    assert measured.residual == 2e-10 and measured.witness == tuple(ctx.points[2])
+    assert measured.details["jp_anti_invariance"] == 2e-10
 
 
 def test_fhat_conjugation():
     jm = _gen("jm", G2, J2)
-    assert gb.fhat_conjugation(np.eye(2), jm, jm).passed
-    # Df = J itself (invertible since q != 0)
-    assert gb.fhat_conjugation(J2, jm, jm).passed
     # the push-forward form f(X + a) = f_* X + f_*^* a coincides with Jm
-    fh2 = np.zeros((4, 4))
-    fh2[:2, :2] = J2
-    fh2[2:, 2:] = J2.T
-    assert np.abs(fh2 - jm).max() < 1e-15
+    assert np.abs(_blockdiag(J2, J2.T) - jm).max() < 1e-15
 
     theta = math.pi / 4
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    assert not gb.fhat_conjugation(rot, jm, jm).passed
-
-    with pytest.raises(SingularJacobian):
-        gb.fhat_matrix(np.zeros((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        gb.fhat_matrix(np.zeros((2, 3)))
+    for df in (np.eye(2), J2, rot):
+        fhat = gb.fhat_matrix(df)
+        assert np.array_equal(fhat, _blockdiag(df, np.linalg.inv(df.T)))
+        # Df = I and Df = J (invertible since q != 0) intertwine Jm with itself
+        intertwines = np.abs(fhat @ jm - jm @ fhat).max() <= suites.TOL_ALGEBRAIC
+        assert intertwines == (df is not rot)
 
 
 def test_degenerate_form_rejected():
@@ -323,10 +361,6 @@ def test_endo_blocks():
 # ------------------------------------------------------------------
 # batches: a leading sample axis, each sample on its own
 # ------------------------------------------------------------------
-
-FAMILY_MEMBERS = ("f_plus", "fhat_plus", "j_plus_of_fplus", "j_minus_of_fplus", "jm_plus",
-                  "jm_minus")
-
 
 def _compatible_stack(rng, n, m):
     pairs = [random_compatible_pair(rng, n, PARAMS) for _ in range(m)]
@@ -352,79 +386,56 @@ def test_batched_functions_equal_a_loop_over_their_slices(n):
         assert _equal_slices(ctx.gen_at(label), [_gen(label, g[k], J[k]) for k in loop])
     jm, jp, jc = ctx.gen_at("jm"), ctx.gen_at("jp"), ctx.gen_at("jc")
 
-    family = gb.derived_family(J, g, jp, PARAMS)
-    singles = [gb.derived_family(J[k], g[k], jp[k], PARAMS) for k in loop]
-    for name in FAMILY_MEMBERS:
-        assert _equal_slices(getattr(family, name), [getattr(f, name) for f in singles])
-
     eigenvalues = gb.pairing_eigenvalues(jp)
     assert _equal_slices(eigenvalues, [gb.pairing_eigenvalues(jp[k]) for k in loop])
     n_plus, n_minus = gb.neutral_signature(eigenvalues)
     single = [gb.neutral_signature(eigenvalues[k]) for k in loop]
     assert [(n_plus[k], n_minus[k]) for k in loop] == single
 
-    def anti_pseudo_calibrated(op, **kwargs):
-        return gb.check_anti_pseudo_calibrated(op, gb.pairing_eigenvalues(op), **kwargs)
-
-    # Jm is not pairing-invariant: its calibration residuals differ per sample
-    for check, stack in (
-        (anti_pseudo_calibrated, jp),
-        (gb.check_calibrated, jc),
-        (gb.check_calibrated, jm),
-    ):
-        batched = check(stack, points=points)
-        single = [check(stack[k]) for k in loop]
-        worst = max(loop, key=lambda k: single[k].residual)
-        assert batched.residual == single[worst].residual
-        assert batched.witness == tuple(points[worst])
-        for key, value in batched.details.items():
-            reduce = min if key.startswith("min_") else max
-            assert value == reduce(s.details[key] for s in single)
-
     df = rng.normal(size=(m, n, n))
     assert _equal_slices(gb.fhat_matrix(df), [gb.fhat_matrix(df[k]) for k in loop])
-    batched = gb.fhat_conjugation(df, jm, jp, points=points)
-    single = [gb.fhat_conjugation(df[k], jm[k], jp[k]) for k in loop]
-    worst = max(loop, key=lambda k: single[k].residual)
-    assert batched.residual == single[worst].residual > 0.0
-    assert batched.witness == tuple(points[worst])
-    assert gb.fhat_conjugation(df[:0], jm[:0], jm[:0]).residual == 0.0
+
+    # each check over the stack is its worst sample checked alone
+    for cid in (
+        "genbundle/calibration",
+        "genbundle/derived-family",
+        "genbundle/fhat-with-df-equal-j",
+    ):
+        batched = _measured(cid, ctx)
+        single = [_measured(cid, pair_context(g[k], J[k])) for k in loop]
+        worst = max(loop, key=lambda k: single[k].residual)
+        assert batched.residual == single[worst].residual, cid
+        assert batched.witness == tuple(ctx.points[worst]), cid
+        for key, value in batched.details.items():
+            if isinstance(value, float):
+                assert value == max(s.details[key] for s in single), (cid, key)
+    # no Df = J is invertible: the push-forward check has no sample to read
+    no_fhat = _measured("genbundle/fhat-with-df-equal-j", pair_context(g, 0.0 * J))
+    assert (no_fhat.residual, no_fhat.witness) == (0.0, None)
 
 
-def _loop_error(fn, J, g):
-    for k in range(len(J)):
-        try:
-            fn(J[k], g[k])
-        except MetallicLabError as err:
-            return err
-    return None
-
-
-@pytest.mark.parametrize(
-    # the preconditions are checked before the product structure is read
-    "fn", (lambda J, g: gb.derived_family(J, g, None, PARAMS),), ids=("derived_family",)
-)
-def test_batched_errors_are_those_of_the_first_failing_sample(fn):
+@pytest.mark.parametrize("cid", ("genbundle/derived-family",), ids=("derived_family",))
+def test_batched_errors_are_those_of_the_first_failing_sample(cid):
     rng = np.random.default_rng(23)
-    g, J = _compatible_stack(rng, 3, 8)
-    good_g3 = g[3].copy()
+    good_g, J = _compatible_stack(rng, 3, 8)
+    g = good_g.copy()
     g[3] = 0.0
+    g[6] = 0.0
     J[5] = J[5] + np.triu(np.ones((3, 3)), 1)
+    J[7] = J[7] + 2.0 * np.triu(np.ones((3, 3)), 1)
 
-    expected = _loop_error(fn, J, g)
-    assert isinstance(expected, SingularMetric)
-    with pytest.raises(SingularMetric) as got:
-        fn(J, g)
-    assert str(got.value) == str(expected)
+    # the singular metric at sample 3 is named before the incompatible pairs
+    ctx = pair_context(g, J)
+    measured = _measured(cid, ctx)
+    assert measured.raised
+    first = tuple(float(v) for v in ctx.points[3])
+    assert measured.details["error"] == f"|det g| < 1e-12 at {first}"
 
-    g[3] = good_g3
-    g[6] = 0.0  # a later singular metric does not take precedence
-    expected = _loop_error(fn, J, g)
-    assert isinstance(expected, IncompatiblePair)
-    assert str(expected) == str(_loop_error(fn, J[5:6], g[5:6]))
-    with pytest.raises(IncompatiblePair) as got:
-        fn(J, g)
-    assert str(got.value) == str(expected)
+    g = good_g
+    errors = [_measured(cid, pair_context(g[k], J[k])).details.get("error") for k in range(8)]
+    assert [k for k, error in enumerate(errors) if error] == [5, 7]
+    assert errors[5] != errors[7]
+    assert _measured(cid, pair_context(g, J)).details["error"] == errors[5]
 
 
 def test_degenerate_form_names_the_first_degenerate_sample():
@@ -548,39 +559,42 @@ def test_batched_checks_name_the_broken_sample(monkeypatch, breaker, failing):
 
 def test_the_minus_members_of_the_family_are_the_plus_members_bit_for_bit():
     # F^- = -F^+ exactly, so the family check reads J^+(Fhat^-) as J^-(Fhat^+)
-    # and J^-(Fhat^-) as J^+(Fhat^+): built from Fhat^- itself they are the same bits
+    # and J^-(Fhat^-) as J^+(Fhat^+): built here from Fhat^- itself they are the same bits
     rng = np.random.default_rng(41)
+    gap = 2.0 * PARAMS.sigma - PARAMS.p
     for n in (2, 3, 4):
         g, J = _compatible_stack(rng, n, 16)
-        fam = gb.derived_family(J, g, pair_context(g, J).gen_at("jp"), PARAMS)
-        f_minus = -fam.f_plus
-        fhat_minus = gb.blocks(f_minus, 0.0, 0.0, np.swapaxes(f_minus, -1, -2))
-        for sign, member in ((1.0, fam.j_minus_of_fplus), (-1.0, fam.j_plus_of_fplus)):
-            direct = fam._converted(sign, fhat_minus)
+        ctx = pair_context(g, J)
+        f_plus = (2.0 * J - PARAMS.p * np.eye(n)) / gap
+        fhat_plus = _blockdiag(f_plus, np.swapaxes(f_plus, -1, -2))
+        fhat_minus = _blockdiag(-f_plus, -np.swapaxes(f_plus, -1, -2))
+        for sign in (1.0, -1.0):
+            direct = sign * (gap / 2.0) * fhat_minus + PARAMS.p / 2.0 * np.eye(2 * n)
+            member = suites._converted(ctx, -sign, fhat_plus)
             assert np.array_equal(member.view(np.int64), direct.view(np.int64))
 
 
 def test_the_derived_family_check_builds_each_member_once(monkeypatch):
-    calls = {"converted": 0, "fhat_plus": 0}
-    converted = gb.DerivedFamily._converted
-    fhat_plus = gb.DerivedFamily.fhat_plus.func
+    products = []
+    converted = suites._converted
 
-    def counting_converted(self, sign, product):
-        calls["converted"] += 1
-        return converted(self, sign, product)
+    def recording(ctx, sign, X):
+        products.append((sign, X))
+        return converted(ctx, sign, X)
 
-    def counting_fhat_plus(self):
-        calls["fhat_plus"] += 1
-        return fhat_plus(self)
-
-    prop = cached_property(counting_fhat_plus)
-    prop.__set_name__(gb.DerivedFamily, "fhat_plus")
-    monkeypatch.setattr(gb.DerivedFamily, "_converted", counting_converted)
-    monkeypatch.setattr(gb.DerivedFamily, "fhat_plus", prop)
-    report = suites.run_suites(load_scenario(scenario_path("sphere-diagJ")), suites=["genbundle"])
+    monkeypatch.setattr(suites, "_converted", recording)
+    scenario = load_scenario(scenario_path("sphere-diagJ"))
+    report = suites.run_suites(scenario, suites=["genbundle"])
     assert report.find("genbundle/derived-family").passed
-    # Jm^+, Jm^-, J^+(Fhat^+) and J^-(Fhat^+), each once; Fhat^+ once
-    assert calls == {"converted": 4, "fhat_plus": 1}
+    # Jm^+, Jm^-, J^+(Fhat^+) and J^-(Fhat^+), each once: two from one Jp and
+    # two from one Fhat^+, which is blockdiag(F^+, F^+*)
+    assert [sign for sign, _ in products] == [1.0, -1.0, 1.0, -1.0]
+    assert products[0][1] is products[1][1] and products[2][1] is products[3][1]
+    ctx = suites.ScenarioContext(scenario)
+    jp, f_plus, _ = _family(ctx.g_at, ctx.J_at)
+    assert np.abs(products[0][1] - jp).max() < 1e-12
+    fhat_plus = _blockdiag(f_plus, np.swapaxes(f_plus, -1, -2))
+    assert np.abs(products[2][1] - fhat_plus).max() < 1e-12
 
 
 def _dense_endo(c):
@@ -683,6 +697,6 @@ def test_the_fhat_check_is_informative_and_reads_the_push_forward(monkeypatch):
     _break_sample(monkeypatch, "J_at", lambda J: J + np.array([[0.0, 0.5], [0.0, 0.0]]))
     assert _genbundle_run()[0].find(cid).passed
     monkeypatch.setattr(
-        gb, "fhat_matrix", lambda df, invertible: gb.blocks(df, 0.0, 0.0, np.linalg.inv(df))
+        gb, "fhat_matrix", lambda df: gb.blocks(df, 0.0, 0.0, np.linalg.inv(df))
     )
     assert not _genbundle_run()[0].find(cid).passed

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from metalliclab import chart as ch
-from metalliclab import lifts as lf
 from metalliclab import suites
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import FIBRE_PER_BASE, ScenarioContext
@@ -24,18 +23,19 @@ def test_each_chunk_draws_the_rows_of_the_run_wide_draw(n):
     scenario = field_context(g, None, c.sample_points(1)).scenario
     for seed in (0, 9):
         whole = ScenarioContext(scenario, samples=1000 + COUNT, seed=seed)
-        flavors = (lf.TANGENT, lf.COTANGENT)
-        rows = {flavor: suites._fibre_points(whole, flavor) for flavor in flavors}
-        rows.update(points=whole.points, commutation=suites._commutation_fibre(whole))
+        rows = {
+            "points": whole.points,
+            "fibre": suites._fibre_points(whole),
+            "commutation": suites._commutation_fibre(whole),
+        }
         for first in (0, 1, 511, 512, 1000):
             part = ScenarioContext(scenario, samples=COUNT, seed=seed, first=first)
             assert np.array_equal(part.points, rows["points"][first : first + COUNT])
             got = suites._commutation_fibre(part)
             assert np.array_equal(got, rows["commutation"][first : first + COUNT])
             lifted = slice(first * FIBRE_PER_BASE, (first + COUNT) * FIBRE_PER_BASE)
-            for flavor in flavors:
-                got = suites._fibre_points(part, flavor)
-                assert np.array_equal(got, rows[flavor][lifted]), (n, seed, first, flavor)
+            got = suites._fibre_points(part)
+            assert np.array_equal(got, rows["fibre"][lifted]), (n, seed, first)
 
 
 def test_the_peak_of_a_run_does_not_grow_with_its_chunk_count():

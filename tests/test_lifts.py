@@ -47,37 +47,33 @@ def lift_at(g, J, flavor, pts):
     return lf.lift(flavor, pts[:, n:], **suites._lift_inputs(field_context(g, J, pts[:, :n])))
 
 
-def lifted_points(lifted, base_count, fibre_per_base, seed=None):
-    """Base samples of ``lifted``, each paired with ``fibre_per_base`` fibre draws."""
-    seed = lifted.base.seed if seed is None else seed
-    base = np.repeat(lifted.base.sample_points(base_count, seed=seed), fibre_per_base, axis=0)
-    return np.hstack([base, lifted.fibre_points(len(base), seed)])
+def lifted_points(c, base_count, fibre_per_base, seed=None):
+    """Base samples of the chart ``c``, each paired with ``fibre_per_base`` fibre draws."""
+    seed = c.seed if seed is None else seed
+    base = np.repeat(c.sample_points(base_count, seed=seed), fibre_per_base, axis=0)
+    return np.hstack([base, lf.fibre_points(c.dim, len(base), seed)])
 
 
 def test_lifted_chart_samples():
     c, g, J = flat_setup()
-    lifted = lf.LiftedChart(c, lf.TANGENT)
-    y = lifted.fibre_points(32, 3)
+    y = lf.fibre_points(c.dim, 32, 3)
     assert y.shape == (32, 2)
-    assert (y == lifted.fibre_points(32, 3)).all()
+    assert (y == lf.fibre_points(c.dim, 32, 3)).all()
     assert (np.abs(y) <= 1.0).all()
-    with pytest.raises(ValueError):
-        lf.LiftedChart(c, "sideways")
 
 
 def test_fibre_points_are_the_fibre_part_of_the_samples():
     # a run pairs each base sample with FIBRE_PER_BASE fibre draws of its seed
     c, g, J = flat_setup()
     ctx = field_context(g, J, c.sample_points(8, seed=0))
-    expected = lifted_points(lf.LiftedChart(c, lf.COTANGENT), 8, suites.FIBRE_PER_BASE, seed=0)
+    expected = lifted_points(c, 8, suites.FIBRE_PER_BASE, seed=0)
     assert (suites._lift_points(ctx, lf.COTANGENT) == expected).all()
 
 
 def test_horizontal_frame_zero_connection_is_coordinate_frame():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        lifted = lf.LiftedChart(c, flavor)
-        values = lift_at(g, J, flavor, lifted_points(lifted, 4, 2)).forward[:, :, :2]
+        values = lift_at(g, J, flavor, lifted_points(c, 4, 2)).forward[:, :, :2]
         expected = np.zeros_like(values)
         expected[:, 0, 0] = 1.0
         expected[:, 1, 1] = 1.0
@@ -86,7 +82,7 @@ def test_horizontal_frame_zero_connection_is_coordinate_frame():
 
 def test_horizontal_frame_formulas_on_sphere(sphere_setup):
     c, g, J = sphere_setup
-    pts_t = lifted_points(lf.LiftedChart(c, lf.TANGENT), 6, 2, seed=2)
+    pts_t = lifted_points(c, 6, 2, seed=2)
     gamma = field_context(g, J, pts_t[:, :2]).lc_gamma_at
     y = pts_t[:, 2:]
 
@@ -102,8 +98,7 @@ def test_horizontal_frame_formulas_on_sphere(sphere_setup):
 
 def test_morphism_matrices_invertible(sphere_setup):
     c, g, J = sphere_setup
-    lifted_t = lf.LiftedChart(c, lf.TANGENT)
-    pts = lifted_points(lifted_t, 8, 2, seed=4)
+    pts = lifted_points(c, 8, 2, seed=4)
     tangent = lift_at(g, J, lf.TANGENT, pts)
     cotangent = lift_at(g, J, lf.COTANGENT, pts)
     psi, phi = tangent.forward, cotangent.forward
@@ -118,16 +113,14 @@ def test_morphism_matrices_invertible(sphere_setup):
     assert np.abs(phi @ phi_inv - eye).max() < 1e-12
     # flat morphisms are the identity
     cf, gf, Jf = flat_setup()
-    lifted_f = lf.LiftedChart(cf, lf.TANGENT)
-    psi_f = lift_at(gf, Jf, lf.TANGENT, lifted_points(lifted_f, 4, 1)).forward
+    psi_f = lift_at(gf, Jf, lf.TANGENT, lifted_points(cf, 4, 1)).forward
     assert np.abs(psi_f - eye).max() == 0.0
 
 
 def test_flat_lift_is_block_diagonal():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        lifted = lf.LiftedChart(c, flavor)
-        pts = lifted_points(lifted, 8, 2)
+        pts = lifted_points(c, 8, 2)
         lift = lift_at(g, J, flavor, pts)
         jv = lift.jbar
         expected = np.zeros((4, 4))
@@ -140,8 +133,7 @@ def test_flat_lift_is_block_diagonal():
 def test_scalar_structure_lifts_to_scalar(sphere_setup):
     c, g, _ = sphere_setup
     scalar = ch.EndoField(c, ch.constant_matrix(GOLDEN * np.eye(2)))
-    lifted = lf.LiftedChart(c, lf.TANGENT)
-    pts = lifted_points(lifted, 8, 2)
+    pts = lifted_points(c, 8, 2)
     jbar = lift_at(g, scalar, lf.TANGENT, pts).jbar
     assert np.abs(jbar - GOLDEN * np.eye(4)).max() < 1e-11
 
@@ -149,8 +141,7 @@ def test_scalar_structure_lifts_to_scalar(sphere_setup):
 def test_lifted_structure_is_metallic_riemannian(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        lifted = lf.LiftedChart(c, flavor)
-        pts = lifted_points(lifted, 16, 4, seed=9)
+        pts = lifted_points(c, 16, 4, seed=9)
         lift = lift_at(g, J, flavor, pts)
         jv, gv = lift.jbar, lift.gbar
         assert np.abs(jv @ jv - PARAMS.p * jv - PARAMS.q * np.eye(4)).max() < 1e-9
@@ -162,8 +153,7 @@ def test_lifted_structure_is_metallic_riemannian(sphere_setup):
 def test_frame_and_coordinate_displays(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        lifted = lf.LiftedChart(c, flavor)
-        pts = lifted_points(lifted, 12, 4, seed=6)
+        pts = lifted_points(c, 12, 4, seed=6)
         lift = lift_at(g, J, flavor, pts)
         jv, gv, frame = lift.jbar, lift.gbar, lift.forward[:, :, :2]
         ctx = field_context(g, J, pts[:, :2])
@@ -187,20 +177,19 @@ def test_frame_and_coordinate_displays(sphere_setup):
 
 
 def _nijenhuis_data(c, g, J, flavor, base=10, fibre=4, seed=8):
-    lifted = lf.LiftedChart(c, flavor)
-    pts = lifted_points(lifted, base, fibre, seed=seed)
+    pts = lifted_points(c, base, fibre, seed=seed)
     lift = lift_at(g, J, flavor, pts)
     N = lf.nijenhuis_values(lift)
     frame = lift.forward[:, :, : c.dim]
     ctx = field_context(g, J, pts[:, : c.dim])
     DJ = ctx.bundle(ctx.lc_gamma_at).nabla_J_at
-    return lifted, pts, N, frame, ctx.J_at, DJ, ctx.NJ_at, ctx.lc_riemann_at
+    return pts, N, frame, ctx.J_at, DJ, ctx.NJ_at, ctx.lc_riemann_at
 
 
 def test_lifted_nijenhuis_vanishes_flat_locally_metallic():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, *_ = _nijenhuis_data(c, g, J, flavor)
+        pts, N, *_ = _nijenhuis_data(c, g, J, flavor)
         assert np.abs(N).max() < 1e-9
 
 
@@ -210,25 +199,25 @@ def test_lifted_nijenhuis_vanishes_for_scalar_on_sphere(sphere_setup):
     c, g, _ = sphere_setup
     scalar = ch.EndoField(c, ch.constant_matrix(GOLDEN * np.eye(2)))
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, *_ = _nijenhuis_data(c, g, scalar, flavor)
+        pts, N, *_ = _nijenhuis_data(c, g, scalar, flavor)
         assert np.abs(N).max() < 1e-9
 
 
 def test_vertical_vertical_always_vanishes(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, *_ = _nijenhuis_data(c, g, J, flavor)
+        pts, N, *_ = _nijenhuis_data(c, g, J, flavor)
         assert np.abs(N[:, :, 2:, 2:]).max() < 1e-12
 
 
 def test_mixed_display(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, flavor)
+        pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, flavor)
         res = lf.mixed_display_residual(N, frame, J_at, DJ, flavor)
         assert np.abs(res).max() < 1e-9
     # the literal cotangent display composes J on the wrong side and fails
-    _, pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, lf.COTANGENT)
+    pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, lf.COTANGENT)
     literal = lf.mixed_display_residual(N, frame, J_at, DJ, lf.COTANGENT, literal=True)
     assert np.abs(literal).max() > 1e-3
 
@@ -240,7 +229,7 @@ def test_sphere_diag_cannot_distinguish_sign(sphere_setup):
     # reading the program checks is one of those that match
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor)
+        pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor)
         y = pts[:, 2:]
         horizontal, good = matching_readings(N, frame, J_at, NJ, R, y, 1.0, 1.0, flavor == lf.TANGENT)
         assert horizontal < 1e-9
@@ -252,8 +241,7 @@ def test_sphere_diag_cannot_distinguish_sign(sphere_setup):
 def test_warped_scenario_resolves_full_convention(warped_setup):
     c, g, J = warped_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        _, pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor, base=8, fibre=4
-        )
+        pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor, base=8, fibre=4)
         assert np.abs(R).max() > 1.0  # the coupling curvature is substantial
         y = pts[:, 3:]
         _, good = matching_readings(N, frame, J_at, NJ, R, y, 1.0, 1.0, flavor == lf.TANGENT)
@@ -413,3 +401,21 @@ def test_an_error_in_the_lifted_nijenhuis_fails_only_its_checks(monkeypatch):
             assert not check.passed and check.witness == WITNESS, check.check_id
         else:
             assert check.passed, check.check_id
+
+
+def test_a_nan_in_a_display_detail_reads_as_inf(monkeypatch):
+    # as in every residual: a NaN curvature or literal display entry reads inf
+    for cls, name in ((ScenarioContext, "riemann_at"), (suites.ConnBundle, "nabla_J_at")):
+
+        def broken(self, original=getattr(cls, name).func):
+            values = original(self).copy()
+            values[3] = np.nan
+            return values
+
+        monkeypatch.setattr(cls, name, property(broken))
+    with np.errstate(invalid="ignore"):
+        report = run_suites(load_scenario(scenario_path("flat-golden")), suites=["lifts-cotangent"])
+    horizontal = report.find("lifts-cotangent/nijenhuis-horizontal-display")
+    mixed = report.find("lifts-cotangent/nijenhuis-mixed-display")
+    assert horizontal.details["curvature"] == math.inf
+    assert mixed.details["literal_display_residual"] == math.inf

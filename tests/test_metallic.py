@@ -6,10 +6,11 @@ import pytest
 from metalliclab import chart as ch
 from metalliclab import genbundle as gb
 from metalliclab import metallic as mt
-from metalliclab.errors import ComplexDiscriminant, DegenerateDiscriminant, NotAProjection
+from metalliclab import suites
+from metalliclab.errors import ComplexDiscriminant, NotAProjection
 from metalliclab.suites import run_suites
 
-from conftest import field_context
+from conftest import field_context, pair_context
 from helpers import random_compatible_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -96,28 +97,32 @@ def test_from_projection_cases():
 
 
 def test_product_from_metallic_and_back():
-    # F^+ = (2 J - p I) / (2 sigma - p) of the family, and J^+(Fhat^+) = Jm
+    # F^+ = (2 J - p I) / (2 sigma - p) is diag(1, -1) for the golden J, and the
+    # conversion J^+ = (2 sigma - p)/2 F + p/2 I takes Fhat^+ back to Jm
     params = mt.MetallicParams(1, 1)
-    g = np.eye(2)
     J = np.diag([GOLDEN, 1 - GOLDEN])
-    fam = gb.derived_family(J, g, None, params)
-    assert np.abs(fam.f_plus - np.diag([1.0, -1.0])).max() < 1e-12
-    assert np.abs(fam.j_plus_of_fplus - gb.blocks(J, 0.0, 0.0, J.T)).max() < 1e-12
+    ctx = pair_context(np.eye(2), J, params)
+    f_plus = np.diag([1.0, -1.0])
+    back = suites._converted(ctx, 1.0, gb.blocks(f_plus, 0.0, 0.0, f_plus))
+    assert np.abs(back - np.diag([GOLDEN, 1 - GOLDEN] * 2)).max() < 1e-12
+    assert suites._derived_family(ctx).residual < 1e-12
+    # the scalar structure sigma I has F^+ = I and converts back to sigma I
+    scalar = suites._converted(ctx, 1.0, np.eye(4))
+    assert np.abs(scalar - GOLDEN * np.eye(4)).max() < 1e-12
 
-    scalar = gb.derived_family(GOLDEN * np.eye(2), g, None, params)
-    assert np.abs(scalar.f_plus - np.eye(2)).max() < 1e-12
-
-    with pytest.raises(DegenerateDiscriminant):
-        gb.derived_family(J, g, None, mt.MetallicParams(2, -1))  # p^2 + 4q = 0
+    # p^2 + 4q = 0: 2 sigma - p = 0 and no run declares the family check
+    degenerate = pair_context(np.eye(2), np.eye(2), mt.MetallicParams(2, -1)).scenario
+    declared = [check.cid for check in suites._declared("genbundle", degenerate)]
+    assert "genbundle/derived-family" not in declared
 
 
 def test_metallic_from_product_values():
     # J^+ = (2 sigma - p)/2 F + p/2 I, here on Fhat^+ = blockdiag(F^+, F^+*)
     silver = mt.MetallicParams(2, 1)
-    fam = gb.derived_family(np.diag([silver.sigma, 2 - silver.sigma]), np.eye(2), None, silver)
-    assert np.abs(fam.f_plus - np.diag([1.0, -1.0])).max() < 1e-12
-    expected = np.diag([silver.sigma, 2 - silver.sigma] * 2)
-    assert np.abs(fam.j_plus_of_fplus - expected).max() < 1e-12
+    ctx = pair_context(np.eye(2), np.diag([silver.sigma, 2 - silver.sigma]), silver)
+    got = suites._converted(ctx, 1.0, np.diag([1.0, -1.0, 1.0, -1.0]))
+    assert np.abs(got - np.diag([silver.sigma, 2 - silver.sigma] * 2)).max() < 1e-12
+    assert suites._derived_family(ctx).residual < 1e-12
 
 
 def _nabla_J(J, g, pts):

@@ -1,4 +1,5 @@
-"""Reach guard: every function in src/ is called by some CLI path.
+"""Reach guard: every function in src/ is called by some CLI path, and every
+error type is raised somewhere in src/.
 
 The CLI paths below run under ``sys.setprofile``; a function of the package
 that none of them calls fails the test unless ``ALLOWED`` gives the reason.
@@ -94,3 +95,17 @@ def test_every_function_is_reached_by_a_cli_path(tmp_path):
         name for key, name in functions.items() if key not in reached and name not in ALLOWED
     )
     assert not missing, "no CLI path calls " + ", ".join(missing)
+
+
+def test_every_error_class_is_raised_by_the_package():
+    # an error type that no `raise` names is one no caller can meet
+    tree = ast.parse((SRC / "errors.py").read_text())
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    unraised = sorted(declared - raised - {"MetallicLabError"})
+    assert not unraised, "no raise names " + ", ".join(unraised)
