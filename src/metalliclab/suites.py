@@ -565,13 +565,15 @@ def _derived_family(ctx: ScenarioContext) -> Measured:
     params, J = ctx.params, ctx.J_at
     eye, eye2 = np.eye(n), _eye2(ctx)
     gap = 2.0 * params.sigma - params.p
-    # Jp holds g^-1, so a singular metric is named before an incompatible pair
-    jp = ctx.gen_at("jp")
     asymmetry = np.abs(_skew(ctx.g_at @ J)).max(axis=(-2, -1))
     incompatible = asymmetry > TOL_COMPATIBLE
     if incompatible.any():
-        worst = asymmetry[incompatible.argmax()]
+        first = int(incompatible.argmax())
+        # a singular metric up to the first incompatible sample is named first
+        gb.metric_inverse(ctx.g_at[: first + 1], ctx.points[: first + 1])
+        worst = asymmetry[first]
         raise IncompatiblePair(f"gJ asymmetry {worst:.3e} exceeds {TOL_COMPATIBLE:g}")
+    jp = ctx.gen_at("jp")
     f_plus = (2.0 * J - params.p * eye) / gap
     pjqi = params.p * J + (params.q - 1.0) * eye
     mirror = params.p * eye - J

@@ -395,17 +395,28 @@ def test_batched_functions_equal_a_loop_over_their_slices(n):
     df = rng.normal(size=(m, n, n))
     assert _equal_slices(gb.fhat_matrix(df), [gb.fhat_matrix(df[k]) for k in loop])
 
-    # each check over the stack is its worst sample checked alone
-    for cid in (
-        "genbundle/calibration",
-        "genbundle/derived-family",
-        "genbundle/fhat-with-df-equal-j",
+    def context(k, swap):
+        """The run context of the samples ``k``; ``swap`` = (label, source)
+        puts the structure ``source`` in place of ``label``."""
+        out = pair_context(g[k], J[k])
+        return _with_structure(out, swap[0], out.gen_at(swap[1])) if swap else out
+
+    # each check over the stack is its worst sample checked alone.  Jm is not
+    # pairing-invariant and Jp does not commute with the push-forward of J,
+    # so those swaps give residuals that differ from sample to sample
+    for cid, swap in (
+        ("genbundle/calibration", None),
+        ("genbundle/calibration", ("jc", "jm")),
+        ("genbundle/derived-family", None),
+        ("genbundle/fhat-with-df-equal-j", None),
+        ("genbundle/fhat-with-df-equal-j", ("jm", "jp")),
     ):
-        batched = _measured(cid, ctx)
-        single = [_measured(cid, pair_context(g[k], J[k])) for k in loop]
+        batched = _measured(cid, context(slice(None), swap))
+        single = [_measured(cid, context(k, swap)) for k in loop]
         worst = max(loop, key=lambda k: single[k].residual)
         assert batched.residual == single[worst].residual, cid
         assert batched.witness == tuple(ctx.points[worst]), cid
+        assert (batched.residual > suites.TOL_ALGEBRAIC) == bool(swap), cid
         for key, value in batched.details.items():
             if isinstance(value, float):
                 assert value == max(s.details[key] for s in single), (cid, key)
@@ -431,11 +442,20 @@ def test_batched_errors_are_those_of_the_first_failing_sample(cid):
     first = tuple(float(v) for v in ctx.points[3])
     assert measured.details["error"] == f"|det g| < 1e-12 at {first}"
 
-    g = good_g
+    # a later singular metric does not take precedence
+    g = good_g.copy()
+    g[6] = 0.0
     errors = [_measured(cid, pair_context(g[k], J[k])).details.get("error") for k in range(8)]
-    assert [k for k, error in enumerate(errors) if error] == [5, 7]
-    assert errors[5] != errors[7]
+    assert [k for k, error in enumerate(errors) if error] == [5, 6, 7]
+    assert errors[5].startswith("gJ asymmetry") and errors[5] != errors[7]
+    assert errors[6].startswith("|det g|")
     assert _measured(cid, pair_context(g, J)).details["error"] == errors[5]
+
+    # at one sample a singular metric is named before an incompatible pair
+    g[5] = 0.0
+    ctx = pair_context(g, J)
+    fifth = tuple(float(v) for v in ctx.points[5])
+    assert _measured(cid, ctx).details["error"] == f"|det g| < 1e-12 at {fifth}"
 
 
 def test_degenerate_form_names_the_first_degenerate_sample():

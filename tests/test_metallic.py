@@ -96,19 +96,40 @@ def test_from_projection_cases():
         )
 
 
-def test_product_from_metallic_and_back():
+def _family_fhat_plus(monkeypatch, ctx):
+    """The residual of the derived-family check on ``ctx`` and the Fhat^+ it
+    built, read from the one structure it converts besides Jp."""
+    converted = []
+    real = suites._converted
+
+    def recorded(c, sign, X):
+        converted.append(X)
+        return real(c, sign, X)
+
+    monkeypatch.setattr(suites, "_converted", recorded)
+    residual = suites._derived_family(ctx).residual
+    fhat = [X for X in converted if X is not ctx.gen_at("jp")]
+    assert len(fhat) == 2 and fhat[0] is fhat[1]
+    return residual, fhat[0][0]
+
+
+def test_product_from_metallic_and_back(monkeypatch):
     # F^+ = (2 J - p I) / (2 sigma - p) is diag(1, -1) for the golden J, and the
     # conversion J^+ = (2 sigma - p)/2 F + p/2 I takes Fhat^+ back to Jm
     params = mt.MetallicParams(1, 1)
     J = np.diag([GOLDEN, 1 - GOLDEN])
     ctx = pair_context(np.eye(2), J, params)
-    f_plus = np.diag([1.0, -1.0])
-    back = suites._converted(ctx, 1.0, gb.blocks(f_plus, 0.0, 0.0, f_plus))
+    residual, fhat_plus = _family_fhat_plus(monkeypatch, ctx)
+    assert residual < 1e-12
+    assert np.abs(fhat_plus - np.diag([1.0, -1.0, 1.0, -1.0])).max() < 1e-12
+    back = suites._converted(ctx, 1.0, fhat_plus)
     assert np.abs(back - np.diag([GOLDEN, 1 - GOLDEN] * 2)).max() < 1e-12
-    assert suites._derived_family(ctx).residual < 1e-12
     # the scalar structure sigma I has F^+ = I and converts back to sigma I
-    scalar = suites._converted(ctx, 1.0, np.eye(4))
-    assert np.abs(scalar - GOLDEN * np.eye(4)).max() < 1e-12
+    scalar = pair_context(np.eye(2), GOLDEN * np.eye(2), params)
+    residual, fhat_plus = _family_fhat_plus(monkeypatch, scalar)
+    assert residual < 1e-12 and np.abs(fhat_plus - np.eye(4)).max() < 1e-12
+    back = suites._converted(scalar, 1.0, fhat_plus)
+    assert np.abs(back - GOLDEN * np.eye(4)).max() < 1e-12
 
     # p^2 + 4q = 0: 2 sigma - p = 0 and no run declares the family check
     degenerate = pair_context(np.eye(2), np.eye(2), mt.MetallicParams(2, -1)).scenario
@@ -116,13 +137,15 @@ def test_product_from_metallic_and_back():
     assert "genbundle/derived-family" not in declared
 
 
-def test_metallic_from_product_values():
+def test_metallic_from_product_values(monkeypatch):
     # J^+ = (2 sigma - p)/2 F + p/2 I, here on Fhat^+ = blockdiag(F^+, F^+*)
     silver = mt.MetallicParams(2, 1)
     ctx = pair_context(np.eye(2), np.diag([silver.sigma, 2 - silver.sigma]), silver)
-    got = suites._converted(ctx, 1.0, np.diag([1.0, -1.0, 1.0, -1.0]))
+    residual, fhat_plus = _family_fhat_plus(monkeypatch, ctx)
+    assert residual < 1e-12
+    assert np.abs(fhat_plus - np.diag([1.0, -1.0, 1.0, -1.0])).max() < 1e-12
+    got = suites._converted(ctx, 1.0, fhat_plus)
     assert np.abs(got - np.diag([silver.sigma, 2 - silver.sigma] * 2)).max() < 1e-12
-    assert suites._derived_family(ctx).residual < 1e-12
 
 
 def _nabla_J(J, g, pts):
