@@ -3,7 +3,7 @@ metallic/product/complex structures they induce on TM + T*M, and their lifts
 to tangent and cotangent bundle charts."""
 
 from . import chart, expr, genbundle, genconn, lifts, metallic, report
-from .chart import Chart, ConnectionField, EndoField, MetricField, OneFormField
+from .chart import Chart
 from .expr import differentiate, parse
 from .metallic import MetallicParams, metallic_number
 from .report import CheckResult, ScenarioReport
@@ -21,10 +21,6 @@ __all__ = [
     "metallic",
     "report",
     "Chart",
-    "ConnectionField",
-    "EndoField",
-    "MetricField",
-    "OneFormField",
     "differentiate",
     "parse",
     "MetallicParams",

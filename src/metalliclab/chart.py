@@ -11,12 +11,13 @@ Conventions used throughout the package:
 * endomorphisms ``J[i, j]`` mean J^i_j (output index first), metrics ``g[i, j]``
   mean g_{ij}.
 
-The leaf fields (metric, endomorphism, 1-form, connection) hold ``numpy``
-object arrays of :class:`~metalliclab.expr.Expr`; their entries and the
-entries' partials are the only expressions that are differentiated, and
-they are evaluated in batches over sample points.  :func:`christoffel`,
-:func:`riemann` and :func:`nijenhuis` work on the evaluated values and
-partials, arrays with a leading sample axis m.
+The leaf fields (metric, endomorphism, 1-form, connection) are ``numpy``
+object arrays of :class:`~metalliclab.expr.Expr`, shaped (n, n), (n, n),
+(n,) and (n, n, n); their entries and the entries' partials are the only
+expressions that are differentiated, and :func:`eval_exprs` evaluates them
+in batches over sample points.  :func:`christoffel`, :func:`riemann` and
+:func:`nijenhuis` work on the evaluated values and partials, arrays with a
+leading sample axis m.
 """
 
 from __future__ import annotations
@@ -28,14 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionMismatch, DomainError, SingularMetric
+from .errors import DimensionMismatch, DomainError
 
 __all__ = [
     "Chart",
-    "MetricField",
-    "EndoField",
-    "ConnectionField",
-    "OneFormField",
     "eval_exprs",
     "partials",
     "constant_matrix",
@@ -142,16 +139,15 @@ def _scrambled_halton(permutations: list, count: int, first: int = 0) -> np.ndar
     return unit
 
 
-def eval_exprs(comps: np.ndarray, points: np.ndarray, memo: dict | None = None) -> np.ndarray:
+def eval_exprs(comps: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate an object array of Exprs at points; returns (m, *comps.shape).
 
-    Raises DomainError with a witness point if any value is non-finite.
-    The memo, when supplied, must belong to the same ``points`` batch.
+    One memo serves every entry.  Raises DomainError with a witness point if
+    any value is non-finite.
     """
     comps = np.asarray(comps, dtype=object)
     points = np.asarray(points, dtype=float)
-    if memo is None:
-        memo = {}
+    memo: dict = {}
     m = points.shape[0]
     out = np.empty((m,) + comps.shape, dtype=float)
     flat_out = out.reshape(m, -1)
@@ -179,86 +175,6 @@ def constant_matrix(values) -> np.ndarray:
     for idx in np.ndindex(values.shape):
         out[idx] = ex.const(values[idx])
     return out
-
-
-def _as_expr_matrix(chart: Chart, rows, shape) -> np.ndarray:
-    comps = np.empty(shape, dtype=object)
-    arr = np.asarray(rows, dtype=object)
-    if arr.shape != shape:
-        raise DimensionMismatch(f"expected components of shape {shape}, got {arr.shape}")
-    for idx in np.ndindex(shape):
-        entry = arr[idx]
-        comps[idx] = entry if isinstance(entry, ex.Expr) else ex.const(entry)
-    return comps
-
-
-@dataclass(frozen=True)
-class MetricField:
-    """Symmetric (0,2) field; only the upper triangle is independent storage."""
-
-    chart: Chart
-    comps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.chart.dim
-        comps = _as_expr_matrix(self.chart, self.comps, (n, n))
-        # mirror the upper triangle so evaluation is exactly symmetric
-        for i in range(n):
-            for j in range(i + 1, n):
-                comps[j, i] = comps[i, j]
-        object.__setattr__(self, "comps", comps)
-
-    def eval(self, points, memo=None) -> np.ndarray:
-        return eval_exprs(self.comps, points, memo)
-
-    def check_positive_definite(self, points, threshold: float = 1e-10):
-        values = self.eval(points)
-        eigmin = np.linalg.eigvalsh(values).min(axis=1)
-        if (eigmin <= threshold).any():
-            witness = np.asarray(points)[int(np.argmin(eigmin))]
-            raise SingularMetric(
-                f"metric not positive definite (min eigenvalue {eigmin.min():.3e}) "
-                f"at {tuple(float(v) for v in witness)}"
-            )
-
-
-@dataclass(frozen=True)
-class EndoField:
-    """(1,1) tensor field, components J^i_j."""
-
-    chart: Chart
-    comps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.chart.dim
-        object.__setattr__(self, "comps", _as_expr_matrix(self.chart, self.comps, (n, n)))
-
-    def eval(self, points, memo=None) -> np.ndarray:
-        return eval_exprs(self.comps, points, memo)
-
-
-@dataclass(frozen=True)
-class OneFormField:
-    chart: Chart
-    comps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.chart.dim
-        object.__setattr__(self, "comps", _as_expr_matrix(self.chart, self.comps, (n,)))
-
-
-@dataclass(frozen=True)
-class ConnectionField:
-    """Connection coefficients Gamma^k_{ij}, array indexed [k, i, j]."""
-
-    chart: Chart
-    comps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.chart.dim
-        object.__setattr__(
-            self, "comps", _as_expr_matrix(self.chart, self.comps, (n, n, n))
-        )
 
 
 # ------------------------------------------------------------------

@@ -58,20 +58,17 @@ def blocks(A, B, C, D) -> np.ndarray:
     return out
 
 
-def metric_inverse(g: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
-    """g^-1 of a batch of metrics.
+def metric_inverse(g: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """g^-1 of a batch of metrics at a batch of ``points``.
 
     Raises SingularMetric if |det g| < 1e-12 at a sample, naming the first
-    such sample's point when the batch's ``points`` are given.
+    such sample's point.
     """
     g = np.asarray(g, dtype=float)
     singular = np.ravel(np.abs(np.linalg.det(g)) < _DET_GUARD)
     if singular.any():
-        where = "at this point"
-        if points is not None:
-            point = np.reshape(points, (singular.size, -1))[int(np.argmax(singular))]
-            where = f"at {tuple(float(v) for v in point)}"
-        raise SingularMetric(f"|det g| < {_DET_GUARD:g} {where}")
+        point = np.reshape(points, (singular.size, -1))[int(np.argmax(singular))]
+        raise SingularMetric(f"|det g| < {_DET_GUARD:g} at {tuple(float(v) for v in point)}")
     return np.linalg.inv(g)
 
 

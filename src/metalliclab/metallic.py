@@ -17,6 +17,9 @@ __all__ = [
     "from_projection",
 ]
 
+# the bound of the load-time probes of a scenario's fields at a few points
+PROBE_TOL = 1e-10
+
 
 def metallic_number(p: float, q: float) -> float:
     """Larger root of x^2 - p x - q; requires a non-negative discriminant."""
@@ -46,34 +49,27 @@ class MetallicParams:
 
 
 def from_projection(
-    chart_: ch.Chart,
-    P: ch.EndoField,
-    params: MetallicParams,
-    g: ch.MetricField | None = None,
-    probe_points=None,
-    tolerance: float = 1e-10,
-) -> ch.EndoField:
-    """J = sigma P + (p - sigma)(I - P) from a g-symmetric projection."""
+    P: np.ndarray, params: MetallicParams, g: np.ndarray, probe_points: np.ndarray
+) -> np.ndarray:
+    """J = sigma P + (p - sigma)(I - P) from a g-symmetric projection.
+
+    ``P`` and ``g`` are [n, n] arrays of Exprs; P^2 = P and the symmetry of
+    g P are probed at ``probe_points``.
+    """
     if params.discriminant < 0:
         raise ComplexDiscriminant(f"p^2 + 4q = {params.discriminant} < 0")
-    if probe_points is None:
-        probe_points = chart_.sample_points(8)
-    pv = P.eval(probe_points)
-    if np.abs(pv @ pv - pv).max() > tolerance:
+    pv = ch.eval_exprs(P, probe_points)
+    if np.abs(pv @ pv - pv).max() > PROBE_TOL:
         raise NotAProjection("P^2 != P at sample points")
-    if g is not None:
-        gv = g.eval(probe_points)
-        gp = gv @ pv
-        if np.abs(gp - np.swapaxes(gp, -1, -2)).max() > tolerance:
-            raise NotAProjection("g P is not symmetric at sample points")
+    gp = ch.eval_exprs(g, probe_points) @ pv
+    if np.abs(gp - np.swapaxes(gp, -1, -2)).max() > PROBE_TOL:
+        raise NotAProjection("g P is not symmetric at sample points")
     sigma = params.sigma
     other = params.sigma_other
-    n = chart_.dim
+    n = P.shape[0]
     comps = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
             eye = 1.0 if i == j else 0.0
-            comps[i, j] = ex.add(
-                ex.mul(sigma, P.comps[i, j]), ex.mul(other, ex.sub(eye, P.comps[i, j]))
-            )
-    return ch.EndoField(chart_, comps)
+            comps[i, j] = ex.add(ex.mul(sigma, P[i, j]), ex.mul(other, ex.sub(eye, P[i, j])))
+    return comps

@@ -16,10 +16,9 @@ from .errors import (
     NotAProjection,
     ParseError,
     SchemaError,
-    SingularMetric,
     ValidationError,
 )
-from .metallic import MetallicParams, from_projection
+from .metallic import PROBE_TOL, MetallicParams, from_projection
 from .suites import CHECKS, KNOWN_SUITES, finite_number, valid_tolerance, whole_number
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -52,18 +51,20 @@ class ChartScenario:
     name: str
     chart: ch.Chart
     params: MetallicParams
-    metric: ch.MetricField
-    J: ch.EndoField
-    j_from_projection: bool
-    omega: ch.OneFormField | None
-    connection: ch.ConnectionField | None  # None means Levi-Civita
+    # the leaf fields: object arrays of Exprs, g_ij [n, n] (its lower triangle
+    # the same nodes as its upper), J^i_j [n, n], omega_i [n] and
+    # Gamma^k_ij [n, n, n]; connection None means Levi-Civita
+    metric: np.ndarray
+    J: np.ndarray
+    omega: np.ndarray | None
+    connection: np.ndarray | None
     suites: list
     samples: int
     seed: int
     tolerance: float
     expected_failures: list = field(default_factory=list)
     description: str = ""
-    # the symbolic partials of the leaf fields, [k, ...] = d_k of the entries
+    # their symbolic partials, [k, ...] = d_k of the entries
     # (d2g = d_k d_l g, dgamma None with Levi-Civita), built once here, in
     # the table the fields were parsed into: a run builds no node
     dJ: np.ndarray = field(init=False, repr=False, compare=False)
@@ -73,10 +74,10 @@ class ChartScenario:
 
     def __post_init__(self):
         n = self.chart.dim
-        self.dJ = ch.partials(self.J.comps, n)
-        self.dg = ch.partials(self.metric.comps, n)
+        self.dJ = ch.partials(self.J, n)
+        self.dg = ch.partials(self.metric, n)
         self.d2g = ch.partials(self.dg, n)
-        self.dgamma = None if self.connection is None else ch.partials(self.connection.comps, n)
+        self.dgamma = None if self.connection is None else ch.partials(self.connection, n)
 
 
 class _NonFinite(str):
@@ -177,31 +178,27 @@ def _load(path: Path) -> ChartScenario:
 
     params = MetallicParams(finite_number(data["p"], "p"), finite_number(data["q"], "q"))
 
-    metric_comps = _parse_matrix(data["metric"], (n, n), coords, "metric", parse_problems)
+    metric = _parse_matrix(data["metric"], (n, n), coords, "metric", parse_problems)
 
     j_raw = data["J"]
-    j_from_projection = isinstance(j_raw, dict)
-    if j_from_projection:
+    projection = None
+    if isinstance(j_raw, dict):
         if set(j_raw.keys()) != {"projection"}:
             raise SchemaError(["J object form must have exactly the 'projection' key"])
-        proj_comps = _parse_matrix(
+        projection = _parse_matrix(
             j_raw["projection"], (n, n), coords, "J.projection", parse_problems
         )
     else:
-        j_comps = _parse_matrix(j_raw, (n, n), coords, "J", parse_problems)
+        J = _parse_matrix(j_raw, (n, n), coords, "J", parse_problems)
 
     omega = None
     if "omega" in data:
-        omega_comps = _parse_matrix(data["omega"], (n,), coords, "omega", parse_problems)
-        omega = ch.OneFormField(chart, omega_comps)
+        omega = _parse_matrix(data["omega"], (n,), coords, "omega", parse_problems)
 
     connection = None
     conn_raw = data.get("connection", "levi-civita")
     if conn_raw != "levi-civita":
-        conn_comps = _parse_matrix(
-            conn_raw, (n, n, n), coords, "connection", parse_problems
-        )
-        connection = ch.ConnectionField(chart, conn_comps)
+        connection = _parse_matrix(conn_raw, (n, n, n), coords, "connection", parse_problems)
 
     suites = data["suites"]
     if not isinstance(suites, list) or not suites:
@@ -232,21 +229,40 @@ def _load(path: Path) -> ChartScenario:
             f"p^2 + 4q = {params.discriminant} < 0: metallic number is not real"
         )
 
-    metric = ch.MetricField(chart, metric_comps)
     probe = chart.sample_points(min(8, samples))
+    rows, cols = np.triu_indices(n, 1)
     try:
-        metric.check_positive_definite(probe)
-    except Exception as err:  # noqa: BLE001
+        values = ch.eval_exprs(metric, probe)
+    except DomainError as err:
         validation_problems.append(f"metric: {err}")
-
-    if j_from_projection:
-        try:
-            J = from_projection(chart, ch.EndoField(chart, proj_comps), params, metric, probe)
-        except (NotAProjection, ComplexDiscriminant, DomainError, SingularMetric) as err:
-            validation_problems.append(f"J.projection: {err}")
-            J = ch.EndoField(chart, ch.constant_matrix(np.eye(n)))
     else:
-        J = ch.EndoField(chart, j_comps)
+        # the lower triangle must equal the upper within the projection probes' bound
+        gaps = np.abs(values[:, cols, rows] - values[:, rows, cols])
+        for pair in np.flatnonzero(gaps.max(axis=0) > PROBE_TOL):
+            i, j, worst = rows[pair], cols[pair], int(np.argmax(gaps[:, pair]))
+            validation_problems.append(
+                f"metric[{j}][{i}] differs from metric[{i}][{j}] by "
+                f"{gaps[worst, pair]:.3e} at {tuple(float(v) for v in probe[worst])}: "
+                "the metric must be symmetric"
+            )
+        # positive definite as a run reads g: from its upper triangle
+        values[:, cols, rows] = values[:, rows, cols]
+        eigmin = np.linalg.eigvalsh(values).min(axis=1)
+        if (eigmin <= PROBE_TOL).any():
+            witness = probe[int(np.argmin(eigmin))]
+            validation_problems.append(
+                f"metric: metric not positive definite (min eigenvalue {eigmin.min():.3e}) "
+                f"at {tuple(float(v) for v in witness)}"
+            )
+    # a run reads the upper triangle's nodes on both sides: g is exactly symmetric
+    metric[cols, rows] = metric[rows, cols]
+
+    if projection is not None:
+        try:
+            J = from_projection(projection, params, metric, probe)
+        except (NotAProjection, ComplexDiscriminant, DomainError) as err:
+            validation_problems.append(f"J.projection: {err}")
+            J = ch.constant_matrix(np.eye(n))
 
     scenario = ChartScenario(
         name=str(data["name"]),
@@ -254,7 +270,6 @@ def _load(path: Path) -> ChartScenario:
         params=params,
         metric=metric,
         J=J,
-        j_from_projection=j_from_projection,
         omega=omega,
         connection=connection,
         suites=list(suites),
@@ -264,12 +279,15 @@ def _load(path: Path) -> ChartScenario:
         expected_failures=list(expected_failures),
         description=str(data.get("description", "")),
     )
-    # a negative control must name a check that the declared suites run here
-    declared = {c.cid for c in CHECKS if c.suite in suites and c.applies(scenario)}
+    # a negative control must name a gating check that the declared suites run
+    # here: an informative check never fails a run, so it could never be met
+    declared = {c.cid: c.gating for c in CHECKS if c.suite in suites and c.applies(scenario)}
     validation_problems += [
-        f"expected failure {cid!r} names no check that the scenario's suites run"
+        f"expected failure {cid!r} names "
+        + ("an informative check, which never gates" if cid in declared
+           else "no check that the scenario's suites run")
         for cid in expected_failures
-        if cid not in declared
+        if not declared.get(cid)
     ]
     if validation_problems:
         raise ValidationError(validation_problems)

@@ -175,11 +175,11 @@ class ScenarioContext:
 
     @cached_property
     def g_at(self):
-        return self.at(self.scenario.metric.comps)
+        return self.at(self.scenario.metric)
 
     @cached_property
     def J_at(self):
-        return self.at(self.scenario.J.comps)
+        return self.at(self.scenario.J)
 
     @cached_property
     def K_at(self):
@@ -226,7 +226,7 @@ class ScenarioContext:
         """Values of the scenario connection; the Levi-Civita array when it is one."""
         if self.scenario.connection is None:
             return self.lc_gamma_at
-        return self.at(self.scenario.connection.comps)
+        return self.at(self.scenario.connection)
 
     def shared(self, make: Callable, *args):
         """``make(self, *args)``, made once per suite on first use.
@@ -303,7 +303,7 @@ class ScenarioContext:
 
     @cached_property
     def omega_at(self) -> np.ndarray:
-        return self.at(self.scenario.omega.comps)
+        return self.at(self.scenario.omega)
 
     @cached_property
     def karaman_gamma_at(self) -> np.ndarray:

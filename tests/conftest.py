@@ -32,15 +32,24 @@ def jet(comps, pts):
     return ch.eval_exprs(comps, pts), ch.eval_exprs(ch.partials(comps, pts.shape[1]), pts)
 
 
-def field_context(g, J, pts, params=MetallicParams(1.0, 1.0), omega=None, connection=None):
-    """The run context of bare fields at the points: g^-1, Levi-Civita, the
-    generalized structures and the rest as a run over a scenario builds them.
-    A J of None stands for the identity, for tests that read only g."""
+def exprs(c, rows):
+    """The object array of Exprs parsed from nested lists of strings over the
+    coordinates of the chart ``c``."""
+    rows = np.asarray(rows, dtype=object)
+    out = np.empty(rows.shape, dtype=object)
+    for idx in np.ndindex(rows.shape):
+        out[idx] = ex.parse(rows[idx], c.names)
+    return out
+
+
+def field_context(c, g, J, pts, params=MetallicParams(1.0, 1.0), omega=None, connection=None):
+    """The run context of bare fields (Expr arrays) on the chart ``c`` at the
+    points: g^-1, Levi-Civita, the generalized structures and the rest as a
+    run over a scenario builds them.  A J of None stands for the identity, for
+    tests that read only g."""
     if J is None:
-        J = ch.EndoField(g.chart, ch.constant_matrix(np.eye(g.chart.dim)))
-    scenario = ChartScenario(
-        "fields", g.chart, params, g, J, False, omega, connection, [], len(pts), 0, 1e-9
-    )
+        J = ch.constant_matrix(np.eye(c.dim))
+    scenario = ChartScenario("fields", c, params, g, J, omega, connection, [], len(pts), 0, 1e-9)
     return ScenarioContext(scenario, points=pts)
 
 
@@ -53,7 +62,7 @@ def pair_context(g, J, params=MetallicParams(1.0, 1.0)):
     c = ch.Chart(tuple(f"x{i + 1}" for i in range(n)), ((0.0, 1.0),) * n)
     eye = ch.constant_matrix(np.eye(n))
     pts = c.sample_points(len(g))
-    ctx = field_context(ch.MetricField(c, eye), ch.EndoField(c, eye), pts, params)
+    ctx = field_context(c, eye, eye, pts, params)
     ctx.g_at, ctx.J_at = g, J
     return ctx
 
@@ -71,8 +80,7 @@ def dense_metric(n, seed=0):
         ]
         for i in range(n)
     ]
-    comps = np.array([[ex.parse(s, c.names) for s in row] for row in rows], dtype=object)
-    return c, ch.MetricField(c, comps)
+    return c, exprs(c, rows)
 
 
 @pytest.fixture(scope="session")
@@ -92,9 +100,7 @@ def sphere_chart():
 
 @pytest.fixture(scope="session")
 def sphere_metric(sphere_chart):
-    c = sphere_chart
-    comps = np.array([[1.0, 0.0], [0.0, ex.parse("sin(x1)^2", c.names)]], dtype=object)
-    return ch.MetricField(c, comps)
+    return exprs(sphere_chart, [["1", "0"], ["0", "sin(x1)^2"]])
 
 
 @pytest.fixture(scope="session")
@@ -105,5 +111,5 @@ def golden_params():
 @pytest.fixture(scope="session")
 def sphere_diag_J(sphere_chart, sphere_metric, golden_params):
     c = sphere_chart
-    P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 0.0])))
-    return from_projection(c, P, golden_params, sphere_metric, c.sample_points(8))
+    P = ch.constant_matrix(np.diag([1.0, 0.0]))
+    return from_projection(P, golden_params, sphere_metric, c.sample_points(8))

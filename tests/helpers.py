@@ -46,13 +46,14 @@ def fd_gradient(e: ex.Expr, x, h=1e-5):
     return np.array([fd_partial(lambda p: evaluate(e, p), x, k, h) for k in range(len(x))])
 
 
-def fd_christoffel(g: ch.MetricField, x, h=1e-5):
-    """Koszul formula evaluated with finite-difference metric derivatives."""
+def fd_christoffel(g, x, h=1e-5):
+    """Koszul formula evaluated with finite-difference derivatives of the
+    metric ``g``, an [n, n] array of Exprs."""
     x = np.asarray(x, dtype=float)
-    n = g.chart.dim
+    n = len(x)
 
     def g_at(p):
-        return ch.eval_exprs(g.comps, p.reshape(1, -1))[0]
+        return ch.eval_exprs(g, p.reshape(1, -1))[0]
 
     gv = g_at(x)
     ginv = np.linalg.inv(gv)
@@ -89,13 +90,14 @@ def fd_riemann(gamma_at, x, h=1e-5):
     return R
 
 
-def fd_nijenhuis(J: ch.EndoField, x, h=1e-5):
-    """Bracket-based Nijenhuis via finite differences of the column fields."""
+def fd_nijenhuis(J, x, h=1e-5):
+    """Bracket-based Nijenhuis via finite differences of the column fields of
+    ``J``, an [n, n] array of Exprs."""
     x = np.asarray(x, dtype=float)
-    n = J.chart.dim
+    n = len(x)
 
     def J_at(p):
-        return ch.eval_exprs(J.comps, p.reshape(1, -1))[0]
+        return ch.eval_exprs(J, p.reshape(1, -1))[0]
 
     Jv = J_at(x)
     # dcols[k][:, i] = d_k (J column i)
@@ -110,7 +112,7 @@ def fd_nijenhuis(J: ch.EndoField, x, h=1e-5):
     return N
 
 
-def lifted_jbar(g: ch.MetricField, J: ch.EndoField, flavor, z, connection=None, h=1e-3):
+def lifted_jbar(g, J, flavor, z, connection=None, h=1e-3):
     """The lifted endomorphism at the bundle point z = (x, y), with numpy only.
 
     Forms the morphism column by column from the evaluated leaf values: the
@@ -121,12 +123,12 @@ def lifted_jbar(g: ch.MetricField, J: ch.EndoField, flavor, z, connection=None, 
     z = np.asarray(z, dtype=float)
     n = len(z) // 2
     x, y = z[:n], z[n:]
-    gv = ch.eval_exprs(g.comps, x.reshape(1, -1))[0]
-    Jv = ch.eval_exprs(J.comps, x.reshape(1, -1))[0]
+    gv = ch.eval_exprs(g, x.reshape(1, -1))[0]
+    Jv = ch.eval_exprs(J, x.reshape(1, -1))[0]
     if connection is None:
         gamma = fd_christoffel(g, x, h)
     else:
-        gamma = ch.eval_exprs(connection.comps, x.reshape(1, -1))[0]
+        gamma = ch.eval_exprs(connection, x.reshape(1, -1))[0]
     P = np.zeros((2 * n, 2 * n))
     for i in range(n):
         P[i, i] = 1.0

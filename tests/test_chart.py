@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab import genconn as gc
-from metalliclab.errors import DimensionMismatch, SingularMetric
+from metalliclab.errors import DimensionMismatch, SingularMetric, ValidationError
+from metalliclab.scenario import load_scenario
 
-from conftest import dense_metric, field_context, jet
+from conftest import dense_metric, exprs, field_context, jet, scenario_path
 from helpers import (
     fd_christoffel,
     fd_nijenhuis,
@@ -22,25 +24,15 @@ def make_chart(seed=3):
     return ch.Chart(("x1", "x2"), ((0.5, 2.0), (0.1, 1.0)), seed=seed)
 
 
-def metric_from_strings(c, rows):
-    comps = np.array([[ex.parse(s, c.names) for s in row] for row in rows], dtype=object)
-    return ch.MetricField(c, comps)
-
-
-def endo_from_strings(c, rows):
-    comps = np.array([[ex.parse(s, c.names) for s in row] for row in rows], dtype=object)
-    return ch.EndoField(c, comps)
-
-
-def levi_civita(g, pts):
+def levi_civita(c, g, pts):
     """Gamma and its partials [m, a, k, i, j] of the metric field at the points."""
-    ctx = field_context(g, None, pts)
+    ctx = field_context(c, g, None, pts)
     return ctx.lc_gamma_at, ctx.lc_dgamma_at
 
 
-def gamma_function(g):
+def gamma_function(c, g):
     """The function point -> Levi-Civita Gamma of the metric field there."""
-    return lambda p: levi_civita(g, np.reshape(p, (1, -1)))[0][0]
+    return lambda p: levi_civita(c, g, np.reshape(p, (1, -1)))[0][0]
 
 
 def test_chart_validation():
@@ -113,17 +105,17 @@ def test_sample_points_equal_scipy_halton_bit_for_bit():
 
 def test_identity_metric_has_zero_christoffel():
     c = make_chart()
-    g = metric_from_strings(c, [["1", "0"], ["0", "1"]])
-    values, derivatives = levi_civita(g, c.sample_points(8))
+    g = exprs(c, [["1", "0"], ["0", "1"]])
+    values, derivatives = levi_civita(c, g, c.sample_points(8))
     assert np.abs(values).max() == 0.0
     assert np.abs(derivatives).max() == 0.0
 
 
 def test_polar_plane_christoffel_closed_form_and_fd_oracle():
     c = make_chart()
-    g = metric_from_strings(c, [["1", "0"], ["0", "x1^2"]])
+    g = exprs(c, [["1", "0"], ["0", "x1^2"]])
     pts = c.sample_points(20)
-    values, derivatives = levi_civita(g, pts)
+    values, derivatives = levi_civita(c, g, pts)
     x1 = pts[:, 0]
     assert np.abs(values[:, 0, 1, 1] + x1).max() < 1e-12
     assert np.abs(values[:, 1, 0, 1] - 1.0 / x1).max() < 1e-12
@@ -136,7 +128,7 @@ def test_polar_plane_christoffel_closed_form_and_fd_oracle():
 
 def test_sphere_christoffel_closed_form_and_fd_oracle(sphere_chart, sphere_metric):
     pts = sphere_chart.sample_points(20)
-    values = levi_civita(sphere_metric, pts)[0]
+    values = levi_civita(sphere_chart, sphere_metric, pts)[0]
     x1 = pts[:, 0]
     assert np.abs(values[:, 0, 1, 1] + np.sin(x1) * np.cos(x1)).max() < 1e-12
     assert np.abs(values[:, 1, 0, 1] - np.cos(x1) / np.sin(x1)).max() < 1e-12
@@ -146,42 +138,46 @@ def test_sphere_christoffel_closed_form_and_fd_oracle(sphere_chart, sphere_metri
 
 def test_singular_metric_detected():
     c = make_chart()
-    g = metric_from_strings(c, [["x1 - x1", "0"], ["0", "1"]])
+    g = exprs(c, [["x1 - x1", "0"], ["0", "1"]])
     pts = c.sample_points(4)
     first = str(tuple(float(v) for v in pts[0]))
     with pytest.raises(SingularMetric, match=re.escape(first)):
-        levi_civita(g, pts)
+        levi_civita(c, g, pts)
 
 
-def test_metric_positive_definite_guard():
+def test_metric_positive_definite_guard(tmp_path):
+    # the load-time probe of a scenario's metric: g_22 = x1 - 1 changes sign
+    payload = json.loads(scenario_path("flat-golden").read_text())
     c = make_chart()
-    g = metric_from_strings(c, [["1", "0"], ["0", "x1 - 1"]])  # changes sign
-    with pytest.raises(SingularMetric):
-        g.check_positive_definite(c.sample_points(16))
+    payload.update(domain=[list(b) for b in c.box], metric=[["1", "0"], ["0", "x1 - 1"]])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match="metric: metric not positive definite"):
+        load_scenario(path)
 
 
 def test_flat_metrics_have_zero_curvature():
     c = make_chart()
     for rows in ([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "x1^2"]]):
-        g = metric_from_strings(c, rows)
-        values = ch.riemann(*levi_civita(g, c.sample_points(16)))
+        g = exprs(c, rows)
+        values = ch.riemann(*levi_civita(c, g, c.sample_points(16)))
         assert np.abs(values).max() < 1e-9
 
 
 def test_sphere_curvature_value_and_fd_oracle(sphere_chart, sphere_metric):
     pts = sphere_chart.sample_points(12)
-    values = ch.riemann(*levi_civita(sphere_metric, pts))
+    values = ch.riemann(*levi_civita(sphere_chart, sphere_metric, pts))
     # R(d_1, d_2)d_2 = sin^2(x1) d_1 in the house convention
     assert np.abs(values[:, 0, 0, 1, 1] - np.sin(pts[:, 0]) ** 2).max() < 1e-12
     # antisymmetry in the first two lower slots
     assert np.abs(values + values.transpose(0, 1, 3, 2, 4)).max() == 0.0
     for got, p in zip(values[:6], pts[:6]):
-        oracle = fd_riemann(gamma_function(sphere_metric), p)
+        oracle = fd_riemann(gamma_function(sphere_chart, sphere_metric), p)
         assert np.abs(got - oracle).max() < 1e-6
 
 
 def test_first_bianchi_identity(sphere_chart, sphere_metric):
-    values = ch.riemann(*levi_civita(sphere_metric, sphere_chart.sample_points(16)))
+    values = ch.riemann(*levi_civita(sphere_chart, sphere_metric, sphere_chart.sample_points(16)))
     cyc = (
         values
         + np.einsum("mljki->mlijk", values)
@@ -191,7 +187,7 @@ def test_first_bianchi_identity(sphere_chart, sphere_metric):
 
 
 def test_levi_civita_is_metric_parallel(sphere_chart, sphere_metric):
-    ctx = field_context(sphere_metric, None, sphere_chart.sample_points(16))
+    ctx = field_context(sphere_chart, sphere_metric, None, sphere_chart.sample_points(16))
     values = gc.nabla_metric(ctx.lc_gamma_at, ctx.g_at, ctx.dg_at)
     assert np.abs(values).max() < 1e-9
 
@@ -200,31 +196,31 @@ def test_covariant_derivative_with_zero_connection_reduces_to_partials():
     c = make_chart()
     pts = c.sample_points(8)
     zero = np.zeros((8, 2, 2, 2))
-    g = metric_from_strings(c, [["1", "0"], ["0", "x1^2"]])
-    values = gc.nabla_metric(zero, *jet(g.comps, pts))
+    g = exprs(c, [["1", "0"], ["0", "x1^2"]])
+    values = gc.nabla_metric(zero, *jet(g, pts))
     assert np.abs(values[:, 0, 1, 1] - 2.0 * pts[:, 0]).max() < 1e-12
-    J = endo_from_strings(c, [["x1*x2", "x2^2"], ["1", "x1 + x2"]])
-    assert (gc.nabla_endo(zero, *jet(J.comps, pts)) == jet(J.comps, pts)[1]).all()
+    J = exprs(c, [["x1*x2", "x2^2"], ["1", "x1 + x2"]])
+    assert (gc.nabla_endo(zero, *jet(J, pts)) == jet(J, pts)[1]).all()
 
 
 def test_covariant_derivative_endo_cases(sphere_chart, sphere_metric):
     c = sphere_chart
     pts = c.sample_points(8)
-    gamma = levi_civita(sphere_metric, pts)[0]
+    gamma = levi_civita(sphere_chart, sphere_metric, pts)[0]
     sigma = (1 + np.sqrt(5)) / 2
-    scalar = ch.EndoField(c, ch.constant_matrix(sigma * np.eye(2)))
-    values = gc.nabla_endo(gamma, *jet(scalar.comps, pts))
+    scalar = ch.constant_matrix(sigma * np.eye(2))
+    values = gc.nabla_endo(gamma, *jet(scalar, pts))
     assert np.abs(values).max() < 1e-12
 
-    J = endo_from_strings(c, [["x1", "0"], ["0", "1"]])
-    v2 = gc.nabla_endo(np.zeros_like(gamma), *jet(J.comps, pts))
+    J = exprs(c, [["x1", "0"], ["0", "1"]])
+    v2 = gc.nabla_endo(np.zeros_like(gamma), *jet(J, pts))
     assert np.abs(v2[:, 0, 0, 0] - 1.0).max() == 0.0
 
 
 def test_torsion():
     c = make_chart()
-    g = metric_from_strings(c, [["1", "0"], ["0", "x1^2"]])
-    assert np.abs(gc.torsion(levi_civita(g, c.sample_points(8))[0])).max() == 0.0
+    g = exprs(c, [["1", "0"], ["0", "x1^2"]])
+    assert np.abs(gc.torsion(levi_civita(c, g, c.sample_points(8))[0])).max() == 0.0
 
     gamma = np.zeros((4, 2, 2, 2))
     gamma[:, 0, 0, 1] = 1.0  # Gamma^1_{12} = 1, Gamma^1_{21} = 0
@@ -235,8 +231,8 @@ def test_torsion():
 
 def test_nijenhuis_constant_endo_vanishes():
     c = make_chart()
-    J = endo_from_strings(c, [["2", "1"], ["0.5", "3"]])
-    values = ch.nijenhuis(*jet(J.comps, c.sample_points(8)))
+    J = exprs(c, [["2", "1"], ["0.5", "3"]])
+    values = ch.nijenhuis(*jet(J, c.sample_points(8)))
     assert np.abs(values).max() == 0.0
 
 
@@ -249,17 +245,17 @@ def test_nijenhuis_against_finite_difference_oracle():
     ]
     pts = c.sample_points(20)
     for rows in fields:
-        J = endo_from_strings(c, rows)
+        J = exprs(c, rows)
         for p in pts:
             oracle = fd_nijenhuis(J, p)
-            got = ch.nijenhuis(*jet(J.comps, p.reshape(1, -1)))[0]
+            got = ch.nijenhuis(*jet(J, p.reshape(1, -1)))[0]
             assert np.abs(got - oracle).max() < 1e-8
 
 
 def test_nijenhuis_antisymmetry():
     c = make_chart()
-    J = endo_from_strings(c, [["x1*x2", "x2^2"], ["1", "x1 + x2"]])
-    values = ch.nijenhuis(*jet(J.comps, c.sample_points(12)))
+    J = exprs(c, [["x1*x2", "x2^2"], ["1", "x1 + x2"]])
+    values = ch.nijenhuis(*jet(J, c.sample_points(12)))
     assert np.abs(values + values.transpose(0, 1, 3, 2)).max() == 0.0
 
 
@@ -267,17 +263,16 @@ def test_nijenhuis_covariant_identity_any_connection():
     # bracket N_J equals the covariant expansion + Phi(T) for an arbitrary
     # (torsion-ful) connection
     c = make_chart()
-    J = endo_from_strings(c, [["x1*x2", "x2^2"], ["1", "x1 + x2"]])
+    J = exprs(c, [["x1*x2", "x2^2"], ["1", "x1 + x2"]])
     rng = np.random.default_rng(8)
     gamma = np.empty((2, 2, 2), dtype=object)
     for idx in np.ndindex(2, 2, 2):
         c0, c1 = rng.uniform(-1, 1, size=2)
         gamma[idx] = ex.add(ex.const(c0), ex.mul(ex.const(c1), ex.coord(idx[1])))
-    conn = ch.ConnectionField(c, gamma)
     pts = c.sample_points(16)
-    NJ = ch.nijenhuis(*jet(J.comps, pts))
-    gamma = ch.eval_exprs(conn.comps, pts)
-    Jv, dJ = jet(J.comps, pts)
+    NJ = ch.nijenhuis(*jet(J, pts))
+    gamma = ch.eval_exprs(gamma, pts)
+    Jv, dJ = jet(J, pts)
     rhs = gc.covariant_nijenhuis_rhs(gc.nabla_endo(gamma, Jv, dJ), gc.torsion(gamma), Jv)
     assert np.abs(NJ - rhs).max() < 1e-8
 
@@ -285,7 +280,7 @@ def test_nijenhuis_covariant_identity_any_connection():
 def test_inverse_metric_of_a_dense_metric():
     # n = 3 with off-diagonal entries
     c = ch.Chart(("x1", "x2", "x3"), ((0.2, 1.0),) * 3, seed=2)
-    g = metric_from_strings(
+    g = exprs(
         c,
         [
             ["2 + x1^2", "x1*x2/4", "0"],
@@ -293,7 +288,7 @@ def test_inverse_metric_of_a_dense_metric():
             ["0", "x3/5", "2 + x3^2"],
         ],
     )
-    ctx = field_context(g, None, c.sample_points(12))
+    ctx = field_context(c, g, None, c.sample_points(12))
     assert np.abs(ctx.g_at @ ctx.ginv_at - np.eye(3)).max() < 1e-12
     assert np.abs(ctx.ginv_at - np.swapaxes(ctx.ginv_at, -1, -2)).max() < 1e-15
 
@@ -307,12 +302,12 @@ def test_christoffel_fd_oracle_in_dimension_four():
         ["0", "0", "2 + x4^2", "x2/4"],
         ["0", "0", "x2/4", "2 + x1^2"],
     ]
-    g = metric_from_strings(c, rows)
+    g = exprs(c, rows)
     pts = c.sample_points(5)
-    for got, p in zip(levi_civita(g, pts)[0], pts):
+    for got, p in zip(levi_civita(c, g, pts)[0], pts):
         assert np.abs(got - fd_christoffel(g, p)).max() < 1e-7
     # Levi-Civita stays metric-parallel through the numeric inverse
-    ctx = field_context(g, None, c.sample_points(8))
+    ctx = field_context(c, g, None, c.sample_points(8))
     assert np.abs(gc.nabla_metric(ctx.lc_gamma_at, ctx.g_at, ctx.dg_at)).max() < 1e-12
 
 
@@ -323,7 +318,7 @@ def test_inverse_metric_dimension_six():
     entries[0][1] = entries[1][0] = "x3/4"
     entries[2][3] = entries[3][2] = "x5/5"
     entries[4][5] = entries[5][4] = "x1*x2/6"
-    ctx = field_context(metric_from_strings(c, entries), None, c.sample_points(6))
+    ctx = field_context(c, exprs(c, entries), None, c.sample_points(6))
     assert np.abs(ctx.g_at @ ctx.ginv_at - np.eye(6)).max() < 1e-12
 
 
@@ -333,7 +328,7 @@ def test_christoffel_of_a_dense_metric_matches_the_fd_oracle(n):
     # entry of g^-1 enters
     c, g = dense_metric(n, seed=n)
     pts = c.sample_points(4)
-    values = levi_civita(g, pts)[0]
+    values = levi_civita(c, g, pts)[0]
     assert np.abs(values - np.swapaxes(values, -1, -2)).max() == 0.0
     for got, p in zip(values, pts):
         oracle = fd_christoffel(g, p)
@@ -345,8 +340,8 @@ def test_christoffel_of_a_dense_metric_matches_the_fd_oracle(n):
 def test_christoffel_partials_of_a_dense_metric_match_central_differences(n):
     c, g = dense_metric(n, seed=10 + n)
     pts = c.sample_points(3)
-    derivatives = levi_civita(g, pts)[1]
-    gamma_at = gamma_function(g)
+    derivatives = levi_civita(c, g, pts)[1]
+    gamma_at = gamma_function(c, g)
     for got, p in zip(derivatives, pts):
         oracle = np.array([fd_partial(gamma_at, p, a) for a in range(n)])
         assert np.abs(oracle).max() > 0.1

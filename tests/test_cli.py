@@ -3,8 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from metalliclab import chart as ch
 from metalliclab import genconn as gc
 from metalliclab import report as rp
 from metalliclab import suites as suites_module
@@ -33,8 +35,13 @@ def golden_payload():
 def test_load_golden_scenario():
     scenario = load_scenario(scenario_path("flat-golden"))
     assert scenario.chart.dim == 2
-    assert scenario.params.sigma == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-15)
-    assert scenario.j_from_projection
+    sigma = (1 + math.sqrt(5)) / 2
+    assert scenario.params.sigma == pytest.approx(sigma, abs=1e-15)
+    # J from the file's projection P = diag(1, 0): sigma P + (p - sigma)(I - P)
+    P = np.diag([1.0, 0.0])
+    expected = sigma * P + (1.0 - sigma) * (np.eye(2) - P)
+    pts = scenario.chart.sample_points(4)
+    assert np.abs(ch.eval_exprs(scenario.J, pts) - expected).max() < 1e-15
     assert "core" in scenario.suites
 
 
@@ -485,6 +492,36 @@ def test_a_control_of_a_check_the_scenario_cannot_run_is_an_input_error(tmp_path
     assert main(["check", str(write_scenario(tmp_path, payload))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "'omega'" in err
+
+
+def test_a_control_of_an_informative_check_is_an_input_error(tmp_path, capsys):
+    # an informative check never fails a run, so such a control could never be met
+    payload = golden_payload()
+    payload["expected_failures"] = ["genbundle/fhat-with-df-equal-j"]
+    path = write_scenario(tmp_path, payload)
+    with pytest.raises(ValidationError, match="informative check"):
+        load_scenario(path)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "genbundle/fhat-with-df-equal-j" in err
+
+
+def test_an_asymmetric_metric_is_an_input_error(tmp_path, capsys):
+    # the lower triangle is read, not overwritten by the upper one
+    payload = golden_payload()
+    payload["metric"][1][0] = "5 + x1"
+    path = write_scenario(tmp_path, payload)
+    with pytest.raises(ValidationError, match=r"metric\[1\]\[0\] differs from metric\[0\]\[1\]"):
+        load_scenario(path)
+    assert main(["check", str(path), "--suite", "core"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "metric[1][0]" in err and "Traceback" not in err
+    # a lower triangle written differently but equal in value loads, as the
+    # upper triangle's nodes
+    payload["metric"] = [["1", "0.5*x1"], ["x1*0.5", "1"]]
+    payload["J"] = [["1", "0"], ["0", "1"]]
+    scenario = load_scenario(write_scenario(tmp_path, payload))
+    assert scenario.metric[1, 0] is scenario.metric[0, 1]
 
 
 def test_a_bad_control_is_listed_with_the_other_validation_problems(tmp_path):

@@ -261,7 +261,7 @@ def test_tensors_of_a_scenario_hold_no_duplicate_structure():
     for name in CORPUS:
         scenario = load_scenario(scenario_path(name))
         roots = list(scenario.dg.flat) + list(scenario.d2g.flat) + list(scenario.dJ.flat)
-        roots += list(scenario.metric.comps.flat) + list(scenario.J.comps.flat)
+        roots += list(scenario.metric.flat) + list(scenario.J.flat)
         nodes, stack = {}, roots
         while stack:
             node = stack.pop()

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from metalliclab import chart as ch
-from metalliclab import expr as ex
 from metalliclab import genbundle as gb
 from metalliclab import suites
 from metalliclab.errors import DegenerateForm, DomainError
 from metalliclab.metallic import MetallicParams
 from metalliclab.scenario import load_scenario
 
-from conftest import dense_metric, field_context, pair_context, scenario_path
+from conftest import dense_metric, exprs, field_context, pair_context, scenario_path
 from helpers import fd_partial, random_compatible_pair, signature_by_congruence
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -625,8 +624,7 @@ def _dense_endo(c):
         [f"{1 if i == j else 0} + 0.3*cos(x{i + 1} + 2*x{j + 1} + ({total})/5)" for j in range(n)]
         for i in range(n)
     ]
-    comps = np.array([[ex.parse(s, c.names) for s in row] for row in rows], dtype=object)
-    return ch.EndoField(c, comps)
+    return exprs(c, rows)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -636,12 +634,12 @@ def test_generalized_partials_match_central_differences_of_the_structures(n):
     c, g = dense_metric(n, seed=20 + n)
     J = _dense_endo(c)
     pts = c.sample_points(3)
-    ctx = field_context(g, J, pts)
+    ctx = field_context(c, g, J, pts)
     for label in ("jm", "jp", "jc", "ghat"):
         values, partials = ctx.gen_jet(label)
 
         def at(p, label=label):
-            return field_context(g, J, p.reshape(1, -1)).gen_at(label)[0]
+            return field_context(c, g, J, p.reshape(1, -1)).gen_at(label)[0]
 
         for m, p in enumerate(pts):
             assert np.array_equal(values[m], at(p))

@@ -12,7 +12,7 @@ from metalliclab.metallic import MetallicParams, from_projection
 from metalliclab.scenario import ChartScenario, load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, field_context, scenario_path
+from conftest import CORPUS, exprs, field_context, scenario_path
 from helpers import (
     covariant_nijenhuis_rhs_loop,
     fd_bracket,
@@ -30,8 +30,8 @@ PARAMS = MetallicParams(1.0, 1.0)
 
 def flat_setup(seed=1):
     c = ch.Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)), seed=seed)
-    g = ch.MetricField(c, ch.constant_matrix(np.eye(2)))
-    J = ch.EndoField(c, ch.constant_matrix(np.diag([GOLDEN, 1 - GOLDEN])))
+    g = ch.constant_matrix(np.eye(2))
+    J = ch.constant_matrix(np.diag([GOLDEN, 1 - GOLDEN]))
     return c, g, J
 
 
@@ -39,9 +39,8 @@ def flat_setup(seed=1):
 def product_setup():
     c = ch.Chart(("x1", "x2", "x3"), ((0.4, 2.7), (0.0, 1.5), (0.0, 1.0)), seed=13)
     rows = [["1", "0", "0"], ["0", "sin(x1)^2", "0"], ["0", "0", "1"]]
-    g = ch.MetricField(c, np.array([[ex.parse(s, c.names) for s in r] for r in rows], dtype=object))
-    P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 1.0, 0.0])))
-    J = from_projection(c, P, PARAMS, g, c.sample_points(8))
+    g = exprs(c, rows)
+    J = from_projection(ch.constant_matrix(np.diag([1.0, 1.0, 0.0])), PARAMS, g, c.sample_points(8))
     return c, g, J
 
 
@@ -70,25 +69,25 @@ def random_affine(rng, i):
     return ex.add(ex.const(rng.uniform(-1, 1)), ex.mul(ex.const(rng.uniform(-1, 1)), ex.coord(i)))
 
 
-def lc_gamma(g, pts):
+def lc_gamma(c, g, pts):
     """Levi-Civita Gamma of the metric field at the points."""
-    return field_context(g, None, pts).lc_gamma_at
+    return field_context(c, g, None, pts).lc_gamma_at
 
 
-def karaman_gamma(g, J, omega, pts):
+def karaman_gamma(c, g, J, omega, pts):
     """D = Levi-Civita + F at the points, from the array karaman_connection."""
-    return field_context(g, J, pts, omega=omega).karaman_gamma_at
+    return field_context(c, g, J, pts, omega=omega).karaman_gamma_at
 
 
-def jm_jet(g, J, pts):
+def jm_jet(c, g, J, pts):
     """Values and partials of Jm = blockdiag(J, J*) at the points."""
-    return field_context(g, J, pts).gen_jet("jm")
+    return field_context(c, g, J, pts).gen_jet("jm")
 
 
 def test_nabla_bracket_trivial_cases():
     c, g, J = flat_setup()
     pts = c.sample_points(8)
-    gamma = lc_gamma(g, pts)
+    gamma = lc_gamma(c, g, pts)
     out = gc.nabla_bracket(gamma, *basis_section(c, 0, 8), *basis_section(c, 1, 8))
     assert np.abs(out).max() == 0.0
     # sigma = dx^1, tau = d_2, flat connection: covector part vanishes
@@ -100,7 +99,7 @@ def test_nabla_bracket_antisymmetry_random_fields(product_setup):
     c, g, J = product_setup
     rng = np.random.default_rng(6)
     pts = c.sample_points(10)
-    gamma = lc_gamma(g, pts)
+    gamma = lc_gamma(c, g, pts)
     n = c.dim
     for _ in range(4):
         sections = []
@@ -121,7 +120,7 @@ def test_nabla_bracket_antisymmetry_random_fields(product_setup):
 def test_gen_nijenhuis_flat_constant_vanishes():
     c, g, J = flat_setup()
     pts = c.sample_points(8)
-    nij = gc.gen_nijenhuis(lc_gamma(g, pts), *jm_jet(g, J, pts))
+    nij = gc.gen_nijenhuis(lc_gamma(c, g, pts), *jm_jet(c, g, J, pts))
     assert nij.shape == (8, 4, 4, 4)
     assert np.abs(nij).max() == 0.0
 
@@ -129,7 +128,7 @@ def test_gen_nijenhuis_flat_constant_vanishes():
 def test_gen_nijenhuis_mixed_slot_identity(sphere_chart, sphere_metric, sphere_diag_J):
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     pts = c.sample_points(12)
-    ctx = field_context(g, J, pts)
+    ctx = field_context(c, g, J, pts)
     nij = gc.gen_nijenhuis(ctx.lc_gamma_at, *ctx.gen_jet("jm"))
     DJ = ctx.bundle(ctx.lc_gamma_at).nabla_J_at
     Jv = ctx.J_at
@@ -146,17 +145,18 @@ def test_gen_nijenhuis_mixed_slot_identity(sphere_chart, sphere_metric, sphere_d
 
 def test_gen_nijenhuis_covector_pairs_vanish(sphere_chart, sphere_metric, sphere_diag_J):
     # N(alpha, beta) = 0 for the generalized metallic structure
-    pts = sphere_chart.sample_points(8)
-    nij = gc.gen_nijenhuis(lc_gamma(sphere_metric, pts), *jm_jet(sphere_metric, sphere_diag_J, pts))
+    c, g, J = sphere_chart, sphere_metric, sphere_diag_J
+    pts = c.sample_points(8)
+    nij = gc.gen_nijenhuis(lc_gamma(c, g, pts), *jm_jet(c, g, J, pts))
     assert np.abs(nij[:, :, 2, 3]).max() < 1e-12
 
 
 def test_phi_of_torsion_cases(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(10)
-    Jv = ch.eval_exprs(J.comps, pts)
+    Jv = ch.eval_exprs(J, pts)
     # torsion-free connection
-    T0 = gc.torsion(lc_gamma(g, pts))
+    T0 = gc.torsion(lc_gamma(c, g, pts))
     assert np.abs(gc.phi_of_torsion(T0, Jv)).max() == 0.0
     # J = I with (p, q) = (0, 1): Phi(T) = -T + T + T - T = 0 for any torsion
     rng = np.random.default_rng(3)
@@ -226,24 +226,24 @@ def test_bracket_check_fails_without_vector_partials(monkeypatch):
 def test_karaman_connection_flat_case():
     c, g, J = flat_setup()
     pts = c.sample_points(16)
-    gv, Jv = g.eval(pts), J.eval(pts)
+    gv, Jv = ch.eval_exprs(g, pts), ch.eval_exprs(J, pts)
     ginv = np.linalg.inv(gv)
     # omega = 0 gives F = 0, D = Levi-Civita
     F0 = gc.karaman_connection(gv, ginv, Jv, PARAMS, np.zeros((16, 2)))
     assert np.abs(F0).max() == 0.0
 
-    omega = ch.OneFormField(c, [1.0, 0.0])
-    F = gc.karaman_connection(gv, ginv, Jv, PARAMS, ch.eval_exprs(omega.comps, pts))
+    omega = ch.eval_exprs(ch.constant_matrix([1.0, 0.0]), pts)
+    F = gc.karaman_connection(gv, ginv, Jv, PARAMS, omega)
     # g(F(X_i, X_j), X_r) + g(X_j, F(X_i, X_r)) = 0
     skew = np.einsum("mkij,mkr->mijr", F, gv) + np.einsum("mkir,mjk->mijr", F, gv)
     assert np.abs(skew).max() < 1e-12
     # torsion of D matches the closed form at 20 points
-    Td = gc.torsion(lc_gamma(g, pts) + F)
-    closed = gc.torsion_closed_form_values(Jv, PARAMS, ch.eval_exprs(omega.comps, pts))
+    Td = gc.torsion(lc_gamma(c, g, pts) + F)
+    closed = gc.torsion_closed_form_values(Jv, PARAMS, omega)
     assert np.abs(Td - closed).max() < 1e-12
 
     with pytest.raises(ZeroQ):
-        gc.karaman_connection(gv, ginv, Jv, MetallicParams(1, 0), ch.eval_exprs(omega.comps, pts))
+        gc.karaman_connection(gv, ginv, Jv, MetallicParams(1, 0), omega)
 
 
 def test_torsion_formula_frozen_values():
@@ -267,9 +267,9 @@ def test_torsion_lemma_three_way(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(12)
     rng = np.random.default_rng(12)
-    omega = ch.OneFormField(c, np.array([random_affine(rng, i) for i in range(3)], dtype=object))
-    Td = gc.torsion(karaman_gamma(g, J, omega, pts))
-    Jv = ch.eval_exprs(J.comps, pts)
+    omega = np.array([random_affine(rng, i) for i in range(3)], dtype=object)
+    Td = gc.torsion(karaman_gamma(c, g, J, omega, pts))
+    Jv = ch.eval_exprs(J, pts)
     for _ in range(10):
         X = rng.normal(size=3)
         Y = rng.normal(size=3)
@@ -287,13 +287,12 @@ def test_karaman_full_suite_on_product_scenario(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(16)
     rng = np.random.default_rng(20)
-    jm = jm_jet(g, J, pts)
-    Jv, dJ = jet(J.comps, pts)
-    gv, dg = jet(g.comps, pts)
+    jm = jm_jet(c, g, J, pts)
+    Jv, dJ = jet(J, pts)
+    gv, dg = jet(g, pts)
     for trial in range(3):
-        comps = np.array([random_affine(rng, (trial + i) % 3) for i in range(3)], dtype=object)
-        omega = ch.OneFormField(c, comps)
-        D = karaman_gamma(g, J, omega, pts)
+        omega = np.array([random_affine(rng, (trial + i) % 3) for i in range(3)], dtype=object)
+        D = karaman_gamma(c, g, J, omega, pts)
         Dg = gc.nabla_metric(D, gv, dg)
         assert np.abs(Dg).max() < 1e-9
         DJ = gc.nabla_endo(D, Jv, dJ)
@@ -309,13 +308,13 @@ def test_semi_symmetric_part_drops_out_of_dj(sphere_chart, sphere_metric, sphere
     # exactly, whatever the 1-form; checked where nabla J != 0
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     pts = c.sample_points(10)
-    base_dj = gc.nabla_endo(lc_gamma(g, pts), *jet(J.comps, pts))
+    base_dj = gc.nabla_endo(lc_gamma(c, g, pts), *jet(J, pts))
     assert np.abs(base_dj).max() > 1e-2
     rng = np.random.default_rng(31)
     for _ in range(3):
-        comps = np.array([random_affine(rng, i) for i in range(2)], dtype=object)
-        D = karaman_gamma(g, J, ch.OneFormField(c, comps), pts)
-        dj = gc.nabla_endo(D, *jet(J.comps, pts))
+        omega = np.array([random_affine(rng, i) for i in range(2)], dtype=object)
+        D = karaman_gamma(c, g, J, omega, pts)
+        dj = gc.nabla_endo(D, *jet(J, pts))
         assert np.abs(dj - base_dj).max() < 1e-12
 
 
@@ -323,8 +322,8 @@ def test_dhat_tracks_base_derivatives(product_setup, sphere_chart, sphere_metric
     # positive control: semi-symmetric D on the decomposable scenario
     c, g, J = product_setup
     pts = c.sample_points(12)
-    omega = ch.OneFormField(c, np.array([ex.parse(s, c.names) for s in ("x3", "x1", "x2")], dtype=object))
-    ctx = field_context(g, J, pts, omega=omega)
+    omega = exprs(c, ["x3", "x1", "x2"])
+    ctx = field_context(c, g, J, pts, omega=omega)
     D = ctx.karaman_gamma_at
     for label in ("jm", "jp", "jc"):
         res = gc.dhat_endo(D, *ctx.gen_jet(label))
@@ -334,7 +333,7 @@ def test_dhat_tracks_base_derivatives(product_setup, sphere_chart, sphere_metric
     assert np.abs(res).max() < 1e-9
 
     # negative control: Levi-Civita on the sphere with the diagonal structure
-    ctx2 = field_context(sphere_metric, sphere_diag_J, sphere_chart.sample_points(12))
+    ctx2 = field_context(sphere_chart, sphere_metric, sphere_diag_J, sphere_chart.sample_points(12))
     gamma2 = ctx2.lc_gamma_at
     worst = np.abs(gc.dhat_endo(gamma2, *ctx2.gen_jet("jm"))).max()
     assert worst > 1e-3
@@ -347,11 +346,11 @@ def test_gen_nijenhuis_vector_pairs_reduce_to_base_nijenhuis(sphere_chart, spher
     # endomorphism and connection: checked where N_J is genuinely non-zero
     c = sphere_chart
     rows = [["x1*x2", "x2^2"], ["1", "x1 + x2"]]
-    J = ch.EndoField(c, np.array([[ex.parse(s, c.names) for s in r] for r in rows], dtype=object))
+    J = exprs(c, rows)
     pts = c.sample_points(10)
-    NJ = ch.nijenhuis(*jet(J.comps, pts))
+    NJ = ch.nijenhuis(*jet(J, pts))
     assert np.abs(NJ).max() > 1e-2
-    values = gc.gen_nijenhuis(lc_gamma(sphere_metric, pts), *jm_jet(sphere_metric, J, pts))
+    values = gc.gen_nijenhuis(lc_gamma(c, sphere_metric, pts), *jm_jet(c, sphere_metric, J, pts))
     values = values[:, :, 0, 1]
     assert np.abs(values[:, :2] - NJ[:, :, 0, 1]).max() < 1e-10
     assert np.abs(values[:, 2:]).max() < 1e-12
@@ -363,7 +362,7 @@ def test_dhat_block_structure(sphere_chart, sphere_metric, sphere_diag_J):
     # of blocks; checked where the residuals are genuinely non-zero
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     pts = c.sample_points(10)
-    ctx = field_context(g, J, pts)
+    ctx = field_context(c, g, J, pts)
     gamma = ctx.lc_gamma_at
     DJ = gc.nabla_endo(gamma, ctx.J_at, ctx.dJ_at)
     Dg = gc.nabla_metric(gamma, ctx.g_at, ctx.dg_at)
@@ -381,15 +380,15 @@ def test_dhat_block_structure(sphere_chart, sphere_metric, sphere_diag_J):
         assert np.abs(dp[:, n:, :n] - Dg[:, k]).max() < 1e-12
 
 
-def _condition_inputs(g, J, pts):
-    ctx = field_context(g, J, pts)
+def _condition_inputs(c, g, J, pts):
+    ctx = field_context(c, g, J, pts)
     return ctx.bundle(ctx.lc_gamma_at).condition_inputs
 
 
 def test_integrability_conditions_vanish_when_locally_metallic(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(12)
-    ci = _condition_inputs(g, J, pts)
+    ci = _condition_inputs(c, g, J, pts)
     for cond in gc.jp_condition_residuals(ci) + gc.jc_condition_residuals(ci):
         assert np.abs(cond).max() < 1e-10
     reduced = gc.jp_reduced_residuals(ci)
@@ -406,7 +405,7 @@ def test_integrability_conditions_fail_on_sphere_diag(
     sphere_chart, sphere_metric, sphere_diag_J
 ):
     pts = sphere_chart.sample_points(12)
-    ci = _condition_inputs(sphere_metric, sphere_diag_J, pts)
+    ci = _condition_inputs(sphere_chart, sphere_metric, sphere_diag_J, pts)
     jp = gc.jp_condition_residuals(ci)
     # the first condition only involves N_J and d-nabla-g, both zero here
     assert np.abs(jp[0]).max() < 1e-10
@@ -419,7 +418,7 @@ def test_implication_conditions_bound_gen_nijenhuis(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(10)
     tol = 1e-9
-    ctx = field_context(g, J, pts)
+    ctx = field_context(c, g, J, pts)
     ci = ctx.bundle(ctx.lc_gamma_at).condition_inputs
     worst_condition = max(
         np.abs(cond).max()
@@ -436,11 +435,11 @@ def test_covariant_identity_with_both_connections(
 ):
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     pts = c.sample_points(16)
-    NJ = ch.nijenhuis(*jet(J.comps, pts))
-    Jv = ch.eval_exprs(J.comps, pts)
-    omega = ch.OneFormField(c, np.array([ex.parse(s, c.names) for s in ("x2", "x1")], dtype=object))
-    dJ = jet(J.comps, pts)[1]
-    for gamma in (lc_gamma(g, pts), karaman_gamma(g, J, omega, pts)):
+    NJ = ch.nijenhuis(*jet(J, pts))
+    Jv = ch.eval_exprs(J, pts)
+    omega = exprs(c, ["x2", "x1"])
+    dJ = jet(J, pts)[1]
+    for gamma in (lc_gamma(c, g, pts), karaman_gamma(c, g, J, omega, pts)):
         DJ = gc.nabla_endo(gamma, Jv, dJ)
         T = gc.torsion(gamma)
         rhs = gc.covariant_nijenhuis_rhs(DJ, T, Jv)
@@ -454,7 +453,7 @@ def _pointwise(comps):
 
 def _structure_at(scenario, label):
     """The function point -> Jm, Jp, Jc or ghat there, assembled with np.block."""
-    g_at, J_at = _pointwise(scenario.metric.comps), _pointwise(scenario.J.comps)
+    g_at, J_at = _pointwise(scenario.metric), _pointwise(scenario.J)
 
     def at(p):
         g, J = g_at(p), J_at(p)
@@ -572,17 +571,12 @@ def _rotating_projection():
     u that turns with x: J is compatible with g but not parallel."""
     c = ch.Chart(("x1", "x2", "x3"), ((0.2, 1.3),) * 3, seed=3)
     factor = "2 + sin(x1*x2) + 0.3*x3^2"
-    g = ch.MetricField(c, np.array(
-        [[ex.parse(factor if i == j else "0", c.names) for j in range(3)] for i in range(3)],
-        dtype=object,
-    ))
+    g = exprs(c, [[factor if i == j else "0" for j in range(3)] for i in range(3)])
     u = ("cos(x1*x2)", "sin(x1*x2)*cos(x3)", "sin(x1*x2)*sin(x3)")
-    P = ch.EndoField(c, np.array(
-        [[ex.parse(f"{u[i]}*{u[j]}", c.names) for j in range(3)] for i in range(3)], dtype=object
-    ))
+    P = exprs(c, [[f"{u[i]}*{u[j]}" for j in range(3)] for i in range(3)])
     params = MetallicParams(2.0, 1.0)
-    J = from_projection(c, P, params, g)
-    return ChartScenario("rotating-projection", c, params, g, J, False, None, None, [], 12, 0, 1e-9)
+    J = from_projection(P, params, g, c.sample_points(8))
+    return ChartScenario("rotating-projection", c, params, g, J, None, None, [], 12, 0, 1e-9)
 
 
 def _swept_arrays(ctx, omega_at):

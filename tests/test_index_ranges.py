@@ -19,8 +19,8 @@ COUNT = 37
 @pytest.mark.parametrize("n", range(2, 7))
 def test_each_chunk_draws_the_rows_of_the_run_wide_draw(n):
     c = ch.Chart(tuple(f"x{i + 1}" for i in range(n)), ((-0.5, 1.5),) * n)
-    g = ch.MetricField(c, ch.constant_matrix(np.eye(n)))
-    scenario = field_context(g, None, c.sample_points(1)).scenario
+    g = ch.constant_matrix(np.eye(n))
+    scenario = field_context(c, g, None, c.sample_points(1)).scenario
     for seed in (0, 9):
         whole = ScenarioContext(scenario, samples=1000 + COUNT, seed=seed)
         rows = {

@@ -12,7 +12,7 @@ from metalliclab.scenario import load_scenario
 from metalliclab import suites
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, field_context, scenario_path
+from conftest import CORPUS, exprs, field_context, scenario_path
 from helpers import fd_lifted_nijenhuis, fd_partial, lifted_jbar, matching_readings
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -21,8 +21,8 @@ PARAMS = MetallicParams(1.0, 1.0)
 
 def flat_setup():
     c = ch.Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)), seed=1)
-    g = ch.MetricField(c, ch.constant_matrix(np.eye(2)))
-    J = ch.EndoField(c, ch.constant_matrix(np.diag([GOLDEN, 1 - GOLDEN])))
+    g = ch.constant_matrix(np.eye(2))
+    J = ch.constant_matrix(np.diag([GOLDEN, 1 - GOLDEN]))
     return c, g, J
 
 
@@ -35,16 +35,15 @@ def sphere_setup(sphere_chart, sphere_metric, sphere_diag_J):
 def warped_setup():
     c = ch.Chart(("x1", "x2", "x3"), ((0.3, 1.2),) * 3, seed=17)
     rows = [["1", "0", "0"], ["0", "exp(2*x1*x3)", "0"], ["0", "0", "1"]]
-    g = ch.MetricField(c, np.array([[ex.parse(s, c.names) for s in r] for r in rows], dtype=object))
-    P = ch.EndoField(c, ch.constant_matrix(np.diag([1.0, 1.0, 0.0])))
-    J = from_projection(c, P, PARAMS, g, c.sample_points(8))
+    g = exprs(c, rows)
+    J = from_projection(ch.constant_matrix(np.diag([1.0, 1.0, 0.0])), PARAMS, g, c.sample_points(8))
     return c, g, J
 
 
-def lift_at(g, J, flavor, pts):
+def lift_at(c, g, J, flavor, pts):
     """The array lift at the 2n points ``pts`` over the Levi-Civita values at their base points."""
-    n = g.chart.dim
-    return lf.lift(flavor, pts[:, n:], **suites._lift_inputs(field_context(g, J, pts[:, :n])))
+    n = c.dim
+    return lf.lift(flavor, pts[:, n:], **suites._lift_inputs(field_context(c, g, J, pts[:, :n])))
 
 
 def lifted_points(c, base_count, fibre_per_base, seed=None):
@@ -65,7 +64,7 @@ def test_lifted_chart_samples():
 def test_fibre_points_are_the_fibre_part_of_the_samples():
     # a run pairs each base sample with FIBRE_PER_BASE fibre draws of its seed
     c, g, J = flat_setup()
-    ctx = field_context(g, J, c.sample_points(8, seed=0))
+    ctx = field_context(c, g, J, c.sample_points(8, seed=0))
     expected = lifted_points(c, 8, suites.FIBRE_PER_BASE, seed=0)
     assert (suites._lift_points(ctx, lf.COTANGENT) == expected).all()
 
@@ -73,7 +72,7 @@ def test_fibre_points_are_the_fibre_part_of_the_samples():
 def test_horizontal_frame_zero_connection_is_coordinate_frame():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        values = lift_at(g, J, flavor, lifted_points(c, 4, 2)).forward[:, :, :2]
+        values = lift_at(c, g, J, flavor, lifted_points(c, 4, 2)).forward[:, :, :2]
         expected = np.zeros_like(values)
         expected[:, 0, 0] = 1.0
         expected[:, 1, 1] = 1.0
@@ -83,15 +82,15 @@ def test_horizontal_frame_zero_connection_is_coordinate_frame():
 def test_horizontal_frame_formulas_on_sphere(sphere_setup):
     c, g, J = sphere_setup
     pts_t = lifted_points(c, 6, 2, seed=2)
-    gamma = field_context(g, J, pts_t[:, :2]).lc_gamma_at
+    gamma = field_context(c, g, J, pts_t[:, :2]).lc_gamma_at
     y = pts_t[:, 2:]
 
-    tangent = lift_at(g, J, lf.TANGENT, pts_t).forward[:, :, :2]
+    tangent = lift_at(c, g, J, lf.TANGENT, pts_t).forward[:, :, :2]
     # fibre component l of X_i^H is -y^k Gamma^l_{ik}
     expected = -np.einsum("mk,mlik->mli", y, gamma)
     assert np.abs(tangent[:, 2:, :] - expected).max() < 1e-14
 
-    cotangent = lift_at(g, J, lf.COTANGENT, pts_t).forward[:, :, :2]
+    cotangent = lift_at(c, g, J, lf.COTANGENT, pts_t).forward[:, :, :2]
     expected_c = np.einsum("mk,mkil->mli", y, gamma)
     assert np.abs(cotangent[:, 2:, :] - expected_c).max() < 1e-14
 
@@ -99,10 +98,10 @@ def test_horizontal_frame_formulas_on_sphere(sphere_setup):
 def test_morphism_matrices_invertible(sphere_setup):
     c, g, J = sphere_setup
     pts = lifted_points(c, 8, 2, seed=4)
-    tangent = lift_at(g, J, lf.TANGENT, pts)
-    cotangent = lift_at(g, J, lf.COTANGENT, pts)
+    tangent = lift_at(c, g, J, lf.TANGENT, pts)
+    cotangent = lift_at(c, g, J, lf.COTANGENT, pts)
     psi, phi = tangent.forward, cotangent.forward
-    g_at = ch.eval_exprs(g.comps, pts)
+    g_at = ch.eval_exprs(g, pts)
     # block-triangular determinant: det psi = det g^{-1} != 0; det phi = 1
     assert np.abs(np.linalg.det(psi) - 1.0 / np.linalg.det(g_at)).max() < 1e-12
     assert np.abs(np.linalg.det(phi) - 1.0).max() < 1e-12
@@ -113,7 +112,7 @@ def test_morphism_matrices_invertible(sphere_setup):
     assert np.abs(phi @ phi_inv - eye).max() < 1e-12
     # flat morphisms are the identity
     cf, gf, Jf = flat_setup()
-    psi_f = lift_at(gf, Jf, lf.TANGENT, lifted_points(cf, 4, 1)).forward
+    psi_f = lift_at(cf, gf, Jf, lf.TANGENT, lifted_points(cf, 4, 1)).forward
     assert np.abs(psi_f - eye).max() == 0.0
 
 
@@ -121,7 +120,7 @@ def test_flat_lift_is_block_diagonal():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
         pts = lifted_points(c, 8, 2)
-        lift = lift_at(g, J, flavor, pts)
+        lift = lift_at(c, g, J, flavor, pts)
         jv = lift.jbar
         expected = np.zeros((4, 4))
         expected[:2, :2] = np.diag([GOLDEN, 1 - GOLDEN])
@@ -132,9 +131,9 @@ def test_flat_lift_is_block_diagonal():
 
 def test_scalar_structure_lifts_to_scalar(sphere_setup):
     c, g, _ = sphere_setup
-    scalar = ch.EndoField(c, ch.constant_matrix(GOLDEN * np.eye(2)))
+    scalar = ch.constant_matrix(GOLDEN * np.eye(2))
     pts = lifted_points(c, 8, 2)
-    jbar = lift_at(g, scalar, lf.TANGENT, pts).jbar
+    jbar = lift_at(c, g, scalar, lf.TANGENT, pts).jbar
     assert np.abs(jbar - GOLDEN * np.eye(4)).max() < 1e-11
 
 
@@ -142,7 +141,7 @@ def test_lifted_structure_is_metallic_riemannian(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         pts = lifted_points(c, 16, 4, seed=9)
-        lift = lift_at(g, J, flavor, pts)
+        lift = lift_at(c, g, J, flavor, pts)
         jv, gv = lift.jbar, lift.gbar
         assert np.abs(jv @ jv - PARAMS.p * jv - PARAMS.q * np.eye(4)).max() < 1e-9
         gj = gv @ jv
@@ -154,9 +153,9 @@ def test_frame_and_coordinate_displays(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         pts = lifted_points(c, 12, 4, seed=6)
-        lift = lift_at(g, J, flavor, pts)
+        lift = lift_at(c, g, J, flavor, pts)
         jv, gv, frame = lift.jbar, lift.gbar, lift.forward[:, :, :2]
-        ctx = field_context(g, J, pts[:, :2])
+        ctx = field_context(c, g, J, pts[:, :2])
         g_at, ginv_at, J_at, gamma_at = ctx.g_at, ctx.ginv_at, ctx.J_at, ctx.lc_gamma_at
         y = pts[:, 2:]
         assert np.abs(lf.frame_endo_residuals(jv, frame, J_at, flavor)).max() < 1e-9
@@ -178,10 +177,10 @@ def test_frame_and_coordinate_displays(sphere_setup):
 
 def _nijenhuis_data(c, g, J, flavor, base=10, fibre=4, seed=8):
     pts = lifted_points(c, base, fibre, seed=seed)
-    lift = lift_at(g, J, flavor, pts)
+    lift = lift_at(c, g, J, flavor, pts)
     N = lf.nijenhuis_values(lift)
     frame = lift.forward[:, :, : c.dim]
-    ctx = field_context(g, J, pts[:, : c.dim])
+    ctx = field_context(c, g, J, pts[:, : c.dim])
     DJ = ctx.bundle(ctx.lc_gamma_at).nabla_J_at
     return pts, N, frame, ctx.J_at, DJ, ctx.NJ_at, ctx.lc_riemann_at
 
@@ -197,7 +196,7 @@ def test_lifted_nijenhuis_vanishes_for_scalar_on_sphere(sphere_setup):
     # curvature is non-zero but the scalar factor sigma^2 - p sigma - q kills
     # the curvature bracket
     c, g, _ = sphere_setup
-    scalar = ch.EndoField(c, ch.constant_matrix(GOLDEN * np.eye(2)))
+    scalar = ch.constant_matrix(GOLDEN * np.eye(2))
     for flavor in (lf.TANGENT, lf.COTANGENT):
         pts, N, *_ = _nijenhuis_data(c, g, scalar, flavor)
         assert np.abs(N).max() < 1e-9
@@ -270,12 +269,12 @@ def test_commutation_identity(sphere_setup, warped_setup):
         base = c.sample_points(10)
         rng = np.random.default_rng(14)
         y = rng.uniform(-1.0, 1.0, size=base.shape)
-        g_at = ch.eval_exprs(g.comps, base)
+        g_at = ch.eval_exprs(g, base)
         eta = np.einsum("mij,mj->mi", g_at, y)
         pts_t = np.hstack([base, y])
         pts_c = np.hstack([base, eta])
-        tangent = lift_at(g, J, lf.TANGENT, pts_t)
-        cotangent = lift_at(g, J, lf.COTANGENT, pts_c)
+        tangent = lift_at(c, g, J, lf.TANGENT, pts_t)
+        cotangent = lift_at(c, g, J, lf.COTANGENT, pts_c)
         res = lf.commutation_residual(
             tangent.forward, cotangent.backward, tangent.jbar, cotangent.jbar
         )

@@ -20,12 +20,8 @@ def flat_chart(seed=1):
     return ch.Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)), seed=seed)
 
 
-def const_endo(c, mat):
-    return ch.EndoField(c, ch.constant_matrix(np.asarray(mat, dtype=float)))
-
-
 def identity_metric(c):
-    return ch.MetricField(c, ch.constant_matrix(np.eye(c.dim)))
+    return ch.constant_matrix(np.eye(c.dim))
 
 
 def test_metallic_numbers():
@@ -59,13 +55,13 @@ def test_check_metallic():
     g = identity_metric(c)
 
     def residual(J, params):
-        scenario = field_context(g, J, c.sample_points(16), params).scenario
+        scenario = field_context(c, g, J, c.sample_points(16), params).scenario
         return run_suites(scenario, suites=["core"]).find("core/metallic-equation")
 
-    golden = residual(const_endo(c, np.diag([GOLDEN, 1 - GOLDEN])), mt.MetallicParams(1, 1))
+    golden = residual(ch.constant_matrix(np.diag([GOLDEN, 1 - GOLDEN])), mt.MetallicParams(1, 1))
     assert golden.residual < 1e-12
 
-    eye = const_endo(c, np.eye(2))
+    eye = ch.constant_matrix(np.eye(2))
     assert residual(eye, mt.MetallicParams(0, 1)).passed
     failing = residual(eye, mt.MetallicParams(1, 1))
     assert not failing.passed
@@ -78,22 +74,19 @@ def test_from_projection_cases():
     params = mt.MetallicParams(1, 1)
     pts = c.sample_points(8)
 
-    J = mt.from_projection(c, const_endo(c, np.diag([1.0, 0.0])), params, g, pts)
-    J_at = J.eval(pts)
-    assert np.abs(J_at - np.diag([GOLDEN, 1 - GOLDEN])).max() < 1e-15
+    def J_at(P, params=params):
+        return ch.eval_exprs(mt.from_projection(ch.constant_matrix(P), params, g, pts), pts)
 
-    J0 = mt.from_projection(c, const_endo(c, np.zeros((2, 2))), params, g, pts)
-    assert np.abs(J0.eval(pts) - (1 - GOLDEN) * np.eye(2)).max() < 1e-15
-
-    J1 = mt.from_projection(c, const_endo(c, np.eye(2)), params, g, pts)
-    assert np.abs(J1.eval(pts) - GOLDEN * np.eye(2)).max() < 1e-15
+    assert np.abs(J_at(np.diag([1.0, 0.0])) - np.diag([GOLDEN, 1 - GOLDEN])).max() < 1e-15
+    assert np.abs(J_at(np.zeros((2, 2))) - (1 - GOLDEN) * np.eye(2)).max() < 1e-15
+    assert np.abs(J_at(np.eye(2)) - GOLDEN * np.eye(2)).max() < 1e-15
 
     with pytest.raises(NotAProjection):
-        mt.from_projection(c, const_endo(c, [[1.0, 1.0], [0.0, 0.5]]), params, g, pts)
+        J_at([[1.0, 1.0], [0.0, 0.5]])
+    with pytest.raises(NotAProjection, match="g P is not symmetric"):
+        J_at([[1.0, 1.0], [0.0, 0.0]])  # idempotent, but oblique for g = I
     with pytest.raises(ComplexDiscriminant):
-        mt.from_projection(
-            c, const_endo(c, np.diag([1.0, 0.0])), mt.MetallicParams(0, -1), g, pts
-        )
+        J_at(np.diag([1.0, 0.0]), mt.MetallicParams(0, -1))
 
 
 def _family_fhat_plus(monkeypatch, ctx):
@@ -148,23 +141,23 @@ def test_metallic_from_product_values(monkeypatch):
     assert np.abs(got - np.diag([silver.sigma, 2 - silver.sigma] * 2)).max() < 1e-12
 
 
-def _nabla_J(J, g, pts):
+def _nabla_J(c, J, g, pts):
     """nabla J of the Levi-Civita connection of g, as core/locally-metallic reads it."""
-    ctx = field_context(g, J, pts)
+    ctx = field_context(c, g, J, pts)
     return ctx.bundle(ctx.lc_gamma_at).nabla_J_at
 
 
 def test_is_locally_metallic(sphere_chart, sphere_metric, golden_params, sphere_diag_J):
     flat = flat_chart()
     pts = flat.sample_points(16)
-    J = const_endo(flat, np.diag([GOLDEN, 1 - GOLDEN]))
-    assert np.abs(_nabla_J(J, identity_metric(flat), pts)).max() < 1e-9
+    J = ch.constant_matrix(np.diag([GOLDEN, 1 - GOLDEN]))
+    assert np.abs(_nabla_J(flat, J, identity_metric(flat), pts)).max() < 1e-9
 
     sphere_pts = sphere_chart.sample_points(16)
-    sigma_eye = const_endo(sphere_chart, GOLDEN * np.eye(2))
-    assert np.abs(_nabla_J(sigma_eye, sphere_metric, sphere_pts)).max() < 1e-9
+    sigma_eye = ch.constant_matrix(GOLDEN * np.eye(2))
+    assert np.abs(_nabla_J(sphere_chart, sigma_eye, sphere_metric, sphere_pts)).max() < 1e-9
 
-    residual = np.abs(_nabla_J(sphere_diag_J, sphere_metric, sphere_pts)).max()
+    residual = np.abs(_nabla_J(sphere_chart, sphere_diag_J, sphere_metric, sphere_pts)).max()
     # the only non-zero components are (nabla_2 J)^1_2 = sin cos (2 sigma - 1)
     # and (nabla_2 J)^2_1 = cot (2 sigma - 1)
     x1 = sphere_pts[:, 0]
@@ -192,10 +185,9 @@ def test_special_parameter_families():
     pts = c.sample_points(8)
     # (0, 1): almost product
     J = mt.from_projection(
-        c, const_endo(c, np.diag([1.0, 0.0])), mt.MetallicParams(0, 1),
-        identity_metric(c), pts
+        ch.constant_matrix(np.diag([1.0, 0.0])), mt.MetallicParams(0, 1), identity_metric(c), pts
     )
-    F = J.eval(pts)
+    F = ch.eval_exprs(J, pts)
     assert np.abs(F @ F - np.eye(2)).max() < 1e-12
     # (0, -1): almost complex
     rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -220,7 +212,7 @@ def test_from_projection_passes_check_for_random_projections():
             else:
                 v = np.linalg.qr(rng.normal(size=(n, k)))[0]
                 proj = v @ v.T
-            J = mt.from_projection(c, const_endo(c, proj), params, g, pts).eval(pts)
+            J = ch.eval_exprs(mt.from_projection(ch.constant_matrix(proj), params, g, pts), pts)
             assert _metallic_residual(J, params) <= 1e-10
             assert np.abs(J - np.swapaxes(J, -1, -2)).max() <= 1e-10  # g = I
 

@@ -50,7 +50,7 @@ def _functions():
 
 def _cli_paths(tmp_path):
     """Argument lists: every check format and derive tensor, a run over two
-    chunks, an explicit connection, then four input errors (exit 2)."""
+    chunks, an explicit connection, then six input errors (exit 2)."""
     polar = json.loads(scenario_path("polar-plane").read_text())
     golden = json.loads(scenario_path("flat-golden").read_text())
     gamma = [[["0", "0"], ["0", "-x1"]], [["0", "1/x1"], ["1/x1", "0"]]]
@@ -59,6 +59,8 @@ def _cli_paths(tmp_path):
         "unknown-field": {**golden, "unexpected": 1},
         "parse-error": {**golden, "metric": [["1", "0"], ["0", "x1 +"]]},
         "not-a-projection": {**golden, "J": {"projection": [["2", "0"], ["0", "0"]]}},
+        "asymmetric-metric": {**golden, "metric": [["1", "0"], ["5 + x1", "1"]]},
+        "informative-control": {**golden, "expected_failures": ["genbundle/fhat-with-df-equal-j"]},
     }
     paths = {name: tmp_path / f"{name}.json" for name in payloads}
     for name, payload in payloads.items():
@@ -87,7 +89,7 @@ def test_every_function_is_reached_by_a_cli_path(tmp_path):
                 codes.append(main(argv))
     finally:
         sys.setprofile(None)
-    assert codes[-4:] == [2] * 4 and set(codes[:-4]) <= {0, 1}, codes
+    assert codes[-6:] == [2] * 6 and set(codes[:-6]) <= {0, 1}, codes
     functions = _functions()
     assert set(ALLOWED) <= set(functions.values()), "the allow-list names a missing function"
     reached = {(code.co_filename, code.co_firstlineno) for code in called}
