@@ -13,11 +13,10 @@ Conventions used throughout the package:
 
 The leaf fields (metric, endomorphism, 1-form, connection) are ``numpy``
 object arrays of :class:`~metalliclab.expr.Expr`, shaped (n, n), (n, n),
-(n,) and (n, n, n); their entries and the entries' partials are the only
-expressions that are differentiated, and :func:`eval_exprs` evaluates them
-in batches over sample points.  :func:`christoffel`, :func:`riemann` and
-:func:`nijenhuis` work on the evaluated values and partials, arrays with a
-leading sample axis m.
+(n,) and (n, n, n); they are the only expressions, and :func:`eval_exprs`
+evaluates them and their partials in batches over sample points.
+:func:`christoffel`, :func:`riemann` and :func:`nijenhuis` work on the
+evaluated values and partials, arrays with a leading sample axis m.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import DimensionMismatch, DomainError
 __all__ = [
     "Chart",
     "eval_exprs",
-    "partials",
     "constant_matrix",
     "christoffel",
     "riemann",
@@ -139,33 +137,31 @@ def _scrambled_halton(permutations: list, count: int, first: int = 0) -> np.ndar
     return unit
 
 
-def eval_exprs(comps: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate an object array of Exprs at points; returns (m, *comps.shape).
+def eval_exprs(comps: np.ndarray, points: np.ndarray, order: int = 0) -> np.ndarray:
+    """Evaluate an object array of Exprs at points: (m, *comps.shape), or
+    with ``order`` 1 or 2 its partials d_k (m, k, ...) or d_k d_l (m, k, l, ...).
 
     One memo serves every entry.  Raises DomainError with a witness point if
     any value is non-finite.
     """
     comps = np.asarray(comps, dtype=object)
     points = np.asarray(points, dtype=float)
-    memo: dict = {}
     m = points.shape[0]
-    out = np.empty((m,) + comps.shape, dtype=float)
-    flat_out = out.reshape(m, -1)
-    for idx, e in enumerate(comps.reshape(-1)):
-        # most partials are the interned constant 0: a constant needs no evaluation
-        flat_out[:, idx] = e.value if isinstance(e, ex.Const) else ex.eval_batch(e, points, memo)
+    if order:
+        out = ex.differentiate(comps, points, order)
+        flat_out = out.reshape(m, -1)
+    else:
+        memo: dict = {}
+        out = np.empty((m,) + comps.shape, dtype=float)
+        flat_out = out.reshape(m, -1)
+        for idx, e in enumerate(comps.reshape(-1)):
+            # a constant needs no evaluation
+            flat_out[:, idx] = (
+                e.value if isinstance(e, ex.Const) else ex.eval_batch(e, points, memo)
+            )
     if not np.isfinite(flat_out).all():
         bad = ~np.isfinite(flat_out).all(axis=1)
         raise DomainError("field evaluation is not finite", points[int(np.argmax(bad))])
-    return out
-
-
-def partials(comps: np.ndarray, n: int) -> np.ndarray:
-    """Expr array of d_k comps for k < n, indexed [k, *comps.shape]."""
-    out = np.empty((n,) + comps.shape, dtype=object)
-    for k in range(n):
-        for idx in np.ndindex(comps.shape):
-            out[(k,) + idx] = ex.differentiate(comps[idx], k)
     return out
 
 

@@ -1,32 +1,23 @@
-"""Scalar expression DSL: parsing, symbolic differentiation, evaluation.
+"""Scalar expression DSL: parsing, evaluation, and partials by forward-mode jets.
 
-Expressions are immutable ASTs over a fixed set of chart coordinates.
-Differentiation is symbolic; the only rewriting ever applied is constant
-folding of literal-only subtrees, so results evaluate exactly as built.
+Expressions are immutable ASTs over a fixed set of chart coordinates.  The
+only rewriting ever applied is constant folding of literal-only subtrees, so
+expressions evaluate exactly as written.  :func:`parse` keeps structurally
+equal subexpressions as one node, and evaluation is vectorised over batches
+of points and memoised per call on node identity, so each is evaluated once.
 
-Every node is hash-consed: the smart constructors look a node up in the
-current table before building it, so structurally equal nodes are one
-object.  A compound node is keyed on its op (or function name) and the
-``id`` of each child; the table holds the node, and the node its children,
-so no ``id`` in a live key can be reused.  ``Const`` is keyed on its value
-and sign bit (``-0.0`` stays distinct) and NaN is never interned; ``Coord``
-is keyed on index and name.  The same table caches ``differentiate`` per
-node and coordinate.
-
-The table lasts as long as the innermost :func:`fresh_table` block, so a
-long process does not accumulate nodes; outside every block a module-level
-table is used.  A scenario is parsed, and the partials of its fields are
-built, in a block of its own, so a run of the suites builds no node.
-Evaluation is vectorised over batches of points and memoised per call on
-node identity, which after interning means each distinct subexpression is
-evaluated once.
+The partials of an expression are not expressions: :func:`differentiate`
+walks the parsed DAG once per batch and carries at each node its value
+(from :func:`eval_batch`) and its gradient, or for second order a jet of
+jets, forward-mode Taylor arithmetic in the sense of Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13.  A run therefore builds no node.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -52,7 +43,6 @@ __all__ = [
     "differentiate",
     "eval_batch",
     "FUNCTION_NAMES",
-    "fresh_table",
 ]
 
 _UNARY_FUNCS = {
@@ -86,9 +76,7 @@ class Expr:
     """Base class for AST nodes.
 
     Instances are immutable and hash by identity.  Build them with the smart
-    constructors, never the classes: those intern every node in the current
-    table (see :func:`fresh_table`), so within one table structural
-    equality is identity.
+    constructors, which fold literal-only subtrees, rather than the classes.
     """
 
     __slots__ = ()
@@ -156,45 +144,17 @@ def _coerce(value) -> Expr:
     return const(value)
 
 
-# The interning table: node key -> node, and ("d", id(node), i) ->
-# (node, derivative).  Rebound, never mutated in place, by fresh_table.
-_table: dict = {}
-
-
-@contextmanager
-def fresh_table():
-    """Intern into a new, empty table for the block; restore the previous one on exit."""
-    global _table
-    previous, _table = _table, {}
-    try:
-        yield
-    finally:
-        _table = previous
-
-
-def _interned(key, cls, *fields) -> Expr:
-    node = _table.get(key)
-    if node is None:
-        node = _table[key] = cls(*fields)
-    return node
-
-
 # Smart constructors.  The only rewriting is folding of literal-only nodes;
 # folds that would produce a non-finite value are left unevaluated so the
 # error surfaces at evaluation time with a witness point.
 
 
 def const(value) -> Expr:
-    value = float(value)
-    if value != value:  # NaN equals nothing, so it is never interned
-        return Const(value)
-    return _interned(("const", value, math.copysign(1.0, value)), Const, value)
+    return Const(value)
 
 
 def coord(index: int, name: str | None = None) -> Expr:
-    index = int(index)
-    name = name if name is not None else f"x{index + 1}"
-    return _interned(("coord", index, name), Coord, index, name)
+    return Coord(index, name if name is not None else f"x{int(index) + 1}")
 
 
 def _fold(value: float) -> Expr | None:
@@ -203,17 +163,13 @@ def _fold(value: float) -> Expr | None:
     return None
 
 
-def _bin(op: str, a: Expr, b: Expr) -> Expr:
-    return _interned((op, id(a), id(b)), Bin, op, a, b)
-
-
 def add(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Const) and isinstance(b, Const):
         folded = _fold(a.value + b.value)
         if folded is not None:
             return folded
-    return _bin("+", a, b)
+    return Bin("+", a, b)
 
 
 def sub(a, b) -> Expr:
@@ -222,7 +178,7 @@ def sub(a, b) -> Expr:
         folded = _fold(a.value - b.value)
         if folded is not None:
             return folded
-    return _bin("-", a, b)
+    return Bin("-", a, b)
 
 
 def mul(a, b) -> Expr:
@@ -231,7 +187,7 @@ def mul(a, b) -> Expr:
         folded = _fold(a.value * b.value)
         if folded is not None:
             return folded
-    return _bin("*", a, b)
+    return Bin("*", a, b)
 
 
 def div(a, b) -> Expr:
@@ -240,7 +196,7 @@ def div(a, b) -> Expr:
         folded = _fold(a.value / b.value)
         if folded is not None:
             return folded
-    return _bin("/", a, b)
+    return Bin("/", a, b)
 
 
 def pow_(a, b) -> Expr:
@@ -254,14 +210,14 @@ def pow_(a, b) -> Expr:
             folded = _fold(value)
             if folded is not None:
                 return folded
-    return _bin("^", a, b)
+    return Bin("^", a, b)
 
 
 def neg(a) -> Expr:
     a = _coerce(a)
     if isinstance(a, Const):
         return const(-a.value)
-    return _interned(("neg", id(a)), Neg, a)
+    return Neg(a)
 
 
 def func(name: str, arg) -> Expr:
@@ -269,14 +225,19 @@ def func(name: str, arg) -> Expr:
         raise ValueError(f"unknown function {name!r}")
     arg = _coerce(arg)
     if isinstance(arg, Const):
-        try:
-            value = _MATH_FUNCS[name](arg.value)
-        except (ValueError, OverflowError):
-            value = math.nan
-        folded = _fold(value)
-        if folded is not None:
-            return folded
-    return _interned((name, id(arg)), Func, name, arg)
+        value = _folded_call(name, arg.value)
+        if value is not None:
+            return const(value)
+    return Func(name, arg)
+
+
+def _folded_call(name: str, value: float) -> float | None:
+    """``math``'s value of the function at a constant, or None where it is not finite."""
+    try:
+        value = _MATH_FUNCS[name](value)
+    except (ValueError, OverflowError):
+        return None
+    return value if math.isfinite(value) else None
 
 
 # ------------------------------------------------------------------
@@ -342,6 +303,9 @@ def _describe(tok):
     return repr(str(value))
 
 
+_FIELDS = {cls: operator.attrgetter(*cls.__slots__) for cls in (Coord, Neg, Bin, Func)}
+
+
 class _Parser:
     """Recursive descent over:
 
@@ -355,10 +319,18 @@ class _Parser:
     its base, so -x^2 means -(x^2) while (-x)^2 needs parentheses.
     """
 
-    def __init__(self, source: str, coords):
+    def __init__(self, source: str, coords, shared: dict):
         self.toks = _Tokenizer(source)
         self.coords = {name: i for i, name in enumerate(coords)}
-        self.coord_names = list(coords)
+        self.shared = shared
+
+    def one(self, node: Expr) -> Expr:
+        """The node of the same structure parsed before into ``shared``, else ``node``."""
+        if isinstance(node, Const):  # 0.0 == -0.0, yet they are two constants
+            key = (Const, node.value, math.copysign(1.0, node.value))
+        else:  # the children are shared already, so they compare by identity
+            key = (type(node), _FIELDS[type(node)](node))
+        return self.shared.setdefault(key, node)
 
     def parse(self) -> Expr:
         tok = self.toks.peek()
@@ -375,7 +347,7 @@ class _Parser:
         while self.toks.peek()[0] in ("+", "-"):
             op = self.toks.advance()[0]
             rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = self.one(add(node, rhs) if op == "+" else sub(node, rhs))
         return node
 
     def term(self) -> Expr:
@@ -383,13 +355,13 @@ class _Parser:
         while self.toks.peek()[0] in ("*", "/"):
             op = self.toks.advance()[0]
             rhs = self.factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = self.one(mul(node, rhs) if op == "*" else div(node, rhs))
         return node
 
     def factor(self) -> Expr:
         if self.toks.peek()[0] == "-":
             self.toks.advance()
-            return neg(self.factor())
+            return self.one(neg(self.factor()))
         return self.power()
 
     def power(self) -> Expr:
@@ -397,14 +369,14 @@ class _Parser:
         if self.toks.peek()[0] == "^":
             self.toks.advance()
             exponent = self.factor()
-            return pow_(base, exponent)
+            return self.one(pow_(base, exponent))
         return base
 
     def primary(self) -> Expr:
         kind, value, pos = self.toks.peek()
         if kind == "num":
             self.toks.advance()
-            return const(value)
+            return self.one(const(value))
         if kind == "(":
             self.toks.advance()
             node = self.expr()
@@ -413,12 +385,12 @@ class _Parser:
         if kind == "ident":
             self.toks.advance()
             if value in self.coords:
-                return coord(self.coords[value], value)
+                return self.one(coord(self.coords[value], value))
             if value in _UNARY_FUNCS:
                 self.toks.expect("(", f"'(' after function {value!r}")
                 node = self.expr()
                 self.toks.expect(")", "')'")
-                return func(value, node)
+                return self.one(func(value, node))
             raise ParseError(
                 pos,
                 f"unknown identifier {value!r}",
@@ -428,88 +400,158 @@ class _Parser:
                          "a number, coordinate, function call or '('")
 
 
-def parse(source: str, coords) -> Expr:
-    """Parse ``source`` over the given coordinate names into an Expr."""
+def parse(source: str, coords, shared: dict | None = None) -> Expr:
+    """Parse ``source`` over the given coordinate names into an Expr.
+
+    Structurally equal subexpressions are one node, evaluated once per memo:
+    within the source, and across every source parsed with one ``shared``
+    dict, as the entries of a scenario's fields are.
+    """
     coords = list(coords)
     if len(set(coords)) != len(coords):
         raise ValueError("coordinate names must be distinct")
-    return _Parser(source, coords).parse()
+    return _Parser(source, coords, {} if shared is None else shared).parse()
 
 
 # ------------------------------------------------------------------
-# Differentiation
+# Partials by forward-mode jets
 # ------------------------------------------------------------------
 
+# The first-order rules, written once: the partials of a node from its value
+# v and the values and partials of its operands.  The node walk of
+# differentiate() applies them to values and gradients, and _Jet to jets,
+# which differentiates the rules themselves.  Every term is kept, a zero
+# partial times a value included, so a non-finite value makes the partial
+# non-finite wherever it enters.
+_BIN_PARTIALS = {
+    "+": lambda v, l, r, dl, dr: dl + dr,
+    "-": lambda v, l, r, dl, dr: dl - dr,
+    "*": lambda v, l, r, dl, dr: dl * r + l * dr,
+    "/": lambda v, l, r, dl, dr: (dl * r - l * dr) / (r * r),
+    # b^e (e' ln b + e b'/b): valid for a positive base, like b^e itself
+    "^": lambda v, l, r, dl, dr: v * (dr * _call("ln", l) + r * (dl / l)),
+    "^ constant": lambda v, l, r, dl, dr: r * l ** (r - 1.0) * dl,
+}
+_FUNC_PARTIALS = {
+    "sin": lambda v, u, du: _call("cos", u) * du,
+    "cos": lambda v, u, du: -(_call("sin", u) * du),
+    "tan": lambda v, u, du: du / (_call("cos", u) * _call("cos", u)),
+    "sinh": lambda v, u, du: _call("cosh", u) * du,
+    "cosh": lambda v, u, du: _call("sinh", u) * du,
+    "tanh": lambda v, u, du: du / (_call("cosh", u) * _call("cosh", u)),
+    "exp": lambda v, u, du: v * du,
+    "ln": lambda v, u, du: du / u,
+    "sqrt": lambda v, u, du: du / (2.0 * v),
+}
 
-def differentiate(e: Expr, i: int) -> Expr:
-    """Symbolic partial derivative of ``e`` with respect to coordinate ``i``.
 
-    The result is unsimplified apart from constant folding, but shares
-    subtrees with ``e`` wherever possible.  Derivatives are cached in the
-    interning table, keyed on node and coordinate; each entry holds its
-    node, so the ``id`` in the key stays valid.
-    """
-    return _derivative(e, i, _table)
+def _call(name: str, x):
+    """``name`` at a value or a jet; a constant folds through ``math`` as :func:`func` folds it."""
+    if isinstance(x, _Jet):
+        value = _UNARY_FUNCS[name](x.v)
+        return _Jet(value, _FUNC_PARTIALS[name](value, x.v, x.d))
+    folded = _folded_call(name, x) if np.ndim(x) == 0 else None
+    return _UNARY_FUNCS[name](x) if folded is None else folded
 
 
-def _derivative(node: Expr, i: int, table: dict) -> Expr:
-    # a module-level function, not a closure: a recursive closure refers to
-    # itself through its cell, and that cycle would keep ``table`` alive
-    key = ("d", id(node), i)
-    cached = table.get(key)
-    if cached is not None:
-        return cached[1]
-    if isinstance(node, Const):
-        out = const(0.0)
-    elif isinstance(node, Coord):
-        out = const(1.0 if node.index == i else 0.0)
-    elif isinstance(node, Neg):
-        out = neg(_derivative(node.child, i, table))
-    elif isinstance(node, Bin):
-        l, r = node.left, node.right
-        dl, dr = _derivative(l, i, table), _derivative(r, i, table)
-        if node.op == "+":
-            out = add(dl, dr)
-        elif node.op == "-":
-            out = sub(dl, dr)
-        elif node.op == "*":
-            out = add(mul(dl, r), mul(l, dr))
-        elif node.op == "/":
-            out = div(sub(mul(dl, r), mul(l, dr)), mul(r, r))
-        else:  # '^'
-            if isinstance(r, Const):
-                out = mul(mul(r, pow_(l, const(r.value - 1.0))), dl)
+class _Jet:
+    """A value v and its partials d along the last axis, with the arithmetic
+    of ``_BIN_PARTIALS``.  An operand that is not a jet is a constant of the
+    expression being differentiated: its partials are 0.0."""
+
+    __slots__ = ("v", "d")
+    __array_ufunc__ = None  # numpy operators defer to the reflected ones
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def _op(self, op: str, other, reflected: bool = False) -> _Jet:
+        a, b = (other, self) if reflected else (self, other)
+        (l, dl), (r, dr) = [(x.v, x.d) if isinstance(x, _Jet) else (x, 0.0) for x in (a, b)]
+        v = _BIN_OPS[op](l, r)
+        rule = "^ constant" if op == "^" and not isinstance(b, _Jet) else op
+        return _Jet(v, _BIN_PARTIALS[rule](v, l, r, dl, dr))
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d)
+
+
+for _symbol, _name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv"), ("^", "pow")):
+    setattr(_Jet, f"__{_name}__", lambda self, other, op=_symbol: self._op(op, other))
+    setattr(_Jet, f"__r{_name}__", lambda self, other, op=_symbol: self._op(op, other, True))
+del _symbol, _name
+
+
+def _partials(nodes: list, values: dict, unit) -> dict:
+    """The partials of every node, children before parents, by id: ``values``
+    holds the nodes' values by id and ``unit[i]`` the partials of coordinate i."""
+    out = {}
+    for node in nodes:
+        if isinstance(node, Const):
+            d = 0.0
+        elif isinstance(node, Coord):
+            d = unit[node.index]
+        else:
+            kids = node.children()
+            args = [values[id(node)]] + [values[id(k)] for k in kids] + [out[id(k)] for k in kids]
+            if isinstance(node, Neg):
+                d = -args[2]
+            elif isinstance(node, Func):
+                d = _FUNC_PARTIALS[node.name](*args)
             else:
-                # b^e * (e' ln b + e b'/b); only valid for positive base,
-                # like the evaluation of b^e itself.
-                out = mul(
-                    pow_(l, r),
-                    add(mul(dr, func("ln", l)), mul(r, div(dl, l))),
-                )
-    elif isinstance(node, Func):
-        u, du = node.arg, _derivative(node.arg, i, table)
-        name = node.name
-        if name == "sin":
-            out = mul(func("cos", u), du)
-        elif name == "cos":
-            out = neg(mul(func("sin", u), du))
-        elif name == "tan":
-            out = div(du, mul(func("cos", u), func("cos", u)))
-        elif name == "sinh":
-            out = mul(func("cosh", u), du)
-        elif name == "cosh":
-            out = mul(func("sinh", u), du)
-        elif name == "tanh":
-            out = div(du, mul(func("cosh", u), func("cosh", u)))
-        elif name == "exp":
-            out = mul(func("exp", u), du)
-        elif name == "ln":
-            out = div(du, u)
-        else:  # sqrt
-            out = div(du, mul(const(2.0), func("sqrt", u)))
-    else:  # pragma: no cover - closed node set
-        raise TypeError(f"cannot differentiate {type(node).__name__}")
-    table[key] = (node, out)
+                constant = node.op == "^" and isinstance(node.right, Const)
+                d = _BIN_PARTIALS["^ constant" if constant else node.op](*args)
+        out[id(node)] = d
+    return out
+
+
+def differentiate(comps: np.ndarray, points: np.ndarray, order: int = 1) -> np.ndarray:
+    """The partials of an object array of Exprs at every row of ``points`` (m, n).
+
+    Order 1 gives d_k [m, k, *comps.shape]; order 2 gives d_k d_l
+    [m, k, l, *comps.shape], the partial d_k of d_l.  One walk of the
+    entries' DAG takes each node's value from one ``eval_batch`` memo and
+    carries its gradient, for order 2 a jet of its value and gradient along
+    the second axis: the first-order rules applied to jets differentiate
+    the first-order rules, so second-order rules are never written out.  A
+    ``Const`` carries 0.0, no array.  Non-finite entries are returned as-is.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
+    comps = np.asarray(comps, dtype=object)
+    points = np.asarray(points, dtype=float)
+    m, n = points.shape
+    memo: dict = {}
+    for e in comps.flat:
+        if not isinstance(e, Const):
+            eval_batch(e, points, memo)
+    nodes = [node for node, _ in memo.values()]  # children were stored before their parents
+    # values broadcast against the partials' axes; a constant is a numpy
+    # scalar, so arithmetic on two constants follows numpy, as evaluation does
+    column = (m,) + (1,) * order
+    values = {}
+    for node, v in memo.values():
+        if isinstance(node, Const):
+            v = np.float64(v)
+        elif np.ndim(v):  # a node of constants alone may hold a scalar
+            v = np.reshape(v, column)
+        values[id(node)] = v
+    unit = np.eye(n)
+    with np.errstate(all="ignore"):
+        partials = _partials(nodes, values, unit)
+        if order == 2:
+            for node in nodes:
+                if not isinstance(node, Const):
+                    values[id(node)] = _Jet(values[id(node)], partials[id(node)])
+            partials = _partials(nodes, values, unit[:, :, None])
+    out = np.zeros((m,) + (n,) * order + comps.shape)
+    flat = out.reshape((m,) + (n,) * order + (-1,))
+    for idx, e in enumerate(comps.flat):
+        d = partials.get(id(e), 0.0)  # an entry that is a constant is not evaluated
+        if order == 2:
+            # d_l of the jet along k is [..., l, k]; a constant d_l has d_k 0.0
+            d = np.swapaxes(np.atleast_2d(d.d), -1, -2) if isinstance(d, _Jet) else 0.0
+        flat[..., idx] = d
     return out
 
 
@@ -531,9 +573,8 @@ def eval_batch(e: Expr, points: np.ndarray, memo: dict | None = None) -> np.ndar
 
     Non-finite entries are returned as-is; callers decide whether to raise.
     ``memo`` may be shared across calls on the same batch to reuse work
-    between expressions with common subtrees.  Entries store the node along
-    with its value: the memo is keyed by ``id`` and must keep every cached
-    node alive, or a recycled address would alias a stale result.
+    between expressions with common subtrees.  It maps the id of each node
+    evaluated to the pair (node, value), children before parents.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:

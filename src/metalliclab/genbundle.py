@@ -38,7 +38,8 @@ _DET_GUARD = 1e-12  # |det g| below this is a singular metric
 def blocks(A, B, C, D) -> np.ndarray:
     """[[A, B], [C, D]] from stacks of n x n blocks; a block may be 0.0.
 
-    The one assembler of the generalized structures:
+    The one assembler of 2n x 2n operators: the lifts and the connection
+    blocks of Dhat, and the generalized structures:
 
     Jm    [[J, 0], [0, J*]]
     Jp    [[J, sharp_block(1, J^2, g^-1)], [g, -J*]]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import genbundle as gb
 from .errors import ZeroQ
 from .metallic import MetallicParams
 
@@ -200,11 +201,11 @@ def torsion_closed_form_values(
     return plain - _swap(plain) + (with_j - _swap(with_j)) / params.q
 
 
-def _upper(M: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """M^k_s A[s, ...] for every sample: the contraction over the first index
-    of A, as one (m, n, n) @ (m, n, rest) product."""
-    m, n = A.shape[:2]
-    return (M @ A.reshape(m, n, -1)).reshape(A.shape)
+def _first(M: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_s M[m, r, s] A[m, s, ...], indexed [m, r, ...]: the contraction
+    over the first index of A, as one (m, r, s) @ (m, s, rest) product."""
+    m, s = A.shape[:2]
+    return (M @ A.reshape(m, s, -1)).reshape(M.shape[:2] + A.shape[2:])
 
 
 def phi_of_torsion(T_at: np.ndarray, J_at: np.ndarray) -> np.ndarray:
@@ -220,8 +221,8 @@ def phi_of_torsion(T_at: np.ndarray, J_at: np.ndarray) -> np.ndarray:
         return np.zeros(T_at.shape)
     J = J_at[:, None]
     JtT = _swap(J_at)[:, None] @ T_at
-    inner = JtT + T_at @ J - _upper(J_at, T_at)
-    return _upper(J_at, inner) - JtT @ J
+    inner = JtT + T_at @ J - _first(J_at, T_at)
+    return _first(J_at, inner) - JtT @ J
 
 
 def covariant_nijenhuis_rhs(
@@ -233,7 +234,7 @@ def covariant_nijenhuis_rhs(
     R[m, a, k, b] = J^c_a (nabla_c J)^k_b - J^k_c (nabla_a J)^c_b, the four
     covariant terms at (k, i, j) are R[i, k, j] - R[j, k, i].
     """
-    R = _upper(_swap(J_at), DJ_at) - J_at[:, None] @ DJ_at
+    R = _first(_swap(J_at), DJ_at) - J_at[:, None] @ DJ_at
     return (
         R.transpose(0, 2, 1, 3)
         - R.transpose(0, 2, 3, 1)
@@ -249,11 +250,7 @@ def covariant_nijenhuis_rhs(
 def _gen_directional(gamma: np.ndarray) -> np.ndarray:
     """Omega[m, k] = blockdiag(A_k, -A_k^T) with (A_k)^s_a = Gamma^s_{ka}."""
     A = _directional(gamma)
-    m, n = A.shape[:2]
-    out = np.zeros((m, n, 2 * n, 2 * n))
-    out[..., :n, :n] = A
-    out[..., n:, n:] = -_swap(A)
-    return out
+    return gb.blocks(A, 0.0, 0.0, -_swap(A))
 
 
 def dhat_endo(gamma: np.ndarray, J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
@@ -294,14 +291,14 @@ class ConditionInputs:
 def _along(M: np.ndarray, D: np.ndarray) -> np.ndarray:
     """sum_a M^a_i D[a, ...]: a derivative D[m, a, ...] taken in the direction
     M d_i, indexed [m, i, ...]."""
-    return _upper(_swap(M), D)
+    return _first(_swap(M), D)
 
 
 def _ddg(ci: ConditionInputs) -> np.ndarray:
     """(d^nabla g)(d_i, d_j)_c = (nabla_i g)_{jc} - (nabla_j g)_{ic} + g_{cs} T^s_{ij},
     indexed [m, c, i, j]."""
     Dg = ci.Dg.transpose(0, 3, 1, 2)
-    return Dg - _swap(Dg) + _upper(ci.g, ci.T)
+    return Dg - _swap(Dg) + _first(ci.g, ci.T)
 
 
 def _conditions(ci: ConditionInputs, sign: float) -> list:
@@ -324,7 +321,7 @@ def _conditions(ci: ConditionInputs, sign: float) -> list:
     g_DJ = g @ ci.DJ
     DJ_g = _swap(ci.DJ) @ g
 
-    c1 = ci.NJ + sign * _upper(A_sharp, _ddg(ci))
+    c1 = ci.NJ + sign * _first(A_sharp, _ddg(ci))
 
     c2 = (
         g_along_J
@@ -332,14 +329,14 @@ def _conditions(ci: ConditionInputs, sign: float) -> list:
         + (dgasym @ J).transpose(0, 3, 1, 2)
         + g_DJ.transpose(0, 2, 3, 1)
         - g_DJ.transpose(0, 2, 1, 3)
-        + _upper(ci.g, T @ J)
-        + _upper(ci.g, Jt @ T)
+        + _first(ci.g, T @ J)
+        + _first(ci.g, Jt @ T)
     )
 
     ddg_u = (
         _swap(g_along_A)
         - (_swap(ci.Dg) @ Ax).transpose(0, 2, 1, 3)
-        + _upper(ci.g, _swap(T) @ Ax)
+        + _first(ci.g, _swap(T) @ Ax)
     )
     # (nabla_i J)^s_c (g J)_{sj} and J^a_i (nabla_a J)^s_c g_{sj}, [i, c, j]
     t_jy = (_swap(ci.DJ) @ (ci.g @ ci.J)[:, None]).transpose(0, 2, 1, 3)
@@ -349,14 +346,14 @@ def _conditions(ci: ConditionInputs, sign: float) -> list:
     c4, r5 = _reduced_tail(ci, A)
 
     inner5 = g_along_A - _swap(g_along_A)
-    c5 = r5 - sign * (At @ T @ Ax) - _upper(A_sharp, inner5)
+    c5 = r5 - sign * (At @ T @ Ax) - _first(A_sharp, inner5)
 
     inner6 = g_along_J - (_swap(ci.Dg) @ J).transpose(0, 2, 1, 3)
     c6 = (
         _reduced_final(ci, A, sign)
-        + sign * _upper(A_sharp, inner6)
+        + sign * _first(A_sharp, inner6)
         + sign * (Jt @ T @ Ax)
-        - sign * _upper(ci.J, T @ Ax)
+        - sign * _first(ci.J, T @ Ax)
     )
     return [c1, c2, c3, c4, c5, c6]
 

@@ -20,6 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import chart as ch
+from . import genbundle as gb
+from .genconn import _first
 from .metallic import MetallicParams
 
 __all__ = [
@@ -62,22 +64,6 @@ def _along_fibre(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     return (y[..., None, :] @ C.reshape(lead + (n, n * n))).reshape(lead + (n, n))
 
 
-def _first(M: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_s M[m, r, s] A[m, s, ...], indexed [m, r, ...]."""
-    m, s = A.shape[:2]
-    return (M @ A.reshape(m, s, -1)).reshape(M.shape[:2] + A.shape[2:])
-
-
-def _lower_blocks(upper: np.ndarray, lower_left, lower_right) -> np.ndarray:
-    """[[upper, 0], [lower_left, lower_right]] from stacks of n x n blocks."""
-    n = upper.shape[-1]
-    out = np.zeros(upper.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = upper
-    out[..., n:, :n] = lower_left
-    out[..., n:, n:] = lower_right
-    return out
-
-
 class Lift:
     """The lift of (J, g) at the bundle points (x, y), from values at x.
 
@@ -114,24 +100,24 @@ class Lift:
             V = W = eye
             D = Jt
         L = _along_fibre(y, C)
-        self.jbar = _lower_blocks(J, L @ J - D @ L, D)
+        self.jbar = gb.blocks(J, 0.0, L @ J - D @ L, D)
         self._flavor, self._y, self._C, self._L, self._D = flavor, y, C, L, D
         self._eye, self._V, self._W = eye, V, W
         self._base = (g, ginv, J, dg, dJ, dgamma, dginv)
 
     @cached_property
     def forward(self) -> np.ndarray:
-        return _lower_blocks(self._eye, self._L, self._V)
+        return gb.blocks(self._eye, 0.0, self._L, self._V)
 
     @cached_property
     def backward(self) -> np.ndarray:
-        return _lower_blocks(self._eye, -(self._W @ self._L), self._W)
+        return gb.blocks(self._eye, 0.0, -(self._W @ self._L), self._W)
 
     @cached_property
     def gbar(self) -> np.ndarray:
         """backward^T blockdiag(g, g^-1) backward."""
         g, ginv = self._base[:2]
-        ghat = _lower_blocks(g, 0.0, ginv)
+        ghat = gb.blocks(g, 0.0, 0.0, ginv)
         return np.swapaxes(self.backward, -1, -2) @ ghat @ self.backward
 
     @cached_property
@@ -153,7 +139,7 @@ class Lift:
             dD = dJt
         dL = _along_fibre(self._y[:, None], dC)
         out = np.zeros((m, 2 * n, 2 * n, 2 * n))
-        out[:, :n] = _lower_blocks(dJ, dL @ J[:, None] + L @ dJ - dD @ L - D @ dL, dD)
+        out[:, :n] = gb.blocks(dJ, 0.0, dL @ J[:, None] + L @ dJ - dD @ L - D @ dL, dD)
         out[:, n:, n:, :n] = C @ J[:, None] - D @ C
         return out
 

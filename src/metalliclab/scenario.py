@@ -64,20 +64,6 @@ class ChartScenario:
     tolerance: float
     expected_failures: list = field(default_factory=list)
     description: str = ""
-    # their symbolic partials, [k, ...] = d_k of the entries
-    # (d2g = d_k d_l g, dgamma None with Levi-Civita), built once here, in
-    # the table the fields were parsed into: a run builds no node
-    dJ: np.ndarray = field(init=False, repr=False, compare=False)
-    dg: np.ndarray = field(init=False, repr=False, compare=False)
-    d2g: np.ndarray = field(init=False, repr=False, compare=False)
-    dgamma: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.chart.dim
-        self.dJ = ch.partials(self.J, n)
-        self.dg = ch.partials(self.metric, n)
-        self.d2g = ch.partials(self.dg, n)
-        self.dgamma = None if self.connection is None else ch.partials(self.connection, n)
 
 
 class _NonFinite(str):
@@ -93,7 +79,7 @@ def _finite_object(pairs: list) -> dict:
     return dict(pairs)
 
 
-def _parse_matrix(raw, shape, coords, where, parse_problems):
+def _parse_matrix(raw, shape, coords, where, parse_problems, shared):
     arr = np.asarray(raw, dtype=object)
     if arr.shape != shape:
         raise SchemaError([f"{where}: expected shape {shape}, got {arr.shape}"])
@@ -103,7 +89,7 @@ def _parse_matrix(raw, shape, coords, where, parse_problems):
         if not isinstance(cell, str):
             raise SchemaError([f"{where}{list(idx)}: expected an expression string"])
         try:
-            out[idx] = ex.parse(cell, coords)
+            out[idx] = ex.parse(cell, coords, shared)
         except ParseError as err:
             parse_problems.append(f"{where}{list(idx)}: {err}")
             out[idx] = ex.const(0.0)
@@ -111,16 +97,8 @@ def _parse_matrix(raw, shape, coords, where, parse_problems):
 
 
 def load_scenario(path) -> ChartScenario:
-    """Load and validate a scenario file, reporting every problem found.
-
-    The fields and their partials are interned into a table of the
-    scenario's own; the module-level table is left as it was.
-    """
-    with ex.fresh_table():
-        return _load(Path(path))
-
-
-def _load(path: Path) -> ChartScenario:
+    """Load and validate a scenario file, reporting every problem found."""
+    path = Path(path)
     try:
         data = json.loads(
             path.read_text(), parse_constant=_NonFinite, object_pairs_hook=_finite_object
@@ -158,6 +136,7 @@ def _load(path: Path) -> ChartScenario:
         not isinstance(iv, list) or len(iv) != 2 for iv in domain
     ):
         raise SchemaError(["domain must list n [lo, hi] pairs"])
+    shared: dict = {}  # one node per structure across the fields
 
     def optional(key, default, validate, *args):
         try:
@@ -178,7 +157,7 @@ def _load(path: Path) -> ChartScenario:
 
     params = MetallicParams(finite_number(data["p"], "p"), finite_number(data["q"], "q"))
 
-    metric = _parse_matrix(data["metric"], (n, n), coords, "metric", parse_problems)
+    metric = _parse_matrix(data["metric"], (n, n), coords, "metric", parse_problems, shared)
 
     j_raw = data["J"]
     projection = None
@@ -186,19 +165,21 @@ def _load(path: Path) -> ChartScenario:
         if set(j_raw.keys()) != {"projection"}:
             raise SchemaError(["J object form must have exactly the 'projection' key"])
         projection = _parse_matrix(
-            j_raw["projection"], (n, n), coords, "J.projection", parse_problems
+            j_raw["projection"], (n, n), coords, "J.projection", parse_problems, shared
         )
     else:
-        J = _parse_matrix(j_raw, (n, n), coords, "J", parse_problems)
+        J = _parse_matrix(j_raw, (n, n), coords, "J", parse_problems, shared)
 
     omega = None
     if "omega" in data:
-        omega = _parse_matrix(data["omega"], (n,), coords, "omega", parse_problems)
+        omega = _parse_matrix(data["omega"], (n,), coords, "omega", parse_problems, shared)
 
     connection = None
     conn_raw = data.get("connection", "levi-civita")
     if conn_raw != "levi-civita":
-        connection = _parse_matrix(conn_raw, (n, n, n), coords, "connection", parse_problems)
+        connection = _parse_matrix(
+            conn_raw, (n, n, n), coords, "connection", parse_problems, shared
+        )
 
     suites = data["suites"]
     if not isinstance(suites, list) or not suites:

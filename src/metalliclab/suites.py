@@ -136,8 +136,8 @@ class ScenarioContext:
 
     The samples are the sample points first .. first + samples - 1 of
     ``seed``, or ``points`` given outright.  The leaf fields (g, J, omega
-    and an explicit connection) are evaluated at them with the partials the
-    scenario built, g to second order.  Everything else is built at most
+    and an explicit connection) and their partials, g to second order, are
+    evaluated at them on first use.  Everything else is built at most
     once, on first use, from those arrays: g^-1 and its partials, the
     Levi-Civita connection and its partials, the generalized structures and
     their partials, and every tensor of the suites.  Every random draw is
@@ -164,8 +164,8 @@ class ScenarioContext:
         self.points = points
         self.suite_inputs: dict = {}
 
-    def at(self, comps: np.ndarray) -> np.ndarray:
-        return ch.eval_exprs(comps, self.points)
+    def at(self, comps: np.ndarray, order: int = 0) -> np.ndarray:
+        return ch.eval_exprs(comps, self.points, order)
 
     # keyed caches: ConnBundles by id of their Gamma, generalized structures and
     # jets by label
@@ -187,11 +187,11 @@ class ScenarioContext:
 
     @cached_property
     def dJ_at(self):
-        return self.at(self.scenario.dJ)
+        return self.at(self.scenario.J, 1)
 
     @cached_property
     def dg_at(self):
-        return self.at(self.scenario.dg)
+        return self.at(self.scenario.metric, 1)
 
     @cached_property
     def dK_at(self):
@@ -217,7 +217,7 @@ class ScenarioContext:
     def lc_dgamma_at(self) -> np.ndarray:
         """d_a Gamma^l_{jk} of the Levi-Civita connection, [m, a, l, j, k]; d2g is not kept."""
         m, n = self.points.shape
-        d2g = self.at(self.scenario.d2g)
+        d2g = self.at(self.scenario.metric, 2)
         dg_gamma = self.dg_at @ self.lc_gamma_at.reshape(m, 1, n, n * n)
         return ch.christoffel(self.ginv_at[:, None], d2g, dg_gamma)
 
@@ -252,7 +252,7 @@ class ScenarioContext:
         """Partials of the scenario connection; the Levi-Civita array when it is one."""
         if self.scenario.connection is None:
             return self.lc_dgamma_at
-        return self.at(self.scenario.dgamma)
+        return self.at(self.scenario.connection, 1)
 
     @cached_property
     def lc_riemann_at(self) -> np.ndarray:
@@ -617,14 +617,10 @@ def _scenario_bundle(ctx: ScenarioContext) -> ConnBundle:
 def _random_sections(ctx, count, seed_shift):
     """Values (m, count, 2n) and partials (m, count, n, 2n) of sections whose
     components are c0 + c1 . x with coefficients drawn uniformly in [-1, 1]."""
-    rng = np.random.default_rng(ctx.seed + seed_shift)
     n = ctx.chart.dim
-    c0 = np.empty((count, 2 * n))
-    c1 = np.empty((count, 2 * n, n))
-    for s in range(count):
-        for a in range(2 * n):
-            c0[s, a] = rng.uniform(-1, 1)
-            c1[s, a] = rng.uniform(-1, 1, size=n)
+    # one row [c0, c1 . . .] per component, drawn in the order of the components
+    draws = np.random.default_rng(ctx.seed + seed_shift).uniform(-1, 1, size=(count, 2 * n, n + 1))
+    c0, c1 = draws[..., 0], draws[..., 1:]
     values = c0 + np.einsum("saj,mj->msa", c1, ctx.points)
     partials = np.broadcast_to(c1.transpose(0, 2, 1), (len(ctx.points), count, n, 2 * n))
     return values, partials

@@ -1,9 +1,9 @@
 """Independent numerical oracles used by the tests.
 
-Everything here avoids the symbolic differentiation path on purpose:
+Everything here avoids the program's differentiation on purpose:
 derivatives come from central finite differences (with one Richardson
-step where accuracy matters), so agreement with the symbolic engine is
-meaningful evidence.
+step where accuracy matters), so agreement with the jets of
+``expr.differentiate`` is meaningful evidence.
 """
 
 import itertools

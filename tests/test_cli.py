@@ -364,6 +364,24 @@ def test_evaluation_error_becomes_failed_check_with_witness(tmp_path):
     assert any(c.witness is not None for c in failed)
 
 
+def test_non_finite_first_partials_fail_every_check_that_reads_them(tmp_path):
+    # (x1 - x1)^0.5 is 0 everywhere, but its partial 0.5 * 0^-0.5 * 0 is NaN:
+    # the values of g are finite, so the scenario loads and the checks that
+    # read values only pass; every other check fails with a witness
+    payload = json.loads(scenario_path("polar-plane").read_text())
+    payload["metric"][1][1] = "x1^2 + (x1 - x1)^0.5"
+    scenario = load_scenario(write_scenario(tmp_path, payload))
+    report = run_suites(scenario)
+    ids = [c.check_id for c in report.checks]
+    assert len(ids) == len(set(ids)) == 49
+    passed = [c.check_id.split("/")[0] for c in report.checks if c.passed]
+    assert (passed.count("core"), passed.count("genbundle"), len(passed)) == (3, 9, 12)
+    first = tuple(scenario.chart.sample_points(scenario.samples, seed=scenario.seed)[0])
+    for check in report.checks:
+        if not check.passed:
+            assert check.residual == float("inf") and check.witness == first, check.check_id
+
+
 def test_corpus_overall_verdicts(corpus_reports):
     for name, report in corpus_reports.items():
         assert report.overall_pass, f"{name} has unsatisfied gates"

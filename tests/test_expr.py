@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import types
 
@@ -101,43 +102,40 @@ def test_evaluation_deterministic():
     assert (a == b).all()
 
 
+def partials(source, points, order=1):
+    """The partials of one expression at the points, [m, k] or [m, k, l]."""
+    return ex.differentiate(np.array([ex.parse(source, COORDS)]), np.atleast_2d(points), order)[..., 0]
+
+
 def test_differentiate_examples():
-    e = ex.parse("sin(x1)^2", COORDS)
-    d = ex.differentiate(e, 0)
-    assert evaluate(d, [math.pi / 4, 0.0]) == pytest.approx(1.0, abs=1e-15)
+    assert partials("sin(x1)^2", [math.pi / 4, 0.0])[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert partials("x1", [2.0, 3.0])[0, 1] == 0.0
 
-    zero = ex.differentiate(ex.parse("x1", COORDS), 1)
-    assert evaluate(zero, [2.0, 3.0]) == 0.0
-
-    e2 = ex.parse("ln(x1*x1)", COORDS)
-    d2 = ex.differentiate(e2, 0)
-    value = evaluate(d2, [3.0, 1.0])
+    value = partials("ln(x1*x1)", [3.0, 1.0])[0, 0]
     assert value == pytest.approx(2.0 / 3.0, abs=1e-12)
-    fd = fd_gradient(e2, [3.0, 1.0])[0]
+    fd = fd_gradient(ex.parse("ln(x1*x1)", COORDS), [3.0, 1.0])[0]
     assert value == pytest.approx(fd, abs=1e-8)
+    with pytest.raises(ValueError):
+        partials("x1", [1.0, 2.0], order=3)
 
 
 def test_derivatives_match_finite_differences_on_corpus():
     pts = sample_points(20, seed=1)
     for source in GOLDEN_CORPUS:
         e = ex.parse(source, COORDS)
+        got = partials(source, pts)
         for k in range(2):
-            d = ex.differentiate(e, k)
-            for p in pts:
+            for p, d in zip(pts, got[:, k]):
                 expected = fd_gradient(e, p)[k]
-                got = evaluate(d, p)
                 scale = max(1.0, abs(expected))
-                assert abs(got - expected) / scale < 1e-6, (source, k, p)
+                assert abs(d - expected) / scale < 1e-6, (source, k, p)
 
 
 def test_second_derivatives_commute():
     pts = sample_points(25, seed=2)
     for source in GOLDEN_CORPUS:
-        e = ex.parse(source, COORDS)
-        d01 = ex.differentiate(ex.differentiate(e, 0), 1)
-        d10 = ex.differentiate(ex.differentiate(e, 1), 0)
-        a = ex.eval_batch(d01, pts)
-        b = ex.eval_batch(d10, pts)
+        hessian = partials(source, pts, order=2)
+        a, b = hessian[:, 0, 1], hessian[:, 1, 0]
         scale = np.maximum(1.0, np.abs(a))
         assert (np.abs(a - b) / scale < 1e-10).all(), source
 
@@ -152,10 +150,8 @@ def test_constant_folding_is_literal_only():
 
 
 def test_variable_exponent_derivative():
-    e = ex.parse("x1^x2", COORDS)
-    d = ex.differentiate(e, 1)  # d/dx2 = x1^x2 ln(x1)
-    x = [1.7, 0.8]
-    assert evaluate(d, x) == pytest.approx(1.7**0.8 * math.log(1.7), rel=1e-12)
+    # d/dx2 x1^x2 = x1^x2 ln(x1)
+    assert partials("x1^x2", [1.7, 0.8])[0, 1] == pytest.approx(1.7**0.8 * math.log(1.7), rel=1e-12)
 
 
 def test_evaluation_against_python_eval_oracle():
@@ -176,111 +172,41 @@ def test_evaluation_against_python_eval_oracle():
             assert got == pytest.approx(expected, rel=1e-14), (source, p)
 
 
-def test_equal_constructor_calls_return_one_node():
-    with ex.fresh_table():
-        x1, x2 = ex.coord(0), ex.coord(1)
-        assert ex.coord(0) is x1 and ex.const(2) is ex.const(2.0)
-        assert ex.add(x1, x2) is ex.add(x1, x2)
-        assert ex.mul(x1, 3) is ex.mul(ex.coord(0), ex.const(3.0))
-        assert ex.func("sin", x1) is ex.func("sin", x1)
-        assert ex.neg(x1) is ex.neg(ex.coord(0))
-        assert ex.parse("sin(x1)^2 - x2/3", COORDS) is ex.parse("sin(x1)^2 - x2/3", COORDS)
-        # equal structure, not equal value: the operands' order is kept
-        assert ex.add(x1, x2) is not ex.add(x2, x1)
+def test_equal_subexpressions_parsed_with_one_dict_are_one_node():
+    shared = {}
+    e = ex.parse("sin(x1)*x2 + sin(x1)*x2", COORDS, shared)
+    assert e.left is e.right
+    assert ex.parse("1 - sin(x1)*x2", COORDS, shared).right is e.left
+    # equal value, not equal structure: the operands' order and the sign of zero are kept
+    assert ex.parse("x2*sin(x1)", COORDS, shared) is not e.left
+    assert ex.parse("x1*0", COORDS, shared) is not ex.parse("x1*-0", COORDS, shared)
+    # without a dict, sharing stops at the source
+    assert ex.parse("sin(x1)*x2", COORDS) is not e.left
 
 
-def test_derivatives_are_cached_per_node_and_coordinate():
-    with ex.fresh_table():
-        e = ex.parse("x1^x2 * exp(x1*x2)", COORDS)
-        d1 = ex.differentiate(e, 0)
-        assert ex.differentiate(e, 0) is d1
-        assert ex.differentiate(e, 1) is not d1
-        # a structurally equal node built separately shares the derivative
-        assert ex.differentiate(ex.parse("x1^x2 * exp(x1*x2)", COORDS), 0) is d1
+def test_the_entries_of_a_scenario_share_their_subexpressions(tmp_path):
+    payload = json.loads(scenario_path("polar-plane").read_text())
+    payload["metric"] = [["1 + x1^2", "0"], ["0", "1 + x1^2"]]
+    payload["J"] = {"projection": [["1 + x1^2 - x1^2", "0"], ["0", "1"]]}
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(payload))
+    scenario = load_scenario(path)
+    assert scenario.metric[0, 0] is scenario.metric[1, 1]
+    assert scenario.metric[0, 0] in _subexpressions(scenario.J[0, 0])
+
+
+def _subexpressions(node):
+    out, stack = [], [node]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(out[-1].children())
+    return out
 
 
 def test_signed_zero_is_its_own_node():
-    with ex.fresh_table():
-        assert ex.const(0.0) is not ex.const(-0.0)
-        assert ex.const(-0.0) is ex.neg(ex.const(0.0))
-        assert math.copysign(1.0, ex.const(-0.0).value) == -1.0
-        assert math.copysign(1.0, ex.const(0.0).value) == 1.0
-
-
-def test_nan_constants_are_never_interned():
-    with ex.fresh_table():
-        a, b = ex.const(math.nan), ex.const(math.nan)
-        assert a is not b
-        pts = sample_points(4)
-        for e in (a, b, ex.add(ex.coord(0), a)):
-            assert not np.isfinite(ex.eval_batch(e, pts)).any()
-
-
-def test_fresh_table_restores_the_previous_table():
-    outer = ex._table
-    size = len(outer)
-    with ex.fresh_table():
-        assert ex._table is not outer
-        ex.parse("x1*x2 + cos(x1)", COORDS)
-    assert ex._table is outer and len(outer) == size
-    with pytest.raises(RuntimeError):
-        with ex.fresh_table():
-            ex.parse("x1 - 7", COORDS)
-            raise RuntimeError("inside the block")
-    assert ex._table is outer and len(outer) == size
-
-
-def _structure(node, numbers, shapes):
-    """Number ``node`` by its structure, read from its public fields only.
-
-    ``numbers`` maps node ids to numbers and ``shapes`` structural keys to
-    numbers; a key holds its children's numbers, so it stays flat.
-    """
-    hit = numbers.get(id(node))
-    if hit is None:
-        if isinstance(node, ex.Const):
-            data = repr(node.value)  # tells -0.0 from 0.0
-        elif isinstance(node, ex.Coord):
-            data = (node.index, node.name)
-        elif isinstance(node, ex.Bin):
-            data = node.op
-        elif isinstance(node, ex.Func):
-            data = node.name
-        else:
-            data = None
-        kids = tuple(_structure(k, numbers, shapes) for k in node.children())
-        key = (type(node).__name__, data, kids)
-        hit = numbers[id(node)] = shapes.setdefault(key, len(shapes))
-    return hit
-
-
-def test_tensors_of_a_scenario_hold_no_duplicate_structure():
-    # the scenario's fields and the partials it built of them (g to second
-    # order) share the scenario's table, so the nodes reachable from them count too
-    total = 0
-    for name in CORPUS:
-        scenario = load_scenario(scenario_path(name))
-        roots = list(scenario.dg.flat) + list(scenario.d2g.flat) + list(scenario.dJ.flat)
-        roots += list(scenario.metric.flat) + list(scenario.J.flat)
-        nodes, stack = {}, roots
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node.children())
-        numbers: dict = {}
-        shapes: dict = {}
-        for node in nodes.values():
-            _structure(node, numbers, shapes)
-        assert len(shapes) == len(nodes), name
-        total += len(nodes)
-    assert total > 100
-
-
-def test_loading_a_scenario_leaves_the_module_table_alone():
-    size = len(ex._table)
-    load_scenario(scenario_path("product-decomposable"))
-    assert len(ex._table) == size
+    assert math.copysign(1.0, ex.neg(ex.const(0.0)).value) == -1.0
+    assert math.copysign(1.0, ex.const(-0.0).value) == -1.0
+    assert math.copysign(1.0, ex.const(0.0).value) == 1.0
 
 
 def test_a_run_builds_no_node(monkeypatch):
@@ -304,18 +230,18 @@ def test_a_run_builds_no_node(monkeypatch):
 
 
 def test_runs_are_identical_and_leave_the_table_as_they_found_it():
+    # the table: the scenario's arrays of expressions, which a run only reads
     scenario = load_scenario(scenario_path("warped-mixing"))
-    size = len(ex._table)
-    texts = []
-    for _ in range(2):
-        texts.append(run_suites(scenario).to_json())
-        assert len(ex._table) == size
+    fields = [scenario.metric.copy(), scenario.J.copy()]
+    texts = [run_suites(scenario).to_json() for _ in range(2)]
     assert texts[0] == texts[1]
+    for before, after in zip(fields, (scenario.metric, scenario.J)):
+        assert all(a is b for a, b in zip(before.flat, after.flat))
 
 
 def test_a_run_leaves_no_reference_cycles_behind():
     # objects of a run that only the cyclic collector could free would keep
-    # its sample arrays, eval memo and interning table alive until it runs
+    # its sample arrays and eval memo alive until it runs
     scenario = load_scenario(scenario_path("flat-golden"))
     enabled, debug = gc.isenabled(), gc.get_debug()
     gc.collect()

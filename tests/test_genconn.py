@@ -12,7 +12,7 @@ from metalliclab.metallic import MetallicParams, from_projection
 from metalliclab.scenario import ChartScenario, load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, exprs, field_context, scenario_path
+from conftest import CORPUS, exprs, field_context, jet, scenario_path
 from helpers import (
     covariant_nijenhuis_rhs_loop,
     fd_bracket,
@@ -42,17 +42,6 @@ def product_setup():
     g = exprs(c, rows)
     J = from_projection(ch.constant_matrix(np.diag([1.0, 1.0, 0.0])), PARAMS, g, c.sample_points(8))
     return c, g, J
-
-
-def jet(comps, pts):
-    """Values and first partials d_k of an Expr array at the points, [m, k, ...]."""
-    comps = np.asarray(comps, dtype=object)
-    n = pts.shape[1]
-    partials = np.empty((n,) + comps.shape, dtype=object)
-    for k in range(n):
-        for idx in np.ndindex(comps.shape):
-            partials[(k,) + idx] = ex.differentiate(comps[idx], k)
-    return ch.eval_exprs(comps, pts), ch.eval_exprs(partials, pts)
 
 
 def basis_section(c, a, m):

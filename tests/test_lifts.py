@@ -352,8 +352,7 @@ def test_a_corpus_run_builds_no_bundle_coordinates(monkeypatch):
         built.clear()
         run_suites(scenario)
         assert all(index < scenario.chart.dim for index in built), name
-    with ex.fresh_table():
-        ex.coord(7)
+    ex.coord(7)
     assert built == [7]  # the hook sees every coordinate node built
 
 

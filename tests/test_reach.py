@@ -50,12 +50,16 @@ def _functions():
 
 def _cli_paths(tmp_path):
     """Argument lists: every check format and derive tensor, a run over two
-    chunks, an explicit connection, then six input errors (exit 2)."""
+    chunks, an explicit connection, a curved metric, then six input errors (exit 2)."""
     polar = json.loads(scenario_path("polar-plane").read_text())
     golden = json.loads(scenario_path("flat-golden").read_text())
     gamma = [[["0", "0"], ["0", "-x1"]], [["0", "1/x1"], ["1/x1", "0"]]]
+    # second partials of g through each arithmetic form of the jets, and the
+    # ln of a literal base, which folds
+    g22 = "x1 + x1^2 + (x1 - x1^2/4) + 1/(1 + x1) + cos(x1) + ln(x1) + 2^x1"
     payloads = {
         "explicit": {**polar, "suites": ["core", "genconn"], "connection": gamma},
+        "rich-metric": {**polar, "suites": ["core"], "metric": [["1", "0"], ["0", g22]]},
         "unknown-field": {**golden, "unexpected": 1},
         "parse-error": {**golden, "metric": [["1", "0"], ["0", "x1 +"]]},
         "not-a-projection": {**golden, "J": {"projection": [["2", "0"], ["0", "0"]]}},
@@ -70,9 +74,10 @@ def _cli_paths(tmp_path):
     for what in ("christoffel", "curvature", "nijenhuis", "gen-nijenhuis"):
         runs.append(["derive", str(scenario_path("polar-plane")), "--what", what, "--at", "1,0.5"])
     runs.append(["check", str(paths["explicit"])])
+    runs.append(["check", str(paths["rich-metric"])])
     # the explicit connection is not finite at x1 = 0: a domain error
     runs.append(["derive", str(paths["explicit"]), "--what", "gen-nijenhuis", "--at", "0,0.5"])
-    return runs + [["check", str(paths[name])] for name in list(payloads)[1:]]
+    return runs + [["check", str(paths[name])] for name in list(payloads)[2:]]
 
 
 def test_every_function_is_reached_by_a_cli_path(tmp_path):
