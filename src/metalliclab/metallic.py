@@ -64,12 +64,13 @@ def from_projection(
     gp = ch.eval_exprs(g, probe_points) @ pv
     if np.abs(gp - np.swapaxes(gp, -1, -2)).max() > PROBE_TOL:
         raise NotAProjection("g P is not symmetric at sample points")
-    sigma = params.sigma
-    other = params.sigma_other
+    # one node per constant, shared by the n^2 entries
+    sigma, other = ex.const(params.sigma), ex.const(params.sigma_other)
+    one, zero = ex.const(1.0), ex.const(0.0)
     n = P.shape[0]
     comps = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            eye = 1.0 if i == j else 0.0
+            eye = one if i == j else zero
             comps[i, j] = ex.add(ex.mul(sigma, P[i, j]), ex.mul(other, ex.sub(eye, P[i, j])))
     return comps
