@@ -103,28 +103,18 @@ def _cmd_derive(args) -> int:
         raise ValidationError(
             [f"--at must supply {scenario.chart.dim} coordinates, got {point.shape[0]}"]
         )
-
-    def printer(arr):
-        return np.array2string(
-            np.asarray(arr), precision=12, suppress_small=False, separator=", "
-        )
-    ctx = ScenarioContext(scenario, points=point.reshape(1, -1))
-    if args.what == "christoffel":
-        values = ctx.lc_gamma_at[0]
-        sys.stdout.write("Gamma^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
-    elif args.what == "curvature":
-        values = ctx.lc_riemann_at[0]
-        sys.stdout.write("R^l_(i j k) [l, i, j, k]:\n" + printer(values) + "\n")
-    elif args.what == "nijenhuis":
-        values = ctx.NJ_at[0]
-        sys.stdout.write("N^k_(i j) [k, i, j]:\n" + printer(values) + "\n")
-    else:  # gen-nijenhuis
-        values = ctx.bundle(ctx.gamma_at).gen_nijenhuis("jm")[0]
-        sys.stdout.write(
-            "N^A_(B C) of the generalized metallic structure [A, B, C]:\n"
-            + printer(values)
-            + "\n"
-        )
+    name, title = {
+        "christoffel": ("gamma[lc]", "Gamma^k_(i j) [k, i, j]"),
+        "curvature": ("riemann[lc]", "R^l_(i j k) [l, i, j, k]"),
+        "nijenhuis": ("NJ", "N^k_(i j) [k, i, j]"),
+        "gen-nijenhuis": (
+            "gen_nij[scenario,jm]",
+            "N^A_(B C) of the generalized metallic structure [A, B, C]",
+        ),
+    }[args.what]
+    values = ScenarioContext(scenario, points=point.reshape(1, -1))[name][0]
+    text = np.array2string(values, precision=12, suppress_small=False, separator=", ")
+    sys.stdout.write(f"{title}:\n{text}\n")
     return EXIT_PASS
 
 

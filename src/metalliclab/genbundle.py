@@ -3,10 +3,11 @@
 Every function here takes arrays with a leading sample axis, shape
 (..., n, n) or (..., 2n, 2n), and treats each sample on its own; a single
 matrix is a batch of shape ().  The generalized structures themselves are
-assembled by :func:`blocks` from the values at the samples, in
-``ScenarioContext.gen_at``; the checks that read them are declared in
-``suites.CHECKS``.  An error is the one the first failing sample in sample
-order would raise on its own.  Blocks of a 2n x 2n operator are laid out as
+assembled by :func:`blocks` from the values at the samples, as the
+``gen[...]`` arrays of ``suites.ARRAYS``; the checks that read them are
+declared in ``suites.CHECKS``.  An error is the one the first failing sample
+in sample order would raise on its own.  Blocks of a 2n x 2n operator are
+laid out as
 
     [ A  B ]   A: TM -> TM,    B: T*M -> TM,
     [ C  D ]   C: TM -> T*M,   D: T*M -> T*M,

@@ -1,18 +1,19 @@
 """Suite orchestration: turns a scenario into a deterministic CheckReport.
 
 Every check is declared once, in the table ``CHECKS``: its id, anchor,
-tolerance, gating flag, the scenarios it applies to and its residual.  One
-guarded loop runs the checks of each selected suite in table order, so
-every declared id appears in the report exactly once.  A run goes over
-chunks of its samples and folds each check's results over them by the
-merge rules declared with the check, the maximum where it declares none.
+tolerance, gating flag, the scenarios it applies to, the named arrays it
+reads and its residual; every array once, in ``ARRAYS``, with its producer
+and the arrays that producer reads.  One guarded loop runs the checks of
+each selected suite in table order, so every declared id appears in the
+report exactly once.  A run goes over chunks of its samples and folds each
+check's results over them by the merge rules declared with the check, the
+maximum where it declares none.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable
@@ -80,69 +81,16 @@ def whole_number(value, field: str, least: int = 0) -> int:
     return value
 
 
-class ConnBundle:
-    """Tensors of one connection at the samples, from its values Gamma_at."""
-
-    def __init__(self, ctx: "ScenarioContext", gamma: np.ndarray):
-        # the context owns its bundles; a strong reference back would make a
-        # cycle that keeps the context's arrays alive until the cyclic GC runs
-        self.ctx = weakref.proxy(ctx)
-        self.gamma = gamma
-        self._gen_nijenhuis: dict = {}
-
-    @cached_property
-    def nabla_J_at(self):
-        return gc.nabla_endo(self.gamma, self.ctx.J_at, self.ctx.dJ_at)
-
-    @cached_property
-    def nabla_g_at(self):
-        return gc.nabla_metric(self.gamma, self.ctx.g_at, self.ctx.dg_at)
-
-    @cached_property
-    def nabla_K_at(self):
-        return gc.nabla_endo(self.gamma, self.ctx.K_at, self.ctx.dK_at)
-
-    @cached_property
-    def torsion_at(self):
-        return gc.torsion(self.gamma)
-
-    def gen_nijenhuis(self, label: str) -> np.ndarray:
-        """N(e_a, e_b) of the generalized structure ``label``, [m, A, a, b]."""
-        if label not in self._gen_nijenhuis:
-            self._gen_nijenhuis[label] = gc.gen_nijenhuis(
-                self.gamma, *self.ctx.gen_jet(label)
-            )
-        return self._gen_nijenhuis[label]
-
-    @cached_property
-    def condition_inputs(self) -> gc.ConditionInputs:
-        ctx = self.ctx
-        return gc.ConditionInputs(
-            g=ctx.g_at,
-            ginv=ctx.ginv_at,
-            J=ctx.J_at,
-            K=ctx.K_at,
-            Dg=self.nabla_g_at,
-            DJ=self.nabla_J_at,
-            DK=self.nabla_K_at,
-            T=self.torsion_at,
-            NJ=ctx.NJ_at,
-        )
-
-
-class ScenarioContext:
-    """Caches everything the suites share for one index range of a
-    scenario's samples.
+class ScenarioContext(dict):
+    """The memo of one index range of a scenario's samples: name -> array.
 
     The samples are the sample points first .. first + samples - 1 of
-    ``seed``, or ``points`` given outright.  The leaf fields (g, J, omega
-    and an explicit connection) and their partials, g to second order, are
-    evaluated at them on first use.  Everything else is built at most
-    once, on first use, from those arrays: g^-1 and its partials, the
-    Levi-Civita connection and its partials, the generalized structures and
-    their partials, and every tensor of the suites.  Every random draw is
-    addressed by sample index too, so a context holds the arrays of its own
-    samples only, whichever range of a run it is.
+    ``seed``, or ``points`` given outright.  ``ctx[name]`` is the array
+    ``name`` of ``ARRAYS`` at them, made on first use by its producer from
+    the arrays that producer reads, and held until a run drops it (see
+    _plan).  Every random draw is addressed by sample index too, so a
+    context holds the arrays of its own samples only, whichever range of a
+    run it is.
     """
 
     def __init__(
@@ -153,6 +101,7 @@ class ScenarioContext:
         first: int = 0,
         points: np.ndarray | None = None,
     ):
+        super().__init__()
         self.scenario = scenario
         self.seed = seed if seed is not None else scenario.seed
         self.first = first
@@ -162,156 +111,83 @@ class ScenarioContext:
             count = samples if samples is not None else scenario.samples
             points = self.chart.sample_points(count, seed=self.seed, first=first)
         self.points = points
-        self.suite_inputs: dict = {}
 
-    def at(self, comps: np.ndarray, order: int = 0) -> np.ndarray:
-        return ch.eval_exprs(comps, self.points, order)
+    def __missing__(self, name: str):
+        make, reads = _producer(self.scenario, name)
+        self[name] = value = make(self, *[self[read] for read in reads])
+        return value
 
-    # keyed caches: ConnBundles by id of their Gamma, generalized structures and
-    # jets by label
-    _bundles = cached_property(lambda self: {})
-    _gen_at = cached_property(lambda self: {})
-    _gen_jets = cached_property(lambda self: {})
 
-    @cached_property
-    def g_at(self):
-        return self.at(self.scenario.metric)
+# ------------------------------------------------------------------
+# the named arrays: producers (ctx, *the arrays they read) -> array
+# ------------------------------------------------------------------
 
-    @cached_property
-    def J_at(self):
-        return self.at(self.scenario.J)
 
-    @cached_property
-    def K_at(self):
-        return self.J_at @ self.J_at
+def _producer(scenario: ChartScenario, name: str) -> tuple:
+    """(make, reads) of the array ``name``.  Without an explicit connection
+    the scenario's connection is the Levi-Civita one, and each of its arrays
+    is the Levi-Civita array itself."""
+    if scenario.connection is None and "[scenario" in name:
+        return _same, (name.replace("[scenario", "[lc"),)
+    return ARRAYS[name]
 
-    @cached_property
-    def dJ_at(self):
-        return self.at(self.scenario.J, 1)
 
-    @cached_property
-    def dg_at(self):
-        return self.at(self.scenario.metric, 1)
+def _same(ctx, array):
+    """An alias's producer, and the residual of a check that reads its residual array."""
+    return array
 
-    @cached_property
-    def dK_at(self):
-        J = self.J_at[:, None]
-        return self.dJ_at @ J + J @ self.dJ_at
 
-    @cached_property
-    def ginv_at(self):
-        """g^-1; SingularMetric names the first sample where g is singular."""
-        return gb.metric_inverse(self.g_at, self.points)
+def _leaf(ctx, field: str, order: int = 0) -> np.ndarray:
+    """The scenario's ``field`` (metric, J, omega, connection), or its partials to ``order``."""
+    return ch.eval_exprs(getattr(ctx.scenario, field), ctx.points, order)
 
-    @cached_property
-    def dginv_at(self):
-        """d_a g^-1 = -g^-1 (d_a g) g^-1, [m, a, i, j]."""
-        ginv = self.ginv_at[:, None]
-        return -(ginv @ self.dg_at @ ginv)
 
-    @cached_property
-    def lc_gamma_at(self) -> np.ndarray:
-        return ch.christoffel(self.ginv_at, self.dg_at)
+def _lc_dgamma(ctx, d2g, dg, gamma, ginv) -> np.ndarray:
+    """d_a Gamma^l_{jk} of the Levi-Civita connection, [m, a, l, j, k]."""
+    m, n = ctx.points.shape
+    dg_gamma = dg @ gamma.reshape(m, 1, n, n * n)
+    return ch.christoffel(ginv[:, None], d2g, dg_gamma)
 
-    @cached_property
-    def lc_dgamma_at(self) -> np.ndarray:
-        """d_a Gamma^l_{jk} of the Levi-Civita connection, [m, a, l, j, k]; d2g is not kept."""
-        m, n = self.points.shape
-        d2g = self.at(self.scenario.metric, 2)
-        dg_gamma = self.dg_at @ self.lc_gamma_at.reshape(m, 1, n, n * n)
-        return ch.christoffel(self.ginv_at[:, None], d2g, dg_gamma)
 
-    @cached_property
-    def gamma_at(self) -> np.ndarray:
-        """Values of the scenario connection; the Levi-Civita array when it is one."""
-        if self.scenario.connection is None:
-            return self.lc_gamma_at
-        return self.at(self.scenario.connection)
+def _karaman_gamma(ctx, g, ginv, J, omega, gamma) -> np.ndarray:
+    """D = Levi-Civita + F for the 1-form omega."""
+    return gamma + gc.karaman_connection(g, ginv, J, ctx.params, omega)
 
-    def shared(self, make: Callable, *args):
-        """``make(self, *args)``, made once per suite on first use.
 
-        The inputs that several checks of a suite read (the lift and its
-        Nijenhuis tensor, the karaman parts, the Jp eigenvalues) are made
-        inside the guard of the first check that reads them, so an error in
-        one fails each such check; the loop drops them after the suite.
-        """
-        key = (make, args)
-        if key not in self.suite_inputs:
-            self.suite_inputs[key] = make(self, *args)
-        return self.suite_inputs[key]
+def _diagonal(ctx, A, D=None) -> np.ndarray:
+    """blockdiag(A, D), D = A* by default: Jm and ghat, and their partials."""
+    return gb.blocks(A, 0.0, 0.0, np.swapaxes(A, -1, -2) if D is None else D)
 
-    def bundle(self, gamma: np.ndarray) -> ConnBundle:
-        key = id(gamma)
-        if key not in self._bundles:
-            self._bundles[key] = ConnBundle(self, gamma)
-        return self._bundles[key]
 
-    @cached_property
-    def dgamma_at(self) -> np.ndarray:
-        """Partials of the scenario connection; the Levi-Civita array when it is one."""
-        if self.scenario.connection is None:
-            return self.lc_dgamma_at
-        return self.at(self.scenario.connection, 1)
+def _gen(ctx, J, g, K, ginv, label: str) -> np.ndarray:
+    """Jp or Jc (``label`` "jp" or "jc") at the samples."""
+    upper = gb.sharp_block(_SHARP_SIGN[label], K, ginv)
+    return gb.blocks(J, upper, g, -np.swapaxes(J, -1, -2))
 
-    @cached_property
-    def lc_riemann_at(self) -> np.ndarray:
-        return ch.riemann(self.lc_gamma_at, self.lc_dgamma_at)
 
-    @cached_property
-    def riemann_at(self) -> np.ndarray:
-        """Curvature of the scenario connection; the Levi-Civita array when it is one."""
-        if self.scenario.connection is None:
-            return self.lc_riemann_at
-        return ch.riemann(self.gamma_at, self.dgamma_at)
+def _gen_jet(ctx, dJ, dg, K, dginv, dK, ginv, label: str) -> np.ndarray:
+    """The first partials [m, k, 2n, 2n] of Jp or Jc."""
+    # d_k (s I - K) g^-1 = (s I - K) d_k g^-1 - (d_k K) g^-1
+    upper = gb.sharp_block(_SHARP_SIGN[label], K[:, None], dginv)
+    upper -= dK @ ginv[:, None]
+    return gb.blocks(dJ, upper, dg, -np.swapaxes(dJ, -1, -2))
 
-    @cached_property
-    def NJ_at(self):
-        return ch.nijenhuis(self.J_at, self.dJ_at)
 
-    def gen_at(self, label: str) -> np.ndarray:
-        """Jm, Jp, Jc or ghat (``label`` "jm", "jp", "jc" or "ghat") at the samples."""
-        if label not in self._gen_at:
-            J, g = self.J_at, self.g_at
-            Jt = np.swapaxes(J, -1, -2)
-            if label == "jm":
-                parts = (J, 0.0, 0.0, Jt)
-            elif label == "ghat":
-                parts = (g, 0.0, 0.0, self.ginv_at)
-            else:
-                upper = gb.sharp_block(_SHARP_SIGN[label], self.K_at, self.ginv_at)
-                parts = (J, upper, g, -Jt)
-            self._gen_at[label] = gb.blocks(*parts)
-        return self._gen_at[label]
+def _f_plus(ctx, g, J) -> np.ndarray:
+    """F^+ = (2J - pI) / (2 sigma - p) of a compatible pair.
 
-    def gen_jet(self, label: str) -> tuple:
-        """The values and first partials [m, k, 2n, 2n] of a generalized structure."""
-        if label not in self._gen_jets:
-            dJ, dg = self.dJ_at, self.dg_at
-            dJt = np.swapaxes(dJ, -1, -2)
-            if label == "jm":
-                parts = (dJ, 0.0, 0.0, dJt)
-            elif label == "ghat":
-                parts = (dg, 0.0, 0.0, self.dginv_at)
-            else:
-                # d_k (s I - K) g^-1 = (s I - K) d_k g^-1 - (d_k K) g^-1
-                upper = gb.sharp_block(_SHARP_SIGN[label], self.K_at[:, None], self.dginv_at)
-                upper -= self.dK_at @ self.ginv_at[:, None]
-                parts = (dJ, upper, dg, -dJt)
-            self._gen_jets[label] = (self.gen_at(label), gb.blocks(*parts))
-        return self._gen_jets[label]
-
-    @cached_property
-    def omega_at(self) -> np.ndarray:
-        return self.at(self.scenario.omega)
-
-    @cached_property
-    def karaman_gamma_at(self) -> np.ndarray:
-        """D = Levi-Civita + F for the scenario's 1-form, at the samples."""
-        F = gc.karaman_connection(
-            self.g_at, self.ginv_at, self.J_at, self.params, self.omega_at
-        )
-        return self.lc_gamma_at + F
+    IncompatiblePair names the first sample whose gJ is not symmetric, unless
+    the metric is singular at or before it: SingularMetric names that one.
+    """
+    asymmetry = np.abs(_skew(g @ J)).max(axis=(-2, -1))
+    incompatible = asymmetry > TOL_COMPATIBLE
+    if incompatible.any():
+        first = int(incompatible.argmax())
+        gb.metric_inverse(g[: first + 1], ctx.points[: first + 1])
+        worst = asymmetry[first]
+        raise IncompatiblePair(f"gJ asymmetry {worst:.3e} exceeds {TOL_COMPATIBLE:g}")
+    params = ctx.params
+    return (2.0 * J - params.p * np.eye(J.shape[-1])) / (2.0 * params.sigma - params.p)
 
 
 # ------------------------------------------------------------------
@@ -350,13 +226,14 @@ def _max(before, after):
 class Check:
     """One declared check.
 
-    ``residual(ctx)`` gives per-sample residual arrays (one array, or a list
-    of them) taken at ``points(ctx)``, or a ``Measured``.  ``applies(scenario)``
-    reads the scenario's params and 1-form: a check it rejects is not
-    declared for that scenario.  ``merge`` names the rule of a detail of the
-    ``Measured`` over chunks of samples that does not take the maximum, and
-    under "residual" the rule of a residual that counts failures rather than
-    takes a maximum (see _fold).
+    ``residual(ctx, *arrays)`` takes the arrays of ``ARRAYS`` named in
+    ``reads``, in that order, and gives per-sample residual arrays (one
+    array, or a list of them) taken at the array named ``points``, or a
+    ``Measured``.  ``applies(scenario)`` reads the scenario's params and
+    1-form: a check it rejects is not declared for that scenario.  ``merge``
+    names the rule of a detail of the ``Measured`` over chunks of samples
+    that does not take the maximum, and under "residual" the rule of a
+    residual that counts failures rather than takes a maximum (see _fold).
     """
 
     cid: str
@@ -365,7 +242,8 @@ class Check:
     tol: float | None = GEOMETRIC
     gating: bool = True
     applies: Callable = lambda scenario: True
-    points: Callable = lambda ctx: ctx.points
+    reads: tuple = ()
+    points: str = "points"
     merge: dict = field(default_factory=dict)
 
     @cached_property
@@ -379,11 +257,12 @@ def _worst(residuals, points: np.ndarray, **details) -> Measured:
 
 
 def _evaluate(check: Check, ctx: ScenarioContext) -> Measured:
-    """Run one check; an evaluation error becomes its failed result."""
+    """Run one check on the arrays it reads, made inside its guard; an
+    evaluation error becomes its failed result."""
     try:
-        out = check.residual(ctx)
+        out = check.residual(ctx, *[ctx[name] for name in check.reads])
         if not isinstance(out, Measured):
-            out = _worst(out, check.points(ctx))
+            out = _worst(out, ctx[check.points])
     except DomainError as err:
         out = Measured(float("inf"), err.point, raised=True)
     except MetallicLabError as err:
@@ -428,10 +307,34 @@ def _declared(suite: str, scenario: ChartScenario) -> list:
     return [check for check in CHECKS if check.suite == suite and check.applies(scenario)]
 
 
-def _run_suite(ctx: ScenarioContext, checks: list) -> list:
-    """(check, Measured) for the checks of one suite, in table order."""
-    results = [(check, _evaluate(check, ctx)) for check in checks]
-    ctx.suite_inputs.clear()
+def _plan(scenario: ChartScenario, declared: dict) -> dict:
+    """suite -> (check, the arrays it is the last reader of) for each of its
+    checks.  A check reads what it declares and, transitively, what the
+    producers of those arrays read.  Walking back from the last check, an
+    array already met has a later reader, and so has everything it reads."""
+    last, met = {}, set()
+    for check in reversed([check for checks in declared.values() for check in checks]):
+        pending, last[check.cid] = [*check.reads, check.points], []
+        while pending:
+            name = pending.pop()
+            if name not in met:
+                met.add(name)
+                last[check.cid].append(name)
+                pending += _producer(scenario, name)[1]
+    return {
+        suite: [(check, last[check.cid]) for check in checks]
+        for suite, checks in declared.items()
+    }
+
+
+def _run_suite(ctx: ScenarioContext, plan: list) -> list:
+    """(check, Measured) for the checks of one suite, in table order; after
+    each check the context drops the arrays it was the last reader of."""
+    results = []
+    for check, last in plan:
+        results.append((check, _evaluate(check, ctx)))
+        for name in last:
+            ctx.pop(name, None)
     return results
 
 
@@ -457,17 +360,15 @@ def _metallic(ctx: ScenarioContext, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nijenhuis_identity(ctx: ScenarioContext, gamma: np.ndarray) -> np.ndarray:
-    """Bracket N_J minus its covariant expansion plus Phi(T) for the connection gamma."""
-    b = ctx.bundle(gamma)
-    rhs = gc.covariant_nijenhuis_rhs(b.nabla_J_at, b.torsion_at, ctx.J_at)
-    return ctx.NJ_at - rhs
+def _nijenhuis_identity(ctx, DJ, T, J, NJ) -> np.ndarray:
+    """Bracket N_J minus its covariant expansion plus Phi(T) for a connection."""
+    return NJ - gc.covariant_nijenhuis_rhs(DJ, T, J)
 
 
-def _dhat(ctx: ScenarioContext, gamma: np.ndarray, label: str) -> np.ndarray:
+def _dhat(ctx, gamma, X, dX, label: str) -> np.ndarray:
     """Dhat of Jm, Jp, Jc or ghat for the connection gamma, in every direction."""
     dhat = gc.dhat_metric if label == "ghat" else gc.dhat_endo
-    return dhat(gamma, *ctx.gen_jet(label))
+    return dhat(gamma, X, dX)
 
 
 def _real_roots(scenario: ChartScenario) -> bool:
@@ -488,16 +389,15 @@ def _first_point(ctx: ScenarioContext, failing: np.ndarray) -> tuple | None:
     return tuple(float(v) for v in ctx.points[failing.argmax()]) if failing.any() else None
 
 
-def _metric_spd(ctx: ScenarioContext) -> Measured:
-    eigmin = np.linalg.eigvalsh(ctx.g_at).min(axis=-1)
+def _metric_spd(ctx: ScenarioContext, g: np.ndarray) -> Measured:
+    eigmin = np.linalg.eigvalsh(g).min(axis=-1)
     failing = ~(eigmin > 1e-10)
     return Measured(
         float(failing.any()), _first_point(ctx, failing), {"min_eigenvalue": float(eigmin.min())}
     )
 
 
-def _bianchi(ctx: ScenarioContext) -> np.ndarray:
-    R = ctx.lc_riemann_at
+def _bianchi(ctx: ScenarioContext, R: np.ndarray) -> np.ndarray:
     out = R + np.einsum("mljki->mlijk", R)
     out += np.einsum("mlkij->mlijk", R)
     return out
@@ -508,28 +408,22 @@ def _bianchi(ctx: ScenarioContext) -> np.ndarray:
 # ------------------------------------------------------------------
 
 
-def _jp_eigenvalues(ctx: ScenarioContext) -> np.ndarray:
-    """One eigensolve of (., Jp .), read by the signature and calibration checks."""
-    return gb.pairing_eigenvalues(ctx.gen_at("jp"))
-
-
-def _neutral_signature(ctx: ScenarioContext) -> Measured:
+def _neutral_signature(ctx: ScenarioContext, eigenvalues: np.ndarray) -> Measured:
     n = ctx.chart.dim
-    n_plus, n_minus = gb.neutral_signature(ctx.shared(_jp_eigenvalues))
+    n_plus, n_minus = gb.neutral_signature(eigenvalues)
     mismatched = (n_plus != n) | (n_minus != n)
     signature = [int(n_plus[-1]), int(n_minus[-1])]
     witness = _first_point(ctx, mismatched)
     return Measured(float(mismatched.sum()), witness, {"signature": signature})
 
 
-def _calibration(ctx: ScenarioContext) -> Measured:
+def _calibration(ctx: ScenarioContext, jp, jc, eigenvalues) -> Measured:
     """Jp anti-invariant and Jc invariant under the natural pairing, the form
     (., Jp .) non-degenerate and (., Jc .) positive definite: a form that
     fails reads 2 tol at its sample, NaN included."""
-    jp, jc = ctx.gen_at("jp"), ctx.gen_at("jc")
     M = gb.pairing_matrix(ctx.chart.dim)
     flag = TOL_ALGEBRAIC * 2.0
-    min_eig = np.abs(ctx.shared(_jp_eigenvalues)).min(axis=-1)
+    min_eig = np.abs(eigenvalues).min(axis=-1)
     jp_half = [
         largest_entry(np.swapaxes(jp, -1, -2) @ M @ jp + M),
         largest_entry(np.where(min_eig > TOL_ALGEBRAIC, 0.0, flag)),
@@ -552,7 +446,7 @@ def _converted(ctx: ScenarioContext, sign: float, X: np.ndarray) -> np.ndarray:
     return sign * (gap / 2.0) * X + ctx.params.p / 2.0 * np.eye(X.shape[-1])
 
 
-def _derived_family(ctx: ScenarioContext) -> Measured:
+def _derived_family(ctx: ScenarioContext, f_plus, J, jp, ginv, jm) -> Measured:
     """The metallic and block identities of Jm^+- (the conversions of Jp) and
     of J^+-(Fhat^+), Fhat^+ = blockdiag(F^+, F^+*) for F^+ = (2J - pI) / (2 sigma - p).
 
@@ -562,32 +456,22 @@ def _derived_family(ctx: ScenarioContext) -> Measured:
     J^-(Fhat^+) bit for bit: the F^- members are not built.
     """
     n = ctx.chart.dim
-    params, J = ctx.params, ctx.J_at
+    params = ctx.params
     eye, eye2 = np.eye(n), _eye2(ctx)
     gap = 2.0 * params.sigma - params.p
-    asymmetry = np.abs(_skew(ctx.g_at @ J)).max(axis=(-2, -1))
-    incompatible = asymmetry > TOL_COMPATIBLE
-    if incompatible.any():
-        first = int(incompatible.argmax())
-        # a singular metric up to the first incompatible sample is named first
-        gb.metric_inverse(ctx.g_at[: first + 1], ctx.points[: first + 1])
-        worst = asymmetry[first]
-        raise IncompatiblePair(f"gJ asymmetry {worst:.3e} exceeds {TOL_COMPATIBLE:g}")
-    jp = ctx.gen_at("jp")
-    f_plus = (2.0 * J - params.p * eye) / gap
     pjqi = params.p * J + (params.q - 1.0) * eye
     mirror = params.p * eye - J
     jm_plus = _converted(ctx, 1.0, jp)
     metallic = [largest_entry(_metallic(ctx, jm_plus))]
     # corrected reading: the off-diagonal blocks carry (2s-p)/2
-    block = [largest_entry(jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ctx.ginv_at)]
+    block = [largest_entry(jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ginv)]
     del jm_plus
     metallic.append(largest_entry(_metallic(ctx, _converted(ctx, -1.0, jp))))
     fhat_plus = gb.blocks(f_plus, 0.0, 0.0, np.swapaxes(f_plus, -1, -2))
     block.append(largest_entry(fhat_plus @ fhat_plus - eye2))
     j_plus_of_fplus = _converted(ctx, 1.0, fhat_plus)
     metallic.append(largest_entry(_metallic(ctx, j_plus_of_fplus)))
-    block.append(largest_entry(j_plus_of_fplus - ctx.gen_at("jm")))
+    block.append(largest_entry(j_plus_of_fplus - jm))
     del j_plus_of_fplus
     expected_mp = gb.blocks(mirror, 0.0, 0.0, np.swapaxes(mirror, -1, -2))
     block.append(largest_entry(_converted(ctx, -1.0, fhat_plus) - expected_mp))
@@ -598,20 +482,16 @@ def _derived_family(ctx: ScenarioContext) -> Measured:
     return Measured(*worst_of(metallic + block, ctx.points), details)
 
 
-def _fhat(ctx: ScenarioContext) -> Measured:
+def _fhat(ctx: ScenarioContext, J, jm) -> Measured:
     # samples where Df = J is singular have no push-forward
-    keep = np.abs(np.linalg.det(ctx.J_at)) >= 1e-12
-    fhat, jm = gb.fhat_matrix(ctx.J_at[keep]), ctx.gen_at("jm")[keep]
+    keep = np.abs(np.linalg.det(J)) >= 1e-12
+    fhat, jm = gb.fhat_matrix(J[keep]), jm[keep]
     return _worst(fhat @ jm - jm @ fhat, ctx.points[keep], informative=_FHAT_INFORMATIVE)
 
 
 # ------------------------------------------------------------------
 # genconn
 # ------------------------------------------------------------------
-
-
-def _scenario_bundle(ctx: ScenarioContext) -> ConnBundle:
-    return ctx.bundle(ctx.gamma_at)
 
 
 def _random_sections(ctx, count, seed_shift):
@@ -626,7 +506,7 @@ def _random_sections(ctx, count, seed_shift):
     return values, partials
 
 
-def _bracket_leibniz(ctx: ScenarioContext) -> np.ndarray:
+def _bracket_leibniz(ctx: ScenarioContext, gamma: np.ndarray) -> np.ndarray:
     """[s, f t] - f [s, t] - X(f) t for pairs of random sections s, t, X the
     vector part of s and f = c0 + c1 . x.
 
@@ -634,7 +514,6 @@ def _bracket_leibniz(ctx: ScenarioContext) -> np.ndarray:
     the same a and b, so [s, t] + [t, s] is exactly 0.0 on any input.
     """
     n, pts = ctx.chart.dim, ctx.points
-    gamma = ctx.gamma_at
     values, partials = _random_sections(ctx, 4, seed_shift=101)
     a, b = np.triu_indices(4, 1)
     s, ds, t, dt = values[:, a], partials[:, a], values[:, b], partials[:, b]
@@ -648,23 +527,32 @@ def _bracket_leibniz(ctx: ScenarioContext) -> np.ndarray:
     return gc.nabla_bracket(gamma, s, ds, ft, dft) - f * st - xf * t
 
 
-def _jm_mixed(ctx: ScenarioContext) -> np.ndarray:
+def _jm_mixed(ctx: ScenarioContext, DJ, nij, J) -> np.ndarray:
     n = ctx.chart.dim
-    DJ = _scenario_bundle(ctx).nabla_J_at
-    gap = _scenario_bundle(ctx).gen_nijenhuis("jm")[:, :, :n, n:].copy()
+    gap = nij[:, :, :n, n:].copy()
     # N(d_i, dx^j) against beta((nabla_{J d_i} J) - (nabla_i J) J) with
     # beta = dx^j: covector_c = J^a_i DJ[a, j, c] - DJ[i, j, s] J^s_c
-    J = ctx.J_at
     along_J = (np.swapaxes(J, -1, -2) @ DJ.reshape(len(J), n, -1)).reshape(DJ.shape)
     gap[:, n:] -= (along_J - DJ @ J[:, None]).transpose(0, 3, 1, 2)
     return gap
 
 
-def _conditions(ctx: ScenarioContext, label: str, kind: str) -> Measured:
+# the arrays of gc.ConditionInputs, in its order
+_CONDITION_READS = (
+    "g",
+    "ginv",
+    "J",
+    "K",
+    *(f"{name}[scenario]" for name in ("nablag", "nablaJ", "nablaK", "torsion")),
+    "NJ",
+)
+
+
+def _conditions(ctx: ScenarioContext, *arrays, label: str, kind: str) -> Measured:
     """The jp or jc integrability ("condition") or torsion-free ("reduced")
     residual list, with the worst entry of each in the details."""
     residuals = getattr(gc, f"{label}_{kind}_residuals")
-    entries = [largest_entry(c) for c in residuals(_scenario_bundle(ctx).condition_inputs)]
+    entries = [largest_entry(c) for c in residuals(gc.ConditionInputs(*arrays))]
     per = [value for value, _ in entries]
     return Measured(*worst_of(entries, ctx.points), {"per_condition": per})
 
@@ -674,56 +562,37 @@ def _conditions(ctx: ScenarioContext, label: str, kind: str) -> Measured:
 # ------------------------------------------------------------------
 
 
-def _karaman_checks(ctx, b: ConnBundle, omega_at: np.ndarray):
-    """Residual arrays for one choice of omega (shared by suite and sweep)."""
-    pts = ctx.points
-    closed = gc.torsion_closed_form_values(ctx.J_at, ctx.params, omega_at)
-    T_at = b.torsion_at
-    J = ctx.J_at[:, None]
-    # T(J d_i, d_j) and T(d_i, J d_j) against J T(d_i, d_j), [m, k, i, j]
-    JT = (ctx.J_at @ T_at.reshape(T_at.shape[:2] + (-1,))).reshape(T_at.shape)
-    lemma1 = np.swapaxes(J, -1, -2) @ T_at - JT
-    lemma2 = T_at @ J - JT
-    phi = gc.phi_of_torsion(T_at, ctx.J_at)
-    return {
-        "dg": b.nabla_g_at,
-        "torsion_gap": T_at - closed,
-        "lemma": np.concatenate(
-            [lemma1.reshape(pts.shape[0], -1), lemma2.reshape(pts.shape[0], -1)], axis=1
-        ),
-        "phi": phi,
-    }
+def _torsion_gap(ctx: ScenarioContext, T, J, omega) -> np.ndarray:
+    return T - gc.torsion_closed_form_values(J, ctx.params, omega)
 
 
-def _karaman_parts(ctx: ScenarioContext) -> dict:
-    b = ctx.bundle(ctx.karaman_gamma_at)
-    return {"dj": b.nabla_J_at, **_karaman_checks(ctx, b, ctx.omega_at)}
+def _torsion_lemma(ctx: ScenarioContext, T, J) -> np.ndarray:
+    """T(J d_i, d_j) and T(d_i, J d_j) against J T(d_i, d_j), [m, k, i, j]."""
+    JT = (J @ T.reshape(T.shape[:2] + (-1,))).reshape(T.shape)
+    lemma1 = np.swapaxes(J[:, None], -1, -2) @ T - JT
+    lemma2 = T @ J[:, None] - JT
+    return np.concatenate([lemma1.reshape(len(J), -1), lemma2.reshape(len(J), -1)], axis=1)
 
 
-def _karaman_part(ctx: ScenarioContext, key: str) -> np.ndarray:
-    return ctx.shared(_karaman_parts)[key]
-
-
-def _omega_sweep(ctx: ScenarioContext) -> Measured:
+def _omega_sweep(ctx: ScenarioContext, g, ginv, J, dg, gamma, Dg, T, nij, jm, djm) -> Measured:
     """The residuals of the sweep for every 1-form, with the worst sample.
 
     Every array the sweep reads is affine in the value of omega at a sample,
     so it vanishes for every 1-form if and only if it vanishes for omega = 0
     and for the n coordinate 1-forms e_k.  omega = 0 makes F = 0, so D is
-    the Levi-Civita connection, whose bundle genconn reads too.
+    the Levi-Civita connection: Dg, T and nij are its arrays, which the
+    other suites read too; for each e_k the sweep builds D and them anew.
     """
     pts = ctx.points
     entries, per_form = [], []
     for k in range(-1, ctx.chart.dim):
-        omega_at = np.zeros_like(pts)
-        if k < 0:
-            b = ctx.bundle(ctx.lc_gamma_at)
-        else:
-            omega_at[:, k] = 1.0
-            F = gc.karaman_connection(ctx.g_at, ctx.ginv_at, ctx.J_at, ctx.params, omega_at)
-            b = ConnBundle(ctx, ctx.lc_gamma_at + F)
-        arrays = [*_karaman_checks(ctx, b, omega_at).values(), b.gen_nijenhuis("jm")]
-        form = [largest_entry(a) for a in arrays]
+        omega = np.zeros_like(pts)
+        if k >= 0:
+            omega[:, k] = 1.0
+            D = _karaman_gamma(ctx, g, ginv, J, omega, gamma)
+            Dg, T, nij = gc.nabla_metric(D, g, dg), gc.torsion(D), gc.gen_nijenhuis(D, jm, djm)
+        gap, lemma = _torsion_gap(ctx, T, J, omega), _torsion_lemma(ctx, T, J)
+        form = [largest_entry(a) for a in (Dg, gap, lemma, gc.phi_of_torsion(T, J), nij)]
         per_form.append(max(value for value, _ in form))
         entries += form
     return Measured(*worst_of(entries, pts), {"per_form_max": per_form})
@@ -734,14 +603,17 @@ def _omega_sweep(ctx: ScenarioContext) -> Measured:
 # ------------------------------------------------------------------
 
 
-_LIFT_VALUES = ("g", "ginv", "J", "gamma")
-
-
-def _lift_inputs(
-    ctx: ScenarioContext, names: tuple = _LIFT_VALUES + ("dg", "dJ", "dgamma", "dginv")
-) -> dict:
-    """The arrays at the base samples that lf.lift takes, by its parameter names."""
-    return {name: getattr(ctx, f"{name}_at") for name in names}
+# the base arrays lf.lift takes, by its parameter names
+_LIFT_BASE = {
+    "g": "g",
+    "ginv": "ginv",
+    "J": "J",
+    "gamma": "gamma[scenario]",
+    "dg": "dg",
+    "dJ": "dJ",
+    "dgamma": "dgamma[scenario]",
+    "dginv": "dginv",
+}
 
 
 def _repeated(values: np.ndarray) -> np.ndarray:
@@ -755,146 +627,126 @@ def _fibre_points(ctx: ScenarioContext) -> np.ndarray:
     return lf.fibre_points(ctx.chart.dim, count, ctx.seed, first)
 
 
-def _lift(ctx: ScenarioContext, flavor: str) -> tuple:
-    """Fibre points y, FIBRE_PER_BASE over each sample, the base values
-    repeated to match, and the lift at the points (x, y)."""
-    y = _fibre_points(ctx)
-    base = {name: _repeated(values) for name, values in _lift_inputs(ctx).items()}
-    return y, base, lf.lift(flavor, y, **base)
-
-
-def _lift_points(ctx: ScenarioContext, flavor: str) -> np.ndarray:
-    return np.hstack([_repeated(ctx.points), ctx.shared(_lift, flavor)[0]])
-
-
-def _lifted_nijenhuis(ctx: ScenarioContext, flavor: str) -> np.ndarray:
-    return lf.nijenhuis_values(ctx.shared(_lift, flavor)[2])
-
-
-# The lifts residuals take (ctx, y, base, lifted, flavor), the shared lift unpacked.
+# The lifts residuals take the arrays they read, then the flavour.
 
 
 def _frame(ctx, lifted):
     return lifted.forward[:, :, : ctx.chart.dim]
 
 
-def _frame_endo(ctx, y, base, lifted, flavor):
+def _frame_endo(ctx, lifted, base, flavor):
     return lf.frame_endo_residuals(lifted.jbar, _frame(ctx, lifted), base["J"], flavor)
 
 
-def _coordinate_endo(ctx, y, base, lifted, flavor):
+def _coordinate_endo(ctx, lifted, base, y, flavor):
     return lf.coordinate_endo_residuals(lifted.jbar, base["J"], base["gamma"], y, flavor)
 
 
-def _metric_frame(ctx, y, base, lifted, flavor):
+def _metric_frame(ctx, lifted, base, flavor):
     frame = _frame(ctx, lifted)
     return lf.frame_metric_residuals(lifted.gbar, frame, base["g"], base["ginv"], flavor)
 
 
-def _metric_coordinate(ctx, y, base, lifted, flavor):
+def _metric_coordinate(ctx, lifted, base, y, flavor):
     g, ginv, gamma = base["g"], base["ginv"], base["gamma"]
     return lf.coordinate_metric_residuals(lifted.gbar, g, ginv, gamma, y, flavor)
 
 
-def _vertical_vertical(ctx, y, base, lifted, flavor):
-    n = ctx.chart.dim
-    return ctx.shared(_lifted_nijenhuis, flavor)[:, :, n:, n:]
-
-
-def _mixed_display(ctx, y, base, lifted, flavor) -> Measured:
-    DJ_at = _repeated(_scenario_bundle(ctx).nabla_J_at)
-    N_at = ctx.shared(_lifted_nijenhuis, flavor)
-    args = (N_at, _frame(ctx, lifted), base["J"], DJ_at, flavor)
+def _mixed_display(ctx, lifted, base, N_at, DJ, points, flavor) -> Measured:
+    args = (N_at, _frame(ctx, lifted), base["J"], _repeated(DJ), flavor)
     details = {}
     if flavor == lf.COTANGENT:
         literal = lf.mixed_display_residual(*args, literal=True)
         details["literal_display_residual"] = largest_entry(literal)[0]
-    return _worst(lf.mixed_display_residual(*args), _lift_points(ctx, flavor), **details)
+    return _worst(lf.mixed_display_residual(*args), points, **details)
 
 
-def _horizontal_display(ctx, y, base, lifted, flavor) -> Measured:
+def _horizontal_display(ctx, lifted, base, y, N_at, NJ, R, points, flavor) -> Measured:
     """N on horizontal pairs against the displayed formula, the displayed
     curvature read in the house convention.  The detail ``curvature``, the
     largest curvature entry, tells a chart that exercises the curvature term
     from a flat one."""
-    gap = lf.horizontal_display_match(
-        ctx.shared(_lifted_nijenhuis, flavor),
-        _frame(ctx, lifted),
-        base["J"],
-        _repeated(ctx.NJ_at),
-        _repeated(ctx.riemann_at),
-        y,
-        ctx.params,
-        flavor,
-    )
-    curvature = largest_entry(ctx.riemann_at)[0]
-    return _worst(gap, _lift_points(ctx, flavor), curvature=curvature)
+    frame = _frame(ctx, lifted)
+    args = (_repeated(NJ), _repeated(R), y, ctx.params, flavor)
+    gap = lf.horizontal_display_match(N_at, frame, base["J"], *args)
+    return _worst(gap, points, curvature=largest_entry(R)[0])
 
 
 def _lift_checks(flavor: str) -> list:
     """The lifts suite of one flavour, at FIBRE_PER_BASE fibre points per sample."""
 
-    def check(name, anchor, residual, tol=GEOMETRIC, gating=True, **merging):
-        def on_lift(ctx):
-            return residual(ctx, *ctx.shared(_lift, flavor), flavor)
-
-        points = partial(_lift_points, flavor=flavor)
+    def check(name, anchor, residual, reads, tol=GEOMETRIC, gating=True):
         cid = f"lifts-{flavor}/{name}"
-        return Check(cid, anchor, on_lift, tol, gating, points=points, **merging)
+        reads = tuple(read.format(flavor) for read in reads)
+        residual = partial(residual, flavor=flavor)
+        return Check(cid, anchor, residual, tol, gating, reads=reads, points="lift_points")
 
     return [
         check(
             "metallic-equation",
             "lifted structure satisfies J^2 = p J + q I",
-            lambda ctx, y, base, lifted, flavor: _metallic(ctx, lifted.jbar),
+            lambda ctx, lifted, flavor: _metallic(ctx, lifted.jbar),
+            ("lift[{}]",),
         ),
         check(
             "compatibility",
             "lifted metric is compatible with the lifted structure",
-            lambda ctx, y, base, lifted, flavor: _skew(lifted.gbar @ lifted.jbar),
+            lambda ctx, lifted, flavor: _skew(lifted.gbar @ lifted.jbar),
+            ("lift[{}]",),
         ),
         check(
             "frame-endo-display",
             "lifted structure acts on the horizontal/vertical frame as displayed",
             _frame_endo,
+            ("lift[{}]", "lift_base"),
         ),
         check(
             "coordinate-endo-display",
             "lifted structure acts on the coordinate fields as displayed",
             _coordinate_endo,
+            ("lift[{}]", "lift_base", "fibre"),
         ),
         check(
             "metric-frame-components",
             "lifted metric has the displayed frame components",
             _metric_frame,
+            ("lift[{}]", "lift_base"),
         ),
         check(
             "metric-coordinate-displays",
             "corrected reading of the coordinate metric displays (informative)",
             _metric_coordinate,
+            ("lift[{}]", "lift_base", "fibre"),
             gating=False,
         ),
         check(
             "nijenhuis-vertical-vertical",
             "N vanishes on pairs of vertical fields",
-            _vertical_vertical,
+            lambda ctx, N_at, flavor: N_at[:, :, ctx.chart.dim :, ctx.chart.dim :],
+            ("lift_nij[{}]",),
         ),
         check(
             "nijenhuis-mixed-display",
             "N on horizontal/vertical pairs matches the displayed formula",
             _mixed_display,
+            ("lift[{}]", "lift_base", "lift_nij[{}]", "nablaJ[scenario]", "lift_points"),
         ),
         check(
             "nijenhuis-horizontal-display",
             "N on horizontal pairs matches the displayed curvature formula, "
             "its R^l_(a b c) read as the house R^l_(a b c)",
             _horizontal_display,
+            (
+                *("lift[{}]", "lift_base", "fibre", "lift_nij[{}]"),
+                *("NJ", "riemann[scenario]", "lift_points"),
+            ),
             TOL_CURVATURE_DISPLAY,
         ),
         check(
             "nijenhuis-vanishes",
             "the lifted structure is integrable (N = 0)",
-            lambda ctx, y, base, lifted, flavor: ctx.shared(_lifted_nijenhuis, flavor),
+            lambda ctx, N_at, flavor: N_at,
+            ("lift_nij[{}]",),
         ),
     ]
 
@@ -912,20 +764,19 @@ def _commutation_fibre(ctx: ScenarioContext) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=ctx.points.shape)
 
 
-def _commutation_lifts(ctx: ScenarioContext):
+def _commutation_lifts(ctx: ScenarioContext, g, ginv, J, gamma):
     """The tangent lift at random fibre points y over the samples, the
-    cotangent lift at the matching eta = g y, and the points (x, y)."""
+    cotangent lift at the matching eta = g y, and the points (x, y).  The
+    intertwining reads no partials of the lifts: it declares none."""
     yv = _commutation_fibre(ctx)
-    eta = np.einsum("mij,mj->mi", ctx.g_at, yv)
-    # the intertwining reads no partials of the lifts: dJ, d2g and dGamma stay unevaluated
-    inputs = _lift_inputs(ctx, _LIFT_VALUES)
-    tangent = lf.lift(lf.TANGENT, yv, **inputs)
-    cotangent = lf.lift(lf.COTANGENT, eta, **inputs)
+    eta = np.einsum("mij,mj->mi", g, yv)
+    tangent = lf.lift(lf.TANGENT, yv, g, ginv, J, gamma)
+    cotangent = lf.lift(lf.COTANGENT, eta, g, ginv, J, gamma)
     return tangent, cotangent, np.hstack([ctx.points, yv])
 
 
-def _commutation(ctx: ScenarioContext) -> Measured:
-    tangent, cotangent, points = _commutation_lifts(ctx)
+def _commutation(ctx: ScenarioContext, *arrays) -> Measured:
+    tangent, cotangent, points = _commutation_lifts(ctx, *arrays)
     res = lf.commutation_residual(tangent.forward, cotangent.backward, tangent.jbar, cotangent.jbar)
     return _worst(res, points)
 
@@ -940,72 +791,89 @@ CHECKS = (
         "metric is symmetric positive definite at samples",
         _metric_spd,
         TOL_COUNT,
+        reads=("g",),
         merge={"min_eigenvalue": _min},
     ),
     Check(
         "core/metallic-equation",
         "J^2 = p J + q I",
-        lambda ctx: ctx.K_at - ctx.params.p * ctx.J_at - ctx.params.q * np.eye(ctx.chart.dim),
+        lambda ctx, K, J: K - ctx.params.p * J - ctx.params.q * np.eye(ctx.chart.dim),
         TOL_ALGEBRAIC,
+        reads=("K", "J"),
     ),
     Check(
         "core/compatibility",
         "g(JX,Y) = g(X,JY)",
-        lambda ctx: _skew(ctx.g_at @ ctx.J_at),
+        lambda ctx, g, J: _skew(g @ J),
         TOL_ALGEBRAIC,
+        reads=("g", "J"),
     ),
     Check(
         "core/levi-civita-metric-parallel",
         "nabla g = 0 for the Levi-Civita connection (Koszul)",
-        lambda ctx: ctx.bundle(ctx.lc_gamma_at).nabla_g_at,
+        _same,
+        reads=("nablag[lc]",),
     ),
-    Check("core/bianchi-first", "R^l_(ijk) + R^l_(jki) + R^l_(kij) = 0 (torsion-free)", _bianchi),
+    Check(
+        "core/bianchi-first",
+        "R^l_(ijk) + R^l_(jki) + R^l_(kij) = 0 (torsion-free)",
+        _bianchi,
+        reads=("riemann[lc]",),
+    ),
     Check(
         "core/locally-metallic",
         "nabla J = 0 for the Levi-Civita connection",
-        lambda ctx: ctx.bundle(ctx.lc_gamma_at).nabla_J_at,
+        _same,
+        reads=("nablaJ[lc]",),
     ),
     Check(
         "core/nijenhuis-covariant-identity",
         "bracket N_J equals its covariant expansion plus Phi(T)",
-        lambda ctx: _nijenhuis_identity(ctx, ctx.gamma_at),
+        _nijenhuis_identity,
         TOL_NIJ_IDENTITY,
+        reads=("nablaJ[scenario]", "torsion[scenario]", "J", "NJ"),
     ),
     Check(
         "genbundle/jm-ghat-symmetric",
         "ghat Jm is symmetric",
-        lambda ctx: _skew(ctx.gen_at("ghat") @ ctx.gen_at("jm")),
+        lambda ctx, ghat, jm: _skew(ghat @ jm),
         TOL_ALGEBRAIC,
+        reads=("gen[ghat]", "gen[jm]"),
     ),
     Check(
         "genbundle/jm-metallic",
         "Jm^2 = p Jm + q I",
-        lambda ctx: _metallic(ctx, ctx.gen_at("jm")),
+        _metallic,
         TOL_ALGEBRAIC,
+        reads=("gen[jm]",),
     ),
     Check(
         "genbundle/jp-squares-to-identity",
         "Jp^2 = I",
-        lambda ctx: ctx.gen_at("jp") @ ctx.gen_at("jp") - _eye2(ctx),
+        lambda ctx, jp: jp @ jp - _eye2(ctx),
         TOL_ALGEBRAIC,
+        reads=("gen[jp]",),
     ),
     Check(
         "genbundle/jc-squares-to-minus-identity",
         "Jc^2 = -I",
-        lambda ctx: ctx.gen_at("jc") @ ctx.gen_at("jc") + _eye2(ctx),
+        lambda ctx, jc: jc @ jc + _eye2(ctx),
         TOL_ALGEBRAIC,
+        reads=("gen[jc]",),
     ),
     Check(
         "genbundle/jc-jp-anticommute",
         "Jc Jp = -Jp Jc",
-        lambda ctx: ctx.gen_at("jc") @ ctx.gen_at("jp") + ctx.gen_at("jp") @ ctx.gen_at("jc"),
+        lambda ctx, jc, jp: jc @ jp + jp @ jc,
         TOL_ALGEBRAIC,
+        reads=("gen[jc]", "gen[jp]"),
     ),
     Check(
         "genbundle/neutral-signature",
         "G(s,t) = (s, Jp t) has signature (n, n)",
         _neutral_signature,
         TOL_COUNT,
+        reads=("jp_eigenvalues",),
         merge={"residual": operator.add, "signature": _last},
     ),
     Check(
@@ -1013,6 +881,7 @@ CHECKS = (
         "Jp anti-pseudo-calibrated; Jc calibrated for the natural pairing",
         _calibration,
         TOL_ALGEBRAIC,
+        reads=("gen[jp]", "gen[jc]", "jp_eigenvalues"),
     ),
     Check(
         "genbundle/derived-family",
@@ -1021,6 +890,7 @@ CHECKS = (
         _derived_family,
         TOL_ALGEBRAIC,
         applies=_real_roots,
+        reads=("f_plus", "J", "gen[jp]", "ginv", "gen[jm]"),
     ),
     Check(
         "genbundle/fhat-with-df-equal-j",
@@ -1029,6 +899,7 @@ CHECKS = (
         TOL_ALGEBRAIC,
         gating=False,
         applies=_invertible,
+        reads=("J", "gen[jm]"),
         merge={"informative": _last},
     ),
     Check(
@@ -1036,18 +907,21 @@ CHECKS = (
         "[s, f t] = f [s, t] + X(f) t for the connection bracket; "
         "[s, t] = -[t, s] holds exactly by construction and is not checked",
         _bracket_leibniz,
+        reads=("gamma[scenario]",),
     ),
     Check(
         "genconn/jm-gen-nijenhuis-mixed-identity",
         "N(X, beta) equals beta((nabla_{JX}J) - (nabla_X J)J)",
         _jm_mixed,
         TOL_NIJ_IDENTITY,
+        reads=("nablaJ[scenario]", "gen_nij[scenario,jm]", "J"),
     ),
     *(
         Check(
             f"genconn/{label}-gen-nijenhuis",
             f"generalized Nijenhuis tensor of {label} vanishes on basis sections",
-            lambda ctx, label=label: _scenario_bundle(ctx).gen_nijenhuis(label),
+            _same,
+            reads=(f"gen_nij[scenario,{label}]",),
         )
         for label in ("jm", "jp", "jc")
     ),
@@ -1055,7 +929,8 @@ CHECKS = (
         Check(
             f"genconn/{label}-integrability-conditions",
             f"the six displayed integrability conditions for {label}",
-            lambda ctx, label=label: _conditions(ctx, label, "condition"),
+            partial(_conditions, label=label, kind="condition"),
+            reads=_CONDITION_READS,
         )
         for label in ("jp", "jc")
     ),
@@ -1063,56 +938,82 @@ CHECKS = (
         Check(
             f"genconn/{label}-reduced-conditions",
             f"torsion-free reduction of the {label} conditions (informative)",
-            lambda ctx, label=label: _conditions(ctx, label, "reduced"),
+            partial(_conditions, label=label, kind="reduced"),
             gating=False,
+            reads=_CONDITION_READS,
         )
         for label in ("jp", "jc")
     ),
     Check(
         "genconn/covariant-nijenhuis-identity-levi-civita",
         "N_J expansion holds for the Levi-Civita connection",
-        lambda ctx: _nijenhuis_identity(ctx, ctx.lc_gamma_at),
+        _nijenhuis_identity,
         TOL_NIJ_IDENTITY,
+        reads=("nablaJ[lc]", "torsion[lc]", "J", "NJ"),
     ),
     Check(
         "genconn/covariant-nijenhuis-identity-karaman",
         "N_J expansion holds for the semi-symmetric metric connection",
-        lambda ctx: _nijenhuis_identity(ctx, ctx.karaman_gamma_at),
+        _nijenhuis_identity,
         TOL_NIJ_IDENTITY,
         applies=_has_karaman,
+        reads=("nablaJ[karaman]", "torsion[karaman]", "J", "NJ"),
     ),
     Check(
         "genconn/dhat-jm",
         "Dhat Jm = 0 (tracks nabla J = 0)",
-        lambda ctx: _dhat(ctx, ctx.gamma_at, "jm"),
+        partial(_dhat, label="jm"),
+        reads=("gamma[scenario]", "gen[jm]", "gen_jet[jm]"),
     ),
     Check(
         "genconn/dhat-ghat",
         "Dhat ghat = 0 (tracks nabla g = 0)",
-        lambda ctx: _dhat(ctx, ctx.gamma_at, "ghat"),
+        partial(_dhat, label="ghat"),
+        reads=("gamma[scenario]", "gen[ghat]", "gen_jet[ghat]"),
     ),
     *(
-        Check(f"karaman/{name}", anchor, partial(_karaman_part, key=key), applies=_has_karaman)
-        for key, name, anchor in (
-            ("dg", "metric-parallel", "D g = 0 for every 1-form"),
-            ("dj", "endo-parallel", "D J = 0 on a locally decomposable base"),
-            ("torsion_gap", "torsion-closed-form", "T^D matches its closed form in omega and J"),
-            ("lemma", "torsion-j-commutation", "T^D(JX,Y) = J T^D(X,Y) = T^D(X,JY)"),
-            ("phi", "phi-torsion-vanishes", "Phi(T^D) = 0"),
+        Check(f"karaman/{name}", anchor, residual, applies=_has_karaman, reads=reads)
+        for name, anchor, residual, reads in (
+            ("metric-parallel", "D g = 0 for every 1-form", _same, ("nablag[karaman]",)),
+            (
+                "endo-parallel",
+                "D J = 0 on a locally decomposable base",
+                _same,
+                ("nablaJ[karaman]",),
+            ),
+            (
+                "torsion-closed-form",
+                "T^D matches its closed form in omega and J",
+                _torsion_gap,
+                ("torsion[karaman]", "J", "omega"),
+            ),
+            (
+                "torsion-j-commutation",
+                "T^D(JX,Y) = J T^D(X,Y) = T^D(X,JY)",
+                _torsion_lemma,
+                ("torsion[karaman]", "J"),
+            ),
+            (
+                "phi-torsion-vanishes",
+                "Phi(T^D) = 0",
+                lambda ctx, T, J: gc.phi_of_torsion(T, J),
+                ("torsion[karaman]", "J"),
+            ),
+            (
+                "jm-d-integrable",
+                "the generalized Nijenhuis tensor of Jm vanishes for D",
+                _same,
+                ("gen_nij[karaman,jm]",),
+            ),
         )
-    ),
-    Check(
-        "karaman/jm-d-integrable",
-        "the generalized Nijenhuis tensor of Jm vanishes for D",
-        lambda ctx: ctx.bundle(ctx.karaman_gamma_at).gen_nijenhuis("jm"),
-        applies=_has_karaman,
     ),
     *(
         Check(
             f"karaman/dhat-{label}-parallel",
             f"Dhat {label} = 0 for the semi-symmetric connection",
-            lambda ctx, label=label: _dhat(ctx, ctx.karaman_gamma_at, label),
+            partial(_dhat, label=label),
             applies=_has_karaman,
+            reads=("gamma[karaman]", f"gen[{label}]", f"gen_jet[{label}]"),
         )
         for label in ("jm", "jp", "jc", "ghat")
     ),
@@ -1122,6 +1023,10 @@ CHECKS = (
         "T^D closed form, the torsion commutation, Phi(T^D) = 0 and D-integrability of Jm",
         _omega_sweep,
         applies=_has_karaman,
+        reads=(
+            *("g", "ginv", "J", "dg", "gamma[lc]"),
+            *("nablag[lc]", "torsion[lc]", "gen_nij[lc,jm]", "gen[jm]", "gen_jet[jm]"),
+        ),
     ),
     *_lift_checks(lf.TANGENT),
     *_lift_checks(lf.COTANGENT),
@@ -1129,10 +1034,88 @@ CHECKS = (
         "commutation/jm-lift-intertwine",
         "the tangent and cotangent lifts are intertwined by Psi Phi^{-1}",
         _commutation,
+        reads=("g", "ginv", "J", "gamma[scenario]"),
     ),
 )
 
 KNOWN_SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
+
+_CONNECTIONS = ("lc", "scenario", "karaman")
+
+# Every named array once: name -> (producer, the names it reads).  A
+# producer takes the context and those arrays, in that order.
+ARRAYS = {
+    "points": (lambda ctx: ctx.points, ()),
+    **{
+        name: (partial(_leaf, field=field, order=order), ())
+        for name, field, order in (
+            ("g", "metric", 0),
+            ("dg", "metric", 1),
+            ("d2g", "metric", 2),
+            ("J", "J", 0),
+            ("dJ", "J", 1),
+            ("omega", "omega", 0),
+            ("gamma[scenario]", "connection", 0),
+            ("dgamma[scenario]", "connection", 1),
+        )
+    },
+    "K": (lambda ctx, J: J @ J, ("J",)),
+    "dK": (lambda ctx, J, dJ: dJ @ J[:, None] + J[:, None] @ dJ, ("J", "dJ")),
+    "ginv": (lambda ctx, g: gb.metric_inverse(g, ctx.points), ("g",)),
+    "dginv": (lambda ctx, ginv, dg: -(ginv[:, None] @ dg @ ginv[:, None]), ("ginv", "dg")),
+    "NJ": (lambda ctx, J, dJ: ch.nijenhuis(J, dJ), ("J", "dJ")),
+    "gamma[lc]": (lambda ctx, ginv, dg: ch.christoffel(ginv, dg), ("ginv", "dg")),
+    "dgamma[lc]": (_lc_dgamma, ("d2g", "dg", "gamma[lc]", "ginv")),
+    "gamma[karaman]": (_karaman_gamma, ("g", "ginv", "J", "omega", "gamma[lc]")),
+    **{
+        f"riemann[{c}]": (lambda ctx, *a: ch.riemann(*a), (f"gamma[{c}]", f"dgamma[{c}]"))
+        for c in ("lc", "scenario")
+    },
+    **{
+        f"{name}[{c}]": (make, (f"gamma[{c}]", *reads))
+        for c in _CONNECTIONS
+        for name, make, reads in (
+            ("nablaJ", lambda ctx, *a: gc.nabla_endo(*a), ("J", "dJ")),
+            ("nablag", lambda ctx, *a: gc.nabla_metric(*a), ("g", "dg")),
+            ("nablaK", lambda ctx, *a: gc.nabla_endo(*a), ("K", "dK")),
+            ("torsion", lambda ctx, gamma: gc.torsion(gamma), ()),
+        )
+    },
+    "gen[jm]": (_diagonal, ("J",)),
+    "gen_jet[jm]": (_diagonal, ("dJ",)),
+    "gen[ghat]": (_diagonal, ("g", "ginv")),
+    "gen_jet[ghat]": (_diagonal, ("dg", "dginv")),
+    **{f"gen[{s}]": (partial(_gen, label=s), ("J", "g", "K", "ginv")) for s in _SHARP_SIGN},
+    **{
+        f"gen_jet[{s}]": (partial(_gen_jet, label=s), ("dJ", "dg", "K", "dginv", "dK", "ginv"))
+        for s in _SHARP_SIGN
+    },
+    **{
+        f"gen_nij[{c},{s}]": (
+            lambda ctx, *a: gc.gen_nijenhuis(*a),
+            (f"gamma[{c}]", f"gen[{s}]", f"gen_jet[{s}]"),
+        )
+        for c in _CONNECTIONS
+        for s in ("jm", "jp", "jc")
+    },
+    "jp_eigenvalues": (lambda ctx, jp: gb.pairing_eigenvalues(jp), ("gen[jp]",)),
+    "f_plus": (_f_plus, ("g", "J")),
+    # the lifts: FIBRE_PER_BASE fibre points over each sample, shared by both flavours
+    "fibre": (_fibre_points, ()),
+    "lift_points": (lambda ctx, y: np.hstack([_repeated(ctx.points), y]), ("fibre",)),
+    "lift_base": (
+        lambda ctx, *a: dict(zip(_LIFT_BASE, map(_repeated, a))),
+        tuple(_LIFT_BASE.values()),
+    ),
+    **{
+        f"lift[{f}]": (lambda ctx, y, base, f=f: lf.lift(f, y, **base), ("fibre", "lift_base"))
+        for f in (lf.TANGENT, lf.COTANGENT)
+    },
+    **{
+        f"lift_nij[{f}]": (lambda ctx, lifted: lf.nijenhuis_values(lifted), (f"lift[{f}]",))
+        for f in (lf.TANGENT, lf.COTANGENT)
+    },
+}
 
 # suite name -> callable(ctx, checks) -> [(Check, Measured)] over the context's
 # samples; one entry per suite, so each suite's time can be measured apart
@@ -1175,9 +1158,10 @@ def run_suites(
     listed in ``controls_not_run`` and do not gate.
 
     Every check is pointwise, so the suites run on each chunk of the samples
-    in turn (see _chunk_length), each in a context of its own index range,
-    and each check's results are folded by its merge rules (see _fold): the
-    report is the one a single chunk gives.
+    in turn (see _chunk_length), each in a context of its own index range
+    that drops each array after its last reader (see _plan), and each
+    check's results are folded by its merge rules (see _fold): the report is
+    the one a single chunk gives.
     The overrides obey the rules of the scenario file's fields, so the CLI
     flags that set them do too; a bad one is a ValidationError.
     """
@@ -1196,12 +1180,13 @@ def run_suites(
             raise ValidationError(
                 f"suite {suite!r} declares no check for scenario {scenario.name!r}"
             )
+    plan = _plan(scenario, declared)
     length = _chunk_length(scenario.chart.dim)
     folded = None
     for start in range(0, samples, length):
         ctx = ScenarioContext(scenario, min(length, samples - start), seed, first=start)
         measured = [
-            pair for suite in selected for pair in _SUITE_FUNCS[suite](ctx, declared[suite])
+            pair for suite in selected for pair in _SUITE_FUNCS[suite](ctx, plan[suite])
         ]
         if folded is None:
             folded = measured

@@ -7,6 +7,7 @@ from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab.metallic import MetallicParams, from_projection
 from metalliclab.scenario import ChartScenario, load_scenario
+from metalliclab import suites
 from metalliclab.suites import ScenarioContext, run_suites
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -55,15 +56,33 @@ def field_context(c, g, J, pts, params=MetallicParams(1.0, 1.0), omega=None, con
 def pair_context(g, J, params=MetallicParams(1.0, 1.0)):
     """A run context whose g and J at its samples are the pointwise pairs
     ``g`` and ``J``, one (n, n) matrix or a stack (m, n, n) each, so that the
-    generalized structures are the ones a run builds (``gen_at``)."""
+    generalized structures are the ones a run builds (``gen[...]``)."""
     n = np.shape(g)[-1]
     g, J = np.reshape(g, (-1, n, n)).astype(float), np.reshape(J, (-1, n, n)).astype(float)
     c = ch.Chart(tuple(f"x{i + 1}" for i in range(n)), ((0.0, 1.0),) * n)
     eye = ch.constant_matrix(np.eye(n))
     pts = c.sample_points(len(g))
     ctx = field_context(c, eye, eye, pts, params)
-    ctx.g_at, ctx.J_at = g, J
+    ctx["g"], ctx["J"] = g, J
     return ctx
+
+
+def gen_jet(ctx, label):
+    """The values and first partials [m, k, 2n, 2n] of the generalized
+    structure ``label`` ("jm", "jp", "jc" or "ghat") of a run context."""
+    return ctx[f"gen[{label}]"], ctx[f"gen_jet[{label}]"]
+
+
+def transitive_reads(scenario, check):
+    """The arrays a check of a run over ``scenario`` declares, its points
+    included, and every array their producers read, transitively."""
+    found, pending = set(), [*check.reads, check.points]
+    while pending:
+        name = pending.pop()
+        if name not in found:
+            found.add(name)
+            pending += suites._producer(scenario, name)[1]
+    return found
 
 
 def dense_metric(n, seed=0):

@@ -69,7 +69,7 @@ def test_criterion_02_structure_identities(random_pair_sweep):
     worst = 0.0
     for n, ctx in contexts:
         eye = np.eye(2 * n)
-        jm, jp, jc = (ctx.gen_at(label) for label in ("jm", "jp", "jc"))
+        jm, jp, jc = (ctx[f"gen[{label}]"] for label in ("jm", "jp", "jc"))
         worst = max(
             worst,
             np.abs(jm @ jm - params.p * jm - params.q * eye).max(),
@@ -88,7 +88,7 @@ def test_criterion_03_neutral_signature(random_pair_sweep):
     _, contexts = random_pair_sweep
     ok = True
     for n, ctx in contexts:
-        n_plus, n_minus = gb.neutral_signature(gb.pairing_eigenvalues(ctx.gen_at("jp")))
+        n_plus, n_minus = gb.neutral_signature(gb.pairing_eigenvalues(ctx["gen[jp]"]))
         ok = ok and bool(((n_plus == n) & (n_minus == n)).all())
     _line(3, ok, "signature of G is exactly (n, n) on every generated pair")
 
@@ -106,7 +106,7 @@ def test_criterion_04_calibration(random_pair_sweep):
         # the natural pairing (X + a, Y + b) = -(a(Y) - b(X)) / 2
         M = np.zeros((2 * n, 2 * n))
         M[:n, n:], M[n:, :n] = 0.5 * np.eye(n), -0.5 * np.eye(n)
-        jp, jc = ctx.gen_at("jp"), ctx.gen_at("jc")
+        jp, jc = ctx["gen[jp]"], ctx["gen[jc]"]
         anti = np.abs(np.swapaxes(jp, -1, -2) @ M @ jp + M).max()
         invariance = np.abs(np.swapaxes(jc, -1, -2) @ M @ jc - M).max()
         measured = suites._evaluate(check, ctx)
@@ -232,10 +232,10 @@ def _readings(name, flavor):
     """The readings of the displayed curvature that match at the lifted samples
     of the scenario's run (helpers.matching_readings)."""
     ctx = ScenarioContext(load_scenario(scenario_path(name)))
-    y, base, lifted = suites._lift(ctx, flavor)
+    y, base, lifted = ctx["fibre"], ctx["lift_base"], ctx[f"lift[{flavor}]"]
     n = ctx.chart.dim
     N, frame = lf.nijenhuis_values(lifted), lifted.forward[:, :, :n]
-    NJ, R = suites._repeated(ctx.NJ_at), suites._repeated(ctx.riemann_at)
+    NJ, R = suites._repeated(ctx["NJ"]), suites._repeated(ctx["riemann[scenario]"])
     p, q = ctx.params.p, ctx.params.q
     return matching_readings(N, frame, base["J"], NJ, R, y, p, q, flavor == lf.TANGENT)[1]
 

@@ -27,7 +27,7 @@ def make_chart(seed=3):
 def levi_civita(c, g, pts):
     """Gamma and its partials [m, a, k, i, j] of the metric field at the points."""
     ctx = field_context(c, g, None, pts)
-    return ctx.lc_gamma_at, ctx.lc_dgamma_at
+    return ctx["gamma[lc]"], ctx["dgamma[lc]"]
 
 
 def gamma_function(c, g):
@@ -188,7 +188,7 @@ def test_first_bianchi_identity(sphere_chart, sphere_metric):
 
 def test_levi_civita_is_metric_parallel(sphere_chart, sphere_metric):
     ctx = field_context(sphere_chart, sphere_metric, None, sphere_chart.sample_points(16))
-    values = gc.nabla_metric(ctx.lc_gamma_at, ctx.g_at, ctx.dg_at)
+    values = gc.nabla_metric(ctx["gamma[lc]"], ctx["g"], ctx["dg"])
     assert np.abs(values).max() < 1e-9
 
 
@@ -289,8 +289,8 @@ def test_inverse_metric_of_a_dense_metric():
         ],
     )
     ctx = field_context(c, g, None, c.sample_points(12))
-    assert np.abs(ctx.g_at @ ctx.ginv_at - np.eye(3)).max() < 1e-12
-    assert np.abs(ctx.ginv_at - np.swapaxes(ctx.ginv_at, -1, -2)).max() < 1e-15
+    assert np.abs(ctx["g"] @ ctx["ginv"] - np.eye(3)).max() < 1e-12
+    assert np.abs(ctx["ginv"] - np.swapaxes(ctx["ginv"], -1, -2)).max() < 1e-15
 
 
 def test_christoffel_fd_oracle_in_dimension_four():
@@ -308,7 +308,7 @@ def test_christoffel_fd_oracle_in_dimension_four():
         assert np.abs(got - fd_christoffel(g, p)).max() < 1e-7
     # Levi-Civita stays metric-parallel through the numeric inverse
     ctx = field_context(c, g, None, c.sample_points(8))
-    assert np.abs(gc.nabla_metric(ctx.lc_gamma_at, ctx.g_at, ctx.dg_at)).max() < 1e-12
+    assert np.abs(gc.nabla_metric(ctx["gamma[lc]"], ctx["g"], ctx["dg"])).max() < 1e-12
 
 
 def test_inverse_metric_dimension_six():
@@ -319,7 +319,7 @@ def test_inverse_metric_dimension_six():
     entries[2][3] = entries[3][2] = "x5/5"
     entries[4][5] = entries[5][4] = "x1*x2/6"
     ctx = field_context(c, exprs(c, entries), None, c.sample_points(6))
-    assert np.abs(ctx.g_at @ ctx.ginv_at - np.eye(6)).max() < 1e-12
+    assert np.abs(ctx["g"] @ ctx["ginv"] - np.eye(6)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

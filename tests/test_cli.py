@@ -407,10 +407,11 @@ def test_non_finite_metric_entry_is_an_input_error(tmp_path, capsys):
 def test_out_of_memory_in_a_suite_becomes_a_failed_check(monkeypatch):
     # a MemoryError in one context input fails each check that reads it under
     # the check's own id; the suite's other checks and later suites still run
-    def exhausted(ctx):
+    def exhausted(ctx, *arrays):
         raise MemoryError
 
-    monkeypatch.setattr(suites_module.ScenarioContext, "lc_gamma_at", property(exhausted))
+    reads = suites_module.ARRAYS["gamma[lc]"][1]
+    monkeypatch.setitem(suites_module.ARRAYS, "gamma[lc]", (exhausted, reads))
     scenario = load_scenario(scenario_path("flat-golden"))
     report = run_suites(scenario, suites=["core", "genbundle"])
     ids = [check.check_id for check in report.checks]

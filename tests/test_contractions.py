@@ -179,19 +179,25 @@ def test_a_commutation_run_evaluates_no_second_partials(monkeypatch):
     # connection) stay unbuilt, and handing the lifts every partial changes nothing
     scenario = load_scenario(scenario_path("warped-mixing"))
     built = []
-    for name in ("lc_dgamma_at", "dgamma_at"):
-        prop = getattr(suites.ScenarioContext, name)
+    missing = suites.ScenarioContext.__missing__
 
-        def recorded(ctx, name=name, prop=prop):
-            built.append(name)
-            return prop.func(ctx)
+    def recorded(ctx, name):
+        built.append(name)
+        return missing(ctx, name)
 
-        monkeypatch.setattr(suites.ScenarioContext, name, property(recorded))
+    monkeypatch.setattr(suites.ScenarioContext, "__missing__", recorded)
     report = run_suites(scenario, suites=["commutation"])
-    assert built == []
+    assert not {"d2g", "dgamma[lc]", "dgamma[scenario]"} & set(built)
     assert report.checks[0].passed
-    lift_inputs = suites._lift_inputs
-    monkeypatch.setattr(suites, "_lift_inputs", lambda ctx, names=None: lift_inputs(ctx))
+    lift = lf.lift
+
+    def every_partial(flavor, y, g, ginv, J, gamma):
+        # the run is one chunk: the scenario's declared samples
+        ctx = suites.ScenarioContext(scenario)
+        partials = [ctx[name] for name in ("dg", "dJ", "dgamma[scenario]", "dginv")]
+        return lift(flavor, y, g, ginv, J, gamma, *partials)
+
+    monkeypatch.setattr(lf, "lift", every_partial)
     forced = run_suites(scenario, suites=["commutation"])
-    assert "dgamma_at" in built
+    assert "dgamma[scenario]" in built
     assert report.to_json() == forced.to_json()

@@ -9,7 +9,7 @@ import pytest
 from metalliclab import expr as ex
 from metalliclab.errors import DomainError, ParseError
 from metalliclab.scenario import load_scenario
-from metalliclab.suites import ConnBundle, ScenarioContext, run_suites
+from metalliclab.suites import ScenarioContext, run_suites
 
 from conftest import CORPUS, scenario_path
 from helpers import evaluate, fd_gradient
@@ -210,8 +210,9 @@ def test_signed_zero_is_its_own_node():
 
 
 def test_a_run_builds_no_node(monkeypatch):
-    # the partials of the leaf fields are built at load, so a run only
-    # evaluates nodes, whatever its suites and chunks
+    # the fields are parsed at load, and a run computes their partials per
+    # chunk as arrays (expr.differentiate's jets), so it only evaluates
+    # nodes, whatever its suites and chunks
     built = []
     for cls in (ex.Const, ex.Coord, ex.Neg, ex.Bin, ex.Func):
         init = cls.__init__
@@ -256,5 +257,5 @@ def test_a_run_leaves_no_reference_cycles_behind():
         gc.set_debug(debug)
         if enabled:
             gc.enable()
-    assert not [k for k in kinds if issubclass(k, (ScenarioContext, ConnBundle, ex.Expr))]
+    assert not [k for k in kinds if issubclass(k, (ScenarioContext, ex.Expr))]
     assert types.FunctionType not in kinds

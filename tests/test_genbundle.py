@@ -11,7 +11,15 @@ from metalliclab.errors import DegenerateForm, DomainError
 from metalliclab.metallic import MetallicParams
 from metalliclab.scenario import load_scenario
 
-from conftest import dense_metric, exprs, field_context, pair_context, scenario_path
+from conftest import (
+    dense_metric,
+    exprs,
+    field_context,
+    gen_jet,
+    pair_context,
+    scenario_path,
+    transitive_reads,
+)
 from helpers import fd_partial, random_compatible_pair, signature_by_congruence
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -35,7 +43,7 @@ JP_GOLDEN = np.array(
 
 def _gen(label, g, J):
     """The structure ``label`` of one pointwise pair, as a run builds it."""
-    return pair_context(g, J).gen_at(label)[0]
+    return pair_context(g, J)[f"gen[{label}]"][0]
 
 
 def _measured(cid, ctx):
@@ -104,7 +112,7 @@ def test_structure_identities_on_random_pairs():
     for n in (2, 3, 4):
         ctx = pair_context(*_compatible_stack(rng, n, 100))
         eye = np.eye(2 * n)
-        jm, jp, jc, ghat = (ctx.gen_at(label) for label in ("jm", "jp", "jc", "ghat"))
+        jm, jp, jc, ghat = (ctx[f"gen[{label}]"] for label in ("jm", "jp", "jc", "ghat"))
         assert np.abs(jm @ jm - PARAMS.p * jm - PARAMS.q * eye).max() < 1e-10
         assert np.abs(jp @ jp - eye).max() < 1e-10
         assert np.abs(jc @ jc + eye).max() < 1e-10
@@ -201,8 +209,7 @@ def test_neutral_metric_signature():
 
 def _with_structure(ctx, label, values):
     """``ctx`` with ``values`` in place of its generalized structure ``label``."""
-    ctx.gen_at(label)
-    ctx._gen_at[label] = values
+    ctx[f"gen[{label}]"] = values
     return ctx
 
 
@@ -210,9 +217,9 @@ def test_calibration_checks():
     cid = "genbundle/calibration"
     ctx = pair_context(G2, J2)
     assert _measured(cid, ctx).residual < 1e-12
-    assert gb.pairing_eigenvalues(ctx.gen_at("jc")).min() > 0.0
+    assert gb.pairing_eigenvalues(ctx["gen[jc]"]).min() > 0.0
     # the generalized metallic structure is NOT pairing-invariant
-    measured = _measured(cid, _with_structure(ctx, "jc", ctx.gen_at("jm")))
+    measured = _measured(cid, _with_structure(ctx, "jc", ctx["gen[jm]"]))
     assert measured.residual > suites.TOL_ALGEBRAIC
     assert measured.details["jc_invariance"] == measured.residual
     assert measured.details["jp_anti_invariance"] < 1e-12
@@ -287,8 +294,8 @@ def test_positive_definiteness_matches_the_eigenvalues_at_every_sample(smallest)
 def test_the_form_of_jm_at_one_sample_is_not_positive_definite():
     rng = np.random.default_rng(13)
     ctx = pair_context(*_compatible_stack(rng, 3, 6))
-    ops = ctx.gen_at("jc").copy()
-    ops[4] = ctx.gen_at("jm")[4]
+    ops = ctx["gen[jc]"].copy()
+    ops[4] = ctx["gen[jm]"][4]
     forms = gb.pairing_matrix(3) @ ops
     forms = 0.5 * (forms + np.swapaxes(forms, -1, -2))
     expected = _eigen_verdict(forms, 1e-10)
@@ -312,14 +319,14 @@ def test_calibration_names_the_sample_whose_form_is_not_positive_definite(monkey
     pairs = _compatible_stack(np.random.default_rng(15), 2, 5)
     ctx = pair_context(*pairs)
     assert _measured(cid, ctx).residual <= suites.TOL_ALGEBRAIC
-    ops = ctx.gen_at("jc").copy()
+    ops = ctx["gen[jc]"].copy()
     ops[3] = -ops[3]
     measured = _measured(cid, _with_structure(ctx, "jc", ops))
     assert measured.residual == 2e-10 and measured.witness == tuple(ctx.points[3])
     assert measured.details["jc_invariance"] == 2e-10
 
     # the same for a sample whose form (., Jp .) is degenerate
-    eigenvalues = gb.pairing_eigenvalues(ctx.gen_at("jp"))
+    eigenvalues = gb.pairing_eigenvalues(ctx["gen[jp]"])
     eigenvalues[2, 0] = 0.0
     monkeypatch.setattr(gb, "pairing_eigenvalues", lambda op: eigenvalues)
     measured = _measured(cid, pair_context(*pairs))
@@ -382,8 +389,8 @@ def test_batched_functions_equal_a_loop_over_their_slices(n):
 
     ctx = pair_context(g, J)
     for label in ("jm", "jp", "jc", "ghat"):
-        assert _equal_slices(ctx.gen_at(label), [_gen(label, g[k], J[k]) for k in loop])
-    jm, jp, jc = ctx.gen_at("jm"), ctx.gen_at("jp"), ctx.gen_at("jc")
+        assert _equal_slices(ctx[f"gen[{label}]"], [_gen(label, g[k], J[k]) for k in loop])
+    jm, jp, jc = ctx["gen[jm]"], ctx["gen[jp]"], ctx["gen[jc]"]
 
     eigenvalues = gb.pairing_eigenvalues(jp)
     assert _equal_slices(eigenvalues, [gb.pairing_eigenvalues(jp[k]) for k in loop])
@@ -398,7 +405,7 @@ def test_batched_functions_equal_a_loop_over_their_slices(n):
         """The run context of the samples ``k``; ``swap`` = (label, source)
         puts the structure ``source`` in place of ``label``."""
         out = pair_context(g[k], J[k])
-        return _with_structure(out, swap[0], out.gen_at(swap[1])) if swap else out
+        return _with_structure(out, swap[0], out[f"gen[{swap[1]}]"]) if swap else out
 
     # each check over the stack is its worst sample checked alone.  Jm is not
     # pairing-invariant and Jp does not commute with the push-forward of J,
@@ -484,16 +491,16 @@ BROKEN = 5
 ROTATION = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
 
 
-def _break_sample(monkeypatch, field, breaker):
-    """Replace one sample of a ScenarioContext field by ``breaker`` of it."""
-    original = getattr(suites.ScenarioContext, field).func
+def _break_sample(monkeypatch, name, breaker):
+    """Replace one sample of the run's array ``name`` by ``breaker`` of it."""
+    make, reads = suites.ARRAYS[name]
 
-    def broken(ctx):
-        values = original(ctx).copy()
+    def broken(ctx, *arrays):
+        values = make(ctx, *arrays).copy()
         values[BROKEN] = breaker(values[BROKEN])
         return values
 
-    monkeypatch.setattr(suites.ScenarioContext, field, property(broken))
+    monkeypatch.setitem(suites.ARRAYS, name, (broken, reads))
 
 
 def _genbundle_run(samples=8, seed=3):
@@ -504,8 +511,8 @@ def _genbundle_run(samples=8, seed=3):
 
 
 def test_one_degenerate_sample_keeps_every_genbundle_check(monkeypatch):
-    _break_sample(monkeypatch, "J_at", np.zeros_like)
-    _break_sample(monkeypatch, "g_at", np.zeros_like)
+    _break_sample(monkeypatch, "J", np.zeros_like)
+    _break_sample(monkeypatch, "g", np.zeros_like)
     report, points = _genbundle_run()
     assert sorted(c.check_id for c in report.checks) == sorted(GENBUNDLE_IDS)
     # g^-1 refuses the singular sample, so every check that reads it fails
@@ -519,7 +526,7 @@ EIGENSOLVE_IDS = ("genbundle/neutral-signature", "genbundle/calibration")
 
 
 def test_a_non_finite_sample_fails_both_eigenvalue_checks_at_that_sample(monkeypatch):
-    _break_sample(monkeypatch, "J_at", lambda J: np.full_like(J, np.nan))
+    _break_sample(monkeypatch, "J", lambda J: np.full_like(J, np.nan))
     with np.errstate(invalid="ignore"):
         report, points = _genbundle_run()
     assert sorted(c.check_id for c in report.checks) == sorted(GENBUNDLE_IDS)
@@ -567,7 +574,7 @@ def test_an_error_in_the_shared_eigensolve_fails_both_its_checks(monkeypatch):
     ids=("incompatible", "ill-conditioned"),
 )
 def test_batched_checks_name_the_broken_sample(monkeypatch, breaker, failing):
-    _break_sample(monkeypatch, "J_at", breaker)
+    _break_sample(monkeypatch, "J", breaker)
     report, points = _genbundle_run()
     for cid in failing:
         check = report.find(cid)
@@ -610,7 +617,7 @@ def test_the_derived_family_check_builds_each_member_once(monkeypatch):
     assert [sign for sign, _ in products] == [1.0, -1.0, 1.0, -1.0]
     assert products[0][1] is products[1][1] and products[2][1] is products[3][1]
     ctx = suites.ScenarioContext(scenario)
-    jp, f_plus, _ = _family(ctx.g_at, ctx.J_at)
+    jp, f_plus, _ = _family(ctx["g"], ctx["J"])
     assert np.abs(products[0][1] - jp).max() < 1e-12
     fhat_plus = _blockdiag(f_plus, np.swapaxes(f_plus, -1, -2))
     assert np.abs(products[2][1] - fhat_plus).max() < 1e-12
@@ -636,10 +643,10 @@ def test_generalized_partials_match_central_differences_of_the_structures(n):
     pts = c.sample_points(3)
     ctx = field_context(c, g, J, pts)
     for label in ("jm", "jp", "jc", "ghat"):
-        values, partials = ctx.gen_jet(label)
+        values, partials = gen_jet(ctx, label)
 
         def at(p, label=label):
-            return field_context(c, g, J, p.reshape(1, -1)).gen_at(label)[0]
+            return field_context(c, g, J, p.reshape(1, -1))[f"gen[{label}]"][0]
 
         for m, p in enumerate(pts):
             assert np.array_equal(values[m], at(p))
@@ -674,22 +681,37 @@ def test_a_metric_singular_at_one_sample_fails_the_checks_that_invert_it(tmp_pat
     assert ids == [check.check_id for check in expected.checks]
     assert len(set(ids)) == len(ids) and not any(cid.endswith("/evaluation") for cid in ids)
     named = str(tuple(float(v) for v in point))
-    failed = 0
+    changed, raised = set(), set()
     for check, before in zip(report.checks, expected.checks):
-        if check.passed == before.passed:
-            continue
-        failed += 1
-        if check.check_id != "core/metric-spd":
+        if "error" in check.details:
+            raised.add(check.check_id)
             assert named in check.details["error"], check.check_id
-    assert failed > 30
+        if check.passed != before.passed:
+            changed.add(check.check_id)
+    # the checks whose declared reads need g^-1, directly or through the
+    # producers of what they read, fail naming the singular sample (some fail
+    # on the regular twin too); no other check but core/metric-spd moves
+    inverting = {
+        check.cid
+        for suite in singular.suites
+        for check in suites._declared(suite, singular)
+        if "ginv" in transitive_reads(singular, check)
+    }
+    assert raised == inverting
+    assert changed - inverting == {"core/metric-spd"}
+    # what the geometry says needs no g^-1, so an invented read fails too
+    algebraic = ("core/metallic-equation", "core/compatibility", "genbundle/jm-metallic")
+    needs_no_inverse = {"core/metric-spd", "genbundle/fhat-with-df-equal-j", *algebraic}
+    assert inverting == set(ids) - needs_no_inverse
+    assert len(changed) > 30
     assert report.find("core/metric-spd").witness == tuple(float(v) for v in point)
-    for cid in ("core/metallic-equation", "core/compatibility", "genbundle/jm-metallic"):
+    for cid in algebraic:
         assert report.find(cid).passed, cid
 
 
 def test_a_run_of_all_seven_suites_inverts_the_metric_once(tmp_path, monkeypatch):
     (scenario, _), _ = _twin_scenarios(tmp_path)
-    g_at = suites.ScenarioContext(scenario).g_at
+    g_at = suites.ScenarioContext(scenario)["g"]
     inverted = []
     inv = np.linalg.inv
 
@@ -712,7 +734,7 @@ def test_the_fhat_check_is_informative_and_reads_the_push_forward(monkeypatch):
     check = _genbundle_run()[0].find(cid)
     assert check.passed and not check.gating
     assert "rounding only" in check.details["informative"]
-    _break_sample(monkeypatch, "J_at", lambda J: J + np.array([[0.0, 0.5], [0.0, 0.0]]))
+    _break_sample(monkeypatch, "J", lambda J: J + np.array([[0.0, 0.5], [0.0, 0.0]]))
     assert _genbundle_run()[0].find(cid).passed
     monkeypatch.setattr(
         gb, "fhat_matrix", lambda df: gb.blocks(df, 0.0, 0.0, np.linalg.inv(df))

@@ -12,7 +12,7 @@ from metalliclab.metallic import MetallicParams, from_projection
 from metalliclab.scenario import ChartScenario, load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, exprs, field_context, jet, scenario_path
+from conftest import CORPUS, exprs, field_context, gen_jet, jet, scenario_path
 from helpers import (
     covariant_nijenhuis_rhs_loop,
     fd_bracket,
@@ -60,17 +60,17 @@ def random_affine(rng, i):
 
 def lc_gamma(c, g, pts):
     """Levi-Civita Gamma of the metric field at the points."""
-    return field_context(c, g, None, pts).lc_gamma_at
+    return field_context(c, g, None, pts)["gamma[lc]"]
 
 
 def karaman_gamma(c, g, J, omega, pts):
     """D = Levi-Civita + F at the points, from the array karaman_connection."""
-    return field_context(c, g, J, pts, omega=omega).karaman_gamma_at
+    return field_context(c, g, J, pts, omega=omega)["gamma[karaman]"]
 
 
 def jm_jet(c, g, J, pts):
     """Values and partials of Jm = blockdiag(J, J*) at the points."""
-    return field_context(c, g, J, pts).gen_jet("jm")
+    return gen_jet(field_context(c, g, J, pts), "jm")
 
 
 def test_nabla_bracket_trivial_cases():
@@ -118,9 +118,9 @@ def test_gen_nijenhuis_mixed_slot_identity(sphere_chart, sphere_metric, sphere_d
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     pts = c.sample_points(12)
     ctx = field_context(c, g, J, pts)
-    nij = gc.gen_nijenhuis(ctx.lc_gamma_at, *ctx.gen_jet("jm"))
-    DJ = ctx.bundle(ctx.lc_gamma_at).nabla_J_at
-    Jv = ctx.J_at
+    nij = gc.gen_nijenhuis(ctx["gamma[lc]"], *gen_jet(ctx, "jm"))
+    DJ = ctx["nablaJ[lc]"]
+    Jv = ctx["J"]
     n = 2
     for i in range(n):
         for j in range(n):
@@ -313,20 +313,20 @@ def test_dhat_tracks_base_derivatives(product_setup, sphere_chart, sphere_metric
     pts = c.sample_points(12)
     omega = exprs(c, ["x3", "x1", "x2"])
     ctx = field_context(c, g, J, pts, omega=omega)
-    D = ctx.karaman_gamma_at
+    D = ctx["gamma[karaman]"]
     for label in ("jm", "jp", "jc"):
-        res = gc.dhat_endo(D, *ctx.gen_jet(label))
+        res = gc.dhat_endo(D, *gen_jet(ctx, label))
         assert res.shape == (12, 3, 6, 6)
         assert np.abs(res).max() < 1e-9
-    res = gc.dhat_metric(D, *ctx.gen_jet("ghat"))
+    res = gc.dhat_metric(D, *gen_jet(ctx, "ghat"))
     assert np.abs(res).max() < 1e-9
 
     # negative control: Levi-Civita on the sphere with the diagonal structure
     ctx2 = field_context(sphere_chart, sphere_metric, sphere_diag_J, sphere_chart.sample_points(12))
-    gamma2 = ctx2.lc_gamma_at
-    worst = np.abs(gc.dhat_endo(gamma2, *ctx2.gen_jet("jm"))).max()
+    gamma2 = ctx2["gamma[lc]"]
+    worst = np.abs(gc.dhat_endo(gamma2, *gen_jet(ctx2, "jm"))).max()
     assert worst > 1e-3
-    dg_res = np.abs(gc.dhat_metric(gamma2, *ctx2.gen_jet("ghat"))).max()
+    dg_res = np.abs(gc.dhat_metric(gamma2, *gen_jet(ctx2, "ghat"))).max()
     assert dg_res < 1e-9
 
 
@@ -352,12 +352,12 @@ def test_dhat_block_structure(sphere_chart, sphere_metric, sphere_diag_J):
     c, g, J = sphere_chart, sphere_metric, sphere_diag_J
     pts = c.sample_points(10)
     ctx = field_context(c, g, J, pts)
-    gamma = ctx.lc_gamma_at
-    DJ = gc.nabla_endo(gamma, ctx.J_at, ctx.dJ_at)
-    Dg = gc.nabla_metric(gamma, ctx.g_at, ctx.dg_at)
+    gamma = ctx["gamma[lc]"]
+    DJ = gc.nabla_endo(gamma, ctx["J"], ctx["dJ"])
+    Dg = gc.nabla_metric(gamma, ctx["g"], ctx["dg"])
     assert np.abs(DJ).max() > 1e-2  # non-trivial comparison
-    dm_all = gc.dhat_endo(gamma, *ctx.gen_jet("jm"))
-    dp_all = gc.dhat_endo(gamma, *ctx.gen_jet("jp"))
+    dm_all = gc.dhat_endo(gamma, *gen_jet(ctx, "jm"))
+    dp_all = gc.dhat_endo(gamma, *gen_jet(ctx, "jp"))
     n = 2
     for k in range(n):
         dm = dm_all[:, k]
@@ -371,7 +371,7 @@ def test_dhat_block_structure(sphere_chart, sphere_metric, sphere_diag_J):
 
 def _condition_inputs(c, g, J, pts):
     ctx = field_context(c, g, J, pts)
-    return ctx.bundle(ctx.lc_gamma_at).condition_inputs
+    return gc.ConditionInputs(*(ctx[name] for name in suites._CONDITION_READS))
 
 
 def test_integrability_conditions_vanish_when_locally_metallic(product_setup):
@@ -407,15 +407,15 @@ def test_implication_conditions_bound_gen_nijenhuis(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(10)
     tol = 1e-9
+    ci = _condition_inputs(c, g, J, pts)
     ctx = field_context(c, g, J, pts)
-    ci = ctx.bundle(ctx.lc_gamma_at).condition_inputs
     worst_condition = max(
         np.abs(cond).max()
         for cond in gc.jp_condition_residuals(ci) + gc.jc_condition_residuals(ci)
     )
     assert worst_condition <= tol
     for label in ("jp", "jc"):
-        worst = np.abs(gc.gen_nijenhuis(ctx.lc_gamma_at, *ctx.gen_jet(label))).max()
+        worst = np.abs(gc.gen_nijenhuis(ctx["gamma[lc]"], *gen_jet(ctx, label))).max()
         assert worst <= 10 * tol
 
 
@@ -468,16 +468,16 @@ def test_array_layer_matches_finite_difference_oracles(name):
     scenario = load_scenario(scenario_path(name))
     ctx = ScenarioContext(scenario, samples=3)
     karaman = scenario.omega is not None and name == "product-decomposable"
-    gamma = ctx.karaman_gamma_at if karaman else ctx.gamma_at
+    gamma = ctx["gamma[karaman]"] if karaman else ctx["gamma[scenario]"]
     fields = {label: _structure_at(scenario, label) for label in ("jm", "jp", "jc", "ghat")}
     oracle_gamma = []
     for m, x in enumerate(ctx.points):
         G = fd_christoffel(scenario.metric, x)
         if karaman:
-            assert np.abs(ctx.omega_at[m]).max() > 0.1
-            G = G + karaman_F(ctx.g_at[m], ctx.J_at[m], ctx.omega_at[m], ctx.params.q)
+            assert np.abs(ctx["omega"][m]).max() > 0.1
+            G = G + karaman_F(ctx["g"][m], ctx["J"][m], ctx["omega"][m], ctx.params.q)
         oracle_gamma.append(G)
-    jp_value, jp_partials = ctx.gen_jet("jp")
+    jp_value, jp_partials = gen_jet(ctx, "jp")
     n = ctx.chart.dim
     a, b = np.triu_indices(2 * n, 1)
     columns, d_columns = np.swapaxes(jp_value, -1, -2), jp_partials.transpose(0, 3, 1, 2)
@@ -488,11 +488,11 @@ def test_array_layer_matches_finite_difference_oracles(name):
     for m, x in enumerate(ctx.points):
         G = oracle_gamma[m]
         for label in ("jm", "jp", "jc"):
-            got = gc.gen_nijenhuis(gamma, *ctx.gen_jet(label))[m]
+            got = gc.gen_nijenhuis(gamma, *gen_jet(ctx, label))[m]
             assert np.abs(got - fd_gen_nijenhuis(fields[label], G, x)).max() < 1e-7
-            got = gc.dhat_endo(gamma, *ctx.gen_jet(label))[m]
+            got = gc.dhat_endo(gamma, *gen_jet(ctx, label))[m]
             assert np.abs(got - fd_dhat(fields[label], G, x)).max() < 1e-7
-        got = gc.dhat_metric(gamma, *ctx.gen_jet("ghat"))[m]
+        got = gc.dhat_metric(gamma, *gen_jet(ctx, "ghat"))[m]
         oracle = fd_dhat(fields["ghat"], G, x, metric=True)
         assert np.abs(got - oracle).max() < 1e-7
         for pair, (i, j) in enumerate(zip(a, b)):
@@ -512,14 +512,18 @@ def test_array_covariant_derivatives_match_the_symbolic_ones(name):
     ctx = ScenarioContext(scenario, samples=8)
     for m, x in enumerate(ctx.points):
         G = fd_christoffel(scenario.metric, x)
-        assert np.abs(ctx.lc_gamma_at[m] - G).max() <= 1e-8 * max(1.0, np.abs(G).max())
-    for gamma in (ctx.lc_gamma_at, ctx.gamma_at):
-        b = ctx.bundle(gamma)
-        got = {"nabla J": b.nabla_J_at, "nabla g": b.nabla_g_at, "torsion": b.torsion_at}
+        assert np.abs(ctx["gamma[lc]"][m] - G).max() <= 1e-8 * max(1.0, np.abs(G).max())
+    for conn in ("lc", "scenario"):
+        gamma = ctx[f"gamma[{conn}]"]
+        got = {
+            "nabla J": ctx[f"nablaJ[{conn}]"],
+            "nabla g": ctx[f"nablag[{conn}]"],
+            "torsion": ctx[f"torsion[{conn}]"],
+        }
         for m, G in enumerate(gamma):
             expected = {
-                "nabla J": nabla_loop(G, ctx.J_at[m], ctx.dJ_at[m]),
-                "nabla g": nabla_loop(G, ctx.g_at[m], ctx.dg_at[m], metric=True),
+                "nabla J": nabla_loop(G, ctx["J"][m], ctx["dJ"][m]),
+                "nabla g": nabla_loop(G, ctx["g"][m], ctx["dg"][m], metric=True),
                 "torsion": G - np.swapaxes(G, -1, -2),
             }
             for key, value in expected.items():
@@ -570,11 +574,16 @@ def _rotating_projection():
 
 def _swept_arrays(ctx, omega_at):
     """The five arrays the omega sweep reads, for the 1-form values omega_at."""
-    F = gc.karaman_connection(ctx.g_at, ctx.ginv_at, ctx.J_at, ctx.params, omega_at)
-    b = suites.ConnBundle(ctx, ctx.lc_gamma_at + F)
-    arrays = suites._karaman_checks(ctx, b, omega_at)
-    arrays["jm"] = b.gen_nijenhuis("jm")
-    return arrays
+    g, J = ctx["g"], ctx["J"]
+    D = ctx["gamma[lc]"] + gc.karaman_connection(g, ctx["ginv"], J, ctx.params, omega_at)
+    T = gc.torsion(D)
+    return {
+        "dg": gc.nabla_metric(D, g, ctx["dg"]),
+        "torsion_gap": suites._torsion_gap(ctx, T, J, omega_at),
+        "lemma": suites._torsion_lemma(ctx, T, J),
+        "phi": gc.phi_of_torsion(T, J),
+        "jm": gc.gen_nijenhuis(D, *gen_jet(ctx, "jm")),
+    }
 
 
 @pytest.mark.parametrize("name", ["flat-golden", "product-decomposable", "rotating-projection"])
@@ -590,7 +599,7 @@ def test_the_swept_arrays_are_affine_in_omega(name):
     m, n = 12, scenario.chart.dim
     ctx = ScenarioContext(scenario, points=rng.uniform(lo, hi, size=(m, n)))
     if name == "rotating-projection":
-        assert np.abs(ctx.bundle(ctx.lc_gamma_at).nabla_J_at).max() > 0.1
+        assert np.abs(ctx["nablaJ[lc]"]).max() > 0.1
     basis = [_swept_arrays(ctx, np.zeros((m, n)))]
     basis += [_swept_arrays(ctx, np.tile(np.eye(n)[k], (m, 1))) for k in range(n)]
     for _ in range(3):

@@ -43,7 +43,12 @@ def warped_setup():
 def lift_at(c, g, J, flavor, pts):
     """The array lift at the 2n points ``pts`` over the Levi-Civita values at their base points."""
     n = c.dim
-    return lf.lift(flavor, pts[:, n:], **suites._lift_inputs(field_context(c, g, J, pts[:, :n])))
+    return lf.lift(flavor, pts[:, n:], **lift_inputs(field_context(c, g, J, pts[:, :n])))
+
+
+def lift_inputs(ctx):
+    """The base arrays lf.lift takes, by its parameter names, as a run reads them."""
+    return {key: ctx[name] for key, name in suites._LIFT_BASE.items()}
 
 
 def lifted_points(c, base_count, fibre_per_base, seed=None):
@@ -66,7 +71,7 @@ def test_fibre_points_are_the_fibre_part_of_the_samples():
     c, g, J = flat_setup()
     ctx = field_context(c, g, J, c.sample_points(8, seed=0))
     expected = lifted_points(c, 8, suites.FIBRE_PER_BASE, seed=0)
-    assert (suites._lift_points(ctx, lf.COTANGENT) == expected).all()
+    assert (ctx["lift_points"] == expected).all()
 
 
 def test_horizontal_frame_zero_connection_is_coordinate_frame():
@@ -82,7 +87,7 @@ def test_horizontal_frame_zero_connection_is_coordinate_frame():
 def test_horizontal_frame_formulas_on_sphere(sphere_setup):
     c, g, J = sphere_setup
     pts_t = lifted_points(c, 6, 2, seed=2)
-    gamma = field_context(c, g, J, pts_t[:, :2]).lc_gamma_at
+    gamma = field_context(c, g, J, pts_t[:, :2])["gamma[lc]"]
     y = pts_t[:, 2:]
 
     tangent = lift_at(c, g, J, lf.TANGENT, pts_t).forward[:, :, :2]
@@ -156,7 +161,7 @@ def test_frame_and_coordinate_displays(sphere_setup):
         lift = lift_at(c, g, J, flavor, pts)
         jv, gv, frame = lift.jbar, lift.gbar, lift.forward[:, :, :2]
         ctx = field_context(c, g, J, pts[:, :2])
-        g_at, ginv_at, J_at, gamma_at = ctx.g_at, ctx.ginv_at, ctx.J_at, ctx.lc_gamma_at
+        g_at, ginv_at, J_at, gamma_at = ctx["g"], ctx["ginv"], ctx["J"], ctx["gamma[lc]"]
         y = pts[:, 2:]
         assert np.abs(lf.frame_endo_residuals(jv, frame, J_at, flavor)).max() < 1e-9
         assert (
@@ -181,8 +186,8 @@ def _nijenhuis_data(c, g, J, flavor, base=10, fibre=4, seed=8):
     N = lf.nijenhuis_values(lift)
     frame = lift.forward[:, :, : c.dim]
     ctx = field_context(c, g, J, pts[:, : c.dim])
-    DJ = ctx.bundle(ctx.lc_gamma_at).nabla_J_at
-    return pts, N, frame, ctx.J_at, DJ, ctx.NJ_at, ctx.lc_riemann_at
+    DJ = ctx["nablaJ[lc]"]
+    return pts, N, frame, ctx["J"], DJ, ctx["NJ"], ctx["riemann[lc]"]
 
 
 def test_lifted_nijenhuis_vanishes_flat_locally_metallic():
@@ -286,7 +291,9 @@ def test_closed_form_inverses_at_the_commutation_points(name):
     # the commutation check multiplies by the cotangent lift's backward in
     # place of a numeric inverse of Phi: it must invert Phi where the check runs
     ctx = ScenarioContext(load_scenario(scenario_path(name)))
-    tangent, cotangent, points = suites._commutation_lifts(ctx)
+    check = next(check for check in suites.CHECKS if check.suite == "commutation")
+    arrays = [ctx[read] for read in check.reads]
+    tangent, cotangent, points = suites._commutation_lifts(ctx, *arrays)
     eye = np.eye(2 * ctx.chart.dim)
     assert points.shape == (len(ctx.points), 2 * ctx.chart.dim)
     for lifted in (tangent, cotangent):
@@ -296,7 +303,7 @@ def test_closed_form_inverses_at_the_commutation_points(name):
 def test_the_commutation_check_inverts_nothing_numerically(monkeypatch):
     # g^-1 is the run's one numeric inverse; the check inverts nothing else
     scenario = load_scenario(scenario_path("warped-mixing"))
-    g_at = ScenarioContext(scenario).g_at
+    g_at = ScenarioContext(scenario)["g"]
     inv = np.linalg.inv
 
     def refuse(a, *args, **kwargs):
@@ -318,9 +325,7 @@ def test_array_lift_matches_numpy_oracle(name, flavor):
     ctx = ScenarioContext(scenario, samples=3)
     n = ctx.chart.dim
     y = np.random.default_rng(5).uniform(-1.0, 1.0, size=ctx.points.shape)
-    inputs = {key: getattr(ctx, f"{key}_at") for key in ("g", "ginv", "J", "gamma")}
-    inputs.update({key: getattr(ctx, f"{key}_at") for key in ("dg", "dJ", "dgamma", "dginv")})
-    lift = lf.lift(flavor, y, **inputs)
+    lift = lf.lift(flavor, y, **lift_inputs(ctx))
     N = lf.nijenhuis_values(lift)
     args = (scenario.metric, scenario.J, flavor)
 
@@ -402,15 +407,17 @@ def test_an_error_in_the_lifted_nijenhuis_fails_only_its_checks(monkeypatch):
 
 
 def test_a_nan_in_a_display_detail_reads_as_inf(monkeypatch):
-    # as in every residual: a NaN curvature or literal display entry reads inf
-    for cls, name in ((ScenarioContext, "riemann_at"), (suites.ConnBundle, "nabla_J_at")):
+    # as in every residual: a NaN curvature or literal display entry reads inf;
+    # flat-golden's connection is the Levi-Civita one, so its arrays are the [lc] ones
+    for name in ("riemann[lc]", "nablaJ[lc]"):
+        make, reads = suites.ARRAYS[name]
 
-        def broken(self, original=getattr(cls, name).func):
-            values = original(self).copy()
+        def broken(ctx, *arrays, make=make):
+            values = make(ctx, *arrays).copy()
             values[3] = np.nan
             return values
 
-        monkeypatch.setattr(cls, name, property(broken))
+        monkeypatch.setitem(suites.ARRAYS, name, (broken, reads))
     with np.errstate(invalid="ignore"):
         report = run_suites(load_scenario(scenario_path("flat-golden")), suites=["lifts-cotangent"])
     horizontal = report.find("lifts-cotangent/nijenhuis-horizontal-display")

@@ -100,8 +100,9 @@ def _family_fhat_plus(monkeypatch, ctx):
         return real(c, sign, X)
 
     monkeypatch.setattr(suites, "_converted", recorded)
-    residual = suites._derived_family(ctx).residual
-    fhat = [X for X in converted if X is not ctx.gen_at("jp")]
+    check = next(check for check in suites.CHECKS if check.cid == "genbundle/derived-family")
+    residual = suites._evaluate(check, ctx).residual
+    fhat = [X for X in converted if X is not ctx["gen[jp]"]]
     assert len(fhat) == 2 and fhat[0] is fhat[1]
     return residual, fhat[0][0]
 
@@ -144,7 +145,7 @@ def test_metallic_from_product_values(monkeypatch):
 def _nabla_J(c, J, g, pts):
     """nabla J of the Levi-Civita connection of g, as core/locally-metallic reads it."""
     ctx = field_context(c, g, J, pts)
-    return ctx.bundle(ctx.lc_gamma_at).nabla_J_at
+    return ctx["nablaJ[lc]"]
 
 
 def test_is_locally_metallic(sphere_chart, sphere_metric, golden_params, sphere_diag_J):

@@ -1,63 +1,70 @@
-"""The arrays of a run: each is built at most once, and a run at 4096
-samples stays within a fixed memory budget."""
+"""The arrays of a run: each is built at most once and dropped after its
+last declared reader, and a run at 4096 samples stays within a fixed memory
+budget."""
 
 import itertools
 import tracemalloc
 from collections import Counter
-from functools import cached_property
 
 import pytest
 
+from metalliclab import suites
+from metalliclab.errors import MetallicLabError
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, scenario_path
+from conftest import CORPUS, scenario_path, transitive_reads
 
 WIDE_BATCH = ["core", "genbundle", "commutation"]
 
 
 @pytest.fixture
 def counted_run(monkeypatch):
-    """run(scenario, suites) -> the builds of that run: each cached property
-    of the run context (the keyed caches included), each generalized
-    structure and jet by label, and each connection bundle by the name of
-    its Gamma array."""
+    """run(scenario, suites) -> the builds of that run, by array name.
+
+    It also holds the memo to the checks' declarations.  Each array built
+    while a check's inputs are made is one the check reads, directly or
+    through the producers of what it reads; while its residual runs, the
+    memo holds only the arrays it declares, and a read of any other array
+    fails the test.  Before each check the memo holds only arrays that check
+    or a later one reads, and after the run it holds none."""
     counts = Counter()
-    for name, prop in list(vars(ScenarioContext).items()):
-        if isinstance(prop, cached_property):
+    run_state = {}
+    missing, evaluate = ScenarioContext.__missing__, suites._evaluate
 
-            def build(ctx, name=name, func=prop.func):
-                counts[name] += 1
-                return func(ctx)
+    def counted_missing(ctx, name):
+        counts[name] += 1
+        assert name in run_state["reads"], (run_state["cid"], name)
+        return missing(ctx, name)
 
-            counted = cached_property(build)
-            counted.__set_name__(ScenarioContext, name)
-            monkeypatch.setattr(ScenarioContext, name, counted)
-    gen_at, gen_jet = ScenarioContext.gen_at, ScenarioContext.gen_jet
-    bundle = ScenarioContext.bundle
+    def checked_evaluate(check, ctx):
+        k = next(k for k, declared in enumerate(run_state["checks"]) if declared is check)
+        assert set(ctx) <= set().union(*run_state["closures"][k:]), check.cid
+        run_state.update(ctx=ctx, cid=check.cid, reads=run_state["closures"][k])
+        declared = (*check.reads, check.points)
+        try:
+            for name in declared:
+                ctx[name]
+        except MetallicLabError:
+            return evaluate(check, ctx)  # the error, under the check's guard
+        hidden = {name: ctx.pop(name) for name in list(ctx) if name not in declared}
+        run_state["reads"] = ()
+        try:
+            return evaluate(check, ctx)
+        finally:
+            ctx.update(hidden)
 
-    def counted_gen_at(ctx, label):
-        counts[f"gen_at[{label}]"] += label not in ctx._gen_at
-        return gen_at(ctx, label)
-
-    def counted_gen_jet(ctx, label):
-        counts[f"gen_jet[{label}]"] += label not in ctx._gen_jets
-        return gen_jet(ctx, label)
-
-    def counted_bundle(ctx, gamma):
-        if id(gamma) not in ctx._bundles:
-            name = next(name for name, value in vars(ctx).items() if value is gamma)
-            counts[f"bundle[{name}]"] += 1
-        return bundle(ctx, gamma)
-
-    monkeypatch.setattr(ScenarioContext, "gen_at", counted_gen_at)
-    monkeypatch.setattr(ScenarioContext, "gen_jet", counted_gen_jet)
-    monkeypatch.setattr(ScenarioContext, "bundle", counted_bundle)
+    monkeypatch.setattr(ScenarioContext, "__missing__", counted_missing)
+    monkeypatch.setattr(suites, "_evaluate", checked_evaluate)
 
     def run(scenario, selected):
         counts.clear()
+        checks = [check for suite in selected for check in suites._declared(suite, scenario)]
+        closures = [transitive_reads(scenario, c) for c in checks]
+        run_state.update(checks=checks, closures=closures)
         run_suites(scenario, suites=selected)
         assert counts, "nothing was counted"
+        assert not run_state["ctx"], sorted(run_state["ctx"])
         return Counter(counts)
 
     return run
