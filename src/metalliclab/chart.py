@@ -154,11 +154,13 @@ def eval_exprs(comps: np.ndarray, points: np.ndarray, order: int = 0) -> np.ndar
         memo: dict = {}
         out = np.empty((m,) + comps.shape, dtype=float)
         flat_out = out.reshape(m, -1)
-        for idx, e in enumerate(comps.reshape(-1)):
-            # a constant needs no evaluation
-            flat_out[:, idx] = (
-                e.value if isinstance(e, ex.Const) else ex.eval_batch(e, points, memo)
-            )
+        entries = comps.reshape(-1)
+        # the constants need no evaluation: all of them are one row, written once
+        constant = [idx for idx, e in enumerate(entries) if isinstance(e, ex.Const)]
+        flat_out[:, constant] = [entries[idx].value for idx in constant]
+        for idx, e in enumerate(entries):
+            if not isinstance(e, ex.Const):
+                flat_out[:, idx] = ex.eval_batch(e, points, memo)
     if not np.isfinite(flat_out).all():
         bad = ~np.isfinite(flat_out).all(axis=1)
         raise DomainError("field evaluation is not finite", points[int(np.argmax(bad))])
@@ -219,11 +221,12 @@ def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
 
     N^k_{ij} = J^s_i d_s J^k_j - J^s_j d_s J^k_i - J^k_s (d_i J^s_j - d_j J^s_i),
     the bracket N(d_i, d_j) = [Jd_i, Jd_j] - J[Jd_i, d_j] - J[d_i, Jd_j] on the
-    coordinate fields.  Returns [m, k, i, j], exactly antisymmetric in (i, j).
+    coordinate fields.  Returns [m, k, i, j], exactly antisymmetric in (i, j);
+    J and dJ may have more leading axes, as the lifts' [m, F, ...] have.
     """
-    m, n = J.shape[:2]
+    n = J.shape[-1]
     # both terms indexed [m, i, k, j]: J^s_i d_s J^k_j is J^T times d J with
     # columns (k, j), and J^k_s d_i J^s_j is J times d_i J for each i
-    first = (np.swapaxes(J, -1, -2) @ dJ.reshape(m, n, n * n)).reshape(m, n, n, n)
-    half = (first - J[:, None] @ dJ).transpose(0, 2, 1, 3)
+    first = (np.swapaxes(J, -1, -2) @ dJ.reshape(dJ.shape[:-2] + (n * n,))).reshape(dJ.shape)
+    half = np.swapaxes(first - J[..., None, :, :] @ dJ, -3, -2)
     return half - np.swapaxes(half, -1, -2)

@@ -547,11 +547,12 @@ def differentiate(comps: np.ndarray, points: np.ndarray, order: int = 1) -> np.n
     out = np.zeros((m,) + (n,) * order + comps.shape)
     flat = out.reshape((m,) + (n,) * order + (-1,))
     for idx, e in enumerate(comps.flat):
-        d = partials.get(id(e), 0.0)  # an entry that is a constant is not evaluated
+        d = None if isinstance(e, Const) else partials[id(e)]  # a constant is not evaluated
         if order == 2:
             # d_l of the jet along k is [..., l, k]; a constant d_l has d_k 0.0
-            d = np.swapaxes(np.atleast_2d(d.d), -1, -2) if isinstance(d, _Jet) else 0.0
-        flat[..., idx] = d
+            d = np.swapaxes(np.atleast_2d(d.d), -1, -2) if isinstance(d, _Jet) else None
+        if d is not None:  # a partial 0.0 is one of out's zeros already
+            flat[..., idx] = d
     return out
 
 

@@ -8,9 +8,12 @@ inverse.  Both morphisms are affine in the fibre coordinates, so the lift,
 its metric and the partials of the lift in all 2n coordinates have closed
 forms in the values of g, g^-1, J, Gamma and their first partials at the
 base points (Yano & Ishihara, *Tangent and Cotangent Bundles*, 1973).
-Everything here works on arrays with a leading sample axis m; the lifted
-Nijenhuis tensor and the displayed frame formulas are matrix products per
-sample, with the fibre coordinates contracted first.
+The base values are arrays [m, ...] over m base samples and the fibre
+coordinates y [m, F, n] hold F fibre points over each, so the lifted arrays
+are [m, F, ...]: every product broadcasts the base values over the F axis,
+and what depends on the base point alone is computed once per base sample.
+The lifted Nijenhuis tensor and the displayed frame formulas are matrix
+products per lifted sample, with the fibre coordinates contracted first.
 """
 
 from __future__ import annotations
@@ -59,17 +62,20 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 def _along_fibre(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     """sum_k y_k C[..., k, l, i], the fibre coordinates ``y`` (broadcasting
-    like C's leading axes) contracted as one (1, n) @ (n, n*n) product."""
-    lead, n = C.shape[:-3], C.shape[-1]
-    return (y[..., None, :] @ C.reshape(lead + (n, n * n))).reshape(lead + (n, n))
+    against C's leading axes) contracted as one (1, n) @ (n, n*n) product
+    per lifted sample."""
+    n = C.shape[-1]
+    out = y[..., None, :] @ C.reshape(C.shape[:-3] + (n, n * n))
+    return out.reshape(out.shape[:-2] + (n, n))
 
 
 class Lift:
     """The lift of (J, g) at the bundle points (x, y), from values at x.
 
-    ``y`` holds the fibre coordinates [m, k]; the other arrays are the base
-    values at x: g, g^-1 and J [m, i, j], Gamma [m, k, i, j], and the partials
-    dg, dJ, dginv [m, a, i, j] and dgamma[m, a, l, i, j] = d_a Gamma^l_{ij}.
+    ``y`` holds the fibre coordinates [m, F, k] of F points over each base
+    sample; the other arrays are the base values at x: g, g^-1 and J [m, i, j],
+    Gamma [m, k, i, j], and the partials dJ, dg, dginv [m, a, i, j] and
+    dgamma[m, a, l, i, j] = d_a Gamma^l_{ij}.  The lifted arrays are [m, F, ...].
 
     The morphism is forward = [[I, 0], [L, V]] with the frame
     X_i^H = d_i + L^l_i d/dy^l:
@@ -79,55 +85,64 @@ class Lift:
     conjugating blockdiag(J, J^T) gives jbar = [[J, 0], [L J - D L, D]] with
     D = V J^T W; gbar = backward^T blockdiag(g, g^-1) backward.
 
+    Only L varies along the fibre: D, its partials dD, the layout C = dL/dy
+    of Gamma and the block C J - D C of ``djbar`` are made once per base sample.
+
     Everything but ``jbar`` is computed on first use: the commutation check
     reads ``forward`` of the tangent lift and ``backward`` of the cotangent
-    one, and neither ``gbar`` nor ``djbar[m, c, A, B]`` = d_c jbar^A_B over
-    all 2n coordinates.  Only ``djbar`` reads the partials dg, dJ, dgamma
-    and dginv, so the commutation check builds its two lifts without them.
+    one, and neither ``gbar`` nor ``djbar[m, F, c, A, B]`` = d_c jbar^A_B over
+    all 2n coordinates.  Only ``djbar`` reads the partials, dJ and dgamma
+    (and dg and dginv for the tangent lift), so the commutation check builds
+    its two lifts without them.
     """
 
-    def __init__(self, flavor, y, g, ginv, J, gamma, dg=None, dJ=None, dgamma=None, dginv=None):
+    def __init__(self, flavor, y, g, ginv, J, gamma, dJ=None, dgamma=None, dg=None, dginv=None):
         n = J.shape[-1]
-        eye = np.broadcast_to(np.eye(n), J.shape)
         Jt = np.swapaxes(J, -1, -2)
         # C[m, k, l, i] = d L^l_i / d y_k
         if flavor == TANGENT:
             C = -gamma.transpose(0, 3, 1, 2)
-            V, W = ginv, g
+            V, W = ginv[:, None], g[:, None]
             D = ginv @ Jt @ g
         else:
             C = gamma.transpose(0, 1, 3, 2)
-            V = W = eye
+            V = W = np.eye(n)
             D = Jt
-        L = _along_fibre(y, C)
-        self.jbar = gb.blocks(J, 0.0, L @ J - D @ L, D)
+        L = _along_fibre(y, C[:, None])
+        J1, D1 = J[:, None], D[:, None]
+        self.jbar = gb.blocks(J1, 0.0, L @ J1 - D1 @ L, D1)
         self._flavor, self._y, self._C, self._L, self._D = flavor, y, C, L, D
-        self._eye, self._V, self._W = eye, V, W
-        self._base = (g, ginv, J, dg, dJ, dgamma, dginv)
+        self._V, self._W = V, W
+        self._base = (g, ginv, J, dJ, dgamma, dg, dginv)
 
     @cached_property
     def forward(self) -> np.ndarray:
-        return gb.blocks(self._eye, 0.0, self._L, self._V)
+        return gb.blocks(np.eye(self._L.shape[-1]), 0.0, self._L, self._V)
+
+    @property
+    def frame(self) -> np.ndarray:
+        """The horizontal frame X_i^H, the first n columns of ``forward``."""
+        return self.forward[..., : self._L.shape[-1]]
 
     @cached_property
     def backward(self) -> np.ndarray:
-        return gb.blocks(self._eye, 0.0, -(self._W @ self._L), self._W)
+        return gb.blocks(np.eye(self._L.shape[-1]), 0.0, -(self._W @ self._L), self._W)
 
     @cached_property
     def gbar(self) -> np.ndarray:
         """backward^T blockdiag(g, g^-1) backward."""
         g, ginv = self._base[:2]
-        ghat = gb.blocks(g, 0.0, 0.0, ginv)
+        ghat = gb.blocks(g, 0.0, 0.0, ginv)[:, None]
         return np.swapaxes(self.backward, -1, -2) @ ghat @ self.backward
 
     @cached_property
     def djbar(self) -> np.ndarray:
         """L is linear in y and D does not depend on it, so d/dy_k jbar has the
-        one block (d L/dy_k) J - D (d L/dy_k); the base partials follow from
-        those of J, L, V = g^-1 and W."""
-        g, ginv, J, dg, dJ, dgamma, dginv = self._base
-        C, L, D = self._C, self._L[:, None], self._D[:, None]
-        m, n = J.shape[0], J.shape[-1]
+        one block (d L/dy_k) J - D (d L/dy_k), the same at every fibre point;
+        the base partials follow from those of J, L, V = g^-1 and W."""
+        g, ginv, J, dJ, dgamma, dg, dginv = self._base
+        C, D, y = self._C, self._D, self._y
+        (m, F), n = y.shape[:2], J.shape[-1]
         dJt = np.swapaxes(dJ, -1, -2)
         if self._flavor == TANGENT:
             dC = -dgamma.transpose(0, 1, 4, 2, 3)
@@ -137,21 +152,29 @@ class Lift:
         else:
             dC = dgamma.transpose(0, 1, 2, 4, 3)
             dD = dJt
-        dL = _along_fibre(self._y[:, None], dC)
-        out = np.zeros((m, 2 * n, 2 * n, 2 * n))
-        out[:, :n] = gb.blocks(dJ, 0.0, dL @ J[:, None] + L @ dJ - dD @ L - D @ dL, dD)
-        out[:, n:, n:, :n] = C @ J[:, None] - D @ C
+        # the base directions a on an axis after F: [m, F, a, ...]
+        L, dL = self._L[:, :, None], _along_fibre(y[:, :, None], dC[:, None])
+        J2, D2, dJ1, dD1 = J[:, None, None], D[:, None, None], dJ[:, None], dD[:, None]
+        out = np.zeros((m, F, 2 * n, 2 * n, 2 * n))
+        out[:, :, :n] = gb.blocks(dJ1, 0.0, dL @ J2 + L @ dJ1 - dD1 @ L - D2 @ dL, dD1)
+        out[:, :, n:, n:, :n] = (C @ J[:, None] - D[:, None] @ C)[:, None]
         return out
 
 
-def lift(flavor, y, g, ginv, J, gamma, dg=None, dJ=None, dgamma=None, dginv=None) -> Lift:
+def lift(flavor, y, g, ginv, J, gamma, dJ=None, dgamma=None, dg=None, dginv=None) -> Lift:
     """The :class:`Lift` of the flavour at the fibre points y over the base values."""
-    return Lift(flavor, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv)
+    return Lift(flavor, y, g, ginv, J, gamma, dJ, dgamma, dg, dginv)
 
 
 # ------------------------------------------------------------------
-# Display cross-checks (all numeric, at evaluated lifted samples)
+# Display cross-checks (all numeric, at evaluated lifted samples): the
+# lifted arrays and y are [m, F, ...], the base values [m, ...]
 # ------------------------------------------------------------------
+
+
+def _per_lifted_sample(*residuals: np.ndarray) -> np.ndarray:
+    """The residuals side by side, one row [m, F, -1] per lifted sample."""
+    return np.concatenate([r.reshape(r.shape[:2] + (-1,)) for r in residuals], axis=-1)
 
 
 def frame_endo_residuals(
@@ -159,17 +182,15 @@ def frame_endo_residuals(
 ) -> np.ndarray:
     """Jbar(X_i^H) = J^k_i X_k^H and the vertical-frame displays."""
     n = J_v.shape[-1]
-    horiz = jbar_v @ frame_v - frame_v @ J_v
-    vert_actual = jbar_v[:, :, n:]
+    J1 = J_v[:, None]
+    horiz = jbar_v @ frame_v - frame_v @ J1
+    vert_actual = jbar_v[..., n:]
     expected = np.zeros_like(vert_actual)
     if flavor == TANGENT:
-        expected[:, n:, :] = J_v  # Jbar(d/dy^j) = J^k_j d/dy^k
+        expected[..., n:, :] = J1  # Jbar(d/dy^j) = J^k_j d/dy^k
     else:
-        expected[:, n:, :] = np.swapaxes(J_v, -1, -2)  # Jtilde(d/dy_j) = J^j_k d/dy_k
-    return np.concatenate(
-        [horiz.reshape(horiz.shape[0], -1), (vert_actual - expected).reshape(horiz.shape[0], -1)],
-        axis=1,
-    )
+        expected[..., n:, :] = _swap(J1)  # Jtilde(d/dy_j) = J^j_k d/dy_k
+    return _per_lifted_sample(horiz, vert_actual - expected)
 
 
 def coordinate_endo_residuals(
@@ -181,63 +202,62 @@ def coordinate_endo_residuals(
 ) -> np.ndarray:
     """The displayed action on the coordinate fields X_i (non-frame columns)."""
     n = J_v.shape[-1]
-    actual = jbar_v[:, :, :n]
+    J1 = J_v[:, None]
+    actual = jbar_v[..., :n]
     expected = np.zeros_like(actual)
-    expected[:, :n, :] = J_v
+    expected[..., :n, :] = J1
     if flavor == TANGENT:
         # -y^l (J^k_i G^s_{kl} - J^s_r G^r_{il}) with Gy[s, k] = G^s_{kl} y^l
-        Gy = (gamma_v @ y[:, None, :, None])[..., 0]
-        expected[:, n:, :] = -(Gy @ J_v) + J_v @ Gy
+        Gy = (gamma_v[:, None] @ y[:, :, None, :, None])[..., 0]
+        expected[..., n:, :] = -(Gy @ J1) + J1 @ Gy
     else:
         # +y_l (J^k_i G^l_{kr} - J^s_r G^l_{is}) with yG[k, r] = y_l G^l_{kr}
-        yG = _along_fibre(y, gamma_v)
-        expected[:, n:, :] = _swap(yG) @ J_v - _swap(yG @ J_v)
+        yG = _along_fibre(y, gamma_v[:, None])
+        expected[..., n:, :] = _swap(yG) @ J1 - _swap(yG @ J1)
     return actual - expected
 
 
 def frame_metric_residuals(
-    gbar_v: np.ndarray, frame_v: np.ndarray, g_v: np.ndarray, ginv_v: np.ndarray, flavor: str
+    gbar_v: np.ndarray, frame_v: np.ndarray, g_v: np.ndarray, fibre_g: np.ndarray
 ) -> np.ndarray:
-    """gbar on the horizontal/vertical frame against the displayed components."""
+    """gbar on the horizontal/vertical frame against the displayed components;
+    ``fibre_g`` is the displayed vertical block, g (tangent) or g^-1 (cotangent)."""
     n = g_v.shape[-1]
     frame_gbar = _swap(frame_v) @ gbar_v
-    hh = frame_gbar @ frame_v - g_v
-    hv = frame_gbar[:, :, n:]
-    vv = gbar_v[:, n:, n:] - (g_v if flavor == TANGENT else ginv_v)
-    m = gbar_v.shape[0]
-    return np.concatenate(
-        [hh.reshape(m, -1), hv.reshape(m, -1), vv.reshape(m, -1)], axis=1
-    )
+    hh = frame_gbar @ frame_v - g_v[:, None]
+    hv = frame_gbar[..., n:]
+    vv = gbar_v[..., n:, n:] - fibre_g[:, None]
+    return _per_lifted_sample(hh, hv, vv)
 
 
 def coordinate_metric_residuals(
     gbar_v: np.ndarray,
     g_v: np.ndarray,
-    ginv_v: np.ndarray,
+    fibre_g: np.ndarray,
     gamma_v: np.ndarray,
     y: np.ndarray,
     flavor: str,
 ) -> np.ndarray:
     """Corrected readings of the displayed gbar(X_i, X_j) and mixed components.
 
-    With A[i, l] = y^k G^l_{ik} and V = g (tangent), or A[i, l] = y_k G^k_{il}
-    and V = g^-1 (cotangent), the displays read gbar(X_i, X_j) = g + A V A^T
-    and gbar(X_i, d/dy^j) = A V (tangent) or -A V (cotangent).
+    With A[i, l] = y^k G^l_{ik} and V = ``fibre_g`` = g (tangent), or
+    A[i, l] = y_k G^k_{il} and V = g^-1 (cotangent), the displays read
+    gbar(X_i, X_j) = g + A V A^T and gbar(X_i, d/dy^j) = A V (tangent) or
+    -A V (cotangent).
     """
     n = g_v.shape[-1]
-    m = gbar_v.shape[0]
     if flavor == TANGENT:
-        A, V, mixed_sign = _swap((gamma_v @ y[:, None, :, None])[..., 0]), g_v, 1.0
+        A, mixed_sign = _swap((gamma_v[:, None] @ y[:, :, None, :, None])[..., 0]), 1.0
     else:
-        A, V, mixed_sign = _along_fibre(y, gamma_v), ginv_v, -1.0
-    AV = A @ V
-    xx = gbar_v[:, :n, :n] - (g_v + AV @ _swap(A))
-    xv = gbar_v[:, :n, n:] - mixed_sign * AV
-    return np.concatenate([xx.reshape(m, -1), xv.reshape(m, -1)], axis=1)
+        A, mixed_sign = _along_fibre(y, gamma_v[:, None]), -1.0
+    AV = A @ fibre_g[:, None]
+    xx = gbar_v[..., :n, :n] - (g_v[:, None] + AV @ _swap(A))
+    xv = gbar_v[..., :n, n:] - mixed_sign * AV
+    return _per_lifted_sample(xx, xv)
 
 
 def nijenhuis_values(lifted: Lift) -> np.ndarray:
-    """Nijenhuis tensor of the lifted endomorphism, [m, A, B, C]."""
+    """Nijenhuis tensor of the lifted endomorphism, [m, F, A, B, C]."""
     return ch.nijenhuis(lifted.jbar, lifted.djbar)
 
 
@@ -254,10 +274,11 @@ def mixed_display_residual(
     Tangent: N(H_i, d/dy^j)^{vert k} = ((nabla_{JX_i}J) - J(nabla_{X_i}J))^k_j.
     Cotangent: the fibre transforms dually, which flips the composition in the
     second term to (nabla_{X_i}J) J; the printed form keeps J(nabla J) (the
-    tangent-case order) and is only evaluated when ``literal`` is set.
+    tangent-case order) and is only evaluated when ``literal`` is set.  The
+    display depends on the base point alone: it is built once per base sample.
     """
     n = J_v.shape[-1]
-    actual = _swap(frame_v)[:, None] @ N_v[..., n:]
+    actual = _swap(frame_v)[:, :, None] @ N_v[..., n:]
     expected = np.zeros_like(actual)
     along_J = _first(_swap(J_v), DJ_v)  # [m, i, r, k] = (nabla_{J d_i} J)^r_k
     if flavor == TANGENT or literal:
@@ -268,10 +289,10 @@ def mixed_display_residual(
         M = along_J - DJ_v @ J_v[:, None]
     if flavor == TANGENT:
         # N(H_i, d/dy^j)^{vert k} = M[m, i, k, j]
-        expected[:, n:, :, :] = M.transpose(0, 2, 1, 3)
+        expected[..., n:, :, :] = M.transpose(0, 2, 1, 3)[:, None]
     else:
         # N(H_i, d/dy_j)^{vert k} = M[m, i, j, k]
-        expected[:, n:, :, :] = M.transpose(0, 3, 1, 2)
+        expected[..., n:, :, :] = M.transpose(0, 3, 1, 2)[:, None]
     return actual - expected
 
 
@@ -279,25 +300,25 @@ def _displayed_curvature_term(
     R_v: np.ndarray, J_v: np.ndarray, y: np.ndarray, params: MetallicParams, flavor: str
 ) -> np.ndarray:
     """Vertical part of the displayed N(X_i^H, X_j^H) for the curvature
-    R_v[m, l, a, b, c] = R^l_{abc}, [m, r, i, j].
+    R_v[m, l, a, b, c] = R^l_{abc}, [m, F, r, i, j].
 
-    The fibre coordinate is contracted first, into X[m, r, a, b]: y^s R^r_{abs}
+    The fibre coordinate is contracted first, into X[m, F, r, a, b]: y^s R^r_{abs}
     (tangent) or y_l R^l_{abr} (cotangent).  With JX the contraction of J^r_l
     (tangent) or J^l_r (cotangent) into the first index of X, the display is
     -/+ (J^T X J - J^T JX - JX J + p JX + q X) per first index, J^T and J acting
     on a and b; each product contracts J with one operand at a time.
     """
+    m, F, n = y.shape
     if flavor == TANGENT:
-        X = (R_v @ y[:, None, None, :, None])[..., 0]
-        JX = _first(J_v, X)
-        sign = -1.0
+        X = (R_v[:, None] @ y[:, :, None, None, :, None])[..., 0]
+        first, sign = J_v, -1.0
     else:
-        m, n = y.shape
-        X = (y[:, None] @ R_v.reshape(m, n, -1)).reshape(m, n, n, n).transpose(0, 3, 1, 2)
-        JX = _first(_swap(J_v), X)
-        sign = 1.0
-    Jt = _swap(J_v)[:, None]
-    Jb = J_v[:, None]
+        X = y[:, :, None, :] @ R_v.reshape(m, 1, n, -1)
+        X = X.reshape(m, F, n, n, n).transpose(0, 1, 4, 2, 3)
+        first, sign = _swap(J_v), 1.0
+    JX = (first[:, None] @ X.reshape(m, F, n, n * n)).reshape(X.shape)
+    Jt = _swap(J_v)[:, None, None]
+    Jb = J_v[:, None, None]
     inner = Jt @ (X @ Jb) - Jt @ JX - JX @ Jb + params.p * JX + params.q * X
     return sign * inner
 
@@ -312,15 +333,16 @@ def horizontal_display_match(
     params: MetallicParams,
     flavor: str,
 ) -> np.ndarray:
-    """N(X_i^H, X_j^H) minus the displayed formula, [m, A, i, j].
+    """N(X_i^H, X_j^H) minus the displayed formula, [m, F, A, i, j].
 
     The display is the frame image of N_J(d_i, d_j), and in the vertical
     part the curvature term of :func:`_displayed_curvature_term`, whose
     R^l_{abc} is read as the house R^l_{abc} of ``chart.riemann``.
     """
-    n = J_v.shape[-1]
-    gap = _swap(frame_v)[:, None] @ N_v @ frame_v[:, None] - _first(frame_v, NJ_v)
-    gap[:, n:] -= _displayed_curvature_term(R_v, J_v, y, params, flavor)
+    m, n = NJ_v.shape[:2]
+    frame_NJ = (frame_v @ NJ_v.reshape(m, 1, n, n * n)).reshape(frame_v.shape + (n,))
+    gap = _swap(frame_v)[:, :, None] @ N_v @ frame_v[:, :, None] - frame_NJ
+    gap[:, :, n:] -= _displayed_curvature_term(R_v, J_v, y, params, flavor)
     return gap
 
 

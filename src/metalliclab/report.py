@@ -86,8 +86,11 @@ def worst_of(entries, points) -> tuple:
 def worst_sample(residuals, points) -> tuple:
     """The largest absolute entry of per-sample residuals, one array or a list
     of arrays of any trailing shapes, and the point of its sample (see
-    :func:`worst_of`)."""
+    :func:`worst_of`).  Each array is read as one row per point: a lifted
+    residual [m, F, ...] has the rows of its [m * F, 2n] points."""
     arrays = residuals if isinstance(residuals, (list, tuple)) else [residuals]
+    if points is not None:  # an empty array has no entry, and no row length
+        arrays = [np.reshape(a, (len(points), -1)) if np.size(a) else a for a in arrays]
     return worst_of([largest_entry(a) for a in arrays], points)
 
 

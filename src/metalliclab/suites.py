@@ -603,57 +603,23 @@ def _omega_sweep(ctx: ScenarioContext, g, ginv, J, dg, gamma, Dg, T, nij, jm, dj
 # ------------------------------------------------------------------
 
 
-# the base arrays lf.lift takes, by its parameter names
-_LIFT_BASE = {
-    "g": "g",
-    "ginv": "ginv",
-    "J": "J",
-    "gamma": "gamma[scenario]",
-    "dg": "dg",
-    "dJ": "dJ",
-    "dgamma": "dgamma[scenario]",
-    "dginv": "dginv",
-}
-
-
-def _repeated(values: np.ndarray) -> np.ndarray:
-    """Base values at each of the FIBRE_PER_BASE fibre points over a sample."""
-    return np.repeat(values, FIBRE_PER_BASE, axis=0)
-
-
 def _fibre_points(ctx: ScenarioContext) -> np.ndarray:
-    """The fibre points y of the context's samples, FIBRE_PER_BASE over each."""
-    count, first = len(ctx.points) * FIBRE_PER_BASE, ctx.first * FIBRE_PER_BASE
-    return lf.fibre_points(ctx.chart.dim, count, ctx.seed, first)
+    """The fibre points y [m, FIBRE_PER_BASE, n] over the context's m samples."""
+    (m, n), F = ctx.points.shape, FIBRE_PER_BASE
+    return lf.fibre_points(n, m * F, ctx.seed, ctx.first * F).reshape(m, F, n)
+
+
+def _lift_points(ctx: ScenarioContext, y: np.ndarray) -> np.ndarray:
+    """The bundle points (x, y), one row per lifted sample."""
+    x = np.broadcast_to(ctx.points[:, None], y.shape)
+    return np.concatenate([x, y], axis=-1).reshape(-1, 2 * y.shape[-1])
 
 
 # The lifts residuals take the arrays they read, then the flavour.
 
 
-def _frame(ctx, lifted):
-    return lifted.forward[:, :, : ctx.chart.dim]
-
-
-def _frame_endo(ctx, lifted, base, flavor):
-    return lf.frame_endo_residuals(lifted.jbar, _frame(ctx, lifted), base["J"], flavor)
-
-
-def _coordinate_endo(ctx, lifted, base, y, flavor):
-    return lf.coordinate_endo_residuals(lifted.jbar, base["J"], base["gamma"], y, flavor)
-
-
-def _metric_frame(ctx, lifted, base, flavor):
-    frame = _frame(ctx, lifted)
-    return lf.frame_metric_residuals(lifted.gbar, frame, base["g"], base["ginv"], flavor)
-
-
-def _metric_coordinate(ctx, lifted, base, y, flavor):
-    g, ginv, gamma = base["g"], base["ginv"], base["gamma"]
-    return lf.coordinate_metric_residuals(lifted.gbar, g, ginv, gamma, y, flavor)
-
-
-def _mixed_display(ctx, lifted, base, N_at, DJ, points, flavor) -> Measured:
-    args = (N_at, _frame(ctx, lifted), base["J"], _repeated(DJ), flavor)
+def _mixed_display(ctx, lift, N_at, J, DJ, points, flavor) -> Measured:
+    args = (N_at, lift.frame, J, DJ, flavor)
     details = {}
     if flavor == lf.COTANGENT:
         literal = lf.mixed_display_residual(*args, literal=True)
@@ -661,19 +627,20 @@ def _mixed_display(ctx, lifted, base, N_at, DJ, points, flavor) -> Measured:
     return _worst(lf.mixed_display_residual(*args), points, **details)
 
 
-def _horizontal_display(ctx, lifted, base, y, N_at, NJ, R, points, flavor) -> Measured:
+def _horizontal_display(ctx, lift, y, N_at, J, NJ, R, points, flavor) -> Measured:
     """N on horizontal pairs against the displayed formula, the displayed
     curvature read in the house convention.  The detail ``curvature``, the
     largest curvature entry, tells a chart that exercises the curvature term
     from a flat one."""
-    frame = _frame(ctx, lifted)
-    args = (_repeated(NJ), _repeated(R), y, ctx.params, flavor)
-    gap = lf.horizontal_display_match(N_at, frame, base["J"], *args)
+    gap = lf.horizontal_display_match(N_at, lift.frame, J, NJ, R, y, ctx.params, flavor)
     return _worst(gap, points, curvature=largest_entry(R)[0])
 
 
 def _lift_checks(flavor: str) -> list:
-    """The lifts suite of one flavour, at FIBRE_PER_BASE fibre points per sample."""
+    """The lifts suite of one flavour, at FIBRE_PER_BASE fibre points per sample.
+    Its metric displays read the metric of the fibre, g (tangent) or g^-1
+    (cotangent), as ``fibre_g``."""
+    fibre_g = "g" if flavor == lf.TANGENT else "ginv"
 
     def check(name, anchor, residual, reads, tol=GEOMETRIC, gating=True):
         cid = f"lifts-{flavor}/{name}"
@@ -685,51 +652,51 @@ def _lift_checks(flavor: str) -> list:
         check(
             "metallic-equation",
             "lifted structure satisfies J^2 = p J + q I",
-            lambda ctx, lifted, flavor: _metallic(ctx, lifted.jbar),
+            lambda ctx, lift, flavor: _metallic(ctx, lift.jbar),
             ("lift[{}]",),
         ),
         check(
             "compatibility",
             "lifted metric is compatible with the lifted structure",
-            lambda ctx, lifted, flavor: _skew(lifted.gbar @ lifted.jbar),
+            lambda ctx, lift, flavor: _skew(lift.gbar @ lift.jbar),
             ("lift[{}]",),
         ),
         check(
             "frame-endo-display",
             "lifted structure acts on the horizontal/vertical frame as displayed",
-            _frame_endo,
-            ("lift[{}]", "lift_base"),
+            lambda ctx, lift, J, flavor: lf.frame_endo_residuals(lift.jbar, lift.frame, J, flavor),
+            ("lift[{}]", "J"),
         ),
         check(
             "coordinate-endo-display",
             "lifted structure acts on the coordinate fields as displayed",
-            _coordinate_endo,
-            ("lift[{}]", "lift_base", "fibre"),
+            lambda ctx, lift, *a, flavor: lf.coordinate_endo_residuals(lift.jbar, *a, flavor),
+            ("lift[{}]", "J", "gamma[scenario]", "fibre"),
         ),
         check(
             "metric-frame-components",
             "lifted metric has the displayed frame components",
-            _metric_frame,
-            ("lift[{}]", "lift_base"),
+            lambda ctx, lift, *a, flavor: lf.frame_metric_residuals(lift.gbar, lift.frame, *a),
+            ("lift[{}]", "g", fibre_g),
         ),
         check(
             "metric-coordinate-displays",
             "corrected reading of the coordinate metric displays (informative)",
-            _metric_coordinate,
-            ("lift[{}]", "lift_base", "fibre"),
+            lambda ctx, lift, *a, flavor: lf.coordinate_metric_residuals(lift.gbar, *a, flavor),
+            ("lift[{}]", "g", fibre_g, "gamma[scenario]", "fibre"),
             gating=False,
         ),
         check(
             "nijenhuis-vertical-vertical",
             "N vanishes on pairs of vertical fields",
-            lambda ctx, N_at, flavor: N_at[:, :, ctx.chart.dim :, ctx.chart.dim :],
+            lambda ctx, N_at, flavor: N_at[..., ctx.chart.dim :, ctx.chart.dim :],
             ("lift_nij[{}]",),
         ),
         check(
             "nijenhuis-mixed-display",
             "N on horizontal/vertical pairs matches the displayed formula",
             _mixed_display,
-            ("lift[{}]", "lift_base", "lift_nij[{}]", "nablaJ[scenario]", "lift_points"),
+            ("lift[{}]", "lift_nij[{}]", "J", "nablaJ[scenario]", "lift_points"),
         ),
         check(
             "nijenhuis-horizontal-display",
@@ -737,7 +704,7 @@ def _lift_checks(flavor: str) -> list:
             "its R^l_(a b c) read as the house R^l_(a b c)",
             _horizontal_display,
             (
-                *("lift[{}]", "lift_base", "fibre", "lift_nij[{}]"),
+                *("lift[{}]", "fibre", "lift_nij[{}]", "J"),
                 *("NJ", "riemann[scenario]", "lift_points"),
             ),
             TOL_CURVATURE_DISPLAY,
@@ -770,8 +737,8 @@ def _commutation_lifts(ctx: ScenarioContext, g, ginv, J, gamma):
     intertwining reads no partials of the lifts: it declares none."""
     yv = _commutation_fibre(ctx)
     eta = np.einsum("mij,mj->mi", g, yv)
-    tangent = lf.lift(lf.TANGENT, yv, g, ginv, J, gamma)
-    cotangent = lf.lift(lf.COTANGENT, eta, g, ginv, J, gamma)
+    tangent = lf.lift(lf.TANGENT, yv[:, None], g, ginv, J, gamma)
+    cotangent = lf.lift(lf.COTANGENT, eta[:, None], g, ginv, J, gamma)
     return tangent, cotangent, np.hstack([ctx.points, yv])
 
 
@@ -1100,19 +1067,19 @@ ARRAYS = {
     },
     "jp_eigenvalues": (lambda ctx, jp: gb.pairing_eigenvalues(jp), ("gen[jp]",)),
     "f_plus": (_f_plus, ("g", "J")),
-    # the lifts: FIBRE_PER_BASE fibre points over each sample, shared by both flavours
+    # the lifts: FIBRE_PER_BASE fibre points over each sample, shared by both
+    # flavours; the cotangent lift's partials do not read dg and dginv
     "fibre": (_fibre_points, ()),
-    "lift_points": (lambda ctx, y: np.hstack([_repeated(ctx.points), y]), ("fibre",)),
-    "lift_base": (
-        lambda ctx, *a: dict(zip(_LIFT_BASE, map(_repeated, a))),
-        tuple(_LIFT_BASE.values()),
-    ),
+    "lift_points": (_lift_points, ("fibre",)),
     **{
-        f"lift[{f}]": (lambda ctx, y, base, f=f: lf.lift(f, y, **base), ("fibre", "lift_base"))
-        for f in (lf.TANGENT, lf.COTANGENT)
+        f"lift[{f}]": (
+            lambda ctx, *a, f=f: lf.lift(f, *a),
+            ("fibre", "g", "ginv", "J", "gamma[scenario]", "dJ", "dgamma[scenario]", *partials),
+        )
+        for f, partials in ((lf.TANGENT, ("dg", "dginv")), (lf.COTANGENT, ()))
     },
     **{
-        f"lift_nij[{f}]": (lambda ctx, lifted: lf.nijenhuis_values(lifted), (f"lift[{f}]",))
+        f"lift_nij[{f}]": (lambda ctx, lift: lf.nijenhuis_values(lift), (f"lift[{f}]",))
         for f in (lf.TANGENT, lf.COTANGENT)
     },
 }

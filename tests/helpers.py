@@ -606,7 +606,14 @@ def matching_readings(N, frame, J, NJ, R, y, p, q, tangent, tol=1e-7):
     curvature (6 index orders times 2 signs) whose vertical gap is at most
     ``tol``: the search that tells which convention the data decides.  A
     reading (sign, perm), such as ("-", ("b", "a", "c")), reads the displayed
-    R^l_(a b c) as -R_house^l_(b a c)."""
+    R^l_(a b c) as -R_house^l_(b a c).
+
+    N, frame and y are lifted arrays [m, F, ...] and J, NJ and R base arrays
+    [m, ...], as the program holds them; the spec reads one row per lifted
+    sample, so the base arrays are repeated over the F fibre points."""
+    fibre = y.shape[1]
+    N, frame, y = (a.reshape((-1,) + a.shape[2:]) for a in (N, frame, y))
+    J, NJ, R = (np.repeat(a, fibre, axis=0) for a in (J, NJ, R))
     horiz, vert, terms = horizontal_display_spec(N, frame, J, NJ, R, y, p, q, tangent)
     matching = {
         (sign, perm)

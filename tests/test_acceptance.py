@@ -232,12 +232,11 @@ def _readings(name, flavor):
     """The readings of the displayed curvature that match at the lifted samples
     of the scenario's run (helpers.matching_readings)."""
     ctx = ScenarioContext(load_scenario(scenario_path(name)))
-    y, base, lifted = ctx["fibre"], ctx["lift_base"], ctx[f"lift[{flavor}]"]
-    n = ctx.chart.dim
-    N, frame = lf.nijenhuis_values(lifted), lifted.forward[:, :, :n]
-    NJ, R = suites._repeated(ctx["NJ"]), suites._repeated(ctx["riemann[scenario]"])
+    lifted = ctx[f"lift[{flavor}]"]
+    N, frame = lf.nijenhuis_values(lifted), lifted.frame
+    J, NJ, R, y = (ctx[key] for key in ("J", "NJ", "riemann[scenario]", "fibre"))
     p, q = ctx.params.p, ctx.params.q
-    return matching_readings(N, frame, base["J"], NJ, R, y, p, q, flavor == lf.TANGENT)[1]
+    return matching_readings(N, frame, J, NJ, R, y, p, q, flavor == lf.TANGENT)[1]
 
 
 def test_criterion_10_curvature_convention(corpus_reports):

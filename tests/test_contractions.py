@@ -94,13 +94,16 @@ def test_torsion_closed_form_matches_its_einsum_spec(n):
     assert close(got, torsion_closed_form_spec(J, PARAMS.q, omega))
 
 
+FIBRE = 2  # fibre points over each of the M base samples of the lifts
+
+
 def lift_arrays(rng, n):
     g = spd(rng, n)
     ginv = np.linalg.inv(g)
     dg = rng.normal(size=(M, n, n, n))
     dg = dg + np.swapaxes(dg, -1, -2)
     return {
-        "y": rng.normal(size=(M, n)),
+        "y": rng.normal(size=(M, FIBRE, n)),
         "g": g,
         "ginv": ginv,
         "J": rng.normal(size=(M, n, n)),
@@ -112,46 +115,66 @@ def lift_arrays(rng, n):
     }
 
 
+def rows(a):
+    """A lifted array [M, FIBRE, ...] with one row per lifted sample, as the specs read it."""
+    return a.reshape((M * FIBRE,) + a.shape[2:])
+
+
+def repeated(a):
+    """A base array [M, ...] at each of the FIBRE lifted samples over its sample."""
+    return np.repeat(a, FIBRE, axis=0)
+
+
 @pytest.mark.parametrize("flavor", (lf.TANGENT, lf.COTANGENT))
 @pytest.mark.parametrize("n", DIMS)
 def test_lift_and_displays_match_their_einsum_specs(n, flavor):
+    # the program broadcasts the base arrays over the fibre points; the specs
+    # read the base arrays repeated at every lifted sample
     rng = np.random.default_rng(40 + n)
     tangent = flavor == lf.TANGENT
     a = lift_arrays(rng, n)
     lift = lf.lift(flavor, **a)
-    jbar, djbar = lift_spec(tangent, **a)
-    assert close(lift.jbar, jbar)
-    assert close(lift.djbar, djbar)
+    at_rows = {key: rows(v) if key == "y" else repeated(v) for key, v in a.items()}
+    jbar, djbar = lift_spec(tangent, **at_rows)
+    assert close(rows(lift.jbar), jbar)
+    assert close(rows(lift.djbar), djbar)
 
     y, g, ginv, J, gamma = a["y"], a["g"], a["ginv"], a["J"], a["gamma"]
-    jbar = rng.normal(size=(M, 2 * n, 2 * n))
-    gbar = rng.normal(size=(M, 2 * n, 2 * n))
-    frame = rng.normal(size=(M, 2 * n, n))
-    N = rng.normal(size=(M, 2 * n, 2 * n, 2 * n))
+    fibre_g = g if tangent else ginv
+    jbar = rng.normal(size=(M, FIBRE, 2 * n, 2 * n))
+    gbar = rng.normal(size=(M, FIBRE, 2 * n, 2 * n))
+    frame = rng.normal(size=(M, FIBRE, 2 * n, n))
+    N = rng.normal(size=(M, FIBRE, 2 * n, 2 * n, 2 * n))
     DJ, NJ = rng.normal(size=(M, n, n, n)), rng.normal(size=(M, n, n, n))
     R = rng.normal(size=(M, n, n, n, n))
+    jbar_r, gbar_r, frame_r, N_r, y_r = (rows(x) for x in (jbar, gbar, frame, N, y))
+    base = (g, ginv, J, gamma, DJ, NJ, R)
+    g_r, ginv_r, J_r, gamma_r, DJ_r, NJ_r, R_r = (repeated(x) for x in base)
     assert close(
-        lf.frame_endo_residuals(jbar, frame, J, flavor), frame_endo_spec(jbar, frame, J, tangent)
+        rows(lf.frame_endo_residuals(jbar, frame, J, flavor)),
+        frame_endo_spec(jbar_r, frame_r, J_r, tangent),
     )
     assert close(
-        lf.coordinate_endo_residuals(jbar, J, gamma, y, flavor),
-        coordinate_endo_spec(jbar, J, gamma, y, tangent),
+        rows(lf.coordinate_endo_residuals(jbar, J, gamma, y, flavor)),
+        coordinate_endo_spec(jbar_r, J_r, gamma_r, y_r, tangent),
     )
     assert close(
-        lf.frame_metric_residuals(gbar, frame, g, ginv, flavor),
-        frame_metric_spec(gbar, frame, g, ginv, tangent),
+        rows(lf.frame_metric_residuals(gbar, frame, g, fibre_g)),
+        frame_metric_spec(gbar_r, frame_r, g_r, ginv_r, tangent),
     )
     assert close(
-        lf.coordinate_metric_residuals(gbar, g, ginv, gamma, y, flavor),
-        coordinate_metric_spec(gbar, g, ginv, gamma, y, tangent),
+        rows(lf.coordinate_metric_residuals(gbar, g, fibre_g, gamma, y, flavor)),
+        coordinate_metric_spec(gbar_r, g_r, ginv_r, gamma_r, y_r, tangent),
     )
     for literal in (False, True):
         assert close(
-            lf.mixed_display_residual(N, frame, J, DJ, flavor, literal=literal),
-            mixed_display_spec(N, frame, J, DJ, tangent, literal=literal),
+            rows(lf.mixed_display_residual(N, frame, J, DJ, flavor, literal=literal)),
+            mixed_display_spec(N_r, frame_r, J_r, DJ_r, tangent, literal=literal),
         )
-    gap = lf.horizontal_display_match(N, frame, J, NJ, R, y, PARAMS, flavor)
-    horiz, vert, terms = horizontal_display_spec(N, frame, J, NJ, R, y, PARAMS.p, PARAMS.q, tangent)
+    gap = rows(lf.horizontal_display_match(N, frame, J, NJ, R, y, PARAMS, flavor))
+    horiz, vert, terms = horizontal_display_spec(
+        N_r, frame_r, J_r, NJ_r, R_r, y_r, PARAMS.p, PARAMS.q, tangent
+    )
     assert close(gap[:, :n], horiz)
     assert close(gap[:, n:], vert - terms[("a", "b", "c")])
 
@@ -194,7 +217,7 @@ def test_a_commutation_run_evaluates_no_second_partials(monkeypatch):
     def every_partial(flavor, y, g, ginv, J, gamma):
         # the run is one chunk: the scenario's declared samples
         ctx = suites.ScenarioContext(scenario)
-        partials = [ctx[name] for name in ("dg", "dJ", "dgamma[scenario]", "dginv")]
+        partials = [ctx[name] for name in ("dJ", "dgamma[scenario]", "dg", "dginv")]
         return lift(flavor, y, g, ginv, J, gamma, *partials)
 
     monkeypatch.setattr(lf, "lift", every_partial)

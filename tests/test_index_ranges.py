@@ -33,9 +33,9 @@ def test_each_chunk_draws_the_rows_of_the_run_wide_draw(n):
             assert np.array_equal(part.points, rows["points"][first : first + COUNT])
             got = suites._commutation_fibre(part)
             assert np.array_equal(got, rows["commutation"][first : first + COUNT])
-            lifted = slice(first * FIBRE_PER_BASE, (first + COUNT) * FIBRE_PER_BASE)
             got = suites._fibre_points(part)
-            assert np.array_equal(got, rows["fibre"][lifted]), (n, seed, first)
+            assert got.shape == (COUNT, FIBRE_PER_BASE, n)
+            assert np.array_equal(got, rows["fibre"][first : first + COUNT]), (n, seed, first)
 
 
 def test_the_peak_of_a_run_does_not_grow_with_its_chunk_count():

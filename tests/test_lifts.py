@@ -40,22 +40,24 @@ def warped_setup():
     return c, g, J
 
 
-def lift_at(c, g, J, flavor, pts):
-    """The array lift at the 2n points ``pts`` over the Levi-Civita values at their base points."""
-    n = c.dim
-    return lf.lift(flavor, pts[:, n:], **lift_inputs(field_context(c, g, J, pts[:, :n])))
+def lift_at(c, g, J, flavor, base, y):
+    """The array lift at the fibre points y [m, F, n] over the Levi-Civita
+    values at the m points ``base``."""
+    return lf.lift(flavor, y, *lift_inputs(field_context(c, g, J, base), flavor))
 
 
-def lift_inputs(ctx):
-    """The base arrays lf.lift takes, by its parameter names, as a run reads them."""
-    return {key: ctx[name] for key, name in suites._LIFT_BASE.items()}
+def lift_inputs(ctx, flavor):
+    """The base arrays lf.lift takes after y, as a run reads them: the
+    declared reads of ``lift[flavor]`` after the fibre points."""
+    return [ctx[name] for name in suites.ARRAYS[f"lift[{flavor}]"][1][1:]]
 
 
-def lifted_points(c, base_count, fibre_per_base, seed=None):
-    """Base samples of the chart ``c``, each paired with ``fibre_per_base`` fibre draws."""
+def bundle_points(c, base_count, fibre_per_base, seed=None):
+    """Base samples of the chart ``c`` [m, n], and ``fibre_per_base`` fibre
+    draws over each [m, F, n]."""
     seed = c.seed if seed is None else seed
-    base = np.repeat(c.sample_points(base_count, seed=seed), fibre_per_base, axis=0)
-    return np.hstack([base, lf.fibre_points(c.dim, len(base), seed)])
+    y = lf.fibre_points(c.dim, base_count * fibre_per_base, seed)
+    return c.sample_points(base_count, seed=seed), y.reshape(base_count, fibre_per_base, c.dim)
 
 
 def test_lifted_chart_samples():
@@ -70,43 +72,44 @@ def test_fibre_points_are_the_fibre_part_of_the_samples():
     # a run pairs each base sample with FIBRE_PER_BASE fibre draws of its seed
     c, g, J = flat_setup()
     ctx = field_context(c, g, J, c.sample_points(8, seed=0))
-    expected = lifted_points(c, 8, suites.FIBRE_PER_BASE, seed=0)
+    base = np.repeat(c.sample_points(8, seed=0), suites.FIBRE_PER_BASE, axis=0)
+    expected = np.hstack([base, lf.fibre_points(c.dim, len(base), 0)])
     assert (ctx["lift_points"] == expected).all()
+    assert (ctx["fibre"].reshape(-1, c.dim) == expected[:, c.dim :]).all()
 
 
 def test_horizontal_frame_zero_connection_is_coordinate_frame():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        values = lift_at(c, g, J, flavor, lifted_points(c, 4, 2)).forward[:, :, :2]
+        values = lift_at(c, g, J, flavor, *bundle_points(c, 4, 2)).frame
         expected = np.zeros_like(values)
-        expected[:, 0, 0] = 1.0
-        expected[:, 1, 1] = 1.0
+        expected[..., 0, 0] = 1.0
+        expected[..., 1, 1] = 1.0
         assert np.abs(values - expected).max() == 0.0
 
 
 def test_horizontal_frame_formulas_on_sphere(sphere_setup):
     c, g, J = sphere_setup
-    pts_t = lifted_points(c, 6, 2, seed=2)
-    gamma = field_context(c, g, J, pts_t[:, :2])["gamma[lc]"]
-    y = pts_t[:, 2:]
+    base, y = bundle_points(c, 6, 2, seed=2)
+    gamma = field_context(c, g, J, base)["gamma[lc]"]
 
-    tangent = lift_at(c, g, J, lf.TANGENT, pts_t).forward[:, :, :2]
+    tangent = lift_at(c, g, J, lf.TANGENT, base, y).frame
     # fibre component l of X_i^H is -y^k Gamma^l_{ik}
-    expected = -np.einsum("mk,mlik->mli", y, gamma)
-    assert np.abs(tangent[:, 2:, :] - expected).max() < 1e-14
+    expected = -np.einsum("mfk,mlik->mfli", y, gamma)
+    assert np.abs(tangent[..., 2:, :] - expected).max() < 1e-14
 
-    cotangent = lift_at(c, g, J, lf.COTANGENT, pts_t).forward[:, :, :2]
-    expected_c = np.einsum("mk,mkil->mli", y, gamma)
-    assert np.abs(cotangent[:, 2:, :] - expected_c).max() < 1e-14
+    cotangent = lift_at(c, g, J, lf.COTANGENT, base, y).frame
+    expected_c = np.einsum("mfk,mkil->mfli", y, gamma)
+    assert np.abs(cotangent[..., 2:, :] - expected_c).max() < 1e-14
 
 
 def test_morphism_matrices_invertible(sphere_setup):
     c, g, J = sphere_setup
-    pts = lifted_points(c, 8, 2, seed=4)
-    tangent = lift_at(c, g, J, lf.TANGENT, pts)
-    cotangent = lift_at(c, g, J, lf.COTANGENT, pts)
+    base, y = bundle_points(c, 8, 2, seed=4)
+    tangent = lift_at(c, g, J, lf.TANGENT, base, y)
+    cotangent = lift_at(c, g, J, lf.COTANGENT, base, y)
     psi, phi = tangent.forward, cotangent.forward
-    g_at = ch.eval_exprs(g, pts)
+    g_at = ch.eval_exprs(g, base)[:, None]
     # block-triangular determinant: det psi = det g^{-1} != 0; det phi = 1
     assert np.abs(np.linalg.det(psi) - 1.0 / np.linalg.det(g_at)).max() < 1e-12
     assert np.abs(np.linalg.det(phi) - 1.0).max() < 1e-12
@@ -117,15 +120,14 @@ def test_morphism_matrices_invertible(sphere_setup):
     assert np.abs(phi @ phi_inv - eye).max() < 1e-12
     # flat morphisms are the identity
     cf, gf, Jf = flat_setup()
-    psi_f = lift_at(cf, gf, Jf, lf.TANGENT, lifted_points(cf, 4, 1)).forward
+    psi_f = lift_at(cf, gf, Jf, lf.TANGENT, *bundle_points(cf, 4, 1)).forward
     assert np.abs(psi_f - eye).max() == 0.0
 
 
 def test_flat_lift_is_block_diagonal():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts = lifted_points(c, 8, 2)
-        lift = lift_at(c, g, J, flavor, pts)
+        lift = lift_at(c, g, J, flavor, *bundle_points(c, 8, 2))
         jv = lift.jbar
         expected = np.zeros((4, 4))
         expected[:2, :2] = np.diag([GOLDEN, 1 - GOLDEN])
@@ -137,16 +139,14 @@ def test_flat_lift_is_block_diagonal():
 def test_scalar_structure_lifts_to_scalar(sphere_setup):
     c, g, _ = sphere_setup
     scalar = ch.constant_matrix(GOLDEN * np.eye(2))
-    pts = lifted_points(c, 8, 2)
-    jbar = lift_at(c, g, scalar, lf.TANGENT, pts).jbar
+    jbar = lift_at(c, g, scalar, lf.TANGENT, *bundle_points(c, 8, 2)).jbar
     assert np.abs(jbar - GOLDEN * np.eye(4)).max() < 1e-11
 
 
 def test_lifted_structure_is_metallic_riemannian(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts = lifted_points(c, 16, 4, seed=9)
-        lift = lift_at(c, g, J, flavor, pts)
+        lift = lift_at(c, g, J, flavor, *bundle_points(c, 16, 4, seed=9))
         jv, gv = lift.jbar, lift.gbar
         assert np.abs(jv @ jv - PARAMS.p * jv - PARAMS.q * np.eye(4)).max() < 1e-9
         gj = gv @ jv
@@ -157,43 +157,42 @@ def test_lifted_structure_is_metallic_riemannian(sphere_setup):
 def test_frame_and_coordinate_displays(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts = lifted_points(c, 12, 4, seed=6)
-        lift = lift_at(c, g, J, flavor, pts)
-        jv, gv, frame = lift.jbar, lift.gbar, lift.forward[:, :, :2]
-        ctx = field_context(c, g, J, pts[:, :2])
+        base, y = bundle_points(c, 12, 4, seed=6)
+        lift = lift_at(c, g, J, flavor, base, y)
+        jv, gv, frame = lift.jbar, lift.gbar, lift.frame
+        ctx = field_context(c, g, J, base)
         g_at, ginv_at, J_at, gamma_at = ctx["g"], ctx["ginv"], ctx["J"], ctx["gamma[lc]"]
-        y = pts[:, 2:]
+        fibre_g = g_at if flavor == lf.TANGENT else ginv_at
         assert np.abs(lf.frame_endo_residuals(jv, frame, J_at, flavor)).max() < 1e-9
         assert (
             np.abs(lf.coordinate_endo_residuals(jv, J_at, gamma_at, y, flavor)).max()
             < 1e-9
         )
         assert (
-            np.abs(lf.frame_metric_residuals(gv, frame, g_at, ginv_at, flavor)).max()
+            np.abs(lf.frame_metric_residuals(gv, frame, g_at, fibre_g)).max()
             < 1e-9
         )
         assert (
             np.abs(
-                lf.coordinate_metric_residuals(gv, g_at, ginv_at, gamma_at, y, flavor)
+                lf.coordinate_metric_residuals(gv, g_at, fibre_g, gamma_at, y, flavor)
             ).max()
             < 1e-9
         )
 
 
 def _nijenhuis_data(c, g, J, flavor, base=10, fibre=4, seed=8):
-    pts = lifted_points(c, base, fibre, seed=seed)
-    lift = lift_at(c, g, J, flavor, pts)
+    points, y = bundle_points(c, base, fibre, seed=seed)
+    lift = lift_at(c, g, J, flavor, points, y)
     N = lf.nijenhuis_values(lift)
-    frame = lift.forward[:, :, : c.dim]
-    ctx = field_context(c, g, J, pts[:, : c.dim])
+    ctx = field_context(c, g, J, points)
     DJ = ctx["nablaJ[lc]"]
-    return pts, N, frame, ctx["J"], DJ, ctx["NJ"], ctx["riemann[lc]"]
+    return y, N, lift.frame, ctx["J"], DJ, ctx["NJ"], ctx["riemann[lc]"]
 
 
 def test_lifted_nijenhuis_vanishes_flat_locally_metallic():
     c, g, J = flat_setup()
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts, N, *_ = _nijenhuis_data(c, g, J, flavor)
+        _, N, *_ = _nijenhuis_data(c, g, J, flavor)
         assert np.abs(N).max() < 1e-9
 
 
@@ -203,25 +202,25 @@ def test_lifted_nijenhuis_vanishes_for_scalar_on_sphere(sphere_setup):
     c, g, _ = sphere_setup
     scalar = ch.constant_matrix(GOLDEN * np.eye(2))
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts, N, *_ = _nijenhuis_data(c, g, scalar, flavor)
+        _, N, *_ = _nijenhuis_data(c, g, scalar, flavor)
         assert np.abs(N).max() < 1e-9
 
 
 def test_vertical_vertical_always_vanishes(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts, N, *_ = _nijenhuis_data(c, g, J, flavor)
-        assert np.abs(N[:, :, 2:, 2:]).max() < 1e-12
+        _, N, *_ = _nijenhuis_data(c, g, J, flavor)
+        assert np.abs(N[..., 2:, 2:]).max() < 1e-12
 
 
 def test_mixed_display(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, flavor)
+        _, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, flavor)
         res = lf.mixed_display_residual(N, frame, J_at, DJ, flavor)
         assert np.abs(res).max() < 1e-9
     # the literal cotangent display composes J on the wrong side and fails
-    pts, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, lf.COTANGENT)
+    _, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, lf.COTANGENT)
     literal = lf.mixed_display_residual(N, frame, J_at, DJ, lf.COTANGENT, literal=True)
     assert np.abs(literal).max() > 1e-3
 
@@ -233,8 +232,7 @@ def test_sphere_diag_cannot_distinguish_sign(sphere_setup):
     # reading the program checks is one of those that match
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor)
-        y = pts[:, 2:]
+        y, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor)
         horizontal, good = matching_readings(N, frame, J_at, NJ, R, y, 1.0, 1.0, flavor == lf.TANGENT)
         assert horizontal < 1e-9
         assert good == {(sign, perm) for sign in "+-" for perm in (tuple("abc"), tuple("bac"))}
@@ -245,9 +243,8 @@ def test_sphere_diag_cannot_distinguish_sign(sphere_setup):
 def test_warped_scenario_resolves_full_convention(warped_setup):
     c, g, J = warped_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
-        pts, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor, base=8, fibre=4)
+        y, N, frame, J_at, _, NJ, R = _nijenhuis_data(c, g, J, flavor, base=8, fibre=4)
         assert np.abs(R).max() > 1.0  # the coupling curvature is substantial
-        y = pts[:, 3:]
         _, good = matching_readings(N, frame, J_at, NJ, R, y, 1.0, 1.0, flavor == lf.TANGENT)
         assert good == {("+", tuple("abc")), ("-", tuple("bac"))}
         gap = lf.horizontal_display_match(N, frame, J_at, NJ, R, y, PARAMS, flavor)
@@ -276,10 +273,9 @@ def test_commutation_identity(sphere_setup, warped_setup):
         y = rng.uniform(-1.0, 1.0, size=base.shape)
         g_at = ch.eval_exprs(g, base)
         eta = np.einsum("mij,mj->mi", g_at, y)
-        pts_t = np.hstack([base, y])
-        pts_c = np.hstack([base, eta])
-        tangent = lift_at(c, g, J, lf.TANGENT, pts_t)
-        cotangent = lift_at(c, g, J, lf.COTANGENT, pts_c)
+        # one fibre point over each sample
+        tangent = lift_at(c, g, J, lf.TANGENT, base, y[:, None])
+        cotangent = lift_at(c, g, J, lf.COTANGENT, base, eta[:, None])
         res = lf.commutation_residual(
             tangent.forward, cotangent.backward, tangent.jbar, cotangent.jbar
         )
@@ -325,8 +321,8 @@ def test_array_lift_matches_numpy_oracle(name, flavor):
     ctx = ScenarioContext(scenario, samples=3)
     n = ctx.chart.dim
     y = np.random.default_rng(5).uniform(-1.0, 1.0, size=ctx.points.shape)
-    lift = lf.lift(flavor, y, **lift_inputs(ctx))
-    N = lf.nijenhuis_values(lift)
+    lift = lf.lift(flavor, y[:, None], *lift_inputs(ctx, flavor))  # one fibre point each
+    jbar, djbar, N = lift.jbar[:, 0], lift.djbar[:, 0], lf.nijenhuis_values(lift)[:, 0]
     args = (scenario.metric, scenario.J, flavor)
 
     def jbar_at(p):
@@ -334,11 +330,46 @@ def test_array_lift_matches_numpy_oracle(name, flavor):
 
     assert np.abs(N).max() > 1e-3 or name == "polar-plane"  # a non-trivial comparison
     for m, z in enumerate(np.hstack([ctx.points, y])):
-        assert np.abs(lift.jbar[m] - jbar_at(z)).max() < 1e-9
+        assert np.abs(jbar[m] - jbar_at(z)).max() < 1e-9
         for c in range(2 * n):
-            assert np.abs(lift.djbar[m, c] - fd_partial(jbar_at, z, c)).max() < 1e-6
+            assert np.abs(djbar[m, c] - fd_partial(jbar_at, z, c)).max() < 1e-6
         oracle = fd_lifted_nijenhuis(*args, z, scenario.connection)
         assert np.abs(N[m] - oracle).max() < 1e-6
+
+
+@pytest.mark.parametrize("flavor", [lf.TANGENT, lf.COTANGENT])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_broadcast_lift_is_the_lift_over_repeated_base_arrays_bit_for_bit(n, flavor):
+    # the layout a run uses, F fibre points over each base sample with the base
+    # arrays broadcast, against the copy layout: one lifted sample per row over
+    # the base arrays repeated at each of its fibre points
+    rng = np.random.default_rng(70 + n)
+    m, F = 5, suites.FIBRE_PER_BASE
+    a = rng.normal(size=(m, n, n))
+    g = a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+    ginv = np.linalg.inv(g)
+    dg = rng.normal(size=(m, n, n, n))
+    dg = dg + np.swapaxes(dg, -1, -2)
+    base = {
+        "g": g,
+        "ginv": ginv,
+        "J": rng.normal(size=(m, n, n)),
+        "gamma": rng.normal(size=(m, n, n, n)),
+        "dJ": rng.normal(size=(m, n, n, n)),
+        "dgamma": rng.normal(size=(m, n, n, n, n)),
+        "dg": dg,
+        "dginv": -(ginv[:, None] @ dg @ ginv[:, None]),
+    }
+    y = rng.uniform(-1.0, 1.0, size=(m, F, n))
+    broadcast = lf.lift(flavor, y, **base)
+    repeated = {key: np.repeat(values, F, axis=0) for key, values in base.items()}
+    copied = lf.lift(flavor, y.reshape(m * F, 1, n), **repeated)
+    for name in ("jbar", "forward", "backward", "gbar", "djbar"):
+        got, expected = getattr(broadcast, name), getattr(copied, name)
+        assert got.shape == (m, F) + expected.shape[2:], name
+        assert got.tobytes() == expected.tobytes(), name
+    got, expected = lf.nijenhuis_values(broadcast), lf.nijenhuis_values(copied)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_a_corpus_run_builds_no_bundle_coordinates(monkeypatch):

@@ -108,3 +108,18 @@ def test_the_wide_batch_suites_at_4096_samples_stay_below_24_mb_traced():
     finally:
         tracemalloc.stop()
     assert peak < 24e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_both_lifts_at_512_samples_stay_below_20_mb_traced():
+    # one chunk of warped-mixing (n = 3): the lifts broadcast the base arrays
+    # over the 4 fibre points over each sample and peak near 18.6 MB, where
+    # copies of the base arrays at every fibre point peaked near 22.3 MB
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    assert suites._chunk_length(scenario.chart.dim) >= 512
+    tracemalloc.start()
+    try:
+        run_suites(scenario, suites=["lifts-tangent", "lifts-cotangent"], samples=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"{peak / 1e6:.1f} MB"
