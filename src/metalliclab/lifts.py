@@ -267,33 +267,43 @@ def mixed_display_residual(
     J_v: np.ndarray,
     DJ_v: np.ndarray,
     flavor: str,
-    literal: bool = False,
-) -> np.ndarray:
-    """N on horizontal/vertical pairs against the displayed formula.
+) -> tuple:
+    """N on horizontal/vertical pairs against the displayed formula: the
+    residual of the corrected reading and that of the printed form.
 
-    Tangent: N(H_i, d/dy^j)^{vert k} = ((nabla_{JX_i}J) - J(nabla_{X_i}J))^k_j.
+    Tangent: N(H_i, d/dy^j)^{vert k} = ((nabla_{JX_i}J) - J(nabla_{X_i}J))^k_j,
+    as printed: the two residuals are one array.
     Cotangent: the fibre transforms dually, which flips the composition in the
     second term to (nabla_{X_i}J) J; the printed form keeps J(nabla J) (the
-    tangent-case order) and is only evaluated when ``literal`` is set.  The
-    display depends on the base point alone: it is built once per base sample.
+    tangent-case order).  Both readings share N's frame components and
+    nabla_{J d_i} J.  The display depends on the base point alone: it is
+    built once per base sample.
     """
     n = J_v.shape[-1]
     actual = _swap(frame_v)[:, :, None] @ N_v[..., n:]
-    expected = np.zeros_like(actual)
     along_J = _first(_swap(J_v), DJ_v)  # [m, i, r, k] = (nabla_{J d_i} J)^r_k
-    if flavor == TANGENT or literal:
-        # M[m, i, r, k] = (nabla_{J d_i} J)^r_k - (J (nabla_i J))^r_k
-        M = along_J - J_v[:, None] @ DJ_v
-    else:
-        # M[m, i, r, k] = (nabla_{J d_i} J)^r_k - ((nabla_i J) J)^r_k
-        M = along_J - DJ_v @ J_v[:, None]
+    # M[m, i, r, k] = (nabla_{J d_i} J)^r_k - (J (nabla_i J))^r_k
+    printed = along_J - J_v[:, None] @ DJ_v
     if flavor == TANGENT:
         # N(H_i, d/dy^j)^{vert k} = M[m, i, k, j]
-        expected[..., n:, :, :] = M.transpose(0, 2, 1, 3)[:, None]
-    else:
-        # N(H_i, d/dy_j)^{vert k} = M[m, i, j, k]
-        expected[..., n:, :, :] = M.transpose(0, 3, 1, 2)[:, None]
-    return actual - expected
+        residual = _against(actual, printed.transpose(0, 2, 1, 3))
+        return residual, residual
+    # M[m, i, r, k] = (nabla_{J d_i} J)^r_k - ((nabla_i J) J)^r_k, and
+    # N(H_i, d/dy_j)^{vert k} = M[m, i, j, k]
+    corrected = along_J - DJ_v @ J_v[:, None]
+    return (
+        _against(actual, corrected.transpose(0, 3, 1, 2)),
+        _against(actual, printed.transpose(0, 3, 1, 2)),
+    )
+
+
+def _against(actual: np.ndarray, vertical: np.ndarray) -> np.ndarray:
+    """``actual`` [m, F, 2n, ...] less a display that is 0 on its first n rows
+    and ``vertical`` [m, n, ...] at every fibre point on the last n."""
+    n = vertical.shape[1]
+    out = actual.copy()
+    out[..., n:, :, :] -= vertical[:, None]
+    return out
 
 
 def _displayed_curvature_term(

@@ -5,9 +5,10 @@ tolerance, gating flag, the scenarios it applies to, the named arrays it
 reads and its residual; every array once, in ``ARRAYS``, with its producer
 and the arrays that producer reads.  One guarded loop runs the checks of
 each selected suite in table order, so every declared id appears in the
-report exactly once.  A run goes over chunks of its samples and folds each
-check's results over them by the merge rules declared with the check, the
-maximum where it declares none.
+report exactly once.  A run evaluates each check whose arrays are the same
+at every sample once, on its first sample, and the others over chunks of
+its samples; it folds each check's results by the merge rules declared with
+the check, the maximum where it declares none.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import chart as ch
+from . import expr as ex
 from . import genbundle as gb
 from . import genconn as gc
 from . import lifts as lf
@@ -91,6 +93,10 @@ class ScenarioContext(dict):
     _plan).  Every random draw is addressed by sample index too, so a
     context holds the arrays of its own samples only, whichever range of a
     run it is.
+
+    A chunk of a run takes each array that is the same at every sample
+    (see _varies) from ``once``, the context of the run's first sample, as a
+    view broadcast over its samples; ``varies`` is the memo of _varies.
     """
 
     def __init__(
@@ -100,6 +106,7 @@ class ScenarioContext(dict):
         seed: int | None = None,
         first: int = 0,
         points: np.ndarray | None = None,
+        once: ScenarioContext | None = None,
     ):
         super().__init__()
         self.scenario = scenario
@@ -111,10 +118,18 @@ class ScenarioContext(dict):
             count = samples if samples is not None else scenario.samples
             points = self.chart.sample_points(count, seed=self.seed, first=first)
         self.points = points
+        self.once = once
+        self.varies: dict = {}
 
     def __missing__(self, name: str):
-        make, reads = _producer(self.scenario, name)
-        self[name] = value = make(self, *[self[read] for read in reads])
+        once = self.once
+        if once is not None and not _varies(self.scenario, (name,), once.varies):
+            held = once[name]
+            value = np.broadcast_to(held, (len(self.points), *held.shape[1:]))
+        else:
+            make, reads = _producer(self.scenario, name)
+            value = make(self, *[self[read] for read in reads])
+        self[name] = value
         return value
 
 
@@ -126,10 +141,26 @@ class ScenarioContext(dict):
 def _producer(scenario: ChartScenario, name: str) -> tuple:
     """(make, reads) of the array ``name``.  Without an explicit connection
     the scenario's connection is the Levi-Civita one, and each of its arrays
-    is the Levi-Civita array itself."""
+    is the Levi-Civita array itself.  A leaf field's array reads ``points``
+    unless every entry of the field is a constant."""
     if scenario.connection is None and "[scenario" in name:
         return _same, (name.replace("[scenario", "[lc"),)
+    if name in _LEAVES:
+        comps = getattr(scenario, _LEAVES[name][0])
+        if all(isinstance(entry, ex.Const) for entry in comps.flat):
+            return ARRAYS[name][0], ()
     return ARRAYS[name]
+
+
+def _varies(scenario: ChartScenario, names, memo: dict) -> bool:
+    """Whether any of the arrays ``names`` is or reads ``points``, through
+    the producers of what it reads: whether it can differ between samples."""
+    for name in names:
+        if name not in memo:
+            memo[name] = name == "points" or _varies(scenario, _producer(scenario, name)[1], memo)
+        if memo[name]:
+            return True
+    return False
 
 
 def _same(ctx, array):
@@ -137,8 +168,9 @@ def _same(ctx, array):
     return array
 
 
-def _leaf(ctx, field: str, order: int = 0) -> np.ndarray:
-    """The scenario's ``field`` (metric, J, omega, connection), or its partials to ``order``."""
+def _leaf(ctx, *points, field: str, order: int = 0) -> np.ndarray:
+    """The scenario's ``field`` (metric, J, omega, connection), or its partials
+    to ``order``, at the context's samples."""
     return ch.eval_exprs(getattr(ctx.scenario, field), ctx.points, order)
 
 
@@ -297,6 +329,16 @@ def _fold(check: Check, before: Measured, after: Measured) -> Measured:
     return Measured(residual, witness, details)
 
 
+def _repeated(check: Check, out: Measured, count: int) -> Measured:
+    """The fold of ``count`` copies of ``out``, by doubling (every merge rule
+    is associative)."""
+    if count == 1:
+        return out
+    half = _repeated(check, out, count // 2)
+    twice = _fold(check, half, half)
+    return _fold(check, twice, out) if count % 2 else twice
+
+
 def _result(check: Check, out: Measured, tol: float) -> CheckResult:
     tol = tol if check.tol is GEOMETRIC else check.tol
     fields = (check.cid, check.anchor, out.residual, tol, out.witness)
@@ -307,13 +349,13 @@ def _declared(suite: str, scenario: ChartScenario) -> list:
     return [check for check in CHECKS if check.suite == suite and check.applies(scenario)]
 
 
-def _plan(scenario: ChartScenario, declared: dict) -> dict:
-    """suite -> (check, the arrays it is the last reader of) for each of its
-    checks.  A check reads what it declares and, transitively, what the
-    producers of those arrays read.  Walking back from the last check, an
+def _plan(scenario: ChartScenario, checks: list) -> dict:
+    """cid -> the arrays the check is the last reader of, for ``checks`` run
+    in that order.  A check reads what it declares and, transitively, what
+    the producers of those arrays read.  Walking back from the last check, an
     array already met has a later reader, and so has everything it reads."""
     last, met = {}, set()
-    for check in reversed([check for checks in declared.values() for check in checks]):
+    for check in reversed(checks):
         pending, last[check.cid] = [*check.reads, check.points], []
         while pending:
             name = pending.pop()
@@ -321,19 +363,16 @@ def _plan(scenario: ChartScenario, declared: dict) -> dict:
                 met.add(name)
                 last[check.cid].append(name)
                 pending += _producer(scenario, name)[1]
-    return {
-        suite: [(check, last[check.cid]) for check in checks]
-        for suite, checks in declared.items()
-    }
+    return last
 
 
-def _run_suite(ctx: ScenarioContext, plan: list) -> list:
-    """(check, Measured) for the checks of one suite, in table order; after
-    each check the context drops the arrays it was the last reader of."""
+def _run_suite(ctx: ScenarioContext, checks: list, last: dict) -> list:
+    """(check, Measured) for ``checks`` of one suite, in table order; after
+    each check the context drops the arrays it is the last reader of."""
     results = []
-    for check, last in plan:
+    for check in checks:
         results.append((check, _evaluate(check, ctx)))
-        for name in last:
+        for name in last[check.cid]:
             ctx.pop(name, None)
     return results
 
@@ -494,27 +533,27 @@ def _fhat(ctx: ScenarioContext, J, jm) -> Measured:
 # ------------------------------------------------------------------
 
 
-def _random_sections(ctx, count, seed_shift):
-    """Values (m, count, 2n) and partials (m, count, n, 2n) of sections whose
-    components are c0 + c1 . x with coefficients drawn uniformly in [-1, 1]."""
+def _random_sections(ctx, points, count, seed_shift):
+    """Values (m, count, 2n) and partials (m, count, n, 2n) at the ``points`` of
+    sections whose components are c0 + c1 . x, c0 and c1 uniform in [-1, 1]."""
     n = ctx.chart.dim
     # one row [c0, c1 . . .] per component, drawn in the order of the components
     draws = np.random.default_rng(ctx.seed + seed_shift).uniform(-1, 1, size=(count, 2 * n, n + 1))
     c0, c1 = draws[..., 0], draws[..., 1:]
-    values = c0 + np.einsum("saj,mj->msa", c1, ctx.points)
-    partials = np.broadcast_to(c1.transpose(0, 2, 1), (len(ctx.points), count, n, 2 * n))
+    values = c0 + np.einsum("saj,mj->msa", c1, points)
+    partials = np.broadcast_to(c1.transpose(0, 2, 1), (len(points), count, n, 2 * n))
     return values, partials
 
 
-def _bracket_leibniz(ctx: ScenarioContext, gamma: np.ndarray) -> np.ndarray:
+def _bracket_leibniz(ctx: ScenarioContext, gamma: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """[s, f t] - f [s, t] - X(f) t for pairs of random sections s, t, X the
     vector part of s and f = c0 + c1 . x.
 
     Antisymmetry is not checked: [s, t] is a - b and [t, s] is b - a with
     the same a and b, so [s, t] + [t, s] is exactly 0.0 on any input.
     """
-    n, pts = ctx.chart.dim, ctx.points
-    values, partials = _random_sections(ctx, 4, seed_shift=101)
+    n = ctx.chart.dim
+    values, partials = _random_sections(ctx, pts, 4, seed_shift=101)
     a, b = np.triu_indices(4, 1)
     s, ds, t, dt = values[:, a], partials[:, a], values[:, b], partials[:, b]
     st = gc.nabla_bracket(gamma, s, ds, t, dt)
@@ -603,9 +642,9 @@ def _omega_sweep(ctx: ScenarioContext, g, ginv, J, dg, gamma, Dg, T, nij, jm, dj
 # ------------------------------------------------------------------
 
 
-def _fibre_points(ctx: ScenarioContext) -> np.ndarray:
-    """The fibre points y [m, FIBRE_PER_BASE, n] over the context's m samples."""
-    (m, n), F = ctx.points.shape, FIBRE_PER_BASE
+def _fibre_points(ctx: ScenarioContext, points: np.ndarray) -> np.ndarray:
+    """The fibre points y [m, FIBRE_PER_BASE, n] over the context's m ``points``."""
+    (m, n), F = points.shape, FIBRE_PER_BASE
     return lf.fibre_points(n, m * F, ctx.seed, ctx.first * F).reshape(m, F, n)
 
 
@@ -619,12 +658,11 @@ def _lift_points(ctx: ScenarioContext, y: np.ndarray) -> np.ndarray:
 
 
 def _mixed_display(ctx, lift, N_at, J, DJ, points, flavor) -> Measured:
-    args = (N_at, lift.frame, J, DJ, flavor)
+    residual, literal = lf.mixed_display_residual(N_at, lift.frame, J, DJ, flavor)
     details = {}
     if flavor == lf.COTANGENT:
-        literal = lf.mixed_display_residual(*args, literal=True)
         details["literal_display_residual"] = largest_entry(literal)[0]
-    return _worst(lf.mixed_display_residual(*args), points, **details)
+    return _worst(residual, points, **details)
 
 
 def _horizontal_display(ctx, lift, y, N_at, J, NJ, R, points, flavor) -> Measured:
@@ -723,23 +761,23 @@ def _lift_checks(flavor: str) -> list:
 # ------------------------------------------------------------------
 
 
-def _commutation_fibre(ctx: ScenarioContext) -> np.ndarray:
+def _commutation_fibre(ctx: ScenarioContext, points: np.ndarray) -> np.ndarray:
     """Fibre points y uniform in [-1, 1]^n, one over each of the context's
-    samples; the generator skips the n draws of each earlier sample."""
+    ``points``; the generator skips the n draws of each earlier sample."""
     rng = np.random.default_rng(ctx.seed + 404)
     rng.bit_generator.advance(ctx.first * ctx.chart.dim)
-    return rng.uniform(-1.0, 1.0, size=ctx.points.shape)
+    return rng.uniform(-1.0, 1.0, size=points.shape)
 
 
-def _commutation_lifts(ctx: ScenarioContext, g, ginv, J, gamma):
+def _commutation_lifts(ctx: ScenarioContext, g, ginv, J, gamma, points):
     """The tangent lift at random fibre points y over the samples, the
     cotangent lift at the matching eta = g y, and the points (x, y).  The
     intertwining reads no partials of the lifts: it declares none."""
-    yv = _commutation_fibre(ctx)
+    yv = _commutation_fibre(ctx, points)
     eta = np.einsum("mij,mj->mi", g, yv)
     tangent = lf.lift(lf.TANGENT, yv[:, None], g, ginv, J, gamma)
     cotangent = lf.lift(lf.COTANGENT, eta[:, None], g, ginv, J, gamma)
-    return tangent, cotangent, np.hstack([ctx.points, yv])
+    return tangent, cotangent, np.hstack([points, yv])
 
 
 def _commutation(ctx: ScenarioContext, *arrays) -> Measured:
@@ -874,7 +912,7 @@ CHECKS = (
         "[s, f t] = f [s, t] + X(f) t for the connection bracket; "
         "[s, t] = -[t, s] holds exactly by construction and is not checked",
         _bracket_leibniz,
-        reads=("gamma[scenario]",),
+        reads=("gamma[scenario]", "points"),
     ),
     Check(
         "genconn/jm-gen-nijenhuis-mixed-identity",
@@ -1001,7 +1039,7 @@ CHECKS = (
         "commutation/jm-lift-intertwine",
         "the tangent and cotangent lifts are intertwined by Psi Phi^{-1}",
         _commutation,
-        reads=("g", "ginv", "J", "gamma[scenario]"),
+        reads=("g", "ginv", "J", "gamma[scenario]", "points"),
     ),
 )
 
@@ -1009,22 +1047,26 @@ KNOWN_SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 _CONNECTIONS = ("lc", "scenario", "karaman")
 
+# The arrays of the leaf fields: name -> (field, order of the partials).
+_LEAVES = {
+    "g": ("metric", 0),
+    "dg": ("metric", 1),
+    "d2g": ("metric", 2),
+    "J": ("J", 0),
+    "dJ": ("J", 1),
+    "omega": ("omega", 0),
+    "gamma[scenario]": ("connection", 0),
+    "dgamma[scenario]": ("connection", 1),
+}
+
 # Every named array once: name -> (producer, the names it reads).  A
-# producer takes the context and those arrays, in that order.
+# producer takes the context and those arrays, in that order.  One that
+# reads sample coordinates or draws by sample index reads ``points``.
 ARRAYS = {
     "points": (lambda ctx: ctx.points, ()),
     **{
-        name: (partial(_leaf, field=field, order=order), ())
-        for name, field, order in (
-            ("g", "metric", 0),
-            ("dg", "metric", 1),
-            ("d2g", "metric", 2),
-            ("J", "J", 0),
-            ("dJ", "J", 1),
-            ("omega", "omega", 0),
-            ("gamma[scenario]", "connection", 0),
-            ("dgamma[scenario]", "connection", 1),
-        )
+        name: (partial(_leaf, field=field, order=order), ("points",))
+        for name, (field, order) in _LEAVES.items()
     },
     "K": (lambda ctx, J: J @ J, ("J",)),
     "dK": (lambda ctx, J, dJ: dJ @ J[:, None] + J[:, None] @ dJ, ("J", "dJ")),
@@ -1069,7 +1111,7 @@ ARRAYS = {
     "f_plus": (_f_plus, ("g", "J")),
     # the lifts: FIBRE_PER_BASE fibre points over each sample, shared by both
     # flavours; the cotangent lift's partials do not read dg and dginv
-    "fibre": (_fibre_points, ()),
+    "fibre": (_fibre_points, ("points",)),
     "lift_points": (_lift_points, ("fibre",)),
     **{
         f"lift[{f}]": (
@@ -1084,7 +1126,7 @@ ARRAYS = {
     },
 }
 
-# suite name -> callable(ctx, checks) -> [(Check, Measured)] over the context's
+# suite name -> callable(ctx, checks, last) -> [(Check, Measured)] over the context's
 # samples; one entry per suite, so each suite's time can be measured apart
 _SUITE_FUNCS = dict.fromkeys(KNOWN_SUITES, _run_suite)
 
@@ -1124,11 +1166,14 @@ def run_suites(
     validated against the table at load; those of suites not selected are
     listed in ``controls_not_run`` and do not gate.
 
-    Every check is pointwise, so the suites run on each chunk of the samples
-    in turn (see _chunk_length), each in a context of its own index range
-    that drops each array after its last reader (see _plan), and each
-    check's results are folded by its merge rules (see _fold): the report is
-    the one a single chunk gives.
+    Every check is pointwise.  A check whose arrays are the same at every
+    sample (see _varies) runs once, in a context of the run's first sample,
+    and its result is folded with itself for every sample (see _repeated).
+    The others run on each chunk of the samples in turn (see _chunk_length),
+    each in a context of its own index range that shares the invariant
+    arrays of the first sample's and drops each array after its last reader
+    (see _plan); each check's results are folded by its merge rules (see
+    _fold): the report is the one a single chunk gives.
     The overrides obey the rules of the scenario file's fields, so the CLI
     flags that set them do too; a bad one is a ValidationError.
     """
@@ -1147,22 +1192,33 @@ def run_suites(
             raise ValidationError(
                 f"suite {suite!r} declares no check for scenario {scenario.name!r}"
             )
-    plan = _plan(scenario, declared)
     length = _chunk_length(scenario.chart.dim)
-    folded = None
-    for start in range(0, samples, length):
-        ctx = ScenarioContext(scenario, min(length, samples - start), seed, first=start)
-        measured = [
-            pair for suite in selected for pair in _SUITE_FUNCS[suite](ctx, plan[suite])
-        ]
-        if folded is None:
-            folded = measured
-        else:
-            folded = [
-                (check, _fold(check, before, after))
-                for (check, before), (_, after) in zip(folded, measured)
-            ]
-    checks = [_result(check, out, tolerance) for check, out in folded]
+    points = scenario.chart.sample_points(min(length, samples), seed=seed)
+    once = ScenarioContext(scenario, seed=seed, points=points[:1])
+    invariant, varying = {}, {}  # suite -> its checks of each kind
+    for suite, checks in declared.items():
+        for check in checks:
+            kind = varying if _varies(scenario, check.reads, once.varies) else invariant
+            kind.setdefault(suite, []).append(check)
+    # the invariant checks run first, and keep in ``once`` what the chunks read
+    runs = [check for kind in (invariant, varying) for checks in kind.values() for check in checks]
+    last = _plan(scenario, runs)
+    folded = {}
+    for suite, checks in invariant.items():
+        for check, out in _SUITE_FUNCS[suite](once, checks, last):
+            folded[check.cid] = _repeated(check, out, samples)
+    for start in range(0, samples, length) if varying else ():
+        count = min(length, samples - start)
+        ctx = ScenarioContext(scenario, count, seed, start, points if start == 0 else None, once)
+        for suite, checks in varying.items():
+            for check, after in _SUITE_FUNCS[suite](ctx, checks, last):
+                before = folded.get(check.cid)
+                folded[check.cid] = after if before is None else _fold(check, before, after)
+    checks = [
+        _result(check, folded[check.cid], tolerance)
+        for suite in selected
+        for check in declared[suite]
+    ]
     expected = set(scenario.expected_failures)
     for check in checks:
         if check.check_id in expected:

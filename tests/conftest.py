@@ -73,6 +73,20 @@ def gen_jet(ctx, label):
     return ctx[f"gen[{label}]"], ctx[f"gen_jet[{label}]"]
 
 
+def break_array(monkeypatch, name, breaker):
+    """Make the run's array ``name`` ``breaker`` of what its producer makes.
+    A breaker that changes some sample indices reads by sample index, so the
+    new producer declares ``points``, and a leaf field's array is no longer
+    exempt as a constant one (see suites._producer)."""
+    make, reads = suites.ARRAYS[name]
+
+    def broken(ctx, *arrays):
+        return breaker(make(ctx, *arrays[: len(reads)]).copy())
+
+    monkeypatch.setitem(suites.ARRAYS, name, (broken, (*reads, "points")))
+    monkeypatch.delitem(suites._LEAVES, name, raising=False)
+
+
 def transitive_reads(scenario, check):
     """The arrays a check of a run over ``scenario`` declares, its points
     included, and every array their producers read, transitively."""

@@ -12,6 +12,7 @@ from metalliclab.metallic import MetallicParams
 from metalliclab.scenario import load_scenario
 
 from conftest import (
+    break_array,
     dense_metric,
     exprs,
     field_context,
@@ -493,14 +494,12 @@ ROTATION = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0
 
 def _break_sample(monkeypatch, name, breaker):
     """Replace one sample of the run's array ``name`` by ``breaker`` of it."""
-    make, reads = suites.ARRAYS[name]
 
-    def broken(ctx, *arrays):
-        values = make(ctx, *arrays).copy()
+    def broken(values):
         values[BROKEN] = breaker(values[BROKEN])
         return values
 
-    monkeypatch.setitem(suites.ARRAYS, name, (broken, reads))
+    break_array(monkeypatch, name, broken)
 
 
 def _genbundle_run(samples=8, seed=3):

@@ -25,15 +25,15 @@ def test_each_chunk_draws_the_rows_of_the_run_wide_draw(n):
         whole = ScenarioContext(scenario, samples=1000 + COUNT, seed=seed)
         rows = {
             "points": whole.points,
-            "fibre": suites._fibre_points(whole),
-            "commutation": suites._commutation_fibre(whole),
+            "fibre": suites._fibre_points(whole, whole.points),
+            "commutation": suites._commutation_fibre(whole, whole.points),
         }
         for first in (0, 1, 511, 512, 1000):
             part = ScenarioContext(scenario, samples=COUNT, seed=seed, first=first)
             assert np.array_equal(part.points, rows["points"][first : first + COUNT])
-            got = suites._commutation_fibre(part)
+            got = suites._commutation_fibre(part, part.points)
             assert np.array_equal(got, rows["commutation"][first : first + COUNT])
-            got = suites._fibre_points(part)
+            got = suites._fibre_points(part, part.points)
             assert got.shape == (COUNT, FIBRE_PER_BASE, n)
             assert np.array_equal(got, rows["fibre"][first : first + COUNT]), (n, seed, first)
 

@@ -12,7 +12,7 @@ from metalliclab.scenario import load_scenario
 from metalliclab import suites
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, exprs, field_context, scenario_path
+from conftest import CORPUS, break_array, exprs, field_context, scenario_path
 from helpers import fd_lifted_nijenhuis, fd_partial, lifted_jbar, matching_readings
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -217,12 +217,10 @@ def test_mixed_display(sphere_setup):
     c, g, J = sphere_setup
     for flavor in (lf.TANGENT, lf.COTANGENT):
         _, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, flavor)
-        res = lf.mixed_display_residual(N, frame, J_at, DJ, flavor)
+        res, printed = lf.mixed_display_residual(N, frame, J_at, DJ, flavor)
         assert np.abs(res).max() < 1e-9
     # the literal cotangent display composes J on the wrong side and fails
-    _, N, frame, J_at, DJ, _, _ = _nijenhuis_data(c, g, J, lf.COTANGENT)
-    literal = lf.mixed_display_residual(N, frame, J_at, DJ, lf.COTANGENT, literal=True)
-    assert np.abs(literal).max() > 1e-3
+    assert flavor == lf.COTANGENT and np.abs(printed).max() > 1e-3
 
 
 def test_sphere_diag_cannot_distinguish_sign(sphere_setup):
@@ -440,15 +438,12 @@ def test_an_error_in_the_lifted_nijenhuis_fails_only_its_checks(monkeypatch):
 def test_a_nan_in_a_display_detail_reads_as_inf(monkeypatch):
     # as in every residual: a NaN curvature or literal display entry reads inf;
     # flat-golden's connection is the Levi-Civita one, so its arrays are the [lc] ones
+    def broken(values):
+        values[3] = np.nan
+        return values
+
     for name in ("riemann[lc]", "nablaJ[lc]"):
-        make, reads = suites.ARRAYS[name]
-
-        def broken(ctx, *arrays, make=make):
-            values = make(ctx, *arrays).copy()
-            values[3] = np.nan
-            return values
-
-        monkeypatch.setitem(suites.ARRAYS, name, (broken, reads))
+        break_array(monkeypatch, name, broken)
     with np.errstate(invalid="ignore"):
         report = run_suites(load_scenario(scenario_path("flat-golden")), suites=["lifts-cotangent"])
     horizontal = report.find("lifts-cotangent/nijenhuis-horizontal-display")

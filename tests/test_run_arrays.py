@@ -1,6 +1,6 @@
-"""The arrays of a run: each is built at most once and dropped after its
-last declared reader, and a run at 4096 samples stays within a fixed memory
-budget."""
+"""The arrays of a run: each is built at most once per chunk, one that is
+the same at every sample once per run, and dropped after its last declared
+reader; a run at 4096 samples stays within a fixed memory budget."""
 
 import itertools
 import tracemalloc
@@ -20,20 +20,26 @@ WIDE_BATCH = ["core", "genbundle", "commutation"]
 
 @pytest.fixture
 def counted_run(monkeypatch):
-    """run(scenario, suites) -> the builds of that run, by array name.
+    """run(scenario, suites, samples) -> the builds of that run, by array name.
 
-    It also holds the memo to the checks' declarations.  Each array built
+    A chunk that takes an array from the run's one-sample context, as a view,
+    does not build it, and no context builds its own ``points``.  The run
+    also holds the memo to the checks' declarations.  Each array built
     while a check's inputs are made is one the check reads, directly or
     through the producers of what it reads; while its residual runs, the
     memo holds only the arrays it declares, and a read of any other array
     fails the test.  Before each check the memo holds only arrays that check
-    or a later one reads, and after the run it holds none."""
+    or a later one reads, the checks whose arrays are the same at every
+    sample running first, and after the run it holds none."""
     counts = Counter()
     run_state = {}
     missing, evaluate = ScenarioContext.__missing__, suites._evaluate
 
     def counted_missing(ctx, name):
-        counts[name] += 1
+        once = ctx.once
+        shared = once is not None and not suites._varies(ctx.scenario, (name,), once.varies)
+        if name != "points" and not shared:
+            counts[name] += 1
         assert name in run_state["reads"], (run_state["cid"], name)
         return missing(ctx, name)
 
@@ -57,12 +63,14 @@ def counted_run(monkeypatch):
     monkeypatch.setattr(ScenarioContext, "__missing__", counted_missing)
     monkeypatch.setattr(suites, "_evaluate", checked_evaluate)
 
-    def run(scenario, selected):
+    def run(scenario, selected, samples=None):
         counts.clear()
         checks = [check for suite in selected for check in suites._declared(suite, scenario)]
+        varies = {}
+        checks.sort(key=lambda check: suites._varies(scenario, check.reads, varies))
         closures = [transitive_reads(scenario, c) for c in checks]
         run_state.update(checks=checks, closures=closures)
-        run_suites(scenario, suites=selected)
+        run_suites(scenario, suites=selected, samples=samples)
         assert counts, "nothing was counted"
         assert not run_state["ctx"], sorted(run_state["ctx"])
         return Counter(counts)
@@ -95,6 +103,22 @@ def rebuilt_in_pairs(counted_run, scenario) -> list:
 def test_every_ordered_pair_of_suites_builds_each_array_at_most_once(counted_run):
     # flat-golden declares all seven suites
     assert rebuilt_in_pairs(counted_run, load_scenario(scenario_path("flat-golden"))) == []
+
+
+def test_an_invariant_array_is_built_once_per_run_and_the_others_once_per_chunk(counted_run):
+    # flat-golden's g and J are constant and its omega is not; at 1100
+    # samples the run goes over chunks of 512, 512 and 76
+    scenario = load_scenario(scenario_path("flat-golden"))
+    assert suites._chunk_length(scenario.chart.dim) == 512
+    counts = counted_run(scenario, scenario.suites, samples=1100)
+    varies = {}
+    once = {name for name in counts if not suites._varies(scenario, (name,), varies)}
+    assert {"g", "d2g", "J", "ginv", "gamma[lc]", "riemann[lc]", "gen_nij[lc,jp]"} <= once
+    assert {"omega", "gamma[karaman]", "fibre", "lift[tangent]"} <= set(counts) - once
+    assert {name: n for name, n in counts.items() if name in once} == dict.fromkeys(once, 1)
+    assert {name: n for name, n in counts.items() if name not in once} == dict.fromkeys(
+        set(counts) - once, 3
+    )
 
 
 def test_the_wide_batch_suites_at_4096_samples_stay_below_24_mb_traced():
