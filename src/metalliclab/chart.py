@@ -192,8 +192,8 @@ def christoffel(ginv: np.ndarray, dg: np.ndarray, shift=0.0) -> np.ndarray:
     n = dg.shape[-1]
     # first[..., l, i, j] = d_i g_{jl}; the second term is its (i, j) transpose
     first = np.moveaxis(dg, -1, -3)
-    # in place: for the partials each step is an n^4 array per sample
-    lowered = first + np.swapaxes(first, -1, -2)
+    # C-contiguous, then in place: for the partials each step is n^4 per sample
+    lowered = np.add(first, np.swapaxes(first, -1, -2), order="C")
     lowered -= dg
     lowered *= 0.5
     lowered = lowered.reshape(lowered.shape[:-2] + (n * n,))

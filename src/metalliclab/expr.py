@@ -316,13 +316,18 @@ class _Parser:
         primary := number | coord | func '(' expr ')' | '(' expr ')'
 
     '^' is right-associative; unary minus binds looser than '^' applied to
-    its base, so -x^2 means -(x^2) while (-x)^2 needs parentheses.
+    its base, so -x^2 means -(x^2) while (-x)^2 needs parentheses.  Each level
+    of nesting enters ``factor``: past MAX_NESTING, before the stack runs out,
+    the input is refused.
     """
+
+    MAX_NESTING = 128
 
     def __init__(self, source: str, coords, shared: dict):
         self.toks = _Tokenizer(source)
         self.coords = {name: i for i, name in enumerate(coords)}
         self.shared = shared
+        self.depth = 0
 
     def one(self, node: Expr) -> Expr:
         """The node of the same structure parsed before into ``shared``, else ``node``."""
@@ -359,10 +364,15 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
-        if self.toks.peek()[0] == "-":
+        tok = self.toks.peek()
+        if self.depth > self.MAX_NESTING:
+            raise ParseError(tok[2], f"nesting deeper than {self.MAX_NESTING} levels")
+        self.depth += 1
+        if tok[0] == "-":
             self.toks.advance()
-            return self.one(neg(self.factor()))
-        return self.power()
+        node = self.one(neg(self.factor())) if tok[0] == "-" else self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.primary()

@@ -17,8 +17,6 @@ sample over reshaped axes, two operands at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import genbundle as gb
@@ -37,7 +35,6 @@ __all__ = [
     "covariant_nijenhuis_rhs",
     "dhat_endo",
     "dhat_metric",
-    "ConditionInputs",
     "jp_condition_residuals",
     "jc_condition_residuals",
     "jp_reduced_residuals",
@@ -268,150 +265,135 @@ def dhat_metric(gamma: np.ndarray, ghat: np.ndarray, dghat: np.ndarray) -> np.nd
 # ------------------------------------------------------------------
 
 
-@dataclass
-class ConditionInputs:
-    """Evaluated constituents at the samples; all arrays lead with m."""
-
-    g: np.ndarray    # [m, i, j]
-    ginv: np.ndarray
-    J: np.ndarray    # [m, i, j] = J^i_j
-    K: np.ndarray    # J^2
-    Dg: np.ndarray   # [m, k, i, j] = (nabla_k g)_{ij}
-    DJ: np.ndarray   # [m, k, i, j] = (nabla_k J)^i_j
-    DK: np.ndarray   # [m, k, i, j] = (nabla_k J^2)^i_j
-    T: np.ndarray    # [m, k, i, j]
-    NJ: np.ndarray   # [m, k, i, j]
-
-    @property
-    def eye(self) -> np.ndarray:
-        n = self.J.shape[-1]
-        return np.broadcast_to(np.eye(n), self.J.shape)
-
-
 def _along(M: np.ndarray, D: np.ndarray) -> np.ndarray:
     """sum_a M^a_i D[a, ...]: a derivative D[m, a, ...] taken in the direction
     M d_i, indexed [m, i, ...]."""
     return _first(_swap(M), D)
 
 
-def _ddg(ci: ConditionInputs) -> np.ndarray:
+def _ddg(g: np.ndarray, Dg: np.ndarray, T: np.ndarray) -> np.ndarray:
     """(d^nabla g)(d_i, d_j)_c = (nabla_i g)_{jc} - (nabla_j g)_{ic} + g_{cs} T^s_{ij},
     indexed [m, c, i, j]."""
-    Dg = ci.Dg.transpose(0, 3, 1, 2)
-    return Dg - _swap(Dg) + _first(ci.g, ci.T)
+    Dg = Dg.transpose(0, 3, 1, 2)
+    return Dg - _swap(Dg) + _first(g, T)
 
 
-def _conditions(ci: ConditionInputs, sign: float) -> list:
+# The condition lists take g [m, i, j], ginv, J [m, i, j] = J^i_j, K = J^2,
+# Dg, DJ and DK [m, k, i, j] = nabla_k of g, J and J^2, the torsion T and NJ.
+
+
+def _conditions(g, ginv, J, K, Dg, DJ, DK, T, NJ, sign: float) -> list:
     """The six displayed conditions; sign=-1 uses A = I - J^2 (product case),
     sign=+1 uses A = I + J^2 (complex case), with the matching term signs.
 
     Each term is a per-sample matrix product; the comments give the
     (output-first) layout before the final transpose.
     """
-    A = ci.eye + sign * ci.K
-    J, g, T = ci.J[:, None], ci.g[:, None], ci.T
-    Jt, At, Ax = _swap(ci.J)[:, None], _swap(A)[:, None], A[:, None]
-    A_sharp = A @ ci.ginv
+    A = np.eye(J.shape[-1]) + sign * K
+    J1, g1 = J[:, None], g[:, None]
+    Jt, At, Ax = _swap(J)[:, None], _swap(A)[:, None], A[:, None]
+    A_sharp = A @ ginv
     # (nabla_{J d_i} g)_{jc} and (nabla_{A d_i} g)_{jc}, [c, i, j]
-    g_along_J = _along(ci.J, ci.Dg).transpose(0, 3, 1, 2)
-    g_along_A = _along(A, ci.Dg).transpose(0, 3, 1, 2)
+    g_along_J = _along(J, Dg).transpose(0, 3, 1, 2)
+    g_along_A = _along(A, Dg).transpose(0, 3, 1, 2)
     # (nabla_i g)_{jc} - (nabla_j g)_{ic}, [i, j, c]
-    dgasym = ci.Dg - ci.Dg.transpose(0, 2, 1, 3)
+    dgasym = Dg - Dg.transpose(0, 2, 1, 3)
     # g_{cs} (nabla_a J)^s_b, [a, c, b], and (nabla_a J)^s_c g_{sb}, [a, c, b]
-    g_DJ = g @ ci.DJ
-    DJ_g = _swap(ci.DJ) @ g
+    g_DJ = g1 @ DJ
+    DJ_g = _swap(DJ) @ g1
 
-    c1 = ci.NJ + sign * _first(A_sharp, _ddg(ci))
+    c1 = NJ + sign * _first(A_sharp, _ddg(g, Dg, T))
 
     c2 = (
         g_along_J
         - _swap(g_along_J)
-        + (dgasym @ J).transpose(0, 3, 1, 2)
+        + (dgasym @ J1).transpose(0, 3, 1, 2)
         + g_DJ.transpose(0, 2, 3, 1)
         - g_DJ.transpose(0, 2, 1, 3)
-        + _first(ci.g, T @ J)
-        + _first(ci.g, Jt @ T)
+        + _first(g, T @ J1)
+        + _first(g, Jt @ T)
     )
 
     ddg_u = (
         _swap(g_along_A)
-        - (_swap(ci.Dg) @ Ax).transpose(0, 2, 1, 3)
-        + _first(ci.g, _swap(T) @ Ax)
+        - (_swap(Dg) @ Ax).transpose(0, 2, 1, 3)
+        + _first(g, _swap(T) @ Ax)
     )
     # (nabla_i J)^s_c (g J)_{sj} and J^a_i (nabla_a J)^s_c g_{sj}, [i, c, j]
-    t_jy = (_swap(ci.DJ) @ (ci.g @ ci.J)[:, None]).transpose(0, 2, 1, 3)
-    t_jx = _along(ci.J, DJ_g).transpose(0, 2, 1, 3)
+    t_jy = (_swap(DJ) @ (g @ J)[:, None]).transpose(0, 2, 1, 3)
+    t_jx = _along(J, DJ_g).transpose(0, 2, 1, 3)
     c3 = ddg_u + sign * t_jy - sign * t_jx
 
-    c4, r5 = _reduced_tail(ci, A)
+    c4, r5 = _reduced_tail(g, DJ, DK, A)
 
     inner5 = g_along_A - _swap(g_along_A)
     c5 = r5 - sign * (At @ T @ Ax) - _first(A_sharp, inner5)
 
-    inner6 = g_along_J - (_swap(ci.Dg) @ J).transpose(0, 2, 1, 3)
+    inner6 = g_along_J - (_swap(Dg) @ J1).transpose(0, 2, 1, 3)
     c6 = (
-        _reduced_final(ci, A, sign)
+        _reduced_final(J, K, DJ, DK, A, sign)
         + sign * _first(A_sharp, inner6)
         + sign * (Jt @ T @ Ax)
-        - sign * _first(ci.J, T @ Ax)
+        - sign * _first(J, T @ Ax)
     )
     return [c1, c2, c3, c4, c5, c6]
 
 
-def jp_condition_residuals(ci: ConditionInputs) -> list:
+def jp_condition_residuals(g, ginv, J, K, Dg, DJ, DK, T, NJ) -> list:
     """Six conditions equivalent to nabla-integrability of the product structure."""
-    return _conditions(ci, sign=-1.0)
+    return _conditions(g, ginv, J, K, Dg, DJ, DK, T, NJ, sign=-1.0)
 
 
-def jc_condition_residuals(ci: ConditionInputs) -> list:
+def jc_condition_residuals(g, ginv, J, K, Dg, DJ, DK, T, NJ) -> list:
     """Six conditions equivalent to nabla-integrability of the complex structure."""
-    return _conditions(ci, sign=+1.0)
+    return _conditions(g, ginv, J, K, Dg, DJ, DK, T, NJ, sign=+1.0)
 
 
-def _reduced_common(ci: ConditionInputs) -> list:
-    r1 = ci.NJ
-    DJ = ci.DJ.transpose(0, 2, 1, 3)  # [k, i, j] = (nabla_i J)^k_j
-    r2 = _swap(DJ) - DJ
+def _reduced_common(J: np.ndarray, DJ: np.ndarray, NJ: np.ndarray) -> list:
+    r1 = NJ
+    DJt = DJ.transpose(0, 2, 1, 3)  # [k, i, j] = (nabla_i J)^k_j
+    r2 = _swap(DJt) - DJt
     # (nabla_X J*) J* - (nabla_{JX} J*), as a map on one-forms, [m, i, t, c]
-    r3 = ci.J[:, None] @ ci.DJ - _along(ci.J, ci.DJ)
+    r3 = J[:, None] @ DJ - _along(J, DJ)
     return [r1, r2, r3]
 
 
-def _reduced_tail(ci: ConditionInputs, A: np.ndarray) -> list:
+def _reduced_tail(g, DJ, DK, A: np.ndarray) -> list:
     """A^a_i (nabla_a J)^s_c g_{sj} and (nabla_{A d_i} J^2)^k_j, each minus
     its (i, j) transpose."""
-    r4 = _along(A, _swap(ci.DJ) @ ci.g[:, None]).transpose(0, 2, 1, 3)
-    r5 = _along(A, ci.DK).transpose(0, 2, 1, 3)
+    r4 = _along(A, _swap(DJ) @ g[:, None]).transpose(0, 2, 1, 3)
+    r5 = _along(A, DK).transpose(0, 2, 1, 3)
     return [r4 - _swap(r4), r5 - _swap(r5)]
 
 
-def _reduced_final(ci: ConditionInputs, A: np.ndarray, flip: float) -> np.ndarray:
+def _reduced_final(J, K, DJ, DK, A: np.ndarray, flip: float) -> np.ndarray:
     """-(nabla_{JX}J^2)Y ± (nabla_{A Y}J)X ∓ (nabla_X J)Y + J(nabla_X J^2)Y - J^2(nabla_X J)Y.
 
     The terms are summed in the layout [i, k, j] and transposed once."""
     return (
-        -_along(ci.J, ci.DK)
-        + flip * _along(A, ci.DJ).transpose(0, 3, 2, 1)
-        - flip * ci.DJ
-        + ci.J[:, None] @ ci.DK
-        - ci.K[:, None] @ ci.DJ
+        -_along(J, DK)
+        + flip * _along(A, DJ).transpose(0, 3, 2, 1)
+        - flip * DJ
+        + J[:, None] @ DK
+        - K[:, None] @ DJ
     ).transpose(0, 2, 1, 3)
 
 
-def jp_reduced_residuals(ci: ConditionInputs) -> list:
+def jp_reduced_residuals(g, J, K, DJ, DK, NJ) -> list:
     """The displayed torsion-free reduction for the product case (7 entries,
     the final two kept verbatim even though they nearly coincide)."""
-    a_minus = ci.eye - ci.K
-    a_plus = ci.eye + ci.K
-    out = _reduced_common(ci) + _reduced_tail(ci, a_minus)
-    out.append(_reduced_final(ci, a_minus, flip=-1.0))
-    out.append(_reduced_final(ci, a_plus, flip=+1.0))
+    eye = np.eye(J.shape[-1])
+    a_minus = eye - K
+    a_plus = eye + K
+    out = _reduced_common(J, DJ, NJ) + _reduced_tail(g, DJ, DK, a_minus)
+    out.append(_reduced_final(J, K, DJ, DK, a_minus, flip=-1.0))
+    out.append(_reduced_final(J, K, DJ, DK, a_plus, flip=+1.0))
     return out
 
 
-def jc_reduced_residuals(ci: ConditionInputs) -> list:
+def jc_reduced_residuals(g, J, K, DJ, DK, NJ) -> list:
     """The displayed torsion-free reduction for the complex case (6 entries)."""
-    a_plus = ci.eye + ci.K
-    out = _reduced_common(ci) + _reduced_tail(ci, a_plus)
-    out.append(_reduced_final(ci, a_plus, flip=+1.0))
+    a_plus = np.eye(J.shape[-1]) + K
+    out = _reduced_common(J, DJ, NJ) + _reduced_tail(g, DJ, DK, a_plus)
+    out.append(_reduced_final(J, K, DJ, DK, a_plus, flip=+1.0))
     return out

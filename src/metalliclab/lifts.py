@@ -172,14 +172,9 @@ def lift(flavor, y, g, ginv, J, gamma, dJ=None, dgamma=None, dg=None, dginv=None
 # ------------------------------------------------------------------
 
 
-def _per_lifted_sample(*residuals: np.ndarray) -> np.ndarray:
-    """The residuals side by side, one row [m, F, -1] per lifted sample."""
-    return np.concatenate([r.reshape(r.shape[:2] + (-1,)) for r in residuals], axis=-1)
-
-
 def frame_endo_residuals(
     jbar_v: np.ndarray, frame_v: np.ndarray, J_v: np.ndarray, flavor: str
-) -> np.ndarray:
+) -> list:
     """Jbar(X_i^H) = J^k_i X_k^H and the vertical-frame displays."""
     n = J_v.shape[-1]
     J1 = J_v[:, None]
@@ -190,7 +185,7 @@ def frame_endo_residuals(
         expected[..., n:, :] = J1  # Jbar(d/dy^j) = J^k_j d/dy^k
     else:
         expected[..., n:, :] = _swap(J1)  # Jtilde(d/dy_j) = J^j_k d/dy_k
-    return _per_lifted_sample(horiz, vert_actual - expected)
+    return [horiz, vert_actual - expected]
 
 
 def coordinate_endo_residuals(
@@ -219,7 +214,7 @@ def coordinate_endo_residuals(
 
 def frame_metric_residuals(
     gbar_v: np.ndarray, frame_v: np.ndarray, g_v: np.ndarray, fibre_g: np.ndarray
-) -> np.ndarray:
+) -> list:
     """gbar on the horizontal/vertical frame against the displayed components;
     ``fibre_g`` is the displayed vertical block, g (tangent) or g^-1 (cotangent)."""
     n = g_v.shape[-1]
@@ -227,7 +222,7 @@ def frame_metric_residuals(
     hh = frame_gbar @ frame_v - g_v[:, None]
     hv = frame_gbar[..., n:]
     vv = gbar_v[..., n:, n:] - fibre_g[:, None]
-    return _per_lifted_sample(hh, hv, vv)
+    return [hh, hv, vv]
 
 
 def coordinate_metric_residuals(
@@ -237,7 +232,7 @@ def coordinate_metric_residuals(
     gamma_v: np.ndarray,
     y: np.ndarray,
     flavor: str,
-) -> np.ndarray:
+) -> list:
     """Corrected readings of the displayed gbar(X_i, X_j) and mixed components.
 
     With A[i, l] = y^k G^l_{ik} and V = ``fibre_g`` = g (tangent), or
@@ -253,7 +248,7 @@ def coordinate_metric_residuals(
     AV = A @ fibre_g[:, None]
     xx = gbar_v[..., :n, :n] - (g_v[:, None] + AV @ _swap(A))
     xv = gbar_v[..., :n, n:] - mixed_sign * AV
-    return _per_lifted_sample(xx, xv)
+    return [xx, xv]
 
 
 def nijenhuis_values(lifted: Lift) -> np.ndarray:

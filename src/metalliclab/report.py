@@ -48,7 +48,7 @@ class CheckResult:
         if not self.passed and self.witness is not None:
             out["witness"] = list(self.witness)
         if self.details:
-            out["details"] = _plain(self.details)
+            out["details"] = dict(self.details)
         return out
 
 
@@ -68,42 +68,6 @@ def largest_entry(a: np.ndarray) -> tuple:
         a[np.isnan(a)] = np.inf
         k = int(np.argmax(a))
     return float(a.flat[k]), k // (a.size // len(a))
-
-
-def worst_of(entries, points) -> tuple:
-    """The largest of (value, sample) entries of :func:`largest_entry`, the
-    first sample on a tie, and the point of its sample; (0.0, None) when
-    every entry is empty."""
-    filled = [entry for entry in entries if entry[1] is not None]
-    if not filled:
-        return 0.0, None
-    value, sample = min(filled, key=lambda entry: (-entry[0], entry[1]))
-    if points is None:
-        return value, None
-    return value, tuple(float(v) for v in np.asarray(points, dtype=float)[sample])
-
-
-def worst_sample(residuals, points) -> tuple:
-    """The largest absolute entry of per-sample residuals, one array or a list
-    of arrays of any trailing shapes, and the point of its sample (see
-    :func:`worst_of`).  Each array is read as one row per point: a lifted
-    residual [m, F, ...] has the rows of its [m * F, 2n] points."""
-    arrays = residuals if isinstance(residuals, (list, tuple)) else [residuals]
-    if points is not None:  # an empty array has no entry, and no row length
-        arrays = [np.reshape(a, (len(points), -1)) if np.size(a) else a for a in arrays]
-    return worst_of([largest_entry(a) for a in arrays], points)
-
-
-def _plain(value):
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    return value
 
 
 @dataclass

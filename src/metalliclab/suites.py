@@ -5,15 +5,17 @@ tolerance, gating flag, the scenarios it applies to, the named arrays it
 reads and its residual; every array once, in ``ARRAYS``, with its producer
 and the arrays that producer reads.  One guarded loop runs the checks of
 each selected suite in table order, so every declared id appears in the
-report exactly once.  A run evaluates each check whose arrays are the same
-at every sample once, on its first sample, and the others over chunks of
-its samples; it folds each check's results by the merge rules declared with
-the check, the maximum where it declares none.
+report exactly once.  Each output of a check (its residual and each detail)
+is reduced by one rule declared with the check, the maximum where it
+declares none: the loop applies it within a chunk of samples, across
+chunks, and to stand a check whose arrays are the same at every sample,
+evaluated once on the run's first sample, for all of them.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -27,7 +29,7 @@ from . import genbundle as gb
 from . import genconn as gc
 from . import lifts as lf
 from .errors import DomainError, IncompatiblePair, MetallicLabError, ValidationError
-from .report import CheckResult, ScenarioReport, largest_entry, worst_of, worst_sample
+from .report import CheckResult, ScenarioReport, largest_entry
 
 if TYPE_CHECKING:
     from .scenario import ChartScenario
@@ -48,10 +50,6 @@ TOL_COMPATIBLE = 1e-8  # the largest gJ asymmetry the derived family accepts
 MAX_TOLERANCE = 1e-2
 
 FIBRE_PER_BASE = 4
-_FHAT_INFORMATIVE = (
-    "blockdiag(J, (J^T)^-1) commutes with Jm = blockdiag(J, J^T) for every invertible "
-    "J, so the residual is rounding only and no scenario input can make it fail"
-)
 _SHARP_SIGN = {"jp": 1.0, "jc": -1.0}  # upper block (sign I - J^2) g^-1
 
 
@@ -227,31 +225,76 @@ def _f_plus(ctx, g, J) -> np.ndarray:
 # ------------------------------------------------------------------
 
 
-@dataclass
-class Measured:
-    """What a residual function gives when it is more than per-sample arrays."""
+@dataclass(frozen=True)
+class Rule:
+    """How a check reduces one of its outputs: ``reduce(value, rows, first)``
+    takes an array whose leading axis is ``rows`` rows, or an iterable of
+    such arrays, to (value, row), row the first that holds the value,
+    numbered from ``first``, or inf; ``fold(before, after)`` gives the pair
+    over the rows of both, ``before`` the earlier or two arrays over the same
+    rows; ``repeat(pair, count)`` gives the pair over ``count`` copies."""
 
-    residual: float
-    witness: tuple | None = None
-    details: dict = field(default_factory=dict)
-    raised: bool = False  # the evaluation raised; see _fold
-
-
-# Merge rules of the Measured details over chunks of samples: each takes the
-# value over the earlier samples and the value over the later ones.  The
-# minimum and maximum are numpy's, so a NaN wins as it does in the reductions
-# that made the values, and lists merge entry by entry.  A detail with no
-# declared rule takes the maximum.
-def _last(before, after):
-    return after
+    reduce: Callable
+    fold: Callable
+    repeat: Callable = lambda pair, count: pair
 
 
-def _min(before, after):
-    return np.minimum(before, after).tolist()
+def _by_row(a, rows: int) -> np.ndarray:
+    """One row per point: a lifted [m, F, ...] array has m * F rows."""
+    return np.reshape(a, (rows, np.size(a) // max(rows, 1)))
 
 
-def _max(before, after):
-    return np.maximum(before, after).tolist()
+def _first_largest(before: tuple, after: tuple) -> tuple:
+    return after if (after[0], -after[1]) > (before[0], -before[1]) else before
+
+
+def _largest(value, rows: int, first: int = 0) -> tuple:
+    """(largest |entry|, its first row) of an array, or over arrays reduced one
+    at a time (``map`` holds none); (0.0, inf) without entries; see largest_entry."""
+    if not isinstance(value, np.ndarray):
+        pairs = map(lambda a: _largest(a, rows, first), value)
+        return functools.reduce(_first_largest, pairs, (0.0, math.inf))
+    largest, row = largest_entry(_by_row(value, rows))
+    return largest, math.inf if row is None else first + row
+
+
+def _unzipped(pairs) -> tuple:
+    pairs = list(pairs)
+    return [value for value, _ in pairs], [row for _, row in pairs]
+
+
+def _count(a, rows: int, first: int = 0) -> tuple:
+    """The sum of the entries, and the first row that holds a non-zero one."""
+    a = _by_row(a, rows)
+    nonzero = (a != 0).any(axis=1)
+    return float(a.sum()), (first + int(nonzero.argmax()) if nonzero.any() else math.inf)
+
+
+# The largest |entry|, NaN read as inf, the first row on a tie: the default.
+MAX = Rule(_largest, _first_largest)
+# ([the largest entry of each entry, ...], [its row, ...]) of a list whose
+# entries are arrays or iterables of arrays.
+MAX_EACH = Rule(
+    lambda value, rows, first=0: _unzipped(map(lambda e: _largest(e, rows, first), value)),
+    lambda before, after: _unzipped(map(_first_largest, zip(*before), zip(*after))),
+)
+# The smallest entry, a NaN winning as in numpy; + 0.0 reads a zero as
+# +0.0, as numpy's minimum of 0.0 and -0.0 depends on their order.
+MIN = Rule(
+    lambda a, rows, first=0: (float(np.min(a)) + 0.0 if np.size(a) else math.inf, math.inf),
+    lambda before, after: (float(np.minimum(before[0], after[0])), math.inf),
+)
+# A count, its row the first that holds a non-zero entry.
+SUM = Rule(
+    _count,
+    lambda before, after: (before[0] + after[0], min(before[1], after[1])),
+    lambda pair, count: (pair[0] * count, pair[1]),
+)
+# The last row, as a list.
+LAST = Rule(
+    lambda a, rows, first=0: (_by_row(a, rows)[-1].tolist() if np.size(a) else None, math.inf),
+    lambda before, after: before if after[0] is None else after,
+)
 
 
 @dataclass(frozen=True)
@@ -259,13 +302,15 @@ class Check:
     """One declared check.
 
     ``residual(ctx, *arrays)`` takes the arrays of ``ARRAYS`` named in
-    ``reads``, in that order, and gives per-sample residual arrays (one
-    array, or a list of them) taken at the array named ``points``, or a
-    ``Measured``.  ``applies(scenario)`` reads the scenario's params and
-    1-form: a check it rejects is not declared for that scenario.  ``merge``
-    names the rule of a detail of the ``Measured`` over chunks of samples
-    that does not take the maximum, and under "residual" the rule of a
-    residual that counts failures rather than takes a maximum (see _fold).
+    ``reads``, in that order.  A plain check gives its residual: an array
+    whose leading axis is the rows of the array named ``points``, or a list
+    of such arrays.  Any other gives its outputs by name, in a dict or as
+    (name, value) pairs, a name given twice folded, a value such an array or
+    a list or generator of them; ``rules`` names the Rule of each, the
+    residual's MAX by default.
+    Without a residual output the residual is the largest entry of them all.
+    ``details`` are constant details.  ``applies(scenario)`` reads the
+    scenario's params and 1-form: a check it rejects is not declared for it.
     """
 
     cid: str
@@ -276,67 +321,88 @@ class Check:
     applies: Callable = lambda scenario: True
     reads: tuple = ()
     points: str = "points"
-    merge: dict = field(default_factory=dict)
+    rules: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)
 
     @cached_property
     def suite(self) -> str:
         return self.cid.split("/", 1)[0]
 
+    def rule(self, name: str) -> Rule:
+        """The rule of the output ``name``; a detail has one only if declared."""
+        return self.rules.get(name, MAX) if name == "residual" else self.rules[name]
 
-def _worst(residuals, points: np.ndarray, **details) -> Measured:
-    """The largest entry over per-sample residual arrays, and its sample."""
-    return Measured(*worst_sample(residuals, points), details)
+
+@dataclass
+class Measured:
+    """A check's outputs over some rows of a run: output name -> (value, row)
+    of its rule, each row numbered from the run's first; the point of the
+    residual's row; and the check's constant details, or its error."""
+
+    outputs: dict
+    witness: tuple | None = None
+    notes: dict = field(default_factory=dict)
+    raised: bool = False  # the evaluation raised; see _fold
+
+    @property
+    def residual(self) -> float:
+        return self.outputs["residual"][0]
+
+    @property
+    def details(self) -> dict:
+        return {**{k: p[0] for k, p in self.outputs.items() if k != "residual"}, **self.notes}
+
+
+def _reduce(check: Check, out, rows: int, first: int) -> dict:
+    """Each output of ``out`` reduced by its rule: name -> (value, row)."""
+    named = {"residual": out} if isinstance(out, (np.ndarray, list)) else out
+    outputs = {}
+    for name, value in named.items() if isinstance(named, dict) else named:
+        rule = check.rule(name)
+        pair = rule.reduce(value, rows, first)
+        del value  # a generator makes its next output while none is held
+        outputs[name] = rule.fold(outputs[name], pair) if name in outputs else pair
+    if "residual" not in outputs:  # the largest entry of all the outputs
+        pairs = [
+            entry
+            for name, pair in outputs.items()
+            for entry in (zip(*pair) if check.rule(name) is MAX_EACH else [pair])
+        ]
+        outputs["residual"] = functools.reduce(_first_largest, pairs, (0.0, math.inf))
+    return outputs
 
 
 def _evaluate(check: Check, ctx: ScenarioContext) -> Measured:
-    """Run one check on the arrays it reads, made inside its guard; an
-    evaluation error becomes its failed result."""
+    """Run one check on the arrays it reads, made inside its guard, reduce its
+    outputs there, and name the point of the residual's row; an error fails it."""
     try:
         out = check.residual(ctx, *[ctx[name] for name in check.reads])
-        if not isinstance(out, Measured):
-            out = _worst(out, ctx[check.points])
+        points = ctx[check.points]
+        first = ctx.first * (len(points) // len(ctx.points))
+        outputs = _reduce(check, out, len(points), first)
     except DomainError as err:
-        out = Measured(float("inf"), err.point, raised=True)
+        witness, notes = err.point, {}
     except MetallicLabError as err:
-        out = Measured(float("inf"), details={"error": str(err)}, raised=True)
+        witness, notes = None, {"error": str(err)}
     except MemoryError:
-        out = Measured(float("inf"), details={"error": "out of memory"}, raised=True)
-    return out
+        witness, notes = None, {"error": "out of memory"}
+    else:
+        row = outputs["residual"][1]
+        witness = None if row == math.inf else tuple(float(v) for v in points[row - first])
+        return Measured(outputs, witness, check.details)
+    return Measured({"residual": (math.inf, math.inf)}, witness, notes, raised=True)
 
 
 def _fold(check: Check, before: Measured, after: Measured) -> Measured:
-    """The check's result over the samples of ``before`` and then of ``after``.
-
-    The first result that raised decides.  A residual takes the maximum
-    with its first worst sample as the witness, or a count its rule in
-    ``merge["residual"]`` with the first witness; each detail takes its
-    rule in ``merge``, the maximum by default.
-    """
+    """The result over ``before``'s rows, then ``after``'s: the first that raised, or the rules."""
     if before.raised or after.raised:
         return before if before.raised else after
-    rules = check.merge
-    if "residual" in rules:
-        residual = rules["residual"](before.residual, after.residual)
-        witness = before.witness if before.witness is not None else after.witness
-    elif after.residual > before.residual:
-        residual, witness = after.residual, after.witness
-    else:
-        residual, witness = before.residual, before.witness
-    details = {
-        key: rules.get(key, _max)(value, after.details[key])
-        for key, value in before.details.items()
+    outputs = {
+        name: check.rule(name).fold(pair, after.outputs[name])
+        for name, pair in before.outputs.items()
     }
-    return Measured(residual, witness, details)
-
-
-def _repeated(check: Check, out: Measured, count: int) -> Measured:
-    """The fold of ``count`` copies of ``out``, by doubling (every merge rule
-    is associative)."""
-    if count == 1:
-        return out
-    half = _repeated(check, out, count // 2)
-    twice = _fold(check, half, half)
-    return _fold(check, twice, out) if count % 2 else twice
+    earlier = outputs["residual"][1] == before.outputs["residual"][1]
+    return Measured(outputs, before.witness if earlier else after.witness, before.notes)
 
 
 def _result(check: Check, out: Measured, tol: float) -> CheckResult:
@@ -423,17 +489,9 @@ def _has_karaman(scenario: ChartScenario) -> bool:
     return scenario.omega is not None and scenario.params.q != 0
 
 
-def _first_point(ctx: ScenarioContext, failing: np.ndarray) -> tuple | None:
-    """The point of the first sample flagged in ``failing``, or None."""
-    return tuple(float(v) for v in ctx.points[failing.argmax()]) if failing.any() else None
-
-
-def _metric_spd(ctx: ScenarioContext, g: np.ndarray) -> Measured:
+def _metric_spd(ctx: ScenarioContext, g: np.ndarray) -> dict:
     eigmin = np.linalg.eigvalsh(g).min(axis=-1)
-    failing = ~(eigmin > 1e-10)
-    return Measured(
-        float(failing.any()), _first_point(ctx, failing), {"min_eigenvalue": float(eigmin.min())}
-    )
+    return {"residual": ~(eigmin > 1e-10), "min_eigenvalue": eigmin}
 
 
 def _bianchi(ctx: ScenarioContext, R: np.ndarray) -> np.ndarray:
@@ -447,36 +505,33 @@ def _bianchi(ctx: ScenarioContext, R: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------
 
 
-def _neutral_signature(ctx: ScenarioContext, eigenvalues: np.ndarray) -> Measured:
+def _neutral_signature(ctx: ScenarioContext, eigenvalues: np.ndarray) -> dict:
     n = ctx.chart.dim
     n_plus, n_minus = gb.neutral_signature(eigenvalues)
-    mismatched = (n_plus != n) | (n_minus != n)
-    signature = [int(n_plus[-1]), int(n_minus[-1])]
-    witness = _first_point(ctx, mismatched)
-    return Measured(float(mismatched.sum()), witness, {"signature": signature})
+    return {
+        "residual": (n_plus != n) | (n_minus != n),
+        "signature": np.stack([n_plus, n_minus], axis=-1),
+    }
 
 
-def _calibration(ctx: ScenarioContext, jp, jc, eigenvalues) -> Measured:
+def _calibration(ctx: ScenarioContext, jp, jc, eigenvalues) -> dict:
     """Jp anti-invariant and Jc invariant under the natural pairing, the form
     (., Jp .) non-degenerate and (., Jc .) positive definite: a form that
     fails reads 2 tol at its sample, NaN included."""
     M = gb.pairing_matrix(ctx.chart.dim)
     flag = TOL_ALGEBRAIC * 2.0
     min_eig = np.abs(eigenvalues).min(axis=-1)
-    jp_half = [
-        largest_entry(np.swapaxes(jp, -1, -2) @ M @ jp + M),
-        largest_entry(np.where(min_eig > TOL_ALGEBRAIC, 0.0, flag)),
-    ]
     positive = gb.pairing_positive_definite(jc, TOL_ALGEBRAIC)
-    jc_half = [
-        largest_entry(np.swapaxes(jc, -1, -2) @ M @ jc - M),
-        largest_entry(np.where(positive, 0.0, flag)),
-    ]
-    details = {
-        "jp_anti_invariance": max(value for value, _ in jp_half),
-        "jc_invariance": max(value for value, _ in jc_half),
+    return {
+        "jp_anti_invariance": [
+            np.swapaxes(jp, -1, -2) @ M @ jp + M,
+            np.where(min_eig > TOL_ALGEBRAIC, 0.0, flag),
+        ],
+        "jc_invariance": [
+            np.swapaxes(jc, -1, -2) @ M @ jc - M,
+            np.where(positive, 0.0, flag),
+        ],
     }
-    return Measured(*worst_of(jp_half + jc_half, ctx.points), details)
 
 
 def _converted(ctx: ScenarioContext, sign: float, X: np.ndarray) -> np.ndarray:
@@ -485,14 +540,14 @@ def _converted(ctx: ScenarioContext, sign: float, X: np.ndarray) -> np.ndarray:
     return sign * (gap / 2.0) * X + ctx.params.p / 2.0 * np.eye(X.shape[-1])
 
 
-def _derived_family(ctx: ScenarioContext, f_plus, J, jp, ginv, jm) -> Measured:
+def _derived_family(ctx: ScenarioContext, f_plus, J, jp, ginv, jm):
     """The metallic and block identities of Jm^+- (the conversions of Jp) and
     of J^+-(Fhat^+), Fhat^+ = blockdiag(F^+, F^+*) for F^+ = (2J - pI) / (2 sigma - p).
 
-    Each member is built once and reduced to its largest entry at once;
-    besides Fhat^+, one member stack is held at a time.  F^- = -F^+ and
-    negation is exact, so J^-(Fhat^-) is J^+(Fhat^+) and J^+(Fhat^-) is
-    J^-(Fhat^+) bit for bit: the F^- members are not built.
+    Each member is built once and yielded at once; besides Fhat^+, one
+    member stack is held at a time.  F^- = -F^+ and negation is exact, so
+    J^-(Fhat^-) is J^+(Fhat^+) and J^+(Fhat^-) is J^-(Fhat^+) bit for bit:
+    the F^- members are not built.
     """
     n = ctx.chart.dim
     params = ctx.params
@@ -501,31 +556,28 @@ def _derived_family(ctx: ScenarioContext, f_plus, J, jp, ginv, jm) -> Measured:
     pjqi = params.p * J + (params.q - 1.0) * eye
     mirror = params.p * eye - J
     jm_plus = _converted(ctx, 1.0, jp)
-    metallic = [largest_entry(_metallic(ctx, jm_plus))]
+    yield "metallic_residual", _metallic(ctx, jm_plus)
     # corrected reading: the off-diagonal blocks carry (2s-p)/2
-    block = [largest_entry(jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ginv)]
+    yield "block_residual", jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ginv
     del jm_plus
-    metallic.append(largest_entry(_metallic(ctx, _converted(ctx, -1.0, jp))))
+    yield "metallic_residual", _metallic(ctx, _converted(ctx, -1.0, jp))
     fhat_plus = gb.blocks(f_plus, 0.0, 0.0, np.swapaxes(f_plus, -1, -2))
-    block.append(largest_entry(fhat_plus @ fhat_plus - eye2))
+    yield "block_residual", fhat_plus @ fhat_plus - eye2
     j_plus_of_fplus = _converted(ctx, 1.0, fhat_plus)
-    metallic.append(largest_entry(_metallic(ctx, j_plus_of_fplus)))
-    block.append(largest_entry(j_plus_of_fplus - jm))
+    yield "metallic_residual", _metallic(ctx, j_plus_of_fplus)
+    yield "block_residual", j_plus_of_fplus - jm
     del j_plus_of_fplus
     expected_mp = gb.blocks(mirror, 0.0, 0.0, np.swapaxes(mirror, -1, -2))
-    block.append(largest_entry(_converted(ctx, -1.0, fhat_plus) - expected_mp))
-    details = {
-        "metallic_residual": max(value for value, _ in metallic),
-        "block_residual": max(value for value, _ in block),
-    }
-    return Measured(*worst_of(metallic + block, ctx.points), details)
+    yield "block_residual", _converted(ctx, -1.0, fhat_plus) - expected_mp
 
 
-def _fhat(ctx: ScenarioContext, J, jm) -> Measured:
-    # samples where Df = J is singular have no push-forward
+def _fhat(ctx: ScenarioContext, J, jm) -> np.ndarray:
+    """0 at the samples where Df = J is singular: they have no push-forward."""
     keep = np.abs(np.linalg.det(J)) >= 1e-12
-    fhat, jm = gb.fhat_matrix(J[keep]), jm[keep]
-    return _worst(fhat @ jm - jm @ fhat, ctx.points[keep], informative=_FHAT_INFORMATIVE)
+    fhat, kept = gb.fhat_matrix(J[keep]), jm[keep]
+    out = np.zeros(jm.shape)
+    out[keep] = fhat @ kept - kept @ fhat
+    return out
 
 
 # ------------------------------------------------------------------
@@ -576,26 +628,6 @@ def _jm_mixed(ctx: ScenarioContext, DJ, nij, J) -> np.ndarray:
     return gap
 
 
-# the arrays of gc.ConditionInputs, in its order
-_CONDITION_READS = (
-    "g",
-    "ginv",
-    "J",
-    "K",
-    *(f"{name}[scenario]" for name in ("nablag", "nablaJ", "nablaK", "torsion")),
-    "NJ",
-)
-
-
-def _conditions(ctx: ScenarioContext, *arrays, label: str, kind: str) -> Measured:
-    """The jp or jc integrability ("condition") or torsion-free ("reduced")
-    residual list, with the worst entry of each in the details."""
-    residuals = getattr(gc, f"{label}_{kind}_residuals")
-    entries = [largest_entry(c) for c in residuals(gc.ConditionInputs(*arrays))]
-    per = [value for value, _ in entries]
-    return Measured(*worst_of(entries, ctx.points), {"per_condition": per})
-
-
 # ------------------------------------------------------------------
 # karaman
 # ------------------------------------------------------------------
@@ -613,8 +645,8 @@ def _torsion_lemma(ctx: ScenarioContext, T, J) -> np.ndarray:
     return np.concatenate([lemma1.reshape(len(J), -1), lemma2.reshape(len(J), -1)], axis=1)
 
 
-def _omega_sweep(ctx: ScenarioContext, g, ginv, J, dg, gamma, Dg, T, nij, jm, djm) -> Measured:
-    """The residuals of the sweep for every 1-form, with the worst sample.
+def _omega_sweep(ctx: ScenarioContext, g, ginv, J, dg, gamma, Dg, T, nij, jm, djm):
+    """The residual arrays of the sweep, one tuple for each 1-form in turn.
 
     Every array the sweep reads is affine in the value of omega at a sample,
     so it vanishes for every 1-form if and only if it vanishes for omega = 0
@@ -622,19 +654,14 @@ def _omega_sweep(ctx: ScenarioContext, g, ginv, J, dg, gamma, Dg, T, nij, jm, dj
     the Levi-Civita connection: Dg, T and nij are its arrays, which the
     other suites read too; for each e_k the sweep builds D and them anew.
     """
-    pts = ctx.points
-    entries, per_form = [], []
     for k in range(-1, ctx.chart.dim):
-        omega = np.zeros_like(pts)
+        omega = np.zeros_like(ctx.points)
         if k >= 0:
             omega[:, k] = 1.0
             D = _karaman_gamma(ctx, g, ginv, J, omega, gamma)
             Dg, T, nij = gc.nabla_metric(D, g, dg), gc.torsion(D), gc.gen_nijenhuis(D, jm, djm)
         gap, lemma = _torsion_gap(ctx, T, J, omega), _torsion_lemma(ctx, T, J)
-        form = [largest_entry(a) for a in (Dg, gap, lemma, gc.phi_of_torsion(T, J), nij)]
-        per_form.append(max(value for value, _ in form))
-        entries += form
-    return Measured(*worst_of(entries, pts), {"per_form_max": per_form})
+        yield Dg, gap, lemma, gc.phi_of_torsion(T, J), nij
 
 
 # ------------------------------------------------------------------
@@ -657,21 +684,20 @@ def _lift_points(ctx: ScenarioContext, y: np.ndarray) -> np.ndarray:
 # The lifts residuals take the arrays they read, then the flavour.
 
 
-def _mixed_display(ctx, lift, N_at, J, DJ, points, flavor) -> Measured:
+def _mixed_display(ctx, lift, N_at, J, DJ, flavor) -> dict:
     residual, literal = lf.mixed_display_residual(N_at, lift.frame, J, DJ, flavor)
-    details = {}
-    if flavor == lf.COTANGENT:
-        details["literal_display_residual"] = largest_entry(literal)[0]
-    return _worst(residual, points, **details)
+    if flavor == lf.TANGENT:  # the printed form is the corrected one
+        return {"residual": residual}
+    return {"residual": residual, "literal_display_residual": literal}
 
 
-def _horizontal_display(ctx, lift, y, N_at, J, NJ, R, points, flavor) -> Measured:
+def _horizontal_display(ctx, lift, y, N_at, J, NJ, R, flavor) -> dict:
     """N on horizontal pairs against the displayed formula, the displayed
     curvature read in the house convention.  The detail ``curvature``, the
     largest curvature entry, tells a chart that exercises the curvature term
-    from a flat one."""
+    from a flat one; R is read over the fibre points of its sample."""
     gap = lf.horizontal_display_match(N_at, lift.frame, J, NJ, R, y, ctx.params, flavor)
-    return _worst(gap, points, curvature=largest_entry(R)[0])
+    return {"residual": gap, "curvature": np.broadcast_to(R[:, None], y.shape[:2] + R.shape[1:])}
 
 
 def _lift_checks(flavor: str) -> list:
@@ -680,11 +706,11 @@ def _lift_checks(flavor: str) -> list:
     (cotangent), as ``fibre_g``."""
     fibre_g = "g" if flavor == lf.TANGENT else "ginv"
 
-    def check(name, anchor, residual, reads, tol=GEOMETRIC, gating=True):
+    def check(name, anchor, residual, reads, tol=GEOMETRIC, gating=True, **rules):
         cid = f"lifts-{flavor}/{name}"
         reads = tuple(read.format(flavor) for read in reads)
         residual = partial(residual, flavor=flavor)
-        return Check(cid, anchor, residual, tol, gating, reads=reads, points="lift_points")
+        return Check(cid, anchor, residual, tol, gating, reads=reads, points="lift_points", **rules)
 
     return [
         check(
@@ -734,18 +760,17 @@ def _lift_checks(flavor: str) -> list:
             "nijenhuis-mixed-display",
             "N on horizontal/vertical pairs matches the displayed formula",
             _mixed_display,
-            ("lift[{}]", "lift_nij[{}]", "J", "nablaJ[scenario]", "lift_points"),
+            ("lift[{}]", "lift_nij[{}]", "J", "nablaJ[scenario]"),
+            rules={"literal_display_residual": MAX},
         ),
         check(
             "nijenhuis-horizontal-display",
             "N on horizontal pairs matches the displayed curvature formula, "
             "its R^l_(a b c) read as the house R^l_(a b c)",
             _horizontal_display,
-            (
-                *("lift[{}]", "fibre", "lift_nij[{}]", "J"),
-                *("NJ", "riemann[scenario]", "lift_points"),
-            ),
+            ("lift[{}]", "fibre", "lift_nij[{}]", "J", "NJ", "riemann[scenario]"),
             TOL_CURVATURE_DISPLAY,
+            rules={"curvature": MAX},
         ),
         check(
             "nijenhuis-vanishes",
@@ -769,21 +794,19 @@ def _commutation_fibre(ctx: ScenarioContext, points: np.ndarray) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=points.shape)
 
 
-def _commutation_lifts(ctx: ScenarioContext, g, ginv, J, gamma, points):
-    """The tangent lift at random fibre points y over the samples, the
-    cotangent lift at the matching eta = g y, and the points (x, y).  The
-    intertwining reads no partials of the lifts: it declares none."""
-    yv = _commutation_fibre(ctx, points)
-    eta = np.einsum("mij,mj->mi", g, yv)
-    tangent = lf.lift(lf.TANGENT, yv[:, None], g, ginv, J, gamma)
+def _commutation_lifts(ctx: ScenarioContext, g, ginv, J, gamma, y):
+    """The tangent lift at the fibre points y over the samples and the
+    cotangent lift at the matching eta = g y.  The intertwining reads no
+    partials of the lifts: it declares none."""
+    eta = np.einsum("mij,mj->mi", g, y)
+    tangent = lf.lift(lf.TANGENT, y[:, None], g, ginv, J, gamma)
     cotangent = lf.lift(lf.COTANGENT, eta[:, None], g, ginv, J, gamma)
-    return tangent, cotangent, np.hstack([points, yv])
+    return tangent, cotangent
 
 
-def _commutation(ctx: ScenarioContext, *arrays) -> Measured:
-    tangent, cotangent, points = _commutation_lifts(ctx, *arrays)
-    res = lf.commutation_residual(tangent.forward, cotangent.backward, tangent.jbar, cotangent.jbar)
-    return _worst(res, points)
+def _commutation(ctx: ScenarioContext, *arrays) -> np.ndarray:
+    t, c = _commutation_lifts(ctx, *arrays)  # the tangent and the cotangent lift
+    return lf.commutation_residual(t.forward, c.backward, t.jbar, c.jbar)
 
 
 # ------------------------------------------------------------------
@@ -797,7 +820,7 @@ CHECKS = (
         _metric_spd,
         TOL_COUNT,
         reads=("g",),
-        merge={"min_eigenvalue": _min},
+        rules={"min_eigenvalue": MIN},
     ),
     Check(
         "core/metallic-equation",
@@ -879,7 +902,7 @@ CHECKS = (
         _neutral_signature,
         TOL_COUNT,
         reads=("jp_eigenvalues",),
-        merge={"residual": operator.add, "signature": _last},
+        rules={"residual": SUM, "signature": LAST},
     ),
     Check(
         "genbundle/calibration",
@@ -887,6 +910,7 @@ CHECKS = (
         _calibration,
         TOL_ALGEBRAIC,
         reads=("gen[jp]", "gen[jc]", "jp_eigenvalues"),
+        rules={"jp_anti_invariance": MAX, "jc_invariance": MAX},
     ),
     Check(
         "genbundle/derived-family",
@@ -896,6 +920,7 @@ CHECKS = (
         TOL_ALGEBRAIC,
         applies=_real_roots,
         reads=("f_plus", "J", "gen[jp]", "ginv", "gen[jm]"),
+        rules={"metallic_residual": MAX, "block_residual": MAX},
     ),
     Check(
         "genbundle/fhat-with-df-equal-j",
@@ -905,7 +930,11 @@ CHECKS = (
         gating=False,
         applies=_invertible,
         reads=("J", "gen[jm]"),
-        merge={"informative": _last},
+        details={
+            "informative": "blockdiag(J, (J^T)^-1) commutes with Jm = blockdiag(J, J^T) for "
+            "every invertible J, so the residual is rounding only and no scenario input can "
+            "make it fail"
+        },
     ),
     Check(
         "genconn/nabla-bracket-antisymmetry",
@@ -934,20 +963,31 @@ CHECKS = (
         Check(
             f"genconn/{label}-integrability-conditions",
             f"the six displayed integrability conditions for {label}",
-            partial(_conditions, label=label, kind="condition"),
-            reads=_CONDITION_READS,
+            conditions,
+            reads=(
+                *("g", "ginv", "J", "K", "nablag[scenario]", "nablaJ[scenario]"),
+                *("nablaK[scenario]", "torsion[scenario]", "NJ"),
+            ),
+            rules={"per_condition": MAX_EACH},
         )
-        for label in ("jp", "jc")
+        for label, conditions in (
+            ("jp", lambda ctx, *a: {"per_condition": gc.jp_condition_residuals(*a)}),
+            ("jc", lambda ctx, *a: {"per_condition": gc.jc_condition_residuals(*a)}),
+        )
     ),
     *(
         Check(
             f"genconn/{label}-reduced-conditions",
             f"torsion-free reduction of the {label} conditions (informative)",
-            partial(_conditions, label=label, kind="reduced"),
+            conditions,
             gating=False,
-            reads=_CONDITION_READS,
+            reads=("g", "J", "K", "nablaJ[scenario]", "nablaK[scenario]", "NJ"),
+            rules={"per_condition": MAX_EACH},
         )
-        for label in ("jp", "jc")
+        for label, conditions in (
+            ("jp", lambda ctx, *a: {"per_condition": gc.jp_reduced_residuals(*a)}),
+            ("jc", lambda ctx, *a: {"per_condition": gc.jc_reduced_residuals(*a)}),
+        )
     ),
     Check(
         "genconn/covariant-nijenhuis-identity-levi-civita",
@@ -1026,12 +1066,13 @@ CHECKS = (
         "karaman/random-omega-sweep",
         "for every 1-form (omega = 0 and the coordinate 1-forms, by affinity): Dg = 0, "
         "T^D closed form, the torsion commutation, Phi(T^D) = 0 and D-integrability of Jm",
-        _omega_sweep,
+        lambda ctx, *a: {"per_form_max": _omega_sweep(ctx, *a)},
         applies=_has_karaman,
         reads=(
             *("g", "ginv", "J", "dg", "gamma[lc]"),
             *("nablag[lc]", "torsion[lc]", "gen_nij[lc,jm]", "gen[jm]", "gen_jet[jm]"),
         ),
+        rules={"per_form_max": MAX_EACH},
     ),
     *_lift_checks(lf.TANGENT),
     *_lift_checks(lf.COTANGENT),
@@ -1039,7 +1080,8 @@ CHECKS = (
         "commutation/jm-lift-intertwine",
         "the tangent and cotangent lifts are intertwined by Psi Phi^{-1}",
         _commutation,
-        reads=("g", "ginv", "J", "gamma[scenario]", "points"),
+        reads=("g", "ginv", "J", "gamma[scenario]", "commutation_fibre"),
+        points="commutation_points",
     ),
 )
 
@@ -1124,6 +1166,9 @@ ARRAYS = {
         f"lift_nij[{f}]": (lambda ctx, lift: lf.nijenhuis_values(lift), (f"lift[{f}]",))
         for f in (lf.TANGENT, lf.COTANGENT)
     },
+    # the commutation check's fibre points, one over each sample, and (x, y)
+    "commutation_fibre": (_commutation_fibre, ("points",)),
+    "commutation_points": (lambda ctx, x, y: np.hstack([x, y]), ("points", "commutation_fibre")),
 }
 
 # suite name -> callable(ctx, checks, last) -> [(Check, Measured)] over the context's
@@ -1168,12 +1213,12 @@ def run_suites(
 
     Every check is pointwise.  A check whose arrays are the same at every
     sample (see _varies) runs once, in a context of the run's first sample,
-    and its result is folded with itself for every sample (see _repeated).
-    The others run on each chunk of the samples in turn (see _chunk_length),
-    each in a context of its own index range that shares the invariant
-    arrays of the first sample's and drops each array after its last reader
-    (see _plan); each check's results are folded by its merge rules (see
-    _fold): the report is the one a single chunk gives.
+    and each of its outputs stands for every sample by the closed form of
+    its rule (see Rule.repeat).  The others run on each chunk of the samples
+    in turn (see _chunk_length), each in a context of its own index range
+    that shares the invariant arrays of the first sample's and drops each
+    array after its last reader (see _plan); each check's results are folded
+    by its rules (see _fold): the report is the one a single chunk gives.
     The overrides obey the rules of the scenario file's fields, so the CLI
     flags that set them do too; a bad one is a ValidationError.
     """
@@ -1206,7 +1251,10 @@ def run_suites(
     folded = {}
     for suite, checks in invariant.items():
         for check, out in _SUITE_FUNCS[suite](once, checks, last):
-            folded[check.cid] = _repeated(check, out, samples)
+            if not out.raised:  # the result of one sample stands for every sample
+                outputs = out.outputs.items()
+                out.outputs = {name: check.rule(name).repeat(p, samples) for name, p in outputs}
+            folded[check.cid] = out
     for start in range(0, samples, length) if varying else ():
         count = min(length, samples - start)
         ctx = ScenarioContext(scenario, count, seed, start, points if start == 0 else None, once)

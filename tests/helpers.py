@@ -627,7 +627,7 @@ def matching_readings(N, frame, J, NJ, R, y, p, q, tangent, tol=1e-7):
 def per_sample_worst(residuals, points):
     """The largest absolute entry of per-sample residual arrays (one array or a
     list) and the point of its sample, through one maximum per sample with NaN
-    read as infinite: the oracle of ``report.worst_sample``."""
+    read as infinite: the oracle of the MAX rule (``suites.MAX``)."""
     if isinstance(residuals, (list, tuple)):
         m = np.asarray(residuals[0]).shape[0]
         residuals = np.concatenate(

@@ -3,6 +3,7 @@ over many chunks reports what one chunk over all samples reports, and its
 peak memory is that of one chunk."""
 
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -108,18 +109,29 @@ def test_all_seven_suites_at_n_2_and_2048_samples_stay_below_16_mb_traced():
 
 def test_a_fold_keeps_the_first_worst_sample_and_the_first_error():
     metallic = next(c for c in suites.CHECKS if c.cid == "core/metallic-equation")
-    first, tie = suites.Measured(1.0, (0.1,)), suites.Measured(1.0, (0.2,))
-    error = suites.Measured(float("inf"), (0.3,), raised=True)
+    first = suites.Measured({"residual": (1.0, 3)}, (0.1,))
+    tie = suites.Measured({"residual": (1.0, 600)}, (0.2,))
+    error = suites.Measured({"residual": (math.inf, math.inf)}, (0.3,), raised=True)
     assert suites._fold(metallic, first, tie).witness == (0.1,)
     assert suites._fold(metallic, first, error) is error
-    assert suites._fold(metallic, error, suites.Measured(float("inf"), (0.4,), raised=True)) is error
-    assert suites._fold(metallic, error, suites.Measured(2.0, (0.5,))) is error
+    later_error = suites.Measured({"residual": (math.inf, math.inf)}, (0.4,), raised=True)
+    assert suites._fold(metallic, error, later_error) is error
+    assert suites._fold(metallic, error, suites.Measured({"residual": (2.0, 900)}, (0.5,))) is error
 
 
-def test_a_detail_with_no_declared_rule_folds_by_its_maximum():
+def test_each_detail_folds_by_its_declared_rule():
     calibration = next(c for c in suites.CHECKS if c.cid == "genbundle/calibration")
-    assert calibration.merge == {}
-    before = suites.Measured(1.0, (0.1,), {"jc_invariance": 1.0, "per": [1.0, 4.0]})
-    after = suites.Measured(0.5, (0.2,), {"jc_invariance": 3.0, "per": [2.0, 3.0]})
+    assert calibration.rules == {"jp_anti_invariance": suites.MAX, "jc_invariance": suites.MAX}
+    before = suites.Measured({"residual": (1.0, 2), "jc_invariance": (1.0, 2)}, (0.1,))
+    after = suites.Measured({"residual": (3.0, 700), "jc_invariance": (3.0, 700)}, (0.2,))
     folded = suites._fold(calibration, before, after)
-    assert folded.details == {"jc_invariance": 3.0, "per": [2.0, 4.0]}
+    got = (folded.residual, folded.witness, folded.details)
+    assert got == (3.0, (0.2,), {"jc_invariance": 3.0})
+    # a list takes the maximum entry by entry
+    conditions = next(c for c in suites.CHECKS if c.cid == "genconn/jp-integrability-conditions")
+    before = suites.Measured({"residual": (4.0, 1), "per_condition": ([1.0, 4.0], [5, 1])})
+    after = suites.Measured({"residual": (3.0, 600), "per_condition": ([2.0, 3.0], [600, 512])})
+    assert suites._fold(conditions, before, after).details == {"per_condition": [2.0, 4.0]}
+    # a detail no rule is declared for has none
+    with pytest.raises(KeyError):
+        calibration.rule("per_condition")

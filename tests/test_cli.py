@@ -12,6 +12,7 @@ from metalliclab import report as rp
 from metalliclab import suites as suites_module
 from metalliclab.cli import main
 from metalliclab.errors import DomainError, ParseError, SchemaError, ValidationError
+from metalliclab.expr import parse
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import MAX_TOLERANCE, run_suites
 
@@ -80,6 +81,23 @@ def test_parse_error_aggregates_cells(tmp_path):
         load_scenario(write_scenario(tmp_path, payload))
     text = str(err.value)
     assert "metric" in text and "omega" in text
+
+
+def test_a_deeply_nested_expression_is_an_input_error(tmp_path, capsys):
+    # every nesting recurses in the parser: past 128 levels the input is
+    # refused at the offset of its first token that deep, before the
+    # recursion outgrows Python's stack
+    payload = golden_payload()
+    payload["metric"][0][0] = "(" * 300 + "1" + ")" * 300
+    path = write_scenario(tmp_path, payload)
+    with pytest.raises(ParseError, match="offset 129: nesting deeper than 128 levels"):
+        load_scenario(path)
+    assert main(["check", str(path), "--suite", "core"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    # 128 levels parse, and so does a flat sum of 50,000 terms
+    assert parse("(" * 127 + "-x1" + ")" * 127, ["x1"]) is not None
+    assert parse(" + ".join(["x1"] * 50_000), ["x1"]) is not None
 
 
 def test_schema_error_on_bad_chart(tmp_path):
@@ -453,7 +471,7 @@ def test_the_report_lists_each_declared_check_once_in_table_order(corpus_reports
 
 
 def test_an_error_in_an_informative_check_keeps_its_anchor_and_does_not_gate(monkeypatch):
-    def raising(inputs):
+    def raising(*arrays):
         raise DomainError("injected", (0.25, 0.5))
 
     monkeypatch.setattr(gc, "jp_reduced_residuals", raising)

@@ -1,6 +1,8 @@
 """The per-sample matrix products of genconn and lifts against their
 einsum specifications (tests/helpers.py), on random arrays at n = 2..6."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -52,12 +54,13 @@ def test_gen_nijenhuis_matches_the_pairwise_bracket_loop(n):
     assert close(gc.gen_nijenhuis(gamma, J, dJ), gen_nijenhuis_loop(gamma, J, dJ))
 
 
-def condition_inputs(rng, n):
+def condition_inputs(rng, n) -> dict:
+    """The named arrays of the condition lists, by their parameter names."""
     g = spd(rng, n)
     J = rng.normal(size=(M, n, n))
     Dg = rng.normal(size=(M, n, n, n))
     T = rng.normal(size=(M, n, n, n))
-    return gc.ConditionInputs(
+    return dict(
         g=g,
         ginv=np.linalg.inv(g),
         J=J,
@@ -72,14 +75,17 @@ def condition_inputs(rng, n):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_condition_lists_match_their_einsum_specs(n):
-    ci = condition_inputs(np.random.default_rng(20 + n), n)
+    arrays = condition_inputs(np.random.default_rng(20 + n), n)
+    # the specs read the arrays as attributes, and the identity as ``eye``
+    ci = SimpleNamespace(**arrays, eye=np.broadcast_to(np.eye(n), arrays["J"].shape))
+    reduced_reads = {name: arrays[name] for name in ("g", "J", "K", "DJ", "DK", "NJ")}
     for sign, conditions, reduced in (
         (-1.0, gc.jp_condition_residuals, gc.jp_reduced_residuals),
         (1.0, gc.jc_condition_residuals, gc.jc_reduced_residuals),
     ):
         for got, expected in (
-            (conditions(ci), conditions_spec(ci, sign)),
-            (reduced(ci), reduced_spec(ci, sign)),
+            (conditions(**arrays), conditions_spec(ci, sign)),
+            (reduced(**reduced_reads), reduced_spec(ci, sign)),
         ):
             assert len(got) == len(expected)
             for k, (a, b) in enumerate(zip(got, expected)):
@@ -120,6 +126,12 @@ def rows(a):
     return a.reshape((M * FIBRE,) + a.shape[2:])
 
 
+def side_by_side(arrays):
+    """A list of lifted arrays [M, FIBRE, ...] as the specs give them: one
+    row per lifted sample, the arrays' entries side by side."""
+    return np.concatenate([rows(a).reshape(M * FIBRE, -1) for a in arrays], axis=1)
+
+
 def repeated(a):
     """A base array [M, ...] at each of the FIBRE lifted samples over its sample."""
     return np.repeat(a, FIBRE, axis=0)
@@ -151,7 +163,7 @@ def test_lift_and_displays_match_their_einsum_specs(n, flavor):
     base = (g, ginv, J, gamma, DJ, NJ, R)
     g_r, ginv_r, J_r, gamma_r, DJ_r, NJ_r, R_r = (repeated(x) for x in base)
     assert close(
-        rows(lf.frame_endo_residuals(jbar, frame, J, flavor)),
+        side_by_side(lf.frame_endo_residuals(jbar, frame, J, flavor)),
         frame_endo_spec(jbar_r, frame_r, J_r, tangent),
     )
     assert close(
@@ -159,11 +171,11 @@ def test_lift_and_displays_match_their_einsum_specs(n, flavor):
         coordinate_endo_spec(jbar_r, J_r, gamma_r, y_r, tangent),
     )
     assert close(
-        rows(lf.frame_metric_residuals(gbar, frame, g, fibre_g)),
+        side_by_side(lf.frame_metric_residuals(gbar, frame, g, fibre_g)),
         frame_metric_spec(gbar_r, frame_r, g_r, ginv_r, tangent),
     )
     assert close(
-        rows(lf.coordinate_metric_residuals(gbar, g, fibre_g, gamma, y, flavor)),
+        side_by_side(lf.coordinate_metric_residuals(gbar, g, fibre_g, gamma, y, flavor)),
         coordinate_metric_spec(gbar_r, g_r, ginv_r, gamma_r, y_r, tangent),
     )
     for literal, residual in zip((False, True), lf.mixed_display_residual(N, frame, J, DJ, flavor)):

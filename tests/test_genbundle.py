@@ -427,9 +427,12 @@ def test_batched_functions_equal_a_loop_over_their_slices(n):
         for key, value in batched.details.items():
             if isinstance(value, float):
                 assert value == max(s.details[key] for s in single), (cid, key)
-    # no Df = J is invertible: the push-forward check has no sample to read
-    no_fhat = _measured("genbundle/fhat-with-df-equal-j", pair_context(g, 0.0 * J))
-    assert (no_fhat.residual, no_fhat.witness) == (0.0, None)
+    # no Df = J is invertible: the push-forward check reads 0 at every
+    # sample, and its witness is the first sample, which holds that 0
+    singular = pair_context(g, 0.0 * J)
+    no_fhat = _measured("genbundle/fhat-with-df-equal-j", singular)
+    assert (no_fhat.residual, no_fhat.witness) == (0.0, tuple(singular.points[0]))
+    assert not no_fhat.raised
 
 
 @pytest.mark.parametrize("cid", ("genbundle/derived-family",), ids=("derived_family",))

@@ -369,22 +369,25 @@ def test_dhat_block_structure(sphere_chart, sphere_metric, sphere_diag_J):
         assert np.abs(dp[:, n:, :n] - Dg[:, k]).max() < 1e-12
 
 
-def _condition_inputs(c, g, J, pts):
+def _conditions(c, g, J, pts, name):
+    """The residual list of the declared check genconn/``name`` on (g, J),
+    from the arrays that check reads."""
     ctx = field_context(c, g, J, pts)
-    return gc.ConditionInputs(*(ctx[name] for name in suites._CONDITION_READS))
+    check = next(check for check in suites.CHECKS if check.cid == f"genconn/{name}")
+    return check.residual(ctx, *[ctx[read] for read in check.reads])["per_condition"]
 
 
 def test_integrability_conditions_vanish_when_locally_metallic(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(12)
-    ci = _condition_inputs(c, g, J, pts)
-    for cond in gc.jp_condition_residuals(ci) + gc.jc_condition_residuals(ci):
-        assert np.abs(cond).max() < 1e-10
-    reduced = gc.jp_reduced_residuals(ci)
+    for label in ("jp", "jc"):
+        for cond in _conditions(c, g, J, pts, f"{label}-integrability-conditions"):
+            assert np.abs(cond).max() < 1e-10
+    reduced = _conditions(c, g, J, pts, "jp-reduced-conditions")
     assert len(reduced) == 7  # the near-duplicate pair is kept verbatim
     for cond in reduced:
         assert np.abs(cond).max() < 1e-10
-    reduced_c = gc.jc_reduced_residuals(ci)
+    reduced_c = _conditions(c, g, J, pts, "jc-reduced-conditions")
     assert len(reduced_c) == 6
     for cond in reduced_c:
         assert np.abs(cond).max() < 1e-10
@@ -394,8 +397,7 @@ def test_integrability_conditions_fail_on_sphere_diag(
     sphere_chart, sphere_metric, sphere_diag_J
 ):
     pts = sphere_chart.sample_points(12)
-    ci = _condition_inputs(sphere_chart, sphere_metric, sphere_diag_J, pts)
-    jp = gc.jp_condition_residuals(ci)
+    jp = _conditions(sphere_chart, sphere_metric, sphere_diag_J, pts, "jp-integrability-conditions")
     # the first condition only involves N_J and d-nabla-g, both zero here
     assert np.abs(jp[0]).max() < 1e-10
     assert max(np.abs(cond).max() for cond in jp) > 1e-3
@@ -407,11 +409,11 @@ def test_implication_conditions_bound_gen_nijenhuis(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(10)
     tol = 1e-9
-    ci = _condition_inputs(c, g, J, pts)
     ctx = field_context(c, g, J, pts)
     worst_condition = max(
         np.abs(cond).max()
-        for cond in gc.jp_condition_residuals(ci) + gc.jc_condition_residuals(ci)
+        for label in ("jp", "jc")
+        for cond in _conditions(c, g, J, pts, f"{label}-integrability-conditions")
     )
     assert worst_condition <= tol
     for label in ("jp", "jc"):

@@ -1,10 +1,10 @@
 """Checks whose arrays are the same at every sample: a run evaluates them
-once, on its first sample, and folds that result with itself by doubling,
-which must give what evaluating and folding them chunk by chunk gives."""
+once, on its first sample, and each output stands for every sample by the
+closed form of its rule, which must give what evaluating and folding them
+chunk by chunk gives."""
 
 import functools
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -64,39 +64,69 @@ def test_the_flat_charts_evaluate_all_but_the_sampled_checks_once():
     }
 
 
-# one result per declared merge rule, and one per detail that takes the
-# default maximum entry by entry, at a sample where the check gives it
+# one result per declared rule, at a sample where the check gives it: output
+# name -> (value, row), rows numbered from that sample, inf where none holds it
 RESULTS = {
-    "core/metric-spd": Measured(1.0, (0.1, 0.2), {"min_eigenvalue": -0.5}),
-    "genbundle/neutral-signature": Measured(3.0, (0.1, 0.2), {"signature": [1, 3]}),
-    "genbundle/fhat-with-df-equal-j": Measured(2e-17, (0.1, 0.2), {"informative": "text"}),
-    "genconn/jp-integrability-conditions": Measured(
-        0.5, (0.1, 0.2), {"per_condition": [0.5, 0.25, 0.0]}
+    "core/metric-spd": Measured(
+        {"residual": (1.0, 0), "min_eigenvalue": (-0.5, math.inf)}, (0.1, 0.2)
     ),
-    "karaman/random-omega-sweep": Measured(0.0, None, {"per_form_max": [0.0, 1e-3, 2.0]}),
-    "core/locally-metallic": Measured(math.inf, None, {"error": "singular"}, raised=True),
+    "genbundle/neutral-signature": Measured(
+        {"residual": (3.0, 0), "signature": ([1, 3], math.inf)}, (0.1, 0.2)
+    ),
+    "genbundle/fhat-with-df-equal-j": Measured(
+        {"residual": (2e-17, 0)}, (0.1, 0.2), {"informative": "text"}
+    ),
+    "genconn/jp-integrability-conditions": Measured(
+        {"residual": (0.5, 0), "per_condition": ([0.5, 0.25, 0.0], [0, 0, 0])}, (0.1, 0.2)
+    ),
+    "karaman/random-omega-sweep": Measured(
+        {"residual": (2.0, 0), "per_form_max": ([0.0, 1e-3, 2.0], [math.inf, 0, 0])}, (0.1, 0.2)
+    ),
+    "core/locally-metallic": Measured(
+        {"residual": (math.inf, math.inf)}, None, {"error": "singular"}, raised=True
+    ),
+    # no entry holds the residual: no row and no witness
+    "core/bianchi-first": Measured({"residual": (0.0, math.inf)}),
 }
 
 
-def test_the_results_cover_every_declared_merge_rule():
+def test_the_results_cover_every_declared_rule():
     checks = {check.cid: check for check in suites.CHECKS}
-    rules = {rule for check in suites.CHECKS for rule in check.merge.values()}
-    assert rules == {operator.add, suites._min, suites._last}
-    merged = {cid for cid, check in checks.items() if check.merge}
-    assert merged <= set(RESULTS)
-    lists = [cid for cid, out in RESULTS.items() if not checks[cid].merge and out.details]
-    assert any(isinstance(v, list) for cid in lists for v in RESULTS[cid].details.values())
+    declared = {rule for check in suites.CHECKS for rule in check.rules.values()}
+    assert declared == {suites.MAX, suites.MAX_EACH, suites.MIN, suites.SUM, suites.LAST}
+    covered = {checks[cid].rule(name) for cid, out in RESULTS.items() for name in out.outputs}
+    assert declared <= covered
+    assert any(checks[cid].details for cid in RESULTS)
+
+
+def at_sample(out: Measured, k: int) -> Measured:
+    """``out`` as the result of the k-th sample: its rows moved on by k, and
+    for k > 0 a witness of its own."""
+
+    def moved(row):
+        return [r + k for r in row] if isinstance(row, list) else row + k
+
+    outputs = {name: (value, moved(row)) for name, (value, row) in out.outputs.items()}
+    witness = out.witness if k == 0 or out.witness is None else (*out.witness, k)
+    return Measured(outputs, witness, out.notes, out.raised)
 
 
 @pytest.mark.parametrize("count", (1, 2, 3, 7, 512, 4097))
 @pytest.mark.parametrize("cid", sorted(RESULTS))
-def test_folding_by_doubling_is_folding_one_by_one(cid, count):
+def test_the_closed_form_repeat_is_folding_one_by_one(cid, count):
+    # the result of one sample stands for ``count`` samples by each rule's
+    # repeat, as a run applies it to a check evaluated once
     check = next(check for check in suites.CHECKS if check.cid == cid)
     out = RESULTS[cid]
     one_by_one = functools.reduce(
-        lambda before, after: suites._fold(check, before, after), [out] * count
+        lambda before, after: suites._fold(check, before, after),
+        [at_sample(out, k) for k in range(count)],
     )
-    assert suites._repeated(check, out, count) == one_by_one
+    repeated = out
+    if not out.raised:
+        repeat = {name: check.rule(name).repeat(pair, count) for name, pair in out.outputs.items()}
+        repeated = Measured(repeat, out.witness, out.notes)
+    assert repeated == one_by_one
 
 
 def constant_chart(samples: int) -> ChartScenario:
