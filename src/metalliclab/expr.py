@@ -157,60 +157,47 @@ def coord(index: int, name: str | None = None) -> Expr:
     return Coord(index, name if name is not None else f"x{int(index) + 1}")
 
 
-def _fold(value: float) -> Expr | None:
-    if math.isfinite(value):
-        return const(value)
-    return None
+_PYTHON_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
 
 
-def add(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold(a.value + b.value)
-        if folded is not None:
-            return folded
-    return Bin("+", a, b)
-
-
-def sub(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold(a.value - b.value)
-        if folded is not None:
-            return folded
-    return Bin("-", a, b)
-
-
-def mul(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold(a.value * b.value)
-        if folded is not None:
-            return folded
-    return Bin("*", a, b)
-
-
-def div(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        folded = _fold(a.value / b.value)
-        if folded is not None:
-            return folded
-    return Bin("/", a, b)
-
-
-def pow_(a, b) -> Expr:
+def _binary(op: str, a, b) -> Expr:
+    """``a op b``; two literals fold to Python's result when it is a finite
+    float, so neither a division by 0 nor a complex or overflowing power folds."""
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Const) and isinstance(b, Const):
         try:
-            value = a.value**b.value
-        except (ValueError, OverflowError, ZeroDivisionError):
-            value = math.nan
-        if isinstance(value, float):
-            folded = _fold(value)
-            if folded is not None:
-                return folded
-    return Bin("^", a, b)
+            value = _PYTHON_OPS[op](a.value, b.value)
+        except (ArithmeticError, ValueError):
+            value = None
+        if isinstance(value, float) and math.isfinite(value):
+            return const(value)
+    return Bin(op, a, b)
+
+
+def add(a, b) -> Expr:
+    return _binary("+", a, b)
+
+
+def sub(a, b) -> Expr:
+    return _binary("-", a, b)
+
+
+def mul(a, b) -> Expr:
+    return _binary("*", a, b)
+
+
+def div(a, b) -> Expr:
+    return _binary("/", a, b)
+
+
+def pow_(a, b) -> Expr:
+    return _binary("^", a, b)
 
 
 def neg(a) -> Expr:

@@ -32,7 +32,6 @@ __all__ = [
     "COTANGENT",
     "fibre_points",
     "Lift",
-    "lift",
     "frame_endo_residuals",
     "coordinate_endo_residuals",
     "frame_metric_residuals",
@@ -73,9 +72,8 @@ class Lift:
     """The lift of (J, g) at the bundle points (x, y), from values at x.
 
     ``y`` holds the fibre coordinates [m, F, k] of F points over each base
-    sample; the other arrays are the base values at x: g, g^-1 and J [m, i, j],
-    Gamma [m, k, i, j], and the partials dJ, dg, dginv [m, a, i, j] and
-    dgamma[m, a, l, i, j] = d_a Gamma^l_{ij}.  The lifted arrays are [m, F, ...].
+    sample; the other arrays are the base values at x: g, g^-1 and J [m, i, j]
+    and Gamma [m, k, i, j].  The lifted arrays are [m, F, ...].
 
     The morphism is forward = [[I, 0], [L, V]] with the frame
     X_i^H = d_i + L^l_i d/dy^l:
@@ -86,17 +84,16 @@ class Lift:
     D = V J^T W; gbar = backward^T blockdiag(g, g^-1) backward.
 
     Only L varies along the fibre: D, its partials dD, the layout C = dL/dy
-    of Gamma and the block C J - D C of ``djbar`` are made once per base sample.
+    of Gamma and the block C J - D C of :meth:`djbar` are made once per base
+    sample.
 
     Everything but ``jbar`` is computed on first use: the commutation check
     reads ``forward`` of the tangent lift and ``backward`` of the cotangent
-    one, and neither ``gbar`` nor ``djbar[m, F, c, A, B]`` = d_c jbar^A_B over
-    all 2n coordinates.  Only ``djbar`` reads the partials, dJ and dgamma
-    (and dg and dginv for the tangent lift), so the commutation check builds
-    its two lifts without them.
+    one, and neither ``gbar`` nor the partials.  :meth:`djbar` takes the base
+    partials it reads as arguments and keeps nothing.
     """
 
-    def __init__(self, flavor, y, g, ginv, J, gamma, dJ=None, dgamma=None, dg=None, dginv=None):
+    def __init__(self, flavor, y, g, ginv, J, gamma):
         n = J.shape[-1]
         Jt = np.swapaxes(J, -1, -2)
         # C[m, k, l, i] = d L^l_i / d y_k
@@ -112,8 +109,7 @@ class Lift:
         J1, D1 = J[:, None], D[:, None]
         self.jbar = gb.blocks(J1, 0.0, L @ J1 - D1 @ L, D1)
         self._flavor, self._y, self._C, self._L, self._D = flavor, y, C, L, D
-        self._V, self._W = V, W
-        self._base = (g, ginv, J, dJ, dgamma, dg, dginv)
+        self._V, self._W, self._g, self._ginv, self._J = V, W, g, ginv, J
 
     @cached_property
     def forward(self) -> np.ndarray:
@@ -131,17 +127,18 @@ class Lift:
     @cached_property
     def gbar(self) -> np.ndarray:
         """backward^T blockdiag(g, g^-1) backward."""
-        g, ginv = self._base[:2]
-        ghat = gb.blocks(g, 0.0, 0.0, ginv)[:, None]
+        ghat = gb.blocks(self._g, 0.0, 0.0, self._ginv)[:, None]
         return np.swapaxes(self.backward, -1, -2) @ ghat @ self.backward
 
-    @cached_property
-    def djbar(self) -> np.ndarray:
-        """L is linear in y and D does not depend on it, so d/dy_k jbar has the
+    def djbar(self, dJ, dgamma, dg=None, dginv=None) -> np.ndarray:
+        """d_c jbar^A_B over all 2n coordinates, [m, F, c, A, B], from the base
+        partials dJ, dg, dginv [m, a, i, j] and dgamma[m, a, l, i, j] =
+        d_a Gamma^l_{ij}; only the tangent lift reads dg and dginv.
+
+        L is linear in y and D does not depend on it, so d/dy_k jbar has the
         one block (d L/dy_k) J - D (d L/dy_k), the same at every fibre point;
         the base partials follow from those of J, L, V = g^-1 and W."""
-        g, ginv, J, dJ, dgamma, dg, dginv = self._base
-        C, D, y = self._C, self._D, self._y
+        g, ginv, J, C, D, y = self._g, self._ginv, self._J, self._C, self._D, self._y
         (m, F), n = y.shape[:2], J.shape[-1]
         dJt = np.swapaxes(dJ, -1, -2)
         if self._flavor == TANGENT:
@@ -159,11 +156,6 @@ class Lift:
         out[:, :, :n] = gb.blocks(dJ1, 0.0, dL @ J2 + L @ dJ1 - dD1 @ L - D2 @ dL, dD1)
         out[:, :, n:, n:, :n] = (C @ J[:, None] - D[:, None] @ C)[:, None]
         return out
-
-
-def lift(flavor, y, g, ginv, J, gamma, dJ=None, dgamma=None, dg=None, dginv=None) -> Lift:
-    """The :class:`Lift` of the flavour at the fibre points y over the base values."""
-    return Lift(flavor, y, g, ginv, J, gamma, dJ, dgamma, dg, dginv)
 
 
 # ------------------------------------------------------------------
@@ -251,9 +243,10 @@ def coordinate_metric_residuals(
     return [xx, xv]
 
 
-def nijenhuis_values(lifted: Lift) -> np.ndarray:
-    """Nijenhuis tensor of the lifted endomorphism, [m, F, A, B, C]."""
-    return ch.nijenhuis(lifted.jbar, lifted.djbar)
+def nijenhuis_values(lifted: Lift, *partials) -> np.ndarray:
+    """Nijenhuis tensor of the lifted endomorphism, [m, F, A, B, C], from
+    the base partials that :meth:`Lift.djbar` reads."""
+    return ch.nijenhuis(lifted.jbar, lifted.djbar(*partials))
 
 
 def mixed_display_residual(

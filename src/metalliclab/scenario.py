@@ -99,11 +99,11 @@ def _parse_matrix(raw, shape, coords, where, parse_problems, shared):
 def load_scenario(path) -> ChartScenario:
     """Load and validate a scenario file, reporting every problem found."""
     path = Path(path)
-    try:
+    try:  # json decodes the bytes: a UnicodeDecodeError is a ValueError too
         data = json.loads(
-            path.read_text(), parse_constant=_NonFinite, object_pairs_hook=_finite_object
+            path.read_bytes(), parse_constant=_NonFinite, object_pairs_hook=_finite_object
         )
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise SchemaError([f"not valid JSON: {err}"]) from err
     if not isinstance(data, dict):
         raise SchemaError(["scenario file must hold a JSON object"])
@@ -242,7 +242,8 @@ def load_scenario(path) -> ChartScenario:
         try:
             J = from_projection(projection, params, metric, probe)
         except (NotAProjection, ComplexDiscriminant, DomainError) as err:
-            validation_problems.append(f"J.projection: {err}")
+            if not isinstance(err, ComplexDiscriminant):  # reported with p and q above
+                validation_problems.append(f"J.projection: {err}")
             J = ch.constant_matrix(np.eye(n))
 
     scenario = ChartScenario(

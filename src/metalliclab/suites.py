@@ -787,25 +787,17 @@ def _lift_checks(flavor: str) -> list:
 
 
 def _commutation_fibre(ctx: ScenarioContext, points: np.ndarray) -> np.ndarray:
-    """Fibre points y uniform in [-1, 1]^n, one over each of the context's
-    ``points``; the generator skips the n draws of each earlier sample."""
-    rng = np.random.default_rng(ctx.seed + 404)
-    rng.bit_generator.advance(ctx.first * ctx.chart.dim)
-    return rng.uniform(-1.0, 1.0, size=points.shape)
+    """Fibre points y, one over each of the context's ``points``: those of
+    ``lf.fibre_points`` at seed + 403, a stream apart from the lifts' own."""
+    return lf.fibre_points(ctx.chart.dim, len(points), ctx.seed + 403, ctx.first)
 
 
-def _commutation_lifts(ctx: ScenarioContext, g, ginv, J, gamma, y):
-    """The tangent lift at the fibre points y over the samples and the
-    cotangent lift at the matching eta = g y.  The intertwining reads no
-    partials of the lifts: it declares none."""
+def _commutation(ctx: ScenarioContext, g, ginv, J, gamma, y) -> np.ndarray:
+    """The tangent lift at the fibre points y over the samples against the
+    cotangent lift at the matching eta = g y."""
     eta = np.einsum("mij,mj->mi", g, y)
-    tangent = lf.lift(lf.TANGENT, y[:, None], g, ginv, J, gamma)
-    cotangent = lf.lift(lf.COTANGENT, eta[:, None], g, ginv, J, gamma)
-    return tangent, cotangent
-
-
-def _commutation(ctx: ScenarioContext, *arrays) -> np.ndarray:
-    t, c = _commutation_lifts(ctx, *arrays)  # the tangent and the cotangent lift
+    t = lf.Lift(lf.TANGENT, y[:, None], g, ginv, J, gamma)
+    c = lf.Lift(lf.COTANGENT, eta[:, None], g, ginv, J, gamma)
     return lf.commutation_residual(t.forward, c.backward, t.jbar, c.jbar)
 
 
@@ -1152,19 +1144,23 @@ ARRAYS = {
     "jp_eigenvalues": (lambda ctx, jp: gb.pairing_eigenvalues(jp), ("gen[jp]",)),
     "f_plus": (_f_plus, ("g", "J")),
     # the lifts: FIBRE_PER_BASE fibre points over each sample, shared by both
-    # flavours; the cotangent lift's partials do not read dg and dginv
+    # flavours; only the lifted Nijenhuis tensor reads the partials, and the
+    # cotangent one does not read dg and dginv
     "fibre": (_fibre_points, ("points",)),
     "lift_points": (_lift_points, ("fibre",)),
     **{
         f"lift[{f}]": (
-            lambda ctx, *a, f=f: lf.lift(f, *a),
-            ("fibre", "g", "ginv", "J", "gamma[scenario]", "dJ", "dgamma[scenario]", *partials),
+            lambda ctx, *a, f=f: lf.Lift(f, *a),
+            ("fibre", "g", "ginv", "J", "gamma[scenario]"),
         )
-        for f, partials in ((lf.TANGENT, ("dg", "dginv")), (lf.COTANGENT, ()))
+        for f in (lf.TANGENT, lf.COTANGENT)
     },
     **{
-        f"lift_nij[{f}]": (lambda ctx, lift: lf.nijenhuis_values(lift), (f"lift[{f}]",))
-        for f in (lf.TANGENT, lf.COTANGENT)
+        f"lift_nij[{f}]": (
+            lambda ctx, *a: lf.nijenhuis_values(*a),
+            (f"lift[{f}]", "dJ", "dgamma[scenario]", *metric_partials),
+        )
+        for f, metric_partials in ((lf.TANGENT, ("dg", "dginv")), (lf.COTANGENT, ()))
     },
     # the commutation check's fibre points, one over each sample, and (x, y)
     "commutation_fibre": (_commutation_fibre, ("points",)),

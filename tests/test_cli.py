@@ -100,6 +100,62 @@ def test_a_deeply_nested_expression_is_an_input_error(tmp_path, capsys):
     assert parse(" + ".join(["x1"] * 50_000), ["x1"]) is not None
 
 
+def refused(path, capsys) -> str:
+    """The stderr of a check of ``path``, which must exit 2 with an input error."""
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    return err
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    # RFC 8259 JSON is UTF-8: the loader hands json the bytes to decode
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"name": "\xff\xfe"}')
+    with pytest.raises(SchemaError, match="not valid JSON: 'utf-8' codec"):
+        load_scenario(path)
+    refused(path, capsys)
+
+
+def test_a_json_file_nested_past_the_recursion_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SchemaError, match="not valid JSON: maximum recursion depth"):
+        load_scenario(path)
+    refused(path, capsys)
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ('{"name": ', "not valid JSON"),
+        ("[]", "JSON object"),
+        ({"schema_version": 2}, "schema_version"),
+        ({"dimension": 7}, "dimension"),
+        ({"coordinates": ["x1"]}, "coordinates"),
+        ({"domain": [[-1.0, 1.0], [-1.0]]}, "domain"),
+        ({"J": {"projection": [["1", "0"], ["0", "0"]], "scale": 2}}, "J object"),
+        ({"suites": []}, "suites"),
+        ({"suites": ["core", "lifts"]}, "unknown suite 'lifts'"),
+        ({"q": -1.0}, "p^2 + 4q"),
+    ],
+)
+def test_each_rejection_of_the_loader_is_an_input_error(tmp_path, capsys, fields, named):
+    # ``fields`` is the file's text, or the fields that replace flat-golden's
+    path = tmp_path / "scenario.json"
+    path.write_text(fields if isinstance(fields, str) else json.dumps({**golden_payload(), **fields}))
+    assert refused(path, capsys).count(named) == 1
+
+
+def test_a_complex_discriminant_is_reported_once(tmp_path):
+    # a J given by its projection is not built from a complex metallic number
+    payload = golden_payload()
+    payload["q"] = -1.0
+    with pytest.raises(ValidationError) as err:
+        load_scenario(write_scenario(tmp_path, payload))
+    assert err.value.problems == ["p^2 + 4q = -3.0 < 0: metallic number is not real"]
+
+
 def test_schema_error_on_bad_chart(tmp_path):
     payload = golden_payload()
     payload["coordinates"] = ["x1", "x1"]

@@ -145,11 +145,11 @@ def test_lift_and_displays_match_their_einsum_specs(n, flavor):
     rng = np.random.default_rng(40 + n)
     tangent = flavor == lf.TANGENT
     a = lift_arrays(rng, n)
-    lift = lf.lift(flavor, **a)
+    lift = lf.Lift(flavor, *(a[key] for key in ("y", "g", "ginv", "J", "gamma")))
     at_rows = {key: rows(v) if key == "y" else repeated(v) for key, v in a.items()}
     jbar, djbar = lift_spec(tangent, **at_rows)
     assert close(rows(lift.jbar), jbar)
-    assert close(rows(lift.djbar), djbar)
+    assert close(rows(lift.djbar(a["dJ"], a["dgamma"], a["dg"], a["dginv"])), djbar)
 
     y, g, ginv, J, gamma = a["y"], a["g"], a["ginv"], a["J"], a["gamma"]
     fibre_g = g if tangent else ginv
@@ -210,7 +210,7 @@ def test_a_corpus_pass_makes_no_einsum_of_three_or_more_operands(monkeypatch):
 def test_a_commutation_run_evaluates_no_second_partials(monkeypatch):
     # the intertwining reads the lifts' values only, so the partials of Gamma
     # (and the second partials of g, read only by those of the Levi-Civita
-    # connection) stay unbuilt, and handing the lifts every partial changes nothing
+    # connection) stay unbuilt
     scenario = load_scenario(scenario_path("warped-mixing"))
     built = []
     missing = suites.ScenarioContext.__missing__
@@ -223,15 +223,3 @@ def test_a_commutation_run_evaluates_no_second_partials(monkeypatch):
     report = run_suites(scenario, suites=["commutation"])
     assert not {"d2g", "dgamma[lc]", "dgamma[scenario]"} & set(built)
     assert report.checks[0].passed
-    lift = lf.lift
-
-    def every_partial(flavor, y, g, ginv, J, gamma):
-        # the run is one chunk: the scenario's declared samples
-        ctx = suites.ScenarioContext(scenario)
-        partials = [ctx[name] for name in ("dJ", "dgamma[scenario]", "dg", "dginv")]
-        return lift(flavor, y, g, ginv, J, gamma, *partials)
-
-    monkeypatch.setattr(lf, "lift", every_partial)
-    forced = run_suites(scenario, suites=["commutation"])
-    assert "dgamma[scenario]" in built
-    assert report.to_json() == forced.to_json()

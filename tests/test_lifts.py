@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from metalliclab.scenario import load_scenario
 from metalliclab import suites
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, break_array, exprs, field_context, scenario_path
+from conftest import CORPUS, break_array, exprs, field_context, scenario_path, transitive_reads
 from helpers import fd_lifted_nijenhuis, fd_partial, lifted_jbar, matching_readings
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -43,13 +44,19 @@ def warped_setup():
 def lift_at(c, g, J, flavor, base, y):
     """The array lift at the fibre points y [m, F, n] over the Levi-Civita
     values at the m points ``base``."""
-    return lf.lift(flavor, y, *lift_inputs(field_context(c, g, J, base), flavor))
+    return lf.Lift(flavor, y, *lift_inputs(field_context(c, g, J, base), flavor))
 
 
 def lift_inputs(ctx, flavor):
-    """The base arrays lf.lift takes after y, as a run reads them: the
+    """The base arrays lf.Lift takes after y, as a run reads them: the
     declared reads of ``lift[flavor]`` after the fibre points."""
     return [ctx[name] for name in suites.ARRAYS[f"lift[{flavor}]"][1][1:]]
+
+
+def partial_inputs(ctx, flavor):
+    """The base partials Lift.djbar takes, as a run reads them: the declared
+    reads of ``lift_nij[flavor]`` after the lift."""
+    return [ctx[name] for name in suites.ARRAYS[f"lift_nij[{flavor}]"][1][1:]]
 
 
 def bundle_points(c, base_count, fibre_per_base, seed=None):
@@ -175,8 +182,8 @@ def test_frame_and_coordinate_displays(sphere_setup):
 def _nijenhuis_data(c, g, J, flavor, base=10, fibre=4, seed=8):
     points, y = bundle_points(c, base, fibre, seed=seed)
     lift = lift_at(c, g, J, flavor, points, y)
-    N = lf.nijenhuis_values(lift)
     ctx = field_context(c, g, J, points)
+    N = lf.nijenhuis_values(lift, *partial_inputs(ctx, flavor))
     DJ = ctx["nablaJ[lc]"]
     return y, N, lift.frame, ctx["J"], DJ, ctx["NJ"], ctx["riemann[lc]"]
 
@@ -273,16 +280,23 @@ def test_commutation_identity(sphere_setup, warped_setup):
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_closed_form_inverses_at_the_commutation_points(name):
+def test_closed_form_inverses_at_the_commutation_points(name, monkeypatch):
     # the commutation check multiplies by the cotangent lift's backward in
     # place of a numeric inverse of Phi: it must invert Phi where the check runs
     ctx = ScenarioContext(load_scenario(scenario_path(name)))
     check = next(check for check in suites.CHECKS if check.suite == "commutation")
-    arrays = [ctx[read] for read in check.reads]
-    tangent, cotangent = suites._commutation_lifts(ctx, *arrays)
+    built, lift = [], lf.Lift
+
+    def recorded(*args):
+        built.append(lift(*args))
+        return built[-1]
+
+    monkeypatch.setattr(lf, "Lift", recorded)
+    check.residual(ctx, *[ctx[read] for read in check.reads])
+    assert len(built) == 2  # the tangent and the cotangent lift
     eye = np.eye(2 * ctx.chart.dim)
     assert ctx[check.points].shape == (len(ctx.points), 2 * ctx.chart.dim)
-    for lifted in (tangent, cotangent):
+    for lifted in built:
         assert np.abs(lifted.forward @ lifted.backward - eye).max() <= 1e-12
 
 
@@ -311,8 +325,10 @@ def test_array_lift_matches_numpy_oracle(name, flavor):
     ctx = ScenarioContext(scenario, samples=3)
     n = ctx.chart.dim
     y = np.random.default_rng(5).uniform(-1.0, 1.0, size=ctx.points.shape)
-    lift = lf.lift(flavor, y[:, None], *lift_inputs(ctx, flavor))  # one fibre point each
-    jbar, djbar, N = lift.jbar[:, 0], lift.djbar[:, 0], lf.nijenhuis_values(lift)[:, 0]
+    lift = lf.Lift(flavor, y[:, None], *lift_inputs(ctx, flavor))  # one fibre point each
+    partials = partial_inputs(ctx, flavor)
+    jbar, djbar = lift.jbar[:, 0], lift.djbar(*partials)[:, 0]
+    N = lf.nijenhuis_values(lift, *partials)[:, 0]
     args = (scenario.metric, scenario.J, flavor)
 
     def jbar_at(p):
@@ -345,20 +361,28 @@ def test_the_broadcast_lift_is_the_lift_over_repeated_base_arrays_bit_for_bit(n,
         "ginv": ginv,
         "J": rng.normal(size=(m, n, n)),
         "gamma": rng.normal(size=(m, n, n, n)),
+    }
+    partials = {
         "dJ": rng.normal(size=(m, n, n, n)),
         "dgamma": rng.normal(size=(m, n, n, n, n)),
         "dg": dg,
         "dginv": -(ginv[:, None] @ dg @ ginv[:, None]),
     }
     y = rng.uniform(-1.0, 1.0, size=(m, F, n))
-    broadcast = lf.lift(flavor, y, **base)
-    repeated = {key: np.repeat(values, F, axis=0) for key, values in base.items()}
-    copied = lf.lift(flavor, y.reshape(m * F, 1, n), **repeated)
+    broadcast = lf.Lift(flavor, y, **base)
+
+    def repeat(arrays):
+        return {key: np.repeat(values, F, axis=0) for key, values in arrays.items()}
+
+    copied = lf.Lift(flavor, y.reshape(m * F, 1, n), **repeat(base))
     for name in ("jbar", "forward", "backward", "gbar", "djbar"):
         got, expected = getattr(broadcast, name), getattr(copied, name)
+        if name == "djbar":
+            got, expected = got(**partials), expected(**repeat(partials))
         assert got.shape == (m, F) + expected.shape[2:], name
         assert got.tobytes() == expected.tobytes(), name
-    got, expected = lf.nijenhuis_values(broadcast), lf.nijenhuis_values(copied)
+    got = lf.nijenhuis_values(broadcast, *partials.values())
+    expected = lf.nijenhuis_values(copied, *repeat(partials).values())
     assert got.tobytes() == expected.tobytes()
 
 
@@ -402,7 +426,7 @@ def _raise_domain_error(*args, **kwargs):
 
 
 def test_an_error_in_the_lift_fails_every_lifts_check_once(monkeypatch):
-    monkeypatch.setattr(lf, "lift", _raise_domain_error)
+    monkeypatch.setattr(lf, "Lift", _raise_domain_error)
     scenario = load_scenario(scenario_path("sphere-diagJ"))
     report = run_suites(scenario, suites=["lifts-tangent", "lifts-cotangent"])
     ids = [check.check_id for check in report.checks]
@@ -423,6 +447,49 @@ def test_an_error_in_the_lifted_nijenhuis_fails_only_its_checks(monkeypatch):
     for check in report.checks:
         if "/nijenhuis-" in check.check_id:
             assert not check.passed and check.witness == WITNESS, check.check_id
+        else:
+            assert check.passed, check.check_id
+
+
+@pytest.mark.parametrize("flavor", [lf.TANGENT, lf.COTANGENT])
+def test_only_the_lifted_nijenhuis_checks_read_the_partials(flavor):
+    # the lift is built from base values; the partials enter through
+    # lift_nij alone, so a check that does not read it reads none of them
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    partials = {"dJ", "dgamma[scenario]", "dgamma[lc]", "d2g", "dginv"}
+    reads = {
+        check.cid: transitive_reads(scenario, check)
+        for check in suites.CHECKS
+        if check.suite == f"lifts-{flavor}"
+    }
+    nijenhuis = {cid for cid, found in reads.items() if f"lift_nij[{flavor}]" in found}
+    assert len(reads) - len(nijenhuis) == 6
+    for cid, found in reads.items():
+        if cid in nijenhuis:
+            assert {"dJ", "dgamma[scenario]", "d2g"} <= found, cid
+        else:
+            assert not partials & found, cid
+
+
+def test_non_finite_second_partials_fail_only_the_lifted_nijenhuis_checks(tmp_path):
+    # 1 + (x1 - x1)^1.5 is 1 with first partials 0, but its second partials
+    # 1.5 * 0.5 * 0^-0.5 * 0 are NaN: d2g fails, and with it the partials of
+    # the Levi-Civita connection that only the lifted Nijenhuis tensor reads
+    payload = json.loads(scenario_path("polar-plane").read_text())
+    payload["metric"][0][0] = "1 + (x1 - x1)^1.5"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    scenario = load_scenario(path)
+    ctx = ScenarioContext(scenario)
+    assert np.isfinite(ctx["dg"]).all()
+    with pytest.raises(DomainError) as err:
+        ctx["d2g"]
+    report = run_suites(scenario, suites=["lifts-tangent", "lifts-cotangent"])
+    assert len(report.checks) == 20
+    for check in report.checks:
+        if "/nijenhuis-" in check.check_id:
+            assert not check.passed, check.check_id
+            assert check.residual == math.inf and check.witness == err.value.point
         else:
             assert check.passed, check.check_id
 
