@@ -39,8 +39,8 @@ __all__ = [
     "nijenhuis",
 ]
 
-# Halton bases: the first prime per coordinate, up to the 12 a chart may have
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Halton bases: the first prime per coordinate, up to the 6 a chart may have
+_PRIMES = (2, 3, 5, 7, 11, 13)
 
 _IDENT_RE_MSG = "coordinate names must be identifiers (ASCII letter then letters/digits/_)"
 
@@ -58,7 +58,7 @@ class Chart:
     names: tuple
     box: tuple
     seed: int = 0
-    # the Halton digit permutations by seed, drawn once for every range of points
+    # the Halton digit tables by seed, drawn once for every range of points
     _scrambles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,8 +67,8 @@ class Chart:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "box", box)
         n = len(names)
-        if not 2 <= n <= 12:
-            raise DimensionMismatch(f"chart dimension {n} outside supported range 2..12")
+        if not 2 <= n <= len(_PRIMES):
+            raise DimensionMismatch(f"chart dimension {n} outside supported range 2..6")
         if len(set(names)) != n:
             raise ValueError("coordinate names must be distinct")
         for name in names:
@@ -99,18 +99,24 @@ class Chart:
 
 def _digit_permutations(d: int, seed: int) -> list:
     """For each of the d bases b, the random permutation of range(b) of each
-    digit position, drawn base after base from one generator."""
+    digit position, drawn base after base from one generator, as its table
+    of terms: row k holds the permuted digits times the weight b^-(k+1), and
+    the row's digit-0 terms are kept apart as floats."""
     rng = np.random.default_rng(seed)
     out = []
     for base in _PRIMES[:d]:
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
         for perm in perms:
             rng.shuffle(perm)
-        out.append(perms)
+        weights = [1.0 / base]
+        for _ in perms[1:]:
+            weights.append(weights[-1] / base)
+        terms = perms * np.array(weights)[:, None]
+        out.append((terms, terms[:, 0].tolist()))
     return out
 
 
-def _scrambled_halton(permutations: list, count: int, first: int = 0) -> np.ndarray:
+def _scrambled_halton(tables: list, count: int, first: int = 0) -> np.ndarray:
     """The points of indices first .. first + count - 1 of an Owen-scrambled
     Halton set, one coordinate per base of ``_digit_permutations(d, seed)``.
 
@@ -118,21 +124,22 @@ def _scrambled_halton(permutations: list, count: int, first: int = 0) -> np.ndar
     (arXiv:1706.02808): in base b the k-th digit of the index goes through
     its own random permutation of range(b), for every k with b^-k > 2^-54.
     A point is a function of its index, and the points equal those of
-    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)`` bit for bit.
+    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)`` bit for bit:
+    the terms are added in the same order, the exhausted digits' one by one.
     """
     index = np.arange(first, first + count)
-    unit = np.empty((count, len(permutations)))
-    for axis, (base, perms) in enumerate(zip(_PRIMES, permutations)):
-        digits, weight, value = index.copy(), 1.0 / base, np.zeros(count)
-        top = first + count - 1  # the largest index, whose digits run out last
-        for perm in perms:
-            if top > 0:
-                digits, digit = np.divmod(digits, base)
-                value += perm[digit] * weight
-                top //= base
-            else:  # every remaining digit is 0 at every point
-                value += perm[0] * weight
-            weight /= base
+    unit = np.empty((count, len(tables)))
+    top = first + count - 1  # the largest index, whose digits run out last
+    for axis, (base, (terms, zeros)) in enumerate(zip(_PRIMES, tables)):
+        digits, value, rest = index, np.zeros(count), top
+        for k, row in enumerate(terms):
+            if rest == 0:  # every remaining digit is 0 at every point
+                for term in zeros[k:]:
+                    value += term
+                break
+            digits, digit = np.divmod(digits, base)
+            value += row[digit]
+            rest //= base
         unit[:, axis] = value
     return unit
 

@@ -63,11 +63,12 @@ def largest_entry(a: np.ndarray) -> tuple:
     a = np.abs(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0.0, None
-    k = int(np.argmax(a))
-    if np.isnan(a.flat[k]):  # argmax stops at the first NaN
+    k = int(a.argmax())
+    largest = float(a.flat[k])
+    if largest != largest:  # NaN: argmax stops at the first one
         a[np.isnan(a)] = np.inf
-        k = int(np.argmax(a))
-    return float(a.flat[k]), k // (a.size // len(a))
+        k, largest = int(a.argmax()), np.inf
+    return largest, k // (a.size // len(a))
 
 
 @dataclass

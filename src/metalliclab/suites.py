@@ -241,7 +241,7 @@ class Rule:
 
 def _by_row(a, rows: int) -> np.ndarray:
     """One row per point: a lifted [m, F, ...] array has m * F rows."""
-    return np.reshape(a, (rows, np.size(a) // max(rows, 1)))
+    return a.reshape(rows, a.size // max(rows, 1))
 
 
 def _first_largest(before: tuple, after: tuple) -> tuple:
@@ -1175,11 +1175,13 @@ _SUITE_FUNCS = dict.fromkeys(KNOWN_SUITES, _run_suite)
 # each drawn from its index range alone, so its memory is that of one chunk
 # whatever the sample count.  The arrays of a sample grow as n^4: one (2n)^4
 # float64 tensor sets the bytes per sample.
-# _CHUNK_ROWS caps the small n, where the bytes of one tensor say least about
-# what all seven suites hold per sample; 512 samples spread the per-chunk
-# work well enough.
+# _STACK_ENTRIES caps the small n, where the bytes of one tensor say least about
+# what all seven suites hold per sample: one 2n x 2n matrix per row of a chunk
+# fills at most 128 KiB of float64, 1,024 rows at n = 2, 455 at n = 3 and 256
+# at n = 4.  Each chunk pays a fixed cost of about 1-1.5 ms; light n = 2 runs
+# were fastest near 1,024 rows, and n = 3 runs about as fast from 384 to 1,024.
 _CHUNK_BYTES = 12 * 2**20
-_CHUNK_ROWS = 512
+_STACK_ENTRIES = 16384
 
 
 def _sample_bytes(n: int) -> int:
@@ -1187,7 +1189,7 @@ def _sample_bytes(n: int) -> int:
 
 
 def _chunk_length(n: int) -> int:
-    return max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // _sample_bytes(n)))
+    return max(1, min(_STACK_ENTRIES // (2 * n) ** 2, _CHUNK_BYTES // _sample_bytes(n)))
 
 
 def run_suites(
@@ -1245,19 +1247,22 @@ def run_suites(
     runs = [check for kind in (invariant, varying) for checks in kind.values() for check in checks]
     last = _plan(scenario, runs)
     folded = {}
-    for suite, checks in invariant.items():
-        for check, out in _SUITE_FUNCS[suite](once, checks, last):
-            if not out.raised:  # the result of one sample stands for every sample
-                outputs = out.outputs.items()
-                out.outputs = {name: check.rule(name).repeat(p, samples) for name, p in outputs}
-            folded[check.cid] = out
-    for start in range(0, samples, length) if varying else ():
-        count = min(length, samples - start)
-        ctx = ScenarioContext(scenario, count, seed, start, points if start == 0 else None, once)
-        for suite, checks in varying.items():
-            for check, after in _SUITE_FUNCS[suite](ctx, checks, last):
-                before = folded.get(check.cid)
-                folded[check.cid] = after if before is None else _fold(check, before, after)
+    # a value that overflows fails its check with inf and a witness: numpy need not warn
+    with np.errstate(all="ignore"):
+        for suite, checks in invariant.items():
+            for check, out in _SUITE_FUNCS[suite](once, checks, last):
+                if not out.raised:  # the result of one sample stands for every sample
+                    outputs = out.outputs.items()
+                    out.outputs = {k: check.rule(k).repeat(p, samples) for k, p in outputs}
+                folded[check.cid] = out
+        for start in range(0, samples, length) if varying else ():
+            count = min(length, samples - start)
+            chunk = points if start == 0 else None
+            ctx = ScenarioContext(scenario, count, seed, start, chunk, once)
+            for suite, checks in varying.items():
+                for check, after in _SUITE_FUNCS[suite](ctx, checks, last):
+                    before = folded.get(check.cid)
+                    folded[check.cid] = after if before is None else _fold(check, before, after)
     checks = [
         _result(check, folded[check.cid], tolerance)
         for suite in selected

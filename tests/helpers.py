@@ -350,7 +350,7 @@ def scrambled_halton_loop(d, count, seed):
     rng = np.random.default_rng(seed)
     index = np.arange(count)
     unit = np.empty((count, d))
-    for axis, base in enumerate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:d]):
+    for axis, base in enumerate((2, 3, 5, 7, 11, 13)[:d]):
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
         for perm in perms:
             rng.shuffle(perm)

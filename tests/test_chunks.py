@@ -19,7 +19,7 @@ WIDE_BATCH = ["core", "genbundle", "commutation"]
 
 def chunked(monkeypatch, n, length):
     """Make runs at dimension n use chunks of ``length`` samples."""
-    monkeypatch.setattr(suites, "_CHUNK_ROWS", length)
+    monkeypatch.setattr(suites, "_STACK_ENTRIES", length * (2 * n) ** 2)
     monkeypatch.setattr(suites, "_CHUNK_BYTES", length * suites._sample_bytes(n))
     assert suites._chunk_length(n) == length
 
@@ -34,12 +34,13 @@ def one_chunk_and_chunked(monkeypatch, scenario, length, samples, selected=None)
     return tuple(reports)
 
 
-def test_the_corpus_runs_as_one_chunk_and_n_2_and_3_in_chunks_of_512():
+def test_the_corpus_runs_as_one_chunk_and_n_2_to_4_in_chunks_of_one_128_kib_stack():
     for name in CORPUS:
         scenario = load_scenario(scenario_path(name))
         assert scenario.samples <= suites._chunk_length(scenario.chart.dim), name
-    # 512 rows cap n = 2 and 3; the byte budget sets n >= 4
-    assert [suites._chunk_length(n) for n in range(2, 7)] == [512, 512, 384, 157, 75]
+    # a stack of 2n x 2n matrices of 16,384 entries caps n = 2 to 4; the
+    # byte budget sets n = 5 and 6
+    assert [suites._chunk_length(n) for n in range(2, 7)] == [1024, 455, 256, 157, 75]
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -100,8 +101,8 @@ def test_four_chunks_peak_near_one_chunk():
 
 
 def test_all_seven_suites_at_n_2_and_2048_samples_stay_below_16_mb_traced():
-    # flat-golden declares all seven suites; four chunks of 512 peak near
-    # 12 MB, where one chunk of all 2048 samples peaked near 45 MB
+    # flat-golden declares all seven suites; two chunks of 1024 peak near
+    # 11 MB, where one chunk of all 2048 samples peaked near 45 MB
     scenario = load_scenario(scenario_path("flat-golden"))
     peak = traced_peak(scenario, 2048, scenario.suites)
     assert peak < 16e6, f"{peak / 1e6:.1f} MB"

@@ -371,6 +371,22 @@ def test_module_entry_point():
     assert "overall: PASS" in proc.stdout
 
 
+def test_values_that_overflow_fail_their_checks_without_a_numpy_warning(tmp_path):
+    # x1 up to 1e154 on polar-plane: g = diag(1, x1^2) reaches 1e308, and
+    # the products of the checks overflow; each such check fails with inf or
+    # a huge residual and a witness, and numpy prints nothing
+    payload = json.loads(scenario_path("polar-plane").read_text())
+    payload["domain"][0] = [0.5, 1e154]
+    argv = [sys.executable, "-W", "default", "-m", "metalliclab", "check"]
+    argv += [str(write_scenario(tmp_path, payload)), "--format", "machine"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    failed = {c["id"]: c for c in json.loads(proc.stdout)["checks"] if not c["passed"]}
+    assert failed["genconn/nabla-bracket-antisymmetry"]["residual"] == math.inf
+    assert failed["genconn/nabla-bracket-antisymmetry"]["witness"][0] > 1e153
+
+
 def test_explicit_connection_matches_levi_civita(tmp_path):
     # supplying the polar-plane Levi-Civita coefficients explicitly must give
     # the same verdicts as the "levi-civita" keyword

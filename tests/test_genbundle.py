@@ -357,6 +357,19 @@ def test_degenerate_form_rejected():
         gb.neutral_signature(gb.pairing_eigenvalues(np.zeros((4, 4))))
 
 
+def test_the_default_thresholds_lie_between_0_5e_10_and_1_5e_10():
+    from metalliclab.errors import DegenerateForm
+
+    # smallest eigenvalues on both sides of the 1e-10 defaults, and one
+    # between a default and its double
+    forms = _forms(np.random.default_rng(16), [0.5e-10, 1.5e-10, 2e-10])
+    assert gb.pairing_positive_definite(_with_form(forms)).tolist() == [False, True, True]
+    eigenvalues = np.array([[2e-10, 1.0, -1.0, -1.0], [1.5e-10, -1.5e-10, 1.0, -1.0]])
+    assert [a.tolist() for a in gb.neutral_signature(eigenvalues)] == [[2, 2], [2, 2]]
+    with pytest.raises(DegenerateForm, match="5.000e-11"):
+        gb.neutral_signature(np.array([[1.0, 0.5e-10, -1.0, -1.0]]))
+
+
 def test_endo_blocks():
     # blocks lays out [[A, B], [C, D]]: for Jp, A = J, C = flat = g and D = -J*
     jp = _gen("jp", G2, J2)

@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 
 import numpy as np
@@ -290,6 +292,35 @@ def test_karaman_full_suite_on_product_scenario(product_setup):
         assert np.abs(gc.phi_of_torsion(Td, Jv)).max() < 1e-9
         worst = np.abs(gc.gen_nijenhuis(D, *jm)).max()
         assert worst < 1e-9
+
+
+def test_karaman_metric_parallel_fails_with_j_g_for_g_j_in_the_last_term(
+    tmp_path, monkeypatch
+):
+    # g = [[2, 1], [1, 1]] and J from the g-symmetric projection [[1, 1/2],
+    # [0, 0]] do not commute, so the last term of F, (1/q) w(JX_l) g^{lk}
+    # J^s_j g_{is} X_k, keeps g parallel only as g J; on a diagonal g or J
+    # the two orders agree and the corpus cannot tell them apart
+    payload = json.loads(scenario_path("flat-golden").read_text())
+    payload.update(
+        metric=[["2", "1"], ["1", "1"]],
+        J={"projection": [["1", "0.5"], ["0", "0"]]},
+        suites=["karaman"],
+    )
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(payload))
+    scenario = load_scenario(path)
+    point = scenario.chart.sample_points(1)
+    g, J = ch.eval_exprs(scenario.metric, point)[0], ch.eval_exprs(scenario.J, point)[0]
+    assert np.abs(g @ J - J @ g).max() > 0.5
+    assert run_suites(scenario).find("karaman/metric-parallel").passed
+    source = inspect.getsource(gc.karaman_connection)
+    assert source.count("(g @ J)") == 1
+    namespace = dict(vars(gc))
+    exec(source.replace("(g @ J)", "(J @ g)"), namespace)
+    monkeypatch.setattr(gc, "karaman_connection", namespace["karaman_connection"])
+    check = run_suites(scenario).find("karaman/metric-parallel")
+    assert not check.passed and check.residual > 0.1
 
 
 def test_semi_symmetric_part_drops_out_of_dj(sphere_chart, sphere_metric, sphere_diag_J):

@@ -39,7 +39,7 @@ def test_each_chunk_draws_the_rows_of_the_run_wide_draw(n):
 
 
 def test_the_peak_of_a_run_does_not_grow_with_its_chunk_count():
-    # 16 and 64 chunks of 512 samples: a run holds one chunk and the fold
+    # 16 and 64 chunks of 1024 samples: a run holds one chunk and the fold
     scenario = load_scenario(scenario_path("flat-silver"))
     length = suites._chunk_length(scenario.chart.dim)
     selected = ["core", "commutation"]

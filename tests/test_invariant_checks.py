@@ -143,7 +143,7 @@ def constant_chart(samples: int) -> ChartScenario:
     return ChartScenario("constant", c, params, g, J, None, None, selected, samples, 3, 1e-9)
 
 
-def per_chunk(scenario, length: int = 512) -> dict:
+def per_chunk(scenario, length: int = 1024) -> dict:
     """cid -> every check of the run evaluated on each chunk of ``length``
     samples in its own context and folded chunk by chunk."""
     folded = {}
@@ -159,8 +159,8 @@ def per_chunk(scenario, length: int = 512) -> dict:
 
 
 def test_a_constant_chart_over_three_chunks_gives_the_per_chunk_results():
-    scenario = constant_chart(1100)
-    assert suites._chunk_length(2) == 512
+    scenario = constant_chart(2100)
+    assert suites._chunk_length(2) == 1024
     once = {check.cid for check in invariant_checks(scenario)}
     assert [c.cid for c in suites.CHECKS if c.suite in WIDE_BATCH and c.cid not in once] == [
         "commutation/jm-lift-intertwine"
@@ -177,4 +177,4 @@ def test_a_constant_chart_over_three_chunks_gives_the_per_chunk_results():
     assert failed.gating and not failed.passed and failed.witness == first
     raised = report.find("genbundle/derived-family")
     assert raised.gating and raised.residual == math.inf and "error" in raised.details
-    assert report.find("genbundle/neutral-signature").residual == 1100.0
+    assert report.find("genbundle/neutral-signature").residual == 2100.0

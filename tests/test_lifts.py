@@ -75,6 +75,17 @@ def test_lifted_chart_samples():
     assert (np.abs(y) <= 1.0).all()
 
 
+def test_the_fibre_draws_spread_over_both_signs_of_the_unit_box():
+    # the lifts' fibre points and the commutation check's: a draw of all
+    # ones, all minus ones or all zeros leaves every corpus verdict unchanged
+    c, g, J = flat_setup()
+    ctx = field_context(c, g, J, c.sample_points(64, seed=0))
+    for y in (ctx["fibre"].reshape(-1, c.dim), ctx["commutation_fibre"]):
+        assert (np.abs(y) <= 1.0).all()
+        assert (y.min(axis=0) < -0.5).all() and (y.max(axis=0) > 0.5).all()
+        assert (y.std(axis=0) > 0.4).all()
+
+
 def test_fibre_points_are_the_fibre_part_of_the_samples():
     # a run pairs each base sample with FIBRE_PER_BASE fibre draws of its seed
     c, g, J = flat_setup()

@@ -71,11 +71,11 @@ def _cli_paths(tmp_path):
     for name, payload in payloads.items():
         paths[name].write_text(json.dumps(payload))
     runs = [["check", str(scenario_path(name)), "--format", "machine"] for name in CORPUS]
-    runs.append(["check", str(scenario_path("flat-golden")), "--samples", "520"])
+    runs.append(["check", str(scenario_path("flat-golden")), "--samples", "1100"])
     for what in ("christoffel", "curvature", "nijenhuis", "gen-nijenhuis"):
         runs.append(["derive", str(scenario_path("polar-plane")), "--what", what, "--at", "1,0.5"])
     # genconn's checks read the samples on this chart: their lists fold over the chunks
-    runs.append(["check", str(paths["explicit"]), "--samples", "520"])
+    runs.append(["check", str(paths["explicit"]), "--samples", "1100"])
     runs.append(["check", str(paths["rich-metric"])])
     # the explicit connection is not finite at x1 = 0: a domain error
     runs.append(["derive", str(paths["explicit"]), "--what", "gen-nijenhuis", "--at", "0,0.5"])

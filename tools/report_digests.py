@@ -31,7 +31,9 @@ from metalliclab import cli, load_scenario, run_suites  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
-# The CI's multi-chunk check runs: scenario, then the check's other flags.
+# Multi-chunk check runs, as the CI first ran them: scenario, then the check's
+# other flags.  They stay as they were, so that two checkouts print the same
+# labels; the CI now runs flat-golden at 4000 samples.
 CHECK_RUNS = (
     ("warped-mixing", "--suite core --suite genbundle --suite commutation --samples 16384"),
     ("flat-golden", "--samples 4096"),
