@@ -18,8 +18,6 @@ products per lifted sample, with the fibre coordinates contracted first.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import chart as ch
@@ -31,7 +29,13 @@ __all__ = [
     "TANGENT",
     "COTANGENT",
     "fibre_points",
-    "Lift",
+    "horizontal",
+    "frame",
+    "jbar",
+    "forward",
+    "backward",
+    "gbar",
+    "djbar",
     "frame_endo_residuals",
     "coordinate_endo_residuals",
     "frame_metric_residuals",
@@ -68,94 +72,84 @@ def _along_fibre(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (n, n))
 
 
-class Lift:
-    """The lift of (J, g) at the bundle points (x, y), from values at x.
+# The lift at the bundle points (x, y), from the base values g, g^-1, J
+# [m, i, j] and Gamma [m, k, i, j] at x.  The morphism is
+# forward = [[I, 0], [L, V]] with the frame X_i^H = d_i + L^l_i d/dy^l:
+# tangent    L^l_i = -y^k Gamma^l_{ik},  V = g^-1  (dx^j -> g^{jk} d/dy^k);
+# cotangent  L^l_i = y_k Gamma^k_{il},   V = I.
+# With W = V^-1 its inverse is backward = [[I, 0], [-W L, W]], and
+# conjugating blockdiag(J, J^T) gives jbar = [[J, 0], [L J - D L, D]] with
+# D = V J^T W; gbar = backward^T blockdiag(g, g^-1) backward.  Only L varies
+# along the fibre; D and the layout C = dL/dy of Gamma are per base sample.
 
-    ``y`` holds the fibre coordinates [m, F, k] of F points over each base
-    sample; the other arrays are the base values at x: g, g^-1 and J [m, i, j]
-    and Gamma [m, k, i, j].  The lifted arrays are [m, F, ...].
 
-    The morphism is forward = [[I, 0], [L, V]] with the frame
-    X_i^H = d_i + L^l_i d/dy^l:
-    tangent    L^l_i = -y^k Gamma^l_{ik},  V = g^-1  (dx^j -> g^{jk} d/dy^k);
-    cotangent  L^l_i = y_k Gamma^k_{il},   V = I.
-    With W = V^-1 its inverse is backward = [[I, 0], [-W L, W]], and
-    conjugating blockdiag(J, J^T) gives jbar = [[J, 0], [L J - D L, D]] with
-    D = V J^T W; gbar = backward^T blockdiag(g, g^-1) backward.
+def _layout(flavor: str, gamma: np.ndarray) -> np.ndarray:
+    """C[..., k, l, i] = d L^l_i / d y_k from Gamma [..., l, i, j], or its partials."""
+    return -np.moveaxis(gamma, -1, -3) if flavor == TANGENT else _swap(gamma)
 
-    Only L varies along the fibre: D, its partials dD, the layout C = dL/dy
-    of Gamma and the block C J - D C of :meth:`djbar` are made once per base
-    sample.
 
-    Everything but ``jbar`` is computed on first use: the commutation check
-    reads ``forward`` of the tangent lift and ``backward`` of the cotangent
-    one, and neither ``gbar`` nor the partials.  :meth:`djbar` takes the base
-    partials it reads as arguments and keeps nothing.
-    """
+def _fibre_block(flavor: str, J: np.ndarray, g, ginv) -> np.ndarray:
+    """D = V J^T W [m, i, j]."""
+    return ginv @ _swap(J) @ g if flavor == TANGENT else _swap(J)
 
-    def __init__(self, flavor, y, g, ginv, J, gamma):
-        n = J.shape[-1]
-        Jt = np.swapaxes(J, -1, -2)
-        # C[m, k, l, i] = d L^l_i / d y_k
-        if flavor == TANGENT:
-            C = -gamma.transpose(0, 3, 1, 2)
-            V, W = ginv[:, None], g[:, None]
-            D = ginv @ Jt @ g
-        else:
-            C = gamma.transpose(0, 1, 3, 2)
-            V = W = np.eye(n)
-            D = Jt
-        L = _along_fibre(y, C[:, None])
-        J1, D1 = J[:, None], D[:, None]
-        self.jbar = gb.blocks(J1, 0.0, L @ J1 - D1 @ L, D1)
-        self._flavor, self._y, self._C, self._L, self._D = flavor, y, C, L, D
-        self._V, self._W, self._g, self._ginv, self._J = V, W, g, ginv, J
 
-    @cached_property
-    def forward(self) -> np.ndarray:
-        return gb.blocks(np.eye(self._L.shape[-1]), 0.0, self._L, self._V)
+def horizontal(flavor: str, y: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """L [m, F, l, i], the fibre components of the horizontal frame."""
+    return _along_fibre(y, _layout(flavor, gamma)[:, None])
 
-    @property
-    def frame(self) -> np.ndarray:
-        """The horizontal frame X_i^H, the first n columns of ``forward``."""
-        return self.forward[..., : self._L.shape[-1]]
 
-    @cached_property
-    def backward(self) -> np.ndarray:
-        return gb.blocks(np.eye(self._L.shape[-1]), 0.0, -(self._W @ self._L), self._W)
+def frame(L: np.ndarray) -> np.ndarray:
+    """X_i^H [m, F, 2n, n]: [[I], [L]], the first n columns of ``forward``."""
+    return np.concatenate([np.broadcast_to(np.eye(L.shape[-1]), L.shape), L], axis=-2)
 
-    @cached_property
-    def gbar(self) -> np.ndarray:
-        """backward^T blockdiag(g, g^-1) backward."""
-        ghat = gb.blocks(self._g, 0.0, 0.0, self._ginv)[:, None]
-        return np.swapaxes(self.backward, -1, -2) @ ghat @ self.backward
 
-    def djbar(self, dJ, dgamma, dg=None, dginv=None) -> np.ndarray:
-        """d_c jbar^A_B over all 2n coordinates, [m, F, c, A, B], from the base
-        partials dJ, dg, dginv [m, a, i, j] and dgamma[m, a, l, i, j] =
-        d_a Gamma^l_{ij}; only the tangent lift reads dg and dginv.
+def jbar(flavor: str, L: np.ndarray, J: np.ndarray, g=None, ginv=None) -> np.ndarray:
+    """The lifted endomorphism; only the tangent lift reads g and g^-1."""
+    J1, D1 = J[:, None], _fibre_block(flavor, J, g, ginv)[:, None]
+    return gb.blocks(J1, 0.0, L @ J1 - D1 @ L, D1)
 
-        L is linear in y and D does not depend on it, so d/dy_k jbar has the
-        one block (d L/dy_k) J - D (d L/dy_k), the same at every fibre point;
-        the base partials follow from those of J, L, V = g^-1 and W."""
-        g, ginv, J, C, D, y = self._g, self._ginv, self._J, self._C, self._D, self._y
-        (m, F), n = y.shape[:2], J.shape[-1]
-        dJt = np.swapaxes(dJ, -1, -2)
-        if self._flavor == TANGENT:
-            dC = -dgamma.transpose(0, 1, 4, 2, 3)
-            Jt = np.swapaxes(J, -1, -2)
-            dD = dginv @ (Jt @ g)[:, None] + ginv[:, None] @ dJt @ g[:, None]
-            dD += (ginv @ Jt)[:, None] @ dg
-        else:
-            dC = dgamma.transpose(0, 1, 2, 4, 3)
-            dD = dJt
-        # the base directions a on an axis after F: [m, F, a, ...]
-        L, dL = self._L[:, :, None], _along_fibre(y[:, :, None], dC[:, None])
-        J2, D2, dJ1, dD1 = J[:, None, None], D[:, None, None], dJ[:, None], dD[:, None]
-        out = np.zeros((m, F, 2 * n, 2 * n, 2 * n))
-        out[:, :, :n] = gb.blocks(dJ1, 0.0, dL @ J2 + L @ dJ1 - dD1 @ L - D2 @ dL, dD1)
-        out[:, :, n:, n:, :n] = (C @ J[:, None] - D[:, None] @ C)[:, None]
-        return out
+
+def forward(flavor: str, L: np.ndarray, ginv=None) -> np.ndarray:
+    """Psi (tangent) or Phi (cotangent)."""
+    eye = np.eye(L.shape[-1])
+    return gb.blocks(eye, 0.0, L, ginv[:, None] if flavor == TANGENT else eye)
+
+
+def backward(flavor: str, L: np.ndarray, g=None) -> np.ndarray:
+    """The closed-form inverse of ``forward``."""
+    eye = np.eye(L.shape[-1])
+    W = g[:, None] if flavor == TANGENT else eye
+    return gb.blocks(eye, 0.0, -(W @ L), W)
+
+
+def gbar(flavor: str, L: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """The lifted metric, backward^T blockdiag(g, g^-1) backward."""
+    B = backward(flavor, L, g)
+    return _swap(B) @ gb.blocks(g, 0.0, 0.0, ginv)[:, None] @ B
+
+
+def djbar(flavor, y, L, gamma, J, dJ, dgamma, g=None, ginv=None, dg=None, dginv=None):
+    """d_c jbar^A_B over all 2n coordinates, [m, F, c, A, B], from the base
+    partials dJ, dg, dginv [m, a, i, j] and dgamma[m, a, l, i, j] =
+    d_a Gamma^l_{ij}; only the tangent lift reads g, g^-1 and their partials.
+
+    L is linear in y and D does not depend on it, so d/dy_k jbar has the
+    one block (d L/dy_k) J - D (d L/dy_k), the same at every fibre point;
+    the base partials follow from those of J, L, V = g^-1 and W."""
+    (m, F), n = y.shape[:2], J.shape[-1]
+    C, dC = _layout(flavor, gamma), _layout(flavor, dgamma)
+    D, dD = _fibre_block(flavor, J, g, ginv), _swap(dJ)
+    if flavor == TANGENT:
+        Jt = _swap(J)
+        dD = dginv @ (Jt @ g)[:, None] + ginv[:, None] @ dD @ g[:, None]
+        dD += (ginv @ Jt)[:, None] @ dg
+    # the base directions a on an axis after F: [m, F, a, ...]
+    L, dL = L[:, :, None], _along_fibre(y[:, :, None], dC[:, None])
+    J2, D2, dJ1, dD1 = J[:, None, None], D[:, None, None], dJ[:, None], dD[:, None]
+    out = np.zeros((m, F, 2 * n, 2 * n, 2 * n))
+    out[:, :, :n] = gb.blocks(dJ1, 0.0, dL @ J2 + L @ dJ1 - dD1 @ L - D2 @ dL, dD1)
+    out[:, :, n:, n:, :n] = (C @ J[:, None] - D[:, None] @ C)[:, None]
+    return out
 
 
 # ------------------------------------------------------------------
@@ -243,10 +237,10 @@ def coordinate_metric_residuals(
     return [xx, xv]
 
 
-def nijenhuis_values(lifted: Lift, *partials) -> np.ndarray:
-    """Nijenhuis tensor of the lifted endomorphism, [m, F, A, B, C], from
-    the base partials that :meth:`Lift.djbar` reads."""
-    return ch.nijenhuis(lifted.jbar, lifted.djbar(*partials))
+def nijenhuis_values(jbar_v: np.ndarray, djbar_v: np.ndarray) -> np.ndarray:
+    """Nijenhuis tensor of the lifted endomorphism, [m, F, A, B, C], from it
+    and its partials (:func:`djbar`)."""
+    return ch.nijenhuis(jbar_v, djbar_v)
 
 
 def mixed_display_residual(
@@ -352,7 +346,7 @@ def commutation_residual(
 ) -> np.ndarray:
     """Residual of Jbar (Psi Phi^{-1}) = (Psi Phi^{-1}) Jtilde at matched samples.
 
-    ``phi_inverse_v`` is Phi^{-1}, the cotangent lift's closed-form ``backward``.
+    ``phi_inverse_v`` is Phi^{-1}, the cotangent lift's closed-form :func:`backward`.
     """
     K = psi_v @ phi_inverse_v
     return jbar_v @ K - K @ jtilde_v

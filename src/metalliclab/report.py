@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 REPORT_SCHEMA_VERSION = 1
+
+
+def _json_value(value):
+    """A residual, a detail or an entry of a detail list as the machine report
+    writes it: a non-finite float as the string "inf", "-inf" or "nan", which
+    JSON has no number for."""
+    if isinstance(value, list):
+        return [_json_value(entry) for entry in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 @dataclass
@@ -38,7 +48,7 @@ class CheckResult:
         out = {
             "id": self.check_id,
             "anchor": self.anchor,
-            "residual": self.residual,
+            "residual": _json_value(self.residual),
             "tolerance": self.tolerance,
             "passed": self.passed,
             "expected_fail": self.expected_fail,
@@ -48,7 +58,7 @@ class CheckResult:
         if not self.passed and self.witness is not None:
             out["witness"] = list(self.witness)
         if self.details:
-            out["details"] = dict(self.details)
+            out["details"] = {name: _json_value(v) for name, v in self.details.items()}
         return out
 
 
@@ -122,7 +132,7 @@ class ScenarioReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         lines = []

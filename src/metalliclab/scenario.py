@@ -209,6 +209,10 @@ def load_scenario(path) -> ChartScenario:
         validation_problems.append(
             f"p^2 + 4q = {params.discriminant} < 0: metallic number is not real"
         )
+    elif not np.isfinite(params.discriminant):  # inf, or NaN from inf - inf
+        validation_problems.append(
+            f"p^2 + 4q = {params.discriminant} is not finite, so neither is the metallic number"
+        )
 
     probe = chart.sample_points(min(8, samples))
     rows, cols = np.triu_indices(n, 1)

@@ -681,22 +681,38 @@ def _lift_points(ctx: ScenarioContext, y: np.ndarray) -> np.ndarray:
     return np.concatenate([x, y], axis=-1).reshape(-1, 2 * y.shape[-1])
 
 
+def _lift_arrays(f: str, metric: tuple) -> dict:
+    """The arrays of the ``f`` lift; ``metric`` names g and g^-1 where D = V J^T W
+    reads them (tangent).  Only the lifted Nijenhuis tensor reads the partials."""
+    L, jet = f"horizontal[{f}]", (*metric, *(f"d{name}" for name in metric))
+    return {
+        L: (lambda ctx, *a: lf.horizontal(f, *a), ("fibre", "gamma[scenario]")),
+        f"frame[{f}]": (lambda ctx, L: lf.frame(L), (L,)),
+        f"jbar[{f}]": (lambda ctx, *a: lf.jbar(f, *a), (L, "J", *metric)),
+        f"gbar[{f}]": (lambda ctx, *a: lf.gbar(f, *a), (L, "g", "ginv")),
+        f"lift_nij[{f}]": (
+            lambda ctx, jbar, *a: lf.nijenhuis_values(jbar, lf.djbar(f, *a)),
+            (f"jbar[{f}]", "fibre", L, "gamma[scenario]", "J", "dJ", "dgamma[scenario]", *jet),
+        ),
+    }
+
+
 # The lifts residuals take the arrays they read, then the flavour.
 
 
-def _mixed_display(ctx, lift, N_at, J, DJ, flavor) -> dict:
-    residual, literal = lf.mixed_display_residual(N_at, lift.frame, J, DJ, flavor)
+def _mixed_display(ctx, frame, N_at, J, DJ, flavor) -> dict:
+    residual, literal = lf.mixed_display_residual(N_at, frame, J, DJ, flavor)
     if flavor == lf.TANGENT:  # the printed form is the corrected one
         return {"residual": residual}
     return {"residual": residual, "literal_display_residual": literal}
 
 
-def _horizontal_display(ctx, lift, y, N_at, J, NJ, R, flavor) -> dict:
+def _horizontal_display(ctx, frame, y, N_at, J, NJ, R, flavor) -> dict:
     """N on horizontal pairs against the displayed formula, the displayed
     curvature read in the house convention.  The detail ``curvature``, the
     largest curvature entry, tells a chart that exercises the curvature term
     from a flat one; R is read over the fibre points of its sample."""
-    gap = lf.horizontal_display_match(N_at, lift.frame, J, NJ, R, y, ctx.params, flavor)
+    gap = lf.horizontal_display_match(N_at, frame, J, NJ, R, y, ctx.params, flavor)
     return {"residual": gap, "curvature": np.broadcast_to(R[:, None], y.shape[:2] + R.shape[1:])}
 
 
@@ -716,38 +732,38 @@ def _lift_checks(flavor: str) -> list:
         check(
             "metallic-equation",
             "lifted structure satisfies J^2 = p J + q I",
-            lambda ctx, lift, flavor: _metallic(ctx, lift.jbar),
-            ("lift[{}]",),
+            lambda ctx, jbar, flavor: _metallic(ctx, jbar),
+            ("jbar[{}]",),
         ),
         check(
             "compatibility",
             "lifted metric is compatible with the lifted structure",
-            lambda ctx, lift, flavor: _skew(lift.gbar @ lift.jbar),
-            ("lift[{}]",),
+            lambda ctx, gbar, jbar, flavor: _skew(gbar @ jbar),
+            ("gbar[{}]", "jbar[{}]"),
         ),
         check(
             "frame-endo-display",
             "lifted structure acts on the horizontal/vertical frame as displayed",
-            lambda ctx, lift, J, flavor: lf.frame_endo_residuals(lift.jbar, lift.frame, J, flavor),
-            ("lift[{}]", "J"),
+            lambda ctx, *a, flavor: lf.frame_endo_residuals(*a, flavor),
+            ("jbar[{}]", "frame[{}]", "J"),
         ),
         check(
             "coordinate-endo-display",
             "lifted structure acts on the coordinate fields as displayed",
-            lambda ctx, lift, *a, flavor: lf.coordinate_endo_residuals(lift.jbar, *a, flavor),
-            ("lift[{}]", "J", "gamma[scenario]", "fibre"),
+            lambda ctx, *a, flavor: lf.coordinate_endo_residuals(*a, flavor),
+            ("jbar[{}]", "J", "gamma[scenario]", "fibre"),
         ),
         check(
             "metric-frame-components",
             "lifted metric has the displayed frame components",
-            lambda ctx, lift, *a, flavor: lf.frame_metric_residuals(lift.gbar, lift.frame, *a),
-            ("lift[{}]", "g", fibre_g),
+            lambda ctx, *a, flavor: lf.frame_metric_residuals(*a),
+            ("gbar[{}]", "frame[{}]", "g", fibre_g),
         ),
         check(
             "metric-coordinate-displays",
             "corrected reading of the coordinate metric displays (informative)",
-            lambda ctx, lift, *a, flavor: lf.coordinate_metric_residuals(lift.gbar, *a, flavor),
-            ("lift[{}]", "g", fibre_g, "gamma[scenario]", "fibre"),
+            lambda ctx, *a, flavor: lf.coordinate_metric_residuals(*a, flavor),
+            ("gbar[{}]", "g", fibre_g, "gamma[scenario]", "fibre"),
             gating=False,
         ),
         check(
@@ -760,7 +776,7 @@ def _lift_checks(flavor: str) -> list:
             "nijenhuis-mixed-display",
             "N on horizontal/vertical pairs matches the displayed formula",
             _mixed_display,
-            ("lift[{}]", "lift_nij[{}]", "J", "nablaJ[scenario]"),
+            ("frame[{}]", "lift_nij[{}]", "J", "nablaJ[scenario]"),
             rules={"literal_display_residual": MAX},
         ),
         check(
@@ -768,7 +784,7 @@ def _lift_checks(flavor: str) -> list:
             "N on horizontal pairs matches the displayed curvature formula, "
             "its R^l_(a b c) read as the house R^l_(a b c)",
             _horizontal_display,
-            ("lift[{}]", "fibre", "lift_nij[{}]", "J", "NJ", "riemann[scenario]"),
+            ("frame[{}]", "fibre", "lift_nij[{}]", "J", "NJ", "riemann[scenario]"),
             TOL_CURVATURE_DISPLAY,
             rules={"curvature": MAX},
         ),
@@ -796,9 +812,11 @@ def _commutation(ctx: ScenarioContext, g, ginv, J, gamma, y) -> np.ndarray:
     """The tangent lift at the fibre points y over the samples against the
     cotangent lift at the matching eta = g y."""
     eta = np.einsum("mij,mj->mi", g, y)
-    t = lf.Lift(lf.TANGENT, y[:, None], g, ginv, J, gamma)
-    c = lf.Lift(lf.COTANGENT, eta[:, None], g, ginv, J, gamma)
-    return lf.commutation_residual(t.forward, c.backward, t.jbar, c.jbar)
+    t = lf.horizontal(lf.TANGENT, y[:, None], gamma)
+    c = lf.horizontal(lf.COTANGENT, eta[:, None], gamma)
+    psi, phi_inverse = lf.forward(lf.TANGENT, t, ginv), lf.backward(lf.COTANGENT, c)
+    jbar, jtilde = lf.jbar(lf.TANGENT, t, J, g, ginv), lf.jbar(lf.COTANGENT, c, J)
+    return lf.commutation_residual(psi, phi_inverse, jbar, jtilde)
 
 
 # ------------------------------------------------------------------
@@ -1143,25 +1161,11 @@ ARRAYS = {
     },
     "jp_eigenvalues": (lambda ctx, jp: gb.pairing_eigenvalues(jp), ("gen[jp]",)),
     "f_plus": (_f_plus, ("g", "J")),
-    # the lifts: FIBRE_PER_BASE fibre points over each sample, shared by both
-    # flavours; only the lifted Nijenhuis tensor reads the partials, and the
-    # cotangent one does not read dg and dginv
+    # the lifts: FIBRE_PER_BASE fibre points over each sample, shared by both flavours
     "fibre": (_fibre_points, ("points",)),
     "lift_points": (_lift_points, ("fibre",)),
-    **{
-        f"lift[{f}]": (
-            lambda ctx, *a, f=f: lf.Lift(f, *a),
-            ("fibre", "g", "ginv", "J", "gamma[scenario]"),
-        )
-        for f in (lf.TANGENT, lf.COTANGENT)
-    },
-    **{
-        f"lift_nij[{f}]": (
-            lambda ctx, *a: lf.nijenhuis_values(*a),
-            (f"lift[{f}]", "dJ", "dgamma[scenario]", *metric_partials),
-        )
-        for f, metric_partials in ((lf.TANGENT, ("dg", "dginv")), (lf.COTANGENT, ()))
-    },
+    **_lift_arrays(lf.TANGENT, ("g", "ginv")),
+    **_lift_arrays(lf.COTANGENT, ()),
     # the commutation check's fibre points, one over each sample, and (x, y)
     "commutation_fibre": (_commutation_fibre, ("points",)),
     "commutation_points": (lambda ctx, x, y: np.hstack([x, y]), ("points", "commutation_fibre")),

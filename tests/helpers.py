@@ -1,4 +1,5 @@
-"""Independent numerical oracles used by the tests.
+"""Independent numerical oracles used by the tests, and the tests' own list
+of the declared check ids and of those that hold on every chart.
 
 Everything here avoids the program's differentiation on purpose:
 derivatives come from central finite differences (with one Richardson
@@ -488,8 +489,8 @@ def reduced_spec(ci, sign):
 
 
 def lift_spec(tangent, y, g, ginv, J, gamma, dg, dJ, dgamma, dginv):
-    """(jbar, djbar) of ``lifts.Lift``, with L = y_k dL/dy_k and its base partials
-    contracted as einsums."""
+    """(jbar, djbar) of ``lifts.jbar`` and ``lifts.djbar``, with L = y_k dL/dy_k
+    and its base partials contracted as einsums."""
     m, n = J.shape[:2]
     Jt, dJt = np.swapaxes(J, -1, -2), np.swapaxes(dJ, -1, -2)
     if tangent:
@@ -684,3 +685,102 @@ def signature_by_congruence(G: np.ndarray, threshold: float = 1e-10):
         pivots.append(A[k, k])
         A = np.delete(np.delete(A - np.outer(A[:, k], A[k]) / A[k, k], k, 0), k, 1)
     return sum(int(d > 0) for d in pivots), sum(int(d < 0) for d in pivots)
+
+
+# ------------------------------------------------------------------
+# the declared check ids by suite, and the checks that hold on every chart
+# ------------------------------------------------------------------
+
+DECLARED = {
+    "core": (
+        "metric-spd",
+        "metallic-equation",
+        "compatibility",
+        "levi-civita-metric-parallel",
+        "bianchi-first",
+        "locally-metallic",
+        "nijenhuis-covariant-identity",
+    ),
+    "genbundle": (
+        "jm-ghat-symmetric",
+        "jm-metallic",
+        "jp-squares-to-identity",
+        "jc-squares-to-minus-identity",
+        "jc-jp-anticommute",
+        "neutral-signature",
+        "calibration",
+        "derived-family",
+        "fhat-with-df-equal-j",
+    ),
+    "genconn": (
+        "nabla-bracket-antisymmetry",
+        "jm-gen-nijenhuis-mixed-identity",
+        "jm-gen-nijenhuis",
+        "jp-gen-nijenhuis",
+        "jc-gen-nijenhuis",
+        "jp-integrability-conditions",
+        "jc-integrability-conditions",
+        "jp-reduced-conditions",
+        "jc-reduced-conditions",
+        "covariant-nijenhuis-identity-levi-civita",
+        "covariant-nijenhuis-identity-karaman",
+        "dhat-jm",
+        "dhat-ghat",
+    ),
+    "karaman": (
+        "metric-parallel",
+        "endo-parallel",
+        "torsion-closed-form",
+        "torsion-j-commutation",
+        "phi-torsion-vanishes",
+        "jm-d-integrable",
+        "dhat-jm-parallel",
+        "dhat-jp-parallel",
+        "dhat-jc-parallel",
+        "dhat-ghat-parallel",
+        "random-omega-sweep",
+    ),
+    "lifts-tangent": (
+        "metallic-equation",
+        "compatibility",
+        "frame-endo-display",
+        "coordinate-endo-display",
+        "metric-frame-components",
+        "metric-coordinate-displays",
+        "nijenhuis-vertical-vertical",
+        "nijenhuis-mixed-display",
+        "nijenhuis-horizontal-display",
+        "nijenhuis-vanishes",
+    ),
+    "commutation": ("jm-lift-intertwine",),
+}
+DECLARED["lifts-cotangent"] = DECLARED["lifts-tangent"]
+
+# checks that hold for every metallic Riemannian pair and every 1-form; the
+# others depend on nabla J = 0 or on integrability
+IDENTITIES = (
+    "core/metric-spd",
+    "core/metallic-equation",
+    "core/compatibility",
+    "core/levi-civita-metric-parallel",
+    "core/bianchi-first",
+    "core/nijenhuis-covariant-identity",
+    *(f"genbundle/{name}" for name in DECLARED["genbundle"]),
+    "genconn/nabla-bracket-antisymmetry",
+    "genconn/jm-gen-nijenhuis-mixed-identity",
+    "genconn/covariant-nijenhuis-identity-levi-civita",
+    "genconn/covariant-nijenhuis-identity-karaman",
+    "genconn/dhat-ghat",
+    "karaman/metric-parallel",
+    "karaman/torsion-closed-form",
+    "karaman/torsion-j-commutation",
+    "karaman/phi-torsion-vanishes",
+    "karaman/dhat-ghat-parallel",
+    *(
+        f"{suite}/{name}"
+        for suite in ("lifts-tangent", "lifts-cotangent")
+        for name in DECLARED[suite]
+        if name not in ("metric-coordinate-displays", "nijenhuis-vanishes")
+    ),
+    "commutation/jm-lift-intertwine",
+)

@@ -232,7 +232,7 @@ def _readings(name, flavor):
     """The readings of the displayed curvature that match at the lifted samples
     of the scenario's run (helpers.matching_readings)."""
     ctx = ScenarioContext(load_scenario(scenario_path(name)))
-    N, frame = ctx[f"lift_nij[{flavor}]"], ctx[f"lift[{flavor}]"].frame
+    N, frame = ctx[f"lift_nij[{flavor}]"], ctx[f"frame[{flavor}]"]
     J, NJ, R, y = (ctx[key] for key in ("J", "NJ", "riemann[scenario]", "fibre"))
     p, q = ctx.params.p, ctx.params.q
     return matching_readings(N, frame, J, NJ, R, y, p, q, flavor == lf.TANGENT)[1]

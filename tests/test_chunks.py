@@ -80,7 +80,7 @@ def test_an_error_in_a_later_chunk_decides_the_checks_that_read_it(monkeypatch, 
     karaman = [cid for cid in failed if cid.startswith("karaman/")]
     assert len(karaman) == 10 and "karaman/random-omega-sweep" not in failed
     for cid in karaman + ["genconn/covariant-nijenhuis-identity-karaman"]:
-        assert failed[cid]["residual"] == float("inf"), cid
+        assert failed[cid]["residual"] == "inf", cid  # the report's spelling of inf
         assert failed[cid]["witness"] == [float(v) for v in point], cid
 
 

@@ -371,6 +371,10 @@ def test_module_entry_point():
     assert "overall: PASS" in proc.stdout
 
 
+def _not_json(constant):
+    raise ValueError(f"the machine report holds {constant}, which JSON has no number for")
+
+
 def test_values_that_overflow_fail_their_checks_without_a_numpy_warning(tmp_path):
     # x1 up to 1e154 on polar-plane: g = diag(1, x1^2) reaches 1e308, and
     # the products of the checks overflow; each such check fails with inf or
@@ -382,8 +386,9 @@ def test_values_that_overflow_fail_their_checks_without_a_numpy_warning(tmp_path
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stderr
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
-    failed = {c["id"]: c for c in json.loads(proc.stdout)["checks"] if not c["passed"]}
-    assert failed["genconn/nabla-bracket-antisymmetry"]["residual"] == math.inf
+    report = json.loads(proc.stdout, parse_constant=_not_json)
+    failed = {c["id"]: c for c in report["checks"] if not c["passed"]}
+    assert failed["genconn/nabla-bracket-antisymmetry"]["residual"] == "inf"  # JSON has no inf
     assert failed["genconn/nabla-bracket-antisymmetry"]["witness"][0] > 1e153
 
 
@@ -695,29 +700,36 @@ def test_the_largest_tolerance_fails_every_shipped_control():
 
 
 @pytest.mark.parametrize(
-    "field, text",
+    "fields",
     [
-        ("samples", "true"),
-        ("samples", "2.5"),
-        ("seed", "-1"),
-        ("seed", "false"),
-        ("tolerance", "Infinity"),
-        ("tolerance", "1e300"),
-        ("p", "NaN"),
-        ("q", "-Infinity"),
-        ("q", "1e400"),
-        ("domain", "[[-1.0, 1e400], [-1.0, 1.0]]"),
+        {"samples": "true"},
+        {"samples": "2.5"},
+        {"seed": "-1"},
+        {"seed": "false"},
+        {"tolerance": "Infinity"},
+        {"tolerance": "1e300"},
+        {"p": "NaN"},
+        {"q": "-Infinity"},
+        {"q": "1e400"},
+        {"domain": "[[-1.0, 1e400], [-1.0, 1.0]]"},
+        # p^2 + 4q overflows to inf, or to NaN as inf - inf
+        {"p": "1e200"},
+        {"q": "1e308"},
+        {"p": "1e200", "q": "-1e308"},
     ],
+    ids=lambda fields: "-".join(f"{field}-{text}" for field, text in fields.items()),
 )
-def test_a_numeric_field_out_of_range_is_an_input_error(tmp_path, capsys, field, text):
+def test_a_numeric_field_out_of_range_is_an_input_error(tmp_path, capsys, fields):
     # the file is written as text: json.dumps cannot write NaN or 1e400 as such
-    payload = golden_payload()
-    payload[field] = "@"
+    text = json.dumps({**golden_payload(), **{field: f"@{field}" for field in fields}})
+    for field, value in fields.items():
+        text = text.replace(f'"@{field}"', value)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(payload).replace('"@"', text))
+    path.write_text(text)
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error:") and field in err
+    assert err.startswith("input error:")
+    assert all(field in err.removeprefix("input error:") for field in fields), err
 
 
 def test_an_input_error_prints_its_point_as_plain_floats(tmp_path):

@@ -145,11 +145,11 @@ def test_lift_and_displays_match_their_einsum_specs(n, flavor):
     rng = np.random.default_rng(40 + n)
     tangent = flavor == lf.TANGENT
     a = lift_arrays(rng, n)
-    lift = lf.Lift(flavor, *(a[key] for key in ("y", "g", "ginv", "J", "gamma")))
+    L = lf.horizontal(flavor, a["y"], a["gamma"])
     at_rows = {key: rows(v) if key == "y" else repeated(v) for key, v in a.items()}
     jbar, djbar = lift_spec(tangent, **at_rows)
-    assert close(rows(lift.jbar), jbar)
-    assert close(rows(lift.djbar(a["dJ"], a["dgamma"], a["dg"], a["dginv"])), djbar)
+    assert close(rows(lf.jbar(flavor, L, a["J"], a["g"], a["ginv"])), jbar)
+    assert close(rows(lf.djbar(flavor, L=L, **a)), djbar)
 
     y, g, ginv, J, gamma = a["y"], a["g"], a["ginv"], a["J"], a["gamma"]
     fibre_g = g if tangent else ginv

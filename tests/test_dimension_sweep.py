@@ -10,6 +10,8 @@ import pytest
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import run_suites
 
+from helpers import DECLARED, IDENTITIES
+
 SUITES = (
     "core",
     "genbundle",
@@ -21,100 +23,6 @@ SUITES = (
 )
 SAMPLES = 16
 BUDGET_S = 30.0
-
-DECLARED = {
-    "core": (
-        "metric-spd",
-        "metallic-equation",
-        "compatibility",
-        "levi-civita-metric-parallel",
-        "bianchi-first",
-        "locally-metallic",
-        "nijenhuis-covariant-identity",
-    ),
-    "genbundle": (
-        "jm-ghat-symmetric",
-        "jm-metallic",
-        "jp-squares-to-identity",
-        "jc-squares-to-minus-identity",
-        "jc-jp-anticommute",
-        "neutral-signature",
-        "calibration",
-        "derived-family",
-        "fhat-with-df-equal-j",
-    ),
-    "genconn": (
-        "nabla-bracket-antisymmetry",
-        "jm-gen-nijenhuis-mixed-identity",
-        "jm-gen-nijenhuis",
-        "jp-gen-nijenhuis",
-        "jc-gen-nijenhuis",
-        "jp-integrability-conditions",
-        "jc-integrability-conditions",
-        "jp-reduced-conditions",
-        "jc-reduced-conditions",
-        "covariant-nijenhuis-identity-levi-civita",
-        "covariant-nijenhuis-identity-karaman",
-        "dhat-jm",
-        "dhat-ghat",
-    ),
-    "karaman": (
-        "metric-parallel",
-        "endo-parallel",
-        "torsion-closed-form",
-        "torsion-j-commutation",
-        "phi-torsion-vanishes",
-        "jm-d-integrable",
-        "dhat-jm-parallel",
-        "dhat-jp-parallel",
-        "dhat-jc-parallel",
-        "dhat-ghat-parallel",
-        "random-omega-sweep",
-    ),
-    "lifts-tangent": (
-        "metallic-equation",
-        "compatibility",
-        "frame-endo-display",
-        "coordinate-endo-display",
-        "metric-frame-components",
-        "metric-coordinate-displays",
-        "nijenhuis-vertical-vertical",
-        "nijenhuis-mixed-display",
-        "nijenhuis-horizontal-display",
-        "nijenhuis-vanishes",
-    ),
-    "commutation": ("jm-lift-intertwine",),
-}
-DECLARED["lifts-cotangent"] = DECLARED["lifts-tangent"]
-
-# checks that hold for every metallic Riemannian pair and every 1-form; the
-# others depend on nabla J = 0 or on integrability
-IDENTITIES = (
-    "core/metric-spd",
-    "core/metallic-equation",
-    "core/compatibility",
-    "core/levi-civita-metric-parallel",
-    "core/bianchi-first",
-    "core/nijenhuis-covariant-identity",
-    *(f"genbundle/{name}" for name in DECLARED["genbundle"]),
-    "genconn/nabla-bracket-antisymmetry",
-    "genconn/jm-gen-nijenhuis-mixed-identity",
-    "genconn/covariant-nijenhuis-identity-levi-civita",
-    "genconn/covariant-nijenhuis-identity-karaman",
-    "genconn/dhat-ghat",
-    "karaman/metric-parallel",
-    "karaman/torsion-closed-form",
-    "karaman/torsion-j-commutation",
-    "karaman/phi-torsion-vanishes",
-    "karaman/dhat-ghat-parallel",
-    *(
-        f"{suite}/{name}"
-        for suite in ("lifts-tangent", "lifts-cotangent")
-        for name in DECLARED[suite]
-        if name not in ("metric-coordinate-displays", "nijenhuis-vanishes")
-    ),
-    "commutation/jm-lift-intertwine",
-)
 
 # each positive on the box [0.2, 1.1]^n for the coefficient ranges below
 METRIC_TEMPLATES = (

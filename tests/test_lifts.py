@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,21 +42,30 @@ def warped_setup():
     return c, g, J
 
 
+def lift_context(c, g, J, base, y):
+    """The run context of the Levi-Civita values at the m points ``base``,
+    with the fibre points y [m, F, n] over them as its ``fibre``."""
+    ctx = field_context(c, g, J, base)
+    ctx["fibre"] = y
+    return ctx
+
+
 def lift_at(c, g, J, flavor, base, y):
-    """The array lift at the fibre points y [m, F, n] over the Levi-Civita
-    values at the m points ``base``."""
-    return lf.Lift(flavor, y, *lift_inputs(field_context(c, g, J, base), flavor))
+    """The lift at the fibre points y [m, F, n] over the Levi-Civita values at
+    the m points ``base``: its arrays as a run makes them, and the morphism
+    and its closed-form inverse."""
+    ctx = lift_context(c, g, J, base, y)
+    L = ctx[f"horizontal[{flavor}]"]
+    return SimpleNamespace(
+        **{name: ctx[f"{name}[{flavor}]"] for name in ("jbar", "gbar", "frame")},
+        forward=lf.forward(flavor, L, ctx["ginv"]),
+        backward=lf.backward(flavor, L, ctx["g"]),
+    )
 
 
-def lift_inputs(ctx, flavor):
-    """The base arrays lf.Lift takes after y, as a run reads them: the
-    declared reads of ``lift[flavor]`` after the fibre points."""
-    return [ctx[name] for name in suites.ARRAYS[f"lift[{flavor}]"][1][1:]]
-
-
-def partial_inputs(ctx, flavor):
-    """The base partials Lift.djbar takes, as a run reads them: the declared
-    reads of ``lift_nij[flavor]`` after the lift."""
+def djbar_inputs(ctx, flavor):
+    """The arrays lf.djbar takes after the flavour, as a run reads them: the
+    declared reads of ``lift_nij[flavor]`` after the lifted structure."""
     return [ctx[name] for name in suites.ARRAYS[f"lift_nij[{flavor}]"][1][1:]]
 
 
@@ -192,11 +202,10 @@ def test_frame_and_coordinate_displays(sphere_setup):
 
 def _nijenhuis_data(c, g, J, flavor, base=10, fibre=4, seed=8):
     points, y = bundle_points(c, base, fibre, seed=seed)
-    lift = lift_at(c, g, J, flavor, points, y)
-    ctx = field_context(c, g, J, points)
-    N = lf.nijenhuis_values(lift, *partial_inputs(ctx, flavor))
+    ctx = lift_context(c, g, J, points, y)
+    N, frame = ctx[f"lift_nij[{flavor}]"], ctx[f"frame[{flavor}]"]
     DJ = ctx["nablaJ[lc]"]
-    return y, N, lift.frame, ctx["J"], DJ, ctx["NJ"], ctx["riemann[lc]"]
+    return y, N, frame, ctx["J"], DJ, ctx["NJ"], ctx["riemann[lc]"]
 
 
 def test_lifted_nijenhuis_vanishes_flat_locally_metallic():
@@ -296,19 +305,21 @@ def test_closed_form_inverses_at_the_commutation_points(name, monkeypatch):
     # place of a numeric inverse of Phi: it must invert Phi where the check runs
     ctx = ScenarioContext(load_scenario(scenario_path(name)))
     check = next(check for check in suites.CHECKS if check.suite == "commutation")
-    built, lift = [], lf.Lift
+    built, horizontal = [], lf.horizontal
 
-    def recorded(*args):
-        built.append(lift(*args))
-        return built[-1]
+    def recorded(flavor, *args):
+        built.append((flavor, horizontal(flavor, *args)))
+        return built[-1][1]
 
-    monkeypatch.setattr(lf, "Lift", recorded)
+    monkeypatch.setattr(lf, "horizontal", recorded)
     check.residual(ctx, *[ctx[read] for read in check.reads])
     assert len(built) == 2  # the tangent and the cotangent lift
+    assert [flavor for flavor, _ in built] == [lf.TANGENT, lf.COTANGENT]
     eye = np.eye(2 * ctx.chart.dim)
     assert ctx[check.points].shape == (len(ctx.points), 2 * ctx.chart.dim)
-    for lifted in built:
-        assert np.abs(lifted.forward @ lifted.backward - eye).max() <= 1e-12
+    for flavor, L in built:
+        forward, backward = lf.forward(flavor, L, ctx["ginv"]), lf.backward(flavor, L, ctx["g"])
+        assert np.abs(forward @ backward - eye).max() <= 1e-12
 
 
 def test_the_commutation_check_inverts_nothing_numerically(monkeypatch):
@@ -336,10 +347,9 @@ def test_array_lift_matches_numpy_oracle(name, flavor):
     ctx = ScenarioContext(scenario, samples=3)
     n = ctx.chart.dim
     y = np.random.default_rng(5).uniform(-1.0, 1.0, size=ctx.points.shape)
-    lift = lf.Lift(flavor, y[:, None], *lift_inputs(ctx, flavor))  # one fibre point each
-    partials = partial_inputs(ctx, flavor)
-    jbar, djbar = lift.jbar[:, 0], lift.djbar(*partials)[:, 0]
-    N = lf.nijenhuis_values(lift, *partials)[:, 0]
+    ctx["fibre"] = y[:, None]  # one fibre point each
+    jbar, djbar = ctx[f"jbar[{flavor}]"][:, 0], lf.djbar(flavor, *djbar_inputs(ctx, flavor))[:, 0]
+    N = ctx[f"lift_nij[{flavor}]"][:, 0]
     args = (scenario.metric, scenario.J, flavor)
 
     def jbar_at(p):
@@ -380,20 +390,30 @@ def test_the_broadcast_lift_is_the_lift_over_repeated_base_arrays_bit_for_bit(n,
         "dginv": -(ginv[:, None] @ dg @ ginv[:, None]),
     }
     y = rng.uniform(-1.0, 1.0, size=(m, F, n))
-    broadcast = lf.Lift(flavor, y, **base)
+
+    def arrays(y, g, ginv, J, gamma, **partials):
+        L = lf.horizontal(flavor, y, gamma)
+        return {
+            "horizontal": L,
+            "frame": lf.frame(L),
+            "jbar": lf.jbar(flavor, L, J, g, ginv),
+            "forward": lf.forward(flavor, L, ginv),
+            "backward": lf.backward(flavor, L, g),
+            "gbar": lf.gbar(flavor, L, g, ginv),
+            "djbar": lf.djbar(flavor, y, L, gamma, J, g=g, ginv=ginv, **partials),
+        }
 
     def repeat(arrays):
         return {key: np.repeat(values, F, axis=0) for key, values in arrays.items()}
 
-    copied = lf.Lift(flavor, y.reshape(m * F, 1, n), **repeat(base))
-    for name in ("jbar", "forward", "backward", "gbar", "djbar"):
-        got, expected = getattr(broadcast, name), getattr(copied, name)
-        if name == "djbar":
-            got, expected = got(**partials), expected(**repeat(partials))
+    broadcast = arrays(y, **base, **partials)
+    copied = arrays(y.reshape(m * F, 1, n), **repeat(base), **repeat(partials))
+    for name, got in broadcast.items():
+        expected = copied[name]
         assert got.shape == (m, F) + expected.shape[2:], name
         assert got.tobytes() == expected.tobytes(), name
-    got = lf.nijenhuis_values(broadcast, *partials.values())
-    expected = lf.nijenhuis_values(copied, *repeat(partials).values())
+    got = lf.nijenhuis_values(broadcast["jbar"], broadcast["djbar"])
+    expected = lf.nijenhuis_values(copied["jbar"], copied["djbar"])
     assert got.tobytes() == expected.tobytes()
 
 
@@ -437,7 +457,7 @@ def _raise_domain_error(*args, **kwargs):
 
 
 def test_an_error_in_the_lift_fails_every_lifts_check_once(monkeypatch):
-    monkeypatch.setattr(lf, "Lift", _raise_domain_error)
+    monkeypatch.setattr(lf, "horizontal", _raise_domain_error)
     scenario = load_scenario(scenario_path("sphere-diagJ"))
     report = run_suites(scenario, suites=["lifts-tangent", "lifts-cotangent"])
     ids = [check.check_id for check in report.checks]

@@ -6,6 +6,7 @@ import itertools
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from metalliclab import suites
@@ -28,9 +29,11 @@ def counted_run(monkeypatch):
     while a check's inputs are made is one the check reads, directly or
     through the producers of what it reads; while its residual runs, the
     memo holds only the arrays it declares, and a read of any other array
-    fails the test.  Before each check the memo holds only arrays that check
-    or a later one reads, the checks whose arrays are the same at every
-    sample running first, and after the run it holds none."""
+    fails the test.  Every array is an ndarray with one row per sample of
+    its context, or per lifted sample for ``lift_points``.  Before each
+    check the memo holds only arrays that check or a later one reads, the
+    checks whose arrays are the same at every sample running first, and
+    after the run it holds none."""
     counts = Counter()
     run_state = {}
     missing, evaluate = ScenarioContext.__missing__, suites._evaluate
@@ -41,7 +44,10 @@ def counted_run(monkeypatch):
         if name != "points" and not shared:
             counts[name] += 1
         assert name in run_state["reads"], (run_state["cid"], name)
-        return missing(ctx, name)
+        value = missing(ctx, name)
+        rows = len(ctx.points) * (suites.FIBRE_PER_BASE if name == "lift_points" else 1)
+        assert isinstance(value, np.ndarray) and value.shape[:1] == (rows,), name
+        return value
 
     def checked_evaluate(check, ctx):
         k = next(k for k, declared in enumerate(run_state["checks"]) if declared is check)
@@ -114,7 +120,7 @@ def test_an_invariant_array_is_built_once_per_run_and_the_others_once_per_chunk(
     varies = {}
     once = {name for name in counts if not suites._varies(scenario, (name,), varies)}
     assert {"g", "d2g", "J", "ginv", "gamma[lc]", "riemann[lc]", "gen_nij[lc,jp]"} <= once
-    assert {"omega", "gamma[karaman]", "fibre", "lift[tangent]"} <= set(counts) - once
+    assert {"omega", "gamma[karaman]", "fibre", "jbar[tangent]"} <= set(counts) - once
     assert {name: n for name, n in counts.items() if name in once} == dict.fromkeys(once, 1)
     assert {name: n for name, n in counts.items() if name not in once} == dict.fromkeys(
         set(counts) - once, 2
@@ -137,7 +143,7 @@ def test_the_wide_batch_suites_at_4096_samples_stay_below_24_mb_traced():
 def test_both_lifts_at_512_samples_stay_below_20_mb_traced(monkeypatch):
     # one chunk of 512 samples of warped-mixing (n = 3), longer than the 455
     # a run takes: the lifts broadcast the base arrays over the 4 fibre
-    # points over each sample and peak near 18.4 MB, where copies of the
+    # points over each sample and peak near 16.9 MB, where copies of the
     # base arrays at every fibre point peaked near 22.3 MB
     scenario = load_scenario(scenario_path("warped-mixing"))
     monkeypatch.setattr(suites, "_STACK_ENTRIES", 512 * 6**2)
