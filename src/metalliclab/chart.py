@@ -21,9 +21,10 @@ evaluated values and partials, arrays with a leading sample axis m.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +59,6 @@ class Chart:
     names: tuple
     box: tuple
     seed: int = 0
-    # the Halton digit tables by seed, drawn once for every range of points
-    _scrambles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -77,8 +76,8 @@ class Chart:
         if len(box) != n:
             raise DimensionMismatch("domain box must have one interval per coordinate")
         for lo, hi in box:
-            if not hi > lo:
-                raise ValueError("domain box must have positive volume")
+            if not 0 < hi - lo < math.inf:  # a width that overflows is inf
+                raise ValueError(f"domain interval [{lo!r}, {hi!r}] needs a positive, finite width")
 
     @property
     def dim(self) -> int:
@@ -89,19 +88,19 @@ class Chart:
         box, deterministic in seed: a range of the points of any longer run."""
         if seed is None:
             seed = self.seed
-        if seed not in self._scrambles:
-            self._scrambles[seed] = _digit_permutations(self.dim, seed)
-        unit = _scrambled_halton(self._scrambles[seed], count, first)
+        unit = _scrambled_halton(_digit_permutations(self.dim, seed), count, first)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         return unit * (hi - lo) + lo
 
 
-def _digit_permutations(d: int, seed: int) -> list:
+@functools.cache
+def _digit_permutations(d: int, seed: int) -> tuple:
     """For each of the d bases b, the random permutation of range(b) of each
     digit position, drawn base after base from one generator, as its table
     of terms: row k holds the permuted digits times the weight b^-(k+1), and
-    the row's digit-0 terms are kept apart as floats."""
+    the row's digit-0 terms are kept apart as floats.  Drawn once per (d, seed)
+    in a process and shared by every chart and range of points, so read-only."""
     rng = np.random.default_rng(seed)
     out = []
     for base in _PRIMES[:d]:
@@ -112,11 +111,12 @@ def _digit_permutations(d: int, seed: int) -> list:
         for _ in perms[1:]:
             weights.append(weights[-1] / base)
         terms = perms * np.array(weights)[:, None]
-        out.append((terms, terms[:, 0].tolist()))
-    return out
+        terms.flags.writeable = False
+        out.append((terms, tuple(terms[:, 0].tolist())))
+    return tuple(out)
 
 
-def _scrambled_halton(tables: list, count: int, first: int = 0) -> np.ndarray:
+def _scrambled_halton(tables: tuple, count: int, first: int = 0) -> np.ndarray:
     """The points of indices first .. first + count - 1 of an Owen-scrambled
     Halton set, one coordinate per base of ``_digit_permutations(d, seed)``.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -266,7 +267,9 @@ def load_scenario(path) -> ChartScenario:
         description=str(data.get("description", "")),
     )
     # a negative control must name a gating check that the declared suites run
-    # here: an informative check never fails a run, so it could never be met
+    # here, once: an informative check never fails a run, so it could never be met
+    repeated = [cid for cid, count in Counter(expected_failures).items() if count > 1]
+    validation_problems += [f"expected failure {cid!r} is repeated" for cid in repeated]
     declared = {c.cid: c.gating for c in CHECKS if c.suite in suites and c.applies(scenario)}
     validation_problems += [
         f"expected failure {cid!r} names "

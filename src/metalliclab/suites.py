@@ -304,10 +304,9 @@ class Check:
     ``residual(ctx, *arrays)`` takes the arrays of ``ARRAYS`` named in
     ``reads``, in that order.  A plain check gives its residual: an array
     whose leading axis is the rows of the array named ``points``, or a list
-    of such arrays.  Any other gives its outputs by name, in a dict or as
-    (name, value) pairs, a name given twice folded, a value such an array or
-    a list or generator of them; ``rules`` names the Rule of each, the
-    residual's MAX by default.
+    of such arrays.  Any other gives a dict of its outputs by name, a value
+    such an array or a list or generator of them; ``rules`` names the Rule
+    of each, the residual's MAX by default.
     Without a residual output the residual is the largest entry of them all.
     ``details`` are constant details.  ``applies(scenario)`` reads the
     scenario's params and 1-form: a check it rejects is not declared for it.
@@ -356,12 +355,7 @@ class Measured:
 def _reduce(check: Check, out, rows: int, first: int) -> dict:
     """Each output of ``out`` reduced by its rule: name -> (value, row)."""
     named = {"residual": out} if isinstance(out, (np.ndarray, list)) else out
-    outputs = {}
-    for name, value in named.items() if isinstance(named, dict) else named:
-        rule = check.rule(name)
-        pair = rule.reduce(value, rows, first)
-        del value  # a generator makes its next output while none is held
-        outputs[name] = rule.fold(outputs[name], pair) if name in outputs else pair
+    outputs = {name: check.rule(name).reduce(value, rows, first) for name, value in named.items()}
     if "residual" not in outputs:  # the largest entry of all the outputs
         pairs = [
             entry
@@ -416,25 +410,25 @@ def _declared(suite: str, scenario: ChartScenario) -> list:
 
 
 def _plan(scenario: ChartScenario, checks: list) -> dict:
-    """cid -> the arrays the check is the last reader of, for ``checks`` run
-    in that order.  A check reads what it declares and, transitively, what
-    the producers of those arrays read.  Walking back from the last check, an
-    array already met has a later reader, and so has everything it reads."""
-    last, met = {}, set()
-    for check in reversed(checks):
-        pending, last[check.cid] = [*check.reads, check.points], []
+    """cid -> the arrays whose last use is the check's, for ``checks`` run in
+    that order.  One forward walk holds each array from its first use: a
+    check uses what it reads, and an array not yet held is built there, its
+    producer using what it reads.  So an input goes right after the array it
+    feeds is built, unless a later check or build uses it."""
+    last = {}
+    for check in checks:
+        pending = [*check.reads, check.points]
         while pending:
             name = pending.pop()
-            if name not in met:
-                met.add(name)
-                last[check.cid].append(name)
+            if name not in last:  # built here, from what its producer reads
                 pending += _producer(scenario, name)[1]
-    return last
+            last[name] = check.cid
+    return {check.cid: [name for name, cid in last.items() if cid == check.cid] for check in checks}
 
 
 def _run_suite(ctx: ScenarioContext, checks: list, last: dict) -> list:
     """(check, Measured) for ``checks`` of one suite, in table order; after
-    each check the context drops the arrays it is the last reader of."""
+    each check the context drops the arrays whose last use is that check."""
     results = []
     for check in checks:
         results.append((check, _evaluate(check, ctx)))
@@ -540,35 +534,36 @@ def _converted(ctx: ScenarioContext, sign: float, X: np.ndarray) -> np.ndarray:
     return sign * (gap / 2.0) * X + ctx.params.p / 2.0 * np.eye(X.shape[-1])
 
 
-def _derived_family(ctx: ScenarioContext, f_plus, J, jp, ginv, jm):
+def _derived_family(ctx: ScenarioContext, f_plus, J, jp, ginv, jm) -> dict:
     """The metallic and block identities of Jm^+- (the conversions of Jp) and
     of J^+-(Fhat^+), Fhat^+ = blockdiag(F^+, F^+*) for F^+ = (2J - pI) / (2 sigma - p).
 
-    Each member is built once and yielded at once; besides Fhat^+, one
-    member stack is held at a time.  F^- = -F^+ and negation is exact, so
+    Each member is built once, and each residual array in turn as its rule
+    reduces it, so one is held at a time.  F^- = -F^+ and negation is exact, so
     J^-(Fhat^-) is J^+(Fhat^+) and J^+(Fhat^-) is J^-(Fhat^+) bit for bit:
     the F^- members are not built.
     """
     n = ctx.chart.dim
     params = ctx.params
-    eye, eye2 = np.eye(n), _eye2(ctx)
+    eye = np.eye(n)
     gap = 2.0 * params.sigma - params.p
     pjqi = params.p * J + (params.q - 1.0) * eye
     mirror = params.p * eye - J
-    jm_plus = _converted(ctx, 1.0, jp)
-    yield "metallic_residual", _metallic(ctx, jm_plus)
-    # corrected reading: the off-diagonal blocks carry (2s-p)/2
-    yield "block_residual", jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ginv
-    del jm_plus
-    yield "metallic_residual", _metallic(ctx, _converted(ctx, -1.0, jp))
+    jm_plus, jm_minus = _converted(ctx, 1.0, jp), _converted(ctx, -1.0, jp)
     fhat_plus = gb.blocks(f_plus, 0.0, 0.0, np.swapaxes(f_plus, -1, -2))
-    yield "block_residual", fhat_plus @ fhat_plus - eye2
-    j_plus_of_fplus = _converted(ctx, 1.0, fhat_plus)
-    yield "metallic_residual", _metallic(ctx, j_plus_of_fplus)
-    yield "block_residual", j_plus_of_fplus - jm
-    del j_plus_of_fplus
-    expected_mp = gb.blocks(mirror, 0.0, 0.0, np.swapaxes(mirror, -1, -2))
-    yield "block_residual", _converted(ctx, -1.0, fhat_plus) - expected_mp
+    j_plus, j_minus = _converted(ctx, 1.0, fhat_plus), _converted(ctx, -1.0, fhat_plus)
+
+    def blocks():
+        # corrected reading: the off-diagonal blocks carry (2s-p)/2
+        yield jm_plus[:, :n, n:] + gap / 2.0 * pjqi @ ginv
+        yield fhat_plus @ fhat_plus - _eye2(ctx)
+        yield j_plus - jm
+        yield j_minus - gb.blocks(mirror, 0.0, 0.0, np.swapaxes(mirror, -1, -2))
+
+    return {
+        "metallic_residual": map(partial(_metallic, ctx), (jm_plus, jm_minus, j_plus)),
+        "block_residual": blocks(),
+    }
 
 
 def _fhat(ctx: ScenarioContext, J, jm) -> np.ndarray:
@@ -1219,7 +1214,7 @@ def run_suites(
     its rule (see Rule.repeat).  The others run on each chunk of the samples
     in turn (see _chunk_length), each in a context of its own index range
     that shares the invariant arrays of the first sample's and drops each
-    array after its last reader (see _plan); each check's results are folded
+    array after its last use (see _plan); each check's results are folded
     by its rules (see _fold): the report is the one a single chunk gives.
     The overrides obey the rules of the scenario file's fields, so the CLI
     flags that set them do too; a bad one is a ValidationError.

@@ -138,6 +138,10 @@ def test_a_json_file_nested_past_the_recursion_limit_is_an_input_error(tmp_path,
         ({"suites": []}, "suites"),
         ({"suites": ["core", "lifts"]}, "unknown suite 'lifts'"),
         ({"q": -1.0}, "p^2 + 4q"),
+        # each end is finite, but hi - lo overflows to inf
+        ({"domain": [[-1e308, 1e308], [0, 1]]}, "positive, finite width"),
+        # a repeated negative control is named once
+        ({"expected_failures": ["core/metallic-equation"] * 2}, "core/metallic-equation"),
     ],
 )
 def test_each_rejection_of_the_loader_is_an_input_error(tmp_path, capsys, fields, named):

@@ -1,6 +1,6 @@
 """The arrays of a run: each is built at most once per chunk, one that is
-the same at every sample once per run, and dropped after its last declared
-reader; a run at 4096 samples stays within a fixed memory budget."""
+the same at every sample once per run, and dropped after its last use; a
+run at 4096 samples stays within a fixed memory budget."""
 
 import itertools
 import tracemalloc
@@ -125,6 +125,26 @@ def test_an_invariant_array_is_built_once_per_run_and_the_others_once_per_chunk(
     assert {name: n for name, n in counts.items() if name not in once} == dict.fromkeys(
         set(counts) - once, 2
     )
+
+
+def test_the_inputs_of_an_array_go_once_it_is_built(monkeypatch):
+    # nijenhuis-vertical-vertical, the first lifts-tangent check to read
+    # lift_nij[tangent], builds it; the later checks read it, the frame and
+    # base arrays, but none of jbar, the horizontal frame or the metric's partials
+    scenario = load_scenario(scenario_path("warped-mixing"))
+    assert suites._chunk_length(scenario.chart.dim) == 455
+    held, evaluate = {}, suites._evaluate
+
+    def recording(check, ctx):
+        held[check.cid] = set(ctx)  # what the checks before this one left
+        return evaluate(check, ctx)
+
+    monkeypatch.setattr(suites, "_evaluate", recording)
+    run_suites(scenario, suites=["lifts-tangent"], samples=455)
+    after = held["lifts-tangent/nijenhuis-mixed-display"]
+    assert "lift_nij[tangent]" in after
+    inputs = {"jbar[tangent]", "horizontal[tangent]", "dg", "dginv", "d2g"}
+    assert inputs & after == set()
 
 
 def test_the_wide_batch_suites_at_4096_samples_stay_below_24_mb_traced():
