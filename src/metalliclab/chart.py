@@ -73,6 +73,8 @@ class Chart:
         for name in names:
             if not _is_identifier(name):
                 raise ValueError(_IDENT_RE_MSG)
+            if name in ex.FUNCTION_NAMES:
+                raise ValueError(f"coordinate {name!r} is the name of a function")
         if len(box) != n:
             raise DimensionMismatch("domain box must have one interval per coordinate")
         for lo, hi in box:

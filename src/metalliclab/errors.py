@@ -2,7 +2,12 @@
 
 
 class MetallicLabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  One raised at a
+    known sample names its ``point``, the witness of the check that raised."""
+
+    def __init__(self, message: str = "", point=None):
+        self.point = None if point is None else tuple(float(v) for v in point)
+        super().__init__(message if point is None else f"{message} at point {self.point}")
 
 
 class ParseError(MetallicLabError):
@@ -25,12 +30,6 @@ class ParseError(MetallicLabError):
 class DomainError(MetallicLabError):
     """Evaluation produced a non-finite value (division by zero, log of a
     negative number, ...)."""
-
-    def __init__(self, message: str, point=None):
-        self.point = None if point is None else tuple(float(v) for v in point)
-        if self.point is not None:
-            message += f" at point {self.point}"
-        super().__init__(message)
 
 
 class SingularMetric(MetallicLabError):

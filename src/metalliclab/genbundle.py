@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _DET_GUARD = 1e-12  # |det g| below this is a singular metric
+_FORM_GUARD = 1e-10  # an |eigenvalue| below this is a degenerate form
 
 
 def blocks(A, B, C, D) -> np.ndarray:
@@ -70,7 +71,7 @@ def metric_inverse(g: np.ndarray, points: np.ndarray) -> np.ndarray:
     singular = np.ravel(np.abs(np.linalg.det(g)) < _DET_GUARD)
     if singular.any():
         point = np.reshape(points, (singular.size, -1))[int(np.argmax(singular))]
-        raise SingularMetric(f"|det g| < {_DET_GUARD:g} at {tuple(float(v) for v in point)}")
+        raise SingularMetric(f"|det g| < {_DET_GUARD:g}", point)
     return np.linalg.inv(g)
 
 
@@ -131,20 +132,21 @@ def pairing_positive_definite(op: np.ndarray, tolerance: float = 1e-10) -> np.nd
     return _eigenvalues(form).min(axis=-1) > tolerance
 
 
-def neutral_signature(eigenvalues: np.ndarray, threshold: float = 1e-10):
-    """Signature (n_plus, n_minus) of forms given by their eigenvalues.
+def neutral_signature(eigenvalues: np.ndarray, points: np.ndarray | None = None):
+    """Signature (n_plus, n_minus) of forms given by their eigenvalues [m, 2n].
 
-    The two counts have the batch shape.  A sample with an eigenvalue below
-    ``threshold`` raises DegenerateForm; the first such sample is reported.
+    The two counts have the batch shape.  A sample with an |eigenvalue| below
+    1e-10 raises DegenerateForm; the first such sample is reported, and its
+    point if the forms' ``points`` [m, n] are given.
     """
     smallest = np.ravel(np.abs(eigenvalues).min(axis=-1))
-    degenerate = smallest < threshold
+    degenerate = smallest < _FORM_GUARD
     if degenerate.any():
-        raise DegenerateForm(
-            f"eigenvalue {smallest[np.argmax(degenerate)]:.3e} below threshold {threshold:g}"
-        )
-    n_plus = (eigenvalues > threshold).sum(axis=-1)
-    n_minus = (eigenvalues < -threshold).sum(axis=-1)
+        first = int(np.argmax(degenerate))
+        message = f"eigenvalue {smallest[first]:.3e} below threshold {_FORM_GUARD:g}"
+        raise DegenerateForm(message, None if points is None else points[first])
+    n_plus = (eigenvalues > _FORM_GUARD).sum(axis=-1)
+    n_minus = (eigenvalues < -_FORM_GUARD).sum(axis=-1)
     return n_plus, n_minus
 
 

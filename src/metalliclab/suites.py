@@ -214,8 +214,8 @@ def _f_plus(ctx, g, J) -> np.ndarray:
     if incompatible.any():
         first = int(incompatible.argmax())
         gb.metric_inverse(g[: first + 1], ctx.points[: first + 1])
-        worst = asymmetry[first]
-        raise IncompatiblePair(f"gJ asymmetry {worst:.3e} exceeds {TOL_COMPATIBLE:g}")
+        worst, point = asymmetry[first], ctx.points[first]
+        raise IncompatiblePair(f"gJ asymmetry {worst:.3e} exceeds {TOL_COMPATIBLE:g}", point)
     params = ctx.params
     return (2.0 * J - params.p * np.eye(J.shape[-1])) / (2.0 * params.sigma - params.p)
 
@@ -377,7 +377,7 @@ def _evaluate(check: Check, ctx: ScenarioContext) -> Measured:
     except DomainError as err:
         witness, notes = err.point, {}
     except MetallicLabError as err:
-        witness, notes = None, {"error": str(err)}
+        witness, notes = err.point, {"error": str(err)}
     except MemoryError:
         witness, notes = None, {"error": "out of memory"}
     else:
@@ -501,7 +501,7 @@ def _bianchi(ctx: ScenarioContext, R: np.ndarray) -> np.ndarray:
 
 def _neutral_signature(ctx: ScenarioContext, eigenvalues: np.ndarray) -> dict:
     n = ctx.chart.dim
-    n_plus, n_minus = gb.neutral_signature(eigenvalues)
+    n_plus, n_minus = gb.neutral_signature(eigenvalues, ctx.points)
     return {
         "residual": (n_plus != n) | (n_minus != n),
         "signature": np.stack([n_plus, n_minus], axis=-1),
@@ -640,23 +640,23 @@ def _torsion_lemma(ctx: ScenarioContext, T, J) -> np.ndarray:
     return np.concatenate([lemma1.reshape(len(J), -1), lemma2.reshape(len(J), -1)], axis=1)
 
 
-def _omega_sweep(ctx: ScenarioContext, g, ginv, J, dg, gamma, Dg, T, nij, jm, djm):
+def _omega_sweep(ctx: ScenarioContext, g, ginv, J, dg, gamma, jm, djm):
     """The residual arrays of the sweep, one tuple for each 1-form in turn.
 
     Every array the sweep reads is affine in the value of omega at a sample,
     so it vanishes for every 1-form if and only if it vanishes for omega = 0
-    and for the n coordinate 1-forms e_k.  omega = 0 makes F = 0, so D is
-    the Levi-Civita connection: Dg, T and nij are its arrays, which the
-    other suites read too; for each e_k the sweep builds D and them anew.
+    and for the n coordinate 1-forms e_k.  Each form's D and its tensors are
+    the table's [karaman] arrays, built in a context of the sweep's samples
+    that holds what the sweep reads and that form as ``omega``.
     """
-    for k in range(-1, ctx.chart.dim):
-        omega = np.zeros_like(ctx.points)
-        if k >= 0:
-            omega[:, k] = 1.0
-            D = _karaman_gamma(ctx, g, ginv, J, omega, gamma)
-            Dg, T, nij = gc.nabla_metric(D, g, dg), gc.torsion(D), gc.gen_nijenhuis(D, jm, djm)
+    for row in np.eye(ctx.chart.dim + 1, ctx.chart.dim, -1):  # 0, then e_1 ... e_n
+        omega = np.broadcast_to(row, ctx.points.shape)
+        form = ScenarioContext(ctx.scenario, seed=ctx.seed, first=ctx.first, points=ctx.points)
+        form.update(g=g, ginv=ginv, J=J, dg=dg, omega=omega)
+        form.update({"gamma[lc]": gamma, "gen[jm]": jm, "gen_jet[jm]": djm})
+        T, nij = form["torsion[karaman]"], form["gen_nij[karaman,jm]"]
         gap, lemma = _torsion_gap(ctx, T, J, omega), _torsion_lemma(ctx, T, J)
-        yield Dg, gap, lemma, gc.phi_of_torsion(T, J), nij
+        yield form["nablag[karaman]"], gap, lemma, gc.phi_of_torsion(T, J), nij
 
 
 # ------------------------------------------------------------------
@@ -1073,10 +1073,7 @@ CHECKS = (
         "T^D closed form, the torsion commutation, Phi(T^D) = 0 and D-integrability of Jm",
         lambda ctx, *a: {"per_form_max": _omega_sweep(ctx, *a)},
         applies=_has_karaman,
-        reads=(
-            *("g", "ginv", "J", "dg", "gamma[lc]"),
-            *("nablag[lc]", "torsion[lc]", "gen_nij[lc,jm]", "gen[jm]", "gen_jet[jm]"),
-        ),
+        reads=("g", "ginv", "J", "dg", "gamma[lc]", "gen[jm]", "gen_jet[jm]"),
         rules={"per_form_max": MAX_EACH},
     ),
     *_lift_checks(lf.TANGENT),

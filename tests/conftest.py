@@ -90,7 +90,13 @@ def break_array(monkeypatch, name, breaker):
 def transitive_reads(scenario, check):
     """The arrays a check of a run over ``scenario`` declares, its points
     included, and every array their producers read, transitively."""
-    found, pending = set(), [*check.reads, check.points]
+    return reached(scenario, (*check.reads, check.points))
+
+
+def reached(scenario, names):
+    """The arrays ``names`` of a run over ``scenario`` and every array their
+    producers read, transitively."""
+    found, pending = set(), list(names)
     while pending:
         name = pending.pop()
         if name not in found:

@@ -93,6 +93,15 @@ def traced_peak(scenario, samples, selected=WIDE_BATCH) -> int:
         tracemalloc.stop()
 
 
+def test_all_suites_of_product_decomposable_at_4096_samples_stay_below_6_mib_traced():
+    # nine chunks of 455 and a last one of 1 peak near 5.4 MiB: the omega
+    # sweep reads no Levi-Civita tensor, so the run drops them after genconn;
+    # near 6.3 MiB while the sweep read them and they were held through karaman
+    scenario = load_scenario(scenario_path("product-decomposable"))
+    peak = traced_peak(scenario, 4096, scenario.suites)
+    assert peak < 6.0 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
 def test_four_chunks_peak_near_one_chunk():
     scenario = load_scenario(scenario_path("warped-mixing"))
     length = suites._chunk_length(3)

@@ -142,6 +142,8 @@ def test_a_json_file_nested_past_the_recursion_limit_is_an_input_error(tmp_path,
         ({"domain": [[-1e308, 1e308], [0, 1]]}, "positive, finite width"),
         # a repeated negative control is named once
         ({"expected_failures": ["core/metallic-equation"] * 2}, "core/metallic-equation"),
+        # a function name would shadow the function in every entry
+        ({"coordinates": ["sin", "x2"]}, "sin"),
     ],
 )
 def test_each_rejection_of_the_loader_is_an_input_error(tmp_path, capsys, fields, named):

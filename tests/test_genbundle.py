@@ -103,9 +103,12 @@ def test_incompatible_pair_rejected():
     g = np.stack([np.diag([1.0, 3.0])] * 4)
     J = np.stack([J2] * 4)
     J[1, 0, 1], J[3, 0, 1] = 1.0, 2.0
-    measured = _measured("genbundle/derived-family", pair_context(g, J))
+    ctx = pair_context(g, J)
+    measured = _measured("genbundle/derived-family", ctx)
     assert measured.raised and measured.residual == math.inf
-    assert measured.details == {"error": "gJ asymmetry 1.000e+00 exceeds 1e-08"}
+    first = tuple(float(v) for v in ctx.points[1])
+    assert measured.details == {"error": f"gJ asymmetry 1.000e+00 exceeds 1e-08 at point {first}"}
+    assert measured.witness == first
 
 
 def test_structure_identities_on_random_pairs():
@@ -463,22 +466,45 @@ def test_batched_errors_are_those_of_the_first_failing_sample(cid):
     measured = _measured(cid, ctx)
     assert measured.raised
     first = tuple(float(v) for v in ctx.points[3])
-    assert measured.details["error"] == f"|det g| < 1e-12 at {first}"
+    assert measured.details["error"] == f"|det g| < 1e-12 at point {first}"
+    assert measured.witness == first
 
-    # a later singular metric does not take precedence
+    # a later singular metric does not take precedence; each sample's error
+    # alone, but for the point it names
     g = good_g.copy()
     g[6] = 0.0
-    errors = [_measured(cid, pair_context(g[k], J[k])).details.get("error") for k in range(8)]
+    errors = [
+        _measured(cid, pair_context(g[k], J[k])).details.get("error", "").split(" at point ")[0]
+        for k in range(8)
+    ]
     assert [k for k, error in enumerate(errors) if error] == [5, 6, 7]
     assert errors[5].startswith("gJ asymmetry") and errors[5] != errors[7]
     assert errors[6].startswith("|det g|")
-    assert _measured(cid, pair_context(g, J)).details["error"] == errors[5]
+    ctx = pair_context(g, J)
+    measured = _measured(cid, ctx)
+    fifth = tuple(float(v) for v in ctx.points[5])
+    assert (measured.details["error"], measured.witness) == (f"{errors[5]} at point {fifth}", fifth)
 
     # at one sample a singular metric is named before an incompatible pair
     g[5] = 0.0
     ctx = pair_context(g, J)
     fifth = tuple(float(v) for v in ctx.points[5])
-    assert _measured(cid, ctx).details["error"] == f"|det g| < 1e-12 at {fifth}"
+    assert _measured(cid, ctx).details["error"] == f"|det g| < 1e-12 at point {fifth}"
+
+
+def test_a_degenerate_form_fails_the_signature_check_at_one_of_its_samples(tmp_path):
+    # polar-plane's metric times 1e8: the form (s, Jp t) is degenerate there
+    payload = json.loads(scenario_path("polar-plane").read_text())
+    payload["metric"] = [[f"({entry})*1e8" for entry in row] for row in payload["metric"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(payload))
+    scenario = load_scenario(path)
+    report = suites.run_suites(scenario, suites=["genbundle"])
+    signature = report.find("genbundle/neutral-signature")
+    error = signature.details["error"]
+    assert error.endswith(f"below threshold 1e-10 at point {signature.witness}")
+    points = suites.ScenarioContext(scenario).points
+    assert signature.witness in [tuple(float(v) for v in point) for point in points]
 
 
 def test_degenerate_form_names_the_first_degenerate_sample():
@@ -701,6 +727,7 @@ def test_a_metric_singular_at_one_sample_fails_the_checks_that_invert_it(tmp_pat
         if "error" in check.details:
             raised.add(check.check_id)
             assert named in check.details["error"], check.check_id
+            assert check.witness == tuple(float(v) for v in point), check.check_id
         if check.passed != before.passed:
             changed.add(check.check_id)
     # the checks whose declared reads need g^-1, directly or through the

@@ -9,12 +9,12 @@ from metalliclab import chart as ch
 from metalliclab import expr as ex
 from metalliclab import genconn as gc
 from metalliclab import suites
-from metalliclab.errors import ZeroQ
+from metalliclab.errors import DomainError, ZeroQ
 from metalliclab.metallic import MetallicParams, from_projection
 from metalliclab.scenario import ChartScenario, load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, exprs, field_context, gen_jet, jet, scenario_path
+from conftest import CORPUS, break_array, exprs, field_context, gen_jet, jet, scenario_path
 from helpers import (
     covariant_nijenhuis_rhs_loop,
     fd_bracket,
@@ -590,6 +590,39 @@ def test_omega_sweep_names_its_worst_trial_and_sample(monkeypatch):
     points = ScenarioContext(scenario).points
     assert sweep.witness == tuple(points[2])
     assert sweep.to_dict()["witness"] == list(points[2])
+
+
+@pytest.mark.parametrize("name", ["flat-golden", "product-decomposable"])
+def test_a_broken_karaman_connection_fails_the_omega_sweep(monkeypatch, name):
+    # each 1-form's D is the table's gamma[karaman], so a breaker of that
+    # array reaches every form the sweep checks, as it reaches the suite's own
+    def broken(gamma):
+        gamma[:, 0, 0, 1] += 0.1
+        return gamma
+
+    break_array(monkeypatch, "gamma[karaman]", broken)
+    report = run_suites(load_scenario(scenario_path(name)), suites=["karaman"])
+    assert not report.find("karaman/metric-parallel").passed
+    sweep = report.find("karaman/random-omega-sweep")
+    assert not sweep.passed and min(sweep.details["per_form_max"]) >= 0.1
+
+
+def test_an_error_in_one_coordinate_form_s_connection_fails_only_the_sweep(monkeypatch):
+    # D for the form e_2 raises at sample 4; the suite's own 1-form is not e_2
+    scenario = load_scenario(scenario_path("product-decomposable"))
+    points = ScenarioContext(scenario).points
+    make, reads = suites.ARRAYS["gamma[karaman]"]
+
+    def failing(ctx, *arrays):
+        if (arrays[reads.index("omega")] == np.eye(3)[1]).all():
+            raise DomainError("injected", ctx.points[4])
+        return make(ctx, *arrays)
+
+    monkeypatch.setitem(suites.ARRAYS, "gamma[karaman]", (failing, reads))
+    report = run_suites(scenario, suites=["karaman"])
+    assert [c.check_id for c in report.checks if not c.passed] == ["karaman/random-omega-sweep"]
+    sweep = report.find("karaman/random-omega-sweep")
+    assert sweep.residual == math.inf and sweep.witness == tuple(points[4])
 
 
 def _rotating_projection():

@@ -1,6 +1,8 @@
 """The arrays of a run: each is built at most once per chunk, one that is
 the same at every sample once per run, and dropped after its last use; a
-run at 4096 samples stays within a fixed memory budget."""
+run at 4096 samples stays within a fixed memory budget.  A residual that
+makes a context of its own (the omega sweep, one per 1-form) builds there
+only what reaches the array it gives that context beyond the check's reads."""
 
 import itertools
 import tracemalloc
@@ -14,7 +16,7 @@ from metalliclab.errors import MetallicLabError
 from metalliclab.scenario import load_scenario
 from metalliclab.suites import ScenarioContext, run_suites
 
-from conftest import CORPUS, scenario_path, transitive_reads
+from conftest import CORPUS, reached, scenario_path, transitive_reads
 
 WIDE_BATCH = ["core", "genbundle", "commutation"]
 
@@ -29,21 +31,29 @@ def counted_run(monkeypatch):
     while a check's inputs are made is one the check reads, directly or
     through the producers of what it reads; while its residual runs, the
     memo holds only the arrays it declares, and a read of any other array
-    fails the test.  Every array is an ndarray with one row per sample of
-    its context, or per lifted sample for ``lift_points``.  Before each
-    check the memo holds only arrays that check or a later one reads, the
-    checks whose arrays are the same at every sample running first, and
-    after the run it holds none."""
+    fails the test.  A context the residual makes of its own may build only
+    an array that reaches, through the producers of what it reads, an array
+    that context holds and the check does not declare (the omega sweep's
+    1-form); its builds are not counted.  Every array is an ndarray with one
+    row per sample of its context, or per lifted sample for ``lift_points``.
+    Before each check the memo holds only arrays that check or a later one
+    reads, the checks whose arrays are the same at every sample running
+    first, and after the run it holds none."""
     counts = Counter()
     run_state = {}
     missing, evaluate = ScenarioContext.__missing__, suites._evaluate
 
     def counted_missing(ctx, name):
-        once = ctx.once
-        shared = once is not None and not suites._varies(ctx.scenario, (name,), once.varies)
-        if name != "points" and not shared:
-            counts[name] += 1
-        assert name in run_state["reads"], (run_state["cid"], name)
+        run = run_state["ctx"]
+        if ctx is run or ctx is run.once:
+            once = ctx.once
+            shared = once is not None and not suites._varies(ctx.scenario, (name,), once.varies)
+            if name != "points" and not shared:
+                counts[name] += 1
+            assert name in run_state["reads"], (run_state["cid"], name)
+        else:
+            given = set(ctx) - set(run_state["declared"])
+            assert reached(ctx.scenario, (name,)) & given, (run_state["cid"], name)
         value = missing(ctx, name)
         rows = len(ctx.points) * (suites.FIBRE_PER_BASE if name == "lift_points" else 1)
         assert isinstance(value, np.ndarray) and value.shape[:1] == (rows,), name
@@ -52,8 +62,8 @@ def counted_run(monkeypatch):
     def checked_evaluate(check, ctx):
         k = next(k for k, declared in enumerate(run_state["checks"]) if declared is check)
         assert set(ctx) <= set().union(*run_state["closures"][k:]), check.cid
-        run_state.update(ctx=ctx, cid=check.cid, reads=run_state["closures"][k])
         declared = (*check.reads, check.points)
+        run_state.update(ctx=ctx, cid=check.cid, reads=run_state["closures"][k], declared=declared)
         try:
             for name in declared:
                 ctx[name]
