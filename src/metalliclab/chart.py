@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import draws
 from . import expr as ex
 from .errors import DimensionMismatch, DomainError
 
@@ -99,16 +100,14 @@ class Chart:
 @functools.cache
 def _digit_permutations(d: int, seed: int) -> tuple:
     """For each of the d bases b, the random permutation of range(b) of each
-    digit position, drawn base after base from one generator, as its table
-    of terms: row k holds the permuted digits times the weight b^-(k+1), and
-    the row's digit-0 terms are kept apart as floats.  Drawn once per (d, seed)
-    in a process and shared by every chart and range of points, so read-only."""
-    rng = np.random.default_rng(seed)
-    out = []
+    digit position, drawn base after base by one ``draws.shuffler(seed)``
+    (numpy's ``default_rng(seed).shuffle``), as its table of terms: row k
+    holds the permuted digits times the weight b^-(k+1), and the row's digit-0
+    terms are kept apart as floats.  Drawn once per (d, seed) in a process and
+    shared by every chart and range of points, so read-only."""
+    shuffle, out = draws.shuffler(seed), []
     for base in _PRIMES[:d]:
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = np.array([shuffle(base) for _ in range(math.ceil(54 / math.log2(base)) - 1)])
         weights = [1.0 / base]
         for _ in perms[1:]:
             weights.append(weights[-1] / base)

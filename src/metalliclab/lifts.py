@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chart as ch
+from . import draws as dr
 from . import genbundle as gb
 from .genconn import _first
 from .metallic import MetallicParams
@@ -50,13 +51,12 @@ TANGENT = "tangent"
 COTANGENT = "cotangent"
 
 
-def fibre_points(dim: int, count: int, seed: int, first: int = 0) -> np.ndarray:
+def fibre_points(dim: int, count: int, seed: int, first: int = 0, stream: int = 0) -> np.ndarray:
     """Fibre coordinates of the lifted samples first .. first + count - 1:
-    uniform in [-1, 1]^dim, one draw per coordinate, so the generator skips
-    the draws of the samples before ``first``."""
-    rng = np.random.default_rng(seed + 1)
-    rng.bit_generator.advance(first * dim)
-    return rng.uniform(-1.0, 1.0, size=(count, dim))
+    uniform in [-1, 1)^dim.  Sample k's coordinates are the draws k dim ..
+    (k + 1) dim - 1 of ``stream`` of the seed's counter stream (``draws.uniform``),
+    addressed by index, so a range of samples draws nothing for the others."""
+    return dr.uniform(count * dim, seed, stream, first * dim).reshape(count, dim)
 
 
 def _swap(a: np.ndarray) -> np.ndarray:

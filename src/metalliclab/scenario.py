@@ -118,10 +118,13 @@ def load_scenario(path) -> ChartScenario:
         schema_problems += [f"unknown field {name!r}" for name in sorted(extra)]
     if schema_problems:
         raise SchemaError(schema_problems)
-    if data["schema_version"] != SCENARIO_SCHEMA_VERSION:
-        raise SchemaError(
-            [f"unsupported schema_version {data['schema_version']!r}"]
-        )
+    # True and 1.0 equal 1 in Python, but neither is the JSON integer 1
+    version = data["schema_version"]
+    if type(version) is not int or version != SCENARIO_SCHEMA_VERSION:
+        raise SchemaError([f"unsupported schema_version {version!r}"])
+    texts = [key for key in ("name", "description") if not isinstance(data.get(key, ""), str)]
+    if texts:
+        raise SchemaError([f"{key} must be a string, got {data[key]!r}" for key in texts])
 
     validation_problems: list = []
     parse_problems: list = []
@@ -252,7 +255,7 @@ def load_scenario(path) -> ChartScenario:
             J = ch.constant_matrix(np.eye(n))
 
     scenario = ChartScenario(
-        name=str(data["name"]),
+        name=data["name"],
         chart=chart,
         params=params,
         metric=metric,
@@ -264,7 +267,7 @@ def load_scenario(path) -> ChartScenario:
         seed=seed,
         tolerance=tolerance,
         expected_failures=list(expected_failures),
-        description=str(data.get("description", "")),
+        description=data.get("description", ""),
     )
     # a negative control must name a gating check that the declared suites run
     # here, once: an informative check never fails a run, so it could never be met

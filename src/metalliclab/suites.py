@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import chart as ch
+from . import draws as dr
 from . import expr as ex
 from . import genbundle as gb
 from . import genconn as gc
@@ -423,7 +424,10 @@ def _plan(scenario: ChartScenario, checks: list) -> dict:
             if name not in last:  # built here, from what its producer reads
                 pending += _producer(scenario, name)[1]
             last[name] = check.cid
-    return {check.cid: [name for name, cid in last.items() if cid == check.cid] for check in checks}
+    plan = {check.cid: [] for check in checks}
+    for name, cid in last.items():
+        plan[cid].append(name)
+    return plan
 
 
 def _run_suite(ctx: ScenarioContext, checks: list, last: dict) -> list:
@@ -580,32 +584,32 @@ def _fhat(ctx: ScenarioContext, J, jm) -> np.ndarray:
 # ------------------------------------------------------------------
 
 
-def _random_sections(ctx, points, count, seed_shift):
-    """Values (m, count, 2n) and partials (m, count, n, 2n) at the ``points`` of
-    sections whose components are c0 + c1 . x, c0 and c1 uniform in [-1, 1]."""
-    n = ctx.chart.dim
-    # one row [c0, c1 . . .] per component, drawn in the order of the components
-    draws = np.random.default_rng(ctx.seed + seed_shift).uniform(-1, 1, size=(count, 2 * n, n + 1))
-    c0, c1 = draws[..., 0], draws[..., 1:]
+def _random_sections(coefficients, points):
+    """Values (m, count, 2n) and partials (m, count, n, 2n) at the ``points``
+    of sections whose components are c0 + c1 . x, one row [c0, c1 ...] of
+    ``coefficients`` [count, 2n, n + 1] per component."""
+    c0, c1 = coefficients[..., 0], coefficients[..., 1:]
     values = c0 + np.einsum("saj,mj->msa", c1, points)
-    partials = np.broadcast_to(c1.transpose(0, 2, 1), (len(points), count, n, 2 * n))
-    return values, partials
+    dc = c1.transpose(0, 2, 1)
+    return values, np.broadcast_to(dc, (len(points), *dc.shape))
 
 
 def _bracket_leibniz(ctx: ScenarioContext, gamma: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """[s, f t] - f [s, t] - X(f) t for pairs of random sections s, t, X the
-    vector part of s and f = c0 + c1 . x.
+    vector part of s and f = c0 + c1 . x, each coefficient uniform in [-1, 1):
+    the draws of stream 2 of the seed, the sections' in the order of their
+    components, then f's.
 
     Antisymmetry is not checked: [s, t] is a - b and [t, s] is b - a with
     the same a and b, so [s, t] + [t, s] is exactly 0.0 on any input.
     """
     n = ctx.chart.dim
-    values, partials = _random_sections(ctx, pts, 4, seed_shift=101)
+    rows = dr.uniform((8 * n + 1) * (n + 1), ctx.seed, stream=2).reshape(8 * n + 1, n + 1)
+    values, partials = _random_sections(rows[:-1].reshape(4, 2 * n, n + 1), pts)
     a, b = np.triu_indices(4, 1)
     s, ds, t, dt = values[:, a], partials[:, a], values[:, b], partials[:, b]
     st = gc.nabla_bracket(gamma, s, ds, t, dt)
-    rng = np.random.default_rng(ctx.seed + 102)
-    c0, c1 = rng.uniform(-1, 1), rng.uniform(-1, 1, size=n)
+    c0, c1 = rows[-1, 0], rows[-1, 1:]
     f = (c0 + pts @ c1)[:, None, None]
     ft = f * t
     dft = c1[:, None] * t[:, :, None] + f[..., None] * dt
@@ -799,8 +803,8 @@ def _lift_checks(flavor: str) -> list:
 
 def _commutation_fibre(ctx: ScenarioContext, points: np.ndarray) -> np.ndarray:
     """Fibre points y, one over each of the context's ``points``: those of
-    ``lf.fibre_points`` at seed + 403, a stream apart from the lifts' own."""
-    return lf.fibre_points(ctx.chart.dim, len(points), ctx.seed + 403, ctx.first)
+    ``lf.fibre_points`` in stream 1, apart from the lifts' own stream 0."""
+    return lf.fibre_points(ctx.chart.dim, len(points), ctx.seed, ctx.first, stream=1)
 
 
 def _commutation(ctx: ScenarioContext, g, ginv, J, gamma, y) -> np.ndarray:

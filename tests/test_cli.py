@@ -144,6 +144,12 @@ def test_a_json_file_nested_past_the_recursion_limit_is_an_input_error(tmp_path,
         ({"expected_failures": ["core/metallic-equation"] * 2}, "core/metallic-equation"),
         # a function name would shadow the function in every entry
         ({"coordinates": ["sin", "x2"]}, "sin"),
+        # JSON true and 1.0 equal 1 in Python, but neither is the integer 1
+        ({"schema_version": True}, "schema_version"),
+        ({"schema_version": 1.0}, "schema_version"),
+        # a report name or description is the file's string, never a repr
+        ({"name": ["a"]}, "name"),
+        ({"description": 5}, "description"),
     ],
 )
 def test_each_rejection_of_the_loader_is_an_input_error(tmp_path, capsys, fields, named):
