@@ -6,11 +6,11 @@ expressions evaluate exactly as written.  :func:`parse` keeps structurally
 equal subexpressions as one node, and evaluation is vectorised over batches
 of points and memoised per call on node identity, so each is evaluated once.
 
-The partials of an expression are not expressions: :func:`differentiate`
-walks the parsed DAG once per batch and carries at each node its value
-(from :func:`eval_batch`) and its gradient, or for second order a jet of
-jets, forward-mode Taylor arithmetic in the sense of Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13.  A run therefore builds no node.
+The partials of an expression are not expressions.  :func:`eval_batch` and
+:func:`differentiate` are one walk of the parsed DAG, the first over the
+columns of the points, the second over jets seeded on them (for second order
+jets of jets): forward-mode Taylor arithmetic in the sense of Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 13.  A run builds no node.
 """
 
 from __future__ import annotations
@@ -411,15 +411,22 @@ def parse(source: str, coords, shared: dict | None = None) -> Expr:
 
 
 # ------------------------------------------------------------------
-# Partials by forward-mode jets
+# Evaluation and partials: one walk over values or jets
 # ------------------------------------------------------------------
 
+_BIN_OPS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
+
 # The first-order rules, written once: the partials of a node from its value
-# v and the values and partials of its operands.  The node walk of
-# differentiate() applies them to values and gradients, and _Jet to jets,
-# which differentiates the rules themselves.  Every term is kept, a zero
-# partial times a value included, so a non-finite value makes the partial
-# non-finite wherever it enters.
+# v and the values and partials of its operands.  _binop applies them to
+# jets, whose values may be jets again, which differentiates the rules
+# themselves.  Every term is kept, a zero partial times a value included, so
+# a non-finite value makes the partial non-finite wherever it enters.
 _BIN_PARTIALS = {
     "+": lambda v, l, r, dl, dr: dl + dr,
     "-": lambda v, l, r, dl, dr: dl - dr,
@@ -442,19 +449,35 @@ _FUNC_PARTIALS = {
 }
 
 
+def _apply(name: str, x):
+    """A function node's value, or jet, at its argument's: numpy's, never folded."""
+    if not isinstance(x, _Jet):
+        return _UNARY_FUNCS[name](x)
+    value = _apply(name, x.v)
+    return _Jet(value, _FUNC_PARTIALS[name](value, x.v, x.d))
+
+
 def _call(name: str, x):
-    """``name`` at a value or a jet; a constant folds through ``math`` as :func:`func` folds it."""
-    if isinstance(x, _Jet):
-        value = _UNARY_FUNCS[name](x.v)
-        return _Jet(value, _FUNC_PARTIALS[name](value, x.v, x.d))
-    folded = _folded_call(name, x) if np.ndim(x) == 0 else None
-    return _UNARY_FUNCS[name](x) if folded is None else folded
+    """``name`` in a rule: a constant folds through ``math`` as :func:`func` folds it."""
+    folded = None if isinstance(x, _Jet) or np.ndim(x) else _folded_call(name, x)
+    return _apply(name, x) if folded is None else folded
+
+
+def _binop(op: str, l, r):
+    """``l op r`` on values or jets.  An operand that is not a jet is a
+    constant of the expression being differentiated: its partials are 0.0."""
+    ljet, rjet = isinstance(l, _Jet), isinstance(r, _Jet)
+    if not (ljet or rjet):
+        return _BIN_OPS[op](l, r)
+    lv, dl = (l.v, l.d) if ljet else (l, 0.0)
+    rv, dr = (r.v, r.d) if rjet else (r, 0.0)
+    v = _binop(op, lv, rv)
+    return _Jet(v, _BIN_PARTIALS["^ constant" if op == "^" and not rjet else op](v, lv, rv, dl, dr))
 
 
 class _Jet:
-    """A value v and its partials d along the last axis, with the arithmetic
-    of ``_BIN_PARTIALS``.  An operand that is not a jet is a constant of the
-    expression being differentiated: its partials are 0.0."""
+    """A value v, itself a value or a jet, and its partials d along the last
+    axis, with the arithmetic of :func:`_binop`."""
 
     __slots__ = ("v", "d")
     __array_ufunc__ = None  # numpy operators defer to the reflected ones
@@ -462,123 +485,36 @@ class _Jet:
     def __init__(self, v, d):
         self.v, self.d = v, d
 
-    def _op(self, op: str, other, reflected: bool = False) -> _Jet:
-        a, b = (other, self) if reflected else (self, other)
-        (l, dl), (r, dr) = [(x.v, x.d) if isinstance(x, _Jet) else (x, 0.0) for x in (a, b)]
-        v = _BIN_OPS[op](l, r)
-        rule = "^ constant" if op == "^" and not isinstance(b, _Jet) else op
-        return _Jet(v, _BIN_PARTIALS[rule](v, l, r, dl, dr))
-
     def __neg__(self):
         return _Jet(-self.v, -self.d)
 
 
 for _symbol, _name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv"), ("^", "pow")):
-    setattr(_Jet, f"__{_name}__", lambda self, other, op=_symbol: self._op(op, other))
-    setattr(_Jet, f"__r{_name}__", lambda self, other, op=_symbol: self._op(op, other, True))
+    setattr(_Jet, f"__{_name}__", lambda self, other, op=_symbol: _binop(op, self, other))
+    setattr(_Jet, f"__r{_name}__", lambda self, other, op=_symbol: _binop(op, other, self))
 del _symbol, _name
 
 
-def _partials(nodes: list, values: dict, unit) -> dict:
-    """The partials of every node, children before parents, by id: ``values``
-    holds the nodes' values by id and ``unit[i]`` the partials of coordinate i."""
-    out = {}
-    for node in nodes:
-        if isinstance(node, Const):
-            d = 0.0
-        elif isinstance(node, Coord):
-            d = unit[node.index]
-        else:
-            kids = node.children()
-            args = [values[id(node)]] + [values[id(k)] for k in kids] + [out[id(k)] for k in kids]
-            if isinstance(node, Neg):
-                d = -args[2]
-            elif isinstance(node, Func):
-                d = _FUNC_PARTIALS[node.name](*args)
-            else:
-                constant = node.op == "^" and isinstance(node.right, Const)
-                d = _BIN_PARTIALS["^ constant" if constant else node.op](*args)
-        out[id(node)] = d
-    return out
+def _lifted(node: Expr, value, args: list, seed: _Jet) -> _Jet:
+    """A node of constants alone, such as 1/0, as a jet with as many levels
+    as ``seed``: at each its rule applied to the constants' partials 0.0."""
+    if isinstance(node, Func):
+        rule = _FUNC_PARTIALS[node.name]
+    elif isinstance(node, Neg):  # built as a class: neg() folds a constant
+        rule = lambda v, u, du: -du
+    else:  # both operands are constants
+        rule = _BIN_PARTIALS["^ constant" if node.op == "^" else node.op]
+    while isinstance(seed, _Jet):
+        value, seed = _Jet(value, rule(value, *args, *[0.0] * len(args))), seed.v
+    return value
 
 
-def differentiate(comps: np.ndarray, points: np.ndarray, order: int = 1) -> np.ndarray:
-    """The partials of an object array of Exprs at every row of ``points`` (m, n).
-
-    Order 1 gives d_k [m, k, *comps.shape]; order 2 gives d_k d_l
-    [m, k, l, *comps.shape], the partial d_k of d_l.  One walk of the
-    entries' DAG takes each node's value from one ``eval_batch`` memo and
-    carries its gradient, for order 2 a jet of its value and gradient along
-    the second axis: the first-order rules applied to jets differentiate
-    the first-order rules, so second-order rules are never written out.  A
-    ``Const`` carries 0.0, no array.  Non-finite entries are returned as-is.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    comps = np.asarray(comps, dtype=object)
-    points = np.asarray(points, dtype=float)
-    m, n = points.shape
-    memo: dict = {}
-    for e in comps.flat:
-        if not isinstance(e, Const):
-            eval_batch(e, points, memo)
-    nodes = [node for node, _ in memo.values()]  # children were stored before their parents
-    # values broadcast against the partials' axes; a constant is a numpy
-    # scalar, so arithmetic on two constants follows numpy, as evaluation does
-    column = (m,) + (1,) * order
-    values = {}
-    for node, v in memo.values():
-        if isinstance(node, Const):
-            v = np.float64(v)
-        elif np.ndim(v):  # a node of constants alone may hold a scalar
-            v = np.reshape(v, column)
-        values[id(node)] = v
-    unit = np.eye(n)
-    with np.errstate(all="ignore"):
-        partials = _partials(nodes, values, unit)
-        if order == 2:
-            for node in nodes:
-                if not isinstance(node, Const):
-                    values[id(node)] = _Jet(values[id(node)], partials[id(node)])
-            partials = _partials(nodes, values, unit[:, :, None])
-    out = np.zeros((m,) + (n,) * order + comps.shape)
-    flat = out.reshape((m,) + (n,) * order + (-1,))
-    for idx, e in enumerate(comps.flat):
-        d = None if isinstance(e, Const) else partials[id(e)]  # a constant is not evaluated
-        if order == 2:
-            # d_l of the jet along k is [..., l, k]; a constant d_l has d_k 0.0
-            d = np.swapaxes(np.atleast_2d(d.d), -1, -2) if isinstance(d, _Jet) else None
-        if d is not None:  # a partial 0.0 is one of out's zeros already
-            flat[..., idx] = d
-    return out
-
-
-# ------------------------------------------------------------------
-# Evaluation
-# ------------------------------------------------------------------
-
-_BIN_OPS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "^": np.power,
-}
-
-
-def eval_batch(e: Expr, points: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """Evaluate ``e`` at every row of ``points`` (shape (m, n)) -> shape (m,).
-
-    Non-finite entries are returned as-is; callers decide whether to raise.
-    ``memo`` may be shared across calls on the same batch to reuse work
-    between expressions with common subtrees.  It maps the id of each node
-    evaluated to the pair (node, value), children before parents.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-d array (m, n)")
-    if memo is None:
-        memo = {}
+def _walk(e: Expr, coords, memo: dict):
+    """The value of ``e`` where coordinate i takes the value ``coords[i]``:
+    ``coords`` is the columns of the points, an array, or a list of jets
+    seeded on them.  ``memo`` maps the id of each node walked to the pair
+    (node, value), children before parents."""
+    jets = not isinstance(coords, np.ndarray)
     stack = [e]
     with np.errstate(all="ignore"):
         while stack:
@@ -594,24 +530,77 @@ def eval_batch(e: Expr, points: np.ndarray, memo: dict | None = None) -> np.ndar
                 continue
             stack.pop()
             if isinstance(node, Const):
-                value = node.value
+                # a numpy scalar, so arithmetic on two constants follows numpy
+                value = np.float64(node.value)
             elif isinstance(node, Coord):
-                if node.index >= points.shape[1]:
+                if node.index >= len(coords):
                     raise DomainError(
                         f"coordinate index {node.index} out of range for "
-                        f"{points.shape[1]}-dimensional points"
+                        f"{len(coords)}-dimensional points"
                     )
-                value = points[:, node.index]
-            elif isinstance(node, Neg):
-                value = np.negative(memo[id(node.child)][1])
+                value = coords[node.index]
             elif isinstance(node, Bin):
-                value = _BIN_OPS[node.op](
-                    memo[id(node.left)][1], memo[id(node.right)][1]
-                )
+                value = _binop(node.op, memo[id(node.left)][1], memo[id(node.right)][1])
+            elif isinstance(node, Neg):
+                value = -memo[id(node.child)][1]
             else:
-                value = _UNARY_FUNCS[node.name](memo[id(node.arg)][1])
+                value = _apply(node.name, memo[id(node.arg)][1])
+            if jets and kids and not any(isinstance(memo[id(k)][1], _Jet) for k in kids):
+                value = _lifted(node, value, [memo[id(k)][1] for k in kids], coords[0])
             memo[key] = (node, value)
-    out = memo[id(e)][1]
+    return memo[id(e)][1]
+
+
+def eval_batch(e: Expr, points: np.ndarray, memo: dict | None = None) -> np.ndarray:
+    """Evaluate ``e`` at every row of ``points`` (shape (m, n)) -> shape (m,).
+
+    Non-finite entries are returned as-is; callers decide whether to raise.
+    ``memo`` may be shared across calls on the same batch to reuse work
+    between expressions with common subtrees.  It maps the id of each node
+    evaluated to the pair (node, value), children before parents.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError("points must be a 2-d array (m, n)")
+    out = _walk(e, points.T, {} if memo is None else memo)
     if np.ndim(out) == 0:
         return np.full(points.shape[0], float(out))
     return np.asarray(out, dtype=float)
+
+
+def differentiate(comps: np.ndarray, points: np.ndarray, order: int = 1) -> np.ndarray:
+    """The partials of an object array of Exprs at every row of ``points`` (m, n).
+
+    Order 1 gives d_k [m, k, *comps.shape]; order 2 gives d_k d_l
+    [m, k, l, *comps.shape], the partial d_k of d_l.  The walk of
+    :func:`eval_batch` runs once over the entries' DAG with coordinate i the
+    jet (x_i, e_i), for order 2 the jet of jets ((x_i, e_i), e_i) along a
+    second axis, so the first-order rules differentiate themselves and
+    second-order rules are never written out.  Non-finite entries are
+    returned as-is.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
+    comps = np.asarray(comps, dtype=object)
+    points = np.asarray(points, dtype=float)
+    m, n = points.shape
+    # a constant's partials are 0.0, and with no other entry no jet is seeded
+    entries = [(idx, e) for idx, e in enumerate(comps.flat) if not isinstance(e, Const)]
+    partials = []
+    if entries:
+        unit = np.eye(n)
+        # each value broadcasts against the partials' axes
+        columns = points.reshape((m, n) + (1,) * order)
+        coords = [_Jet(columns[:, i], unit[i]) for i in range(n)]
+        if order == 2:
+            coords = [_Jet(x, unit[i][:, None]) for i, x in enumerate(coords)]
+        memo: dict = {}
+        partials = [(idx, _walk(e, coords, memo).d) for idx, e in entries]
+    # made after the walk, so that out and the walk's temporaries never coexist
+    out = np.zeros((m,) + (n,) * order + comps.shape)
+    flat = out.reshape((m,) + (n,) * order + (-1,))
+    for idx, d in partials:
+        if order == 2:  # d_l of the jet along k is [..., l, k]; a d_l that is no jet has d_k 0.0
+            d = np.swapaxes(np.atleast_2d(d.d), -1, -2) if isinstance(d, _Jet) else 0.0
+        flat[..., idx] = d
+    return out

@@ -135,6 +135,9 @@ def load_scenario(path) -> ChartScenario:
     coords = data["coordinates"]
     if not isinstance(coords, list) or len(coords) != n:
         raise SchemaError([f"coordinates must list {n} names"])
+    for i, name in enumerate(coords):
+        if not isinstance(name, str):
+            raise SchemaError([f"coordinates[{i}] must be a name (a string), got {name!r}"])
     domain = data["domain"]
     if not isinstance(domain, list) or len(domain) != n or any(
         not isinstance(iv, list) or len(iv) != 2 for iv in domain
@@ -181,6 +184,11 @@ def load_scenario(path) -> ChartScenario:
     connection = None
     conn_raw = data.get("connection", "levi-civita")
     if conn_raw != "levi-civita":
+        if not isinstance(conn_raw, list):
+            raise SchemaError([
+                f'connection must be "levi-civita" or a {n}x{n}x{n} array of '
+                f"expression strings, got {conn_raw!r}"
+            ])
         connection = _parse_matrix(
             conn_raw, (n, n, n), coords, "connection", parse_problems, shared
         )

@@ -150,6 +150,10 @@ def test_a_json_file_nested_past_the_recursion_limit_is_an_input_error(tmp_path,
         # a report name or description is the file's string, never a repr
         ({"name": ["a"]}, "name"),
         ({"description": 5}, "description"),
+        # a coordinate name that is not a string, and a connection that is
+        # neither "levi-civita" nor an n x n x n array
+        ({"coordinates": [1, 2]}, "coordinates"),
+        ({"connection": "foo"}, "levi-civita"),
     ],
 )
 def test_each_rejection_of_the_loader_is_an_input_error(tmp_path, capsys, fields, named):

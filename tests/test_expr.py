@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ def test_evaluate_examples():
         evaluate(ex.parse("ln(x1)", COORDS), [-1.0, 0.0])
 
 
+def test_a_function_of_a_node_of_constants_alone_takes_numpy_value():
+    # 1/(1/0) + c stays a node; tanh and cosh at it are numpy's, as at every
+    # node, not math's, which differ in the last bit at these constants
+    pts = np.array([[0.5, 0.7], [1.2, 0.3]])
+    for source, value in (("x1*tanh(1/(1/0) + 0.7)", np.tanh(0.7)),
+                          ("x1*cosh(1/(1/0) + 0.9)", np.cosh(0.9))):
+        assert (ex.eval_batch(ex.parse(source, COORDS), pts) == pts[:, 0] * value).all(), source
+
+
 def test_evaluation_deterministic():
     e = ex.parse("sin(x1)*exp(x2) - x1^2/(x2 + 2)", COORDS)
     pts = sample_points(16, seed=5)
@@ -129,6 +139,24 @@ def test_derivatives_match_finite_differences_on_corpus():
                 expected = fd_gradient(e, p)[k]
                 scale = max(1.0, abs(expected))
                 assert abs(d - expected) / scale < 1e-6, (source, k, p)
+
+
+def test_nodes_of_constants_alone_make_the_partials_nan():
+    # 1/0 and ln(0) stay nodes, since they do not fold to a finite constant;
+    # their partials are their rules at the constants' partials 0.0, which is
+    # NaN, and a sum's second partials hold no jet, so they read 0
+    pts = [[0.5, 0.7], [1.2, 0.3]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source, second in (("x1*ln(0)", np.nan), ("x2*(1/0)^2", np.nan),
+                               ("x2 + 1/0", 0.0), ("(1/0 - 1/0) + x2", 0.0)):
+            assert np.isnan(partials(source, pts)).all(), source
+            assert np.array_equal(partials(source, pts, 2), np.full((2, 2, 2), second),
+                                  equal_nan=True), source
+        # a node class applied to constants, which the smart constructors fold
+        for node in (ex.Neg(ex.Const(1.0)), ex.Func("sin", ex.Const(0.5))):
+            for order in (1, 2):
+                assert not ex.differentiate(np.array([node]), np.array(pts), order).any()
 
 
 def test_second_derivatives_commute():

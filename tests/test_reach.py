@@ -52,8 +52,8 @@ def _functions():
 
 def _cli_paths(tmp_path):
     """Argument lists: every check format and derive tensor, a run over two
-    chunks, an explicit connection over two chunks, a curved metric, then
-    six input errors (exit 2)."""
+    chunks, an explicit connection over two chunks, a curved metric, a
+    metric whose partials are not finite, then six input errors (exit 2)."""
     polar = json.loads(scenario_path("polar-plane").read_text())
     golden = json.loads(scenario_path("flat-golden").read_text())
     gamma = [[["0", "0"], ["0", "-x1"]], [["0", "1/x1"], ["1/x1", "0"]]]
@@ -63,6 +63,9 @@ def _cli_paths(tmp_path):
     payloads = {
         "explicit": {**polar, "suites": ["core", "genconn"], "connection": gamma},
         "rich-metric": {**polar, "suites": ["core"], "metric": [["1", "0"], ["0", g22]]},
+        # finite values but NaN partials: 1/0 is a node of constants alone,
+        # whose jets take the rule at zero partials; every check that reads dg fails
+        "nan-partials": {**golden, "metric": [["1 + 1/(1/0)", "0"], ["0", "1"]]},
         "unknown-field": {**golden, "unexpected": 1},
         "parse-error": {**golden, "metric": [["1", "0"], ["0", "x1 +"]]},
         "not-a-projection": {**golden, "J": {"projection": [["2", "0"], ["0", "0"]]}},
@@ -79,9 +82,10 @@ def _cli_paths(tmp_path):
     # genconn's checks read the samples on this chart: their lists fold over the chunks
     runs.append(["check", str(paths["explicit"]), "--samples", "1100"])
     runs.append(["check", str(paths["rich-metric"])])
+    runs.append(["check", str(paths["nan-partials"])])
     # the explicit connection is not finite at x1 = 0: a domain error
     runs.append(["derive", str(paths["explicit"]), "--what", "gen-nijenhuis", "--at", "0,0.5"])
-    return runs + [["check", str(paths[name])] for name in list(payloads)[2:]]
+    return runs + [["check", str(paths[name])] for name in list(payloads)[3:]]
 
 
 def test_every_function_is_reached_by_a_cli_path(tmp_path):
