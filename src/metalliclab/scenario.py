@@ -83,7 +83,9 @@ def _finite_object(pairs: list) -> dict:
 def _parse_matrix(raw, shape, coords, where, parse_problems, shared):
     arr = np.asarray(raw, dtype=object)
     if arr.shape != shape:
-        raise SchemaError([f"{where}: expected shape {shape}, got {arr.shape}"])
+        size = " x ".join(map(str, shape))
+        kind = f"an array of {size}" if len(shape) == 1 else f"a {size} array of"
+        raise SchemaError([f"{where} must be {kind} expression strings, got {raw!r}"])
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
         cell = arr[idx]
@@ -97,6 +99,8 @@ def _parse_matrix(raw, shape, coords, where, parse_problems, shared):
     return out
 
 
+# a probe whose values overflow fails with inf (P^2 != P, say): numpy need not warn
+@np.errstate(all="ignore")
 def load_scenario(path) -> ChartScenario:
     """Load and validate a scenario file, reporting every problem found."""
     path = Path(path)
@@ -142,7 +146,7 @@ def load_scenario(path) -> ChartScenario:
     if not isinstance(domain, list) or len(domain) != n or any(
         not isinstance(iv, list) or len(iv) != 2 for iv in domain
     ):
-        raise SchemaError(["domain must list n [lo, hi] pairs"])
+        raise SchemaError([f"domain must list {n} [lo, hi] pairs"])
     shared: dict = {}  # one node per structure across the fields
 
     def optional(key, default, validate, *args):

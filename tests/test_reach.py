@@ -16,6 +16,7 @@ import metalliclab
 from metalliclab import chart
 from metalliclab.cli import main
 
+import cli_cases
 from conftest import CORPUS, scenario_path
 
 SRC = pathlib.Path(metalliclab.__file__).resolve().parent
@@ -52,25 +53,19 @@ def _functions():
 
 def _cli_paths(tmp_path):
     """Argument lists: every check format and derive tensor, a run over two
-    chunks, an explicit connection over two chunks, a curved metric, a
-    metric whose partials are not finite, then six input errors (exit 2)."""
+    chunks, an explicit connection over two chunks, a curved metric and a
+    metric whose partials are not finite, each of which exits 0 or 1."""
     polar = json.loads(scenario_path("polar-plane").read_text())
     golden = json.loads(scenario_path("flat-golden").read_text())
-    gamma = [[["0", "0"], ["0", "-x1"]], [["0", "1/x1"], ["1/x1", "0"]]]
     # second partials of g through each arithmetic form of the jets, and the
     # ln of a literal base, which folds
     g22 = "x1 + x1^2 + (x1 - x1^2/4) + 1/(1 + x1) + cos(x1) + ln(x1) + 2^x1"
     payloads = {
-        "explicit": {**polar, "suites": ["core", "genconn"], "connection": gamma},
+        "explicit": {**polar, "suites": ["core", "genconn"], "connection": cli_cases.POLAR_GAMMA},
         "rich-metric": {**polar, "suites": ["core"], "metric": [["1", "0"], ["0", g22]]},
         # finite values but NaN partials: 1/0 is a node of constants alone,
         # whose jets take the rule at zero partials; every check that reads dg fails
         "nan-partials": {**golden, "metric": [["1 + 1/(1/0)", "0"], ["0", "1"]]},
-        "unknown-field": {**golden, "unexpected": 1},
-        "parse-error": {**golden, "metric": [["1", "0"], ["0", "x1 +"]]},
-        "not-a-projection": {**golden, "J": {"projection": [["2", "0"], ["0", "0"]]}},
-        "asymmetric-metric": {**golden, "metric": [["1", "0"], ["5 + x1", "1"]]},
-        "informative-control": {**golden, "expected_failures": ["genbundle/fhat-with-df-equal-j"]},
     }
     paths = {name: tmp_path / f"{name}.json" for name in payloads}
     for name, payload in payloads.items():
@@ -83,12 +78,14 @@ def _cli_paths(tmp_path):
     runs.append(["check", str(paths["explicit"]), "--samples", "1100"])
     runs.append(["check", str(paths["rich-metric"])])
     runs.append(["check", str(paths["nan-partials"])])
-    # the explicit connection is not finite at x1 = 0: a domain error
-    runs.append(["derive", str(paths["explicit"]), "--what", "gen-nijenhuis", "--at", "0,0.5"])
-    return runs + [["check", str(paths[name])] for name in list(payloads)[3:]]
+    return runs
 
 
 def test_every_function_is_reached_by_a_cli_path(tmp_path):
+    """The paths above, then every refused invocation of tests/cli_cases.py,
+    each with its own exit code."""
+    runs = _cli_paths(tmp_path)
+    runs += [cli_cases.write(case, tmp_path) for case in cli_cases.REFUSALS]
     called, codes = set(), []
     # the Halton tables are cached for the process, and a hit calls no Python
     # function: the paths start from an empty cache, as a fresh process does
@@ -100,12 +97,14 @@ def test_every_function_is_reached_by_a_cli_path(tmp_path):
 
     sys.setprofile(profile)
     try:
-        for argv in _cli_paths(tmp_path):
+        for argv in runs:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 codes.append(main(argv))
     finally:
         sys.setprofile(None)
-    assert codes[-6:] == [2] * 6 and set(codes[:-6]) <= {0, 1}, codes
+    accepted = len(runs) - len(cli_cases.REFUSALS)
+    assert set(codes[:accepted]) <= {0, 1}, codes
+    assert codes[accepted:] == [case.code for case in cli_cases.REFUSALS], codes
     functions = _functions()
     assert set(ALLOWED) <= set(functions.values()), "the allow-list names a missing function"
     reached = {(code.co_filename, code.co_firstlineno) for code in called}
