@@ -125,7 +125,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_derive(args)
-    except (SchemaError, ParseError, ValidationError, FileNotFoundError, OSError) as err:
+    except (SchemaError, ParseError, ValidationError, OSError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT_ERROR
     except MetallicLabError as err:

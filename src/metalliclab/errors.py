@@ -60,21 +60,19 @@ class DegenerateForm(MetallicLabError):
     """A bilinear form has an eigenvalue too close to zero for a signature."""
 
 
-class SchemaError(MetallicLabError):
+class _ProblemsError(MetallicLabError):
+    """An input error that lists its ``problems``, joined by "; "."""
+
+    def __init__(self, problems):
+        if isinstance(problems, str):
+            problems = [problems]
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
+
+
+class SchemaError(_ProblemsError):
     """Scenario file violates the schema (missing/extra/ill-shaped fields)."""
 
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
-
-class ValidationError(MetallicLabError):
+class ValidationError(_ProblemsError):
     """Scenario file is well-formed but semantically invalid."""
-
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))

@@ -209,6 +209,8 @@ CASES = [
     *(Case(f"derive-at-{at}", "--at must be a finite number",
            args=("--what", "christoffel", "--at", at), command="derive")
       for at in ("nan,0.5", "inf,0.5")),
+    Case("derive-at-a-letter", "--at must be comma-separated numbers",
+         args=("--what", "christoffel", "--at", "a,0.5"), command="derive"),
     # the explicit connection is not finite at x1 = 0
     Case("derive-where-the-connection-is-singular",
          "field evaluation is not finite at point (0.0, 0.5)",

@@ -1,5 +1,6 @@
-"""Independent numerical oracles used by the tests, and the tests' own list
-of the declared check ids and of those that hold on every chart.
+"""Independent numerical oracles used by the tests, the tests' own list of
+the declared check ids and of those that hold on every chart, and the
+seeded synthetic charts they are run on.
 
 Everything here avoids the program's differentiation on purpose:
 derivatives come from central finite differences (with one Richardson
@@ -9,6 +10,7 @@ step where accuracy matters), so agreement with the jets of
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -784,3 +786,80 @@ IDENTITIES = (
     ),
     "commutation/jm-lift-intertwine",
 )
+
+
+# ------------------------------------------------------------------
+# seeded synthetic charts of every dimension the schema accepts
+# ------------------------------------------------------------------
+
+# diagonal metric entries, each positive on [0.2, 1.1]^n for the drawn
+# coefficients a in [1, 2] and b in [0.2, 0.9] and distinct coordinates u, v
+DIAGONAL_ENTRIES = {
+    "trig": ("{a} + {b}*sin({u})*{v}", "{a} + {b}*cos({u})*{v}", "{a} + {b}*exp({u})*{v}"),
+    "smooth": (
+        "2.5 + sin({u})",
+        "2 + 0.5*cos({u})*cos({v})",
+        "exp(0.4*{u})",
+        "3 + 0.3*{u}^2",
+        "2 + tanh({u}*{v})",
+    ),
+}
+FAMILIES = (*DIAGONAL_ENTRIES, "coupled")
+OMEGA_TEMPLATES = ("{c}*{u} + {v}", "{c}*{u}*{v}", "sin({c}*{u}) + {v}")
+PQ = ((1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 2.0))
+
+
+def synthetic_chart(n: int, family: str, seed: int) -> dict:
+    """A scenario of all seven suites at 16 samples, with a metric of
+    ``family``, a projection J and a 1-form drawn from ``seed`` by
+    ``random.Random``; same arguments, same dict.
+
+    ``trig`` and ``smooth`` draw a diagonal metric and a constant diagonal
+    projection of any rank 0..n.  ``coupled`` draws g_ij = delta_ij (a_i +
+    b_i sin x_{i+1}) + 0.1 x_i x_j and the rank-one P = v (g v)^T / (v^T g v),
+    with v_i = 1 + 0.3 x_{i+2} at odd i and a constant at even i (indices
+    from 1, mod n), written out entry by entry: J and its partials vary.
+    """
+    rng = random.Random(seed)
+    x = [f"x{i}" for i in range(1, n + 1)]
+
+    def fill(templates):
+        u, v = rng.sample(x, 2)
+        return rng.choice(templates).format(
+            a=f"{rng.uniform(1.0, 2.0):.3f}", b=f"{rng.uniform(0.2, 0.9):.3f}",
+            c=f"{rng.uniform(0.5, 1.5):.3f}", u=u, v=v,
+        )
+
+    if family == "coupled":
+        metric = [[f"0.1*{x[min(i, j)]}*{x[max(i, j)]}" for j in range(n)] for i in range(n)]
+        for i in range(n):
+            a, b = rng.uniform(1.5, 2.5), rng.uniform(0.1, 0.3)
+            metric[i][i] = f"{a:.3f} + {b:.3f}*sin({x[(i + 1) % n]}) + " + metric[i][i]
+        v = [f"1 + 0.3*{x[(i + 2) % n]}" if i % 2 == 0 else f"{rng.uniform(0.3, 0.9):.3f}"
+             for i in range(n)]
+        gv = [" + ".join(f"({metric[j][k]})*({v[k]})" for k in range(n)) for j in range(n)]
+        norm = " + ".join(f"({v[j]})*({gv[j]})" for j in range(n))
+        projection = [[f"({v[i]})*({gv[j]})/({norm})" for j in range(n)] for i in range(n)]
+    else:
+        metric = [[fill(DIAGONAL_ENTRIES[family]) if i == j else "0" for j in range(n)]
+                  for i in range(n)]
+        ones = rng.sample(range(n), rng.randint(0, n))
+        projection = [["1" if i == j and i in ones else "0" for j in range(n)] for i in range(n)]
+    p, q = rng.choice(PQ)
+    return {
+        "schema_version": 1,
+        "name": f"{family}-{n}-{seed}",
+        "dimension": n,
+        "coordinates": x,
+        "domain": [[0.2, 1.1]] * n,
+        "p": p,
+        "q": q,
+        "metric": metric,
+        "J": {"projection": projection},
+        "omega": [fill(OMEGA_TEMPLATES) for _ in range(n)],
+        "connection": "levi-civita",
+        "suites": list(DECLARED),
+        "samples": 16,
+        "seed": seed,
+        "tolerance": 1e-9,
+    }

@@ -12,7 +12,7 @@ import pytest
 from metalliclab import draws
 from metalliclab import lifts as lf
 
-from conftest import CORPUS, scenario_path
+from conftest import CORPUS, SCENARIO_DIR, scenario_path
 
 # every shuffle of a d = 6 Halton table, in the order the sampler draws them
 HALTON_SIZES = [b for b in (2, 3, 5, 7, 11, 13) for _ in range(math.ceil(54 / math.log2(b)) - 1)]
@@ -49,6 +49,7 @@ def test_streams_and_seeds_that_differ_above_64_bits_draw_apart():
 def test_a_run_imports_neither_numpy_random_nor_hashlib():
     # numpy.random's import pulls in hashlib through secrets, and both cost
     # every process memory and start-up time that the draws do not need
+    assert sorted(CORPUS) == sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
     paths = [str(scenario_path(name)) for name in CORPUS]
     code = f"""
 import contextlib, io, sys

@@ -142,6 +142,63 @@ def test_gen_nijenhuis_covector_pairs_vanish(sphere_chart, sphere_metric, sphere
     assert np.abs(nij[:, :, 2, 3]).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", (2, 3, 6))
+def test_gen_nijenhuis_obeys_the_b_field_law_with_torsion(n):
+    # e^B (X + a) = X + a + i_X B for a 2-form B.  The bracket gives
+    # [e^B s, e^B t] = e^B [s, t] + C(X, Y), with the 1-form
+    # C(X, Y) = i_{T(X,Y)} B + (nabla_X B)(Y, .) - (nabla_Y B)(X, .), so for
+    # K' = e^B K e^-B and pi the projection to TM:
+    #   N_K'(e^B s, e^B t) = e^B N_K(s, t) + C(pi K s, pi K t) - e^B K C(pi K s, pi t)
+    #                        - e^B K C(pi s, pi K t) + e^B K^2 C(pi s, pi t).
+    # N is tensorial, so the left side at the basis is E_ca E_db N_K'(e_c, e_d).
+    rng = np.random.default_rng(90 + n)
+    m, N = 5, 2 * n
+    gamma = rng.normal(size=(m, n, n, n))  # Gamma^k_ij, not symmetric in (i, j)
+    K, dK = rng.normal(size=(m, N, N)), rng.normal(size=(m, n, N, N))
+    B, dB = rng.normal(size=(m, n, n)), rng.normal(size=(m, n, n, n))  # dB[m, k] = d_k B
+    B, dB = B - np.swapaxes(B, -1, -2), dB - np.swapaxes(dB, -1, -2)
+    E = np.tile(np.eye(N), (m, 1, 1))
+    E[:, n:, :n] = np.swapaxes(B, -1, -2)  # (i_X B)_j = X^i B_ij
+    dE = np.zeros((m, n, N, N))
+    dE[:, :, n:, :n] = np.swapaxes(dB, -1, -2)
+    E_inv = 2.0 * np.eye(N) - E  # E - I squares to 0
+    K_b = E @ K @ E_inv
+    dK_b = dE @ (K @ E_inv)[:, None] + E[:, None] @ dK @ E_inv[:, None] - (E @ K)[:, None] @ dE
+    lhs = np.einsum("mAcd,mca,mdb->mAab", gc.gen_nijenhuis(gamma, K_b, dK_b), E, E)
+
+    T = gamma - np.swapaxes(gamma, -1, -2)
+    nabla_B = (
+        dB
+        - np.einsum("mski,msj->mkij", gamma, B)
+        - np.einsum("mskj,mis->mkij", gamma, B)
+    )
+    C = np.einsum("msxy,msj->mxyj", T, B) + nabla_B - np.swapaxes(nabla_B, 1, 2)
+
+    def c_of(X, Y):
+        """C(X_a, Y_b) as sections [m, A, a, b], for vector parts X, Y [m, x, a]."""
+        out = np.zeros((m, N, N, N))
+        out[:, n:] = np.einsum("mxyj,mxa,myb->mjab", C, X, Y)
+        return out
+
+    def act(M, S):
+        return np.einsum("mAB,mBab->mAab", M, S)
+
+    nij = gc.gen_nijenhuis(gamma, K, dK)
+    pi, pi_K = np.broadcast_to(np.eye(n, N), (m, n, N)), K[:, :n]
+    EK = E @ K
+    bare = act(E, nij)
+    rhs = (
+        bare
+        + c_of(pi_K, pi_K)
+        - act(EK, c_of(pi_K, pi) + c_of(pi, pi_K))
+        + act(EK @ K, c_of(pi, pi))
+    )
+    scale = np.abs(nij).max()
+    assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+    # C is not small here: the law without it fails by order one
+    assert np.abs(lhs - bare).max() > 0.1 * scale
+
+
 def test_phi_of_torsion_cases(product_setup):
     c, g, J = product_setup
     pts = c.sample_points(10)
